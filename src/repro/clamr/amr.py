@@ -16,7 +16,11 @@ front — and coarsens where it is flat.  The cycle implemented here:
 
 State transfer happens at the *state* dtype — refining at reduced
 precision rounds exactly as CLAMR's float32 builds do, which is part of
-the precision signal the figures measure.
+the precision signal the figures measure.  The parent mean is defined as
+numpy's ``children.sum(dtype=state_dtype) * 0.25``.  At float32 and
+float64 that sum is the left-to-right ``((a0+a1)+a2)+a3``; at float16
+numpy accumulates in float32 and rounds once, so an explicit float16
+left-to-right sum would round differently.
 """
 
 from __future__ import annotations
@@ -101,9 +105,10 @@ def enforce_balance(mesh: AmrMesh, flags: np.ndarray) -> np.ndarray:
         forced = np.zeros(mesh.ncells, dtype=bool)
         for nbr in neighbors:
             # cell c sees neighbor n = nbr[c]; if c will sit 2+ levels above
-            # n, n must refine.  Scatter with logical-or.
+            # n, n must refine.  Duplicate indices all store True, so a
+            # plain scatter is an exact logical-or.
             deficit = new_level - new_level[nbr] > 1
-            np.logical_or.at(forced, nbr[deficit], True)
+            forced[nbr[deficit]] = True
         forced &= flags != 1
         forced &= mesh.level < mesh.max_level
         if not forced.any():
@@ -124,25 +129,22 @@ def enforce_balance(mesh: AmrMesh, flags: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _sibling_groups(mesh: AmrMesh, candidates: np.ndarray) -> list[np.ndarray]:
+def _sibling_groups(mesh: AmrMesh, candidates: np.ndarray) -> np.ndarray:
     """Complete 4-cell sibling quads among the coarsen candidates.
 
     Siblings share ``(level, i // 2, j // 2)``.  Only groups whose four
     members are all candidates (and all actually at the same level) may
-    coarsen.
+    coarsen.  Returns an ``(ngroups, 4)`` array: rows in ascending key
+    order, members in ascending cell index (the sort is stable).
     """
     cand = np.flatnonzero(candidates)
-    if cand.size == 0:
-        return []
-    key = np.stack(
-        [mesh.level[cand], mesh.i[cand] >> 1, mesh.j[cand] >> 1], axis=1
-    )
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-    groups: list[np.ndarray] = []
-    complete = np.flatnonzero(counts == 4)
-    for gid in complete:
-        groups.append(cand[inverse == gid])
-    return groups
+    order = np.lexsort((mesh.j[cand] >> 1, mesh.i[cand] >> 1, mesh.level[cand]))
+    cand = cand[order]
+    key = np.stack([mesh.level[cand], mesh.i[cand] >> 1, mesh.j[cand] >> 1])
+    starts = np.flatnonzero(np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0))))
+    counts = np.diff(np.append(starts, cand.size))
+    complete = starts[counts == 4]
+    return cand[complete[:, None] + np.arange(4)]
 
 
 def regrid(
@@ -158,68 +160,37 @@ def regrid(
     flags = enforce_balance(mesh, flags)
 
     refine = flags == 1
-    coarsen_groups = _sibling_groups(mesh, flags == -1)
+    groups = _sibling_groups(mesh, flags == -1)
     in_group = np.zeros(mesh.ncells, dtype=bool)
-    for group in coarsen_groups:
-        in_group[group] = True
+    in_group[groups.ravel()] = True
     keep = ~refine & ~in_group
-
-    sdtype = state.state_dtype
-    new_i: list[np.ndarray] = []
-    new_j: list[np.ndarray] = []
-    new_level: list[np.ndarray] = []
-    new_H: list[np.ndarray] = []
-    new_U: list[np.ndarray] = []
-    new_V: list[np.ndarray] = []
-
-    # unchanged cells
-    new_i.append(mesh.i[keep])
-    new_j.append(mesh.j[keep])
-    new_level.append(mesh.level[keep])
-    new_H.append(state.H[keep])
-    new_U.append(state.U[keep])
-    new_V.append(state.V[keep])
-
-    # refined cells -> 4 children each, inheriting the parent value
     ref = np.flatnonzero(refine)
-    if ref.size:
-        for di in (0, 1):
-            for dj in (0, 1):
-                new_i.append(mesh.i[ref] * 2 + di)
-                new_j.append(mesh.j[ref] * 2 + dj)
-                new_level.append(mesh.level[ref] + 1)
-                new_H.append(state.H[ref])
-                new_U.append(state.U[ref])
-                new_V.append(state.V[ref])
+    first = groups[:, 0]
 
-    # coarsened quads -> parent with the equal-area mean of the children,
-    # averaged at the state dtype (this rounding is part of the precision
-    # signal at reduced precision)
-    for group in coarsen_groups:
-        parent_i = mesh.i[group[0]] >> 1
-        parent_j = mesh.j[group[0]] >> 1
-        parent_level = mesh.level[group[0]] - 1
-        new_i.append(np.array([parent_i], dtype=mesh.i.dtype))
-        new_j.append(np.array([parent_j], dtype=mesh.j.dtype))
-        new_level.append(np.array([parent_level], dtype=mesh.level.dtype))
-        quarter = sdtype.type(0.25)
-        new_H.append(np.array([state.H[group].sum(dtype=sdtype) * quarter], dtype=sdtype))
-        new_U.append(np.array([state.U[group].sum(dtype=sdtype) * quarter], dtype=sdtype))
-        new_V.append(np.array([state.V[group].sum(dtype=sdtype) * quarter], dtype=sdtype))
+    def assemble(X: np.ndarray, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        # unchanged cells, then the 4 children of every refined cell (one
+        # block per (di, dj) in (0,0), (0,1), (1,0), (1,1) order), then
+        # one parent per coarsened quad
+        return np.concatenate([X[keep], children.ravel(), parents])
 
+    di = np.array([[0], [0], [1], [1]], dtype=mesh.i.dtype)
+    dj = np.array([[0], [1], [0], [1]], dtype=mesh.j.dtype)
     out_mesh = AmrMesh(
         nx=mesh.nx,
         ny=mesh.ny,
         max_level=mesh.max_level,
-        i=np.concatenate(new_i),
-        j=np.concatenate(new_j),
-        level=np.concatenate(new_level),
+        i=assemble(mesh.i, mesh.i[ref] * 2 + di, mesh.i[first] >> 1),
+        j=assemble(mesh.j, mesh.j[ref] * 2 + dj, mesh.j[first] >> 1),
+        level=assemble(mesh.level, np.tile(mesh.level[ref] + 1, 4), mesh.level[first] - 1),
         coarse_size=mesh.coarse_size,
     )
-    out_state = ShallowWaterState(
-        H=np.concatenate(new_H),
-        U=np.concatenate(new_U),
-        V=np.concatenate(new_V),
-        policy=state.policy,
+    # children inherit the parent value; a coarsened parent takes the
+    # equal-area mean at the state dtype (this rounding is part of the
+    # precision signal at reduced precision)
+    sdtype = state.state_dtype
+    quarter = sdtype.type(0.25)
+    H, U, V = (
+        assemble(X, np.tile(X[ref], 4), X[groups].sum(axis=1, dtype=sdtype) * quarter)
+        for X in (state.H, state.U, state.V)
     )
-    return out_mesh, out_state
+    return out_mesh, ShallowWaterState(H=H, U=U, V=V, policy=state.policy)

@@ -160,32 +160,26 @@ class AmrMesh:
         hash double as the mesh validity check, exactly the role it plays
         in CLAMR's own debug builds.
 
-        Painting is vectorized per refinement level (one fancy-indexed
-        block scatter for all cells of a level at once) — the hash rebuild
-        is on the regrid path and a per-cell Python loop dominated regrid
-        cost on large meshes.  Validation is done by pixel counting:
-        every painted pixel must be painted exactly once and none left
-        empty, which catches both overlaps and gaps.
+        Painting is vectorized per refinement level: viewing the image as
+        ``(nyf/s, s, nxf/s, s)`` blocks, a level-``s`` cell ``(i, j)`` is
+        exactly block ``[j, :, i, :]``, so one fancy-indexed assignment
+        paints every cell of the level.  Validation is an exact integer
+        count: the painted area ``Σ span²`` exceeds the covered pixel count
+        iff some pixel was painted twice (overlap), and a covered count
+        below ``nxf·nyf`` means gaps.  Overlap is reported first.
         """
         span = self.cell_span_fine().astype(np.int64)
-        i0 = self.i.astype(np.int64) * span
-        j0 = self.j.astype(np.int64) * span
         image = np.full((self.nyf, self.nxf), -1, dtype=np.int64)
-        paint_count = np.zeros((self.nyf, self.nxf), dtype=np.int32)
-        cells = np.arange(self.ncells, dtype=np.int64)
         for lvl in np.unique(self.level):
             sel = np.flatnonzero(self.level == lvl)
             s = int(span[sel[0]])
-            offsets = np.arange(s, dtype=np.int64)
-            rows = (j0[sel][:, None] + offsets[None, :])  # (ncells_lvl, s)
-            cols = (i0[sel][:, None] + offsets[None, :])
-            ridx = np.repeat(rows[:, :, None], s, axis=2)
-            cidx = np.repeat(cols[:, None, :], s, axis=1)
-            image[ridx, cidx] = cells[sel][:, None, None]
-            np.add.at(paint_count, (ridx, cidx), 1)
-        if (paint_count > 1).any():
+            blocks = image.reshape(self.nyf // s, s, self.nxf // s, s)
+            blocks[self.j[sel], :, self.i[sel], :] = sel[:, None, None]
+        painted = int((span * span).sum())
+        covered = int(np.count_nonzero(image >= 0))
+        if painted > covered:
             raise ValueError("mesh cells overlap")
-        if (paint_count == 0).any():
+        if covered < self.nxf * self.nyf:
             raise ValueError("mesh does not cover the domain (gaps present)")
         return image
 

@@ -161,12 +161,17 @@ def dd_sum(values: np.ndarray) -> DoubleDouble:
     light" used for reproducible-accurate conservation sums.  Error is
     bounded by the double-double roundoff (~2**-106 relative), i.e. exact
     for any physically meaningful simulation sum.
+
+    The high-word partials and the running error sum are strictly
+    sequential ``np.add.accumulate`` scans (``np.sum`` would reorder
+    pairwise), so ``(hi, lo)`` matches the element-by-element loop bit for
+    bit; the per-step TwoSum errors are elementwise in between.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
-    hi = 0.0
-    lo = 0.0
-    for x in arr:
-        s, e = two_sum(hi, float(x))
-        hi = s
-        lo += e
-    return DoubleDouble._renorm(hi, lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = np.add.accumulate(np.concatenate(([0.0], arr)))
+        a, s = partials[:-1], partials[1:]
+        bb = s - a
+        err = (a - (s - bb)) + (arr - bb)
+        lo = np.add.accumulate(np.concatenate(([0.0], err)))[-1]
+    return DoubleDouble._renorm(float(partials[-1]), float(lo))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.clamr.amr import enforce_balance, refinement_flags, regrid
+from repro.clamr.amr import _sibling_groups, enforce_balance, refinement_flags, regrid
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
-from repro.precision.policy import FULL_PRECISION, MIN_PRECISION
+from repro.precision.policy import FULL_PRECISION, HALF_PRECISION, MIN_PRECISION, MIXED_PRECISION
+from tests.reference_impls import sibling_groups_unique
+from tests.test_clamr_fuzz import random_mesh_and_state
 
 
 def state_with_H(mesh, H, policy=FULL_PRECISION):
@@ -165,6 +167,51 @@ class TestRegrid:
         m3, s3 = regrid(m2, s2, -np.ones(m2.ncells, dtype=np.int8))
         assert m3.ncells == 16
         np.testing.assert_allclose(np.sort(s3.H), np.full(16, 2.5))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sibling_groups_match_unique_scan(self, seed):
+        """Same groups, same row order, same member order as the np.unique
+        implementation — the coarsened parents' cell order depends on it."""
+        mesh, _ = random_mesh_and_state(seed, rounds=3, nx=5)
+        rng = np.random.default_rng(seed)
+        for share in (0.3, 0.8, 1.0):
+            candidates = rng.random(mesh.ncells) < share
+            groups = _sibling_groups(mesh, candidates)
+            expected = sibling_groups_unique(mesh, candidates)
+            assert groups.shape == (len(expected), 4)
+            np.testing.assert_array_equal(groups, np.array(expected).reshape(-1, 4))
+
+    def test_sibling_groups_empty(self):
+        m = AmrMesh.uniform(2, 2, max_level=1, level=1)
+        assert _sibling_groups(m, np.zeros(16, dtype=bool)).shape == (0, 4)
+        three_of_each_quad = (m.i % 2 == 1) | (m.j % 2 == 1)
+        assert _sibling_groups(m, three_of_each_quad).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "policy", [HALF_PRECISION, MIN_PRECISION, MIXED_PRECISION, FULL_PRECISION],
+        ids=lambda p: p.level.value,
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parent_is_state_dtype_sum_times_quarter(self, policy, seed):
+        """A coarsened parent holds numpy's ``X[g].sum(dtype=sdtype) * 0.25``
+        over its four children, bit for bit, at every precision level."""
+        mesh, full = random_mesh_and_state(seed, rounds=2, nx=5)
+        rng = np.random.default_rng(seed)
+        state = ShallowWaterState(
+            H=full.H, U=rng.normal(size=mesh.ncells), V=rng.normal(size=mesh.ncells), policy=policy
+        )
+        flags = np.where(rng.random(mesh.ncells) < 0.7, -1, 0).astype(np.int8)
+        groups = sibling_groups_unique(mesh, enforce_balance(mesh, flags) == -1)
+        assert groups, "the seed must coarsen at least one quad"
+        _, out = regrid(mesh, state, flags)
+        sdtype = policy.state_dtype
+        quarter = sdtype.type(0.25)
+        for name in ("H", "U", "V"):
+            X = getattr(state, name)
+            expected = np.array([X[g].sum(dtype=sdtype) * quarter for g in groups], dtype=sdtype)
+            parents = getattr(out, name)[-len(groups):]
+            assert parents.dtype == sdtype
+            np.testing.assert_array_equal(parents.view(np.uint8), expected.view(np.uint8))
 
     def test_mixed_flags(self):
         m = AmrMesh.uniform(4, 4, max_level=1)

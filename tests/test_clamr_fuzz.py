@@ -16,6 +16,7 @@ from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectori
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.precision.policy import FULL_PRECISION
+from tests.reference_impls import paint_hash_add_at
 
 
 def random_mesh_and_state(seed: int, rounds: int, nx: int = 4, max_level: int = 2):
@@ -42,6 +43,14 @@ class TestRegridFuzz:
         assert mesh.check_balance()
         # total area preserved
         assert mesh.cell_area().sum() == pytest.approx(1.0, rel=1e-12)
+
+    @given(st.integers(0, 10_000), st.integers(0, 5), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_image_matches_add_at_painter(self, seed, rounds, max_level):
+        """The block-view painter yields the same image as the index-cube
+        painter validated with np.add.at."""
+        mesh, _ = random_mesh_and_state(seed, rounds, nx=3, max_level=max_level)
+        np.testing.assert_array_equal(mesh.build_hash(), paint_hash_add_at(mesh))
 
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

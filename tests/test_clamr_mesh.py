@@ -46,6 +46,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="gap|cover"):
             AmrMesh(nx=2, ny=1, max_level=0, i=[0], j=[0], level=[0])
 
+    def test_overlap_reported_before_gap(self):
+        # a fine cell inside coarse cell (0, 0), and coarse cell (1, 0) missing
+        with pytest.raises(ValueError, match="overlap"):
+            AmrMesh(nx=2, ny=1, max_level=1, i=[0, 0], j=[0, 0], level=[0, 1])
+
+    def test_duplicate_cell_is_overlap(self):
+        with pytest.raises(ValueError, match="overlap"):
+            AmrMesh(nx=2, ny=1, max_level=0, i=[0, 1, 1], j=[0, 0, 0], level=[0, 0, 0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AmrMesh(nx=1, ny=1, max_level=0, i=[], j=[], level=[])

@@ -8,6 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sums import DoubleDouble, dd_sum, split, two_prod, two_sum
+from tests.reference_impls import dd_sum_loop
+
+# mantissa × 10**k for k in [-30, 30]: about 60 decades of magnitude, so
+# the TwoSum errors are large and their running sum rounds
+wide_floats = st.builds(lambda m, k: m * 10.0**k, st.floats(-1.0, 1.0), st.integers(-30, 30))
+
+
+def _wide(shape, seed=5, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-30, 31, shape)).astype(dtype)
+
+
+def _bits(hi: float, lo: float) -> bytes:
+    return np.array([hi, lo], dtype=np.float64).tobytes()
+
 
 moderate_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150
@@ -125,6 +140,46 @@ class TestDdSum:
 
     def test_empty(self):
         assert float(dd_sum(np.array([]))) == 0.0
+
+    @given(
+        st.lists(wide_floats, min_size=0, max_size=64),
+        st.sampled_from([None, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.integers(0, 64),
+        st.booleans(),
+        st.sampled_from(["1d", "2d", "float32"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_matches_loop(self, values, special, at, lead_negzero, form):
+        """The vectorized scans reproduce the element-by-element TwoSum loop
+        bit for bit: signed zeros, ±inf, NaN, 2-D and float32 inputs."""
+        if special is not None:
+            values.insert(at, special)
+        x = np.array(([-0.0] if lead_negzero else []) + values, dtype=np.float64)
+        if form == "2d" and x.size % 2 == 0:
+            x = x.reshape(2, -1)
+        elif form == "float32":
+            with np.errstate(over="ignore"):
+                x = x.astype(np.float32)
+        result = dd_sum(x)
+        assert _bits(result.hi, result.lo) == _bits(*dd_sum_loop(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([]),
+            np.array([-0.0]),
+            np.array([-0.0, -0.0, 1e-300, -1e-300]),
+            np.array([np.inf, 1.0, -np.inf]),
+            np.array([1e308, 1e308, -1e308]),
+            np.array([np.nan, 1.0]),
+            _wide((40, 50)),
+            _wide(3000, dtype=np.float32),
+        ],
+        ids=["empty", "negzero", "signed-zero-cancel", "inf", "overflow", "nan", "2d", "float32"],
+    )
+    def test_edge_inputs_match_loop(self, x):
+        result = dd_sum(x)
+        assert _bits(result.hi, result.lo) == _bits(*dd_sum_loop(x))
 
     @given(st.lists(st.floats(-1e15, 1e15), min_size=0, max_size=100))
     @settings(max_examples=100, deadline=None)
