@@ -1,10 +1,9 @@
-"""Microbenchmark + regression gate for the compiled kernel backends.
+"""Microbenchmark + regression gate for the compiled kernel backend.
 
 Times the whole hot kernels — :func:`finite_diff_vectorized` (first-order
-Rusanov), :func:`finite_diff_muscl` (second-order MUSCL-Hancock), and the
-CFL reduction :func:`compute_timestep` — under each available compiled
-backend (``cext``, ``numba``) against the NumPy oracle on a developed
-128x128 level-2 dam break, per precision level, after first *proving*
+Rusanov) and :func:`finite_diff_muscl` (second-order MUSCL-Hancock) —
+under the compiled ``cext`` backend against the NumPy oracle on a
+developed 128x128 level-2 dam break, per precision level, after first *proving*
 the backend produces bit-identical state over several steps (the
 property that makes the backend admissible at all; see
 ``tests/test_backends.py`` for the exhaustive version).
@@ -18,8 +17,6 @@ What to expect, and what is gated:
 * **fd** — the first-order kernel is mostly gather + one flux; NumPy is
   already fused and vectorized there, so compiled wins are modest
   (~1.5-3x).  Gated at a conservative floor.
-* **cfl** — one map + min-reduction; NumPy is near the memory-bandwidth
-  roof, so the compiled path is roughly parity.  Reported, not gated.
 
 Run directly (CI's perf-smoke job does)::
 
@@ -57,7 +54,7 @@ BENCH_WARMUP_STEPS = 12
 #: bit-identity is checked over this many further steps per kernel
 IDENTITY_STEPS = 8
 
-KERNELS = ("fd", "muscl", "cfl")
+KERNELS = ("fd", "muscl")
 
 
 def _prepare(level: str):
@@ -73,9 +70,7 @@ def _prepare(level: str):
 def _step_fn(kernel: str):
     if kernel == "fd":
         return lambda mesh, s, dt, faces: finite_diff_vectorized(mesh, s, dt, faces=faces)
-    if kernel == "muscl":
-        return lambda mesh, s, dt, faces: finite_diff_muscl(mesh, s, dt, faces=faces)
-    return lambda mesh, s, dt, faces: compute_timestep(mesh, s, 0.25)
+    return lambda mesh, s, dt, faces: finite_diff_muscl(mesh, s, dt, faces=faces)
 
 
 def _check_identity(mesh, state, faces, backend: str) -> bool:
@@ -109,7 +104,7 @@ def _time_kernel(mesh, state, faces, dt, kernel: str, backend: str, reps: int) -
     step = _step_fn(kernel)
     s = state.copy()
     with backends.kernel_backend(backend):
-        backends.warmup(state.policy.compute_dtype)  # JIT / C build outside timing
+        backends.warmup(state.policy.compute_dtype)  # C build outside timing
         step(mesh, s, dt, faces)  # warm caches and dispatch
         times = []
         for _ in range(reps):
@@ -179,8 +174,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backends", default=None, metavar="A,B",
                         help="comma-separated backends to measure (default: "
-                             "every available compiled backend); naming an "
-                             "unavailable one fails")
+                             "cext if available); naming an unavailable one "
+                             "fails")
     parser.add_argument("--reps", type=int, default=30,
                         help="timed repetitions per measurement (default 30)")
     parser.add_argument("--min-muscl-speedup", type=float, default=3.0,
@@ -202,10 +197,10 @@ def main(argv=None) -> int:
         requested = None
 
     available = {r["name"]: r for r in backends.available_backends()}
-    names = requested or [n for n in ("cext", "numba") if available[n]["available"]]
+    names = requested or [n for n in ("cext",) if available[n]["available"]]
     failures = []
     for name in names:
-        if name not in available or name in ("numpy", "auto"):
+        if name not in available or name == "numpy":
             print(f"FAIL: not a measurable backend: {name!r}", file=sys.stderr)
             return 1
         if not available[name]["available"]:
@@ -215,8 +210,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     if not names:
-        print("no compiled backend available (no C compiler, no numba); "
-              "nothing to measure")
+        print("no compiled backend available (no C compiler); nothing to measure")
         return 0
 
     rows = []
@@ -224,7 +218,7 @@ def main(argv=None) -> int:
         title=(f"Compiled backends vs NumPy oracle — {BENCH_NX}^2 "
                f"level-{BENCH_MAX_LEVEL} dam break after {BENCH_WARMUP_STEPS} "
                f"steps (median of {args.reps})"),
-        headers=["Level", "Backend", "Bits", "fd x", "muscl x", "cfl x",
+        headers=["Level", "Backend", "Bits", "fd x", "muscl x",
                  "muscl oracle (ms)", "muscl compiled (ms)"],
     )
     for level in LEVELS:
@@ -248,7 +242,6 @@ def main(argv=None) -> int:
                 level, backend, "identical" if identical else "DIVERGED",
                 round(row["fd_speedup"], 2),
                 round(row["muscl_speedup"], 2),
-                round(row["cfl_speedup"], 2),
                 round(1e3 * row["muscl_oracle_s"], 3),
                 round(1e3 * row["muscl_compiled_s"], 3),
             )

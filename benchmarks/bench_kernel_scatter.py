@@ -1,8 +1,9 @@
 """Microbenchmark + regression gate for the deterministic scatter kernels.
 
 Times :func:`finite_diff_vectorized` with the production ``ScatterPlan``
-(CSR segment scatter, see docs/performance.md) against the preserved
-legacy ``np.add.at`` kernel on a developed 128x128 level-2 dam break,
+(CSR segment scatter, see docs/performance.md) against the same kernel
+with ``scatter_mode("add_at")``, which forces the original ``np.add.at``
+scatter (the "legacy" rows), on a developed 128x128 level-2 dam break,
 per precision level — after first *proving* the two produce bit-identical
 state, which is the property that makes the optimization admissible at
 all.

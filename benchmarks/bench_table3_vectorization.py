@@ -1,13 +1,13 @@
 """Table III — finite_diff vectorization × precision, and checkpoint sizes.
 
-Benchmarks the genuinely-different scalar and NumPy kernels, regenerates
+Benchmarks the unvectorized (python-backend loop) and NumPy kernels, regenerates
 the table (measured Python wall-clock + modelled Haswell times + paper-
 scale checkpoint sizes), and checks the paper's shape: vectorization
 unlocks the single-precision gain (1.9x vectorized vs ~1.1x scalar), and
 min/mixed checkpoints are 2/3 of full.
 
 The compiled-backend cases extend the same ladder one rung further:
-scalar -> NumPy -> cext/numba, each measured on the identical workload
+scalar -> NumPy -> cext, each measured on the identical workload
 (bit-identical by the backend contract, so the comparison is fair; see
 benchmarks/bench_kernel_backends.py for the gated speedup floors).
 """
@@ -21,13 +21,8 @@ from repro.harness.experiments import table3_vectorization
 
 CFG = DamBreakConfig(nx=24, ny=24, max_level=1)
 
-#: the oracle plus whatever compiled backends this machine can build
-MEASURED_BACKENDS = ["numpy"] + [
-    name for name, probe in (
-        ("cext", backends.cext.availability),
-        ("numba", backends.numba_backend.availability),
-    ) if probe()[0]
-]
+#: the oracle plus the compiled backend, if this machine can build it
+MEASURED_BACKENDS = ["numpy"] + (["cext"] if backends.cext.availability()[0] else [])
 
 
 def test_finite_diff_vectorized(benchmark):

@@ -8,10 +8,11 @@ faithful to its architecture:
   are found through a finest-level spatial hash, with a 2:1 level balance
   (:mod:`repro.clamr.mesh`, :mod:`repro.clamr.amr`);
 * the **shallow-water equations** advanced by a conservative finite-volume
-  kernel with face-by-face fluxes; the hot loop exists in two genuinely
-  different implementations — a scalar pure-Python loop ("unvectorized")
-  and a NumPy bulk-array version ("vectorized") — the axis of the paper's
-  Table III (:mod:`repro.clamr.kernels`);
+  kernel with face-by-face fluxes; the hot loop runs either as NumPy bulk
+  array expressions ("vectorized", :mod:`repro.clamr.kernels`) or one face
+  at a time on the ``python`` kernel backend ("unvectorized",
+  :mod:`repro.clamr.backends.loops`) — the axis of the paper's Table III,
+  with bit-identical results;
 * **three precision modes** via :class:`repro.precision.PrecisionPolicy`:
   minimum (float32 throughout), mixed (float32 state, float64 locals),
   full (float64 throughout) (:mod:`repro.clamr.state`);
@@ -24,7 +25,7 @@ faithful to its architecture:
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.clamr.amr import regrid, refinement_flags
-from repro.clamr.kernels import finite_diff_vectorized, finite_diff_scalar, compute_timestep
+from repro.clamr.kernels import finite_diff_vectorized, compute_timestep
 from repro.clamr.muscl import finite_diff_muscl
 from repro.clamr.simulation import ClamrSimulation, DamBreakConfig, SimulationResult
 from repro.clamr.checkpoint import write_checkpoint, read_checkpoint, checkpoint_nbytes
@@ -37,7 +38,6 @@ __all__ = [
     "regrid",
     "refinement_flags",
     "finite_diff_vectorized",
-    "finite_diff_scalar",
     "finite_diff_muscl",
     "compute_timestep",
     "ClamrSimulation",

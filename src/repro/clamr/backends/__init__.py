@@ -1,28 +1,23 @@
-"""Multi-backend compiled kernels behind the differential oracle.
+"""Kernel backends behind the differential oracle.
 
 This package generalizes the ``scatter_mode`` pattern one level up: the
 NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
 :mod:`repro.self_.equations` stay exactly as they are — the *oracle* —
 and a process-wide :func:`kernel_backend` switch can route the hot loops
-through a compiled implementation that is **bit-identical by contract**:
+through a loop implementation that is **bit-identical by contract**:
 
 ``numpy``
     The default.  No dispatch happens at all; the oracle path runs.
 ``python``
     The loop kernels in :mod:`.loops` interpreted by CPython over NumPy
-    scalars.  Orders of magnitude slower — it exists so the *logic* the
-    compiled backends execute can be bit-verified everywhere (including
-    float16, which the compiled backends don't instantiate) even on
-    machines with neither numba nor a C compiler.
-``numba``
-    :mod:`.loops` JIT-compiled by ``numba.njit`` (see
-    :mod:`.numba_backend`).  Optional dependency; absent → unavailable.
+    scalars.  Orders of magnitude slower.  It is the unvectorized row of
+    the paper's Table III (``ClamrSimulation(vectorized=False)`` runs the
+    Rusanov step here), and it lets the logic the C backend executes be
+    bit-verified everywhere, including float16, which ``cext`` does not
+    instantiate, and on machines without a C compiler.
 ``cext``
     The same kernels as C (``_kernels.c``), compiled by the system C
     compiler at first use and loaded via ctypes (see :mod:`.cext`).
-``auto``
-    The best available compiled backend: numba, else cext, else the
-    NumPy oracle.
 
 Selection: explicit (:func:`set_kernel_backend` / the
 :func:`kernel_backend` context manager / ``--backend`` on the CLI) wins;
@@ -30,13 +25,13 @@ otherwise the ``REPRO_KERNEL_BACKEND`` environment variable; otherwise
 ``numpy``.  The env var is how sweep workers inherit the parent's choice
 under the spawn start method.
 
-Fallback semantics (the *graceful* part): requesting ``numba`` or
-``cext`` when the backend can't be built silently runs the oracle — by
-the bit-identity contract the numbers cannot differ, so a missing
-toolchain degrades performance, never results.  The same applies
-per-dtype: the compiled backends instantiate float32/float64 only, so
-the ``half`` policy's float16 arithmetic always runs on the NumPy path
-(mirroring the CSR ScatterPlan dtype restriction).  Because backend
+Fallback semantics (the *graceful* part): requesting ``cext`` when it
+can't be built silently runs the oracle — by the bit-identity contract
+the numbers cannot differ, so a missing compiler degrades performance,
+never results.  The same applies per-dtype: ``cext`` instantiates
+float32/float64 only, so the ``half`` policy's float16 arithmetic
+always runs on the NumPy path (mirroring the CSR ScatterPlan dtype
+restriction).  Because backend
 choice can't change bits, it is deliberately **excluded** from hashed
 run identity — ``RunRecord.backend`` is recorded for provenance but is
 not part of the workload key or fingerprint.
@@ -57,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..state import GRAVITY
-from . import cext, loops, numba_backend
+from . import cext, loops
 
 __all__ = [
     "BACKENDS",
@@ -73,7 +68,7 @@ __all__ = [
     "warmup",
 ]
 
-BACKENDS = ("numpy", "python", "cext", "numba", "auto")
+BACKENDS = ("numpy", "python", "cext")
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: explicit process-level selection; None defers to the env var / default
@@ -126,30 +121,13 @@ def kernel_backend(name: str):
 
 
 def _build_ops(name: str, dt: np.dtype) -> SimpleNamespace | None:
-    if name == "auto":
-        for candidate in ("numba", "cext"):
-            ops = _build_ops(candidate, dt)
-            if ops is not None:
-                return ops
-        return None
     if name == "python":
-        fns = {k: getattr(loops, k) for k in loops.__all__}
-        return SimpleNamespace(name="python", **fns)
-    if dt not in _COMPILED_DTYPES:
-        return None  # float16 (half policy) stays on the NumPy oracle
-    if name == "numba":
-        jitted = numba_backend.jitted_ops()
-        if jitted is None:
-            return None
-        fns = {k: getattr(jitted, k) for k in loops.__all__}
-        return SimpleNamespace(name="numba", **fns)
-    if name == "cext":
-        ok, _ = cext.availability()
-        if not ok:
-            return None
-        fns = {k: getattr(cext, k) for k in loops.__all__}
-        return SimpleNamespace(name="cext", **fns)
-    return None
+        module = loops
+    elif dt not in _COMPILED_DTYPES or not cext.availability()[0]:
+        return None  # float16 (half policy) or no compiler: the NumPy oracle
+    else:
+        module = cext
+    return SimpleNamespace(name=name, **{k: getattr(module, k) for k in loops.__all__})
 
 
 def dispatch_ops(cdtype) -> SimpleNamespace | None:
@@ -180,12 +158,8 @@ def available_backends() -> list[dict]:
         {"name": "python", "available": True,
          "detail": "pure-Python loop kernels (bit-reference; slow)"},
     ]
-    for name, probe in (("cext", cext.availability), ("numba", numba_backend.availability)):
-        ok, detail = probe()
-        rows.append({"name": name, "available": ok, "detail": detail})
-    with kernel_backend("auto"):
-        rows.append({"name": "auto", "available": True,
-                     "detail": f"resolves to {resolved_backend()}"})
+    ok, detail = cext.availability()
+    rows.append({"name": "cext", "available": ok, "detail": detail})
     return rows
 
 
@@ -196,7 +170,6 @@ def _reset_for_tests() -> None:
     _OPS_CACHE.clear()
     _WARMED.clear()
     cext._reset_for_tests()
-    numba_backend._reset_for_tests()
 
 
 # -- marshalling: mesh/state objects -> the flat loops.py convention ------
@@ -327,18 +300,6 @@ def try_muscl_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy):
     return dH, dU, dV
 
 
-def try_cfl_min(mesh, state, geom):
-    """Raw CFL min-reduction on the active backend; None → oracle."""
-    cdtype = state.policy.compute_dtype
-    ops = dispatch_ops(cdtype)
-    if ops is None or mesh.ncells == 0:
-        return None
-    ct = cdtype.type
-    H, U, V = state.promoted()
-    size, _ = geom.geometry(mesh, cdtype)
-    return float(ops.cfl_min(H, U, V, size, ct(GRAVITY), ct(1e-12)))
-
-
 def try_self_max_metric(U, mx, my, mz, gamma, gm1, dtype):
     """SELF metric-weighted max wave speed; None → oracle."""
     dt = np.dtype(dtype)
@@ -364,8 +325,7 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
 
     Returns the concrete backend name, or None when the oracle will run.
     Called by the simulation drivers inside a dedicated telemetry span so
-    JIT/C-build time never pollutes timed regions or flight-recorder
-    series.  Idempotent per (backend, dtype, which).
+    C-build time never pollutes timed regions or flight-recorder series.  Idempotent per (backend, dtype, which).
     """
     ops = dispatch_ops(cdtype)
     if ops is None:
@@ -429,6 +389,5 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
             sl6[0], sl6[1], sl6[2], sl6[3], sl6[4], sl6[5],
             f4[0], f4[1], f4[2], f4[3], d3[0], d3[1], d3[2], g, half,
         )
-        ops.cfl_min(H, U, V, ones, g, ct(1e-12))
     _WARMED.add(key)
     return ops.name

@@ -16,7 +16,6 @@
  */
 
 static inline T FN(npmax)(T a, T b) { return (a > b || a != a) ? a : b; }
-static inline T FN(npmin)(T a, T b) { return (a < b || a != a) ? a : b; }
 
 /* Rusanov flux on one face; n/t are normal/tangent momenta. */
 static inline void FN(rusanov)(
@@ -369,25 +368,6 @@ void FN(muscl_bathy)(
     for (i = 0; i < nyf; i++) dV[yb[i]] += -(f1[i] * ysz[i]);
     for (i = 0; i < nyf; i++) dV[yt[i]] += f2[i] * ysz[i];
     FN(boundary)(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg);
-}
-
-/* min over cells of size / (|vel| + sqrt(g*h)) — compute_timestep. */
-T FN(cfl_min)(
-    const T *H, const T *U, const T *V, const T *size,
-    int64_t ncells, T g, T floor_h)
-{
-    int64_t i;
-    T h = FN(npmax)(H[0], floor_h);
-    T vel = FN(npmax)(KFABS(U[0]), KFABS(V[0])) / h;
-    T m = size[0] / (vel + KSQRT(g * h));
-    for (i = 1; i < ncells; i++) {
-        T ld;
-        h = FN(npmax)(H[i], floor_h);
-        vel = FN(npmax)(KFABS(U[i]), KFABS(V[i])) / h;
-        ld = size[i] / (vel + KSQRT(g * h));
-        m = FN(npmin)(m, ld);
-    }
-    return m;
 }
 
 /* One node of CompressibleEuler.max_wave_speed_metric. */

@@ -114,9 +114,6 @@ def _declare(lib) -> None:
         fn.argtypes = [P, P, P, P, P, P, P, P, P, P,
                        P, P, P, I, P, P, P, I, P, P,
                        P, P, P, P, P, P, P, P, P, P, P, P, P, I, S, S]
-        fn = getattr(lib, f"cfl_min_{suffix}")
-        fn.restype = S
-        fn.argtypes = [P, P, P, P, I, S, S]
         fn = getattr(lib, f"self_max_metric_{suffix}")
         fn.restype = S
         fn.argtypes = [P, I, I, S, S, S, S, S, S]
@@ -217,11 +214,6 @@ def muscl_bathy(H, U, V, b, eta, nlft, nrht, nbot, ntop, size,
         _p(sxH), _p(syH), _p(sxU), _p(syU), _p(sxV), _p(syV),
         _p(f0), _p(f1), _p(f2), _p(f3), _p(dH), _p(dU), _p(dV),
         H.shape[0], float(g), float(half))
-
-
-def cfl_min(H, U, V, size, g, floor):
-    return _fn("cfl_min", H)(
-        _p(H), _p(U), _p(V), _p(size), H.shape[0], float(g), float(floor))
 
 
 def self_max_metric(Uf, nelem, n3, mx, my, mz, gamma, gm1, half):

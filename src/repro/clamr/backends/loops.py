@@ -1,4 +1,4 @@
-"""Loop-form kernel bodies — the single source the compiled backends share.
+"""Loop-form kernel bodies — the single source of the loop backends.
 
 Every function here is a straight element-at-a-time transliteration of the
 NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
@@ -7,24 +7,22 @@ NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
 * executed by CPython over NumPy *scalars* ("python" backend) the
   arithmetic replays the array kernels' per-element operation sequence
   bit-for-bit, and
-* compiled by numba's ``njit`` ("numba" backend) the same property holds,
-  because every operation is a single correctly-rounded IEEE-754 op on
-  values of the compute dtype.
+* mirrored line for line in C ("cext" backend, ``_kernels_impl.h``) the
+  same property holds, because every operation is a single
+  correctly-rounded IEEE-754 op on values of the compute dtype.
 
 The bit contract imposes three authoring rules:
 
-1. **No bare float literals.**  Numba types ``x * 0.5`` at float64 even
-   when ``x`` is float32 (it has no NEP-50 weak scalars), which would
-   change the rounding of every float32 intermediate.  All constants —
-   gravity, 0.5, the dry floor — arrive as arguments already cast to the
-   compute dtype; derived constants (``hg = half * g``, ``zero = g - g``)
-   are computed from them with exact operations.
-2. **Comparison-based min/max replays NumPy's.**  ``np.maximum`` is
+1. **No bare float literals.**  C evaluates ``x * 0.5`` at double even
+   when ``x`` is float, which would change the rounding of every float32
+   intermediate.  All constants — gravity, 0.5 — arrive as arguments
+   already cast to the compute dtype; derived constants (``hg = half *
+   g``, ``zero = g - g``) are computed from them with exact operations.
+2. **Comparison-based max replays NumPy's.**  ``np.maximum`` is
    ``(a > b or isnan(a)) ? a : b`` — NaN-propagating, and *not* the same
-   as ``max(a, b)`` for NaNs or signed zeros.  :func:`_npmax` /
-   :func:`_npmin` spell that formula out; reductions fold it
-   left-to-right, which matches ufunc pairwise reduction because min/max
-   selection is associative in value.
+   as ``max(a, b)`` for NaNs or signed zeros.  :func:`_npmax` spells that
+   formula out; reductions fold it left-to-right, which matches ufunc
+   pairwise reduction because max selection is associative in value.
 3. **Expression shapes copy the NumPy source.**  Where the array kernel
    computes ``0.5 * (a + b) - 0.5 * lam * (c - d)``, the loop computes
    ``half * (a + b) - (half * lam) * (c - d)`` — the same roundings in
@@ -54,7 +52,6 @@ __all__ = [
     "fd_bathy",
     "muscl_flat",
     "muscl_bathy",
-    "cfl_min",
     "self_max_metric",
 ]
 
@@ -62,13 +59,6 @@ __all__ = [
 def _npmax(a, b):
     """``np.maximum`` for scalars: NaN-propagating, numpy tie behavior."""
     if a > b or a != a:
-        return a
-    return b
-
-
-def _npmin(a, b):
-    """``np.minimum`` for scalars: NaN-propagating, numpy tie behavior."""
-    if a < b or a != a:
         return a
     return b
 
@@ -123,7 +113,7 @@ def _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg):
     """Reflective-wall fluxes, side by side in left|right|bottom|top order.
 
     Replays both the fused boundary of ``finite_diff_vectorized`` and the
-    per-side legacy/muscl application (they are bit-identical: corner
+    per-side bathymetry/muscl application (they are bit-identical: corner
     cells accumulate in the same side order, and ``acc += (±1·f)·s`` ==
     ``acc ± f·s`` exactly).
     """
@@ -516,27 +506,6 @@ def muscl_bathy(
     for i in range(nyf):
         dV[yt[i]] += f2[i] * ysz[i]
     _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg)
-
-
-def _local_dt(h0, u0, v0, sz, g, floor):
-    """One cell of ``compute_timestep``'s CFL expression."""
-    h = _npmax(h0, floor)
-    vel = _npmax(np.abs(u0), np.abs(v0)) / h
-    wave = vel + np.sqrt(g * h)
-    return sz / wave
-
-
-def cfl_min(H, U, V, size, g, floor):
-    """min over cells of size / (|vel| + sqrt(g·h)) — ``compute_timestep``.
-
-    Returns the raw minimum (caller applies the Courant factor exactly as
-    the NumPy path: ``float(min) * courant``).
-    """
-    n = H.shape[0]
-    m = _local_dt(H[0], U[0], V[0], size[0], g, floor)
-    for i in range(1, n):
-        m = _npmin(m, _local_dt(H[i], U[i], V[i], size[i], g, floor))
-    return m
 
 
 def _metric_total(Uf, t, n3, mx, my, mz, gamma, gm1, half):

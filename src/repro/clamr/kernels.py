@@ -3,15 +3,16 @@
 The paper's profiling found "the majority of CPU time spent on
 floating-point arithmetic lies within the finite-difference algorithm
 loop", and Table III's whole point is comparing an **unvectorized** and a
-**vectorized** implementation of that loop at three precision levels.  We
-therefore keep two genuinely different implementations of the same
-numerics:
-
-* :func:`finite_diff_vectorized` — bulk NumPy array expressions over the
-  face lists (the SIMD analogue; this is the production path);
-* :func:`finite_diff_scalar` — a straight Python loop over faces using
-  NumPy *scalar* types of the same dtype, so it performs bit-identical
-  arithmetic, just one face at a time (the scalar-CPU analogue).
+**vectorized** implementation of that loop at three precision levels.
+:func:`finite_diff_vectorized` — bulk NumPy array expressions over the
+face lists — is the vectorized row (the SIMD analogue), the production
+path and the bit-exactness oracle.  The unvectorized row (the scalar-CPU
+analogue) is the same step run one face at a time by the ``python``
+kernel backend (``fd_flat``/``fd_bathy`` in
+:mod:`repro.clamr.backends.loops`, selected by
+``ClamrSimulation(vectorized=False)``): a loop over NumPy scalars of the
+compute dtype that replays this module's operation sequence, so the two
+rows produce the same bits.
 
 Scheme
 ------
@@ -55,7 +56,6 @@ __all__ = [
     "geometry_cache",
     "scatter_mode",
     "finite_diff_vectorized",
-    "finite_diff_scalar",
     "compute_timestep",
     "FLOPS_PER_FACE",
     "FLOPS_PER_CELL_UPDATE",
@@ -102,9 +102,10 @@ class ScatterPlan:
     IEEE-754 negation is exact and multiplication commutes exactly:
     ``-(f · s) == (-s) · f`` and ``acc - t == acc + (-t)``.
 
-    Without scipy (or for a dtype its compiled kernels don't cover) ``apply``
-    falls back to the original ``np.add.at`` pair, which produces the same
-    bits by construction — so results never depend on which path ran.
+    Without scipy, for a dtype its compiled kernels don't cover, or under
+    ``scatter_mode("add_at")``, ``apply`` runs the original ``np.add.at``
+    pair, which produces the same bits by construction — so results never
+    depend on which path ran.
     """
 
     def __init__(self, low: np.ndarray, high: np.ndarray, sizes: np.ndarray, ncells: int) -> None:
@@ -147,7 +148,11 @@ class ScatterPlan:
     def apply(self, acc: np.ndarray, flux: np.ndarray) -> None:
         """``acc[low] -= flux·fsz; acc[high] += flux·fsz``, add.at-bit-exact."""
         cdtype = acc.dtype
-        if _scipy_sparsetools is not None and cdtype in _CSR_DTYPES:
+        if (
+            _SCATTER_MODE == "plan"
+            and _scipy_sparsetools is not None
+            and cdtype in _CSR_DTYPES
+        ):
             _scipy_sparsetools.csr_matvec(
                 self.ncells, self.nfaces, self.indptr, self.cols,
                 self._signed(cdtype), flux, acc,
@@ -158,9 +163,10 @@ class ScatterPlan:
             np.add.at(acc, self.high, flux * fsz)
 
 
-#: scatter implementation selector: "plan" (production) or "add_at" (the
-#: original unbuffered ufunc scatter, kept as the differential oracle for
-#: the bit-identity tests and the microbenchmark baseline)
+#: scatter implementation selector: "plan" (production) or "add_at", which
+#: forces ScatterPlan.apply onto its np.add.at pair and turns backend
+#: dispatch off — the all-NumPy reference for the bit-identity tests and
+#: the microbenchmark baseline
 _SCATTER_MODE = "plan"
 
 
@@ -540,37 +546,6 @@ def _count_work(
     counters.add(flops=flops, state_bytes=state_bytes, compute_bytes=compute_bytes)
 
 
-def _scatter_group(
-    plan: ScatterPlan,
-    dH: np.ndarray,
-    dU: np.ndarray,
-    dV: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    fh: np.ndarray,
-    fu: np.ndarray,
-    fv: np.ndarray,
-    fsz: np.ndarray,
-) -> None:
-    """Scatter one face group's fluxes into the accumulators.
-
-    Mode "plan" uses the precomputed :class:`ScatterPlan`; mode "add_at"
-    replays the original six unbuffered ``np.add.at`` calls.  Both produce
-    bit-identical accumulators (asserted by the bit-identity test suite).
-    """
-    if _SCATTER_MODE == "plan":
-        plan.apply(dH, fh)
-        plan.apply(dU, fu)
-        plan.apply(dV, fv)
-    else:
-        np.add.at(dH, low, -fh * fsz)
-        np.add.at(dH, high, fh * fsz)
-        np.add.at(dU, low, -fu * fsz)
-        np.add.at(dU, high, fu * fsz)
-        np.add.at(dV, low, -fv * fsz)
-        np.add.at(dV, high, fv * fsz)
-
-
 def _finite_diff_bathy(
     mesh: AmrMesh,
     state: ShallowWaterState,
@@ -709,20 +684,16 @@ def finite_diff_vectorized(
         faces = FaceLists.from_mesh(mesh)
     if geom is None:
         geom = _DEFAULT_GEOMETRY_CACHE
+    # backend dispatch only in "plan" mode: scatter_mode("add_at") is the
+    # explicit full-oracle request and must win over any backend
+    dispatch = _SCATTER_MODE == "plan"
     if bathy is not None:
-        # backend dispatch only in "plan" mode: scatter_mode("add_at") is
-        # the explicit full-oracle request and must win over any backend
-        if _SCATTER_MODE == "plan" and _backends.try_fd_bathy(
-            mesh, state, dt, faces, geom, bathy
-        ):
+        if dispatch and _backends.try_fd_bathy(mesh, state, dt, faces, geom, bathy):
             _count_work(counters, mesh, state, faces)
             return
         _finite_diff_bathy(mesh, state, dt, faces, counters, geom, bathy)
         return
-    if _SCATTER_MODE != "plan":
-        _finite_diff_vectorized_legacy(mesh, state, dt, faces, counters)
-        return
-    if _backends.try_fd_flat(mesh, state, dt, faces, geom):
+    if dispatch and _backends.try_fd_flat(mesh, state, dt, faces, geom):
         _count_work(counters, mesh, state, faces)
         return
     cdtype = state.policy.compute_dtype
@@ -833,199 +804,6 @@ def finite_diff_vectorized(
     _count_work(counters, mesh, state, faces)
 
 
-def _finite_diff_vectorized_legacy(
-    mesh: AmrMesh,
-    state: ShallowWaterState,
-    dt: float,
-    faces: FaceLists,
-    counters: KernelCounters | None = None,
-) -> None:
-    """The original (pre-ScatterPlan) kernel body, preserved verbatim.
-
-    This is the differential oracle for the bit-identity tests and the
-    baseline for the scatter microbenchmark: six unbuffered ``np.add.at``
-    calls per face group, per-step geometry casts, and freshly allocated
-    accumulators.  Selected via ``scatter_mode("add_at")``.
-    """
-    cdtype = state.policy.compute_dtype
-    g = cdtype.type(GRAVITY)
-    dt_c = cdtype.type(dt)
-
-    H, U, V = state.promoted()
-    area = mesh.cell_area().astype(cdtype)
-
-    dH = np.zeros(mesh.ncells, dtype=cdtype)
-    dU = np.zeros(mesh.ncells, dtype=cdtype)
-    dV = np.zeros(mesh.ncells, dtype=cdtype)
-
-    # interior x-faces
-    if faces.xl.size:
-        L, R = faces.xl, faces.xr
-        fh, fu, fv = _rusanov_x(H[L], U[L], V[L], H[R], U[R], V[R], g)
-        fsz = faces.xsize.astype(cdtype)
-        np.add.at(dH, L, -fh * fsz)
-        np.add.at(dH, R, fh * fsz)
-        np.add.at(dU, L, -fu * fsz)
-        np.add.at(dU, R, fu * fsz)
-        np.add.at(dV, L, -fv * fsz)
-        np.add.at(dV, R, fv * fsz)
-
-    # interior y-faces
-    if faces.yb.size:
-        B, T = faces.yb, faces.yt
-        fh, fu, fv = _rusanov_y(H[B], U[B], V[B], H[T], U[T], V[T], g)
-        fsz = faces.ysize.astype(cdtype)
-        np.add.at(dH, B, -fh * fsz)
-        np.add.at(dH, T, fh * fsz)
-        np.add.at(dU, B, -fu * fsz)
-        np.add.at(dU, T, fu * fsz)
-        np.add.at(dV, B, -fv * fsz)
-        np.add.at(dV, T, fv * fsz)
-
-    # reflective boundaries: flux against the mirror state
-    size = mesh.cell_size().astype(cdtype)
-    for cells_b, axis, is_high in (
-        (faces.bnd_left, "x", False),
-        (faces.bnd_right, "x", True),
-        (faces.bnd_bottom, "y", False),
-        (faces.bnd_top, "y", True),
-    ):
-        if cells_b.size == 0:
-            continue
-        h = H[cells_b]
-        u = U[cells_b]
-        v = V[cells_b]
-        fsz = size[cells_b]
-        if axis == "x":
-            if is_high:  # interior on the left of the wall
-                fh, fu, fv = _rusanov_x(h, u, v, h, -u, v, g)
-                dH[cells_b] -= fh * fsz
-                dU[cells_b] -= fu * fsz
-                dV[cells_b] -= fv * fsz
-            else:  # interior on the right of the wall
-                fh, fu, fv = _rusanov_x(h, -u, v, h, u, v, g)
-                dH[cells_b] += fh * fsz
-                dU[cells_b] += fu * fsz
-                dV[cells_b] += fv * fsz
-        else:
-            if is_high:
-                fh, fu, fv = _rusanov_y(h, u, v, h, u, -v, g)
-                dH[cells_b] -= fh * fsz
-                dU[cells_b] -= fu * fsz
-                dV[cells_b] -= fv * fsz
-            else:
-                fh, fu, fv = _rusanov_y(h, u, -v, h, u, v, g)
-                dH[cells_b] += fh * fsz
-                dU[cells_b] += fu * fsz
-                dV[cells_b] += fv * fsz
-
-    scale = dt_c / area
-    state.store(H + dH * scale, U + dU * scale, V + dV * scale)
-    _count_work(counters, mesh, state, faces)
-
-
-def finite_diff_scalar(
-    mesh: AmrMesh,
-    state: ShallowWaterState,
-    dt: float,
-    faces: FaceLists | None = None,
-    counters: KernelCounters | None = None,
-    geom: GeometryCache | None = None,
-    bathy: np.ndarray | None = None,
-) -> None:
-    """The same timestep as :func:`finite_diff_vectorized`, one face at a time.
-
-    This is the "unvectorized" row of Table III: identical arithmetic in
-    the same dtype (NumPy scalar types), executed in a Python loop.  Used
-    for the vectorization benchmark and as a differential-testing oracle —
-    the tests assert it matches the vectorized kernel to within a few ulp
-    (the only difference is scatter-accumulation order).  ``bathy`` routes
-    interior faces through the same per-face well-balanced flux the
-    vectorized path uses (:func:`_wellbalanced_x`).
-    """
-    if faces is None:
-        faces = FaceLists.from_mesh(mesh)
-    if geom is None:
-        geom = _DEFAULT_GEOMETRY_CACHE
-    cdtype = state.policy.compute_dtype
-    ftype = cdtype.type
-    g = ftype(GRAVITY)
-    dt_c = ftype(dt)
-
-    H, U, V = (a.astype(cdtype) for a in (state.H, state.U, state.V))
-    size, area = geom.geometry(mesh, cdtype)
-
-    dH = np.zeros(mesh.ncells, dtype=cdtype)
-    dU = np.zeros(mesh.ncells, dtype=cdtype)
-    dV = np.zeros(mesh.ncells, dtype=cdtype)
-
-    if bathy is not None:
-        b = bathy.astype(cdtype)
-        for L, R, fsz in zip(faces.xl, faces.xr, faces.xsize.astype(cdtype)):
-            fh, phiL, phiR, fv = _wellbalanced_x(
-                H[L], U[L], V[L], H[R], U[R], V[R], b[L], b[R], g
-            )
-            dH[L] -= fh * fsz
-            dH[R] += fh * fsz
-            dU[L] -= phiL * fsz
-            dU[R] += phiR * fsz
-            dV[L] -= fv * fsz
-            dV[R] += fv * fsz
-        for B, T, fsz in zip(faces.yb, faces.yt, faces.ysize.astype(cdtype)):
-            fh, phiB, phiT, fu = _wellbalanced_x(
-                H[B], V[B], U[B], H[T], V[T], U[T], b[B], b[T], g
-            )
-            dH[B] -= fh * fsz
-            dH[T] += fh * fsz
-            dU[B] -= fu * fsz
-            dU[T] += fu * fsz
-            dV[B] -= phiB * fsz
-            dV[T] += phiT * fsz
-    else:
-        for L, R, fsz in zip(faces.xl, faces.xr, faces.xsize.astype(cdtype)):
-            fh, fu, fv = _rusanov_x(H[L], U[L], V[L], H[R], U[R], V[R], g)
-            dH[L] -= fh * fsz
-            dH[R] += fh * fsz
-            dU[L] -= fu * fsz
-            dU[R] += fu * fsz
-            dV[L] -= fv * fsz
-            dV[R] += fv * fsz
-
-        for B, T, fsz in zip(faces.yb, faces.yt, faces.ysize.astype(cdtype)):
-            fh, fu, fv = _rusanov_y(H[B], U[B], V[B], H[T], U[T], V[T], g)
-            dH[B] -= fh * fsz
-            dH[T] += fh * fsz
-            dU[B] -= fu * fsz
-            dU[T] += fu * fsz
-            dV[B] -= fv * fsz
-            dV[T] += fv * fsz
-
-    for c in faces.bnd_right:
-        fh, fu, fv = _rusanov_x(H[c], U[c], V[c], H[c], -U[c], V[c], g)
-        dH[c] -= fh * size[c]
-        dU[c] -= fu * size[c]
-        dV[c] -= fv * size[c]
-    for c in faces.bnd_left:
-        fh, fu, fv = _rusanov_x(H[c], -U[c], V[c], H[c], U[c], V[c], g)
-        dH[c] += fh * size[c]
-        dU[c] += fu * size[c]
-        dV[c] += fv * size[c]
-    for c in faces.bnd_top:
-        fh, fu, fv = _rusanov_y(H[c], U[c], V[c], H[c], U[c], -V[c], g)
-        dH[c] -= fh * size[c]
-        dU[c] -= fu * size[c]
-        dV[c] -= fv * size[c]
-    for c in faces.bnd_bottom:
-        fh, fu, fv = _rusanov_y(H[c], U[c], -V[c], H[c], U[c], V[c], g)
-        dH[c] += fh * size[c]
-        dU[c] += fu * size[c]
-        dV[c] += fv * size[c]
-
-    scale = dt_c / area
-    state.store(H + dH * scale, U + dU * scale, V + dV * scale)
-    _count_work(counters, mesh, state, faces)
-
-
 def compute_timestep(
     mesh: AmrMesh,
     state: ShallowWaterState,
@@ -1045,18 +823,13 @@ def compute_timestep(
     if geom is None:
         geom = _DEFAULT_GEOMETRY_CACHE
     cdtype = state.policy.compute_dtype
-    local_min = None
-    if _SCATTER_MODE == "plan":  # add_at keeps the full oracle, CFL included
-        local_min = _backends.try_cfl_min(mesh, state, geom)
-    if local_min is None:
-        H, U, V = state.promoted()
-        h = np.maximum(H, cdtype.type(1e-12))
-        vel = np.maximum(np.abs(U), np.abs(V)) / h
-        wave = vel + np.sqrt(cdtype.type(GRAVITY) * h)
-        size, _ = geom.geometry(mesh, cdtype)
-        local_dt = size / wave
-        local_min = float(local_dt.min())
-    dt = local_min * courant
+    H, U, V = state.promoted()
+    h = np.maximum(H, cdtype.type(1e-12))
+    vel = np.maximum(np.abs(U), np.abs(V)) / h
+    wave = vel + np.sqrt(cdtype.type(GRAVITY) * h)
+    size, _ = geom.geometry(mesh, cdtype)
+    local_dt = size / wave
+    dt = float(local_dt.min()) * courant
     if counters is not None:
         counters.add(
             flops=mesh.ncells * FLOPS_PER_CELL_TIMESTEP,

@@ -40,7 +40,6 @@ from repro.clamr.kernels import (
     GeometryCache,
     _rusanov_x,
     _rusanov_y,
-    _scatter_group,
     _wellbalanced_x,
     geometry_cache,
 )
@@ -178,7 +177,9 @@ def muscl_rhs(
             np.add.at(dV, R, fv * xsize_c)
         else:
             fh, fu, fv = _rusanov_x(hL, uL, vL, hR, uR, vR, g)
-            _scatter_group(xplan, dH, dU, dV, L, R, fh, fu, fv, xsize_c)
+            xplan.apply(dH, fh)
+            xplan.apply(dU, fu)
+            xplan.apply(dV, fv)
 
     # interior y-faces
     if faces.yb.size:
@@ -215,7 +216,9 @@ def muscl_rhs(
             np.add.at(dV, T, phiT * ysize_c)
         else:
             fh, fu, fv = _rusanov_y(hB, uB, vB, hT, uT, vT, g)
-            _scatter_group(yplan, dH, dU, dV, B, T, fh, fu, fv, ysize_c)
+            yplan.apply(dH, fh)
+            yplan.apply(dU, fu)
+            yplan.apply(dV, fv)
 
     # reflective walls: first-order mirror flux (slopes clip to zero at
     # the wall anyway, by the self-link convention in limited_slopes)

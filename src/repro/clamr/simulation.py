@@ -14,6 +14,8 @@ history, work profile for the machine model, checkpoint size).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,7 +29,6 @@ from repro.clamr.kernels import (
     FaceLists,
     GeometryCache,
     compute_timestep,
-    finite_diff_scalar,
     finite_diff_vectorized,
 )
 from repro.clamr.mesh import AmrMesh
@@ -151,8 +152,9 @@ class ClamrSimulation:
     policy:
         Precision policy (or level name: "min"/"mixed"/"full").
     vectorized:
-        Selects the NumPy or the scalar-loop ``finite_diff`` kernel —
-        the Table III axis.
+        The Table III axis.  ``False`` runs the Rusanov step as per-face
+        Python loops (the ``python`` kernel backend) instead of the NumPy
+        kernel: the same bits, far slower.
     scheme:
         ``"rusanov"`` (first-order, the default) or ``"muscl"``
         (second-order space × Heun time; see :mod:`repro.clamr.muscl`).
@@ -349,7 +351,13 @@ class ClamrSimulation:
 
             kernel = finite_diff_muscl
         else:
-            kernel = finite_diff_vectorized if self.vectorized else finite_diff_scalar
+            kernel = finite_diff_vectorized
+        # the unvectorized Table III row: the same step on the python
+        # backend's per-face loops, whatever backend is selected
+        kernel_scope = (
+            contextlib.nullcontext if self.vectorized
+            else functools.partial(_backends.kernel_backend, "python")
+        )
 
         workload = CountedWorkload(
             name=f"clamr/dam_break/{self.policy.level.value}",
@@ -376,11 +384,11 @@ class ClamrSimulation:
 
         faces = self._faces_for(self.mesh)
         bathy = self._bathy_for(self.mesh)
-        # compiled-backend warm-up BEFORE the timed region: JIT/C-build cost
+        # compiled-backend warm-up BEFORE the timed region: C-build cost
         # lands in its own span, never in step timings, flight-recorder
         # series, or ledger wall-clock stats. The span is only opened when a
         # backend is actually requested, so oracle runs trace identically.
-        if _backends.active_backend() != "numpy":
+        if self.vectorized and _backends.active_backend() != "numpy":
             with tel.span(
                 "clamr/backend_warmup", backend=_backends.active_backend()
             ):
@@ -414,7 +422,7 @@ class ClamrSimulation:
                         tel.metrics.histogram("clamr.dt").observe(dt)
                         f0, b0 = counters.flops, counters.state_bytes
                     t0 = time.perf_counter()
-                    with tel.span(kernel_span_name) as sp:
+                    with tel.span(kernel_span_name) as sp, kernel_scope():
                         kernel(
                             self.mesh, self.state, dt,
                             faces=faces, counters=counters, geom=self._geom,

@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     clamr.add_argument("--max-level", type=int, default=2)
     clamr.add_argument("--policy", default="full", choices=("min", "mixed", "full"))
     clamr.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    clamr.add_argument("--scalar", action="store_true", help="use the unvectorized kernel")
+    clamr.add_argument("--scalar", action="store_true",
+                       help="use the unvectorized kernel (the python backend's per-face loop)")
     clamr.add_argument("--checkpoint", default=None, help="write a checkpoint here")
     clamr.add_argument("--ledger", default=None, metavar="PATH",
                        help="trace the run and append a run record to this ledger")
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     clamr.add_argument("--flight-stride", type=int, default=4, metavar="N",
                        help="flight sampling stride in steps (default 4)")
     clamr.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|numba|auto "
+                       help="kernel backend: numpy|python|cext "
                             "(default: $REPRO_KERNEL_BACKEND, else numpy; "
                             "see 'repro backends')")
 
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     selfp.add_argument("--flight-stride", type=int, default=4, metavar="N",
                        help="flight sampling stride in steps (default 4)")
     selfp.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|numba|auto "
+                       help="kernel backend: numpy|python|cext "
                             "(default: $REPRO_KERNEL_BACKEND, else numpy; "
                             "see 'repro backends')")
 
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--flight-stride", type=int, default=4, metavar="N",
                        help="flight sampling stride in steps (default 4)")
     trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|numba|auto "
+                       help="kernel backend: numpy|python|cext "
                             "(default: $REPRO_KERNEL_BACKEND, else numpy)")
 
     flight = sub.add_parser(
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     lrec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
     lrec.add_argument("--precision", default="double", choices=("single", "double"))
     lrec.add_argument("--backend", default=None, metavar="NAME",
-                      help="kernel backend: numpy|python|cext|numba|auto "
+                      help="kernel backend: numpy|python|cext "
                            "(default: $REPRO_KERNEL_BACKEND, else numpy; recorded "
                            "on the record's 'backend' field, excluded from its "
                            "fingerprint)")

@@ -33,7 +33,6 @@ the same workload.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -296,10 +295,6 @@ def ladder_digest(ladder: StateHashLadder) -> dict:
     }
 
 
-def _dumps(doc: Mapping) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def write_hashes(
     ladder: StateHashLadder, path: str | Path, extra_meta: Mapping | None = None
 ) -> Path:
@@ -323,8 +318,8 @@ def write_hashes(
         for key, value in extra_meta.items():
             if key not in meta:
                 meta[key] = value
-    lines = [_dumps(meta)]
-    lines.extend(_dumps(entry.to_doc()) for entry in ladder.steps)
+    lines = [ioutil.canonical_json(meta)]
+    lines.extend(ioutil.canonical_json(entry.to_doc()) for entry in ladder.steps)
     ioutil.write_jsonl_lines(path, lines)
     return path
 

@@ -30,11 +30,17 @@ durability and damage contract:
   valid JSON (the one corruption an interrupted append can produce) is
   skipped with a :class:`RuntimeWarning`; invalid JSON anywhere else is
   real damage and raises :class:`ValueError` with ``path:lineno``.
+
+:func:`canonical_json` and :func:`json_digest` are the one spelling of
+canonical JSON (sorted keys, no whitespace) and its sha256 that every
+hashed identity in the repo uses: ledger workload keys and fingerprints,
+result-cache envelopes, flight digests and ``hashes.jsonl`` lines.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import time
@@ -45,12 +51,25 @@ from typing import Any, Iterable, Iterator
 __all__ = [
     "append_jsonl_line",
     "atomic_write_bytes",
+    "canonical_json",
     "fsync_directory",
     "fsync_file",
     "iter_jsonl",
+    "json_digest",
     "locked",
     "write_jsonl_lines",
 ]
+
+
+def canonical_json(doc: Any) -> str:
+    """Canonical JSON text: sorted keys, no whitespace variance."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def json_digest(doc: Any, chars: int | None = None) -> str:
+    """sha256 hex of :func:`canonical_json`, truncated to ``chars`` if given."""
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return digest if chars is None else digest[:chars]
 
 
 @contextlib.contextmanager

@@ -21,8 +21,8 @@ two hashes over canonical JSON:
 Wall-clock facts (timestamps, durations) are deliberately *excluded*
 from both hashes: identity is what was run, not how long it took.
 
-The kernel *backend* (``numpy`` oracle vs a compiled ``cext``/``numba``
-path) is likewise excluded from both hashes, by the same rule that keeps
+The kernel *backend* (``numpy`` oracle, ``python`` loops or compiled
+``cext``) is likewise excluded from both hashes, by the same rule that keeps
 ``machine`` out of the workload key: backends are bit-identical by
 contract (the parity suite enforces it), so switching one is an
 implementation detail of *how fast* the run went, not *what* was run.
@@ -33,7 +33,6 @@ this field existed read back as ``"numpy"``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import subprocess
@@ -41,6 +40,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from repro.ioutil import json_digest
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -93,8 +94,8 @@ class RunRecord:
     kernels: dict[str, KernelSummary]
     fidelity: dict = field(default_factory=dict)
     #: Kernel implementation that produced the run ("numpy", "cext",
-    #: "numba", "python").  Provenance only — excluded from both hashes;
-    #: see the module docstring.
+    #: "python").  Provenance only — excluded from both hashes; see the
+    #: module docstring.
     backend: str = "numpy"
 
     def to_json(self) -> str:
@@ -120,25 +121,17 @@ class RunRecord:
         return cls(**doc)
 
 
-def _canonical(payload: dict) -> bytes:
-    """Canonical JSON bytes: sorted keys, no whitespace variance."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload)).hexdigest()[:_HASH_CHARS]
-
-
 def workload_key_of(workload: str, config: dict, policy: str, seed: int) -> str:
     """Machine-independent workload identity (see module docstring)."""
-    return _digest(
+    return json_digest(
         {
             "schema": LEDGER_SCHEMA_VERSION,
             "workload": workload,
             "config": config,
             "policy": policy,
             "seed": seed,
-        }
+        },
+        _HASH_CHARS,
     )
 
 
@@ -151,7 +144,7 @@ def fingerprint_of(
     sha: str,
 ) -> str:
     """Full run identity: workload key inputs + machine spec + git sha."""
-    return _digest(
+    return json_digest(
         {
             "schema": LEDGER_SCHEMA_VERSION,
             "workload": workload,
@@ -160,7 +153,8 @@ def fingerprint_of(
             "seed": seed,
             "machine": machine,
             "git_sha": sha,
-        }
+        },
+        _HASH_CHARS,
     )
 
 
@@ -375,6 +369,11 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
     _attach_ladder(cfg, fidelity, tel)
     from repro.clamr.backends import resolved_backend
 
+    # an unvectorized run steps on the python loops whatever is selected
+    if cfg["run"]["vectorized"]:
+        backend = resolved_backend(result.policy.compute_dtype)
+    else:
+        backend = "python"
     return _build(
         workload="clamr",
         config=cfg,
@@ -385,7 +384,7 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
         wall_s=float(result.elapsed_s),
         kernel_s=float(result.kernel_elapsed_s),
         fidelity=fidelity,
-        backend=resolved_backend(result.policy.compute_dtype),
+        backend=backend,
     )
 
 

@@ -28,24 +28,15 @@ writer leaves either the old entry or the new one, never a torn file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from pathlib import Path
 
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, json_digest
 
 __all__ = ["CACHE_SCHEMA_VERSION", "ResultCache"]
 
 CACHE_SCHEMA_VERSION = 1
-
-
-def _canonical(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _digest(doc: dict) -> str:
-    return hashlib.sha256(_canonical(doc)).hexdigest()
 
 
 class ResultCache:
@@ -65,7 +56,7 @@ class ResultCache:
         envelope = {
             "schema": CACHE_SCHEMA_VERSION,
             "workload_key": record.workload_key,
-            "digest": _digest(doc),
+            "digest": json_digest(doc),
             "record": doc,
         }
         path = self.path_for(record.workload_key)
@@ -116,7 +107,7 @@ class ResultCache:
         doc = envelope.get("record")
         if not isinstance(doc, dict):
             return "missing record payload", None
-        if envelope.get("digest") != _digest(doc):
+        if envelope.get("digest") != json_digest(doc):
             return "content digest mismatch (tampered or torn entry)", None
         try:
             record = RunRecord.from_dict(doc)

@@ -35,13 +35,13 @@ files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from repro.ioutil import json_digest
 from repro.telemetry.export import _clean, _unclean
 
 __all__ = [
@@ -362,8 +362,7 @@ def flight_digest(flight: FlightRecorder) -> dict:
         "last_step": flight.steps[-1] if flight.steps else None,
         "signals": signals,
     }
-    canonical = json.dumps(digest, sort_keys=True, separators=(",", ":"))
-    digest["hash"] = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    digest["hash"] = json_digest(digest, 16)
     return digest
 
 

@@ -1,6 +1,6 @@
 """Kernel-backend registry, dispatch, and bit-identity parity.
 
-The compiled backends (``python`` loops, ``cext``, ``numba``) sit behind
+The loop backends (``python`` loops, compiled ``cext``) sit behind
 the NumPy oracle under a hard contract: *bit-identical state at every
 precision level, scheme, and scenario, or the dispatch is a bug*.  These
 tests enforce the contract end to end — raw kernel calls, full
@@ -10,8 +10,8 @@ semantics (selection precedence, env var, graceful fallback) and the
 deliberate exclusion of the backend from run identity.
 
 The ``python`` backend is always importable, so the parity net stays
-armed even where no compiler or numba exists.  ``cext``/``numba`` cases
-skip where unavailable and run in CI.
+armed even where no compiler exists.  ``cext`` cases skip where
+unavailable and run in CI.
 """
 
 import os
@@ -36,15 +36,13 @@ from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectori
 from repro.clamr.muscl import finite_diff_muscl
 
 HAVE_CEXT = backends.cext.availability()[0]
-HAVE_NUMBA = backends.numba_backend.availability()[0]
 
 #: compiled backends present in this environment (parametrized cases)
 COMPILED = [
     pytest.param("cext", marks=pytest.mark.skipif(not HAVE_CEXT, reason="no C compiler")),
-    pytest.param("numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")),
 ]
 
-BEST_COMPILED = "numba" if HAVE_NUMBA else ("cext" if HAVE_CEXT else None)
+BEST_COMPILED = "cext" if HAVE_CEXT else None
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +57,7 @@ def _isolate_backend():
 
 class TestRegistry:
     def test_registry_names(self):
-        assert BACKENDS == ("numpy", "python", "cext", "numba", "auto")
+        assert BACKENDS == ("numpy", "python", "cext")
 
     def test_normalize_canonicalizes(self):
         assert normalize_backend(" CEXT ") == "cext"
@@ -96,14 +94,12 @@ class TestRegistry:
         rows = {r["name"]: r for r in available_backends()}
         assert set(rows) == set(BACKENDS)
         assert rows["numpy"]["available"] and rows["python"]["available"]
-        assert rows["auto"]["detail"].startswith("resolves to ")
 
     def test_float16_always_runs_the_oracle(self):
-        # the half policy computes in float16, which no compiled backend
-        # supports; dispatch must fall back rather than convert
-        for name in ("cext", "numba", "auto"):
-            with kernel_backend(name):
-                assert resolved_backend(np.float16) == "numpy"
+        # the half policy computes in float16, which cext does not
+        # support; dispatch must fall back rather than convert
+        with kernel_backend("cext"):
+            assert resolved_backend(np.float16) == "numpy"
         # the pure-Python loops are dtype-generic and do run float16
         with kernel_backend("python"):
             assert resolved_backend(np.float16) == "python"
@@ -267,13 +263,32 @@ class TestLadderAndLedgerParity:
         assert ref.fingerprint == got.fingerprint
         # ...while the provenance field says who computed it
         assert ref.backend == "numpy"
-        assert got.backend in ("cext", "numba", "python")
+        assert got.backend in ("cext", "python")
 
     def test_workload_key_pinned(self):
         # the literal guards the *exclusion*: if the backend ever leaks
         # into the hashed identity, this stops matching and the committed
         # golden fingerprints all silently fork per machine
         assert self._record(self.BACKEND).workload_key == "584954c819aff89d"
+
+    def test_scalar_run_records_python_backend(self):
+        # an unvectorized run steps on the python loops whatever backend
+        # is selected, so that is what its provenance must say
+        from repro.ledger.record import record_from_clamr
+        from repro.telemetry import Telemetry
+
+        os.environ[ENV_VAR] = "cext"
+        cfg = DamBreakConfig(nx=8, ny=8, max_level=1)
+        records = {}
+        for vectorized in (True, False):
+            tel = Telemetry(label="t")
+            res = ClamrSimulation(cfg, policy="mixed", vectorized=vectorized,
+                                  telemetry=tel).run(4)
+            records[vectorized] = record_from_clamr(res, tel, cfg)
+        assert records[False].backend == "python"
+        assert records[True].backend == ("cext" if HAVE_CEXT else "numpy")
+        assert (records[False].fidelity["conservation_last_hex"]
+                == records[True].fidelity["conservation_last_hex"])
 
     def test_record_roundtrip_and_legacy_default(self):
         from repro.ledger.record import RunRecord
@@ -331,29 +346,23 @@ class TestExecutorParity:
 
 
 class TestFallback:
-    def test_numba_absent_falls_back_to_oracle(self, monkeypatch):
-        # force the probe to fail, whatever this environment has
-        monkeypatch.setattr(backends.numba_backend, "jitted_ops", lambda: None)
+    def test_cext_absent_falls_back_to_oracle(self, monkeypatch):
+        # force the compiler probe to fail, whatever this environment has
         monkeypatch.setattr(
-            backends.numba_backend, "availability", lambda: (False, "forced absent")
+            backends.cext, "availability", lambda: (False, "forced absent")
         )
         backends._OPS_CACHE.clear()
         try:
-            with kernel_backend("numba"):
+            with kernel_backend("cext"):
                 assert resolved_backend(np.float64) == "numpy"
                 cfg = DamBreakConfig(nx=8, ny=8, max_level=1)
                 got = ClamrSimulation(cfg, policy="mixed")
                 got.run(6)
             ref = ClamrSimulation(DamBreakConfig(nx=8, ny=8, max_level=1), policy="mixed")
             ref.run(6)
-            _assert_states_equal(ref.state, got.state, "(numba fallback)")
+            _assert_states_equal(ref.state, got.state, "(cext fallback)")
         finally:
             backends._OPS_CACHE.clear()
-
-    def test_auto_resolves_to_something_runnable(self):
-        with kernel_backend("auto"):
-            name = resolved_backend(np.float64)
-        assert name in ("numpy", "cext", "numba")
 
     def test_explicit_oracle_scatter_mode_disables_dispatch(self):
         # scatter_mode("add_at") is the *other* oracle switch; backends
@@ -380,6 +389,20 @@ class TestCli:
         from repro.cli import main
 
         assert main(["clamr", "--nx", "8", "--steps", "2", "--backend", "tpu"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown kernel backend" in err
+
+    @pytest.mark.parametrize("argv,env", [
+        (["--backend", "auto"], None),
+        ([], "auto"),
+    ], ids=["flag", "env"])
+    def test_removed_backend_names_exit_2_one_line(self, capsys, argv, env):
+        from repro.cli import main
+
+        if env is not None:
+            os.environ[ENV_VAR] = env
+        assert main(["clamr", "--nx", "8", "--steps", "2", *argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "unknown kernel backend" in err

@@ -1,7 +1,8 @@
 """Bit-identity and cache behavior of the ScatterPlan fast path.
 
 The scatter optimization's entire contract is *bitwise* equivalence with
-the legacy ``np.add.at`` kernel — not closeness, identity.  These tests
+the original ``np.add.at`` kernel (kept in ``tests/reference_impls.py``)
+— not closeness, identity.  These tests
 drive full simulations (all precision levels x both schemes, with and
 without AMR regrids) under both scatter modes and compare every state
 bit, plus unit-level checks of the plan structure, the geometry cache,
@@ -21,6 +22,7 @@ from repro.clamr.kernels import (
     scatter_mode,
 )
 from repro.clamr.mesh import AmrMesh
+from tests.reference_impls import finite_diff_add_at
 
 
 def _run_states(policy, scheme, nx=16, steps=20, max_level=2):
@@ -67,6 +69,27 @@ class TestBitIdentity:
         assert np.array_equal(results["plan"].H, results["add_at"].H)
         assert np.array_equal(results["plan"].U, results["add_at"].U)
         assert np.array_equal(results["plan"].V, results["add_at"].V)
+
+
+    @pytest.mark.parametrize("policy", ["min", "mixed", "full"])
+    def test_matches_original_add_at_kernel(self, policy):
+        # the pre-ScatterPlan kernel body (tests/reference_impls.py) is the
+        # oracle both scatter modes of the production kernel must replay
+        cfg = DamBreakConfig(nx=24, ny=24, max_level=2)
+        sim = ClamrSimulation(cfg, policy=policy)
+        sim.run(10)
+        faces = FaceLists.from_mesh(sim.mesh)
+        ref = sim.state.copy()
+        got = {mode: sim.state.copy() for mode in ("plan", "add_at")}
+        for _ in range(4):
+            dt = compute_timestep(sim.mesh, ref, cfg.courant)
+            finite_diff_add_at(sim.mesh, ref, dt, faces)
+            for mode, s in got.items():
+                with scatter_mode(mode):
+                    finite_diff_vectorized(sim.mesh, s, dt, faces=faces)
+        for mode, s in got.items():
+            for a, b in ((s.H, ref.H), (s.U, ref.U), (s.V, ref.V)):
+                assert np.array_equal(a, b), f"{policy}/{mode}: diverged from add.at body"
 
 
 class TestScatterPlan:
