@@ -57,6 +57,7 @@ __all__ = [
     "scatter_mode",
     "finite_diff_vectorized",
     "compute_timestep",
+    "wave_speed",
     "FLOPS_PER_FACE",
     "FLOPS_PER_CELL_UPDATE",
     "FLOPS_PER_CELL_TIMESTEP",
@@ -804,6 +805,21 @@ def finite_diff_vectorized(
     _count_work(counters, mesh, state, faces)
 
 
+def wave_speed(state: ShallowWaterState) -> np.ndarray:
+    """Per-cell signal speed ``max(|U|, |V|) / h + sqrt(g·h)``.
+
+    Computed on the promoted state in the policy's compute dtype, with
+    ``h`` clamped at a tiny positive floor so momentum in a near-empty
+    cell cannot produce an absurd velocity.  The CFL timestep and the
+    flight recorder's realized-CFL sample both read it.
+    """
+    cdtype = state.policy.compute_dtype
+    H, U, V = state.promoted()
+    h = np.maximum(H, cdtype.type(1e-12))
+    vel = np.maximum(np.abs(U), np.abs(V)) / h
+    return vel + np.sqrt(cdtype.type(GRAVITY) * h)
+
+
 def compute_timestep(
     mesh: AmrMesh,
     state: ShallowWaterState,
@@ -822,13 +838,8 @@ def compute_timestep(
         raise ValueError("courant must be in (0, 1)")
     if geom is None:
         geom = _DEFAULT_GEOMETRY_CACHE
-    cdtype = state.policy.compute_dtype
-    H, U, V = state.promoted()
-    h = np.maximum(H, cdtype.type(1e-12))
-    vel = np.maximum(np.abs(U), np.abs(V)) / h
-    wave = vel + np.sqrt(cdtype.type(GRAVITY) * h)
-    size, _ = geom.geometry(mesh, cdtype)
-    local_dt = size / wave
+    size, _ = geom.geometry(mesh, state.policy.compute_dtype)
+    local_dt = size / wave_speed(state)
     dt = float(local_dt.min()) * courant
     if counters is not None:
         counters.add(

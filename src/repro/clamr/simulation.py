@@ -30,9 +30,10 @@ from repro.clamr.kernels import (
     GeometryCache,
     compute_timestep,
     finite_diff_vectorized,
+    wave_speed,
 )
 from repro.clamr.mesh import AmrMesh
-from repro.clamr.state import GRAVITY, ShallowWaterState
+from repro.clamr.state import ShallowWaterState
 from repro.machine.counters import CountedWorkload, WorkloadProfile
 from repro.precision.analysis import line_out
 from repro.precision.policy import PrecisionPolicy, level_from_name
@@ -309,20 +310,16 @@ class ClamrSimulation:
     def _flight_sample(self, flight, dt: float, drift: float) -> None:
         """Record one flight sample from the current state (no wall-clock).
 
-        The realized CFL is recomputed from the same promoted-state wave
-        speeds :func:`~repro.clamr.kernels.compute_timestep` uses — it
+        The realized CFL is recomputed from the same
+        :func:`~repro.clamr.kernels.wave_speed` the timestep uses — it
         equals the configured Courant number while dt is CFL-derived, and
         deviates when something external (e.g. resilience ``halve_dt``)
         modified the step.
         """
         from repro.telemetry.flight import field_signals
 
-        cdtype = self.policy.compute_dtype
-        H, U, V = self.state.promoted()
-        h = np.maximum(H, cdtype.type(1e-12))
-        vel = np.maximum(np.abs(U), np.abs(V)) / h
-        wave = vel + np.sqrt(cdtype.type(GRAVITY) * h)
-        size, _ = self._geom.geometry(self.mesh, cdtype)
+        wave = wave_speed(self.state)
+        size, _ = self._geom.geometry(self.mesh, self.policy.compute_dtype)
         with np.errstate(invalid="ignore", over="ignore"):
             cfl = float(dt) * float(np.max(wave / size))
         signals = field_signals(
@@ -548,14 +545,10 @@ class ClamrSimulation:
         """
         if target_time <= self.time:
             raise ValueError("target_time must exceed current simulation time")
-        cfg = self.config
-        # Estimate steps from the gravity wave speed on the finest cells;
-        # run() in chunks until the target is passed.
+        # run() in chunks until the target is passed
         result: SimulationResult | None = None
         while self.time < target_time and self.step_count < max_steps:
-            chunk = 16
-            result = self.run(chunk, record_mass=False)
+            result = self.run(16, record_mass=False)
         if result is None:  # pragma: no cover - defensive
             raise RuntimeError("no steps taken")
-        del cfg
         return result

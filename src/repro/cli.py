@@ -645,17 +645,19 @@ def _write_flight_file(args: argparse.Namespace, tel, indent: str = "  ") -> Non
 
 
 def _cmd_clamr(args: argparse.Namespace) -> int:
-    from repro.clamr import ClamrSimulation, DamBreakConfig, write_checkpoint
+    from repro.clamr import write_checkpoint
+    from repro.workload import make_config, make_simulation, run_label
 
     _apply_backend(args)
     tel = None
     if args.ledger or args.flight:
         from repro.telemetry import Telemetry
 
-        label = f"clamr/nx{args.nx}s{args.steps}/{args.policy}"
+        label = run_label("clamr", steps=args.steps, policy=args.policy, nx=args.nx,
+                          scheme=args.scheme)
         tel = Telemetry(label=label, flight=_make_flight(args, label))
-    cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=args.max_level)
-    sim = ClamrSimulation(cfg, policy=args.policy, vectorized=not args.scalar,
+    cfg = make_config("clamr", nx=args.nx, max_level=args.max_level)
+    sim = make_simulation("clamr", cfg, policy=args.policy, vectorized=not args.scalar,
                           scheme=args.scheme, telemetry=tel)
     res = sim.run(args.steps)
     print(f"CLAMR dam break: {args.nx}^2 coarse, {args.max_level} AMR levels, {args.steps} steps")
@@ -681,20 +683,18 @@ def _cmd_clamr(args: argparse.Namespace) -> int:
 
 
 def _cmd_self(args: argparse.Namespace) -> int:
-    from repro.self_ import SelfSimulation, ThermalBubbleConfig
+    from repro.workload import make_config, make_simulation, run_label
 
     _apply_backend(args)
     tel = None
     if args.ledger or args.flight:
         from repro.telemetry import Telemetry
 
-        label = f"self/e{args.elems}o{args.order}s{args.steps}/{args.precision}"
+        label = run_label("self", steps=args.steps, policy=args.precision,
+                          elems=args.elems, order=args.order)
         tel = Telemetry(label=label, flight=_make_flight(args, label))
-    cfg = ThermalBubbleConfig(
-        nex=args.elems, ney=args.elems, nez=args.elems, order=args.order,
-        viscosity=args.viscosity,
-    )
-    sim = SelfSimulation(cfg, precision=args.precision, telemetry=tel)
+    cfg = make_config("self", elems=args.elems, order=args.order, viscosity=args.viscosity)
+    sim = make_simulation("self", cfg, policy=args.precision, telemetry=tel)
     res = sim.run(args.steps)
     dof = cfg.nex * cfg.ney * cfg.nez * (cfg.order + 1) ** 3 * 5
     print(f"SELF thermal bubble: {args.elems}^3 elements, order {args.order} ({dof} DOF)")
@@ -894,32 +894,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    if args.workload == "clamr":
-        from repro.clamr import ClamrSimulation, DamBreakConfig
+    from repro.workload import make_config, make_simulation, run_label
 
-        label = f"clamr/dam_break/{args.policy}"
-        tel = Telemetry(
-            label=label, watch_stride=args.stride, flight=_make_flight(args, label)
-        )
-        cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=args.max_level)
-        sim = ClamrSimulation(cfg, policy=args.policy, scheme=args.scheme, telemetry=tel)
-        res = sim.run(args.steps)
+    level = args.policy if args.workload == "clamr" else args.precision
+    label = run_label(
+        args.workload, steps=args.steps, policy=level, nx=args.nx, elems=args.elems,
+        order=args.order, scheme=args.scheme,
+    )
+    tel = Telemetry(label=label, watch_stride=args.stride, flight=_make_flight(args, label))
+    cfg = make_config(
+        args.workload, nx=args.nx, max_level=args.max_level, elems=args.elems,
+        order=args.order,
+    )
+    sim = make_simulation(args.workload, cfg, policy=level, scheme=args.scheme, telemetry=tel)
+    res = sim.run(args.steps)
+    if args.workload == "clamr":
         print(f"CLAMR dam break: {args.nx}^2 coarse, {args.max_level} AMR levels, "
               f"{args.steps} steps, policy {args.policy}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s), "
               f"mass drift {res.mass_drift:.3e}")
     else:
-        from repro.self_ import SelfSimulation, ThermalBubbleConfig
-
-        label = f"self/thermal_bubble/{args.precision}"
-        tel = Telemetry(
-            label=label, watch_stride=args.stride, flight=_make_flight(args, label)
-        )
-        cfg = ThermalBubbleConfig(
-            nex=args.elems, ney=args.elems, nez=args.elems, order=args.order
-        )
-        sim = SelfSimulation(cfg, precision=args.precision, telemetry=tel)
-        res = sim.run(args.steps)
         print(f"SELF thermal bubble: {args.elems}^3 elements, order {args.order}, "
               f"{args.steps} steps, precision {args.precision}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s)")
@@ -1145,31 +1139,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     raise ValueError(f"unknown ledger command {args.ledger_command!r}")  # pragma: no cover
 
 
-def _resil_sim_config(args: argparse.Namespace):
-    overrides: dict = {}
-    if getattr(args, "scenario", ""):
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(args.scenario)
-        if sc.family != args.workload:
-            raise CLIError(
-                f"scenario {args.scenario!r} belongs to workload {sc.family!r}, "
-                f"not {args.workload!r}"
-            )
-        overrides = dict(sc.config)
-    if args.workload == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs = {"nx": args.nx, "ny": args.nx, "max_level": args.max_level}
-        kwargs.update(overrides)
-        return DamBreakConfig(**kwargs)
-    from repro.self_ import ThermalBubbleConfig
-
-    kwargs = {"nex": args.elems, "ney": args.elems, "nez": args.elems, "order": args.order}
-    kwargs.update(overrides)
-    return ThermalBubbleConfig(**kwargs)
-
-
 def _resil_plan(args: argparse.Namespace, array_names) -> "object":
     from repro.resilience import FaultPlan, FaultSpec
 
@@ -1248,7 +1217,12 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     tel = Telemetry(
         label=f"resilience/{args.workload}/{args.policy}", watch_stride=0
     )
-    sim_config = _resil_sim_config(args)
+    from repro.workload import make_config
+
+    sim_config = make_config(
+        args.workload, args.scenario, nx=args.nx, max_level=args.max_level,
+        elems=args.elems, order=args.order,
+    )
     adapter = make_adapter(
         args.workload, sim_config, policy=args.policy, scheme=args.scheme, telemetry=tel,
         scenario=args.scenario,
@@ -1309,16 +1283,10 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         report = runner.run(args.steps)
         print(report.summary())
         if args.ledger and report.result is not None:
-            from dataclasses import asdict
-
             from repro.ledger import Ledger
 
-            rec_config = sim_config
-            if args.scenario:
-                # the scenario is part of what was run, so it joins the identity
-                rec_config = {**asdict(sim_config), "scenario": args.scenario}
             record = record_resilient_run(
-                report, runner, sim_config=rec_config, seed=args.seed,
+                report, runner, sim_config=sim_config, seed=args.seed,
                 label=args.label or tel.label,
             )
             Ledger(args.ledger).append(record)
@@ -1481,7 +1449,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios import (
         all_scenarios,
         gate_scenarios,
-        get_scenario,
         record_scenario,
         run_scenario,
         validate_scenario,
@@ -1510,22 +1477,21 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenario_command == "run":
-        sc = get_scenario(args.name)
         if args.ledger:
             from repro.ledger import Ledger
 
-            record = record_scenario(sc, scale=args.scale, policy=args.policy,
+            record = record_scenario(args.name, scale=args.scale, policy=args.policy,
                                      seed=args.seed)
             ledger = Ledger(args.ledger)
             ledger.append(record)
-            print(f"{sc.name} [{args.scale}]: recorded")
+            print(f"{args.name} [{args.scale}]: recorded")
             print(f"  workload key : {record.workload_key}")
             print(f"  fingerprint  : {record.fingerprint}")
             print(f"  wall time    : {record.wall_s:.3f}s")
             print(f"  ledger       : {ledger.path} ({len(ledger)} records)")
             return 0
-        run = run_scenario(sc, scale=args.scale, policy=args.policy)
-        res = run.result
+        run = run_scenario(args.name, scale=args.scale, policy=args.policy)
+        sc, res = run.scenario, run.result
         print(f"{sc.name} [{args.scale}]: {sc.description}")
         print(f"  policy       : {run.policy}")
         print(f"  steps        : {run.steps}")

@@ -27,8 +27,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.diverge.record import _scatter_context, _sim_config
+from repro.diverge.record import _scatter_context
 from repro.diverge.ulp import fields_ulp_stats
+from repro.workload import make_config
 
 __all__ = ["OnsetReport", "onset_curve", "DEFAULT_THRESHOLDS"]
 
@@ -82,8 +83,7 @@ def _make_adapter(workload: str, mode: str, *, nx: int, max_level: int,
                   elems: int, order: int, scheme: str, vectorized: bool):
     from repro.resilience.adapters import make_adapter
 
-    config = _sim_config(workload, nx=nx, max_level=max_level,
-                         elems=elems, order=order)
+    config = make_config(workload, nx=nx, max_level=max_level, elems=elems, order=order)
     return make_adapter(
         workload, config, policy=mode, scheme=scheme, vectorized=vectorized
     )

@@ -37,6 +37,7 @@ from typing import Any
 from repro import ioutil
 from repro.diverge.compare import compare_ladders
 from repro.diverge.ladder import StateHashLadder, ladder_digest, write_hashes
+from repro.workload import make_config
 
 __all__ = ["RUN_SCHEMA_VERSION", "RecordedRun", "record_run", "fault_footprint"]
 
@@ -62,34 +63,6 @@ class RecordedRun:
     @property
     def root(self) -> str:
         return self.ladder.root()
-
-
-def _sim_config(
-    workload: str, *, nx: int, max_level: int, elems: int, order: int, scenario: str = ""
-):
-    overrides: dict = {}
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        if sc.family != workload:
-            raise ValueError(
-                f"scenario {scenario!r} belongs to workload {sc.family!r}, not {workload!r}"
-            )
-        overrides = dict(sc.config)
-    if workload == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs = {"nx": nx, "ny": nx, "max_level": max_level}
-        kwargs.update(overrides)
-        return DamBreakConfig(**kwargs)
-    if workload == "self":
-        from repro.self_ import ThermalBubbleConfig
-
-        kwargs = {"nex": elems, "ney": elems, "nez": elems, "order": order}
-        kwargs.update(overrides)
-        return ThermalBubbleConfig(**kwargs)
-    raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")
 
 
 def _write_checkpoint(path: Path, adapter) -> None:
@@ -151,8 +124,8 @@ def record_run(
         label=label or f"diverge/{scenario or workload}",
     )
     tel = Telemetry(label=ladder.label, ladder=ladder)
-    config = _sim_config(
-        workload, nx=nx, max_level=max_level, elems=elems, order=order, scenario=scenario
+    config = make_config(
+        workload, scenario, nx=nx, max_level=max_level, elems=elems, order=order
     )
     adapter = make_adapter(
         workload,

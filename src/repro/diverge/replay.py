@@ -116,23 +116,16 @@ class _ReplaySide:
         from repro.resilience.adapters import make_adapter
         from repro.resilience.faults import FaultInjector
         from repro.telemetry import Telemetry
+        from repro.workload import make_config
 
         self.run_dir = run_dir
         self.doc = doc
         self.workload = doc["workload"]
         self.scatter = doc.get("scatter", "")
         tel = Telemetry(label=f"replay/{run_dir.name}", ladder=ladder)
-        if self.workload == "clamr":
-            from repro.clamr import DamBreakConfig
-
-            config = DamBreakConfig(**doc["config"])
-        else:
-            from repro.self_ import ThermalBubbleConfig
-
-            config = ThermalBubbleConfig(**_tuplify(doc["config"]))
         self.adapter = make_adapter(
             self.workload,
-            config,
+            make_config(self.workload, **_tuplify(doc["config"])),
             policy=doc["policy"] if self.workload == "clamr" else doc["precision"],
             scheme=doc.get("scheme", "rusanov"),
             vectorized=bool(doc.get("vectorized", True)),

@@ -30,6 +30,7 @@ from repro.machine.specs import CLAMR_DEVICE_ORDER, SELF_DEVICE_ORDER, device
 from repro.precision.analysis import mirror_asymmetry
 from repro.self_ import SelfSimulation, ThermalBubbleConfig
 from repro.self_.simulation import SelfResult
+from repro.workload import make_config, make_simulation, run_label
 
 __all__ = [
     "table1_clamr_architectures",
@@ -153,8 +154,8 @@ def _persist_hashes(hash_dir, bundle) -> None:
     write_hashes(ladder, out / f"{stem}.hashes.jsonl")
 
 
-def _clamr_level_task(cfg, level, steps, vectorized, scenario=None, telemetry=None):
-    """Worker body for one precision level of :func:`run_clamr_levels`.
+def _level_task(workload, cfg, level, steps, vectorized, scenario=None, telemetry=None):
+    """Worker body for one precision level of a :func:`_run_levels` sweep.
 
     Module-level (picklable) so :class:`SweepExecutor` can ship it to a
     worker process.  When the task carries a ``TelemetrySpec``, the
@@ -164,29 +165,11 @@ def _clamr_level_task(cfg, level, steps, vectorized, scenario=None, telemetry=No
     boundary as its *name* and is resolved in the worker, so its hooks
     never need to pickle.
     """
-    ic = bathymetry = None
-    scheme = "rusanov"
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        ic, bathymetry, scheme = sc.ic, sc.bathymetry, sc.scheme
-    result = ClamrSimulation(
-        cfg, policy=level, vectorized=vectorized, scheme=scheme, telemetry=telemetry,
-        ic=ic, bathymetry=bathymetry,
-    ).run(steps)
-    return level, result
-
-
-def _self_precision_task(cfg, prec, steps, scenario=None, telemetry=None):
-    """Worker body for one precision of :func:`run_self_precisions`."""
-    ic = None
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        ic = get_scenario(scenario).ic
-    result = SelfSimulation(cfg, precision=prec, telemetry=telemetry, ic=ic).run(steps)
-    return prec, result
+    sim = make_simulation(
+        workload, cfg, policy=level, vectorized=vectorized, telemetry=telemetry,
+        scenario=scenario,
+    )
+    return level, sim.run(steps)
 
 
 def _run_sweep(
@@ -225,6 +208,63 @@ def _run_sweep(
     return results
 
 
+def _run_levels(
+    workload, levels, sizes, steps, vectorized, telemetry_dir, ledger, label, jobs,
+    trace_out, flight_stride, hash_stride, hash_dir, scenario,
+) -> dict:
+    """One run per precision level of ``workload``; see :func:`run_clamr_levels`."""
+    from repro.parallel.executor import SweepTask, TelemetrySpec, resolve_jobs
+
+    cfg = make_config(workload, scenario, **sizes)
+    names = {
+        level: f"{label}/{level}" if label else run_label(
+            workload, steps=steps, policy=level, nx=sizes.get("nx"),
+            elems=sizes.get("elems"), order=sizes.get("order"), scenario=scenario or "",
+        )
+        for level in levels
+    }
+    jobs = resolve_jobs(jobs, len(levels))
+    if hash_dir is not None and hash_stride < 1:
+        hash_stride = 1
+    traced = (
+        telemetry_dir is not None
+        or ledger is not None
+        or trace_out is not None
+        or flight_stride > 0
+        or hash_stride > 0
+    )
+    tasks = [
+        SweepTask(
+            name=names[level],
+            fn=_level_task,
+            args=(workload, cfg, level, steps, vectorized, scenario),
+            telemetry=(
+                TelemetrySpec(
+                    label=names[level],
+                    flight_stride=flight_stride,
+                    hash_stride=hash_stride,
+                )
+                if traced
+                else None
+            ),
+        )
+        for level in levels
+    ]
+    build_record = None
+    if ledger is not None:
+        from repro.ledger.record import identity_config, record_from_clamr, record_from_self
+
+        to_record = record_from_clamr if workload == "clamr" else record_from_self
+        rec_cfg = identity_config(workload, cfg, scenario=scenario or "")
+
+        def build_record(result, bundle):
+            return to_record(result, bundle, rec_cfg, label=bundle.label)
+
+    return _run_sweep(
+        tasks, jobs, ledger, telemetry_dir, trace_out, build_record, hash_dir
+    )
+
+
 def run_clamr_levels(
     nx: int = 48,
     steps: int = 100,
@@ -246,8 +286,9 @@ def run_clamr_levels(
     Chrome-trace JSON plus a JSONL record stream (see :mod:`repro.telemetry`).
     With ``ledger`` set (a path or :class:`repro.ledger.Ledger`), each run
     additionally appends a fingerprinted run record (docs/observatory.md).
-    ``label`` names the traces/records; the default includes grid *and*
-    step count so different scales of the same workload never collide.
+    ``label`` prefixes the per-level traces/records; the default
+    (:func:`repro.workload.run_label`) includes grid *and* step count so
+    different scales of the same workload never collide.
     ``jobs`` runs the levels across worker processes (clamped to the
     number of levels); each worker carries its own telemetry and ships a
     frozen bundle back, so results, traces, and ledger records are
@@ -261,64 +302,12 @@ def run_clamr_levels(
     diffed bit-for-bit with ``repro diverge compare``.  ``scenario``
     swaps the workload for a registered CLAMR scenario (its config
     overrides and hooks apply on top of ``nx``/``max_level``; its name
-    joins the ledger identity).
+    joins the ledger identity).  The flux scheme is always Rusanov.
     """
-    from repro.parallel.executor import SweepTask, TelemetrySpec, resolve_jobs
-
-    cfg_kwargs: dict = {"nx": nx, "ny": nx, "max_level": max_level}
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        if sc.family != "clamr":
-            raise ValueError(f"scenario {scenario!r} is not a clamr scenario")
-        cfg_kwargs.update(sc.config)
-    cfg = DamBreakConfig(**cfg_kwargs)
-    label = label or (
-        f"{scenario}/nx{nx}s{steps}" if scenario else f"clamr/nx{nx}s{steps}"
-    )
-    jobs = resolve_jobs(jobs, len(CLAMR_LEVELS))
-    if hash_dir is not None and hash_stride < 1:
-        hash_stride = 1
-    traced = (
-        telemetry_dir is not None
-        or ledger is not None
-        or trace_out is not None
-        or flight_stride > 0
-        or hash_stride > 0
-    )
-    tasks = [
-        SweepTask(
-            name=f"{label}/{level}",
-            fn=_clamr_level_task,
-            args=(cfg, level, steps, vectorized, scenario),
-            telemetry=(
-                TelemetrySpec(
-                    label=f"{label}/{level}",
-                    flight_stride=flight_stride,
-                    hash_stride=hash_stride,
-                )
-                if traced
-                else None
-            ),
-        )
-        for level in CLAMR_LEVELS
-    ]
-    build_record = None
-    if ledger is not None:
-        from repro.ledger import record_from_clamr
-
-        rec_cfg = cfg
-        if scenario:
-            from dataclasses import asdict
-
-            rec_cfg = {**asdict(cfg), "scenario": scenario}
-
-        def build_record(result, bundle):
-            return record_from_clamr(result, bundle, rec_cfg, label=bundle.label)
-
-    return _run_sweep(
-        tasks, jobs, ledger, telemetry_dir, trace_out, build_record, hash_dir
+    return _run_levels(
+        "clamr", CLAMR_LEVELS, {"nx": nx, "max_level": max_level}, steps, vectorized,
+        telemetry_dir, ledger, label, jobs, trace_out, flight_stride, hash_stride,
+        hash_dir, scenario,
     )
 
 
@@ -342,62 +331,10 @@ def run_self_precisions(
     ``flight_stride``, ``hash_stride``, ``hash_dir`` and ``scenario``
     behave as in :func:`run_clamr_levels`.
     """
-    from repro.parallel.executor import SweepTask, TelemetrySpec, resolve_jobs
-
-    cfg_kwargs: dict = {"nex": elems, "ney": elems, "nez": elems, "order": order}
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        if sc.family != "self":
-            raise ValueError(f"scenario {scenario!r} is not a self scenario")
-        cfg_kwargs.update(sc.config)
-    cfg = ThermalBubbleConfig(**cfg_kwargs)
-    label = label or (
-        f"{scenario}/e{elems}o{order}s{steps}" if scenario else f"self/e{elems}o{order}s{steps}"
-    )
-    jobs = resolve_jobs(jobs, len(SELF_PRECISIONS))
-    if hash_dir is not None and hash_stride < 1:
-        hash_stride = 1
-    traced = (
-        telemetry_dir is not None
-        or ledger is not None
-        or trace_out is not None
-        or flight_stride > 0
-        or hash_stride > 0
-    )
-    tasks = [
-        SweepTask(
-            name=f"{label}/{prec}",
-            fn=_self_precision_task,
-            args=(cfg, prec, steps, scenario),
-            telemetry=(
-                TelemetrySpec(
-                    label=f"{label}/{prec}",
-                    flight_stride=flight_stride,
-                    hash_stride=hash_stride,
-                )
-                if traced
-                else None
-            ),
-        )
-        for prec in SELF_PRECISIONS
-    ]
-    build_record = None
-    if ledger is not None:
-        from repro.ledger import record_from_self
-
-        rec_cfg = cfg
-        if scenario:
-            from dataclasses import asdict
-
-            rec_cfg = {**asdict(cfg), "scenario": scenario}
-
-        def build_record(result, bundle):
-            return record_from_self(result, bundle, rec_cfg, label=bundle.label)
-
-    return _run_sweep(
-        tasks, jobs, ledger, telemetry_dir, trace_out, build_record, hash_dir
+    return _run_levels(
+        "self", SELF_PRECISIONS, {"elems": elems, "order": order}, steps, True,
+        telemetry_dir, ledger, label, jobs, trace_out, flight_stride, hash_stride,
+        hash_dir, scenario,
     )
 
 

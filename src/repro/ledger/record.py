@@ -42,12 +42,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.ioutil import json_digest
+from repro.workload import run_label
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "KernelSummary",
     "RunRecord",
     "fingerprint_of",
+    "identity_config",
     "workload_key_of",
     "machine_spec",
     "git_sha",
@@ -335,6 +337,36 @@ def _build(
     )
 
 
+def identity_config(
+    workload: str,
+    config,
+    *,
+    scenario: str = "",
+    steps: int | None = None,
+    watch_stride: int = 0,
+    scheme: str = "rusanov",
+    vectorized: bool = True,
+) -> dict:
+    """The ``config`` a run record hashes: the config in canonical JSON
+    types, the ``"scenario"`` name if one ran, and — given ``steps`` — the
+    ``run`` sub-dict (see the module docstring).
+
+    The record builders call it after a run and ``JobSpec.config_payload``
+    before one, so prediction and record share one recipe.  A caller that
+    ran a scenario calls it without ``steps`` and hands the result to the
+    record builders, which add the ``run`` sub-dict.
+    """
+    cfg = asdict(config) if not isinstance(config, dict) else dict(config)
+    if scenario:
+        cfg["scenario"] = scenario
+    cfg = json.loads(json.dumps(cfg))  # tuples → lists, canonical JSON types
+    if steps is not None:
+        cfg["run"] = {"steps": int(steps), "watch_stride": int(watch_stride)}
+        if workload == "clamr":
+            cfg["run"].update(scheme=str(scheme), vectorized=bool(vectorized))
+    return cfg
+
+
 def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> RunRecord:
     """Reduce one CLAMR run (+ its telemetry) to a :class:`RunRecord`.
 
@@ -344,13 +376,14 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
     """
     from repro.precision.analysis import asymmetry_signature
 
-    cfg = asdict(config) if not isinstance(config, dict) else dict(config)
-    cfg["run"] = {
-        "steps": int(result.steps),
-        "scheme": str(getattr(result, "scheme", "rusanov")),
-        "vectorized": bool(getattr(result, "vectorized", True)),
-        "watch_stride": _watch_stride_of(tel),
-    }
+    cfg = identity_config(
+        "clamr",
+        config,
+        steps=result.steps,
+        watch_stride=_watch_stride_of(tel),
+        scheme=getattr(result, "scheme", "rusanov"),
+        vectorized=getattr(result, "vectorized", True),
+    )
     sig = asymmetry_signature(result.slice_precise)
     mass_first = float(result.mass_history[0]) if result.mass_history else 0.0
     mass_last = float(result.mass_history[-1]) if result.mass_history else 0.0
@@ -374,12 +407,14 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
         backend = resolved_backend(result.policy.compute_dtype)
     else:
         backend = "python"
+    policy = result.policy.level.value
     return _build(
         workload="clamr",
         config=cfg,
-        policy=result.policy.level.value,
+        policy=policy,
         seed=seed,
-        label=label or f"clamr/nx{cfg.get('nx', '?')}/{result.policy.level.value}",
+        label=label or run_label("clamr", steps=result.steps, policy=policy, nx=cfg.get("nx"),
+                                 scheme=cfg["run"]["scheme"], scenario=cfg.get("scenario", "")),
         tel=tel,
         wall_s=float(result.elapsed_s),
         kernel_s=float(result.kernel_elapsed_s),
@@ -398,12 +433,9 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
     from repro.precision.analysis import asymmetry_signature
     from repro.sums.doubledouble import dd_sum
 
-    cfg = asdict(config) if not isinstance(config, dict) else dict(config)
-    cfg = json.loads(json.dumps(cfg))  # tuples → lists, canonical JSON types
-    cfg["run"] = {
-        "steps": int(result.steps),
-        "watch_stride": _watch_stride_of(tel),
-    }
+    cfg = identity_config(
+        "self", config, steps=result.steps, watch_stride=_watch_stride_of(tel)
+    )
     sig = asymmetry_signature(result.slice_precise)
     conserved = float(dd_sum(np.asarray(result.anomaly_field, dtype=np.float64).ravel()))
     fidelity = {
@@ -427,7 +459,9 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
         config=cfg,
         policy=result.precision,
         seed=seed,
-        label=label or f"self/e{cfg.get('nex', '?')}o{cfg.get('order', '?')}/{result.precision}",
+        label=label or run_label("self", steps=result.steps, policy=result.precision,
+                                 elems=cfg.get("nex"), order=cfg.get("order"),
+                                 scenario=cfg.get("scenario", "")),
         tel=tel,
         wall_s=float(result.elapsed_s),
         kernel_s=float(result.kernel_elapsed_s),

@@ -40,41 +40,24 @@ def run_workload(
     many steps), which folds its digest into the record's fidelity.
     """
     from repro.telemetry import Telemetry
+    from repro.workload import make_config, make_simulation, run_label
 
-    def _flight(run_label: str):
-        if flight_stride <= 0:
-            return None
+    level = policy if workload == "clamr" else precision
+    cfg = make_config(workload, nx=nx, max_level=max_level, elems=elems, order=order)
+    name = label or run_label(
+        workload, steps=steps, policy=level, nx=nx, elems=elems, order=order,
+        scheme=scheme,
+    )
+    flight = None
+    if flight_stride > 0:
         from repro.telemetry.flight import FlightRecorder
 
-        return FlightRecorder(
-            stride=flight_stride, capacity=flight_capacity, label=run_label
+        flight = FlightRecorder(
+            stride=flight_stride, capacity=flight_capacity, label=name
         )
-
-    if workload == "clamr":
-        from repro.clamr import ClamrSimulation, DamBreakConfig
-
-        cfg = DamBreakConfig(nx=nx, ny=nx, max_level=max_level)
-        variant = "" if scheme == "rusanov" else f"/{scheme}"
-        run_label = label or f"clamr/nx{nx}s{steps}/{policy}{variant}"
-        tel = Telemetry(
-            label=run_label,
-            watch_stride=watch_stride,
-            flight=_flight(run_label),
-        )
-        result = ClamrSimulation(cfg, policy=policy, scheme=scheme, telemetry=tel).run(steps)
-        record = record_from_clamr(result, tel, cfg, seed=seed, label=tel.label)
-    elif workload == "self":
-        from repro.self_ import SelfSimulation, ThermalBubbleConfig
-
-        cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
-        run_label = label or f"self/e{elems}o{order}s{steps}/{precision}"
-        tel = Telemetry(
-            label=run_label,
-            watch_stride=watch_stride,
-            flight=_flight(run_label),
-        )
-        result = SelfSimulation(cfg, precision=precision, telemetry=tel).run(steps)
-        record = record_from_self(result, tel, cfg, seed=seed, label=tel.label)
-    else:
-        raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")
-    return record, tel
+    tel = Telemetry(label=name, watch_stride=watch_stride, flight=flight)
+    result = make_simulation(
+        workload, cfg, policy=level, scheme=scheme, telemetry=tel
+    ).run(steps)
+    to_record = record_from_clamr if workload == "clamr" else record_from_self
+    return to_record(result, tel, cfg, seed=seed, label=tel.label), tel

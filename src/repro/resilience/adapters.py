@@ -30,6 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.precision.policy import PrecisionLevel, PrecisionPolicy, level_from_name
+from repro.workload import make_simulation, self_precision
 
 __all__ = ["ClamrAdapter", "SelfAdapter", "make_adapter"]
 
@@ -56,31 +57,19 @@ class ClamrAdapter:
         telemetry=None,
         scenario: str = "",
     ) -> None:
-        from repro.clamr import ClamrSimulation
-
         if not isinstance(policy, PrecisionPolicy):
             policy = PrecisionPolicy.from_level(level_from_name(policy))
-        # Scenarios are resolved by *name* so adapters stay picklable for
-        # process-parallel campaigns; the registry lookup happens in-process.
-        # Only the IC/bathymetry hooks come from the scenario — the flux
-        # scheme stays a caller knob (campaigns legitimately sweep it).
-        ic = bathymetry = None
-        if scenario:
-            from repro.scenarios import get_scenario
-
-            sc = get_scenario(scenario)
-            if sc.family != "clamr":
-                raise ValueError(f"scenario {scenario!r} is not a clamr scenario")
-            ic, bathymetry = sc.ic, sc.bathymetry
         self.config = config
         self.initial_policy = policy
         self.scheme = scheme
         self.vectorized = vectorized
         self.telemetry = telemetry
+        # the scenario travels by *name* (adapters stay picklable for
+        # process-parallel campaigns) and resolves in-process
         self.scenario = scenario
-        self.sim = ClamrSimulation(
-            config, policy=policy, vectorized=vectorized, scheme=scheme, telemetry=telemetry,
-            ic=ic, bathymetry=bathymetry,
+        self.sim = make_simulation(
+            "clamr", config, policy=policy, vectorized=vectorized, scheme=scheme,
+            telemetry=telemetry, scenario=scenario,
         )
         self.elapsed_s = 0.0
         self.kernel_elapsed_s = 0.0
@@ -190,22 +179,13 @@ class SelfAdapter:
 
     def __init__(self, config, precision: str = "single", telemetry=None,
                  scenario: str = "") -> None:
-        from repro.self_ import SelfSimulation
-
-        ic = None
-        if scenario:
-            from repro.scenarios import get_scenario
-
-            sc = get_scenario(scenario)
-            if sc.family != "self":
-                raise ValueError(f"scenario {scenario!r} is not a self scenario")
-            ic = sc.ic
         self.config = config
         self.initial_precision = precision
         self.telemetry = telemetry
         self.scenario = scenario
-        self._ic = ic
-        self.sim = SelfSimulation(config, precision=precision, telemetry=telemetry, ic=ic)
+        self.sim = make_simulation(
+            "self", config, policy=precision, telemetry=telemetry, scenario=scenario
+        )
         self.elapsed_s = 0.0
         self.kernel_elapsed_s = 0.0
         self.conserved_history: list[float] = []
@@ -267,10 +247,11 @@ class SelfAdapter:
 
     def _rebuild(self, precision: str, config) -> None:
         """Re-type the solver; operators and background are dtype-bound."""
-        from repro.self_ import SelfSimulation
-
         old = self.sim
-        new = SelfSimulation(config, precision=precision, telemetry=self.telemetry, ic=self._ic)
+        new = make_simulation(
+            "self", config, policy=precision, telemetry=self.telemetry,
+            scenario=self.scenario,
+        )
         new.U = old.U.astype(new.dtype, copy=True)
         new.time = old.time
         new.step_count = old.step_count
@@ -305,6 +286,7 @@ def make_adapter(workload: str, config, *, policy: str = "min", scheme: str = "r
             scenario=scenario,
         )
     if workload == "self":
-        precision = "single" if policy in ("min", "single", "half", "mixed") else "double"
-        return SelfAdapter(config, precision=precision, telemetry=telemetry, scenario=scenario)
+        return SelfAdapter(
+            config, precision=self_precision(policy), telemetry=telemetry, scenario=scenario
+        )
     raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")

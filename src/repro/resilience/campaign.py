@@ -23,7 +23,7 @@ regressions gateable like any other workload.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.parallel.executor import (
     SweepExecutor,
@@ -35,6 +35,7 @@ from repro.parallel.executor import (
 from repro.resilience.adapters import make_adapter
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.runner import RecoveryPolicy, ResilienceReport, ResilientRunner
+from repro.workload import make_config
 
 __all__ = [
     "CampaignConfig",
@@ -112,33 +113,6 @@ class CampaignResult:
         return sum(1 for c in self.cells if predicate(c)) / len(self.cells)
 
 
-def _build_config(config: CampaignConfig):
-    overrides: dict = {}
-    if config.scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(config.scenario)
-        if sc.family != config.workload:
-            raise ValueError(
-                f"scenario {config.scenario!r} belongs to workload {sc.family!r}, "
-                f"not {config.workload!r}"
-            )
-        overrides = dict(sc.config)
-    if config.workload == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs = {"nx": config.nx, "ny": config.nx, "max_level": config.max_level}
-        kwargs.update(overrides)
-        return DamBreakConfig(**kwargs)
-    from repro.self_ import ThermalBubbleConfig
-
-    kwargs = {
-        "nex": config.elems, "ney": config.elems, "nez": config.elems, "order": config.order
-    }
-    kwargs.update(overrides)
-    return ThermalBubbleConfig(**kwargs)
-
-
 def run_cell(
     config: CampaignConfig,
     array: str,
@@ -149,9 +123,15 @@ def run_cell(
     telemetry=None,
 ) -> tuple[CellOutcome, ResilienceReport, ResilientRunner]:
     """Run one supervised cell: one fault into one array at one level."""
-    sim_config = _build_config(config)
     adapter = make_adapter(
-        config.workload, sim_config, policy=level, scheme=config.scheme, telemetry=telemetry,
+        config.workload,
+        make_config(
+            config.workload, config.scenario, nx=config.nx, max_level=config.max_level,
+            elems=config.elems, order=config.order,
+        ),
+        policy=level,
+        scheme=config.scheme,
+        telemetry=telemetry,
         scenario=config.scenario,
     )
     # the cell seed folds the sweep coordinates in deterministically
@@ -201,14 +181,10 @@ def _campaign_cell_task(config, recovery, array, kind, level, trial, want_record
     )
     record = None
     if want_record and report.result is not None:
-        sim_config = _build_config(config)
-        if config.scenario:
-            # the scenario is part of what was run, so it joins the identity
-            sim_config = {**asdict(sim_config), "scenario": config.scenario}
         record = record_resilient_run(
             report,
             runner,
-            sim_config=sim_config,
+            sim_config=runner.adapter.config,
             seed=config.seed,
             label=getattr(telemetry, "label", ""),
         )
@@ -285,12 +261,13 @@ def record_resilient_run(
     record's fidelity dict — which is not part of the hash, exactly like
     every other measured outcome.
     """
-    from repro.ledger.record import record_from_clamr, record_from_self
+    from repro.ledger.record import identity_config, record_from_clamr, record_from_self
 
     if report.result is None:
         raise ValueError("cannot record an aborted run that never completed a step")
     adapter = runner.adapter
-    cfg = asdict(sim_config) if not isinstance(sim_config, dict) else dict(sim_config)
+    # the scenario is part of what was run, so it joins the identity
+    cfg = identity_config(report.workload, sim_config, scenario=adapter.scenario)
     cfg["resilience"] = {
         "plan": runner.plan.to_config(),
         "recovery": runner.policy.to_config(),

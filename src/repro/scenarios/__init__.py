@@ -23,7 +23,6 @@ from repro.scenarios.runner import (
     load_golden_records,
     record_scenario,
     run_scenario,
-    self_precision_of,
     validate_scenario,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "register_scenario",
     "run_scenario",
     "scenario_names",
-    "self_precision_of",
     "validate_scenario",
 ]

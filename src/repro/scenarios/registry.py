@@ -12,9 +12,10 @@ the acceptance checks that say what "correct" means for *this* physics:
 
 Scenarios are identified by *name* (``"clamr/lake-at-rest"``).  Every
 consumer — the CLI, the sweep executor's worker processes, the
-resilience adapters, the divergence recorder — resolves the name through
-:func:`get_scenario` in its own process, so scenario-parameterised tasks
-stay picklable: only the string crosses process boundaries.
+resilience adapters, the divergence recorder — hands the name to
+:mod:`repro.workload`, which resolves it through :func:`get_scenario` in
+its own process, so scenario-parameterised tasks stay picklable: only
+the string crosses process boundaries.
 
 Builders (``ic``/``bathymetry``/``acceptance``) are module-level
 functions in :mod:`repro.scenarios.clamr_cases` and
@@ -75,8 +76,11 @@ class Scenario:
         Declared discrete symmetry of the case (``"mirror-x"``,
         ``"mirror-y"``, ``"rot90"`` or ``None``); property tests assert
         the IC honours it.
-    scheme:
-        CLAMR flux scheme (``"rusanov"`` or ``"muscl"``).
+
+    A scenario defines the *problem*, never the numerical method: the
+    CLAMR flux scheme is the caller's choice, passed to
+    :func:`repro.workload.make_simulation`, so one ``--scenario`` means
+    the same case through every door.
     """
 
     name: str
@@ -89,7 +93,6 @@ class Scenario:
     acceptance: Callable[..., Any] | None = None
     fingerprint_policy: str = "mixed"
     symmetry: str | None = None
-    scheme: str = "rusanov"
 
     def scale(self, name: str) -> dict[str, Any]:
         """The size kwargs for one scale, as a fresh dict."""

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.harness.paper import ShapeCheck
 from repro.scenarios.registry import Scenario, get_scenario, scenario_names
+from repro.workload import make_config, make_simulation
 
 __all__ = [
     "GOLDEN_SCALE",
@@ -40,16 +41,10 @@ __all__ = [
     "record_scenario",
     "load_golden_records",
     "gate_scenarios",
-    "self_precision_of",
 ]
 
 #: The scale golden ledger records are minted at (and gated against).
 GOLDEN_SCALE = "quick"
-
-
-def self_precision_of(policy: str) -> str:
-    """Map a CLAMR-style policy name onto SELF's single/double axis."""
-    return "single" if policy in ("min", "single", "half", "mixed") else "double"
 
 
 @dataclass
@@ -74,22 +69,8 @@ def build_config(scenario: str | Scenario, scale: str = GOLDEN_SCALE):
     sc = _resolve(scenario)
     size = sc.scale(scale)
     steps = int(size.pop("steps"))
-    if sc.family == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs: dict[str, Any] = {"nx": int(size["nx"]), "ny": int(size["nx"])}
-        kwargs.update(sc.config)
-        return DamBreakConfig(**kwargs), steps
-    from repro.self_ import ThermalBubbleConfig
-
-    kwargs = {
-        "nex": int(size["elems"]),
-        "ney": int(size["elems"]),
-        "nez": int(size["elems"]),
-        "order": int(size["order"]),
-    }
-    kwargs.update(sc.config)
-    return ThermalBubbleConfig(**kwargs), steps
+    sizes = {key: int(value) for key, value in size.items()}
+    return make_config(sc.family, sc, **sizes), steps
 
 
 def build_simulation(
@@ -103,24 +84,10 @@ def build_simulation(
     sc = _resolve(scenario)
     policy = policy or sc.fingerprint_policy
     cfg, steps = build_config(sc, scale)
-    if sc.family == "clamr":
-        from repro.clamr import ClamrSimulation
-
-        sim = ClamrSimulation(
-            cfg,
-            policy=policy,
-            vectorized=vectorized,
-            scheme=sc.scheme,
-            telemetry=telemetry,
-            ic=sc.ic,
-            bathymetry=sc.bathymetry,
-        )
-    else:
-        from repro.self_ import SelfSimulation
-
-        sim = SelfSimulation(
-            cfg, precision=self_precision_of(policy), telemetry=telemetry, ic=sc.ic
-        )
+    sim = make_simulation(
+        sc.family, cfg, policy=policy, vectorized=vectorized, telemetry=telemetry,
+        scenario=sc,
+    )
     return sim, cfg, steps, policy
 
 
@@ -135,12 +102,9 @@ def run_scenario(
     sim, cfg, steps, policy = build_simulation(
         sc, scale=scale, policy=policy, telemetry=telemetry, vectorized=vectorized
     )
-    if sc.family == "clamr":
-        result = sim.run(steps)
-    else:
-        result = sim.run(steps)
     return ScenarioRun(
-        scenario=sc, scale=scale, policy=policy, config=cfg, steps=steps, sim=sim, result=result
+        scenario=sc, scale=scale, policy=policy, config=cfg, steps=steps, sim=sim,
+        result=sim.run(steps),
     )
 
 
@@ -157,14 +121,6 @@ def validate_scenario(
     return run, checks
 
 
-def _scenario_config_dict(run: ScenarioRun) -> dict:
-    from dataclasses import asdict
-
-    cfg = asdict(run.config)
-    cfg["scenario"] = run.scenario.name
-    return cfg
-
-
 def record_scenario(
     scenario: str | Scenario,
     scale: str = GOLDEN_SCALE,
@@ -178,17 +134,16 @@ def record_scenario(
     break at the same grid size.  (The scale itself is not part of the
     identity — the sizes it resolves to already are.)
     """
-    from repro.ledger.record import record_from_clamr, record_from_self
+    from repro.ledger.record import identity_config, record_from_clamr, record_from_self
     from repro.parallel.executor import TelemetrySpec
 
     sc = _resolve(scenario)
     label = f"scenario/{sc.name}/{scale}"
     tel = TelemetrySpec(label=label).build()
     run = run_scenario(sc, scale=scale, policy=policy, telemetry=tel)
-    cfg = _scenario_config_dict(run)
-    if sc.family == "clamr":
-        return record_from_clamr(run.result, tel, cfg, seed=seed, label=label)
-    return record_from_self(run.result, tel, cfg, seed=seed, label=label)
+    cfg = identity_config(sc.family, run.config, scenario=sc.name)
+    to_record = record_from_clamr if sc.family == "clamr" else record_from_self
+    return to_record(run.result, tel, cfg, seed=seed, label=label)
 
 
 #: Machine-independent fidelity digests gated bitwise against the goldens.

@@ -3,31 +3,30 @@
 The whole service rests on one fact the ledger established: a run's
 ``workload_key`` is a machine-independent hash of (workload, config,
 policy, seed) — computable from the request alone.  :class:`JobSpec`
-is that request, and :meth:`JobSpec.workload_key` reconstructs the
-*exact* config payload :func:`repro.ledger.record.record_from_clamr` /
-``record_from_self`` will hash after the run (same ``run`` sub-dict,
-same canonical JSON types), so
+is that request, and :meth:`JobSpec.workload_key` builds the config
+payload through :func:`repro.ledger.record.identity_config`, the same
+function :func:`~repro.ledger.record.record_from_clamr` /
+``record_from_self`` hash after the run, so
 
 * the result cache can be consulted before paying for a computation,
 * a finished record can be cross-checked against the job that asked for
   it (:func:`execute_job` refuses to return a record whose identity
   drifted from its spec — that would poison the cache).
 
-The prediction is pinned by a test that runs a real workload and
-compares keys; any future change to the hashed run identity must update
-both sides or that test fails.
+The prediction is pinned by tests that run real workloads and compare
+keys, so a run knob that reaches the record but not the spec fails them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
+
+from repro.workload import WORKLOADS, make_config, run_label
 
 __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
 JOB_SCHEMA_VERSION = 1
 
-_WORKLOADS = ("clamr", "self")
 _CLAMR_POLICIES = ("half", "min", "mixed", "full")
 _SELF_PRECISIONS = ("single", "double")
 _SCHEMES = ("rusanov", "muscl")
@@ -61,9 +60,9 @@ class JobSpec:
     precision: str = "double"
 
     def __post_init__(self) -> None:
-        if self.workload not in _WORKLOADS:
+        if self.workload not in WORKLOADS:
             raise ValueError(
-                f"unknown workload {self.workload!r}; expected one of {_WORKLOADS}"
+                f"unknown workload {self.workload!r}; expected one of {WORKLOADS}"
             )
         for name in ("steps", "nx", "max_level", "elems", "order"):
             value = getattr(self, name)
@@ -95,30 +94,20 @@ class JobSpec:
     def config_payload(self) -> dict:
         """The config dict the ledger will hash for this job's run.
 
-        Mirrors ``record_from_clamr``/``record_from_self``: the simulation
-        config dataclass as a dict, plus the ``run`` sub-dict of shape
-        knobs, through a JSON round-trip for canonical types.
+        Built by :func:`repro.ledger.record.identity_config`, the same
+        function ``record_from_clamr``/``record_from_self`` use after the
+        run, from the config :func:`repro.workload.make_config` builds.
         """
-        if self.workload == "clamr":
-            from repro.clamr import DamBreakConfig
+        from repro.ledger.record import identity_config
 
-            cfg = asdict(DamBreakConfig(nx=self.nx, ny=self.nx, max_level=self.max_level))
-            cfg["run"] = {
-                "steps": self.steps,
-                "scheme": self.scheme,
-                "vectorized": True,
-                "watch_stride": self.watch_stride,
-            }
-        else:
-            from repro.self_ import ThermalBubbleConfig
-
-            cfg = asdict(
-                ThermalBubbleConfig(
-                    nex=self.elems, ney=self.elems, nez=self.elems, order=self.order
-                )
-            )
-            cfg["run"] = {"steps": self.steps, "watch_stride": self.watch_stride}
-        return json.loads(json.dumps(cfg))
+        cfg = make_config(
+            self.workload, nx=self.nx, max_level=self.max_level,
+            elems=self.elems, order=self.order,
+        )
+        return identity_config(
+            self.workload, cfg, steps=self.steps, watch_stride=self.watch_stride,
+            scheme=self.scheme,
+        )
 
     @property
     def policy_name(self) -> str:
@@ -161,10 +150,10 @@ class JobSpec:
     def describe(self) -> str:
         if self.label:
             return self.label
-        if self.workload == "clamr":
-            variant = "" if self.scheme == "rusanov" else f"/{self.scheme}"
-            return f"clamr/nx{self.nx}s{self.steps}/{self.policy}{variant}"
-        return f"self/e{self.elems}o{self.order}s{self.steps}/{self.precision}"
+        return run_label(
+            self.workload, steps=self.steps, policy=self.policy_name, nx=self.nx,
+            elems=self.elems, order=self.order, scheme=self.scheme,
+        )
 
     # -- serialization -----------------------------------------------------
 

@@ -16,6 +16,7 @@ import pytest
 from repro.scenarios import (
     Scenario,
     all_scenarios,
+    build_config,
     build_simulation,
     get_scenario,
     register_scenario,
@@ -156,11 +157,14 @@ class TestLakeAtRestWellBalance:
     @pytest.mark.parametrize("policy", ("half", "min", "mixed", "full"))
     @pytest.mark.parametrize("scheme", ("rusanov", "muscl"))
     def test_bitwise_preservation(self, policy, scheme):
-        from dataclasses import replace
+        # a scenario never picks the flux scheme; the caller passes it to
+        # the one builder every door shares
+        from repro.workload import make_simulation
 
-        sc = get_scenario("clamr/lake-at-rest")
-        sc = replace(sc, scheme=scheme)
-        sim, _cfg, steps, _policy = build_simulation(sc, scale="quick", policy=policy)
+        cfg, steps = build_config("clamr/lake-at-rest", scale="quick")
+        sim = make_simulation(
+            "clamr", cfg, policy=policy, scheme=scheme, scenario="clamr/lake-at-rest"
+        )
         h0 = np.array(sim.state.H, copy=True)
         sim.run(steps)
         assert ulp_distance(sim.state.H, h0).max() == 0.0

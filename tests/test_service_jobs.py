@@ -76,6 +76,15 @@ class TestIdentity:
         assert record.workload_key == spec.workload_key()
         assert record.policy == spec.policy_name
 
+    def test_predicted_key_matches_muscl_clamr_record(self):
+        spec = JobSpec(
+            workload="clamr", nx=12, steps=8, watch_stride=2, policy="min", scheme="muscl"
+        )
+        record = execute_job(spec.to_dict())
+        assert record.workload_key == spec.workload_key()
+        assert record.config["run"]["scheme"] == "muscl"
+        assert record.label == spec.describe()
+
     def test_predicted_key_matches_self_record(self):
         spec = JobSpec(workload="self", elems=2, order=2, steps=4, watch_stride=2)
         record = execute_job(spec.to_dict())
