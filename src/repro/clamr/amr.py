@@ -61,7 +61,8 @@ def refinement_flags(
     # such guard; its published runs simply did not hit a flip.  See
     # DESIGN.md, "mesh-decision noise immunity".)
     H = quantize_to_bfloat16(state.H.astype(np.float64))
-    floor = max(1e-12, float(np.max(np.abs(H))) * 1e-12)
+    absH = np.abs(H)
+    floor = max(1e-12, float(np.max(absH)) * 1e-12)
     indicator = np.zeros(mesh.ncells, dtype=np.float64)
     for nbr in (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop):
         # Per-pair symmetric normalization: both endpoints of a face see the
@@ -70,8 +71,9 @@ def refinement_flags(
         # neighbor at the bottom/left of a coarse-fine face — is itself not
         # mirror-symmetric; near-threshold cells would then flag
         # asymmetrically and imprint a structural asymmetry on the mesh.)
-        scale = np.maximum(np.maximum(np.abs(H[nbr]), np.abs(H)), floor)
-        jump = np.abs(H[nbr] - H) / scale
+        Hn = np.take(H, nbr)
+        scale = np.maximum(np.maximum(np.abs(Hn), absH), floor)
+        jump = np.abs(Hn - H) / scale
         np.maximum(indicator, jump, out=indicator)
         # the link is one-directional for coarse/fine faces; mirror the jump
         # so the *neighbor* sees it too
@@ -96,34 +98,36 @@ def enforce_balance(mesh: AmrMesh, flags: np.ndarray) -> np.ndarray:
     flags = np.array(flags, dtype=np.int8, copy=True)
     if flags.shape != (mesh.ncells,):
         raise ValueError(f"flags must have shape ({mesh.ncells},)")
+    level = mesh.level
+    at_max = level >= mesh.max_level
     # sanitize: level caps hold regardless of where the flags came from
-    flags[(flags == 1) & (mesh.level >= mesh.max_level)] = 0
-    flags[(flags == -1) & (mesh.level == 0)] = 0
+    flags[(flags == 1) & at_max] = 0
+    flags[(flags == -1) & (level == 0)] = 0
     neighbors = (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop)
     for _ in range(int(mesh.max_level) + 2):
-        new_level = mesh.level.astype(np.int64) + (flags == 1)
+        refine = flags == 1
+        new_level = level + refine
         forced = np.zeros(mesh.ncells, dtype=bool)
         for nbr in neighbors:
             # cell c sees neighbor n = nbr[c]; if c will sit 2+ levels above
             # n, n must refine.  Duplicate indices all store True, so a
             # plain scatter is an exact logical-or.
-            deficit = new_level - new_level[nbr] > 1
+            deficit = new_level - np.take(new_level, nbr) > 1
             forced[nbr[deficit]] = True
-        forced &= flags != 1
-        forced &= mesh.level < mesh.max_level
+        forced &= ~(refine | at_max)
         if not forced.any():
             break
         flags[forced] = 1
     # cancel coarsening that would unbalance against post-refinement levels
-    new_level = mesh.level.astype(np.int64) + (flags == 1)
+    new_level = level + (flags == 1)
     coarsen = flags == -1
     for nbr in neighbors:
-        bad = coarsen & (new_level[nbr] > mesh.level)
+        bad = coarsen & (np.take(new_level, nbr) > level)
         flags[bad] = 0
         # mirror direction: if c will be above its stored neighbor's
         # coarsened level by 2, the neighbor may not coarsen.
-        nbr_coarsens = flags[nbr] == -1
-        bad_nbr = nbr_coarsens & (new_level > mesh.level[nbr].astype(np.int64))
+        nbr_coarsens = np.take(flags, nbr) == -1
+        bad_nbr = nbr_coarsens & (new_level > np.take(level, nbr))
         flags[nbr[bad_nbr]] = 0
         coarsen = flags == -1
     return flags

@@ -96,12 +96,17 @@ class ScatterPlan:
     product: the compiled kernel runs ``sum = y[i]; for jj in row: sum +=
     data[jj] * x[col[jj]]`` — a strict left-to-right accumulation in stored
     order.  The plan therefore builds a CSR matrix whose row ``c`` lists cell
-    ``c``'s faces in exactly add.at's order (stable argsort of
-    ``concat(low, high)``) with data ``∓fsz`` — the face size *and* the
-    scatter sign folded into the matrix, eliminating the six signed-flux
-    temporaries per step.  Bitwise equivalence of the folding holds because
-    IEEE-754 negation is exact and multiplication commutes exactly:
-    ``-(f · s) == (-s) · f`` and ``acc - t == acc + (-t)``.
+    ``c``'s faces in exactly add.at's order with data ``∓fsz`` — the face
+    size *and* the scatter sign folded into the matrix, eliminating the six
+    signed-flux temporaries per step.  Bitwise equivalence of the folding
+    holds because IEEE-754 negation is exact and multiplication commutes
+    exactly: ``-(f · s) == (-s) · f`` and ``acc - t == acc + (-t)``.
+
+    The matrix is the COO triple ``rows = concat(low, high)``, ``cols =
+    concat(arange(nf), arange(nf))``, ``data = concat(-fsz, +fsz)``
+    converted by scipy's compiled ``coo_tocsr`` — a stable counting sort,
+    so each row keeps its entries in COO order, which is add.at's order.
+    Without scipy a stable ``argsort`` of the rows builds the same arrays.
 
     Without scipy, for a dtype its compiled kernels don't cover, or under
     ``scatter_mode("add_at")``, ``apply`` runs the original ``np.add.at``
@@ -114,19 +119,26 @@ class ScatterPlan:
         self.nfaces = int(low.size)
         self.low = low.astype(np.int64, copy=False)
         self.high = high.astype(np.int64, copy=False)
-        idx = np.concatenate([self.low, self.high])
-        order = np.argsort(idx, kind="stable")
-        counts = np.bincount(idx, minlength=self.ncells)
-        indptr = np.zeros(self.ncells + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        is_low = order < self.nfaces
-        cols = np.where(is_low, order, order - self.nfaces).astype(np.int32)
-        sizes64 = np.asarray(sizes, dtype=np.float64)
-        self.indptr = indptr
-        self.cols = cols
-        self.sizes64 = sizes64
-        #: ±fsz per stored entry, in per-cell add.at order (float64 master)
-        self.signed64 = np.where(is_low, -sizes64[cols], sizes64[cols])
+        self.sizes64 = np.asarray(sizes, dtype=np.float64)
+        nnz = 2 * self.nfaces
+        rows = np.concatenate([self.low, self.high]).astype(np.int32)
+        signed = np.concatenate([-self.sizes64, self.sizes64])
+        self.indptr = np.empty(self.ncells + 1, dtype=np.int32)
+        if _scipy_sparsetools is not None:
+            faces = np.arange(self.nfaces, dtype=np.int32)
+            self.cols = np.empty(nnz, dtype=np.int32)
+            #: ±fsz per stored entry, in per-cell add.at order (float64 master)
+            self.signed64 = np.empty(nnz, dtype=np.float64)
+            _scipy_sparsetools.coo_tocsr(
+                self.ncells, self.nfaces, nnz, rows, np.concatenate([faces, faces]),
+                signed, self.indptr, self.cols, self.signed64,
+            )
+        else:
+            order = np.argsort(rows, kind="stable")
+            self.indptr[0] = 0
+            np.cumsum(np.bincount(rows, minlength=self.ncells), out=self.indptr[1:])
+            self.cols = np.where(order < self.nfaces, order, order - self.nfaces).astype(np.int32)
+            self.signed64 = signed[order]
         self._signed_casts: dict[np.dtype, np.ndarray] = {}
         self._size_casts: dict[np.dtype, np.ndarray] = {}
 
@@ -299,27 +311,24 @@ class FaceLists:
 
     @classmethod
     def from_mesh(cls, mesh: AmrMesh) -> "FaceLists":
-        cells = np.arange(mesh.ncells, dtype=np.int64)
+        cells = np.arange(mesh.ncells, dtype=mesh.nlft.dtype)
         level = mesh.level
         size = mesh.cell_size()
 
-        nrht = mesh.nrht.astype(np.int64)
-        nlft = mesh.nlft.astype(np.int64)
-        ntop = mesh.ntop.astype(np.int64)
-        nbot = mesh.nbot.astype(np.int64)
+        def interior(fwd: np.ndarray, back: np.ndarray):
+            # (low cells, high cells, sizes) of one axis's interior faces;
+            # cell indices come out int64 (flatnonzero's intp, and the
+            # concatenate promotes the int32 neighbor gathers to it)
+            own_fwd = np.flatnonzero((fwd != cells) & (np.take(level, fwd) <= level))
+            own_back = np.flatnonzero((back != cells) & (np.take(level, back) < level))
+            return (
+                np.concatenate([own_fwd, np.take(back, own_back)]),
+                np.concatenate([np.take(fwd, own_fwd), own_back]),
+                np.concatenate([np.take(size, own_fwd), np.take(size, own_back)]),
+            )
 
-        own_right = (nrht != cells) & (level[nrht] <= level)
-        own_left = (nlft != cells) & (level[nlft] < level)
-        xl = np.concatenate([cells[own_right], nlft[own_left]])
-        xr = np.concatenate([nrht[own_right], cells[own_left]])
-        xsize = np.concatenate([size[own_right], size[own_left]])
-
-        own_top = (ntop != cells) & (level[ntop] <= level)
-        own_bottom = (nbot != cells) & (level[nbot] < level)
-        yb = np.concatenate([cells[own_top], nbot[own_bottom]])
-        yt = np.concatenate([ntop[own_top], cells[own_bottom]])
-        ysize = np.concatenate([size[own_top], size[own_bottom]])
-
+        xl, xr, xsize = interior(mesh.nrht, mesh.nlft)
+        yb, yt, ysize = interior(mesh.ntop, mesh.nbot)
         return cls(
             xl=xl,
             xr=xr,
@@ -327,10 +336,10 @@ class FaceLists:
             yb=yb,
             yt=yt,
             ysize=ysize,
-            bnd_left=cells[nlft == cells],
-            bnd_right=cells[nrht == cells],
-            bnd_bottom=cells[nbot == cells],
-            bnd_top=cells[ntop == cells],
+            bnd_left=np.flatnonzero(mesh.nlft == cells),
+            bnd_right=np.flatnonzero(mesh.nrht == cells),
+            bnd_bottom=np.flatnonzero(mesh.nbot == cells),
+            bnd_top=np.flatnonzero(mesh.ntop == cells),
         )
 
     @property

@@ -168,14 +168,15 @@ class AmrMesh:
         iff some pixel was painted twice (overlap), and a covered count
         below ``nxf·nyf`` means gaps.  Overlap is reported first.
         """
-        span = self.cell_span_fine().astype(np.int64)
+        counts = np.bincount(self.level)
         image = np.full((self.nyf, self.nxf), -1, dtype=np.int64)
-        for lvl in np.unique(self.level):
+        painted = 0
+        for lvl in np.flatnonzero(counts):
             sel = np.flatnonzero(self.level == lvl)
-            s = int(span[sel[0]])
+            s = 1 << (self.max_level - int(lvl))
             blocks = image.reshape(self.nyf // s, s, self.nxf // s, s)
             blocks[self.j[sel], :, self.i[sel], :] = sel[:, None, None]
-        painted = int((span * span).sum())
+            painted += int(counts[lvl]) * s * s
         covered = int(np.count_nonzero(image >= 0))
         if painted > covered:
             raise ValueError("mesh cells overlap")
@@ -186,39 +187,29 @@ class AmrMesh:
     def rebuild_neighbors(self) -> None:
         """Recompute nlft/nrht/nbot/ntop via the finest-level hash.
 
-        Vectorized: one hash build plus four fancy-indexed gathers.
+        Vectorized: one hash build, copied into an int32 image with a
+        one-pixel ``-1`` border, then one flat gather per direction.  A
+        probe that lands on the border is a domain side, where the cell
+        points to itself.
         """
         image = self.build_hash()
-        span = self.cell_span_fine().astype(np.int64)
-        i0 = self.i.astype(np.int64) * span
-        j0 = self.j.astype(np.int64) * span
+        width = self.nxf + 2
+        padded = np.full((self.nyf + 2, width), -1, dtype=_INT)
+        padded[1:-1, 1:-1] = image
+        flat = padded.ravel()
+        span = self.cell_span_fine().astype(np.intp)
+        # flat index of each cell's lower-left pixel in the padded image
+        corner = (self.j * span + 1) * width + self.i * span + 1
+        cells = np.arange(self.ncells, dtype=_INT)
 
-        cells = np.arange(self.ncells, dtype=np.int64)
+        def probe(offset: np.ndarray | int) -> np.ndarray:
+            nbr = np.take(flat, corner + offset)
+            return np.where(nbr < 0, cells, nbr)
 
-        # left neighbor: one pixel left of the lower-left corner
-        has_lft = i0 > 0
-        nlft = cells.copy()
-        nlft[has_lft] = image[j0[has_lft], i0[has_lft] - 1]
-
-        # right neighbor: one pixel right of the lower-right corner
-        has_rht = i0 + span < self.nxf
-        nrht = cells.copy()
-        nrht[has_rht] = image[j0[has_rht], i0[has_rht] + span[has_rht]]
-
-        # bottom neighbor: one pixel below the lower-left corner
-        has_bot = j0 > 0
-        nbot = cells.copy()
-        nbot[has_bot] = image[j0[has_bot] - 1, i0[has_bot]]
-
-        # top neighbor: one pixel above the upper-left corner
-        has_top = j0 + span < self.nyf
-        ntop = cells.copy()
-        ntop[has_top] = image[j0[has_top] + span[has_top], i0[has_top]]
-
-        self.nlft = nlft.astype(_INT)
-        self.nrht = nrht.astype(_INT)
-        self.nbot = nbot.astype(_INT)
-        self.ntop = ntop.astype(_INT)
+        self.nlft = probe(-1)  # one pixel left of the lower-left corner
+        self.nrht = probe(span)  # one pixel right of the lower-right corner
+        self.nbot = probe(-width)  # one pixel below the lower-left corner
+        self.ntop = probe(span * width)  # one pixel above the upper-left corner
 
     def check_balance(self) -> bool:
         """True when no face joins cells more than one level apart (2:1)."""

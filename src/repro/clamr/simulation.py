@@ -227,10 +227,17 @@ class ClamrSimulation:
         self._last_cancellation = math.nan
 
     def _faces_for(self, mesh: AmrMesh) -> FaceLists:
-        """Face lists for ``mesh``, rebuilt only when the topology changed."""
+        """Face lists for ``mesh``, rebuilt only when the topology changed.
+
+        A rebuild also builds both scatter plans, so that topology work
+        runs (and is traced) with the regrid that caused it, not inside
+        the first kernel call on the new mesh.
+        """
         cached = self._faces
         if cached is None or cached[0] != mesh.generation:
-            cached = (mesh.generation, FaceLists.from_mesh(mesh))
+            faces = FaceLists.from_mesh(mesh)
+            faces.scatter_plans(mesh.ncells)
+            cached = (mesh.generation, faces)
             self._faces = cached
         return cached[1]
 

@@ -2,7 +2,10 @@
 
 These are the straightforward forms that :func:`repro.sums.dd_sum`,
 :meth:`repro.clamr.mesh.AmrMesh.build_hash`, the regrid sibling grouping
-and the flat-bottom ``finite_diff`` kernel had before they were optimized.
+and the flat-bottom ``finite_diff`` kernel had before they were optimized,
+plus the boolean-mask / int64-gather forms of the regrid topology builders
+(scatter-plan construction by ``argsort``, neighbor rebuild, face lists,
+refinement flags, balance and the regrid assembly).
 The tests use them as bit-level oracles: the production code must
 reproduce their outputs exactly.
 """
@@ -11,10 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.clamr.amr import _sibling_groups
 from repro.clamr.kernels import FaceLists, _count_work, _rusanov_x, _rusanov_y
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import GRAVITY, ShallowWaterState
 from repro.machine.counters import KernelCounters
+from repro.precision.emulation import quantize_to_bfloat16
 from repro.sums.doubledouble import two_sum
 
 
@@ -151,3 +156,164 @@ def finite_diff_add_at(
     scale = dt_c / area
     state.store(H + dH * scale, U + dU * scale, V + dV * scale)
     _count_work(counters, mesh, state, faces)
+
+
+def scatter_plan_argsort(low, high, sizes, ncells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ScatterPlan``'s CSR arrays ``(indptr, cols, signed64)`` by stable argsort."""
+    nfaces = int(low.size)
+    idx = np.concatenate([low.astype(np.int64, copy=False), high.astype(np.int64, copy=False)])
+    order = np.argsort(idx, kind="stable")
+    counts = np.bincount(idx, minlength=ncells)
+    indptr = np.zeros(ncells + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    is_low = order < nfaces
+    cols = np.where(is_low, order, order - nfaces).astype(np.int32)
+    sizes64 = np.asarray(sizes, dtype=np.float64)
+    return indptr, cols, np.where(is_low, -sizes64[cols], sizes64[cols])
+
+
+def neighbors_masked_gather(mesh: AmrMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(nlft, nrht, nbot, ntop) by boolean-masked int64 gathers of the hash."""
+    image = mesh.build_hash()
+    span = mesh.cell_span_fine().astype(np.int64)
+    i0 = mesh.i.astype(np.int64) * span
+    j0 = mesh.j.astype(np.int64) * span
+
+    cells = np.arange(mesh.ncells, dtype=np.int64)
+
+    has_lft = i0 > 0
+    nlft = cells.copy()
+    nlft[has_lft] = image[j0[has_lft], i0[has_lft] - 1]
+
+    has_rht = i0 + span < mesh.nxf
+    nrht = cells.copy()
+    nrht[has_rht] = image[j0[has_rht], i0[has_rht] + span[has_rht]]
+
+    has_bot = j0 > 0
+    nbot = cells.copy()
+    nbot[has_bot] = image[j0[has_bot] - 1, i0[has_bot]]
+
+    has_top = j0 + span < mesh.nyf
+    ntop = cells.copy()
+    ntop[has_top] = image[j0[has_top] + span[has_top], i0[has_top]]
+
+    return tuple(a.astype(np.int32) for a in (nlft, nrht, nbot, ntop))
+
+
+def face_lists_masked(mesh: AmrMesh) -> FaceLists:
+    """``FaceLists.from_mesh`` by boolean masks over int64 neighbor casts."""
+    cells = np.arange(mesh.ncells, dtype=np.int64)
+    level = mesh.level
+    size = mesh.cell_size()
+
+    nrht = mesh.nrht.astype(np.int64)
+    nlft = mesh.nlft.astype(np.int64)
+    ntop = mesh.ntop.astype(np.int64)
+    nbot = mesh.nbot.astype(np.int64)
+
+    own_right = (nrht != cells) & (level[nrht] <= level)
+    own_left = (nlft != cells) & (level[nlft] < level)
+    own_top = (ntop != cells) & (level[ntop] <= level)
+    own_bottom = (nbot != cells) & (level[nbot] < level)
+    return FaceLists(
+        xl=np.concatenate([cells[own_right], nlft[own_left]]),
+        xr=np.concatenate([nrht[own_right], cells[own_left]]),
+        xsize=np.concatenate([size[own_right], size[own_left]]),
+        yb=np.concatenate([cells[own_top], nbot[own_bottom]]),
+        yt=np.concatenate([ntop[own_top], cells[own_bottom]]),
+        ysize=np.concatenate([size[own_top], size[own_bottom]]),
+        bnd_left=cells[nlft == cells],
+        bnd_right=cells[nrht == cells],
+        bnd_bottom=cells[nbot == cells],
+        bnd_top=cells[ntop == cells],
+    )
+
+
+def refinement_flags_gather(
+    mesh: AmrMesh,
+    state: ShallowWaterState,
+    refine_threshold: float = 0.02,
+    coarsen_threshold: float = 0.004,
+) -> np.ndarray:
+    """``refinement_flags`` with ``H[nbr]`` and ``|H|`` re-gathered per use."""
+    H = quantize_to_bfloat16(state.H.astype(np.float64))
+    floor = max(1e-12, float(np.max(np.abs(H))) * 1e-12)
+    indicator = np.zeros(mesh.ncells, dtype=np.float64)
+    for nbr in (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop):
+        scale = np.maximum(np.maximum(np.abs(H[nbr]), np.abs(H)), floor)
+        jump = np.abs(H[nbr] - H) / scale
+        np.maximum(indicator, jump, out=indicator)
+        np.maximum.at(indicator, nbr, jump)
+
+    flags = np.zeros(mesh.ncells, dtype=np.int8)
+    flags[indicator > refine_threshold] = 1
+    flags[indicator < coarsen_threshold] = -1
+    flags[(flags == 1) & (mesh.level >= mesh.max_level)] = 0
+    flags[(flags == -1) & (mesh.level == 0)] = 0
+    return flags
+
+
+def enforce_balance_int64(mesh: AmrMesh, flags: np.ndarray) -> np.ndarray:
+    """``enforce_balance`` on int64 levels, masks rebuilt every pass."""
+    flags = np.array(flags, dtype=np.int8, copy=True)
+    flags[(flags == 1) & (mesh.level >= mesh.max_level)] = 0
+    flags[(flags == -1) & (mesh.level == 0)] = 0
+    neighbors = (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop)
+    for _ in range(int(mesh.max_level) + 2):
+        new_level = mesh.level.astype(np.int64) + (flags == 1)
+        forced = np.zeros(mesh.ncells, dtype=bool)
+        for nbr in neighbors:
+            deficit = new_level - new_level[nbr] > 1
+            forced[nbr[deficit]] = True
+        forced &= flags != 1
+        forced &= mesh.level < mesh.max_level
+        if not forced.any():
+            break
+        flags[forced] = 1
+    new_level = mesh.level.astype(np.int64) + (flags == 1)
+    coarsen = flags == -1
+    for nbr in neighbors:
+        bad = coarsen & (new_level[nbr] > mesh.level)
+        flags[bad] = 0
+        nbr_coarsens = flags[nbr] == -1
+        bad_nbr = nbr_coarsens & (new_level > mesh.level[nbr].astype(np.int64))
+        flags[nbr[bad_nbr]] = 0
+        coarsen = flags == -1
+    return flags
+
+
+def regrid_masked_assemble(
+    mesh: AmrMesh, state: ShallowWaterState, flags: np.ndarray
+) -> tuple[AmrMesh, ShallowWaterState]:
+    """``regrid`` through :func:`enforce_balance_int64` and boolean-mask assembly."""
+    flags = enforce_balance_int64(mesh, flags)
+
+    refine = flags == 1
+    groups = _sibling_groups(mesh, flags == -1)
+    in_group = np.zeros(mesh.ncells, dtype=bool)
+    in_group[groups.ravel()] = True
+    keep = ~refine & ~in_group
+    ref = np.flatnonzero(refine)
+    first = groups[:, 0]
+
+    def assemble(X, children, parents):
+        return np.concatenate([X[keep], children.ravel(), parents])
+
+    di = np.array([[0], [0], [1], [1]], dtype=mesh.i.dtype)
+    dj = np.array([[0], [1], [0], [1]], dtype=mesh.j.dtype)
+    out_mesh = AmrMesh(
+        nx=mesh.nx,
+        ny=mesh.ny,
+        max_level=mesh.max_level,
+        i=assemble(mesh.i, mesh.i[ref] * 2 + di, mesh.i[first] >> 1),
+        j=assemble(mesh.j, mesh.j[ref] * 2 + dj, mesh.j[first] >> 1),
+        level=assemble(mesh.level, np.tile(mesh.level[ref] + 1, 4), mesh.level[first] - 1),
+        coarse_size=mesh.coarse_size,
+    )
+    sdtype = state.state_dtype
+    quarter = sdtype.type(0.25)
+    H, U, V = (
+        assemble(X, np.tile(X[ref], 4), X[groups].sum(axis=1, dtype=sdtype) * quarter)
+        for X in (state.H, state.U, state.V)
+    )
+    return out_mesh, ShallowWaterState(H=H, U=U, V=V, policy=state.policy)

@@ -142,6 +142,76 @@ class TestScatterPlan:
         p2 = faces.scatter_plans(mesh.ncells)
         assert p1[0] is p2[0] and p1[1] is p2[1]
 
+    def test_argsort_build_matches_counting_sort_build(self, monkeypatch):
+        # the scipy-less constructor branch must build the very arrays
+        # coo_tocsr builds, on a real AMR mesh and on a random index soup
+        import repro.clamr.kernels as K
+
+        if K._scipy_sparsetools is None:
+            pytest.skip("scipy not available; only the argsort build exists")
+        sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2))
+        sim.run(8)
+        faces = FaceLists.from_mesh(sim.mesh)
+        rng = np.random.default_rng(11)
+        cases = [
+            (faces.xl, faces.xr, faces.xsize, sim.mesh.ncells),
+            (faces.yb, faces.yt, faces.ysize, sim.mesh.ncells),
+            (rng.integers(0, 50, 300), rng.integers(0, 50, 300), rng.random(300), 60),
+        ]
+        built = [ScatterPlan(*case) for case in cases]
+        monkeypatch.setattr(K, "_scipy_sparsetools", None)
+        for case, counted in zip(cases, built):
+            sorted_ = ScatterPlan(*case)
+            for name in ("indptr", "cols", "signed64"):
+                a, b = getattr(counted, name), getattr(sorted_, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestPlansBuiltWithFaces:
+    def test_kernel_after_faces_for_builds_no_plan(self, monkeypatch):
+        sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2))
+        built = []
+        init = ScatterPlan.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScatterPlan, "__init__", counting_init)
+        faces = sim._faces_for(sim.mesh)
+        assert len(built) == 2  # the x-plan and the y-plan
+        assert faces._plans[0] == sim.mesh.ncells
+        built.clear()
+        dt = compute_timestep(sim.mesh, sim.state, sim.config.courant)
+        finite_diff_vectorized(sim.mesh, sim.state, dt, faces=faces)
+        assert built == []
+
+    def test_run_builds_plans_only_in_faces_for(self, monkeypatch):
+        # every plan of a regridding run is built by _faces_for: two per
+        # topology, none from inside a kernel call
+        sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2, regrid_interval=2))
+        built = []
+        in_faces_for = []
+        init = ScatterPlan.__init__
+        faces_for = sim._faces_for
+
+        def counting_init(self, *args, **kwargs):
+            built.append(bool(in_faces_for))
+            init(self, *args, **kwargs)
+
+        def tracking_faces_for(mesh):
+            in_faces_for.append(mesh.generation)
+            try:
+                return faces_for(mesh)
+            finally:
+                in_faces_for.pop()
+
+        monkeypatch.setattr(ScatterPlan, "__init__", counting_init)
+        monkeypatch.setattr(sim, "_faces_for", tracking_faces_for)
+        sim.run(8)  # four regrids
+        assert len(built) == 2 * 5  # the initial topology + four regrids
+        assert all(built)
+
 
 class TestGeometryCache:
     def test_keyed_by_generation(self):
