@@ -31,9 +31,11 @@ The bit contract imposes three authoring rules:
 
 The CSR scatters replay scipy's ``csr_matvec`` accumulation (strict
 left-to-right in stored order — the same order ``np.add.at`` uses, by
-:class:`~repro.clamr.kernels.ScatterPlan` construction), and the
-``add.at`` replays for the well-balanced paths run one full pass per
-(variable, side) exactly like the six-call NumPy sequence.
+:class:`~repro.clamr.kernels.ScatterPlan` construction).  The
+well-balanced paths keep one full pass per (variable, side) instead: that
+visits each cell's contributions in the same order — low side in face
+order, then high side in face order — as the sided plan the NumPy
+kernels scatter through.
 
 Argument conventions (shared verbatim by the C backend, see
 ``_kernels_impl.h``): state/geometry arrays are 1-D contiguous of the
@@ -226,10 +228,10 @@ def fd_bathy(
 ):
     """Well-balanced step over bathymetry: ``_finite_diff_bathy``'s body.
 
-    The scatter replays the six sequential ``np.add.at`` passes (one per
-    variable and side) — the per-side ``phi`` fluxes are asymmetric, so
-    there is no CSR plan on this path.  ``f0..f3`` are flux scratch of
-    length ``max(len(xl), len(yb))``.
+    The scatter runs one pass per variable and side rather than the NumPy
+    path's sided CSR rows; the per-cell order is the same (low side in
+    face order, then high side), so the bits are too.  ``f0..f3`` are
+    flux scratch of length ``max(len(xl), len(yb))``.
     """
     hg = half * g
     zero = g - g

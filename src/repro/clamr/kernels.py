@@ -108,6 +108,17 @@ class ScatterPlan:
     so each row keeps its entries in COO order, which is add.at's order.
     Without scipy a stable ``argsort`` of the rows builds the same arrays.
 
+    The sided form ``apply(acc, flux, high_flux)`` scatters a different
+    flux to each side, ``acc[low] -= flux·fsz; acc[high] += high_flux·fsz``
+    — the well-balanced bathymetry kernels need it, because each side's
+    normal-momentum flux carries that side's own hydrostatic pressure.  It
+    runs the same rows over the stacked vector ``[flux; high_flux]``, with
+    each high-side entry's column shifted by ``nfaces`` (face sizes are
+    positive, so an entry's side is the sign of its stored ``±fsz``).  The
+    rows keep their order — low entries in face order, then high entries
+    in face order — so the sided matvec replays the ``np.add.at`` pair with
+    ``high_flux`` on the high side, bit for bit.
+
     Without scipy, for a dtype its compiled kernels don't cover, or under
     ``scatter_mode("add_at")``, ``apply`` runs the original ``np.add.at``
     pair, which produces the same bits by construction — so results never
@@ -141,6 +152,7 @@ class ScatterPlan:
             self.signed64 = signed[order]
         self._signed_casts: dict[np.dtype, np.ndarray] = {}
         self._size_casts: dict[np.dtype, np.ndarray] = {}
+        self._sided: np.ndarray | None = None
 
     def _signed(self, cdtype: np.dtype) -> np.ndarray:
         cast = self._signed_casts.get(cdtype)
@@ -158,22 +170,35 @@ class ScatterPlan:
             self._size_casts[cdtype] = cast
         return cast
 
-    def apply(self, acc: np.ndarray, flux: np.ndarray) -> None:
-        """``acc[low] -= flux·fsz; acc[high] += flux·fsz``, add.at-bit-exact."""
+    def _sided_cols(self) -> np.ndarray:
+        if self._sided is None:
+            # high-side entries (stored +fsz; sizes are positive) read the
+            # second half of the stacked vector [flux; high_flux]
+            self._sided = self.cols + np.int32(self.nfaces) * (self.signed64 > 0)
+        return self._sided
+
+    def apply(self, acc: np.ndarray, flux: np.ndarray, high_flux: np.ndarray | None = None) -> None:
+        """``acc[low] -= flux·fsz; acc[high] += high_flux·fsz``, add.at-bit-exact.
+
+        ``high_flux`` defaults to ``flux`` (the antisymmetric scatter).
+        """
         cdtype = acc.dtype
         if (
             _SCATTER_MODE == "plan"
             and _scipy_sparsetools is not None
             and cdtype in _CSR_DTYPES
         ):
+            if high_flux is None:
+                cols, ncols, x = self.cols, self.nfaces, flux
+            else:
+                cols, ncols, x = self._sided_cols(), 2 * self.nfaces, np.concatenate([flux, high_flux])
             _scipy_sparsetools.csr_matvec(
-                self.ncells, self.nfaces, self.indptr, self.cols,
-                self._signed(cdtype), flux, acc,
+                self.ncells, ncols, self.indptr, cols, self._signed(cdtype), x, acc,
             )
         else:
             fsz = self._sizes(cdtype)
             np.add.at(acc, self.low, -flux * fsz)
-            np.add.at(acc, self.high, flux * fsz)
+            np.add.at(acc, self.high, (flux if high_flux is None else high_flux) * fsz)
 
 
 #: scatter implementation selector: "plan" (production) or "add_at", which
@@ -537,6 +562,77 @@ def _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp):
     np.subtract(ft, t4, out=ft)
 
 
+def _reflective_walls(
+    mesh: AmrMesh,
+    geom: GeometryCache,
+    faces: FaceLists,
+    H: np.ndarray,
+    U: np.ndarray,
+    V: np.ndarray,
+    dH: np.ndarray,
+    dU: np.ndarray,
+    dV: np.ndarray,
+) -> None:
+    """Add every reflective-wall flux into ``(dH, dU, dV)``.
+
+    A wall face's flux is the Rusanov flux against the cell's mirror state
+    (wall-normal momentum negated), sized by the cell's edge.  One fused
+    :func:`_rusanov_into` call covers all four walls; the results are then
+    applied side by side, left, right, bottom, top (corner cells sit in
+    two sides, so that order is part of the bit contract).  Every CLAMR
+    kernel — flat, bathymetry and MUSCL — ends its flux sum here: the
+    mirror state shares the cell's bathymetry, and MUSCL's slopes clip to
+    zero at a wall, so all three see the same first-order wall flux.
+    """
+    bcells, (sl_l, sl_r, sl_b, sl_t) = faces.boundary_concat()
+    nb = bcells.size
+    if nb == 0:
+        return
+    cdtype = H.dtype
+    g = cdtype.type(GRAVITY)
+    size, _ = geom.geometry(mesh, cdtype)
+    bbuf = geom.buffer(mesh, cdtype, "fd_bnd", (14, nb))
+    h, nL, nR, t, fsz = bbuf[:5]
+    out = bbuf[5:8]
+    tmp = bbuf[8:14]
+    np.take(H, bcells, out=h, mode="clip")
+    np.take(size, bcells, out=fsz, mode="clip")
+    # interior-side wall-normal momentum, negated on the low
+    # (left/bottom) walls; the mirror operand is its exact negation
+    np.take(U, bcells[sl_l], out=nL[sl_l], mode="clip")
+    np.negative(nL[sl_l], out=nL[sl_l])
+    np.take(U, bcells[sl_r], out=nL[sl_r], mode="clip")
+    np.take(V, bcells[sl_b], out=nL[sl_b], mode="clip")
+    np.negative(nL[sl_b], out=nL[sl_b])
+    np.take(V, bcells[sl_t], out=nL[sl_t], mode="clip")
+    np.negative(nL, out=nR)
+    np.take(V, bcells[sl_l], out=t[sl_l], mode="clip")
+    np.take(V, bcells[sl_r], out=t[sl_r], mode="clip")
+    np.take(U, bcells[sl_b], out=t[sl_b], mode="clip")
+    np.take(U, bcells[sl_t], out=t[sl_t], mode="clip")
+    _rusanov_into(h, nL, t, h, nR, t, g, out, tmp)
+    fh, fn, ft = out
+    for sl, positive, is_x in (
+        (sl_l, True, True),
+        (sl_r, False, True),
+        (sl_b, True, False),
+        (sl_t, False, False),
+    ):
+        if sl.stop == sl.start:
+            continue
+        c = bcells[sl]
+        fs = fsz[sl]
+        dn, dt_ = (dU, dV) if is_x else (dV, dU)
+        if positive:
+            dH[c] += fh[sl] * fs
+            dn[c] += fn[sl] * fs
+            dt_[c] += ft[sl] * fs
+        else:
+            dH[c] -= fh[sl] * fs
+            dn[c] -= fn[sl] * fs
+            dt_[c] -= ft[sl] * fs
+
+
 def _count_work(
     counters: KernelCounters | None,
     mesh: AmrMesh,
@@ -568,13 +664,13 @@ def _finite_diff_bathy(
     """Conservative timestep over variable bathymetry (vectorized).
 
     Interior faces use :func:`_wellbalanced_x` (hydrostatic
-    reconstruction); reflective walls are unchanged — the ghost cell
-    mirrors the interior bathymetry, so the wall flux is the plain mirror
-    Rusanov flux, whose pressure term matches the interior ``phi`` bits at
-    rest (the lake-at-rest ULP guarantee).  The scatter is the original
-    ``np.add.at`` sequence in both scatter modes: the per-side normal-
-    momentum fluxes are asymmetric, so the antisymmetric ScatterPlan does
-    not apply, and plan-vs-add_at parity holds trivially on this path.
+    reconstruction) and scatter through the same scatter plans as
+    the flat kernel, the normal momentum through the sided form (each side
+    gets its own ``phi``).  Reflective walls are unchanged
+    (:func:`_reflective_walls`): the ghost cell mirrors the interior
+    bathymetry, so the wall flux is the plain mirror Rusanov flux, whose
+    pressure term matches the interior ``phi`` bits at rest (the
+    lake-at-rest ULP guarantee).
     """
     cdtype = state.policy.compute_dtype
     g = cdtype.type(GRAVITY)
@@ -582,25 +678,18 @@ def _finite_diff_bathy(
 
     H, U, V = state.promoted()
     b = np.ascontiguousarray(bathy, dtype=cdtype)
-    size, area = geom.geometry(mesh, cdtype)
+    _, area = geom.geometry(mesh, cdtype)
+    xplan, yplan = faces.scatter_plans(mesh.ncells)
+    dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
 
-    dH = np.zeros(mesh.ncells, dtype=cdtype)
-    dU = np.zeros(mesh.ncells, dtype=cdtype)
-    dV = np.zeros(mesh.ncells, dtype=cdtype)
-
-    # interior x-faces
     if faces.xl.size:
         L, R = faces.xl, faces.xr
         fh, phiL, phiR, fv = _wellbalanced_x(
             H[L], U[L], V[L], H[R], U[R], V[R], b[L], b[R], g
         )
-        fsz = faces.xsize.astype(cdtype)
-        np.add.at(dH, L, -fh * fsz)
-        np.add.at(dH, R, fh * fsz)
-        np.add.at(dU, L, -phiL * fsz)
-        np.add.at(dU, R, phiR * fsz)
-        np.add.at(dV, L, -fv * fsz)
-        np.add.at(dV, R, fv * fsz)
+        xplan.apply(dH, fh)
+        xplan.apply(dU, phiL, phiR)
+        xplan.apply(dV, fv)
 
     # interior y-faces: normal momentum is V, tangent is U
     if faces.yb.size:
@@ -608,50 +697,11 @@ def _finite_diff_bathy(
         fh, phiB, phiT, fu = _wellbalanced_x(
             H[B], V[B], U[B], H[T], V[T], U[T], b[B], b[T], g
         )
-        fsz = faces.ysize.astype(cdtype)
-        np.add.at(dH, B, -fh * fsz)
-        np.add.at(dH, T, fh * fsz)
-        np.add.at(dU, B, -fu * fsz)
-        np.add.at(dU, T, fu * fsz)
-        np.add.at(dV, B, -phiB * fsz)
-        np.add.at(dV, T, phiT * fsz)
+        yplan.apply(dH, fh)
+        yplan.apply(dU, fu)
+        yplan.apply(dV, phiB, phiT)
 
-    # reflective boundaries: identical to the flat-bottom kernels (the
-    # mirror state shares the cell's bathymetry, so no correction enters)
-    for cells_b, axis, is_high in (
-        (faces.bnd_left, "x", False),
-        (faces.bnd_right, "x", True),
-        (faces.bnd_bottom, "y", False),
-        (faces.bnd_top, "y", True),
-    ):
-        if cells_b.size == 0:
-            continue
-        h = H[cells_b]
-        u = U[cells_b]
-        v = V[cells_b]
-        fsz = size[cells_b]
-        if axis == "x":
-            if is_high:
-                fh, fu, fv = _rusanov_x(h, u, v, h, -u, v, g)
-                dH[cells_b] -= fh * fsz
-                dU[cells_b] -= fu * fsz
-                dV[cells_b] -= fv * fsz
-            else:
-                fh, fu, fv = _rusanov_x(h, -u, v, h, u, v, g)
-                dH[cells_b] += fh * fsz
-                dU[cells_b] += fu * fsz
-                dV[cells_b] += fv * fsz
-        else:
-            if is_high:
-                fh, fu, fv = _rusanov_y(h, u, v, h, u, -v, g)
-                dH[cells_b] -= fh * fsz
-                dU[cells_b] -= fu * fsz
-                dV[cells_b] -= fv * fsz
-            else:
-                fh, fu, fv = _rusanov_y(h, u, -v, h, u, v, g)
-                dH[cells_b] += fh * fsz
-                dU[cells_b] += fu * fsz
-                dV[cells_b] += fv * fsz
+    _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
 
     scale = dt_c / area
     state.store(H + dH * scale, U + dU * scale, V + dV * scale)
@@ -711,7 +761,7 @@ def finite_diff_vectorized(
     dt_c = cdtype.type(dt)
 
     H, U, V = state.promoted()
-    size, area = geom.geometry(mesh, cdtype)
+    _, area = geom.geometry(mesh, cdtype)
     xplan, yplan = faces.scatter_plans(mesh.ncells)
     dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
 
@@ -753,53 +803,7 @@ def finite_diff_vectorized(
             yplan.apply(dU, ft[nxf:])  # y tangent momentum is U
             yplan.apply(dV, fn[nxf:])  # y normal momentum is V
 
-    # reflective boundaries: one fused flux against the mirror state for
-    # all four walls, applied side-by-side in the original order (corner
-    # cells sit in two sides; per-side application order is part of the
-    # bit contract)
-    bcells, (sl_l, sl_r, sl_b, sl_t) = faces.boundary_concat()
-    nb = bcells.size
-    if nb:
-        bbuf = geom.buffer(mesh, cdtype, "fd_bnd", (14, nb))
-        h, nL, nR, t, fsz = bbuf[:5]
-        out = bbuf[5:8]
-        tmp = bbuf[8:14]
-        np.take(H, bcells, out=h, mode="clip")
-        np.take(size, bcells, out=fsz, mode="clip")
-        # interior-side wall-normal momentum, negated on the low
-        # (left/bottom) walls; the mirror operand is its exact negation
-        np.take(U, bcells[sl_l], out=nL[sl_l], mode="clip")
-        np.negative(nL[sl_l], out=nL[sl_l])
-        np.take(U, bcells[sl_r], out=nL[sl_r], mode="clip")
-        np.take(V, bcells[sl_b], out=nL[sl_b], mode="clip")
-        np.negative(nL[sl_b], out=nL[sl_b])
-        np.take(V, bcells[sl_t], out=nL[sl_t], mode="clip")
-        np.negative(nL, out=nR)
-        np.take(V, bcells[sl_l], out=t[sl_l], mode="clip")
-        np.take(V, bcells[sl_r], out=t[sl_r], mode="clip")
-        np.take(U, bcells[sl_b], out=t[sl_b], mode="clip")
-        np.take(U, bcells[sl_t], out=t[sl_t], mode="clip")
-        _rusanov_into(h, nL, t, h, nR, t, g, out, tmp)
-        fh, fn, ft = out
-        for sl, positive, is_x in (
-            (sl_l, True, True),
-            (sl_r, False, True),
-            (sl_b, True, False),
-            (sl_t, False, False),
-        ):
-            if sl.stop == sl.start:
-                continue
-            c = bcells[sl]
-            fs = fsz[sl]
-            dn, dt_ = (dU, dV) if is_x else (dV, dU)
-            if positive:
-                dH[c] += fh[sl] * fs
-                dn[c] += fn[sl] * fs
-                dt_[c] += ft[sl] * fs
-            else:
-                dH[c] -= fh[sl] * fs
-                dn[c] -= fn[sl] * fs
-                dt_[c] -= ft[sl] * fs
+    _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
 
     # in-place H + dH*scale (addition commutes exactly, so accumulating
     # into the workspace matches the original out-of-place expression)

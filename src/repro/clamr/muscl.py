@@ -38,6 +38,7 @@ from repro.clamr.kernels import (
     FLOPS_PER_FACE,
     FaceLists,
     GeometryCache,
+    _reflective_walls,
     _rusanov_x,
     _rusanov_y,
     _wellbalanced_x,
@@ -125,7 +126,6 @@ def muscl_rhs(
     half = cdtype.type(0.5)
     size, _ = geom.geometry(mesh, cdtype)
     xplan, yplan = faces.scatter_plans(mesh.ncells)
-    xsize_c, ysize_c = faces.sizes_as(cdtype)
 
     b = None
     if bathy is not None:
@@ -169,12 +169,9 @@ def muscl_rhs(
             fh, phiL, phiR, fv = _wellbalanced_x(
                 hL, uL, vL, hR, uR, vR, b[L], b[R], g
             )
-            np.add.at(dH, L, -fh * xsize_c)
-            np.add.at(dH, R, fh * xsize_c)
-            np.add.at(dU, L, -phiL * xsize_c)
-            np.add.at(dU, R, phiR * xsize_c)
-            np.add.at(dV, L, -fv * xsize_c)
-            np.add.at(dV, R, fv * xsize_c)
+            xplan.apply(dH, fh)
+            xplan.apply(dU, phiL, phiR)
+            xplan.apply(dV, fv)
         else:
             fh, fu, fv = _rusanov_x(hL, uL, vL, hR, uR, vR, g)
             xplan.apply(dH, fh)
@@ -208,12 +205,9 @@ def muscl_rhs(
             fh, phiB, phiT, fu = _wellbalanced_x(
                 hB, vB, uB, hT, vT, uT, b[B], b[T], g
             )
-            np.add.at(dH, B, -fh * ysize_c)
-            np.add.at(dH, T, fh * ysize_c)
-            np.add.at(dU, B, -fu * ysize_c)
-            np.add.at(dU, T, fu * ysize_c)
-            np.add.at(dV, B, -phiB * ysize_c)
-            np.add.at(dV, T, phiT * ysize_c)
+            yplan.apply(dH, fh)
+            yplan.apply(dU, fu)
+            yplan.apply(dV, phiB, phiT)
         else:
             fh, fu, fv = _rusanov_y(hB, uB, vB, hT, uT, vT, g)
             yplan.apply(dH, fh)
@@ -222,36 +216,7 @@ def muscl_rhs(
 
     # reflective walls: first-order mirror flux (slopes clip to zero at
     # the wall anyway, by the self-link convention in limited_slopes)
-    for cells_b, axis, is_high in (
-        (faces.bnd_left, "x", False),
-        (faces.bnd_right, "x", True),
-        (faces.bnd_bottom, "y", False),
-        (faces.bnd_top, "y", True),
-    ):
-        if cells_b.size == 0:
-            continue
-        h = H[cells_b]
-        u = U[cells_b]
-        v = V[cells_b]
-        fsz = size[cells_b]
-        if axis == "x":
-            if is_high:
-                fh, fu, fv = _rusanov_x(h, u, v, h, -u, v, g)
-                sign = -1.0
-            else:
-                fh, fu, fv = _rusanov_x(h, -u, v, h, u, v, g)
-                sign = 1.0
-        else:
-            if is_high:
-                fh, fu, fv = _rusanov_y(h, u, v, h, u, -v, g)
-                sign = -1.0
-            else:
-                fh, fu, fv = _rusanov_y(h, u, -v, h, u, v, g)
-                sign = 1.0
-        s = cdtype.type(sign)
-        dH[cells_b] += s * fh * fsz
-        dU[cells_b] += s * fu * fsz
-        dV[cells_b] += s * fv * fsz
+    _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
 
     return dH, dU, dV
 

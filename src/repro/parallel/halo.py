@@ -1,259 +1,92 @@
-"""Distributed CLAMR stepping with simulated halo exchange.
+"""Distributed CLAMR stepping with simulated halo exchange, on the production kernel.
 
-The reduction study (:mod:`repro.parallel.reduction`) shows decomposition
-changing the bits of a *sum*; this module shows it changing the bits of a
-*solution*.  :class:`DistributedClamr` advances the dam break the way an
-MPI code would:
-
-1. each rank owns a subset of cells (any :class:`Decomposition`);
-2. per step, ranks compute a local CFL bound and "Allreduce" the minimum
-   (computed deterministically here);
-3. each rank evaluates the fluxes of the faces touching its owned cells
-   — reading neighbor (halo) values from the synchronized global state,
-   exactly what a ghost layer provides after an exchange — and updates
-   its owned cells only;
-4. the owned updates are gathered back into the global state (the
-   exchange for the next step).
-
-Because both sides of a rank-boundary face compute the identical flux
-from identical data, conservation is exact (to rounding) regardless of
-the partition.
-
-Reproducibility is where it gets interesting.  This driver selects each
-rank's faces by *masking the global face list*, which preserves every
-cell's flux-accumulation order — so the result is **bitwise identical for
-any rank count**.  That is not an accident: fixed accumulation order is
-precisely one of the remedies the §III-C literature (Robey et al.)
-prescribes.  A real MPI code that enumerates faces rank-locally loses the
-property; pass ``face_order`` (see :func:`reorder_faces`) to simulate
-such an implementation and watch the bits drift — the PDE-level face of
-the reproducibility problem, measured against precision-induced drift in
-the tests.
+Per step every rank takes the minimum CFL bound of its owned cells and the
+ranks "Allreduce" the minimum.  Each rank then runs
+:func:`~repro.clamr.kernels.finite_diff_vectorized` over the faces touching
+its owned cells, on a copy of the synchronized state (its ghost layer after
+an exchange), and keeps its owned cells.  Those faces are the global lists
+masked to the rank, which keeps face order, so each owned cell's scatter
+row is its serial row: any rank count gives the serial bits, the
+fixed-order remedy of §III-C (Robey et al.).  ``axis_order=("y", "x")``
+runs the kernel on transposed face lists with U and V swapped, so y-faces
+accumulate first and every cell's sum reassociates.  ``face_order``
+(:func:`reorder_faces`) permutes the face lists: bit-neutral on a uniform
+mesh (at most one face per cell side per axis), but not on an AMR mesh,
+where a coarse cell takes two faces from a finer side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.clamr.kernels import FaceLists, _rusanov_x, _rusanov_y, compute_timestep
+from repro.clamr.kernels import FaceLists, finite_diff_vectorized, geometry_cache, wave_speed
 from repro.clamr.mesh import AmrMesh
-from repro.clamr.state import GRAVITY, ShallowWaterState
+from repro.clamr.state import ShallowWaterState
 from repro.parallel.decomposition import Decomposition
 
-__all__ = ["RankFaces", "DistributedClamr", "reorder_faces"]
+__all__ = ["DistributedClamr", "reorder_faces"]
 
 
 def reorder_faces(faces: FaceLists, seed: int) -> FaceLists:
-    """A seeded permutation of the interior face lists.
-
-    Simulates an implementation whose face enumeration differs (rank-local
-    numbering, different mesh traversal, a different compiler's loop
-    order): the face *set* is identical, only the evaluation/accumulation
-    order changes — which is exactly the degree of freedom that breaks
-    bitwise reproducibility in real codes.
-    """
+    """A seeded permutation of the interior face lists: the same face set in
+    another evaluation and accumulation order."""
     rng = np.random.default_rng(seed)
-    px = rng.permutation(faces.xl.size)
-    py = rng.permutation(faces.yb.size)
-    return FaceLists(
-        xl=faces.xl[px],
-        xr=faces.xr[px],
-        xsize=faces.xsize[px],
-        yb=faces.yb[py],
-        yt=faces.yt[py],
-        ysize=faces.ysize[py],
-        bnd_left=faces.bnd_left,
-        bnd_right=faces.bnd_right,
-        bnd_bottom=faces.bnd_bottom,
-        bnd_top=faces.bnd_top,
-    )
+    return _select(faces, rng.permutation(faces.xl.size), rng.permutation(faces.yb.size))
 
 
-@dataclass(frozen=True)
-class RankFaces:
-    """The faces a rank must evaluate: every face touching an owned cell.
-
-    ``x_mask``/``y_mask`` select those faces from the global
-    :class:`FaceLists`; ``own`` is the rank's owned-cell index array;
-    boundary-face masks select wall faces of owned cells.
-    """
-
-    own: np.ndarray
-    x_mask: np.ndarray
-    y_mask: np.ndarray
-    bnd_left: np.ndarray
-    bnd_right: np.ndarray
-    bnd_bottom: np.ndarray
-    bnd_top: np.ndarray
-
-    @classmethod
-    def build(cls, faces: FaceLists, own: np.ndarray, ncells: int) -> "RankFaces":
-        owned = np.zeros(ncells, dtype=bool)
-        owned[own] = True
-        return cls(
-            own=np.asarray(own, dtype=np.int64),
-            x_mask=owned[faces.xl] | owned[faces.xr],
-            y_mask=owned[faces.yb] | owned[faces.yt],
-            bnd_left=faces.bnd_left[owned[faces.bnd_left]],
-            bnd_right=faces.bnd_right[owned[faces.bnd_right]],
-            bnd_bottom=faces.bnd_bottom[owned[faces.bnd_bottom]],
-            bnd_top=faces.bnd_top[owned[faces.bnd_top]],
-        )
+def _select(faces: FaceLists, x, y, owned: np.ndarray | None = None) -> FaceLists:
+    """Interior faces indexed by ``x``/``y``; the walls of ``owned`` cells (all if None)."""
+    walls = [faces.bnd_left, faces.bnd_right, faces.bnd_bottom, faces.bnd_top]
+    if owned is not None:
+        walls = [cells[owned[cells]] for cells in walls]
+    return FaceLists(faces.xl[x], faces.xr[x], faces.xsize[x], faces.yb[y], faces.yt[y], faces.ysize[y], *walls)
 
 
 class DistributedClamr:
-    """SPMD dam-break stepping over a decomposition (sequentially simulated).
+    """SPMD stepping of a CLAMR ``mesh``/``state`` over a ``decomposition``
+    covering its cells.  The topology is static: the driver does not regrid."""
 
-    Parameters
-    ----------
-    mesh, state:
-        A CLAMR mesh/state pair (static topology: the distributed driver
-        does not regrid — rebalancing AMR across ranks is CLAMR's hardest
-        production problem and out of scope for the reproducibility study).
-    decomposition:
-        Cell ownership; must cover ``mesh.ncells`` cells.
-    """
-
-    def __init__(
-        self,
-        mesh: AmrMesh,
-        state: ShallowWaterState,
-        decomposition: Decomposition,
-        face_order: int | None = None,
-        axis_order: tuple[str, str] = ("x", "y"),
-    ) -> None:
+    def __init__(self, mesh: AmrMesh, state: ShallowWaterState, decomposition: Decomposition,
+                 face_order: int | None = None, axis_order: tuple[str, str] = ("x", "y")) -> None:
         if decomposition.ncells != mesh.ncells:
-            raise ValueError(
-                f"decomposition covers {decomposition.ncells} cells, mesh has {mesh.ncells}"
-            )
+            raise ValueError(f"decomposition covers {decomposition.ncells} cells, mesh has {mesh.ncells}")
         if sorted(axis_order) != ["x", "y"]:
             raise ValueError("axis_order must be a permutation of ('x', 'y')")
-        self.mesh = mesh
-        self.state = state
-        self.decomposition = decomposition
+        self.mesh, self.state, self.decomposition = mesh, state, decomposition
         self.axis_order = tuple(axis_order)
-        self.faces = FaceLists.from_mesh(mesh)
+        faces = FaceLists.from_mesh(mesh)
         if face_order is not None:
-            self.faces = reorder_faces(self.faces, face_order)
-        self.rank_faces = [
-            RankFaces.build(self.faces, own, mesh.ncells) for own in decomposition.ranks
-        ]
+            faces = reorder_faces(faces, face_order)
+        self.swap = self.axis_order == ("y", "x")
+        if self.swap:  # y plays x: interior lists and walls trade places
+            faces = FaceLists(faces.yb, faces.yt, faces.ysize, faces.xl, faces.xr, faces.xsize,
+                              faces.bnd_bottom, faces.bnd_top, faces.bnd_left, faces.bnd_right)
+        self.ranks = []
+        for own in decomposition.ranks:
+            owned = np.zeros(mesh.ncells, dtype=bool)
+            owned[own] = True
+            x = owned[faces.xl] | owned[faces.xr]
+            y = owned[faces.yb] | owned[faces.yt]
+            self.ranks.append((np.asarray(own, dtype=np.int64), _select(faces, x, y, owned)))
         self.time = 0.0
 
-    def _rank_contributions(
-        self, rf: RankFaces, H: np.ndarray, U: np.ndarray, V: np.ndarray, cdtype: np.dtype
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flux-accumulated (dH, dU, dV) over this rank's owned cells.
-
-        Faces are evaluated from the synchronized (post-exchange) global
-        arrays; contributions land only on owned cells.
-        """
-        g = cdtype.type(GRAVITY)
-        mesh = self.mesh
-        faces = self.faces
-        owned = np.zeros(mesh.ncells, dtype=bool)
-        owned[rf.own] = True
-        dH = np.zeros(mesh.ncells, dtype=cdtype)
-        dU = np.zeros(mesh.ncells, dtype=cdtype)
-        dV = np.zeros(mesh.ncells, dtype=cdtype)
-
-        def do_x() -> None:
-            if not rf.x_mask.any():
-                return
-            L = faces.xl[rf.x_mask]
-            R = faces.xr[rf.x_mask]
-            fsz = faces.xsize[rf.x_mask].astype(cdtype)
-            fh, fu, fv = _rusanov_x(H[L], U[L], V[L], H[R], U[R], V[R], g)
-            for target, sign in ((L, -1.0), (R, 1.0)):
-                keep = owned[target]
-                s = cdtype.type(sign)
-                np.add.at(dH, target[keep], s * (fh * fsz)[keep])
-                np.add.at(dU, target[keep], s * (fu * fsz)[keep])
-                np.add.at(dV, target[keep], s * (fv * fsz)[keep])
-
-        def do_y() -> None:
-            if not rf.y_mask.any():
-                return
-            B = faces.yb[rf.y_mask]
-            T = faces.yt[rf.y_mask]
-            fsz = faces.ysize[rf.y_mask].astype(cdtype)
-            fh, fu, fv = _rusanov_y(H[B], U[B], V[B], H[T], U[T], V[T], g)
-            for target, sign in ((B, -1.0), (T, 1.0)):
-                keep = owned[target]
-                s = cdtype.type(sign)
-                np.add.at(dH, target[keep], s * (fh * fsz)[keep])
-                np.add.at(dU, target[keep], s * (fu * fsz)[keep])
-                np.add.at(dV, target[keep], s * (fv * fsz)[keep])
-
-        # The axis phase order is the reassociation degree of freedom: a
-        # cell's dH accumulates (x-faces then y-faces) or the reverse, and
-        # those two parenthesizations round differently.  (Face-list
-        # permutations alone cannot change the bits here: each cell gets at
-        # most two contributions per axis, and two-term sums commute.)
-        phases = {"x": do_x, "y": do_y}
-        for axis in self.axis_order:
-            phases[axis]()
-
-        size = self.mesh.cell_size().astype(cdtype)
-        for cells_b, axis, is_high in (
-            (rf.bnd_left, "x", False),
-            (rf.bnd_right, "x", True),
-            (rf.bnd_bottom, "y", False),
-            (rf.bnd_top, "y", True),
-        ):
-            if cells_b.size == 0:
-                continue
-            h, u, v = H[cells_b], U[cells_b], V[cells_b]
-            fsz = size[cells_b]
-            if axis == "x":
-                if is_high:
-                    fh, fu, fv = _rusanov_x(h, u, v, h, -u, v, g)
-                    sign = -1.0
-                else:
-                    fh, fu, fv = _rusanov_x(h, -u, v, h, u, v, g)
-                    sign = 1.0
-            else:
-                if is_high:
-                    fh, fu, fv = _rusanov_y(h, u, v, h, u, -v, g)
-                    sign = -1.0
-                else:
-                    fh, fu, fv = _rusanov_y(h, u, -v, h, u, v, g)
-                    sign = 1.0
-            s = cdtype.type(sign)
-            dH[cells_b] += s * fh * fsz
-            dU[cells_b] += s * fu * fsz
-            dV[cells_b] += s * fv * fsz
-
-        return dH[rf.own], dU[rf.own], dV[rf.own]
+    def _uv(self, state: ShallowWaterState) -> tuple[np.ndarray, np.ndarray]:
+        return (state.V, state.U) if self.swap else (state.U, state.V)
 
     def step(self) -> float:
-        """One distributed timestep; returns the dt used (global minimum)."""
-        # local CFL bounds, then the Allreduce(min) every rank agrees on
-        cdtype = self.state.policy.compute_dtype
-        H, U, V = self.state.promoted()
-        local_dts = []
-        size = self.mesh.cell_size().astype(cdtype)
-        for rf in self.rank_faces:
-            h = np.maximum(H[rf.own], cdtype.type(1e-12))
-            vel = np.maximum(np.abs(U[rf.own]), np.abs(V[rf.own])) / h
-            wave = vel + np.sqrt(cdtype.type(GRAVITY) * h)
-            local_dts.append(float((size[rf.own] / wave).min()))
-        dt = 0.25 * min(local_dts)
-
-        area = self.mesh.cell_area().astype(cdtype)
-        scale = cdtype.type(dt) / area
-        newH = H.astype(cdtype, copy=True)
-        newU = U.astype(cdtype, copy=True)
-        newV = V.astype(cdtype, copy=True)
-        for rf in self.rank_faces:
-            dH, dU, dV = self._rank_contributions(rf, H, U, V, cdtype)
-            newH[rf.own] = H[rf.own] + dH * scale[rf.own]
-            newU[rf.own] = U[rf.own] + dU * scale[rf.own]
-            newV[rf.own] = V[rf.own] + dV * scale[rf.own]
-        # the gather / halo exchange: owned updates become globally visible
-        self.state.store(newH, newU, newV)
+        """One distributed timestep; returns the dt used (the global minimum)."""
+        state = self.state
+        size, _ = geometry_cache().geometry(self.mesh, state.policy.compute_dtype)
+        local_dt = size / wave_speed(state)
+        # each rank's CFL bound, then the Allreduce(min) every rank agrees on
+        dt = 0.25 * min(float(local_dt[own].min()) for own, _ in self.ranks)
+        new = (np.empty_like(state.H), np.empty_like(state.U), np.empty_like(state.V))
+        for own, faces in self.ranks:
+            halo = ShallowWaterState(state.H.copy(), *(a.copy() for a in self._uv(state)), state.policy)
+            finite_diff_vectorized(self.mesh, halo, dt, faces=faces)
+            for dst, src in zip(new, (halo.H, *self._uv(halo))):
+                dst[own] = src[own]
+        state.store(*new)  # the gather: owned updates become globally visible
         self.time += dt
         return dt
 

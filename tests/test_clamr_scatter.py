@@ -22,31 +22,45 @@ from repro.clamr.kernels import (
     scatter_mode,
 )
 from repro.clamr.mesh import AmrMesh
+from repro.workload import make_config, make_simulation
 from tests.reference_impls import finite_diff_add_at
 
 
-def _run_states(policy, scheme, nx=16, steps=20, max_level=2):
+def _run_states(policy, scheme, nx=16, steps=20, max_level=2, scenario=None):
     """Final (H, U, V) under each scatter mode, same config."""
     out = {}
     for mode in ("plan", "add_at"):
-        cfg = DamBreakConfig(nx=nx, ny=nx, max_level=max_level)
+        cfg = make_config("clamr", scenario, nx=nx, max_level=max_level)
         with scatter_mode(mode):
-            sim = ClamrSimulation(cfg, policy=policy, scheme=scheme)
+            sim = make_simulation("clamr", cfg, policy=policy, scheme=scheme, scenario=scenario)
             sim.run(steps)
         out[mode] = (sim.state.H.copy(), sim.state.U.copy(), sim.state.V.copy())
     return out
 
 
+# the seed dam break keeps its original ids; the two moving-bathymetry
+# scenarios drive the sided plan through both well-balanced kernels
+_FULL_SIM_CASES = [
+    pytest.param(None, policy, scheme, id=f"{scheme}-{policy}")
+    for scheme in ("muscl", "rusanov")
+    for policy in ("full", "min", "mixed")
+] + [
+    pytest.param(scenario, policy, scheme, id=f"{scenario.split('/')[1]}-{scheme}-{policy}")
+    for scenario in ("clamr/partial-breach", "clamr/obstacle-field")
+    for scheme in ("muscl", "rusanov")
+    for policy in ("full", "min", "mixed")
+]
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("policy", ["min", "mixed", "full"])
-    @pytest.mark.parametrize("scheme", ["rusanov", "muscl"])
-    def test_full_simulation_bit_identical(self, policy, scheme):
-        # max_level=2 dam break regrids as the wave spreads, so this
-        # exercises plan rebuilds across topology generations too
-        states = _run_states(policy, scheme)
+    @pytest.mark.parametrize("scenario,policy,scheme", _FULL_SIM_CASES)
+    def test_full_simulation_bit_identical(self, scenario, policy, scheme):
+        # max_level=2 regrids as the wave spreads, so this exercises plan
+        # rebuilds across topology generations too
+        states = _run_states(policy, scheme, scenario=scenario)
         for a, b in zip(states["plan"], states["add_at"]):
             assert a.dtype == b.dtype
-            assert np.array_equal(a, b), f"{policy}/{scheme}: state bits diverged"
+            assert np.array_equal(a, b), f"{scenario}/{policy}/{scheme}: state bits diverged"
 
     def test_uniform_mesh_no_regrid(self):
         # the no-AMR case keeps one topology for the whole run
@@ -108,17 +122,20 @@ class TestScatterPlan:
         assert np.array_equal(np.diff(plan.indptr), counts)
 
     def test_apply_matches_add_at(self):
+        # float16 has no compiled matvec, so it always takes the add.at pair
         plan, low, high, sizes = self._plan()
         rng = np.random.default_rng(7)
-        for dtype in (np.float32, np.float64):
+        for dtype in (np.float16, np.float32, np.float64):
             flux = rng.standard_normal(4).astype(dtype)
+            high_flux = rng.standard_normal(4).astype(dtype)
             fsz = sizes.astype(dtype)
-            a = rng.standard_normal(plan.ncells).astype(dtype)
-            b = a.copy()
-            plan.apply(a, flux)
-            np.add.at(b, low, -flux * fsz)
-            np.add.at(b, high, flux * fsz)
-            assert np.array_equal(a, b)
+            for sided in (None, high_flux):
+                a = rng.standard_normal(plan.ncells).astype(dtype)
+                b = a.copy()
+                plan.apply(a, flux, sided)
+                np.add.at(b, low, -flux * fsz)
+                np.add.at(b, high, (flux if sided is None else sided) * fsz)
+                assert np.array_equal(a, b), (dtype, sided is not None)
 
     def test_fallback_matches_csr(self, monkeypatch):
         # force the scipy-less branch and compare against the CSR branch
@@ -127,13 +144,20 @@ class TestScatterPlan:
         if K._scipy_sparsetools is None:
             pytest.skip("scipy not available; only the fallback exists")
         plan, low, high, sizes = self._plan()
-        flux = np.linspace(-1, 1, 4)
-        a = np.zeros(plan.ncells)
-        plan.apply(a, flux)
+        cases = []
+        for dtype in (np.float32, np.float64):
+            flux = np.linspace(-1, 1, 4).astype(dtype)
+            cases += [(flux, None), (flux, np.linspace(2, -3, 4).astype(dtype))]
+        csr = []
+        for flux, high_flux in cases:
+            a = np.zeros(plan.ncells, dtype=flux.dtype)
+            plan.apply(a, flux, high_flux)
+            csr.append(a)
         monkeypatch.setattr(K, "_scipy_sparsetools", None)
-        b = np.zeros(plan.ncells)
-        plan.apply(b, flux)
-        assert np.array_equal(a, b)
+        for (flux, high_flux), a in zip(cases, csr):
+            b = np.zeros(plan.ncells, dtype=flux.dtype)
+            plan.apply(b, flux, high_flux)
+            assert np.array_equal(a, b)
 
     def test_face_lists_memoize_plans(self):
         mesh = AmrMesh.uniform(8, 8)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectorized
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.parallel.decomposition import block_partition, morton_partition, stripe_partition
@@ -18,6 +20,20 @@ def setup(nx=16, policy=FULL_PRECISION):
     return mesh, state
 
 
+def setup_amr(policy=FULL_PRECISION):
+    """A 16² level-2 dam-break mesh, frozen: the halo driver never regrids."""
+    sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2), policy=policy)
+    assert sim.mesh.level.max() == 2
+    return sim.mesh, sim.state
+
+
+PARTITIONS = {
+    "stripe": lambda mesh, n: stripe_partition(mesh.ncells, n),
+    "block": block_partition,
+    "morton": morton_partition,
+}
+
+
 class TestCorrectness:
     def test_single_rank_runs(self):
         mesh, state = setup()
@@ -25,28 +41,30 @@ class TestCorrectness:
         d.run(10)
         assert np.isfinite(state.H).all()
 
-    @pytest.mark.parametrize("nranks", [2, 4, 7])
-    def test_matches_serial_to_rounding(self, nranks):
-        mesh_a, state_a = setup()
-        serial = DistributedClamr(mesh_a, state_a, stripe_partition(mesh_a.ncells, 1))
-        mesh_b, state_b = setup()
-        parallel = DistributedClamr(mesh_b, state_b, stripe_partition(mesh_b.ncells, nranks))
+    @pytest.mark.parametrize("nranks", [1, 4, 16])
+    @pytest.mark.parametrize("partition", sorted(PARTITIONS))
+    @pytest.mark.parametrize("policy", [MIN_PRECISION, FULL_PRECISION], ids=["min", "full"])
+    @pytest.mark.parametrize("build", [setup, setup_amr], ids=["uniform", "amr"])
+    def test_bitwise_equals_serial_step(self, build, policy, partition, nranks):
+        """Every rank runs the production kernel on its masked faces, so
+        each step is the serial compute_timestep + finite_diff_vectorized
+        step, bit for bit, on a uniform and on an AMR mesh."""
+        mesh, state = build(policy=policy)
+        serial = state.copy()
+        faces = FaceLists.from_mesh(mesh)
+        dist = DistributedClamr(mesh, state, PARTITIONS[partition](mesh, nranks))
         for _ in range(20):
-            dt_a = serial.step()
-            dt_b = parallel.step()
-            assert dt_a == dt_b  # the Allreduce(min) agrees exactly
-        np.testing.assert_allclose(state_a.H, state_b.H, rtol=0, atol=1e-12)
+            dt = compute_timestep(mesh, serial)
+            finite_diff_vectorized(mesh, serial, dt, faces=faces)
+            assert dist.step() == dt  # the Allreduce(min) is the serial CFL
+        for a, b in ((state.H, serial.H), (state.U, serial.U), (state.V, serial.V)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("partition", ["stripe", "block", "morton"])
     def test_mass_conserved_any_partition(self, partition):
         mesh, state = setup()
-        if partition == "stripe":
-            dec = stripe_partition(mesh.ncells, 5)
-        elif partition == "block":
-            dec = block_partition(mesh, 5)
-        else:
-            dec = morton_partition(mesh, 5)
-        d = DistributedClamr(mesh, state, dec)
+        d = DistributedClamr(mesh, state, PARTITIONS[partition](mesh, 5))
         m0 = state.total_mass(mesh.cell_area())
         d.run(30)
         assert state.total_mass(mesh.cell_area()) == pytest.approx(m0, rel=1e-13)
@@ -71,8 +89,8 @@ class TestReproducibility:
         np.testing.assert_array_equal(results[1], results[16])
 
     def test_face_permutation_alone_cannot_break_bits(self):
-        """Each cell receives at most two contributions per axis; two-term
-        sums commute, so permuting the face lists is bit-neutral."""
+        """On a uniform mesh a cell has at most one face per side per axis,
+        so permuting the face lists reorders no cell's accumulation."""
         mesh_a, state_a = setup()
         DistributedClamr(mesh_a, state_a, stripe_partition(mesh_a.ncells, 4)).run(40)
         mesh_b, state_b = setup()
@@ -80,6 +98,19 @@ class TestReproducibility:
             mesh_b, state_b, stripe_partition(mesh_b.ncells, 4), face_order=7
         ).run(40)
         np.testing.assert_array_equal(state_a.H, state_b.H)
+
+    @pytest.mark.parametrize("policy", [MIN_PRECISION, FULL_PRECISION], ids=["min", "full"])
+    def test_face_permutation_moves_amr_bits(self, policy):
+        """On an AMR mesh a coarse cell takes two faces from a finer side,
+        and their order is the permutation's: the bits drift."""
+        mesh_a, state_a = setup_amr(policy)
+        DistributedClamr(mesh_a, state_a, stripe_partition(mesh_a.ncells, 4)).run(40)
+        mesh_b, state_b = setup_amr(policy)
+        DistributedClamr(
+            mesh_b, state_b, stripe_partition(mesh_b.ncells, 4), face_order=7
+        ).run(40)
+        drift = float(np.abs(state_a.H.astype(np.float64) - state_b.H).max())
+        assert drift > 0.0
 
     def test_axis_phase_order_breaks_bits(self):
         """Reassociating (x then y) vs (y then x) per cell drifts at
