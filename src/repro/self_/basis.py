@@ -24,7 +24,22 @@ import numpy as np
 
 from repro.self_.quadrature import gauss_lobatto, legendre
 
-__all__ = ["NodalBasis", "barycentric_weights", "lagrange_interpolation_matrix"]
+__all__ = ["NodalBasis", "apply_along", "barycentric_weights", "lagrange_interpolation_matrix"]
+
+#: einsum subscripts contracting a matrix with node axis 0, 1 or 2 of the
+#: trailing ``(n, n, n)`` block; leading axes (element, variable) ride along
+_ALONG = ("il,...ljk->...ijk", "jl,...ilk->...ijk", "kl,...ijl->...ijk")
+
+
+def apply_along(M: np.ndarray, A: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``M`` applied along node axis ``axis`` of ``A`` (shape ``(..., n, n, n)``).
+
+    The one tensor contraction of the DGSEM kernel: derivative matrices in
+    the volume and viscous terms, the filter matrix in the spectral filter.
+    Always ``np.einsum``, never BLAS (``tensordot``/``matmul`` reorder the
+    sums, so the bits would change).
+    """
+    return np.einsum(_ALONG[axis], M, A, out=out)
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.self_.basis import NodalBasis
+from repro.self_.basis import NodalBasis, apply_along
 from repro.self_.mesh import HexMesh
 
 __all__ = ["AtmosphereConstants", "CompressibleEuler", "theta_anomaly"]
@@ -89,6 +89,19 @@ def theta_anomaly(
     return theta - float(theta0)
 
 
+def _face_table(minus: np.ndarray, plus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(interior_lo, interior_hi, walls_plus, walls_minus)`` for one axis.
+
+    ``minus``/``plus`` are the axis' neighbor lists (-1 at a wall).  The
+    interior faces run from ``interior_lo[f]`` to ``interior_hi[f]``;
+    ``walls_plus``/``walls_minus`` are the elements whose +/- face is a
+    wall.  ``interior_lo ∪ walls_plus`` and ``interior_hi ∪ walls_minus``
+    each list every element exactly once.
+    """
+    lo = np.flatnonzero(plus >= 0)
+    return lo, plus[lo], np.flatnonzero(plus < 0), np.flatnonzero(minus < 0)
+
+
 class CompressibleEuler:
     """DGSEM right-hand side for the perturbation-form Euler equations.
 
@@ -132,7 +145,8 @@ class CompressibleEuler:
         self.w_end = basis.weights[-1]  # == weights[0] by symmetry
         mx, my, mz = mesh.metric_factors()
         self.metric = (self.dtype.type(mx), self.dtype.type(my), self.dtype.type(mz))
-        self.neighbors = mesh.neighbors()
+        nbr = mesh.neighbors()
+        self.faces = tuple(_face_table(nbr[d + "m"], nbr[d + "p"]) for d in "xyz")
         self._g = self.dtype.type(constants.gravity)
         self._gm1 = self.dtype.type(constants.gamma - 1.0)
         self._gamma = self.dtype.type(constants.gamma)
@@ -162,17 +176,19 @@ class CompressibleEuler:
 
     # -- fluxes -----------------------------------------------------------
 
-    def _flux(self, U: np.ndarray, pprime: np.ndarray, vel: np.ndarray, mom: int) -> np.ndarray:
+    def _flux(
+        self, U: np.ndarray, pprime: np.ndarray, pbar: np.ndarray, vel: np.ndarray, mom: int
+    ) -> np.ndarray:
         """Flux tensor in the direction whose velocity is ``vel``.
 
         ``mom`` is the conserved slot of the normal momentum; the pressure
         perturbation enters that component only.  The energy flux uses the
-        full pressure (p' + p̄ would double-count the background otherwise;
-        at rest the velocity factor zeroes it regardless).
+        full pressure p' + p̄ (p̄ = ``pbar``, the background at the same
+        nodes; at rest the velocity factor zeroes it regardless).
         """
         F = U * vel[:, None]
         F[:, mom] += pprime
-        p_full = pprime + self.p_bar
+        p_full = pprime + pbar
         F[:, RHOE] += p_full * vel
         return F
 
@@ -191,21 +207,13 @@ class CompressibleEuler:
         ``(nfaces, n, n)`` (pressure perturbations and face background).
         """
         half = self.dtype.type(0.5)
-        rhoL = UL[:, RHO]
-        rhoR = UR[:, RHO]
-        velL = UL[:, mom] / rhoL
-        velR = UR[:, mom] / rhoR
-        pfullL = pL + pbar
-        pfullR = pR + pbar
-        cL = np.sqrt(self._gamma * pfullL / rhoL)
-        cR = np.sqrt(self._gamma * pfullR / rhoR)
+        velL = UL[:, mom] / UL[:, RHO]
+        velR = UR[:, mom] / UR[:, RHO]
+        cL = self.sound_speed(UL[:, RHO], pL + pbar)
+        cR = self.sound_speed(UR[:, RHO], pR + pbar)
         lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
-        FL = UL * velL[:, None]
-        FL[:, mom] += pL
-        FL[:, RHOE] += pfullL * velL
-        FR = UR * velR[:, None]
-        FR[:, mom] += pR
-        FR[:, RHOE] += pfullR * velR
+        FL = self._flux(UL, pL, pbar, velL, mom)
+        FR = self._flux(UR, pR, pbar, velR, mom)
         return half * (FL + FR) - half * lam[:, None] * (UR - UL)
 
     # -- the RHS ----------------------------------------------------------
@@ -226,13 +234,13 @@ class CompressibleEuler:
         out = np.empty_like(U)
 
         # volume terms: out = -(m_d D F_d) summed over directions.
-        Fx = self._flux(U, pprime, u, RHOU)
-        np.einsum("il,evljk->evijk", D, Fx, out=out)
+        Fx = self._flux(U, pprime, self.p_bar, u, RHOU)
+        apply_along(D, Fx, 0, out=out)
         out *= -mx
-        Fy = self._flux(U, pprime, v, RHOV)
-        out -= my * np.einsum("jl,evilk->evijk", D, Fy)
-        Fz = self._flux(U, pprime, w, RHOW)
-        out -= mz * np.einsum("kl,evijl->evijk", D, Fz)
+        Fy = self._flux(U, pprime, self.p_bar, v, RHOV)
+        out -= my * apply_along(D, Fy, 1)
+        Fz = self._flux(U, pprime, self.p_bar, w, RHOW)
+        out -= mz * apply_along(D, Fz, 2)
 
         # surface terms per direction
         self._surface_x(U, pprime, out, Fx)
@@ -244,94 +252,53 @@ class CompressibleEuler:
         out[:, RHOE] -= self._g * U[:, RHOW]
         return out
 
-    # The three surface routines are structurally identical; they differ in
-    # which node axis carries the face (x: axis 2 of the 5-tensor, etc.).
-    # Spelling them out keeps each one a straight-line, readable kernel.
-
     def _surface_x(self, U: np.ndarray, pprime: np.ndarray, out: np.ndarray, F: np.ndarray) -> None:
-        mx = self.metric[0]
-        lift = mx / self.w_end
-        xp = self.neighbors["xp"]
-        has = np.flatnonzero(xp >= 0)
-        if has.size:
-            eL, eR = has, xp[has]
-            UL = U[eL][:, :, -1, :, :]
-            UR = U[eR][:, :, 0, :, :]
-            star = self._llf(UL, UR, pprime[eL][:, -1], pprime[eR][:, 0], self.p_bar[eL][:, -1], RHOU)
-            out[eL, :, -1, :, :] -= lift * (star - F[eL][:, :, -1, :, :])
-            out[eR, :, 0, :, :] += lift * (star - F[eR][:, :, 0, :, :])
-        # walls
-        for side, idx in (("xm", 0), ("xp", -1)):
-            wall = np.flatnonzero(self.neighbors[side] < 0)
-            if wall.size == 0:
-                continue
-            Uw = U[wall][:, :, idx, :, :]
-            Um = Uw.copy()
-            Um[:, RHOU] = -Um[:, RHOU]
-            pw = pprime[wall][:, idx]
-            pb = self.p_bar[wall][:, idx]
-            if idx == -1:  # interior is left of the wall
-                star = self._llf(Uw, Um, pw, pw, pb, RHOU)
-                out[wall, :, -1, :, :] -= lift * (star - F[wall][:, :, -1, :, :])
-            else:  # interior is right of the wall
-                star = self._llf(Um, Uw, pw, pw, pb, RHOU)
-                out[wall, :, 0, :, :] += lift * (star - F[wall][:, :, 0, :, :])
+        self._surface(0, U, pprime, out, F)
 
     def _surface_y(self, U: np.ndarray, pprime: np.ndarray, out: np.ndarray, F: np.ndarray) -> None:
-        my = self.metric[1]
-        lift = my / self.w_end
-        yp = self.neighbors["yp"]
-        has = np.flatnonzero(yp >= 0)
-        if has.size:
-            eL, eR = has, yp[has]
-            UL = U[eL][:, :, :, -1, :]
-            UR = U[eR][:, :, :, 0, :]
-            star = self._llf(UL, UR, pprime[eL][:, :, -1], pprime[eR][:, :, 0], self.p_bar[eL][:, :, -1], RHOV)
-            out[eL, :, :, -1, :] -= lift * (star - F[eL][:, :, :, -1, :])
-            out[eR, :, :, 0, :] += lift * (star - F[eR][:, :, :, 0, :])
-        for side, idx in (("ym", 0), ("yp", -1)):
-            wall = np.flatnonzero(self.neighbors[side] < 0)
-            if wall.size == 0:
-                continue
-            Uw = U[wall][:, :, :, idx, :]
-            Um = Uw.copy()
-            Um[:, RHOV] = -Um[:, RHOV]
-            pw = pprime[wall][:, :, idx]
-            pb = self.p_bar[wall][:, :, idx]
-            if idx == -1:
-                star = self._llf(Uw, Um, pw, pw, pb, RHOV)
-                out[wall, :, :, -1, :] -= lift * (star - F[wall][:, :, :, -1, :])
-            else:
-                star = self._llf(Um, Uw, pw, pw, pb, RHOV)
-                out[wall, :, :, 0, :] += lift * (star - F[wall][:, :, :, 0, :])
+        self._surface(1, U, pprime, out, F)
 
     def _surface_z(self, U: np.ndarray, pprime: np.ndarray, out: np.ndarray, F: np.ndarray) -> None:
-        mz = self.metric[2]
-        lift = mz / self.w_end
-        zp = self.neighbors["zp"]
-        has = np.flatnonzero(zp >= 0)
-        if has.size:
-            eL, eR = has, zp[has]
-            UL = U[eL][:, :, :, :, -1]
-            UR = U[eR][:, :, :, :, 0]
-            star = self._llf(UL, UR, pprime[eL][:, :, :, -1], pprime[eR][:, :, :, 0], self.p_bar[eL][:, :, :, -1], RHOW)
-            out[eL, :, :, :, -1] -= lift * (star - F[eL][:, :, :, :, -1])
-            out[eR, :, :, :, 0] += lift * (star - F[eR][:, :, :, :, 0])
-        for side, idx in (("zm", 0), ("zp", -1)):
-            wall = np.flatnonzero(self.neighbors[side] < 0)
-            if wall.size == 0:
-                continue
-            Uw = U[wall][:, :, :, :, idx]
-            Um = Uw.copy()
-            Um[:, RHOW] = -Um[:, RHOW]
-            pw = pprime[wall][:, :, :, idx]
-            pb = self.p_bar[wall][:, :, :, idx]
-            if idx == -1:
-                star = self._llf(Uw, Um, pw, pw, pb, RHOW)
-                out[wall, :, :, :, -1] -= lift * (star - F[wall][:, :, :, :, -1])
-            else:
-                star = self._llf(Um, Uw, pw, pw, pb, RHOW)
-                out[wall, :, :, :, 0] += lift * (star - F[wall][:, :, :, :, 0])
+        self._surface(2, U, pprime, out, F)
+
+    def _surface(self, axis: int, U: np.ndarray, pprime: np.ndarray, out: np.ndarray, F: np.ndarray) -> None:
+        """Lift the face-flux jumps across node axis ``axis`` into ``out``.
+
+        One ``_llf`` call covers every face of the axis, stacked as rows
+        ``[+ walls; interior; - walls]``; a wall's outer state is the
+        mirror (normal momentum negated).  The first ``len(plus)`` rows
+        then land on the + face slots of ``plus = [walls_plus;
+        interior_lo]`` and the rows from ``len(walls_plus)`` on the - face
+        slots of ``minus = [interior_hi; walls_minus]``.  Each list is a
+        permutation of the elements, so every slot takes exactly one update.
+        """
+        lo, hi, walls_plus, walls_minus = self.faces[axis]
+        mom = RHOU + axis
+        lift = self.metric[axis] / self.w_end
+        last = (slice(None),) * axis + (-1,)
+        first = (slice(None),) * axis + (0,)
+        plus = np.concatenate((walls_plus, lo))
+        minus = np.concatenate((hi, walls_minus))
+        nwp, ni = walls_plus.size, lo.size
+
+        at_plus = (plus, slice(None)) + last
+        at_minus = (minus, slice(None)) + first
+        Up = U[at_plus]
+        Um = U[at_minus]
+        ghost = np.concatenate((Up[:nwp], Um[ni:]))
+        ghost[:, mom] = -ghost[:, mom]
+        pp = pprime[(plus,) + last]
+        pm = pprime[(minus,) + first]
+        star = self._llf(
+            np.concatenate((Up, ghost[nwp:])),
+            np.concatenate((ghost[:nwp], Um)),
+            np.concatenate((pp, pm[ni:])),
+            np.concatenate((pp[:nwp], pm)),
+            np.concatenate((self.p_bar[(plus,) + last], self.p_bar[(walls_minus,) + first])),
+            mom,
+        )
+        out[at_plus] -= lift * (star[: plus.size] - F[at_plus])
+        out[at_minus] += lift * (star[nwp:] - F[at_minus])
 
     # -- timestep ---------------------------------------------------------
 

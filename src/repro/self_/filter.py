@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.self_.basis import NodalBasis
+from repro.self_.basis import NodalBasis, apply_along
 
 __all__ = ["filter_sigma", "modal_filter_matrix", "apply_filter_3d"]
 
@@ -81,7 +81,6 @@ def apply_filter_3d(field: np.ndarray, F: np.ndarray) -> np.ndarray:
         raise ValueError("filter matrix must be square")
     if field.shape[-3:] != (n, n, n):
         raise ValueError(f"field trailing dims {field.shape[-3:]} do not match filter size {n}")
-    out = np.einsum("ai,...ijk->...ajk", F, field)
-    out = np.einsum("bj,...ajk->...abk", F, out)
-    out = np.einsum("ck,...abk->...abc", F, out)
-    return out
+    out = apply_along(F, field, 0)
+    out = apply_along(F, out, 1)
+    return apply_along(F, out, 2)

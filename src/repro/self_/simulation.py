@@ -103,10 +103,10 @@ class ThermalBubbleConfig:
             raise ValueError("bubble amplitude and radius must be positive")
         if self.filter_interval < 1:
             raise ValueError("filter_interval must be at least 1")
-        if self.viscosity < 0:
-            raise ValueError("viscosity must be non-negative")
-        if self.prandtl <= 0:
-            raise ValueError("prandtl must be positive")
+        if not (math.isfinite(self.viscosity) and self.viscosity >= 0):
+            raise ValueError(f"viscosity must be finite and non-negative, got {self.viscosity}")
+        if not (math.isfinite(self.prandtl) and self.prandtl > 0):
+            raise ValueError(f"prandtl must be finite and positive, got {self.prandtl}")
 
 
 @dataclass

@@ -25,8 +25,11 @@ single/double precision study covers the viscous path too.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.self_.basis import apply_along
 from repro.self_.equations import RHO, RHOE, RHOU, RHOV, RHOW, CompressibleEuler
 
 __all__ = ["ViscousOperator"]
@@ -56,12 +59,12 @@ class ViscousOperator:
         prandtl: float = 0.72,
         penalty: float = 4.0,
     ) -> None:
-        if mu < 0:
-            raise ValueError("viscosity must be non-negative")
-        if prandtl <= 0:
-            raise ValueError("Prandtl number must be positive")
-        if penalty < 0:
-            raise ValueError("penalty must be non-negative")
+        if not (math.isfinite(mu) and mu >= 0):
+            raise ValueError(f"viscosity must be finite and non-negative, got {mu}")
+        if not (math.isfinite(prandtl) and prandtl > 0):
+            raise ValueError(f"Prandtl number must be finite and positive, got {prandtl}")
+        if not (math.isfinite(penalty) and penalty >= 0):
+            raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
         self.solver = solver
         self.dtype = solver.dtype
         self.mu = self.dtype.type(mu)
@@ -71,24 +74,17 @@ class ViscousOperator:
 
     # -- derivatives -------------------------------------------------------
 
+    def _d(self, field: np.ndarray, axis: int) -> np.ndarray:
+        """Element-local physical derivative of a nodal scalar field along ``axis``."""
+        return self.solver.metric[axis] * apply_along(self.solver.D, field, axis)
+
     def _grad(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Element-local physical gradient of a nodal scalar field."""
-        D = self.solver.D
-        mx, my, mz = self.solver.metric
-        gx = mx * np.einsum("il,eljk->eijk", D, field)
-        gy = my * np.einsum("jl,eilk->eijk", D, field)
-        gz = mz * np.einsum("kl,eijl->eijk", D, field)
-        return gx, gy, gz
+        return self._d(field, 0), self._d(field, 1), self._d(field, 2)
 
     def _div(self, fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
         """Element-local divergence of a nodal vector field."""
-        D = self.solver.D
-        mx, my, mz = self.solver.metric
-        return (
-            mx * np.einsum("il,eljk->eijk", D, fx)
-            + my * np.einsum("jl,eilk->eijk", D, fy)
-            + mz * np.einsum("kl,eijl->eijk", D, fz)
-        )
+        return self._d(fx, 0) + self._d(fy, 1) + self._d(fz, 2)
 
     # -- the operator --------------------------------------------------------
 
@@ -139,12 +135,12 @@ class ViscousOperator:
         For each face, both sides receive −σ(q_self − q_neighbor)/w_end,
         with σ = penalty · μ / h.  The term is momentum- and
         energy-conservative (equal and opposite on the two sides) and
-        strictly dissipative for the velocity jump energy.
+        strictly dissipative for the velocity jump energy.  Each element
+        appears at most once in ``interior_lo`` and once in
+        ``interior_hi``, so the fancy ``+=`` updates every face slot once.
         """
         solver = self.solver
         w_end = solver.basis.weights[-1]
-        neighbors = solver.neighbors
-        mx, my, mz = solver.metric
         # velocity jumps are penalized with μ, the temperature jump with κ
         fields = (
             (RHOU, u, self.mu),
@@ -152,42 +148,14 @@ class ViscousOperator:
             (RHOW, w, self.mu),
             (RHOE, T, self.kappa),
         )
-
-        def apply(direction: str, metric, take_minus, take_plus, assign_minus, assign_plus):
-            plus = neighbors[direction]
-            has = np.flatnonzero(plus >= 0)
-            if has.size == 0:
-                return
-            eL, eR = has, plus[has]
+        for axis, (lo, hi, _, _) in enumerate(solver.faces):
+            metric = solver.metric[axis]
             lift = metric / w_end
+            last = (slice(None),) * axis + (-1,)
+            first = (slice(None),) * axis + (0,)
             for slot, q, coeff in fields:
                 # σ ~ coeff / h: metric = 2/h, so σ = penalty · coeff · metric / 2
                 sigma = self.penalty * coeff * metric * self.dtype.type(0.5)
-                jump = take_plus(q, eL) - take_minus(q, eR)
-                assign_plus(out, slot, eL, -lift * sigma * jump)
-                assign_minus(out, slot, eR, lift * sigma * jump)
-
-        apply(
-            "xp",
-            mx,
-            lambda q, e: q[e][:, 0, :, :],
-            lambda q, e: q[e][:, -1, :, :],
-            lambda o, s, e, val: np.add.at(o, (e, s, 0), val),
-            lambda o, s, e, val: np.add.at(o, (e, s, -1), val),
-        )
-        apply(
-            "yp",
-            my,
-            lambda q, e: q[e][:, :, 0, :],
-            lambda q, e: q[e][:, :, -1, :],
-            lambda o, s, e, val: np.add.at(o, (e, s, slice(None), 0), val),
-            lambda o, s, e, val: np.add.at(o, (e, s, slice(None), -1), val),
-        )
-        apply(
-            "zp",
-            mz,
-            lambda q, e: q[e][:, :, :, 0],
-            lambda q, e: q[e][:, :, :, -1],
-            lambda o, s, e, val: np.add.at(o, (e, s, slice(None), slice(None), 0), val),
-            lambda o, s, e, val: np.add.at(o, (e, s, slice(None), slice(None), -1), val),
-        )
+                jump = q[(lo,) + last] - q[(hi,) + first]
+                out[(lo, slot) + last] += -lift * sigma * jump
+                out[(hi, slot) + first] += lift * sigma * jump

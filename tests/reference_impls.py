@@ -5,7 +5,9 @@ These are the straightforward forms that :func:`repro.sums.dd_sum`,
 and the flat-bottom ``finite_diff`` kernel had before they were optimized,
 plus the boolean-mask / int64-gather forms of the regrid topology builders
 (scatter-plan construction by ``argsort``, neighbor rebuild, face lists,
-refinement flags, balance and the regrid assembly).
+refinement flags, balance and the regrid assembly), and the SELF DGSEM
+kernel with one spelled-out surface routine and interface penalty per
+direction and explicit-subscript ``einsum`` contractions.
 The tests use them as bit-level oracles: the production code must
 reproduce their outputs exactly.
 """
@@ -20,6 +22,7 @@ from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import GRAVITY, ShallowWaterState
 from repro.machine.counters import KernelCounters
 from repro.precision.emulation import quantize_to_bfloat16
+from repro.self_.equations import RHO, RHOE, RHOU, RHOV, RHOW
 from repro.sums.doubledouble import two_sum
 
 
@@ -317,3 +320,251 @@ def regrid_masked_assemble(
         for X in (state.H, state.U, state.V)
     )
     return out_mesh, ShallowWaterState(H=H, U=U, V=V, policy=state.policy)
+
+
+# -- SELF: per-direction face routines, explicit einsum subscripts ------------
+
+
+def self_flux(solver, U, pprime, vel, mom):
+    F = U * vel[:, None]
+    F[:, mom] += pprime
+    p_full = pprime + solver.p_bar
+    F[:, RHOE] += p_full * vel
+    return F
+
+
+def self_llf(solver, UL, UR, pL, pR, pbar, mom):
+    half = solver.dtype.type(0.5)
+    rhoL = UL[:, RHO]
+    rhoR = UR[:, RHO]
+    velL = UL[:, mom] / rhoL
+    velR = UR[:, mom] / rhoR
+    pfullL = pL + pbar
+    pfullR = pR + pbar
+    cL = np.sqrt(solver._gamma * pfullL / rhoL)
+    cR = np.sqrt(solver._gamma * pfullR / rhoR)
+    lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
+    FL = UL * velL[:, None]
+    FL[:, mom] += pL
+    FL[:, RHOE] += pfullL * velL
+    FR = UR * velR[:, None]
+    FR[:, mom] += pR
+    FR[:, RHOE] += pfullR * velR
+    return half * (FL + FR) - half * lam[:, None] * (UR - UL)
+
+
+def self_surface_x(solver, U, pprime, out, F):
+    neighbors = solver.mesh.neighbors()
+    mx = solver.metric[0]
+    lift = mx / solver.w_end
+    xp = neighbors["xp"]
+    has = np.flatnonzero(xp >= 0)
+    if has.size:
+        eL, eR = has, xp[has]
+        UL = U[eL][:, :, -1, :, :]
+        UR = U[eR][:, :, 0, :, :]
+        star = self_llf(solver, UL, UR, pprime[eL][:, -1], pprime[eR][:, 0], solver.p_bar[eL][:, -1], RHOU)
+        out[eL, :, -1, :, :] -= lift * (star - F[eL][:, :, -1, :, :])
+        out[eR, :, 0, :, :] += lift * (star - F[eR][:, :, 0, :, :])
+    for side, idx in (("xm", 0), ("xp", -1)):
+        wall = np.flatnonzero(neighbors[side] < 0)
+        if wall.size == 0:
+            continue
+        Uw = U[wall][:, :, idx, :, :]
+        Um = Uw.copy()
+        Um[:, RHOU] = -Um[:, RHOU]
+        pw = pprime[wall][:, idx]
+        pb = solver.p_bar[wall][:, idx]
+        if idx == -1:
+            star = self_llf(solver, Uw, Um, pw, pw, pb, RHOU)
+            out[wall, :, -1, :, :] -= lift * (star - F[wall][:, :, -1, :, :])
+        else:
+            star = self_llf(solver, Um, Uw, pw, pw, pb, RHOU)
+            out[wall, :, 0, :, :] += lift * (star - F[wall][:, :, 0, :, :])
+
+
+def self_surface_y(solver, U, pprime, out, F):
+    neighbors = solver.mesh.neighbors()
+    my = solver.metric[1]
+    lift = my / solver.w_end
+    yp = neighbors["yp"]
+    has = np.flatnonzero(yp >= 0)
+    if has.size:
+        eL, eR = has, yp[has]
+        UL = U[eL][:, :, :, -1, :]
+        UR = U[eR][:, :, :, 0, :]
+        star = self_llf(solver, UL, UR, pprime[eL][:, :, -1], pprime[eR][:, :, 0], solver.p_bar[eL][:, :, -1], RHOV)
+        out[eL, :, :, -1, :] -= lift * (star - F[eL][:, :, :, -1, :])
+        out[eR, :, :, 0, :] += lift * (star - F[eR][:, :, :, 0, :])
+    for side, idx in (("ym", 0), ("yp", -1)):
+        wall = np.flatnonzero(neighbors[side] < 0)
+        if wall.size == 0:
+            continue
+        Uw = U[wall][:, :, :, idx, :]
+        Um = Uw.copy()
+        Um[:, RHOV] = -Um[:, RHOV]
+        pw = pprime[wall][:, :, idx]
+        pb = solver.p_bar[wall][:, :, idx]
+        if idx == -1:
+            star = self_llf(solver, Uw, Um, pw, pw, pb, RHOV)
+            out[wall, :, :, -1, :] -= lift * (star - F[wall][:, :, :, -1, :])
+        else:
+            star = self_llf(solver, Um, Uw, pw, pw, pb, RHOV)
+            out[wall, :, :, 0, :] += lift * (star - F[wall][:, :, :, 0, :])
+
+
+def self_surface_z(solver, U, pprime, out, F):
+    neighbors = solver.mesh.neighbors()
+    mz = solver.metric[2]
+    lift = mz / solver.w_end
+    zp = neighbors["zp"]
+    has = np.flatnonzero(zp >= 0)
+    if has.size:
+        eL, eR = has, zp[has]
+        UL = U[eL][:, :, :, :, -1]
+        UR = U[eR][:, :, :, :, 0]
+        star = self_llf(
+            solver, UL, UR, pprime[eL][:, :, :, -1], pprime[eR][:, :, :, 0], solver.p_bar[eL][:, :, :, -1], RHOW
+        )
+        out[eL, :, :, :, -1] -= lift * (star - F[eL][:, :, :, :, -1])
+        out[eR, :, :, :, 0] += lift * (star - F[eR][:, :, :, :, 0])
+    for side, idx in (("zm", 0), ("zp", -1)):
+        wall = np.flatnonzero(neighbors[side] < 0)
+        if wall.size == 0:
+            continue
+        Uw = U[wall][:, :, :, :, idx]
+        Um = Uw.copy()
+        Um[:, RHOW] = -Um[:, RHOW]
+        pw = pprime[wall][:, :, :, idx]
+        pb = solver.p_bar[wall][:, :, :, idx]
+        if idx == -1:
+            star = self_llf(solver, Uw, Um, pw, pw, pb, RHOW)
+            out[wall, :, :, :, -1] -= lift * (star - F[wall][:, :, :, :, -1])
+        else:
+            star = self_llf(solver, Um, Uw, pw, pw, pb, RHOW)
+            out[wall, :, :, :, 0] += lift * (star - F[wall][:, :, :, :, 0])
+
+
+def self_rhs_per_direction(solver, U):
+    """``CompressibleEuler.rhs`` with three surface copies and nine ``_llf`` calls."""
+    D = solver.D
+    mx, my, mz = solver.metric
+    rho, u, v, w, p = solver.primitives(U)
+    pprime = p - solver.p_bar
+    out = np.empty_like(U)
+    Fx = self_flux(solver, U, pprime, u, RHOU)
+    np.einsum("il,evljk->evijk", D, Fx, out=out)
+    out *= -mx
+    Fy = self_flux(solver, U, pprime, v, RHOV)
+    out -= my * np.einsum("jl,evilk->evijk", D, Fy)
+    Fz = self_flux(solver, U, pprime, w, RHOW)
+    out -= mz * np.einsum("kl,evijl->evijk", D, Fz)
+    self_surface_x(solver, U, pprime, out, Fx)
+    self_surface_y(solver, U, pprime, out, Fy)
+    self_surface_z(solver, U, pprime, out, Fz)
+    out[:, RHOW] -= solver._g * (rho - solver.rho_bar)
+    out[:, RHOE] -= solver._g * U[:, RHOW]
+    return out
+
+
+def _viscous_grad(solver, field):
+    D = solver.D
+    mx, my, mz = solver.metric
+    gx = mx * np.einsum("il,eljk->eijk", D, field)
+    gy = my * np.einsum("jl,eilk->eijk", D, field)
+    gz = mz * np.einsum("kl,eijl->eijk", D, field)
+    return gx, gy, gz
+
+
+def _viscous_div(solver, fx, fy, fz):
+    D = solver.D
+    mx, my, mz = solver.metric
+    return (
+        mx * np.einsum("il,eljk->eijk", D, fx)
+        + my * np.einsum("jl,eilk->eijk", D, fy)
+        + mz * np.einsum("kl,eijl->eijk", D, fz)
+    )
+
+
+def _interface_penalty_add_at(op, u, v, w, T, out):
+    solver = op.solver
+    w_end = solver.basis.weights[-1]
+    neighbors = solver.mesh.neighbors()
+    mx, my, mz = solver.metric
+    fields = ((RHOU, u, op.mu), (RHOV, v, op.mu), (RHOW, w, op.mu), (RHOE, T, op.kappa))
+
+    def apply(direction, metric, take_minus, take_plus, assign_minus, assign_plus):
+        plus = neighbors[direction]
+        has = np.flatnonzero(plus >= 0)
+        if has.size == 0:
+            return
+        eL, eR = has, plus[has]
+        lift = metric / w_end
+        for slot, q, coeff in fields:
+            sigma = op.penalty * coeff * metric * op.dtype.type(0.5)
+            jump = take_plus(q, eL) - take_minus(q, eR)
+            assign_plus(out, slot, eL, -lift * sigma * jump)
+            assign_minus(out, slot, eR, lift * sigma * jump)
+
+    apply(
+        "xp",
+        mx,
+        lambda q, e: q[e][:, 0, :, :],
+        lambda q, e: q[e][:, -1, :, :],
+        lambda o, s, e, val: np.add.at(o, (e, s, 0), val),
+        lambda o, s, e, val: np.add.at(o, (e, s, -1), val),
+    )
+    apply(
+        "yp",
+        my,
+        lambda q, e: q[e][:, :, 0, :],
+        lambda q, e: q[e][:, :, -1, :],
+        lambda o, s, e, val: np.add.at(o, (e, s, slice(None), 0), val),
+        lambda o, s, e, val: np.add.at(o, (e, s, slice(None), -1), val),
+    )
+    apply(
+        "zp",
+        mz,
+        lambda q, e: q[e][:, :, :, 0],
+        lambda q, e: q[e][:, :, :, -1],
+        lambda o, s, e, val: np.add.at(o, (e, s, slice(None), slice(None), 0), val),
+        lambda o, s, e, val: np.add.at(o, (e, s, slice(None), slice(None), -1), val),
+    )
+
+
+def viscous_add_rhs_per_direction(op, U, out):
+    """``ViscousOperator.add_rhs`` with explicit einsums and the ``np.add.at`` penalty."""
+    solver = op.solver
+    rho, u, v, w, p = solver.primitives(U)
+    T = p / (op.dtype.type(solver.constants.gas_constant) * rho)
+    ux, uy, uz = _viscous_grad(solver, u)
+    vx, vy, vz = _viscous_grad(solver, v)
+    wx, wy, wz = _viscous_grad(solver, w)
+    divu = ux + vy + wz
+    mu = op.mu
+    tau_xx = mu * (ux + ux - op._third2 * divu)
+    tau_yy = mu * (vy + vy - op._third2 * divu)
+    tau_zz = mu * (wz + wz - op._third2 * divu)
+    tau_xy = mu * (uy + vx)
+    tau_xz = mu * (uz + wx)
+    tau_yz = mu * (vz + wy)
+    Tx, Ty, Tz = _viscous_grad(solver, T)
+    qx = -op.kappa * Tx
+    qy = -op.kappa * Ty
+    qz = -op.kappa * Tz
+    out[:, RHOU] += _viscous_div(solver, tau_xx, tau_xy, tau_xz)
+    out[:, RHOV] += _viscous_div(solver, tau_xy, tau_yy, tau_yz)
+    out[:, RHOW] += _viscous_div(solver, tau_xz, tau_yz, tau_zz)
+    ex = tau_xx * u + tau_xy * v + tau_xz * w - qx
+    ey = tau_xy * u + tau_yy * v + tau_yz * w - qy
+    ez = tau_xz * u + tau_yz * v + tau_zz * w - qz
+    out[:, RHOE] += _viscous_div(solver, ex, ey, ez)
+    if op.penalty > 0:
+        _interface_penalty_add_at(op, u, v, w, T, out)
+
+
+def apply_filter_3d_explicit(field, F):
+    """``apply_filter_3d`` with its three spelled-out einsum subscripts."""
+    out = np.einsum("ai,...ijk->...ajk", F, field)
+    out = np.einsum("bj,...ajk->...abk", F, out)
+    return np.einsum("ck,...abk->...abc", F, out)

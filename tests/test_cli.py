@@ -195,6 +195,15 @@ class TestErrorHygiene:
         err = capsys.readouterr().err
         assert err.startswith("repro: error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("viscosity", ["nan", "inf"])
+    def test_self_non_finite_viscosity(self, capsys, viscosity):
+        assert main(["self", "--elems", "2", "--order", "2", "--steps", "1",
+                     "--viscosity", viscosity]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: viscosity")
+
     def test_bad_fault_spec(self, capsys):
         self._expect_error(capsys, ["resilience", "run", "clamr", "--fault", "garbage"])
 

@@ -34,6 +34,13 @@ class TestConstruction:
             ViscousOperator(solver, mu=1.0, prandtl=0.0)
         with pytest.raises(ValueError):
             ViscousOperator(solver, mu=1.0, penalty=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ViscousOperator(solver, mu=bad)
+            with pytest.raises(ValueError, match="finite"):
+                ViscousOperator(solver, mu=1.0, prandtl=bad)
+            with pytest.raises(ValueError, match="finite"):
+                ViscousOperator(solver, mu=1.0, penalty=bad)
 
 
 class TestOperator:
@@ -147,3 +154,9 @@ class TestSimulationIntegration:
             ThermalBubbleConfig(viscosity=-1.0)
         with pytest.raises(ValueError):
             ThermalBubbleConfig(prandtl=0.0)
+        # nan > 0 is false: a nan viscosity would otherwise run inviscid
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ThermalBubbleConfig(viscosity=bad)
+            with pytest.raises(ValueError, match="finite"):
+                ThermalBubbleConfig(prandtl=bad)
