@@ -210,93 +210,36 @@ def _boundary_table(faces) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def try_fd_flat(mesh, state, dt, faces, geom) -> bool:
-    """Run the flat-bottom FD step on the active backend; False → oracle."""
-    cdtype = state.policy.compute_dtype
-    ops = dispatch_ops(cdtype)
-    if ops is None:
-        return False
-    ct = cdtype.type
-    H, U, V = state.promoted()
-    size, area = geom.geometry(mesh, cdtype)
-    xplan, yplan = faces.scatter_plans(mesh.ncells)
-    dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
-    bcells, boff = _boundary_table(faces)
-    nf = int(faces.xl.size + faces.yb.size)
-    fbuf = geom.buffer(mesh, cdtype, "bk_fd_flux", (3, max(nf, 1)))
-    ops.fd_flat(
-        H, U, V, faces.xl, faces.xr, faces.yb, faces.yt,
-        xplan.indptr, xplan.cols, xplan._signed(cdtype),
-        yplan.indptr, yplan.cols, yplan._signed(cdtype),
-        bcells, boff, size, area,
-        fbuf[0], fbuf[1], fbuf[2], dH, dU, dV,
-        ct(GRAVITY), ct(0.5), ct(dt),
-    )
-    state.store(dH, dU, dV)
-    return True
+def try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy, muscl):
+    """CLAMR area-weighted rates on the active backend; None → oracle.
 
-
-def try_fd_bathy(mesh, state, dt, faces, geom, bathy) -> bool:
-    """Run the well-balanced FD step on the active backend; False → oracle."""
-    cdtype = state.policy.compute_dtype
-    ops = dispatch_ops(cdtype)
-    if ops is None:
-        return False
-    ct = cdtype.type
-    H, U, V = state.promoted()
-    b = np.ascontiguousarray(bathy, dtype=cdtype)
-    size, area = geom.geometry(mesh, cdtype)
-    dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
-    bcells, boff = _boundary_table(faces)
-    xs, ys = faces.sizes_as(cdtype)
-    maxf = max(int(faces.xl.size), int(faces.yb.size), 1)
-    fbuf = geom.buffer(mesh, cdtype, "bk_wb_flux", (4, maxf))
-    ops.fd_bathy(
-        H, U, V, b, faces.xl, faces.xr, xs, faces.yb, faces.yt, ys,
-        bcells, boff, size, area,
-        fbuf[0], fbuf[1], fbuf[2], fbuf[3], dH, dU, dV,
-        ct(GRAVITY), ct(0.5), ct(dt),
-    )
-    state.store(dH, dU, dV)
-    return True
-
-
-def try_muscl_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy):
-    """MUSCL spatial operator on the active backend; None → oracle."""
+    ``bathy`` is the bottom already cast to ``cdtype`` (None: flat);
+    ``muscl`` selects the second-order reconstruction.
+    """
     ops = dispatch_ops(cdtype)
     if ops is None:
         return None
     ct = cdtype.type
     size, _ = geom.geometry(mesh, cdtype)
     dH, dU, dV = geom.workspace3(mesh, cdtype, slot=slot)
-    nlft, nrht, nbot, ntop = _neighbors64(mesh)
+    xplan, yplan = faces.scatter_plans(mesh.ncells)
     bcells, boff = _boundary_table(faces)
-    sl = geom.buffer(mesh, cdtype, "bk_slopes", (6, mesh.ncells))
     maxf = max(int(faces.xl.size), int(faces.yb.size), 1)
-    if bathy is None:
-        xplan, yplan = faces.scatter_plans(mesh.ncells)
-        fb = geom.buffer(mesh, cdtype, "bk_muscl_flux", (3, maxf))
-        ops.muscl_flat(
-            H, U, V, nlft, nrht, nbot, ntop, size,
-            faces.xl, faces.xr, faces.yb, faces.yt,
-            xplan.indptr, xplan.cols, xplan._signed(cdtype),
-            yplan.indptr, yplan.cols, yplan._signed(cdtype),
-            bcells, boff,
-            sl[0], sl[1], sl[2], sl[3], sl[4], sl[5],
-            fb[0], fb[1], fb[2], dH, dU, dV, ct(GRAVITY), ct(0.5),
-        )
-    else:
-        b = np.ascontiguousarray(bathy, dtype=cdtype)
-        eta = H + b
-        xs, ys = faces.sizes_as(cdtype)
-        fb = geom.buffer(mesh, cdtype, "bk_wb_flux", (4, maxf))
-        ops.muscl_bathy(
-            H, U, V, b, eta, nlft, nrht, nbot, ntop, size,
-            faces.xl, faces.xr, xs, faces.yb, faces.yt, ys,
-            bcells, boff,
-            sl[0], sl[1], sl[2], sl[3], sl[4], sl[5],
-            fb[0], fb[1], fb[2], fb[3], dH, dU, dV, ct(GRAVITY), ct(0.5),
-        )
+    fb = geom.buffer(mesh, cdtype, "bk_flux", (4, maxf))
+    nbrs = (None,) * 4
+    sl = eta = None
+    if muscl:
+        nbrs = _neighbors64(mesh)
+        sl = geom.buffer(mesh, cdtype, "bk_slopes", (6, mesh.ncells))
+        if bathy is not None:
+            eta = H + bathy
+    ops.clamr_rhs(
+        H, U, V, bathy, eta, *nbrs, size,
+        faces.xl, faces.xr, xplan.indptr, xplan.cols, xplan._signed(cdtype),
+        faces.yb, faces.yt, yplan.indptr, yplan.cols, yplan._signed(cdtype),
+        bcells, boff, sl, fb[0], fb[1], fb[2], fb[3], dH, dU, dV,
+        ct(GRAVITY), ct(0.5),
+    )
     return dH, dU, dV
 
 
@@ -345,11 +288,10 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
         V = np.array([0.05, 0.0], dtype=dt)
         b = np.array([0.1, 0.2], dtype=dt)
         ones = np.ones(2, dtype=dt)
+        nbrs = [np.array(a, dtype=np.int64) for a in ([0, 0], [1, 1], [0, 1], [0, 1])]
         xl = np.array([0], dtype=np.int64)
         xr = np.array([1], dtype=np.int64)
         ey = np.empty(0, dtype=np.int64)
-        xsz = np.ones(1, dtype=dt)
-        ysz = np.empty(0, dtype=dt)
         xip = np.array([0, 1, 2], dtype=np.int32)
         xcols = np.array([0, 0], dtype=np.int32)
         xsgn = np.array([-1.0, 1.0], dtype=dt)
@@ -358,35 +300,13 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
         ysgn = np.empty(0, dtype=dt)
         bcells = np.array([0, 1, 0, 1], dtype=np.int64)
         boff = np.array([0, 1, 2, 3, 4], dtype=np.int64)
-        nlft = np.array([0, 0], dtype=np.int64)
-        nrht = np.array([1, 1], dtype=np.int64)
-        nbot = np.array([0, 1], dtype=np.int64)
-        ntop = np.array([0, 1], dtype=np.int64)
         f4 = np.empty((4, 1), dtype=dt)
         sl6 = np.empty((6, 2), dtype=dt)
         d3 = np.zeros((3, 2), dtype=dt)
-        ops.fd_flat(
-            H, U, V, xl, xr, ey, ey, xip, xcols, xsgn, yip, ycols, ysgn,
-            bcells, boff, ones, ones, f4[0], f4[1], f4[2],
-            d3[0], d3[1], d3[2], g, half, ct(0.01),
-        )
-        d3[:] = 0
-        ops.fd_bathy(
-            H, U, V, b, xl, xr, xsz, ey, ey, ysz, bcells, boff, ones, ones,
-            f4[0], f4[1], f4[2], f4[3], d3[0], d3[1], d3[2], g, half, ct(0.01),
-        )
-        d3[:] = 0
-        ops.muscl_flat(
-            H, U, V, nlft, nrht, nbot, ntop, ones, xl, xr, ey, ey,
-            xip, xcols, xsgn, yip, ycols, ysgn, bcells, boff,
-            sl6[0], sl6[1], sl6[2], sl6[3], sl6[4], sl6[5],
-            f4[0], f4[1], f4[2], d3[0], d3[1], d3[2], g, half,
-        )
-        d3[:] = 0
-        ops.muscl_bathy(
-            H, U, V, b, H + b, nlft, nrht, nbot, ntop, ones,
-            xl, xr, xsz, ey, ey, ysz, bcells, boff,
-            sl6[0], sl6[1], sl6[2], sl6[3], sl6[4], sl6[5],
+        # the most general call: MUSCL over bathymetry
+        ops.clamr_rhs(
+            H, U, V, b, H + b, *nbrs, ones, xl, xr, xip, xcols, xsgn,
+            ey, ey, yip, ycols, ysgn, bcells, boff, sl6,
             f4[0], f4[1], f4[2], f4[3], d3[0], d3[1], d3[2], g, half,
         )
     _WARMED.add(key)

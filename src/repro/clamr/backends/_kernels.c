@@ -31,4 +31,4 @@
 #undef KFABS
 
 /* ABI version stamp so stale cached .so files are never reused. */
-int repro_kernels_abi(void) { return 1; }
+int repro_kernels_abi(void) { return 2; }

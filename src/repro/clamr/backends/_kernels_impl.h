@@ -13,6 +13,9 @@
  * every float op rounds to float — the same single rounding per op NumPy
  * performs. Expression shapes below copy loops.py exactly; see that file
  * for the replay contract (np.maximum semantics, scatter order, etc.).
+ *
+ * The non-static definitions are the exports, exactly loops.__all__:
+ * clamr_rhs (every CLAMR scheme and bottom) and self_max_metric.
  */
 
 static inline T FN(npmax)(T a, T b) { return (a > b || a != a) ? a : b; }
@@ -97,107 +100,6 @@ static void FN(boundary)(
     }
 }
 
-/* Whole flat-bottom Rusanov step (finite_diff_vectorized body). */
-void FN(fd_flat)(
-    const T *H, const T *U, const T *V,
-    const int64_t *xl, const int64_t *xr, int64_t nxf,
-    const int64_t *yb, const int64_t *yt, int64_t nyf,
-    const int32_t *xip, const int32_t *xcols, const T *xsgn,
-    const int32_t *yip, const int32_t *ycols, const T *ysgn,
-    const int64_t *bcells, const int64_t *boff,
-    const T *size, const T *area, int64_t ncells,
-    T *fh, T *fn, T *ft, T *dH, T *dU, T *dV,
-    T g, T half, T dt)
-{
-    T hg = half * g;
-    int64_t i, cell;
-    int32_t jj;
-    for (i = 0; i < nxf; i++) {
-        int64_t L = xl[i], R = xr[i];
-        FN(rusanov)(H[L], U[L], V[L], H[R], U[R], V[R], g, half, hg,
-                    &fh[i], &fn[i], &ft[i]);
-    }
-    for (i = 0; i < nyf; i++) { /* y faces: normal/tangent swapped */
-        int64_t B = yb[i], Tt = yt[i];
-        FN(rusanov)(H[B], V[B], U[B], H[Tt], V[Tt], U[Tt], g, half, hg,
-                    &fh[nxf + i], &fn[nxf + i], &ft[nxf + i]);
-    }
-    for (cell = 0; cell < ncells; cell++) { /* x-group CSR scatter */
-        T accH = dH[cell], accU = dU[cell], accV = dV[cell];
-        for (jj = xip[cell]; jj < xip[cell + 1]; jj++) {
-            T s = xsgn[jj];
-            int64_t col = (int64_t)xcols[jj];
-            accH = accH + s * fh[col];
-            accU = accU + s * fn[col];
-            accV = accV + s * ft[col];
-        }
-        dH[cell] = accH; dU[cell] = accU; dV[cell] = accV;
-    }
-    for (cell = 0; cell < ncells; cell++) { /* y-group CSR scatter */
-        T accH = dH[cell], accU = dU[cell], accV = dV[cell];
-        for (jj = yip[cell]; jj < yip[cell + 1]; jj++) {
-            T s = ysgn[jj];
-            int64_t col = (int64_t)ycols[jj] + nxf;
-            accH = accH + s * fh[col];
-            accU = accU + s * ft[col]; /* y tangent momentum is U */
-            accV = accV + s * fn[col]; /* y normal momentum is V */
-        }
-        dH[cell] = accH; dU[cell] = accU; dV[cell] = accV;
-    }
-    FN(boundary)(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg);
-    for (cell = 0; cell < ncells; cell++) { /* d = d*scale + state */
-        T sc = dt / area[cell];
-        dH[cell] = dH[cell] * sc + H[cell];
-        dU[cell] = dU[cell] * sc + U[cell];
-        dV[cell] = dV[cell] * sc + V[cell];
-    }
-}
-
-/* Well-balanced bathymetry step (_finite_diff_bathy body). The scatter
- * replays the six sequential np.add.at passes per face group. */
-void FN(fd_bathy)(
-    const T *H, const T *U, const T *V, const T *b,
-    const int64_t *xl, const int64_t *xr, const T *xsz, int64_t nxf,
-    const int64_t *yb, const int64_t *yt, const T *ysz, int64_t nyf,
-    const int64_t *bcells, const int64_t *boff,
-    const T *size, const T *area, int64_t ncells,
-    T *f0, T *f1, T *f2, T *f3, T *dH, T *dU, T *dV,
-    T g, T half, T dt)
-{
-    T hg = half * g;
-    T zero = g - g;
-    int64_t i, cell;
-    for (i = 0; i < nxf; i++) {
-        int64_t L = xl[i], R = xr[i];
-        FN(wellbalanced)(H[L], U[L], V[L], H[R], U[R], V[R], b[L], b[R],
-                         g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
-    }
-    for (i = 0; i < nxf; i++) dH[xl[i]] += -(f0[i] * xsz[i]);
-    for (i = 0; i < nxf; i++) dH[xr[i]] += f0[i] * xsz[i];
-    for (i = 0; i < nxf; i++) dU[xl[i]] += -(f1[i] * xsz[i]);
-    for (i = 0; i < nxf; i++) dU[xr[i]] += f2[i] * xsz[i];
-    for (i = 0; i < nxf; i++) dV[xl[i]] += -(f3[i] * xsz[i]);
-    for (i = 0; i < nxf; i++) dV[xr[i]] += f3[i] * xsz[i];
-    for (i = 0; i < nyf; i++) { /* y faces: normal is V, tangent is U */
-        int64_t B = yb[i], Tt = yt[i];
-        FN(wellbalanced)(H[B], V[B], U[B], H[Tt], V[Tt], U[Tt], b[B], b[Tt],
-                         g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
-    }
-    for (i = 0; i < nyf; i++) dH[yb[i]] += -(f0[i] * ysz[i]);
-    for (i = 0; i < nyf; i++) dH[yt[i]] += f0[i] * ysz[i];
-    for (i = 0; i < nyf; i++) dU[yb[i]] += -(f3[i] * ysz[i]);
-    for (i = 0; i < nyf; i++) dU[yt[i]] += f3[i] * ysz[i];
-    for (i = 0; i < nyf; i++) dV[yb[i]] += -(f1[i] * ysz[i]);
-    for (i = 0; i < nyf; i++) dV[yt[i]] += f2[i] * ysz[i];
-    FN(boundary)(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg);
-    for (cell = 0; cell < ncells; cell++) { /* state + d*scale */
-        T sc = dt / area[cell];
-        dH[cell] = H[cell] + dH[cell] * sc;
-        dU[cell] = U[cell] + dU[cell] * sc;
-        dV[cell] = V[cell] + dV[cell] * sc;
-    }
-}
-
 static inline T FN(minmod)(T a, T b, T zero)
 {
     if (a * b > zero) return (KFABS(a) < KFABS(b)) ? a : b;
@@ -229,144 +131,97 @@ static void FN(slopes)(
     }
 }
 
-/* muscl_rhs over a flat bottom: slopes -> reconstruct -> flux -> CSR. */
-void FN(muscl_flat)(
-    const T *H, const T *U, const T *V,
-    const int64_t *nlft, const int64_t *nrht,
-    const int64_t *nbot, const int64_t *ntop, const T *size,
-    const int64_t *xl, const int64_t *xr, int64_t nxf,
-    const int64_t *yb, const int64_t *yt, int64_t nyf,
-    const int32_t *xip, const int32_t *xcols, const T *xsgn,
-    const int32_t *yip, const int32_t *ycols, const T *ysgn,
-    const int64_t *bcells, const int64_t *boff,
-    T *sxH, T *syH, T *sxU, T *syU, T *sxV, T *syV,
-    T *f0, T *f1, T *f2, T *dH, T *dU, T *dV,
-    int64_t ncells, T g, T half)
+/* One face group (loops.py _axis). N/Tm are the normal/tangent momenta
+ * (U/V on x, V/U on y). sH NULL: cell means; else the MUSCL
+ * reconstruction (of eta when b is set) with the positivity guard.
+ * b NULL: Rusanov into f0/f1/f3; else well-balanced into f0..f3. Then
+ * one walk over the CSR rows; a high-side entry (s > 0) reads the
+ * high-side normal flux. */
+static void FN(axis)(
+    const int64_t *lo, const int64_t *hi, int64_t nf,
+    const T *H, const T *N, const T *Tm, const T *b, const T *eta,
+    const T *sH, const T *sN, const T *sT, const T *size,
+    const int32_t *ip, const int32_t *cols, const T *sgn, int64_t ncells,
+    T *f0, T *f1, T *f2, T *f3, T *dH, T *dN, T *dT,
+    T g, T half, T hg, T zero)
 {
-    T hg = half * g;
-    T zero = g - g;
+    const T *fhi = b ? f2 : f1;
     int64_t i, cell;
     int32_t jj;
-    FN(slopes)(H, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxH, syH);
-    FN(slopes)(U, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxU, syU);
-    FN(slopes)(V, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxV, syV);
-    for (i = 0; i < nxf; i++) {
-        int64_t L = xl[i], R = xr[i];
-        T offL = half * size[L], offR = half * size[R];
-        T hL = H[L] + sxH[L] * offL;
-        T hR = H[R] - sxH[R] * offR;
-        T uL = U[L] + sxU[L] * offL;
-        T vL = V[L] + sxV[L] * offL;
-        T uR = U[R] - sxU[R] * offR;
-        T vR = V[R] - sxV[R] * offR;
-        if (hL <= zero || hR <= zero) { /* positivity guard: cell means */
-            hL = H[L]; uL = U[L]; vL = V[L];
-            hR = H[R]; uR = U[R]; vR = V[R];
+    for (i = 0; i < nf; i++) {
+        int64_t L = lo[i], R = hi[i];
+        T hL = H[L], nl = N[L], tl = Tm[L];
+        T hR = H[R], nr = N[R], tr = Tm[R];
+        if (sH) {
+            T offL = half * size[L], offR = half * size[R];
+            T rhL, rhR;
+            if (!b) {
+                rhL = hL + sH[L] * offL;
+                rhR = hR - sH[R] * offR;
+            } else { /* free surface, then depth against own bottom */
+                rhL = (eta[L] + sH[L] * offL) - b[L];
+                rhR = (eta[R] - sH[R] * offR) - b[R];
+            }
+            if (!(rhL <= zero || rhR <= zero)) { /* positivity guard */
+                hL = rhL;
+                nl = nl + sN[L] * offL;
+                tl = tl + sT[L] * offL;
+                hR = rhR;
+                nr = nr - sN[R] * offR;
+                tr = tr - sT[R] * offR;
+            }
         }
-        FN(rusanov)(hL, uL, vL, hR, uR, vR, g, half, hg, &f0[i], &f1[i], &f2[i]);
+        if (!b)
+            FN(rusanov)(hL, nl, tl, hR, nr, tr, g, half, hg, &f0[i], &f1[i], &f3[i]);
+        else
+            FN(wellbalanced)(hL, nl, tl, hR, nr, tr, b[L], b[R],
+                             g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
     }
     for (cell = 0; cell < ncells; cell++) {
-        T accH = dH[cell], accU = dU[cell], accV = dV[cell];
-        for (jj = xip[cell]; jj < xip[cell + 1]; jj++) {
-            T s = xsgn[jj];
-            int64_t col = (int64_t)xcols[jj];
+        T accH = dH[cell], accN = dN[cell], accT = dT[cell];
+        for (jj = ip[cell]; jj < ip[cell + 1]; jj++) {
+            T s = sgn[jj];
+            int64_t col = (int64_t)cols[jj];
+            const T *fn = s > zero ? fhi : f1;
             accH = accH + s * f0[col];
-            accU = accU + s * f1[col];
-            accV = accV + s * f2[col];
+            accN = accN + s * fn[col];
+            accT = accT + s * f3[col];
         }
-        dH[cell] = accH; dU[cell] = accU; dV[cell] = accV;
+        dH[cell] = accH; dN[cell] = accN; dT[cell] = accT;
     }
-    for (i = 0; i < nyf; i++) {
-        int64_t B = yb[i], Tt = yt[i];
-        T offB = half * size[B], offT = half * size[Tt];
-        T hB = H[B] + syH[B] * offB;
-        T hT = H[Tt] - syH[Tt] * offT;
-        T uB = U[B] + syU[B] * offB;
-        T vB = V[B] + syV[B] * offB;
-        T uT = U[Tt] - syU[Tt] * offT;
-        T vT = V[Tt] - syV[Tt] * offT;
-        if (hB <= zero || hT <= zero) {
-            hB = H[B]; uB = U[B]; vB = V[B];
-            hT = H[Tt]; uT = U[Tt]; vT = V[Tt];
-        }
-        FN(rusanov)(hB, vB, uB, hT, vT, uT, g, half, hg, &f0[i], &f1[i], &f2[i]);
-    }
-    for (cell = 0; cell < ncells; cell++) {
-        T accH = dH[cell], accU = dU[cell], accV = dV[cell];
-        for (jj = yip[cell]; jj < yip[cell + 1]; jj++) {
-            T s = ysgn[jj];
-            int64_t col = (int64_t)ycols[jj];
-            accH = accH + s * f0[col];
-            accU = accU + s * f2[col]; /* tangent (U) flux */
-            accV = accV + s * f1[col]; /* normal (V) flux */
-        }
-        dH[cell] = accH; dU[cell] = accU; dV[cell] = accV;
-    }
-    FN(boundary)(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg);
 }
 
-/* muscl_rhs over bathymetry: free-surface slopes + Audusse fluxes. */
-void FN(muscl_bathy)(
+/* The CLAMR spatial operator (loops.py clamr_rhs): area-weighted rates.
+ * sl NULL: first order; else a 6*ncells slope buffer (sxH, syH, sxU,
+ * syU, sxV, syV) and MUSCL. b NULL: flat bottom. */
+void FN(clamr_rhs)(
     const T *H, const T *U, const T *V, const T *b, const T *eta,
     const int64_t *nlft, const int64_t *nrht,
-    const int64_t *nbot, const int64_t *ntop, const T *size,
-    const int64_t *xl, const int64_t *xr, const T *xsz, int64_t nxf,
-    const int64_t *yb, const int64_t *yt, const T *ysz, int64_t nyf,
-    const int64_t *bcells, const int64_t *boff,
-    T *sxH, T *syH, T *sxU, T *syU, T *sxV, T *syV,
+    const int64_t *nbot, const int64_t *ntop,
+    const T *size, int64_t ncells,
+    const int64_t *xl, const int64_t *xr, int64_t nxf,
+    const int32_t *xip, const int32_t *xcols, const T *xsgn,
+    const int64_t *yb, const int64_t *yt, int64_t nyf,
+    const int32_t *yip, const int32_t *ycols, const T *ysgn,
+    const int64_t *bcells, const int64_t *boff, T *sl,
     T *f0, T *f1, T *f2, T *f3, T *dH, T *dU, T *dV,
-    int64_t ncells, T g, T half)
+    T g, T half)
 {
     T hg = half * g;
     T zero = g - g;
-    int64_t i, cell;
-    FN(slopes)(eta, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxH, syH);
-    FN(slopes)(U, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxU, syU);
-    FN(slopes)(V, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxV, syV);
-    for (i = 0; i < nxf; i++) {
-        int64_t L = xl[i], R = xr[i];
-        T offL = half * size[L], offR = half * size[R];
-        T hL = (eta[L] + sxH[L] * offL) - b[L];
-        T hR = (eta[R] - sxH[R] * offR) - b[R];
-        T uL = U[L] + sxU[L] * offL;
-        T vL = V[L] + sxV[L] * offL;
-        T uR = U[R] - sxU[R] * offR;
-        T vR = V[R] - sxV[R] * offR;
-        if (hL <= zero || hR <= zero) {
-            hL = H[L]; uL = U[L]; vL = V[L];
-            hR = H[R]; uR = U[R]; vR = V[R];
-        }
-        FN(wellbalanced)(hL, uL, vL, hR, uR, vR, b[L], b[R],
-                         g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
+    T *sxH = 0, *syH = 0, *sxU = 0, *syU = 0, *sxV = 0, *syV = 0;
+    if (sl) {
+        sxH = sl; syH = sl + ncells;
+        sxU = sl + 2 * ncells; syU = sl + 3 * ncells;
+        sxV = sl + 4 * ncells; syV = sl + 5 * ncells;
+        FN(slopes)(b ? eta : H, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxH, syH);
+        FN(slopes)(U, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxU, syU);
+        FN(slopes)(V, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxV, syV);
     }
-    for (i = 0; i < nxf; i++) dH[xl[i]] += -(f0[i] * xsz[i]);
-    for (i = 0; i < nxf; i++) dH[xr[i]] += f0[i] * xsz[i];
-    for (i = 0; i < nxf; i++) dU[xl[i]] += -(f1[i] * xsz[i]);
-    for (i = 0; i < nxf; i++) dU[xr[i]] += f2[i] * xsz[i];
-    for (i = 0; i < nxf; i++) dV[xl[i]] += -(f3[i] * xsz[i]);
-    for (i = 0; i < nxf; i++) dV[xr[i]] += f3[i] * xsz[i];
-    for (i = 0; i < nyf; i++) {
-        int64_t B = yb[i], Tt = yt[i];
-        T offB = half * size[B], offT = half * size[Tt];
-        T hB = (eta[B] + syH[B] * offB) - b[B];
-        T hT = (eta[Tt] - syH[Tt] * offT) - b[Tt];
-        T uB = U[B] + syU[B] * offB;
-        T vB = V[B] + syV[B] * offB;
-        T uT = U[Tt] - syU[Tt] * offT;
-        T vT = V[Tt] - syV[Tt] * offT;
-        if (hB <= zero || hT <= zero) {
-            hB = H[B]; uB = U[B]; vB = V[B];
-            hT = H[Tt]; uT = U[Tt]; vT = V[Tt];
-        }
-        FN(wellbalanced)(hB, vB, uB, hT, vT, uT, b[B], b[Tt],
-                         g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
-    }
-    for (i = 0; i < nyf; i++) dH[yb[i]] += -(f0[i] * ysz[i]);
-    for (i = 0; i < nyf; i++) dH[yt[i]] += f0[i] * ysz[i];
-    for (i = 0; i < nyf; i++) dU[yb[i]] += -(f3[i] * ysz[i]);
-    for (i = 0; i < nyf; i++) dU[yt[i]] += f3[i] * ysz[i];
-    for (i = 0; i < nyf; i++) dV[yb[i]] += -(f1[i] * ysz[i]);
-    for (i = 0; i < nyf; i++) dV[yt[i]] += f2[i] * ysz[i];
+    FN(axis)(xl, xr, nxf, H, U, V, b, eta, sxH, sxU, sxV, size,
+             xip, xcols, xsgn, ncells, f0, f1, f2, f3, dH, dU, dV, g, half, hg, zero);
+    FN(axis)(yb, yt, nyf, H, V, U, b, eta, syH, syV, syU, size,
+             yip, ycols, ysgn, ncells, f0, f1, f2, f3, dH, dV, dU, g, half, hg, zero);
     FN(boundary)(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg);
 }
 

@@ -34,7 +34,7 @@ import numpy as np
 _SRC_DIR = Path(__file__).resolve().parent
 _SOURCES = ("_kernels.c", "_kernels_impl.h")
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
-_ABI = 1
+_ABI = 2
 
 _lib = None
 _load_error: str | None = None
@@ -96,24 +96,10 @@ def _declare(lib) -> None:
     P = ctypes.c_void_p
     I = ctypes.c_int64
     for suffix, S in (("f32", ctypes.c_float), ("f64", ctypes.c_double)):
-        fn = getattr(lib, f"fd_flat_{suffix}")
+        fn = getattr(lib, f"clamr_rhs_{suffix}")
         fn.restype = None
-        fn.argtypes = [P, P, P, P, P, I, P, P, I, P, P, P, P, P, P,
-                       P, P, P, P, I, P, P, P, P, P, P, S, S, S]
-        fn = getattr(lib, f"fd_bathy_{suffix}")
-        fn.restype = None
-        fn.argtypes = [P, P, P, P, P, P, P, I, P, P, P, I, P, P,
-                       P, P, I, P, P, P, P, P, P, P, S, S, S]
-        fn = getattr(lib, f"muscl_flat_{suffix}")
-        fn.restype = None
-        fn.argtypes = [P, P, P, P, P, P, P, P, P, P, I, P, P, I,
-                       P, P, P, P, P, P, P, P,
-                       P, P, P, P, P, P, P, P, P, P, P, P, I, S, S]
-        fn = getattr(lib, f"muscl_bathy_{suffix}")
-        fn.restype = None
-        fn.argtypes = [P, P, P, P, P, P, P, P, P, P,
-                       P, P, P, I, P, P, P, I, P, P,
-                       P, P, P, P, P, P, P, P, P, P, P, P, P, I, S, S]
+        fn.argtypes = [P, P, P, P, P, P, P, P, P, P, I, P, P, I, P, P, P,
+                       P, P, I, P, P, P, P, P, P, P, P, P, P, P, P, P, S, S]
         fn = getattr(lib, f"self_max_metric_{suffix}")
         fn.restype = S
         fn.argtypes = [P, I, I, S, S, S, S, S, S]
@@ -155,8 +141,8 @@ def supports_dtype(dtype) -> bool:
     return np.dtype(dtype) in _SUFFIX
 
 
-def _p(arr: np.ndarray) -> int:
-    return arr.ctypes.data
+def _p(arr: np.ndarray | None) -> int | None:
+    return None if arr is None else arr.ctypes.data  # None passes NULL
 
 
 def _fn(name: str, like: np.ndarray):
@@ -165,55 +151,17 @@ def _fn(name: str, like: np.ndarray):
 
 # -- adapters: same positional signature as backends.loops ----------------
 
-def fd_flat(H, U, V, xl, xr, yb, yt, xip, xcols, xsgn, yip, ycols, ysgn,
-            bcells, boff, size, area, fh, fn, ft, dH, dU, dV, g, half, dt):
-    _fn("fd_flat", H)(
-        _p(H), _p(U), _p(V),
-        _p(xl), _p(xr), xl.shape[0], _p(yb), _p(yt), yb.shape[0],
-        _p(xip), _p(xcols), _p(xsgn), _p(yip), _p(ycols), _p(ysgn),
-        _p(bcells), _p(boff), _p(size), _p(area), H.shape[0],
-        _p(fh), _p(fn), _p(ft), _p(dH), _p(dU), _p(dV),
-        float(g), float(half), float(dt))
-
-
-def fd_bathy(H, U, V, b, xl, xr, xsz, yb, yt, ysz, bcells, boff, size, area,
-             f0, f1, f2, f3, dH, dU, dV, g, half, dt):
-    _fn("fd_bathy", H)(
-        _p(H), _p(U), _p(V), _p(b),
-        _p(xl), _p(xr), _p(xsz), xl.shape[0],
-        _p(yb), _p(yt), _p(ysz), yb.shape[0],
-        _p(bcells), _p(boff), _p(size), _p(area), H.shape[0],
-        _p(f0), _p(f1), _p(f2), _p(f3), _p(dH), _p(dU), _p(dV),
-        float(g), float(half), float(dt))
-
-
-def muscl_flat(H, U, V, nlft, nrht, nbot, ntop, size, xl, xr, yb, yt,
-               xip, xcols, xsgn, yip, ycols, ysgn, bcells, boff,
-               sxH, syH, sxU, syU, sxV, syV, f0, f1, f2, dH, dU, dV, g, half):
-    _fn("muscl_flat", H)(
-        _p(H), _p(U), _p(V),
-        _p(nlft), _p(nrht), _p(nbot), _p(ntop), _p(size),
-        _p(xl), _p(xr), xl.shape[0], _p(yb), _p(yt), yb.shape[0],
-        _p(xip), _p(xcols), _p(xsgn), _p(yip), _p(ycols), _p(ysgn),
-        _p(bcells), _p(boff),
-        _p(sxH), _p(syH), _p(sxU), _p(syU), _p(sxV), _p(syV),
-        _p(f0), _p(f1), _p(f2), _p(dH), _p(dU), _p(dV),
-        H.shape[0], float(g), float(half))
-
-
-def muscl_bathy(H, U, V, b, eta, nlft, nrht, nbot, ntop, size,
-                xl, xr, xsz, yb, yt, ysz, bcells, boff,
-                sxH, syH, sxU, syU, sxV, syV, f0, f1, f2, f3,
-                dH, dU, dV, g, half):
-    _fn("muscl_bathy", H)(
+def clamr_rhs(H, U, V, b, eta, nlft, nrht, nbot, ntop, size,
+              xl, xr, xip, xcols, xsgn, yb, yt, yip, ycols, ysgn,
+              bcells, boff, sl, f0, f1, f2, f3, dH, dU, dV, g, half):
+    _fn("clamr_rhs", H)(
         _p(H), _p(U), _p(V), _p(b), _p(eta),
-        _p(nlft), _p(nrht), _p(nbot), _p(ntop), _p(size),
-        _p(xl), _p(xr), _p(xsz), xl.shape[0],
-        _p(yb), _p(yt), _p(ysz), yb.shape[0],
-        _p(bcells), _p(boff),
-        _p(sxH), _p(syH), _p(sxU), _p(syU), _p(sxV), _p(syV),
+        _p(nlft), _p(nrht), _p(nbot), _p(ntop), _p(size), H.shape[0],
+        _p(xl), _p(xr), xl.shape[0], _p(xip), _p(xcols), _p(xsgn),
+        _p(yb), _p(yt), yb.shape[0], _p(yip), _p(ycols), _p(ysgn),
+        _p(bcells), _p(boff), _p(sl),
         _p(f0), _p(f1), _p(f2), _p(f3), _p(dH), _p(dU), _p(dV),
-        H.shape[0], float(g), float(half))
+        float(g), float(half))
 
 
 def self_max_metric(Uf, nelem, n3, mx, my, mz, gamma, gm1, half):

@@ -32,10 +32,9 @@ The bit contract imposes three authoring rules:
 The CSR scatters replay scipy's ``csr_matvec`` accumulation (strict
 left-to-right in stored order — the same order ``np.add.at`` uses, by
 :class:`~repro.clamr.kernels.ScatterPlan` construction).  The
-well-balanced paths keep one full pass per (variable, side) instead: that
-visits each cell's contributions in the same order — low side in face
-order, then high side in face order — as the sided plan the NumPy
-kernels scatter through.
+well-balanced normal momentum walks the same rows sided: an entry stored
+``+fsz`` sits on its face's high side and reads the high-side flux, as
+the sided ``ScatterPlan.apply`` does.
 
 Argument conventions (shared verbatim by the C backend, see
 ``_kernels_impl.h``): state/geometry arrays are 1-D contiguous of the
@@ -49,13 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "fd_flat",
-    "fd_bathy",
-    "muscl_flat",
-    "muscl_bathy",
-    "self_max_metric",
-]
+__all__ = ["clamr_rhs", "self_max_metric"]
 
 
 def _npmax(a, b):
@@ -114,10 +107,8 @@ def _wellbalanced(hL, nl, tl, hR, nr, tr, bl, br, g, half, hg, zero):
 def _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg):
     """Reflective-wall fluxes, side by side in left|right|bottom|top order.
 
-    Replays both the fused boundary of ``finite_diff_vectorized`` and the
-    per-side bathymetry/muscl application (they are bit-identical: corner
-    cells accumulate in the same side order, and ``acc += (±1·f)·s`` ==
-    ``acc ± f·s`` exactly).
+    Replays ``_reflective_walls``: corner cells accumulate in the same
+    side order.
     """
     for k in range(boff[0], boff[1]):  # left wall: interior right of it
         c = bcells[k]
@@ -149,148 +140,6 @@ def _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg):
         dU[c] -= ft * fs
 
 
-def fd_flat(
-    H, U, V,
-    xl, xr, yb, yt,
-    xip, xcols, xsgn, yip, ycols, ysgn,
-    bcells, boff, size, area,
-    fh, fn, ft, dH, dU, dV,
-    g, half, dt,
-):
-    """Whole flat-bottom Rusanov step: ``finite_diff_vectorized``'s body.
-
-    ``dH``/``dU``/``dV`` arrive zeroed and leave holding the *updated
-    state* (``d·scale + old``), ready for ``state.store``.  ``fh/fn/ft``
-    are face-flux scratch of length ``len(xl) + len(yb)``.
-    """
-    hg = half * g
-    nxf = xl.shape[0]
-    nyf = yb.shape[0]
-    ncells = H.shape[0]
-    for i in range(nxf):
-        L = xl[i]
-        R = xr[i]
-        a, b, c = _rusanov(H[L], U[L], V[L], H[R], U[R], V[R], g, half, hg)
-        fh[i] = a
-        fn[i] = b
-        ft[i] = c
-    for i in range(nyf):  # y faces ride along with normal/tangent swapped
-        B = yb[i]
-        T = yt[i]
-        a, b, c = _rusanov(H[B], V[B], U[B], H[T], V[T], U[T], g, half, hg)
-        fh[nxf + i] = a
-        fn[nxf + i] = b
-        ft[nxf + i] = c
-    # x-group CSR scatter strictly before y-group (per-cell accumulation
-    # order contract); the fused row walk keeps each accumulator's
-    # sequence identical to three csr_matvec calls
-    for cell in range(ncells):
-        accH = dH[cell]
-        accU = dU[cell]
-        accV = dV[cell]
-        for jj in range(xip[cell], xip[cell + 1]):
-            s = xsgn[jj]
-            col = xcols[jj]
-            accH = accH + s * fh[col]
-            accU = accU + s * fn[col]
-            accV = accV + s * ft[col]
-        dH[cell] = accH
-        dU[cell] = accU
-        dV[cell] = accV
-    for cell in range(ncells):
-        accH = dH[cell]
-        accU = dU[cell]
-        accV = dV[cell]
-        for jj in range(yip[cell], yip[cell + 1]):
-            s = ysgn[jj]
-            col = ycols[jj] + nxf
-            accH = accH + s * fh[col]
-            accU = accU + s * ft[col]  # y tangent momentum is U
-            accV = accV + s * fn[col]  # y normal momentum is V
-        dH[cell] = accH
-        dU[cell] = accU
-        dV[cell] = accV
-    _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg)
-    # d = d*scale + state  (np.multiply(d, scale, out=d); np.add(d, s, out=d))
-    for cell in range(ncells):
-        sc = dt / area[cell]
-        dH[cell] = dH[cell] * sc + H[cell]
-        dU[cell] = dU[cell] * sc + U[cell]
-        dV[cell] = dV[cell] * sc + V[cell]
-
-
-def fd_bathy(
-    H, U, V, b,
-    xl, xr, xsz, yb, yt, ysz,
-    bcells, boff, size, area,
-    f0, f1, f2, f3, dH, dU, dV,
-    g, half, dt,
-):
-    """Well-balanced step over bathymetry: ``_finite_diff_bathy``'s body.
-
-    The scatter runs one pass per variable and side rather than the NumPy
-    path's sided CSR rows; the per-cell order is the same (low side in
-    face order, then high side), so the bits are too.  ``f0..f3`` are
-    flux scratch of length ``max(len(xl), len(yb))``.
-    """
-    hg = half * g
-    zero = g - g
-    nxf = xl.shape[0]
-    nyf = yb.shape[0]
-    ncells = H.shape[0]
-    for i in range(nxf):
-        L = xl[i]
-        R = xr[i]
-        a0, a1, a2, a3 = _wellbalanced(
-            H[L], U[L], V[L], H[R], U[R], V[R], b[L], b[R], g, half, hg, zero
-        )
-        f0[i] = a0
-        f1[i] = a1
-        f2[i] = a2
-        f3[i] = a3
-    for i in range(nxf):
-        dH[xl[i]] += -(f0[i] * xsz[i])
-    for i in range(nxf):
-        dH[xr[i]] += f0[i] * xsz[i]
-    for i in range(nxf):
-        dU[xl[i]] += -(f1[i] * xsz[i])
-    for i in range(nxf):
-        dU[xr[i]] += f2[i] * xsz[i]
-    for i in range(nxf):
-        dV[xl[i]] += -(f3[i] * xsz[i])
-    for i in range(nxf):
-        dV[xr[i]] += f3[i] * xsz[i]
-    for i in range(nyf):  # y faces: normal momentum is V, tangent is U
-        B = yb[i]
-        T = yt[i]
-        a0, a1, a2, a3 = _wellbalanced(
-            H[B], V[B], U[B], H[T], V[T], U[T], b[B], b[T], g, half, hg, zero
-        )
-        f0[i] = a0
-        f1[i] = a1
-        f2[i] = a2
-        f3[i] = a3
-    for i in range(nyf):
-        dH[yb[i]] += -(f0[i] * ysz[i])
-    for i in range(nyf):
-        dH[yt[i]] += f0[i] * ysz[i]
-    for i in range(nyf):
-        dU[yb[i]] += -(f3[i] * ysz[i])
-    for i in range(nyf):
-        dU[yt[i]] += f3[i] * ysz[i]
-    for i in range(nyf):
-        dV[yb[i]] += -(f1[i] * ysz[i])
-    for i in range(nyf):
-        dV[yt[i]] += f2[i] * ysz[i]
-    _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg)
-    # state.store(H + dH*scale, ...) — state-first add order
-    for cell in range(ncells):
-        sc = dt / area[cell]
-        dH[cell] = H[cell] + dH[cell] * sc
-        dU[cell] = U[cell] + dU[cell] * sc
-        dV[cell] = V[cell] + dV[cell] * sc
-
-
 def _minmod(a, b, zero):
     """Scalar minmod: smaller-magnitude argument when signs agree, else 0."""
     if a * b > zero:
@@ -320,193 +169,107 @@ def _slopes(q, nlft, nrht, nbot, ntop, size, half, zero, sx, sy):
         sy[c] = _minmod(dm / dxm, dp / dxp, zero)
 
 
-def muscl_flat(
-    H, U, V,
-    nlft, nrht, nbot, ntop, size,
-    xl, xr, yb, yt,
-    xip, xcols, xsgn, yip, ycols, ysgn,
-    bcells, boff,
-    sxH, syH, sxU, syU, sxV, syV,
-    f0, f1, f2, dH, dU, dV,
-    g, half,
+def _axis(
+    lo, hi, H, N, T, b, eta, sH, sN, sT, size,
+    ip, cols, sgn, f0, f1, f2, f3, dH, dN, dT,
+    g, half, hg, zero,
 ):
-    """``muscl_rhs`` over a flat bottom: slopes → reconstruct → flux → CSR.
+    """One face group of ``muscl_rhs`` / ``finite_diff_vectorized``.
 
-    ``dH/dU/dV`` arrive zeroed and leave holding the area-scaled rates
-    (no dt applied — Heun's combination stays in the caller).
+    ``N``/``T`` are the face-normal and face-tangent momenta (U/V for the
+    x group, V/U for the y group), ``dN``/``dT`` their accumulators.
+    With ``sH`` None the face states are the cell means (first order);
+    otherwise each side is reconstructed from the slopes ``sH/sN/sT`` —
+    of the free surface ``eta`` when ``b`` is set — and the positivity
+    guard falls back to the cell means.  ``b`` None selects the Rusanov
+    flux, else the well-balanced one.  Fluxes land in ``f0`` (depth),
+    ``f1``/``f2`` (low-/high-side normal momentum; Rusanov writes only
+    ``f1``, the antisymmetric flux) and ``f3`` (tangent), then one walk
+    over the CSR rows ``ip/cols/sgn`` replays ``ScatterPlan.apply``.
     """
-    hg = half * g
-    zero = g - g
-    _slopes(H, nlft, nrht, nbot, ntop, size, half, zero, sxH, syH)
-    _slopes(U, nlft, nrht, nbot, ntop, size, half, zero, sxU, syU)
-    _slopes(V, nlft, nrht, nbot, ntop, size, half, zero, sxV, syV)
-    nxf = xl.shape[0]
-    nyf = yb.shape[0]
-    ncells = H.shape[0]
-    for i in range(nxf):
-        L = xl[i]
-        R = xr[i]
-        offL = half * size[L]
-        offR = half * size[R]
-        hL = H[L] + sxH[L] * offL
-        hR = H[R] - sxH[R] * offR
-        uL = U[L] + sxU[L] * offL
-        vL = V[L] + sxV[L] * offL
-        uR = U[R] - sxU[R] * offR
-        vR = V[R] - sxV[R] * offR
-        if hL <= zero or hR <= zero:  # positivity guard: cell means
-            hL = H[L]
-            uL = U[L]
-            vL = V[L]
-            hR = H[R]
-            uR = U[R]
-            vR = V[R]
-        a, b, c = _rusanov(hL, uL, vL, hR, uR, vR, g, half, hg)
-        f0[i] = a
-        f1[i] = b
-        f2[i] = c
-    for cell in range(ncells):
+    for i in range(lo.shape[0]):
+        L = lo[i]
+        R = hi[i]
+        hL = H[L]
+        nl = N[L]
+        tl = T[L]
+        hR = H[R]
+        nr = N[R]
+        tr = T[R]
+        if sH is not None:
+            offL = half * size[L]
+            offR = half * size[R]
+            if b is None:
+                rhL = hL + sH[L] * offL
+                rhR = hR - sH[R] * offR
+            else:
+                # reconstruct the free surface, then recover the depth
+                # against the cell's own bottom
+                rhL = (eta[L] + sH[L] * offL) - b[L]
+                rhR = (eta[R] - sH[R] * offR) - b[R]
+            if not (rhL <= zero or rhR <= zero):  # positivity guard
+                hL = rhL
+                nl = nl + sN[L] * offL
+                tl = tl + sT[L] * offL
+                hR = rhR
+                nr = nr - sN[R] * offR
+                tr = tr - sT[R] * offR
+        if b is None:
+            f0[i], f1[i], f3[i] = _rusanov(hL, nl, tl, hR, nr, tr, g, half, hg)
+        else:
+            f0[i], f1[i], f2[i], f3[i] = _wellbalanced(
+                hL, nl, tl, hR, nr, tr, b[L], b[R], g, half, hg, zero
+            )
+    # a high-side entry (stored +fsz) reads the high-side normal flux
+    fhi = f1 if b is None else f2
+    for cell in range(dH.shape[0]):
         accH = dH[cell]
-        accU = dU[cell]
-        accV = dV[cell]
-        for jj in range(xip[cell], xip[cell + 1]):
-            s = xsgn[jj]
-            col = xcols[jj]
+        accN = dN[cell]
+        accT = dT[cell]
+        for jj in range(ip[cell], ip[cell + 1]):
+            s = sgn[jj]
+            col = cols[jj]
             accH = accH + s * f0[col]
-            accU = accU + s * f1[col]
-            accV = accV + s * f2[col]
+            accN = accN + s * (fhi[col] if s > zero else f1[col])
+            accT = accT + s * f3[col]
         dH[cell] = accH
-        dU[cell] = accU
-        dV[cell] = accV
-    for i in range(nyf):
-        B = yb[i]
-        T = yt[i]
-        offB = half * size[B]
-        offT = half * size[T]
-        hB = H[B] + syH[B] * offB
-        hT = H[T] - syH[T] * offT
-        uB = U[B] + syU[B] * offB
-        vB = V[B] + syV[B] * offB
-        uT = U[T] - syU[T] * offT
-        vT = V[T] - syV[T] * offT
-        if hB <= zero or hT <= zero:
-            hB = H[B]
-            uB = U[B]
-            vB = V[B]
-            hT = H[T]
-            uT = U[T]
-            vT = V[T]
-        a, b, c = _rusanov(hB, vB, uB, hT, vT, uT, g, half, hg)
-        f0[i] = a
-        f1[i] = b  # normal-momentum (V) flux
-        f2[i] = c  # tangent-momentum (U) flux
-    for cell in range(ncells):
-        accH = dH[cell]
-        accU = dU[cell]
-        accV = dV[cell]
-        for jj in range(yip[cell], yip[cell + 1]):
-            s = ysgn[jj]
-            col = ycols[jj]
-            accH = accH + s * f0[col]
-            accU = accU + s * f2[col]
-            accV = accV + s * f1[col]
-        dH[cell] = accH
-        dU[cell] = accU
-        dV[cell] = accV
-    _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg)
+        dN[cell] = accN
+        dT[cell] = accT
 
 
-def muscl_bathy(
+def clamr_rhs(
     H, U, V, b, eta,
     nlft, nrht, nbot, ntop, size,
-    xl, xr, xsz, yb, yt, ysz,
-    bcells, boff,
-    sxH, syH, sxU, syU, sxV, syV,
+    xl, xr, xip, xcols, xsgn,
+    yb, yt, yip, ycols, ysgn,
+    bcells, boff, sl,
     f0, f1, f2, f3, dH, dU, dV,
     g, half,
 ):
-    """``muscl_rhs`` over bathymetry: free-surface slopes + Audusse fluxes."""
+    """The CLAMR spatial operator: area-weighted rates into ``dH/dU/dV``.
+
+    One body for both schemes and both bottoms.  ``sl`` None runs the
+    first-order step (``finite_diff_vectorized``'s rates); a ``(6,
+    ncells)`` slope buffer runs ``muscl_rhs`` (rows sxH, syH, sxU, syU,
+    sxV, syV; the neighbor arrays are read only then).  ``b`` None is a
+    flat bottom; with ``b`` set the interior faces take the well-balanced
+    flux and MUSCL reconstructs ``eta = H + b``.  ``dH/dU/dV`` arrive
+    zeroed; ``f0..f3`` are flux scratch of length ``max(len(xl),
+    len(yb))``.  The x group scatters strictly before the y group (the
+    per-cell accumulation order contract), then the walls.
+    """
     hg = half * g
     zero = g - g
-    _slopes(eta, nlft, nrht, nbot, ntop, size, half, zero, sxH, syH)
-    _slopes(U, nlft, nrht, nbot, ntop, size, half, zero, sxU, syU)
-    _slopes(V, nlft, nrht, nbot, ntop, size, half, zero, sxV, syV)
-    nxf = xl.shape[0]
-    nyf = yb.shape[0]
-    for i in range(nxf):
-        L = xl[i]
-        R = xr[i]
-        offL = half * size[L]
-        offR = half * size[R]
-        hL = (eta[L] + sxH[L] * offL) - b[L]
-        hR = (eta[R] - sxH[R] * offR) - b[R]
-        uL = U[L] + sxU[L] * offL
-        vL = V[L] + sxV[L] * offL
-        uR = U[R] - sxU[R] * offR
-        vR = V[R] - sxV[R] * offR
-        if hL <= zero or hR <= zero:
-            hL = H[L]
-            uL = U[L]
-            vL = V[L]
-            hR = H[R]
-            uR = U[R]
-            vR = V[R]
-        a0, a1, a2, a3 = _wellbalanced(
-            hL, uL, vL, hR, uR, vR, b[L], b[R], g, half, hg, zero
-        )
-        f0[i] = a0
-        f1[i] = a1
-        f2[i] = a2
-        f3[i] = a3
-    for i in range(nxf):
-        dH[xl[i]] += -(f0[i] * xsz[i])
-    for i in range(nxf):
-        dH[xr[i]] += f0[i] * xsz[i]
-    for i in range(nxf):
-        dU[xl[i]] += -(f1[i] * xsz[i])
-    for i in range(nxf):
-        dU[xr[i]] += f2[i] * xsz[i]
-    for i in range(nxf):
-        dV[xl[i]] += -(f3[i] * xsz[i])
-    for i in range(nxf):
-        dV[xr[i]] += f3[i] * xsz[i]
-    for i in range(nyf):
-        B = yb[i]
-        T = yt[i]
-        offB = half * size[B]
-        offT = half * size[T]
-        hB = (eta[B] + syH[B] * offB) - b[B]
-        hT = (eta[T] - syH[T] * offT) - b[T]
-        uB = U[B] + syU[B] * offB
-        vB = V[B] + syV[B] * offB
-        uT = U[T] - syU[T] * offT
-        vT = V[T] - syV[T] * offT
-        if hB <= zero or hT <= zero:
-            hB = H[B]
-            uB = U[B]
-            vB = V[B]
-            hT = H[T]
-            uT = U[T]
-            vT = V[T]
-        a0, a1, a2, a3 = _wellbalanced(
-            hB, vB, uB, hT, vT, uT, b[B], b[T], g, half, hg, zero
-        )
-        f0[i] = a0
-        f1[i] = a1
-        f2[i] = a2
-        f3[i] = a3
-    for i in range(nyf):
-        dH[yb[i]] += -(f0[i] * ysz[i])
-    for i in range(nyf):
-        dH[yt[i]] += f0[i] * ysz[i]
-    for i in range(nyf):
-        dU[yb[i]] += -(f3[i] * ysz[i])
-    for i in range(nyf):
-        dU[yt[i]] += f3[i] * ysz[i]
-    for i in range(nyf):
-        dV[yb[i]] += -(f1[i] * ysz[i])
-    for i in range(nyf):
-        dV[yt[i]] += f2[i] * ysz[i]
+    sxH = syH = sxU = syU = sxV = syV = None
+    if sl is not None:
+        sxH, syH, sxU, syU, sxV, syV = sl
+        _slopes(H if b is None else eta, nlft, nrht, nbot, ntop, size, half, zero, sxH, syH)
+        _slopes(U, nlft, nrht, nbot, ntop, size, half, zero, sxU, syU)
+        _slopes(V, nlft, nrht, nbot, ntop, size, half, zero, sxV, syV)
+    _axis(xl, xr, H, U, V, b, eta, sxH, sxU, sxV, size,
+          xip, xcols, xsgn, f0, f1, f2, f3, dH, dU, dV, g, half, hg, zero)
+    _axis(yb, yt, H, V, U, b, eta, syH, syV, syU, size,
+          yip, ycols, ysgn, f0, f1, f2, f3, dH, dV, dU, g, half, hg, zero)
     _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg)
 
 

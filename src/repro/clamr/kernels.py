@@ -8,11 +8,10 @@ loop", and Table III's whole point is comparing an **unvectorized** and a
 face lists — is the vectorized row (the SIMD analogue), the production
 path and the bit-exactness oracle.  The unvectorized row (the scalar-CPU
 analogue) is the same step run one face at a time by the ``python``
-kernel backend (``fd_flat``/``fd_bathy`` in
-:mod:`repro.clamr.backends.loops`, selected by
-``ClamrSimulation(vectorized=False)``): a loop over NumPy scalars of the
-compute dtype that replays this module's operation sequence, so the two
-rows produce the same bits.
+kernel backend (``clamr_rhs`` in :mod:`repro.clamr.backends.loops`,
+selected by ``ClamrSimulation(vectorized=False)``): a loop over NumPy
+scalars of the compute dtype that replays this module's operation
+sequence, so the two rows produce the same bits.
 
 Scheme
 ------
@@ -408,18 +407,6 @@ class FaceLists:
             object.__setattr__(self, "_bnd_concat", cached)
         return cached
 
-    def sizes_as(self, cdtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-        """(xsize, ysize) cast to the compute dtype, memoized per dtype."""
-        cache = getattr(self, "_size_casts", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_size_casts", cache)
-        cast = cache.get(cdtype)
-        if cast is None:
-            cast = (self.xsize.astype(cdtype), self.ysize.astype(cdtype))
-            cache[cdtype] = cast
-        return cast
-
 
 def _rusanov_x(hL, uL, vL, hR, uR, vR, g):
     """Rusanov flux in +x for (H, U, V); works on arrays or scalars.
@@ -440,12 +427,6 @@ def _rusanov_x(hL, uL, vL, hR, uR, vR, g):
     fh = 0.5 * (fh_L + fh_R) - 0.5 * lam * (hR - hL)
     fu = 0.5 * (fu_L + fu_R) - 0.5 * lam * (uR - uL)
     fv = 0.5 * (fv_L + fv_R) - 0.5 * lam * (vR - vL)
-    return fh, fu, fv
-
-
-def _rusanov_y(hB, uB, vB, hT, uT, vT, g):
-    """Rusanov flux in +y; by symmetry, x-flux with (U, V) swapped."""
-    fh, fv, fu = _rusanov_x(hB, vB, uB, hT, vT, uT, g)
     return fh, fu, fv
 
 
@@ -497,6 +478,29 @@ def _wellbalanced_x(hL, nL, tL, hR, nR, tR, bL, bR, g):
     phiL = (fn - 0.5 * g * hsL * hsL) + 0.5 * g * hL * hL
     phiR = (fn - 0.5 * g * hsR * hsR) + 0.5 * g * hR * hR
     return fh, phiL, phiR, ft
+
+
+def _interior_fluxes(plan, lo, hi, hL, nL, tL, hR, nR, tR, b, g, dH, dN, dT):
+    """Flux one interior face group and scatter it through its plan.
+
+    ``lo``/``hi`` are the group's low/high cells, the ``h/n/t`` arguments
+    the face states on each side (depth, normal and tangent momentum),
+    and ``dN``/``dT`` the normal/tangent accumulators.  ``b`` None takes
+    the Rusanov flux; a compute-dtype bottom takes the well-balanced one,
+    whose normal momentum scatters sided (each side its own ``phi``).
+    Returns the flux arrays it scattered.
+    """
+    if b is None:
+        fluxes = _rusanov_x(hL, nL, tL, hR, nR, tR, g)
+        fh, fn, ft = fluxes
+        plan.apply(dN, fn)
+    else:
+        fluxes = _wellbalanced_x(hL, nL, tL, hR, nR, tR, b[lo], b[hi], g)
+        fh, phiL, phiR, ft = fluxes
+        plan.apply(dN, phiL, phiR)
+    plan.apply(dH, fh)
+    plan.apply(dT, ft)
+    return fluxes
 
 
 def _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp):
@@ -652,60 +656,19 @@ def _count_work(
     counters.add(flops=flops, state_bytes=state_bytes, compute_bytes=compute_bytes)
 
 
-def _finite_diff_bathy(
-    mesh: AmrMesh,
-    state: ShallowWaterState,
-    dt: float,
-    faces: FaceLists,
-    counters: KernelCounters | None,
-    geom: GeometryCache,
-    bathy: np.ndarray,
-) -> None:
-    """Conservative timestep over variable bathymetry (vectorized).
+def _bathy_as(mesh: AmrMesh, bathy: np.ndarray, cdtype: np.dtype) -> np.ndarray:
+    """The per-cell bottom as a contiguous ``cdtype`` array, length-checked.
 
-    Interior faces use :func:`_wellbalanced_x` (hydrostatic
-    reconstruction) and scatter through the same scatter plans as
-    the flat kernel, the normal momentum through the sided form (each side
-    gets its own ``phi``).  Reflective walls are unchanged
-    (:func:`_reflective_walls`): the ghost cell mirrors the interior
-    bathymetry, so the wall flux is the plain mirror Rusanov flux, whose
-    pressure term matches the interior ``phi`` bits at rest (the
-    lake-at-rest ULP guarantee).
+    Every kernel entry point takes its bottom through here: the compiled
+    backend indexes it unchecked, so a wrong length must fail before any
+    backend reads it.
     """
-    cdtype = state.policy.compute_dtype
-    g = cdtype.type(GRAVITY)
-    dt_c = cdtype.type(dt)
-
-    H, U, V = state.promoted()
-    b = np.ascontiguousarray(bathy, dtype=cdtype)
-    _, area = geom.geometry(mesh, cdtype)
-    xplan, yplan = faces.scatter_plans(mesh.ncells)
-    dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
-
-    if faces.xl.size:
-        L, R = faces.xl, faces.xr
-        fh, phiL, phiR, fv = _wellbalanced_x(
-            H[L], U[L], V[L], H[R], U[R], V[R], b[L], b[R], g
+    bathy = np.asarray(bathy)
+    if bathy.shape != (mesh.ncells,):
+        raise ValueError(
+            f"bathymetry has shape {bathy.shape}; the mesh has {mesh.ncells} cells"
         )
-        xplan.apply(dH, fh)
-        xplan.apply(dU, phiL, phiR)
-        xplan.apply(dV, fv)
-
-    # interior y-faces: normal momentum is V, tangent is U
-    if faces.yb.size:
-        B, T = faces.yb, faces.yt
-        fh, phiB, phiT, fu = _wellbalanced_x(
-            H[B], V[B], U[B], H[T], V[T], U[T], b[B], b[T], g
-        )
-        yplan.apply(dH, fh)
-        yplan.apply(dU, fu)
-        yplan.apply(dV, phiB, phiT)
-
-    _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
-
-    scale = dt_c / area
-    state.store(H + dH * scale, U + dU * scale, V + dV * scale)
-    _count_work(counters, mesh, state, faces)
+    return np.ascontiguousarray(bathy, dtype=cdtype)
 
 
 def finite_diff_vectorized(
@@ -735,79 +698,87 @@ def finite_diff_vectorized(
     geom:
         Geometry/workspace cache; defaults to the process-wide one.
     bathy:
-        Optional per-cell bottom elevation.  ``None`` (the default) keeps
-        the flat-bottom kernel bit-for-bit unchanged; an array routes the
-        step through the well-balanced hydrostatic-reconstruction path
-        (:func:`_finite_diff_bathy`).
+        Optional per-cell bottom elevation, one value per cell.  ``None``
+        (the default) is a flat bottom; an array switches the interior
+        faces to the well-balanced hydrostatic-reconstruction flux
+        (:func:`_wellbalanced_x`).
     """
     if faces is None:
         faces = FaceLists.from_mesh(mesh)
     if geom is None:
         geom = _DEFAULT_GEOMETRY_CACHE
+    cdtype = state.policy.compute_dtype
+    b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
+    H, U, V = state.promoted()
+    rates = None
     # backend dispatch only in "plan" mode: scatter_mode("add_at") is the
     # explicit full-oracle request and must win over any backend
-    dispatch = _SCATTER_MODE == "plan"
-    if bathy is not None:
-        if dispatch and _backends.try_fd_bathy(mesh, state, dt, faces, geom, bathy):
-            _count_work(counters, mesh, state, faces)
-            return
-        _finite_diff_bathy(mesh, state, dt, faces, counters, geom, bathy)
-        return
-    if dispatch and _backends.try_fd_flat(mesh, state, dt, faces, geom):
-        _count_work(counters, mesh, state, faces)
-        return
-    cdtype = state.policy.compute_dtype
-    g = cdtype.type(GRAVITY)
-    dt_c = cdtype.type(dt)
+    if _SCATTER_MODE == "plan":
+        rates = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
+    if rates is None:
+        g = cdtype.type(GRAVITY)
+        xplan, yplan = faces.scatter_plans(mesh.ncells)
+        rates = dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
+        xl, xr, yb, yt = faces.xl, faces.xr, faces.yb, faces.yt
+        nxf = xl.size
+        nf = nxf + yb.size
+        if b is not None:
+            # both groups' fluxes stay referenced until the step returns:
+            # freed between groups, they let malloc trim the heap top, and
+            # the next group faults those pages back in (twice the page
+            # faults and ~12% more solve time on the 128^2 lake)
+            fluxes = [
+                _interior_fluxes(
+                    plan, lo, hi, H[lo], N[lo], T[lo], H[hi], N[hi], T[hi],
+                    b, g, dH, dN, dT,
+                )
+                for plan, lo, hi, N, T, dN, dT in (
+                    (xplan, xl, xr, U, V, dU, dV),
+                    (yplan, yb, yt, V, U, dV, dU),
+                )
+                if lo.size
+            ]
+        elif nf:
+            # one fused Rusanov evaluation over ALL interior faces: y-faces
+            # ride along with normal/tangent momenta swapped (the y-flux is
+            # the x-flux under that swap); gathers land directly in cached
+            # scratch rows, so the hot loop allocates nothing per step
+            fbuf = geom.buffer(mesh, cdtype, "fd_faces", (15, nf))
+            hL, nL, tL, hR, nR, tR = fbuf[:6]
+            out = fbuf[6:9]
+            tmp = fbuf[9:15]
+            np.take(H, xl, out=hL[:nxf], mode="clip")
+            np.take(H, yb, out=hL[nxf:], mode="clip")
+            np.take(U, xl, out=nL[:nxf], mode="clip")
+            np.take(V, yb, out=nL[nxf:], mode="clip")
+            np.take(V, xl, out=tL[:nxf], mode="clip")
+            np.take(U, yb, out=tL[nxf:], mode="clip")
+            np.take(H, xr, out=hR[:nxf], mode="clip")
+            np.take(H, yt, out=hR[nxf:], mode="clip")
+            np.take(U, xr, out=nR[:nxf], mode="clip")
+            np.take(V, yt, out=nR[nxf:], mode="clip")
+            np.take(V, xr, out=tR[:nxf], mode="clip")
+            np.take(U, yt, out=tR[nxf:], mode="clip")
+            _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp)
+            fh, fn, ft = out
+            # x-group scatter strictly before y-group: each apply() continues
+            # exactly where the previous one left the accumulator, preserving
+            # the original kernel's per-cell accumulation order
+            if nxf:
+                xplan.apply(dH, fh[:nxf])
+                xplan.apply(dU, fn[:nxf])
+                xplan.apply(dV, ft[:nxf])
+            if nf > nxf:
+                yplan.apply(dH, fh[nxf:])
+                yplan.apply(dU, ft[nxf:])  # y tangent momentum is U
+                yplan.apply(dV, fn[nxf:])  # y normal momentum is V
+        _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
+    dH, dU, dV = rates
 
-    H, U, V = state.promoted()
+    # in-place d*scale + H: addition commutes exactly, so accumulating
+    # into the workspace matches H + d*scale bit for bit
     _, area = geom.geometry(mesh, cdtype)
-    xplan, yplan = faces.scatter_plans(mesh.ncells)
-    dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
-
-    xl, xr, yb, yt = faces.xl, faces.xr, faces.yb, faces.yt
-    nxf = xl.size
-    nf = nxf + yb.size
-    if nf:
-        # one fused Rusanov evaluation over ALL interior faces: y-faces ride
-        # along with normal/tangent momenta swapped (the y-flux is the
-        # x-flux under that swap, see _rusanov_y); gathers land directly in
-        # cached scratch rows, so the hot loop allocates nothing per step
-        fbuf = geom.buffer(mesh, cdtype, "fd_faces", (15, nf))
-        hL, nL, tL, hR, nR, tR = fbuf[:6]
-        out = fbuf[6:9]
-        tmp = fbuf[9:15]
-        np.take(H, xl, out=hL[:nxf], mode="clip")
-        np.take(H, yb, out=hL[nxf:], mode="clip")
-        np.take(U, xl, out=nL[:nxf], mode="clip")
-        np.take(V, yb, out=nL[nxf:], mode="clip")
-        np.take(V, xl, out=tL[:nxf], mode="clip")
-        np.take(U, yb, out=tL[nxf:], mode="clip")
-        np.take(H, xr, out=hR[:nxf], mode="clip")
-        np.take(H, yt, out=hR[nxf:], mode="clip")
-        np.take(U, xr, out=nR[:nxf], mode="clip")
-        np.take(V, yt, out=nR[nxf:], mode="clip")
-        np.take(V, xr, out=tR[:nxf], mode="clip")
-        np.take(U, yt, out=tR[nxf:], mode="clip")
-        _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp)
-        fh, fn, ft = out
-        # x-group scatter strictly before y-group: each apply() continues
-        # exactly where the previous one left the accumulator, preserving
-        # the original kernel's per-cell accumulation order
-        if nxf:
-            xplan.apply(dH, fh[:nxf])
-            xplan.apply(dU, fn[:nxf])
-            xplan.apply(dV, ft[:nxf])
-        if nf > nxf:
-            yplan.apply(dH, fh[nxf:])
-            yplan.apply(dU, ft[nxf:])  # y tangent momentum is U
-            yplan.apply(dV, fn[nxf:])  # y normal momentum is V
-
-    _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
-
-    # in-place H + dH*scale (addition commutes exactly, so accumulating
-    # into the workspace matches the original out-of-place expression)
-    scale = dt_c / area
+    scale = cdtype.type(dt) / area
     np.multiply(dH, scale, out=dH)
     np.add(dH, H, out=dH)
     np.multiply(dU, scale, out=dU)

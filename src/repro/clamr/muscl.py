@@ -38,10 +38,9 @@ from repro.clamr.kernels import (
     FLOPS_PER_FACE,
     FaceLists,
     GeometryCache,
+    _bathy_as,
+    _interior_fluxes,
     _reflective_walls,
-    _rusanov_x,
-    _rusanov_y,
-    _wellbalanced_x,
     geometry_cache,
 )
 from repro.clamr.mesh import AmrMesh
@@ -116,103 +115,53 @@ def muscl_rhs(
     """
     if geom is None:
         geom = geometry_cache()
+    b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
     if _kernels._SCATTER_MODE == "plan":  # add_at keeps the full oracle
-        compiled = _backends.try_muscl_rhs(
-            mesh, H, U, V, faces, cdtype, geom, slot, bathy
-        )
+        compiled = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
         if compiled is not None:
             return compiled
     g = cdtype.type(GRAVITY)
     half = cdtype.type(0.5)
     size, _ = geom.geometry(mesh, cdtype)
     xplan, yplan = faces.scatter_plans(mesh.ncells)
-
-    b = None
-    if bathy is not None:
-        b = np.ascontiguousarray(bathy, dtype=cdtype)
-        eta = H + b
-    sx = {}
-    sy = {}
-    for name, q in (("H", eta if b is not None else H), ("U", U), ("V", V)):
-        sx[name], sy[name] = limited_slopes(mesh, q, size)
-
+    eta = H if b is None else H + b
+    sxH, syH = limited_slopes(mesh, eta, size)
+    sxU, syU = limited_slopes(mesh, U, size)
+    sxV, syV = limited_slopes(mesh, V, size)
     dH, dU, dV = geom.workspace3(mesh, cdtype, slot=slot)
 
-    # interior x-faces: reconstruct each side to the face plane
-    if faces.xl.size:
-        L, R = faces.xl, faces.xr
-        offL = half * size[L]
-        offR = half * size[R]
+    # interior faces, x group then y group: reconstruct each side to the
+    # face plane; N/T are the normal/tangent momenta
+    for plan, lo, hi, (sH, sN, sT), N, T, dN, dT in (
+        (xplan, faces.xl, faces.xr, (sxH, sxU, sxV), U, V, dU, dV),
+        (yplan, faces.yb, faces.yt, (syH, syV, syU), V, U, dV, dU),
+    ):
+        if not lo.size:
+            continue
+        offL = half * size[lo]
+        offR = half * size[hi]
+        hL = eta[lo] + sH[lo] * offL
+        hR = eta[hi] - sH[hi] * offR
         if b is not None:
-            # reconstruct the free surface, recover depth against the
-            # cell's own bottom: constant η reproduces H bit-for-bit
-            hL = (eta[L] + sx["H"][L] * offL) - b[L]
-            hR = (eta[R] - sx["H"][R] * offR) - b[R]
-        else:
-            hL = H[L] + sx["H"][L] * offL
-            hR = H[R] - sx["H"][R] * offR
-        uL = U[L] + sx["U"][L] * offL
-        vL = V[L] + sx["V"][L] * offL
-        uR = U[R] - sx["U"][R] * offR
-        vR = V[R] - sx["V"][R] * offR
+            # recover depth from the reconstructed free surface against
+            # the cell's own bottom: constant η reproduces H bit-for-bit
+            hL = hL - b[lo]
+            hR = hR - b[hi]
+        nL = N[lo] + sN[lo] * offL
+        tL = T[lo] + sT[lo] * offL
+        nR = N[hi] - sN[hi] * offR
+        tR = T[hi] - sT[hi] * offR
         # positivity guard: fall back to the cell mean where the
         # reconstruction would drive depth non-positive
         bad = (hL <= 0) | (hR <= 0)
         if np.any(bad):
-            hL = np.where(bad, H[L], hL)
-            uL = np.where(bad, U[L], uL)
-            vL = np.where(bad, V[L], vL)
-            hR = np.where(bad, H[R], hR)
-            uR = np.where(bad, U[R], uR)
-            vR = np.where(bad, V[R], vR)
-        if b is not None:
-            fh, phiL, phiR, fv = _wellbalanced_x(
-                hL, uL, vL, hR, uR, vR, b[L], b[R], g
-            )
-            xplan.apply(dH, fh)
-            xplan.apply(dU, phiL, phiR)
-            xplan.apply(dV, fv)
-        else:
-            fh, fu, fv = _rusanov_x(hL, uL, vL, hR, uR, vR, g)
-            xplan.apply(dH, fh)
-            xplan.apply(dU, fu)
-            xplan.apply(dV, fv)
-
-    # interior y-faces
-    if faces.yb.size:
-        B, T = faces.yb, faces.yt
-        offB = half * size[B]
-        offT = half * size[T]
-        if b is not None:
-            hB = (eta[B] + sy["H"][B] * offB) - b[B]
-            hT = (eta[T] - sy["H"][T] * offT) - b[T]
-        else:
-            hB = H[B] + sy["H"][B] * offB
-            hT = H[T] - sy["H"][T] * offT
-        uB = U[B] + sy["U"][B] * offB
-        vB = V[B] + sy["V"][B] * offB
-        uT = U[T] - sy["U"][T] * offT
-        vT = V[T] - sy["V"][T] * offT
-        bad = (hB <= 0) | (hT <= 0)
-        if np.any(bad):
-            hB = np.where(bad, H[B], hB)
-            uB = np.where(bad, U[B], uB)
-            vB = np.where(bad, V[B], vB)
-            hT = np.where(bad, H[T], hT)
-            uT = np.where(bad, U[T], uT)
-            vT = np.where(bad, V[T], vT)
-        if b is not None:
-            fh, phiB, phiT, fu = _wellbalanced_x(
-                hB, vB, uB, hT, vT, uT, b[B], b[T], g
-            )
-            yplan.apply(dH, fh)
-            yplan.apply(dU, fu)
-            yplan.apply(dV, phiB, phiT)
-        else:
-            fh, fu, fv = _rusanov_y(hB, uB, vB, hT, uT, vT, g)
-            yplan.apply(dH, fh)
-            yplan.apply(dU, fu)
-            yplan.apply(dV, fv)
+            hL = np.where(bad, H[lo], hL)
+            nL = np.where(bad, N[lo], nL)
+            tL = np.where(bad, T[lo], tL)
+            hR = np.where(bad, H[hi], hR)
+            nR = np.where(bad, N[hi], nR)
+            tR = np.where(bad, T[hi], tR)
+        _interior_fluxes(plan, lo, hi, hL, nL, tL, hR, nR, tR, b, g, dH, dN, dT)
 
     # reflective walls: first-order mirror flux (slopes clip to zero at
     # the wall anyway, by the self-link convention in limited_slopes)
@@ -249,6 +198,8 @@ def finite_diff_muscl(
     scale = dt_c / area
 
     H0, U0, V0 = state.promoted()
+    if bathy is not None:
+        bathy = _bathy_as(mesh, bathy, cdtype)  # cast once for both stages
     # distinct workspace slots: k1 must survive the k2 evaluation
     k1 = muscl_rhs(mesh, H0, U0, V0, faces, cdtype, geom=geom, slot="muscl_k1", bathy=bathy)
     H1 = H0 + k1[0] * scale

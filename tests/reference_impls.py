@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clamr.amr import _sibling_groups
-from repro.clamr.kernels import FaceLists, _count_work, _rusanov_x, _rusanov_y
+from repro.clamr.kernels import FaceLists, _count_work, _rusanov_x
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import GRAVITY, ShallowWaterState
 from repro.machine.counters import KernelCounters
@@ -110,7 +110,7 @@ def finite_diff_add_at(
     # interior y-faces
     if faces.yb.size:
         B, T = faces.yb, faces.yt
-        fh, fu, fv = _rusanov_y(H[B], U[B], V[B], H[T], U[T], V[T], g)
+        fh, fv, fu = _rusanov_x(H[B], V[B], U[B], H[T], V[T], U[T], g)  # y: U/V swapped
         fsz = faces.ysize.astype(cdtype)
         np.add.at(dH, B, -fh * fsz)
         np.add.at(dH, T, fh * fsz)
@@ -146,12 +146,12 @@ def finite_diff_add_at(
                 dV[cells_b] += fv * fsz
         else:
             if is_high:
-                fh, fu, fv = _rusanov_y(h, u, v, h, u, -v, g)
+                fh, fv, fu = _rusanov_x(h, v, u, h, -v, u, g)
                 dH[cells_b] -= fh * fsz
                 dU[cells_b] -= fu * fsz
                 dV[cells_b] -= fv * fsz
             else:
-                fh, fu, fv = _rusanov_y(h, u, -v, h, u, v, g)
+                fh, fv, fu = _rusanov_x(h, -v, u, h, v, u, g)
                 dH[cells_b] += fh * fsz
                 dU[cells_b] += fu * fsz
                 dV[cells_b] += fv * fsz

@@ -14,7 +14,10 @@ armed even where no compiler exists.  ``cext`` cases skip where
 unavailable and run in CI.
 """
 
+import inspect
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,10 @@ from repro.clamr.backends import (
     set_kernel_backend,
 )
 from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectorized
-from repro.clamr.muscl import finite_diff_muscl
+from repro.clamr.mesh import AmrMesh
+from repro.clamr.muscl import finite_diff_muscl, limited_slopes
+from repro.clamr.state import ShallowWaterState
+from repro.precision.policy import PrecisionPolicy, level_from_name
 
 HAVE_CEXT = backends.cext.availability()[0]
 
@@ -104,6 +110,17 @@ class TestRegistry:
         with kernel_backend("python"):
             assert resolved_backend(np.float16) == "python"
 
+    def test_loop_and_c_exports_mirror(self):
+        # every loop body has exactly one exported C twin and a cext
+        # adapter taking the same arguments; static C helpers stay private
+        src = (Path(backends.__file__).parent / "_kernels_impl.h").read_text()
+        exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w ]*?\bFN\((\w+)\)\(", src, re.M))
+        assert exported == set(backends.loops.__all__) == {"clamr_rhs", "self_max_metric"}
+        for name in exported:
+            loop_fn = getattr(backends.loops, name)
+            adapter = getattr(backends.cext, name)
+            assert inspect.signature(adapter) == inspect.signature(loop_fn), name
+
 
 def _snapshot(level, nx=12, max_level=1, prerun=4):
     """A small evolved dam break: mixed-level mesh, live wave front."""
@@ -155,6 +172,49 @@ class TestKernelParity:
         bathy = 0.05 * np.random.default_rng(7).random(mesh.ncells) if with_bathy else None
         ref, ref_dts = _evolve(mesh, state, faces, kernel, bathy, "numpy", steps=6)
         got, got_dts = _evolve(mesh, state, faces, kernel, bathy, backend, steps=6)
+        _assert_states_equal(ref, got, f"({backend}/{level})")
+        assert ref_dts == got_dts
+
+    @pytest.mark.parametrize("backend", ["numpy", "python", *COMPILED])
+    @pytest.mark.parametrize("kernel", [finite_diff_vectorized, finite_diff_muscl],
+                             ids=["fd", "muscl"])
+    def test_wrong_length_bathymetry_raises(self, backend, kernel):
+        # the compiled kernel indexes the bottom unchecked; a short one
+        # must fail with both lengths named before any backend reads it
+        mesh, state, faces = _snapshot("full")
+        short = mesh.ncells // 2
+        with kernel_backend(backend), pytest.raises(ValueError) as err:
+            kernel(mesh, state.copy(), 1e-4, faces=faces, bathy=np.zeros(short))
+        assert f"({short},)" in str(err.value) and str(mesh.ncells) in str(err.value)
+
+    @pytest.mark.parametrize("backend", ["python", *COMPILED])
+    @pytest.mark.parametrize("level", ["half", "min", "full"])
+    def test_muscl_positivity_guard_parity(self, backend, level):
+        # a 16^2 beach whose shoreline crosses the domain: the free-surface
+        # reconstruction drives some face depths non-positive, so MUSCL's
+        # positivity guard falls back to cell means there
+        mesh = AmrMesh.uniform(16, 16, coarse_size=1 / 16)
+        x, _ = mesh.cell_centers()
+        bathy = 0.5 * x
+        H = np.maximum(0.3 - bathy, 1e-3)
+        policy = PrecisionPolicy.from_level(level_from_name(level))
+        state = ShallowWaterState(H=H, U=0.05 * H, V=np.zeros_like(H), policy=policy)
+        faces = FaceLists.from_mesh(mesh)
+
+        cdtype = policy.compute_dtype
+        b = bathy.astype(cdtype)
+        eta = state.promoted()[0] + b
+        size = mesh.cell_size().astype(cdtype)
+        off = cdtype.type(0.5) * size
+        sx, _ = limited_slopes(mesh, eta, size)
+        lo, hi = faces.xl, faces.xr
+        h_lo = (eta[lo] + sx[lo] * off[lo]) - b[lo]
+        h_hi = (eta[hi] - sx[hi] * off[hi]) - b[hi]
+        assert ((h_lo <= 0) | (h_hi <= 0)).any(), "the guard never fires"
+
+        ref, ref_dts = _evolve(mesh, state, faces, finite_diff_muscl, bathy, "numpy", steps=3)
+        got, got_dts = _evolve(mesh, state, faces, finite_diff_muscl, bathy, backend, steps=3)
+        assert all(np.isfinite(a).all() for a in (ref.H, ref.U, ref.V))
         _assert_states_equal(ref, got, f"({backend}/{level})")
         assert ref_dts == got_dts
 
