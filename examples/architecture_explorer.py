@@ -16,7 +16,8 @@ from repro.harness.report import Table
 from repro.machine.energy import estimate_energy
 from repro.machine.roofline import RooflineModel
 from repro.machine.specs import DEVICES, device
-from repro.self_ import SelfSimulation, ThermalBubbleConfig
+from repro.self_ import SelfSimulation
+from repro.workload import make_config
 
 
 def measure_profiles(app: str):
@@ -26,7 +27,7 @@ def measure_profiles(app: str):
             level: ClamrSimulation(cfg, policy=level).run(100).profile
             for level in ("min", "mixed", "full")
         }
-    cfg = ThermalBubbleConfig(nex=4, ney=4, nez=4, order=4)
+    cfg = make_config("self", elems=4, order=4)
     return {
         prec: SelfSimulation(cfg, precision=prec).run(50).profile
         for prec in ("single", "double")

@@ -13,7 +13,8 @@ import argparse
 import numpy as np
 
 from repro.precision.analysis import asymmetry_signature, difference_metrics
-from repro.self_ import SelfSimulation, ThermalBubbleConfig
+from repro.self_ import SelfSimulation
+from repro.workload import make_config
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=200, help="RK3 steps")
     args = parser.parse_args()
 
-    cfg = ThermalBubbleConfig(nex=args.elems, ney=args.elems, nez=args.elems, order=args.order)
+    cfg = make_config("self", elems=args.elems, order=args.order)
     dof = args.elems**3 * (args.order + 1) ** 3 * 5
     print(
         f"Thermal bubble: {args.elems}^3 elements, order {args.order} "

@@ -477,7 +477,7 @@ def table4_compilers(elems: int = 4, order: int = 4, steps: int = 30) -> Table:
     Paper values (s): GNU 304.09 single / 261.65 double;
     Intel 185.89 single / 252.85 double — the GNU inversion.
     """
-    cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
+    cfg = make_config("self", elems=elems, order=order)
     factor = self_paper_scale_factor(cfg, steps)
     haswell = device("haswell")
     table = Table(
@@ -509,7 +509,7 @@ def table5_self_architectures(
     """
     if results is None:
         results = run_self_precisions(elems=elems, order=order, steps=steps)
-    cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
+    cfg = make_config("self", elems=elems, order=order)
     factor = self_paper_scale_factor(cfg, steps)
     table = Table(
         title="Table V — SELF runtime and memory by architecture",
@@ -564,7 +564,7 @@ def table6_self_energy(
     """
     if results is None:
         results = run_self_precisions(elems=elems, order=order, steps=steps)
-    cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
+    cfg = make_config("self", elems=elems, order=order)
     factor = self_paper_scale_factor(cfg, steps)
     table = Table(
         title="Table VI — estimated SELF energy use (Joules)",
@@ -613,7 +613,7 @@ def table7_cost(
         for level in CLAMR_LEVELS
     }
 
-    cfg = ThermalBubbleConfig(nex=self_elems, ney=self_elems, nez=self_elems, order=self_order)
+    cfg = make_config("self", elems=self_elems, order=self_order)
     sfactor = self_paper_scale_factor(cfg, self_steps)
     self_runtime = {
         prec: model.predict(self_results[prec].profile.scaled(sfactor)).runtime_s

@@ -31,15 +31,51 @@ __all__ = ["NodalBasis", "apply_along", "barycentric_weights", "lagrange_interpo
 _ALONG = ("il,...ljk->...ijk", "jl,...ilk->...ijk", "kl,...ijl->...ijk")
 
 
-def apply_along(M: np.ndarray, A: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``M`` applied along node axis ``axis`` of ``A`` (shape ``(..., n, n, n)``).
+def apply_along(
+    M: np.ndarray,
+    A: np.ndarray,
+    axis: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """``M`` (n × n) applied along node axis ``axis`` of ``A`` (shape ``(..., n, n, n)``).
 
     The one tensor contraction of the DGSEM kernel: derivative matrices in
     the volume and viscous terms, the filter matrix in the spectral filter.
     Always ``np.einsum``, never BLAS (``tensordot``/``matmul`` reorder the
     sums, so the bits would change).
+
+    Axis 1 runs on the axis-0 layout: ``A`` with its first two node axes
+    swapped is copied into ``out``, the axis-0 ``einsum`` writes into
+    ``scratch``, and the result is copied back into ``out`` swapped.  On
+    the ``(j, l)`` subscripts directly ``einsum``'s inner loop is only n
+    long and runs about 2.5× slower; both layouts accumulate in ascending
+    ``l`` from +0 through the same stride-0 × contiguous loop, so the
+    bits are the same.  ``scratch`` (allocated when omitted) must not
+    overlap ``out`` but may be ``A`` itself, which is then overwritten.
+
+    Axis 2 is never re-laid out: its contiguous reduction sums in SIMD
+    lanes (2 for float64, 4 for float32), and any other layout sums in a
+    different order and changes the bits.
     """
-    return np.einsum(_ALONG[axis], M, A, out=out)
+    n = A.shape[-1]
+    if M.shape != (n, n) or A.shape[-3:] != (n, n, n):
+        raise ValueError(
+            f"apply_along needs an (n, n) matrix and an (..., n, n, n) block, "
+            f"got {M.shape} and {A.shape}"
+        )
+    if axis != 1:
+        return np.einsum(_ALONG[axis], M, A, out=out)
+    if out is None:
+        out = np.empty(A.shape, dtype=np.result_type(M, A))
+    if scratch is None:
+        scratch = np.empty_like(out)
+    elif np.may_share_memory(scratch, out):
+        raise ValueError("apply_along scratch must not overlap out")
+    np.copyto(out, A.swapaxes(-3, -2))
+    np.einsum(_ALONG[0], M, out, out=scratch)
+    np.copyto(out, scratch.swapaxes(-3, -2))
+    return out
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:

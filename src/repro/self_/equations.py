@@ -30,6 +30,7 @@ Lax-Friedrichs numerical flux.  Free-slip walls are the mirror state
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,53 @@ def _face_table(minus: np.ndarray, plus: np.ndarray) -> tuple[np.ndarray, ...]:
     return lo, plus[lo], np.flatnonzero(plus < 0), np.flatnonzero(minus < 0)
 
 
+def _carve(flat: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of the 1-D buffer ``flat``."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at : at + size].reshape(shape))
+        at += size
+    return views
+
+
+@dataclass(frozen=True)
+class _FaceWork:
+    """One axis' surface pass: its stacked row indices and face buffers.
+
+    The ``_llf`` rows are ``[+ walls; interior; - walls]``.  ``src``
+    holds every element's + face and then every element's - face, so the
+    left and right states are its rows ``left`` and ``right``.
+    ``star[plus_rows]`` and ``star[minus_rows]`` are the face fluxes in
+    element order, for the + and - face slots.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    plus_rows: np.ndarray
+    minus_rows: np.ndarray
+    nwalls_plus: int
+    pbar: np.ndarray  # background pressure on the left rows
+    src: np.ndarray
+    UL: np.ndarray
+    UR: np.ndarray
+    FL: np.ndarray
+    FR: np.ndarray
+    psrc: np.ndarray
+    pL: np.ndarray
+    pR: np.ndarray
+    scalars: tuple[np.ndarray, ...]  # velL, velR, pfullL, pfullR, cL, cR, scratch
+
+
+def _face_slots(axis: int, side: int, lead: int) -> tuple:
+    """Index of the node face ``side`` (-1 or 0) across node axis ``axis``.
+
+    ``lead`` counts the axes before the node block: 2 for a state tensor
+    ``(nelem, 5, n, n, n)``, 1 for a scalar field ``(nelem, n, n, n)``.
+    """
+    return (slice(None),) * (lead + axis) + (side,)
+
+
 class CompressibleEuler:
     """DGSEM right-hand side for the perturbation-form Euler equations.
 
@@ -117,6 +165,11 @@ class CompressibleEuler:
     rho_bar, p_bar:
         Hydrostatic background sampled at the collocation nodes, shape
         ``(nelem, n, n, n)``; cast to ``dtype`` internally.
+
+    The solver owns its workspace, allocated here once: every full-size
+    tensor of :meth:`rhs` and the numpy CFL reduction is written into it,
+    so a step allocates nothing.  One instance must therefore not run two
+    :meth:`rhs` calls at once (from two threads).
     """
 
     def __init__(
@@ -150,21 +203,85 @@ class CompressibleEuler:
         self._g = self.dtype.type(constants.gravity)
         self._gm1 = self.dtype.type(constants.gamma - 1.0)
         self._gamma = self.dtype.type(constants.gamma)
+        self._allocate_workspace()
+
+    def _allocate_workspace(self) -> None:
+        """The RHS workspace: three arrays, views reused across phases.
+
+        ``_prim`` holds u, v, w, p (then p'), a scratch slot and p' + p̄;
+        ``_stash`` the three fluxes at each element's + and - faces, which
+        the surface terms need after the next flux has overwritten the
+        volume buffer.  The volume phase uses ``_shared`` as the flux and
+        contraction buffers; each surface pass reuses the same memory for
+        its face buffers.
+        """
+        E, n = self.mesh.nelem, self.mesh.npoints
+        state = (E, 5, n, n, n)
+        self._prim = np.empty((6, E, n, n, n), dtype=self.dtype)
+        self._stash = np.empty((3, 2, E, 5, n, n), dtype=self.dtype)
+
+        def face_shapes(rows: int) -> list[tuple[int, ...]]:
+            # src, UL, UR, FL, FR, psrc, then pL, pR and the _llf scalars
+            return [(2 * E, 5, n, n)] + [(rows, 5, n, n)] * 4 + [(2 * E, n, n)] + [(rows, n, n)] * 9
+
+        rows = [E + walls_minus.size for *_, walls_minus in self.faces]
+        self._shared = np.empty(
+            max([2 * math.prod(state)] + [sum(map(math.prod, face_shapes(r))) for r in rows]),
+            dtype=self.dtype,
+        )
+        self._volume = _carve(self._shared, state, state)
+        work = []
+        for axis, (lo, hi, walls_plus, walls_minus) in enumerate(self.faces):
+            plus = np.concatenate((walls_plus, lo))
+            minus = np.concatenate((hi, walls_minus))
+            left = np.concatenate((plus, E + walls_minus))
+            src, UL, UR, FL, FR, psrc, pL, pR, *scalars = _carve(
+                self._shared, *face_shapes(left.size)
+            )
+            pbar_src = np.concatenate(
+                (self.p_bar[_face_slots(axis, -1, 1)], self.p_bar[_face_slots(axis, 0, 1)])
+            )
+            work.append(_FaceWork(
+                left=left,
+                right=np.concatenate((walls_plus, E + minus)),
+                plus_rows=np.argsort(plus),
+                minus_rows=walls_plus.size + np.argsort(minus),
+                nwalls_plus=walls_plus.size,
+                pbar=pbar_src[left],
+                src=src, UL=UL, UR=UR, FL=FL, FR=FR, psrc=psrc, pL=pL, pR=pR,
+                scalars=tuple(scalars),
+            ))
+        self._face_work = tuple(work)
 
     # -- thermodynamics ---------------------------------------------------
 
-    def primitives(self, U: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(ρ, u, v, w, p) from the conserved state."""
+    def primitives(self, U: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """(ρ, u, v, w, p) from the conserved state.
+
+        ρ is a view of ``U``.  ``out`` is an optional ``(5, nelem, n, n,
+        n)`` buffer: u, v, w and p are written into its first four slots
+        and the fifth is scratch.  Without it the results are new arrays.
+        """
         rho = U[:, RHO]
-        u = U[:, RHOU] / rho
-        v = U[:, RHOV] / rho
-        w = U[:, RHOW] / rho
-        kinetic = self.dtype.type(0.5) * rho * (u * u + v * v + w * w)
-        p = self._gm1 * (U[:, RHOE] - kinetic)
+        if out is None:
+            out = np.empty((5,) + rho.shape, dtype=np.result_type(U, self.dtype))
+        u, v, w, p, scratch = out
+        np.divide(U[:, RHOU], rho, out=u)
+        np.divide(U[:, RHOV], rho, out=v)
+        np.divide(U[:, RHOW], rho, out=w)
+        # kinetic = 0.5 ρ (u² + v² + w²), then p = (γ - 1)(ρE - kinetic)
+        np.multiply(u, u, out=p)
+        p += np.multiply(v, v, out=scratch)
+        p += np.multiply(w, w, out=scratch)
+        p *= np.multiply(self.dtype.type(0.5), rho, out=scratch)
+        np.subtract(U[:, RHOE], p, out=p)
+        p *= self._gm1
         return rho, u, v, w, p
 
-    def sound_speed(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.sqrt(self._gamma * p / rho)
+    def sound_speed(self, rho: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        c = np.multiply(self._gamma, p, out=out)
+        c /= rho
+        return np.sqrt(c, out=c)
 
     def background_state(self) -> np.ndarray:
         """The hydrostatic background as a conserved-variable tensor."""
@@ -177,19 +294,27 @@ class CompressibleEuler:
     # -- fluxes -----------------------------------------------------------
 
     def _flux(
-        self, U: np.ndarray, pprime: np.ndarray, pbar: np.ndarray, vel: np.ndarray, mom: int
+        self,
+        U: np.ndarray,
+        pprime: np.ndarray,
+        p_full: np.ndarray,
+        vel: np.ndarray,
+        mom: int,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Flux tensor in the direction whose velocity is ``vel``.
 
         ``mom`` is the conserved slot of the normal momentum; the pressure
         perturbation enters that component only.  The energy flux uses the
-        full pressure p' + p̄ (p̄ = ``pbar``, the background at the same
-        nodes; at rest the velocity factor zeroes it regardless).
+        full pressure ``p_full`` = p' + p̄ (at rest the velocity factor
+        zeroes it regardless).  ``scratch`` takes p_full · vel.
         """
-        F = U * vel[:, None]
-        F[:, mom] += pprime
-        p_full = pprime + pbar
-        F[:, RHOE] += p_full * vel
+        F = np.multiply(U, vel[:, None], out=out)
+        Fm = F[:, mom]
+        np.add(Fm, pprime, out=Fm)
+        Fe = F[:, RHOE]
+        np.add(Fe, np.multiply(p_full, vel, out=scratch), out=Fe)
         return F
 
     def _llf(
@@ -205,51 +330,87 @@ class CompressibleEuler:
 
         Inputs are face tensors of shape ``(nfaces, 5, n, n)`` (states) and
         ``(nfaces, n, n)`` (pressure perturbations and face background).
+        Every intermediate lives in the face buffers of the axis whose
+        normal momentum is ``mom``; the result is its ``FL`` buffer.
         """
+        wk = self._face_work[mom - RHOU]
+        velL, velR, pfullL, pfullR, cL, cR, scratch = wk.scalars
         half = self.dtype.type(0.5)
-        velL = UL[:, mom] / UL[:, RHO]
-        velR = UR[:, mom] / UR[:, RHO]
-        cL = self.sound_speed(UL[:, RHO], pL + pbar)
-        cR = self.sound_speed(UR[:, RHO], pR + pbar)
-        lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
-        FL = self._flux(UL, pL, pbar, velL, mom)
-        FR = self._flux(UR, pR, pbar, velR, mom)
-        return half * (FL + FR) - half * lam[:, None] * (UR - UL)
+        np.divide(UL[:, mom], UL[:, RHO], out=velL)
+        np.divide(UR[:, mom], UR[:, RHO], out=velR)
+        np.add(pL, pbar, out=pfullL)
+        np.add(pR, pbar, out=pfullR)
+        self.sound_speed(UL[:, RHO], pfullL, out=cL)
+        self.sound_speed(UR[:, RHO], pfullR, out=cR)
+        # lam = max(|velL| + cL, |velR| + cR)
+        np.add(np.abs(velL, out=scratch), cL, out=cL)
+        np.add(np.abs(velR, out=scratch), cR, out=cR)
+        lam = np.maximum(cL, cR, out=cL)
+        FL = self._flux(UL, pL, pfullL, velL, mom, out=wk.FL, scratch=scratch)
+        FR = self._flux(UR, pR, pfullR, velR, mom, out=wk.FR, scratch=scratch)
+        # half (FL + FR) - half lam (UR - UL)
+        FL += FR
+        FL *= half
+        lam *= half
+        np.subtract(UR, UL, out=FR)
+        FR *= lam[:, None]
+        FL -= FR
+        return FL
 
     # -- the RHS ----------------------------------------------------------
 
-    def rhs(self, U: np.ndarray) -> np.ndarray:
-        """dU/dt for the current state; allocates and returns a new tensor."""
+    def rhs(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """dU/dt for the current state, written into ``out``.
+
+        Without ``out`` the result is a new tensor.  ``out`` must match
+        ``U`` in shape and dtype and must not overlap it.
+        """
         mesh = self.mesh
         n = mesh.npoints
         if U.shape != (mesh.nelem, 5, n, n, n):
             raise ValueError(f"state tensor has wrong shape {U.shape}")
         if U.dtype != self.dtype:
             raise ValueError(f"state dtype {U.dtype} != solver dtype {self.dtype}")
+        if out is None:
+            out = np.empty_like(U)
+        elif out.shape != U.shape or out.dtype != U.dtype:
+            raise ValueError(f"rhs out {out.shape} {out.dtype} does not match the state")
+        elif np.may_share_memory(out, U):
+            raise ValueError("rhs out must not overlap the state")
         D = self.D
-        mx, my, mz = self.metric
-        rho, u, v, w, p = self.primitives(U)
-        pprime = p - self.p_bar
+        rho, u, v, w, p = self.primitives(U, out=self._prim[:5])
+        scratch = self._prim[4]
+        pprime = np.subtract(p, self.p_bar, out=p)
+        p_full = np.add(pprime, self.p_bar, out=self._prim[5])
 
-        out = np.empty_like(U)
-
-        # volume terms: out = -(m_d D F_d) summed over directions.
-        Fx = self._flux(U, pprime, self.p_bar, u, RHOU)
-        apply_along(D, Fx, 0, out=out)
-        out *= -mx
-        Fy = self._flux(U, pprime, self.p_bar, v, RHOV)
-        out -= my * apply_along(D, Fy, 1)
-        Fz = self._flux(U, pprime, self.p_bar, w, RHOW)
-        out -= mz * apply_along(D, Fz, 2)
+        # volume terms: out = -(m_d D F_d) summed over directions.  Each
+        # flux's face values are stashed before the next overwrites it.
+        F, G = self._volume
+        for axis, vel in enumerate((u, v, w)):
+            self._flux(U, pprime, p_full, vel, RHOU + axis, out=F, scratch=scratch)
+            np.copyto(self._stash[axis, 0], F[_face_slots(axis, -1, 2)])
+            np.copyto(self._stash[axis, 1], F[_face_slots(axis, 0, 2)])
+            if axis == 0:
+                apply_along(D, F, 0, out=out)
+                out *= -self.metric[0]
+            else:
+                apply_along(D, F, axis, out=G, scratch=F)
+                G *= self.metric[axis]
+                out -= G
 
         # surface terms per direction
-        self._surface_x(U, pprime, out, Fx)
-        self._surface_y(U, pprime, out, Fy)
-        self._surface_z(U, pprime, out, Fz)
+        self._surface_x(U, pprime, out, self._stash[0])
+        self._surface_y(U, pprime, out, self._stash[1])
+        self._surface_z(U, pprime, out, self._stash[2])
 
         # gravity source (perturbation form)
-        out[:, RHOW] -= self._g * (rho - self.rho_bar)
-        out[:, RHOE] -= self._g * U[:, RHOW]
+        np.subtract(rho, self.rho_bar, out=scratch)
+        scratch *= self._g
+        slot = out[:, RHOW]
+        np.subtract(slot, scratch, out=slot)
+        np.multiply(self._g, U[:, RHOW], out=scratch)
+        slot = out[:, RHOE]
+        np.subtract(slot, scratch, out=slot)
         return out
 
     def _surface_x(self, U: np.ndarray, pprime: np.ndarray, out: np.ndarray, F: np.ndarray) -> None:
@@ -264,41 +425,46 @@ class CompressibleEuler:
     def _surface(self, axis: int, U: np.ndarray, pprime: np.ndarray, out: np.ndarray, F: np.ndarray) -> None:
         """Lift the face-flux jumps across node axis ``axis`` into ``out``.
 
-        One ``_llf`` call covers every face of the axis, stacked as rows
+        ``F`` holds the volume flux at every element's + and - face.  One
+        ``_llf`` call covers every face of the axis, stacked as rows
         ``[+ walls; interior; - walls]``; a wall's outer state is the
-        mirror (normal momentum negated).  The first ``len(plus)`` rows
-        then land on the + face slots of ``plus = [walls_plus;
-        interior_lo]`` and the rows from ``len(walls_plus)`` on the - face
-        slots of ``minus = [interior_hi; walls_minus]``.  Each list is a
-        permutation of the elements, so every slot takes exactly one update.
+        mirror (normal momentum negated).  The first ``len(plus)`` rows,
+        ``plus = [walls_plus; interior_lo]``, are the + faces and the rows
+        from ``len(walls_plus)``, ``minus = [interior_hi; walls_minus]``,
+        the - faces.  Each list is a permutation of the elements, so every
+        slot takes exactly one update.
         """
-        lo, hi, walls_plus, walls_minus = self.faces[axis]
+        wk = self._face_work[axis]
+        E = U.shape[0]
+        nwp = wk.nwalls_plus
         mom = RHOU + axis
         lift = self.metric[axis] / self.w_end
-        last = (slice(None),) * axis + (-1,)
-        first = (slice(None),) * axis + (0,)
-        plus = np.concatenate((walls_plus, lo))
-        minus = np.concatenate((hi, walls_minus))
-        nwp, ni = walls_plus.size, lo.size
+        at_plus = _face_slots(axis, -1, 2)
+        at_minus = _face_slots(axis, 0, 2)
 
-        at_plus = (plus, slice(None)) + last
-        at_minus = (minus, slice(None)) + first
-        Up = U[at_plus]
-        Um = U[at_minus]
-        ghost = np.concatenate((Up[:nwp], Um[ni:]))
-        ghost[:, mom] = -ghost[:, mom]
-        pp = pprime[(plus,) + last]
-        pm = pprime[(minus,) + first]
-        star = self._llf(
-            np.concatenate((Up, ghost[nwp:])),
-            np.concatenate((ghost[:nwp], Um)),
-            np.concatenate((pp, pm[ni:])),
-            np.concatenate((pp[:nwp], pm)),
-            np.concatenate((self.p_bar[(plus,) + last], self.p_bar[(walls_minus,) + first])),
-            mom,
-        )
-        out[at_plus] -= lift * (star[: plus.size] - F[at_plus])
-        out[at_minus] += lift * (star[nwp:] - F[at_minus])
+        src = wk.src
+        np.copyto(src[:E], U[at_plus])
+        np.copyto(src[E:], U[at_minus])
+        UL = np.take(src, wk.left, axis=0, out=wk.UL, mode="clip")
+        UR = np.take(src, wk.right, axis=0, out=wk.UR, mode="clip")
+        np.negative(UL[E:, mom], out=UL[E:, mom])
+        np.negative(UR[:nwp, mom], out=UR[:nwp, mom])
+        psrc = wk.psrc
+        np.copyto(psrc[:E], pprime[_face_slots(axis, -1, 1)])
+        np.copyto(psrc[E:], pprime[_face_slots(axis, 0, 1)])
+        pL = np.take(psrc, wk.left, axis=0, out=wk.pL, mode="clip")
+        pR = np.take(psrc, wk.right, axis=0, out=wk.pR, mode="clip")
+        star = self._llf(UL, UR, pL, pR, wk.pbar, mom)
+
+        jump = src[:E]
+        for rows, flux, face, update in (
+            (wk.plus_rows, F[0], out[at_plus], np.subtract),
+            (wk.minus_rows, F[1], out[at_minus], np.add),
+        ):
+            np.take(star, rows, axis=0, out=jump, mode="clip")
+            jump -= flux
+            jump *= lift
+            update(face, jump, out=face)
 
     # -- timestep ---------------------------------------------------------
 
@@ -306,16 +472,23 @@ class CompressibleEuler:
         """max over nodes of Σ_d m_d (|u_d| + c): the CFL denominator."""
         from repro.clamr.backends import try_self_max_metric
 
-        mx_, my_, mz_ = self.metric
-        compiled = try_self_max_metric(
-            U, mx_, my_, mz_, self._gamma, self._gm1, self.dtype
-        )
+        mx, my, mz = self.metric
+        compiled = try_self_max_metric(U, mx, my, mz, self._gamma, self._gm1, self.dtype)
         if compiled is not None:
             return compiled
-        rho, u, v, w, p = self.primitives(U)
-        c = self.sound_speed(rho, p)
-        mx, my, mz = self.metric
-        total = mx * (np.abs(u) + c) + my * (np.abs(v) + c) + mz * (np.abs(w) + c)
+        rho, u, v, w, p = self.primitives(U, out=self._prim[:5])
+        c = self.sound_speed(rho, p, out=p)
+
+        def term(m: np.generic, vel: np.ndarray) -> np.ndarray:
+            # m_d (|u_d| + c), in the velocity's buffer
+            t = np.abs(vel, out=vel)
+            t += c
+            t *= m
+            return t
+
+        total = term(mx, u)
+        total += term(my, v)
+        total += term(mz, w)
         return float(total.max())
 
     def stable_dt(self, U: np.ndarray, courant: float = 0.3) -> float:

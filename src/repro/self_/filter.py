@@ -69,18 +69,31 @@ def modal_filter_matrix(
     return basis.V @ np.diag(sigma) @ basis.Vinv
 
 
-def apply_filter_3d(field: np.ndarray, F: np.ndarray) -> np.ndarray:
+def apply_filter_3d(
+    field: np.ndarray,
+    F: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Apply a 1-D filter matrix along the last three axes of a field.
 
     ``field`` has shape ``(..., n, n, n)``; the filter is the tensor
     product F ⊗ F ⊗ F, applied as three single-axis contractions (the
     standard sum-factorized form — O(n⁴) instead of O(n⁶) per element).
+    The passes ping-pong between ``out`` and ``scratch`` (each allocated
+    when omitted) and the result lands in ``out``.  ``scratch`` may be
+    ``field`` itself, which is then overwritten; ``out`` must not overlap
+    ``field``.  ``field`` and ``F`` must share a dtype.
     """
     n = F.shape[0]
     if F.shape != (n, n):
         raise ValueError("filter matrix must be square")
     if field.shape[-3:] != (n, n, n):
         raise ValueError(f"field trailing dims {field.shape[-3:]} do not match filter size {n}")
-    out = apply_along(F, field, 0)
-    out = apply_along(F, out, 1)
-    return apply_along(F, out, 2)
+    if field.dtype != F.dtype:
+        raise ValueError(f"field dtype {field.dtype} != filter matrix dtype {F.dtype}")
+    if out is not None and np.may_share_memory(out, field):
+        raise ValueError("apply_filter_3d out must not overlap the field")
+    out = apply_along(F, field, 0, out=out)
+    scratch = apply_along(F, out, 1, out=scratch, scratch=out)
+    return apply_along(F, scratch, 2, out=out)

@@ -99,8 +99,16 @@ class ThermalBubbleConfig:
             raise ValueError("need at least 2 elements per direction (bubble must fit inside)")
         if self.order < 2:
             raise ValueError("order must be at least 2 for a meaningful spectral element")
-        if self.bubble_amplitude <= 0 or self.bubble_radius <= 0:
-            raise ValueError("bubble amplitude and radius must be positive")
+        for name in ("theta0", "bubble_amplitude", "bubble_radius", "filter_strength"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not all(math.isfinite(x) and x > 0 for x in self.lengths):
+            raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
+        if not all(math.isfinite(x) for x in self.bubble_center):
+            raise ValueError(f"bubble_center must be finite, got {self.bubble_center}")
+        if not 0.0 < self.courant <= 1.0:
+            raise ValueError(f"courant must be in (0, 1], got {self.courant}")
         if self.filter_interval < 1:
             raise ValueError("filter_interval must be at least 1")
         if not (math.isfinite(self.viscosity) and self.viscosity >= 0):
@@ -194,6 +202,9 @@ class SelfSimulation:
             config.order, cutoff=config.filter_cutoff, strength=config.filter_strength
         ).astype(self.dtype)
         self._background = self.solver.background_state()
+        # the RK stage result; dead after each stage's update, so the
+        # filter borrows it as its perturbation and ping-pong buffer
+        self._stage = np.empty_like(self.U)
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         if config.viscosity > 0.0:
             from repro.self_.viscous import ViscousOperator
@@ -202,7 +213,7 @@ class SelfSimulation:
 
             def rhs(U: np.ndarray) -> np.ndarray:
                 with tel.span("self/rhs"):
-                    out = self.solver.rhs(U)
+                    out = self.solver.rhs(U, out=self._stage)
                 with tel.span("self/viscous"):
                     viscous.add_rhs(U, out)
                 return out
@@ -210,7 +221,7 @@ class SelfSimulation:
 
             def rhs(U: np.ndarray) -> np.ndarray:
                 with tel.span("self/rhs"):
-                    return self.solver.rhs(U)
+                    return self.solver.rhs(U, out=self._stage)
 
         self._stepper = LowStorageRK3(rhs=rhs)
         self.time = 0.0
@@ -314,6 +325,13 @@ class SelfSimulation:
 
     # -- running ----------------------------------------------------------
 
+    def _filter_state(self) -> None:
+        """U = background + filter(U - background), written into ``self.U``."""
+        stage = self._stage
+        np.subtract(self.U, self._background, out=stage)
+        apply_filter_3d(stage, self._filter, out=self.U, scratch=stage)
+        self.U += self._background
+
     def run(self, steps: int) -> SelfResult:
         """Advance ``steps`` RK3 steps and package the results."""
         if steps < 1:
@@ -356,10 +374,7 @@ class SelfSimulation:
                         )
                     if self.step_count % cfg.filter_interval == 0:
                         with tel.span("self/filter"):
-                            perturbation = self.U - self._background
-                            self.U = self._background + apply_filter_3d(
-                                perturbation, self._filter
-                            )
+                            self._filter_state()
                         if hashing:
                             ladder.record_site(
                                 step_no, "self/filter", self._hash_fields()

@@ -36,7 +36,10 @@ class LowStorageRK3:
     Parameters
     ----------
     rhs:
-        Function mapping a state tensor to its time derivative.
+        Function mapping a state tensor to its time derivative.  The
+        stepper uses the returned array as scratch, so it must be one the
+        caller no longer needs (a fresh array or a reused stage buffer);
+        a result that overlaps the state is copied first.
     """
 
     rhs: Callable[[np.ndarray], np.ndarray]
@@ -64,6 +67,11 @@ class LowStorageRK3:
         k = self._register
         for a, b in zip(_A, _B):
             np.multiply(k, ftype(a), out=k)
-            k += dt_c * self.rhs(U)
-            U += ftype(b) * k
+            R = self.rhs(U)
+            if np.may_share_memory(R, U):
+                R = R.copy()
+            # k += dt R and U += b k, with the stage result as the product buffer
+            R *= dt_c
+            k += R
+            U += np.multiply(ftype(b), k, out=R)
         return U

@@ -7,7 +7,9 @@ plus the boolean-mask / int64-gather forms of the regrid topology builders
 (scatter-plan construction by ``argsort``, neighbor rebuild, face lists,
 refinement flags, balance and the regrid assembly), and the SELF DGSEM
 kernel with one spelled-out surface routine and interface penalty per
-direction and explicit-subscript ``einsum`` contractions.
+direction and explicit-subscript ``einsum`` contractions, and the SELF
+RK3 stage and filter step as they were before the solver workspace (fresh
+tensors for every product).
 The tests use them as bit-level oracles: the production code must
 reproduce their outputs exactly.
 """
@@ -23,6 +25,7 @@ from repro.clamr.state import GRAVITY, ShallowWaterState
 from repro.machine.counters import KernelCounters
 from repro.precision.emulation import quantize_to_bfloat16
 from repro.self_.equations import RHO, RHOE, RHOU, RHOV, RHOW
+from repro.self_.timeint import _A, _B
 from repro.sums.doubledouble import two_sum
 
 
@@ -568,3 +571,19 @@ def apply_filter_3d_explicit(field, F):
     out = np.einsum("ai,...ijk->...ajk", F, field)
     out = np.einsum("bj,...ajk->...abk", F, out)
     return np.einsum("ck,...abk->...abc", F, out)
+
+
+def rk3_step_allocating(rhs, U, k, dt):
+    """``LowStorageRK3.step``'s stage loop with fresh product tensors; mutates ``U`` and ``k``."""
+    ftype = U.dtype.type
+    dt_c = ftype(dt)
+    for a, b in zip(_A, _B):
+        np.multiply(k, ftype(a), out=k)
+        k += dt_c * rhs(U)
+        U += ftype(b) * k
+    return U
+
+
+def filter_step_allocating(U, background, F):
+    """The SELF filter step as a new tensor: background + filter(U - background)."""
+    return background + apply_filter_3d_explicit(U - background, F)

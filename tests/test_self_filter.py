@@ -94,6 +94,14 @@ class TestApply3D:
         with pytest.raises(ValueError):
             apply_filter_3d(np.ones((4, 4, 4)), np.ones((3, 4)))
 
+    def test_dtype_mismatch_rejected(self):
+        """A float32 field with a float64 matrix used to come back float64."""
+        F = modal_filter_matrix(3)
+        with pytest.raises(ValueError, match="dtype"):
+            apply_filter_3d(np.ones((2, 5, 4, 4, 4), dtype=np.float32), F)
+        with pytest.raises(ValueError, match="dtype"):
+            apply_filter_3d(np.ones((2, 5, 4, 4, 4)), F.astype(np.float32))
+
     def test_reduces_high_frequency_energy(self):
         order = 6
         F = modal_filter_matrix(order, cutoff=2)

@@ -117,6 +117,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThermalBubbleConfig(bubble_radius=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("theta0", float("nan")),
+            ("theta0", -300.0),
+            ("bubble_amplitude", float("nan")),
+            ("bubble_radius", float("inf")),
+            ("bubble_center", (float("nan"), 0.0, 0.0)),
+            ("lengths", (1000.0, float("nan"), 1000.0)),
+            ("lengths", (1000.0, 1000.0, float("inf"))),
+            ("filter_strength", float("nan")),
+            ("filter_strength", 0.0),
+            ("courant", float("nan")),
+            ("courant", 0.0),
+            ("courant", 2.0),
+        ],
+    )
+    def test_non_finite_or_out_of_range_fields(self, field, value):
+        """Rejected at construction, not as a NaN state (or a first-step error) later."""
+        with pytest.raises(ValueError, match=field):
+            ThermalBubbleConfig(**{field: value})
+
     def test_too_tall_domain_rejected(self):
         cfg = ThermalBubbleConfig(lengths=(1000.0, 1000.0, 40000.0))
         with pytest.raises(ValueError, match="Exner"):
