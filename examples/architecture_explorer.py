@@ -10,7 +10,7 @@ runtime, boundedness, energy, and a monthly AWS bill per precision level.
 
 import argparse
 
-from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr import ClamrSimulation
 from repro.cost.aws import application_cost
 from repro.harness.report import Table
 from repro.machine.energy import estimate_energy
@@ -22,7 +22,7 @@ from repro.workload import make_config
 
 def measure_profiles(app: str):
     if app == "clamr":
-        cfg = DamBreakConfig(nx=48, ny=48, max_level=2)
+        cfg = make_config("clamr", nx=48, max_level=2)
         return {
             level: ClamrSimulation(cfg, policy=level).run(100).profile
             for level in ("min", "mixed", "full")

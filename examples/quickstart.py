@@ -10,8 +10,9 @@ the solutions are, and how symmetric each one stayed.
 
 import argparse
 
-from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr import ClamrSimulation
 from repro.precision.analysis import asymmetry_signature, difference_metrics
+from repro.workload import make_config
 
 
 def main() -> None:
@@ -21,7 +22,7 @@ def main() -> None:
     parser.add_argument("--max-level", type=int, default=2, help="AMR levels")
     args = parser.parse_args()
 
-    config = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=args.max_level)
+    config = make_config("clamr", nx=args.nx, max_level=args.max_level)
     print(f"Cylindrical dam break: {args.nx}x{args.nx} coarse grid, "
           f"{args.max_level} AMR levels, {args.steps} steps\n")
 

@@ -59,7 +59,7 @@ def _npmax(a, b):
 
 
 def _rusanov(hL, nl, tl, hR, nr, tr, g, half, hg):
-    """One face of ``_rusanov_into`` (== ``_rusanov_x``), scalarized.
+    """One face of ``kernels._rusanov_into``, scalarized.
 
     ``n``/``t`` are the face-normal and face-tangent momenta.  Returns
     ``(f_h, f_normal, f_tangent)``.
@@ -77,7 +77,7 @@ def _rusanov(hL, nl, tl, hR, nr, tr, g, half, hg):
 
 
 def _wellbalanced(hL, nl, tl, hR, nr, tr, bl, br, g, half, hg, zero):
-    """One face of ``_wellbalanced_x`` (Audusse reconstruction), scalarized.
+    """One face of ``kernels._wellbalanced_into`` (Audusse reconstruction), scalarized.
 
     Returns ``(f_h, phi_L, phi_R, f_tangent)`` — the per-side effective
     normal-momentum fluxes, exactly as the array kernel.

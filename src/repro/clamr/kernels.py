@@ -408,113 +408,22 @@ class FaceLists:
         return cached
 
 
-def _rusanov_x(hL, uL, vL, hR, uR, vR, g):
-    """Rusanov flux in +x for (H, U, V); works on arrays or scalars.
-
-    Inputs are conserved variables: u/v here are the *momenta* H·u, H·v.
-    """
-    velL = uL / hL
-    velR = uR / hR
-    cL = np.sqrt(g * hL)
-    cR = np.sqrt(g * hR)
-    lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
-    fh_L = uL
-    fu_L = uL * velL + 0.5 * g * hL * hL
-    fv_L = vL * velL
-    fh_R = uR
-    fu_R = uR * velR + 0.5 * g * hR * hR
-    fv_R = vR * velR
-    fh = 0.5 * (fh_L + fh_R) - 0.5 * lam * (hR - hL)
-    fu = 0.5 * (fu_L + fu_R) - 0.5 * lam * (uR - uL)
-    fv = 0.5 * (fv_L + fv_R) - 0.5 * lam * (vR - vL)
-    return fh, fu, fv
-
-
-def _wellbalanced_x(hL, nL, tL, hR, nR, tR, bL, bR, g):
-    """Hydrostatic-reconstruction (Audusse) Rusanov flux over bathymetry.
-
-    ``n``/``t`` are the face-normal and face-tangent momenta; ``bL``/``bR``
-    the bottom elevations of the two cells.  Returns ``(fh, phiL, phiR,
-    ft)`` where ``phiL``/``phiR`` are the *per-side* effective normal-
-    momentum fluxes: the starred-state flux with the starred hydrostatic
-    pressure swapped for each side's own, which is exactly the interface
-    part of the Audusse source-term splitting.  The scatter therefore
-    becomes ``dU[L] -= phiL·fsz; dU[R] += phiR·fsz`` — no separate source
-    loop, and the scheme is well balanced by construction.
-
-    Why exactly: at a lake at rest the free surface ``h + b`` is the same
-    value on both sides, so the reconstructed depths ``h* = max((h+b) −
-    max(bL,bR), 0)`` agree *bitwise*, making ``fh`` and ``ft`` exact zeros
-    and ``fn`` exactly the starred pressure ``½·g·h*²``.  Each side's
-    ``phi`` then collapses to its own ``½·g·h²`` — computed with the same
-    expression shape everywhere (including the reflective-wall flux), so
-    per-cell contributions cancel exactly and the state does not move by a
-    single ulp.  The property tests assert exactly that.
-
-    Works on arrays or NumPy scalars; ``g`` must be a NumPy scalar of the
-    compute dtype (its ``dtype`` supplies the exact-zero clamp).
-    """
-    zero = g.dtype.type(0)
-    bstar = np.maximum(bL, bR)
-    hsL = np.maximum((hL + bL) - bstar, zero)
-    hsR = np.maximum((hR + bR) - bstar, zero)
-    # velocities from the ORIGINAL depths (cells stay wet; h > 0)
-    velL = nL / hL
-    velR = nR / hR
-    nsL = hsL * velL
-    nsR = hsR * velR
-    tsL = hsL * (tL / hL)
-    tsR = hsR * (tR / hR)
-    cL = np.sqrt(g * hsL)
-    cR = np.sqrt(g * hsR)
-    lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
-    fh = 0.5 * (nsL + nsR) - 0.5 * lam * (hsR - hsL)
-    fnL = nsL * velL + 0.5 * g * hsL * hsL
-    fnR = nsR * velR + 0.5 * g * hsR * hsR
-    fn = 0.5 * (fnL + fnR) - 0.5 * lam * (nsR - nsL)
-    ft = 0.5 * (tsL * velL + tsR * velR) - 0.5 * lam * (tsR - tsL)
-    # per-side hydrostatic-pressure correction; the 0.5*g*h*h spelling
-    # matches _rusanov_x's pressure term bit-for-bit
-    phiL = (fn - 0.5 * g * hsL * hsL) + 0.5 * g * hL * hL
-    phiR = (fn - 0.5 * g * hsR * hsR) + 0.5 * g * hR * hR
-    return fh, phiL, phiR, ft
-
-
-def _interior_fluxes(plan, lo, hi, hL, nL, tL, hR, nR, tR, b, g, dH, dN, dT):
-    """Flux one interior face group and scatter it through its plan.
-
-    ``lo``/``hi`` are the group's low/high cells, the ``h/n/t`` arguments
-    the face states on each side (depth, normal and tangent momentum),
-    and ``dN``/``dT`` the normal/tangent accumulators.  ``b`` None takes
-    the Rusanov flux; a compute-dtype bottom takes the well-balanced one,
-    whose normal momentum scatters sided (each side its own ``phi``).
-    Returns the flux arrays it scattered.
-    """
-    if b is None:
-        fluxes = _rusanov_x(hL, nL, tL, hR, nR, tR, g)
-        fh, fn, ft = fluxes
-        plan.apply(dN, fn)
-    else:
-        fluxes = _wellbalanced_x(hL, nL, tL, hR, nR, tR, b[lo], b[hi], g)
-        fh, phiL, phiR, ft = fluxes
-        plan.apply(dN, phiL, phiR)
-    plan.apply(dH, fh)
-    plan.apply(dT, ft)
-    return fluxes
-
-
 def _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp):
-    """Rusanov flux into preallocated buffers; bitwise == :func:`_rusanov_x`.
+    """Rusanov flux in +x into preallocated buffers.
 
-    ``n``/``t`` are the face-*normal* and face-*tangent* momenta (for
-    x-faces that is U/V; for y-faces V/U — by symmetry the y-flux is the
-    x-flux under that swap).  ``out`` is ``(3, n)`` receiving
-    ``(f_h, f_normal, f_tangent)``; ``tmp`` is ``(6, n)`` scratch.  Every
-    operation replays :func:`_rusanov_x`'s expression sequence exactly,
-    relying only on exact IEEE-754 commutativity of ``+``/``*`` — so the
-    results are bit-identical, just without the ~14 fresh allocations per
-    call.  Inputs may alias each other (they are only read); they must not
-    alias ``out``/``tmp``.
+    Inputs are conserved face states: ``h`` the depth, ``n``/``t`` the
+    face-*normal* and face-*tangent* momenta (for x-faces that is U/V; for
+    y-faces V/U — by symmetry the y-flux is the x-flux under that swap).
+    With ``vel = n/h``, ``c = sqrt(g·h)`` and ``lam = max(|velL| + cL,
+    |velR| + cR)`` each flux is ``½(fL + fR) − ½·lam·(qR − qL)``, where
+    ``f`` is ``n`` for the depth, ``n·vel + ½·g·h·h`` for the normal and
+    ``t·vel`` for the tangent momentum.  ``out`` is ``(3, n)`` receiving
+    ``(f_h, f_normal, f_tangent)``; ``tmp`` is ``(6, n)`` scratch.  The
+    operations replay the allocating expression form (kept as the oracle
+    in ``tests/reference_impls.py``) in its order, relying only on exact
+    IEEE-754 commutativity of ``+``/``*``, so the bits are the same.
+    Inputs may alias each other (they are only read); they must not alias
+    ``out``/``tmp``.
     """
     half = g.dtype.type(0.5)
     hg = half * g  # the (0.5 * g) subterm of the pressure flux
@@ -564,6 +473,168 @@ def _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp):
     np.subtract(tR, tL, out=t4)
     np.multiply(t4, t2, out=t4)
     np.subtract(ft, t4, out=ft)
+
+
+def _wellbalanced_into(hL, nL, tL, hR, nR, tR, bL, bR, g, out, tmp):
+    """Hydrostatic-reconstruction (Audusse) Rusanov flux over bathymetry.
+
+    ``h``/``n``/``t`` are the face states as in :func:`_rusanov_into`,
+    ``bL``/``bR`` the bottom elevations of the two cells.  Each side's
+    depth is reconstructed to ``h* = max((h + b) − max(bL, bR), 0)`` and
+    its momenta to ``h*·(q/h)``; velocities come from the original depths
+    (cells stay wet, ``h > 0``).  ``out`` is ``(4, n)`` receiving ``(f_h,
+    phi_L, phi_R, f_tangent)``: ``phi_L``/``phi_R`` are the *per-side*
+    effective normal-momentum fluxes, the starred-state flux ``fn`` with
+    the starred hydrostatic pressure swapped for each side's own, ``phi =
+    (fn − ½·g·h*·h*) + ½·g·h·h``.  That is exactly the interface part of
+    the Audusse source-term splitting, so the scatter becomes ``dU[L] -=
+    phi_L·fsz; dU[R] += phi_R·fsz`` — no separate source loop, and the
+    scheme is well balanced by construction.
+
+    Why exactly: at a lake at rest the free surface ``h + b`` is the same
+    value on both sides, so the reconstructed depths agree *bitwise*,
+    making ``f_h`` and ``f_tangent`` exact zeros and ``fn`` exactly the
+    starred pressure.  Each side's ``phi`` then collapses to its own
+    ``½·g·h·h`` — computed with the same expression shape everywhere
+    (including the reflective-wall flux), so per-cell contributions cancel
+    exactly and the state does not move by a single ulp.  The property
+    tests assert exactly that.
+
+    ``tmp`` is ``(4, n)`` scratch, and ``bL``/``bR`` are consumed as two
+    more scratch rows; the other inputs are only read and must not alias
+    ``out``/``tmp``/``bL``/``bR``.  The operations replay the allocating
+    expression form (kept as the oracle in ``tests/reference_impls.py``)
+    in its order, relying only on exact IEEE-754 commutativity of
+    ``+``/``*``.  ``g`` is a NumPy scalar of the compute dtype.
+    """
+    half = g.dtype.type(0.5)
+    zero = g.dtype.type(0)
+    hg = half * g  # the (0.5 * g) subterm of the pressure flux
+    hsL, hsR, velL, velR = tmp
+    fh, phiL, phiR, ft = out
+
+    np.maximum(bL, bR, out=fh)  # bstar
+    np.add(hL, bL, out=hsL)
+    np.subtract(hsL, fh, out=hsL)
+    np.maximum(hsL, zero, out=hsL)
+    np.add(hR, bR, out=hsR)
+    np.subtract(hsR, fh, out=hsR)
+    np.maximum(hsR, zero, out=hsR)
+    np.divide(nL, hL, out=velL)
+    np.divide(nR, hR, out=velR)
+
+    # lam = max(|velL| + sqrt(g*hsL), |velR| + sqrt(g*hsR)); bL keeps 0.5*lam
+    np.multiply(hsL, g, out=bL)
+    np.sqrt(bL, out=bL)  # cL
+    np.absolute(velL, out=fh)
+    np.add(fh, bL, out=fh)
+    np.multiply(hsR, g, out=bL)
+    np.sqrt(bL, out=bL)  # cR
+    np.absolute(velR, out=bR)
+    np.add(bR, bL, out=bR)
+    np.maximum(fh, bR, out=bL)
+    np.multiply(bL, half, out=bL)
+
+    # starred momenta: ns = hs*vel in phiL/phiR, ts = hs*(t/h) in ft/fh
+    np.multiply(hsL, velL, out=phiL)
+    np.multiply(hsR, velR, out=phiR)
+    np.divide(tL, hL, out=ft)
+    np.multiply(ft, hsL, out=ft)
+    np.divide(tR, hR, out=fh)
+    np.multiply(fh, hsR, out=fh)
+
+    # f_t = 0.5*(tsL*velL + tsR*velR) - (0.5*lam)*(tsR - tsL)
+    np.subtract(fh, ft, out=bR)
+    np.multiply(bR, bL, out=bR)
+    np.multiply(ft, velL, out=ft)
+    np.multiply(fh, velR, out=fh)
+    np.add(ft, fh, out=ft)
+    np.multiply(ft, half, out=ft)
+    np.subtract(ft, bR, out=ft)
+
+    # f_h = 0.5*(nsL + nsR) - (0.5*lam)*(hsR - hsL)
+    np.add(phiL, phiR, out=fh)
+    np.multiply(fh, half, out=fh)
+    np.subtract(hsR, hsL, out=bR)
+    np.multiply(bR, bL, out=bR)
+    np.subtract(fh, bR, out=fh)
+
+    # fn = 0.5*((nsL*velL + hg*hsL*hsL) + (nsR*velR + hg*hsR*hsR))
+    #      - (0.5*lam)*(nsR - nsL), left in phiL; velL/velR keep the
+    # starred pressures hg*hs*hs for the per-side swap below
+    np.subtract(phiR, phiL, out=bR)
+    np.multiply(bR, bL, out=bR)
+    np.multiply(phiL, velL, out=phiL)
+    np.multiply(hsL, hg, out=velL)
+    np.multiply(velL, hsL, out=velL)
+    np.add(phiL, velL, out=phiL)
+    np.multiply(phiR, velR, out=phiR)
+    np.multiply(hsR, hg, out=velR)
+    np.multiply(velR, hsR, out=velR)
+    np.add(phiR, velR, out=phiR)
+    np.add(phiL, phiR, out=phiL)
+    np.multiply(phiL, half, out=phiL)
+    np.subtract(phiL, bR, out=phiL)
+
+    # phi = (fn - hg*hs*hs) + hg*h*h, R side first (fn lives in phiL)
+    np.subtract(phiL, velR, out=phiR)
+    np.multiply(hR, hg, out=bR)
+    np.multiply(bR, hR, out=bR)
+    np.add(phiR, bR, out=phiR)
+    np.subtract(phiL, velL, out=phiL)
+    np.multiply(hL, hg, out=bR)
+    np.multiply(bR, hL, out=bR)
+    np.add(phiL, bR, out=phiL)
+
+
+def _face_buffer(mesh: AmrMesh, geom: GeometryCache, faces: FaceLists, cdtype: np.dtype) -> np.ndarray:
+    """The cached ``(16, nfaces)`` face buffer: x faces, then y faces.
+
+    Rows: the six face states ``(hL, nL, tL, hR, nR, tR)``, then the flux
+    routine's rows — the Rusanov flux's 3 outputs and 6 scratch rows, or
+    the two bottoms ``(bL, bR)`` and the well-balanced flux's 4 outputs
+    and 4 scratch rows.  One buffer sized for the larger of the two, so
+    no mesh generation the cache keeps holds a second one.
+    """
+    return geom.buffer(mesh, cdtype, "fd_faces", (16, faces.xl.size + faces.yb.size))
+
+
+def _face_fluxes(
+    faces: FaceLists,
+    ncells: int,
+    fbuf: np.ndarray,
+    bathy: bool,
+    dH: np.ndarray,
+    dU: np.ndarray,
+    dV: np.ndarray,
+) -> None:
+    """Flux every interior face in ``fbuf`` and scatter, x plan before y plan.
+
+    ``fbuf`` rows 0–5 hold the face states ``(hL, nL, tL, hR, nR, tR)``
+    of the x faces then the y faces, whose normal/tangent momenta are V/U
+    (the y-flux is the x-flux under that swap); with ``bathy`` rows 6–7
+    hold the two sides' bottoms and the well-balanced flux runs, whose
+    normal momentum scatters sided (each side its own ``phi``).  The
+    x-group scatter runs strictly before the y-group one: each ``apply``
+    continues exactly where the previous one left the accumulator, which
+    is the per-cell accumulation order of the bit contract.
+    """
+    nxf = faces.xl.size
+    g = fbuf.dtype.type(GRAVITY)
+    hL, nL, tL, hR, nR, tR = fbuf[:6]
+    if bathy:
+        _wellbalanced_into(hL, nL, tL, hR, nR, tR, fbuf[6], fbuf[7], g, fbuf[8:12], fbuf[12:16])
+        fh, fnL, fnR, ft = fbuf[8:12]
+    else:
+        _rusanov_into(hL, nL, tL, hR, nR, tR, g, fbuf[6:9], fbuf[9:15])
+        fh, fnL, ft = fbuf[6:9]
+        fnR = None
+    xplan, yplan = faces.scatter_plans(ncells)
+    for plan, sl, dN, dT in ((xplan, slice(None, nxf), dU, dV), (yplan, slice(nxf, None), dV, dU)):
+        if plan.nfaces:
+            plan.apply(dH, fh[sl])
+            plan.apply(dN, fnL[sl], None if fnR is None else fnR[sl])
+            plan.apply(dT, ft[sl])
 
 
 def _reflective_walls(
@@ -701,7 +772,7 @@ def finite_diff_vectorized(
         Optional per-cell bottom elevation, one value per cell.  ``None``
         (the default) is a flat bottom; an array switches the interior
         faces to the well-balanced hydrostatic-reconstruction flux
-        (:func:`_wellbalanced_x`).
+        (:func:`_wellbalanced_into`).
     """
     if faces is None:
         faces = FaceLists.from_mesh(mesh)
@@ -716,62 +787,18 @@ def finite_diff_vectorized(
     if _SCATTER_MODE == "plan":
         rates = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
     if rates is None:
-        g = cdtype.type(GRAVITY)
-        xplan, yplan = faces.scatter_plans(mesh.ncells)
         rates = dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
-        xl, xr, yb, yt = faces.xl, faces.xr, faces.yb, faces.yt
-        nxf = xl.size
-        nf = nxf + yb.size
-        if b is not None:
-            # both groups' fluxes stay referenced until the step returns:
-            # freed between groups, they let malloc trim the heap top, and
-            # the next group faults those pages back in (twice the page
-            # faults and ~12% more solve time on the 128^2 lake)
-            fluxes = [
-                _interior_fluxes(
-                    plan, lo, hi, H[lo], N[lo], T[lo], H[hi], N[hi], T[hi],
-                    b, g, dH, dN, dT,
-                )
-                for plan, lo, hi, N, T, dN, dT in (
-                    (xplan, xl, xr, U, V, dU, dV),
-                    (yplan, yb, yt, V, U, dV, dU),
-                )
-                if lo.size
-            ]
-        elif nf:
-            # one fused Rusanov evaluation over ALL interior faces: y-faces
-            # ride along with normal/tangent momenta swapped (the y-flux is
-            # the x-flux under that swap); gathers land directly in cached
-            # scratch rows, so the hot loop allocates nothing per step
-            fbuf = geom.buffer(mesh, cdtype, "fd_faces", (15, nf))
-            hL, nL, tL, hR, nR, tR = fbuf[:6]
-            out = fbuf[6:9]
-            tmp = fbuf[9:15]
-            np.take(H, xl, out=hL[:nxf], mode="clip")
-            np.take(H, yb, out=hL[nxf:], mode="clip")
-            np.take(U, xl, out=nL[:nxf], mode="clip")
-            np.take(V, yb, out=nL[nxf:], mode="clip")
-            np.take(V, xl, out=tL[:nxf], mode="clip")
-            np.take(U, yb, out=tL[nxf:], mode="clip")
-            np.take(H, xr, out=hR[:nxf], mode="clip")
-            np.take(H, yt, out=hR[nxf:], mode="clip")
-            np.take(U, xr, out=nR[:nxf], mode="clip")
-            np.take(V, yt, out=nR[nxf:], mode="clip")
-            np.take(V, xr, out=tR[:nxf], mode="clip")
-            np.take(U, yt, out=tR[nxf:], mode="clip")
-            _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp)
-            fh, fn, ft = out
-            # x-group scatter strictly before y-group: each apply() continues
-            # exactly where the previous one left the accumulator, preserving
-            # the original kernel's per-cell accumulation order
-            if nxf:
-                xplan.apply(dH, fh[:nxf])
-                xplan.apply(dU, fn[:nxf])
-                xplan.apply(dV, ft[:nxf])
-            if nf > nxf:
-                yplan.apply(dH, fh[nxf:])
-                yplan.apply(dU, ft[nxf:])  # y tangent momentum is U
-                yplan.apply(dV, fn[nxf:])  # y normal momentum is V
+        # one flux pass over ALL interior faces: the cell states gather
+        # straight into the cached face buffer, x faces then y faces, so
+        # the hot loop allocates nothing per step
+        fbuf = _face_buffer(mesh, geom, faces, cdtype)
+        nxf = faces.xl.size
+        for xc, yc, rows in ((faces.xl, faces.yb, (0, 1, 2, 6)), (faces.xr, faces.yt, (3, 4, 5, 7))):
+            for row, xsrc, ysrc in zip(rows, (H, U, V, b), (H, V, U, b)):
+                if xsrc is not None:
+                    np.take(xsrc, xc, out=fbuf[row, :nxf], mode="clip")
+                    np.take(ysrc, yc, out=fbuf[row, nxf:], mode="clip")
+        _face_fluxes(faces, mesh.ncells, fbuf, b is not None, dH, dU, dV)
         _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
     dH, dU, dV = rates
 

@@ -39,12 +39,13 @@ from repro.clamr.kernels import (
     FaceLists,
     GeometryCache,
     _bathy_as,
-    _interior_fluxes,
+    _face_buffer,
+    _face_fluxes,
     _reflective_walls,
     geometry_cache,
 )
 from repro.clamr.mesh import AmrMesh
-from repro.clamr.state import GRAVITY, ShallowWaterState
+from repro.clamr.state import ShallowWaterState
 from repro.machine.counters import KernelCounters
 
 __all__ = ["minmod", "limited_slopes", "muscl_rhs", "finite_diff_muscl", "FLOPS_PER_FACE_MUSCL"]
@@ -110,7 +111,7 @@ def muscl_rhs(
     With ``bathy`` set, the depth reconstruction switches to free-surface
     slopes (η = H + b, so a lake at rest has exactly zero slopes) and the
     face fluxes to the hydrostatic-reconstruction form
-    (:func:`repro.clamr.kernels._wellbalanced_x`), keeping the scheme
+    (:func:`repro.clamr.kernels._wellbalanced_into`), keeping the scheme
     well balanced at second order.
     """
     if geom is None:
@@ -120,48 +121,50 @@ def muscl_rhs(
         compiled = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
         if compiled is not None:
             return compiled
-    g = cdtype.type(GRAVITY)
     half = cdtype.type(0.5)
     size, _ = geom.geometry(mesh, cdtype)
-    xplan, yplan = faces.scatter_plans(mesh.ncells)
     eta = H if b is None else H + b
     sxH, syH = limited_slopes(mesh, eta, size)
     sxU, syU = limited_slopes(mesh, U, size)
     sxV, syV = limited_slopes(mesh, V, size)
     dH, dU, dV = geom.workspace3(mesh, cdtype, slot=slot)
 
-    # interior faces, x group then y group: reconstruct each side to the
-    # face plane; N/T are the normal/tangent momenta
-    for plan, lo, hi, (sH, sN, sT), N, T, dN, dT in (
-        (xplan, faces.xl, faces.xr, (sxH, sxU, sxV), U, V, dU, dV),
-        (yplan, faces.yb, faces.yt, (syH, syV, syU), V, U, dV, dU),
-    ):
-        if not lo.size:
-            continue
-        offL = half * size[lo]
-        offR = half * size[hi]
-        hL = eta[lo] + sH[lo] * offL
-        hR = eta[hi] - sH[hi] * offR
-        if b is not None:
-            # recover depth from the reconstructed free surface against
-            # the cell's own bottom: constant η reproduces H bit-for-bit
-            hL = hL - b[lo]
-            hR = hR - b[hi]
-        nL = N[lo] + sN[lo] * offL
-        tL = T[lo] + sT[lo] * offL
-        nR = N[hi] - sN[hi] * offR
-        tR = T[hi] - sT[hi] * offR
-        # positivity guard: fall back to the cell mean where the
-        # reconstruction would drive depth non-positive
-        bad = (hL <= 0) | (hR <= 0)
-        if np.any(bad):
-            hL = np.where(bad, H[lo], hL)
-            nL = np.where(bad, N[lo], nL)
-            tL = np.where(bad, T[lo], tL)
-            hR = np.where(bad, H[hi], hR)
-            nR = np.where(bad, N[hi], nR)
-            tR = np.where(bad, T[hi], tR)
-        _interior_fluxes(plan, lo, hi, hL, nL, tL, hR, nR, tR, b, g, dH, dN, dT)
+    # reconstruct each side of every interior face to the face plane, into
+    # the kernels' face buffer (x faces, then y faces; N/T the normal and
+    # tangent momenta); rows 8 and 9 are scratch until the flux overwrites
+    # them
+    fbuf = _face_buffer(mesh, geom, faces, cdtype)
+    nxf = faces.xl.size
+    groups = (
+        (slice(None, nxf), faces.xl, faces.xr, (sxH, sxU, sxV), U, V),
+        (slice(nxf, None), faces.yb, faces.yt, (syH, syV, syU), V, U),
+    )
+    for sl, lo, hi, slopes, N, T in groups:
+        off, ds = fbuf[8, sl], fbuf[9, sl]
+        for row, b_row, cells, toward_face in ((0, 6, lo, np.add), (3, 7, hi, np.subtract)):
+            np.take(size, cells, out=off, mode="clip")
+            np.multiply(off, half, out=off)
+            for k, (q, slope) in enumerate(zip((eta, N, T), slopes)):
+                q_face = fbuf[row + k, sl]
+                np.take(slope, cells, out=ds, mode="clip")
+                np.multiply(ds, off, out=ds)
+                np.take(q, cells, out=q_face, mode="clip")
+                toward_face(q_face, ds, out=q_face)
+            if b is not None:
+                # recover depth from the reconstructed free surface against
+                # the cell's own bottom: constant η reproduces H bit-for-bit
+                b_face = fbuf[b_row, sl]
+                np.take(b, cells, out=b_face, mode="clip")
+                np.subtract(fbuf[row, sl], b_face, out=fbuf[row, sl])
+    # positivity guard: fall back to the cell mean where the
+    # reconstruction would drive depth non-positive
+    bad = (fbuf[0] <= 0) | (fbuf[3] <= 0)
+    if np.any(bad):
+        for sl, lo, hi, _, N, T in groups:
+            for row, cells in ((0, lo), (3, hi)):
+                for k, q in enumerate((H, N, T)):
+                    np.copyto(fbuf[row + k, sl], q[cells], where=bad[sl])
+    _face_fluxes(faces, mesh.ncells, fbuf, b is not None, dH, dU, dV)
 
     # reflective walls: first-order mirror flux (slopes clip to zero at
     # the wall anyway, by the self-link convention in limited_slopes)

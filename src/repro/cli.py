@@ -845,14 +845,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.clamr import ClamrSimulation, DamBreakConfig
+    from repro.clamr import ClamrSimulation
     from repro.precision.analysis import asymmetry_signature, difference_metrics
+    from repro.workload import make_config
 
     levels = [x.strip() for x in args.levels.split(",")]
     if len(levels) != 2:
         print("--levels expects exactly two comma-separated names", file=sys.stderr)
         return 2
-    cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=2)
+    cfg = make_config("clamr", nx=args.nx, max_level=2)
     runs = {lvl: ClamrSimulation(cfg, policy=lvl).run(args.steps) for lvl in levels}
     a, b = (runs[lvl] for lvl in levels)
     d = difference_metrics(b.slice_precise, a.slice_precise)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr import ClamrSimulation
 from repro.clamr.simulation import SimulationResult
 from repro.cost.aws import application_cost
 from repro.harness.report import Figure, Table
@@ -436,7 +436,7 @@ def table3_vectorization(nx: int = 24, steps: int = 40) -> Table:
     from repro.clamr.checkpoint import checkpoint_nbytes
     from repro.precision.policy import PrecisionPolicy
 
-    cfg = DamBreakConfig(nx=nx, ny=nx, max_level=1)
+    cfg = make_config("clamr", nx=nx, max_level=1)
     factor = clamr_paper_scale_factor(nx, steps)
     table = Table(
         title="Table III — CLAMR precision comparisons and vectorization",
@@ -729,8 +729,8 @@ def fig3_precision_resolution(nx_lo: int = 32, steps_hint: int = 400) -> Figure:
     detailed structure" than the Full-LoRes run — the reinvestment of
     precision savings into resolution.
     """
-    lo_cfg = DamBreakConfig(nx=nx_lo, ny=nx_lo, max_level=1)
-    hi_cfg = DamBreakConfig(nx=nx_lo * 2, ny=nx_lo * 2, max_level=1)
+    lo_cfg = make_config("clamr", nx=nx_lo, max_level=1)
+    hi_cfg = make_config("clamr", nx=nx_lo * 2, max_level=1)
     lo_sim = ClamrSimulation(lo_cfg, policy="full")
     lo = lo_sim.run(steps_hint)
     hi_sim = ClamrSimulation(hi_cfg, policy="min")

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr import ClamrSimulation
 from repro.harness.report import Figure
 from repro.precision.analysis import asymmetry_signature, difference_metrics
+from repro.workload import make_config
 
 __all__ = ["GrowthSamples", "divergence_growth", "asymmetry_growth", "resolution_sweep"]
 
@@ -53,7 +54,7 @@ class GrowthSamples:
 
 
 def _run_in_chunks(nx: int, total_steps: int, chunk: int, max_level: int = 2):
-    cfg = DamBreakConfig(nx=nx, ny=nx, max_level=max_level)
+    cfg = make_config("clamr", nx=nx, max_level=max_level)
     sims = {level: ClamrSimulation(cfg, policy=level) for level in LEVELS}
     taken = 0
     while taken < total_steps:
@@ -118,7 +119,7 @@ def resolution_sweep(
     """
     out: dict[int, float] = {}
     for nx in sizes:
-        cfg = DamBreakConfig(nx=nx, ny=nx, max_level=max_level)
+        cfg = make_config("clamr", nx=nx, max_level=max_level)
         steps = steps_per_cell * nx
         runs = {
             level: ClamrSimulation(cfg, policy=level).run(steps)

@@ -3,6 +3,9 @@
 These are the straightforward forms that :func:`repro.sums.dd_sum`,
 :meth:`repro.clamr.mesh.AmrMesh.build_hash`, the regrid sibling grouping
 and the flat-bottom ``finite_diff`` kernel had before they were optimized,
+the allocating Rusanov and well-balanced face fluxes and the CLAMR
+``finite_diff``/MUSCL bodies that called them per face group before the
+fused face pass,
 plus the boolean-mask / int64-gather forms of the regrid topology builders
 (scatter-plan construction by ``argsort``, neighbor rebuild, face lists,
 refinement flags, balance and the regrid assembly), and the SELF DGSEM
@@ -19,14 +22,94 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clamr.amr import _sibling_groups
-from repro.clamr.kernels import FaceLists, _count_work, _rusanov_x
+from repro.clamr.kernels import FaceLists, _count_work, _reflective_walls, geometry_cache
 from repro.clamr.mesh import AmrMesh
+from repro.clamr.muscl import limited_slopes
 from repro.clamr.state import GRAVITY, ShallowWaterState
 from repro.machine.counters import KernelCounters
 from repro.precision.emulation import quantize_to_bfloat16
 from repro.self_.equations import RHO, RHOE, RHOU, RHOV, RHOW
 from repro.self_.timeint import _A, _B
 from repro.sums.doubledouble import two_sum
+
+
+def _rusanov_x(hL, uL, vL, hR, uR, vR, g):
+    """Rusanov flux in +x for (H, U, V); works on arrays or scalars.
+
+    Inputs are conserved variables: u/v here are the *momenta* H·u, H·v.
+    """
+    velL = uL / hL
+    velR = uR / hR
+    cL = np.sqrt(g * hL)
+    cR = np.sqrt(g * hR)
+    lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
+    fh_L = uL
+    fu_L = uL * velL + 0.5 * g * hL * hL
+    fv_L = vL * velL
+    fh_R = uR
+    fu_R = uR * velR + 0.5 * g * hR * hR
+    fv_R = vR * velR
+    fh = 0.5 * (fh_L + fh_R) - 0.5 * lam * (hR - hL)
+    fu = 0.5 * (fu_L + fu_R) - 0.5 * lam * (uR - uL)
+    fv = 0.5 * (fv_L + fv_R) - 0.5 * lam * (vR - vL)
+    return fh, fu, fv
+
+
+def _wellbalanced_x(hL, nL, tL, hR, nR, tR, bL, bR, g):
+    """Hydrostatic-reconstruction (Audusse) Rusanov flux over bathymetry.
+
+    The allocating expression form that
+    :func:`repro.clamr.kernels._wellbalanced_into` replays (see there for
+    the scheme).  Returns ``(fh, phiL, phiR, ft)``; works on arrays or
+    NumPy scalars, ``g`` a NumPy scalar of the compute dtype.
+    """
+    zero = g.dtype.type(0)
+    bstar = np.maximum(bL, bR)
+    hsL = np.maximum((hL + bL) - bstar, zero)
+    hsR = np.maximum((hR + bR) - bstar, zero)
+    # velocities from the ORIGINAL depths (cells stay wet; h > 0)
+    velL = nL / hL
+    velR = nR / hR
+    nsL = hsL * velL
+    nsR = hsR * velR
+    tsL = hsL * (tL / hL)
+    tsR = hsR * (tR / hR)
+    cL = np.sqrt(g * hsL)
+    cR = np.sqrt(g * hsR)
+    lam = np.maximum(np.abs(velL) + cL, np.abs(velR) + cR)
+    fh = 0.5 * (nsL + nsR) - 0.5 * lam * (hsR - hsL)
+    fnL = nsL * velL + 0.5 * g * hsL * hsL
+    fnR = nsR * velR + 0.5 * g * hsR * hsR
+    fn = 0.5 * (fnL + fnR) - 0.5 * lam * (nsR - nsL)
+    ft = 0.5 * (tsL * velL + tsR * velR) - 0.5 * lam * (tsR - tsL)
+    # per-side hydrostatic-pressure correction; the 0.5*g*h*h spelling
+    # matches _rusanov_x's pressure term bit-for-bit
+    phiL = (fn - 0.5 * g * hsL * hsL) + 0.5 * g * hL * hL
+    phiR = (fn - 0.5 * g * hsR * hsR) + 0.5 * g * hR * hR
+    return fh, phiL, phiR, ft
+
+
+def _interior_fluxes(plan, lo, hi, hL, nL, tL, hR, nR, tR, b, g, dH, dN, dT):
+    """Flux one interior face group and scatter it through its plan.
+
+    ``lo``/``hi`` are the group's low/high cells, the ``h/n/t`` arguments
+    the face states on each side (depth, normal and tangent momentum),
+    and ``dN``/``dT`` the normal/tangent accumulators.  ``b`` None takes
+    the Rusanov flux; a compute-dtype bottom takes the well-balanced one,
+    whose normal momentum scatters sided (each side its own ``phi``).
+    Returns the flux arrays it scattered.
+    """
+    if b is None:
+        fluxes = _rusanov_x(hL, nL, tL, hR, nR, tR, g)
+        fh, fn, ft = fluxes
+        plan.apply(dN, fn)
+    else:
+        fluxes = _wellbalanced_x(hL, nL, tL, hR, nR, tR, b[lo], b[hi], g)
+        fh, phiL, phiR, ft = fluxes
+        plan.apply(dN, phiL, phiR)
+    plan.apply(dH, fh)
+    plan.apply(dT, ft)
+    return fluxes
 
 
 def dd_sum_loop(values) -> tuple[float, float]:
@@ -162,6 +245,109 @@ def finite_diff_add_at(
     scale = dt_c / area
     state.store(H + dH * scale, U + dU * scale, V + dV * scale)
     _count_work(counters, mesh, state, faces)
+
+
+def finite_diff_allocating(
+    mesh: AmrMesh,
+    state: ShallowWaterState,
+    dt: float,
+    faces: FaceLists,
+    bathy: np.ndarray | None = None,
+) -> None:
+    """``finite_diff_vectorized``'s NumPy body before the fused face pass.
+
+    Each face group gathers its states by fancy indexing and fluxes them
+    through :func:`_interior_fluxes` — the allocating Rusanov or
+    well-balanced form, then the group's plan scatter — x group first;
+    fresh accumulators, production walls.
+    """
+    cdtype = state.policy.compute_dtype
+    g = cdtype.type(GRAVITY)
+    b = None if bathy is None else np.asarray(bathy, dtype=cdtype)
+    H, U, V = state.promoted()
+    dH, dU, dV = (np.zeros(mesh.ncells, dtype=cdtype) for _ in range(3))
+    xplan, yplan = faces.scatter_plans(mesh.ncells)
+    for plan, lo, hi, N, T, dN, dT in (
+        (xplan, faces.xl, faces.xr, U, V, dU, dV),
+        (yplan, faces.yb, faces.yt, V, U, dV, dU),
+    ):
+        if lo.size:
+            _interior_fluxes(plan, lo, hi, H[lo], N[lo], T[lo], H[hi], N[hi], T[hi], b, g, dH, dN, dT)
+    geom = geometry_cache()
+    _reflective_walls(mesh, geom, faces, H, U, V, dH, dU, dV)
+    scale = cdtype.type(dt) / geom.geometry(mesh, cdtype)[1]
+    state.store(H + dH * scale, U + dU * scale, V + dV * scale)
+
+
+def muscl_rhs_allocating(mesh, H, U, V, faces, cdtype, bathy=None):
+    """``muscl_rhs``'s NumPy body before the fused face pass.
+
+    Reconstructs each face group's states into fresh arrays (positivity
+    fallback by ``np.where``) and fluxes them through
+    :func:`_interior_fluxes`, x group first.
+    """
+    g = cdtype.type(GRAVITY)
+    half = cdtype.type(0.5)
+    size, _ = geometry_cache().geometry(mesh, cdtype)
+    b = None if bathy is None else np.asarray(bathy, dtype=cdtype)
+    xplan, yplan = faces.scatter_plans(mesh.ncells)
+    eta = H if b is None else H + b
+    sxH, syH = limited_slopes(mesh, eta, size)
+    sxU, syU = limited_slopes(mesh, U, size)
+    sxV, syV = limited_slopes(mesh, V, size)
+    dH, dU, dV = (np.zeros(mesh.ncells, dtype=cdtype) for _ in range(3))
+    for plan, lo, hi, (sH, sN, sT), N, T, dN, dT in (
+        (xplan, faces.xl, faces.xr, (sxH, sxU, sxV), U, V, dU, dV),
+        (yplan, faces.yb, faces.yt, (syH, syV, syU), V, U, dV, dU),
+    ):
+        if not lo.size:
+            continue
+        offL = half * size[lo]
+        offR = half * size[hi]
+        hL = eta[lo] + sH[lo] * offL
+        hR = eta[hi] - sH[hi] * offR
+        if b is not None:
+            hL = hL - b[lo]
+            hR = hR - b[hi]
+        nL = N[lo] + sN[lo] * offL
+        tL = T[lo] + sT[lo] * offL
+        nR = N[hi] - sN[hi] * offR
+        tR = T[hi] - sT[hi] * offR
+        bad = (hL <= 0) | (hR <= 0)
+        if np.any(bad):
+            hL = np.where(bad, H[lo], hL)
+            nL = np.where(bad, N[lo], nL)
+            tL = np.where(bad, T[lo], tL)
+            hR = np.where(bad, H[hi], hR)
+            nR = np.where(bad, N[hi], nR)
+            tR = np.where(bad, T[hi], tR)
+        _interior_fluxes(plan, lo, hi, hL, nL, tL, hR, nR, tR, b, g, dH, dN, dT)
+    _reflective_walls(mesh, geometry_cache(), faces, H, U, V, dH, dU, dV)
+    return dH, dU, dV
+
+
+def finite_diff_muscl_allocating(
+    mesh: AmrMesh,
+    state: ShallowWaterState,
+    dt: float,
+    faces: FaceLists,
+    bathy: np.ndarray | None = None,
+) -> None:
+    """``finite_diff_muscl``'s Heun step over :func:`muscl_rhs_allocating`."""
+    cdtype = state.policy.compute_dtype
+    half = cdtype.type(0.5)
+    scale = cdtype.type(dt) / geometry_cache().geometry(mesh, cdtype)[1]
+    H0, U0, V0 = state.promoted()
+    k1 = muscl_rhs_allocating(mesh, H0, U0, V0, faces, cdtype, bathy)
+    H1 = H0 + k1[0] * scale
+    U1 = U0 + k1[1] * scale
+    V1 = V0 + k1[2] * scale
+    k2 = muscl_rhs_allocating(mesh, H1, U1, V1, faces, cdtype, bathy)
+    state.store(
+        H0 + half * (k1[0] + k2[0]) * scale,
+        U0 + half * (k1[1] + k2[1]) * scale,
+        V0 + half * (k1[2] + k2[2]) * scale,
+    )
 
 
 def scatter_plan_argsort(low, high, sizes, ncells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

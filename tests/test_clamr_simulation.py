@@ -1,10 +1,14 @@
 """Integration tests for the CLAMR dam-break simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.precision.analysis import asymmetry_signature, difference_metrics
+from repro.scenarios.registry import scenario_names
+from repro.workload import make_config
 
 SMALL = DamBreakConfig(nx=16, ny=16, max_level=1)
 
@@ -134,3 +138,38 @@ class TestConfigValidation:
     def test_regrid_interval_positive(self):
         with pytest.raises(ValueError):
             DamBreakConfig(regrid_interval=0)
+
+    # each of these used to construct, then run to a non-finite state,
+    # with AMR silently off, or fail only later with another message
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_height", -1.0),
+            ("base_height", 0.0),
+            ("base_height", float("nan")),
+            ("column_height", float("nan")),
+            ("column_height", float("inf")),
+            ("domain_size", float("nan")),
+            ("domain_size", float("inf")),
+            ("domain_size", 0.0),
+            ("domain_size", -1.0),
+            ("refine_threshold", float("nan")),
+            ("refine_threshold", 0.004),
+            ("refine_threshold", 0.001),
+            ("coarsen_threshold", float("nan")),
+            ("coarsen_threshold", -1.0),
+            ("coarsen_threshold", 0.0),
+            ("courant", 0.0),
+            ("courant", 1.0),
+            ("courant", 1.5),
+            ("courant", float("nan")),
+        ],
+    )
+    def test_non_finite_or_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must .*{value}$"):
+            DamBreakConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", [n for n in scenario_names() if n.startswith("clamr/")])
+    def test_scenarios_and_resilience_halving_construct(self, name):
+        cfg = make_config("clamr", name)
+        assert replace(cfg, courant=cfg.courant * 0.5).courant == cfg.courant * 0.5

@@ -169,3 +169,55 @@ class TestOneLabel:
                          scenario="self/density-current") == (
             "self/density-current/e2o3s8/single"
         )
+
+
+class _Stop(Exception):
+    """Raised by the stand-in simulation: the test needs only the configs."""
+
+
+class TestHarnessConfigs:
+    """The harness table, figure and sweep functions build their CLAMR
+    configs through ``make_config``, equal to the literal configs they
+    built before."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        import repro.harness.experiments as experiments
+        import repro.harness.sweeps as sweeps
+
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(make_config(*args, **kwargs))
+            return built[-1]
+
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        for module in (experiments, sweeps):
+            monkeypatch.setattr(module, "make_config", spy)
+            monkeypatch.setattr(module, "ClamrSimulation", stop)
+        return built
+
+    @pytest.mark.parametrize(
+        "site, expected",
+        [
+            ("table3", [DamBreakConfig(nx=12, ny=12, max_level=1)]),
+            ("fig3", [DamBreakConfig(nx=8, ny=8, max_level=1),
+                      DamBreakConfig(nx=16, ny=16, max_level=1)]),
+            ("chunks", [DamBreakConfig(nx=10, ny=10, max_level=2)]),
+            ("resolution", [DamBreakConfig(nx=12, ny=12, max_level=1)]),
+        ],
+    )
+    def test_configs_equal_the_literal_ones(self, site, expected, configs):
+        from repro.harness import experiments, sweeps
+
+        calls = {
+            "table3": lambda: experiments.table3_vectorization(nx=12),
+            "fig3": lambda: experiments.fig3_precision_resolution(nx_lo=8),
+            "chunks": lambda: next(sweeps._run_in_chunks(10, 4, 2)),
+            "resolution": lambda: sweeps.resolution_sweep(sizes=(12,), max_level=1),
+        }
+        with pytest.raises(_Stop):
+            calls[site]()
+        assert configs == expected
