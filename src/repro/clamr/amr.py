@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.clamr import backends as _backends
+from repro.clamr.kernels import _check_cells
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.precision.emulation import quantize_to_bfloat16
@@ -47,10 +49,13 @@ def refinement_flags(
     problems use.  Cells above ``refine_threshold`` are flagged +1, cells
     below ``coarsen_threshold`` are flagged -1, the rest 0.  Level caps
     (cannot refine past ``max_level``, cannot coarsen level 0) are applied
-    here so downstream stages can trust the flags.
+    here so downstream stages can trust the flags.  Under a loop backend
+    everything after the quantization runs as one loop over the cells
+    (``refinement_flags`` in :mod:`repro.clamr.backends.loops`).
     """
     if refine_threshold <= coarsen_threshold:
         raise ValueError("refine_threshold must exceed coarsen_threshold")
+    _check_cells(mesh, state)
     # Quantize H to bfloat16 (~0.4% quanta) before computing jumps.  Regrid
     # decisions are threshold comparisons; without quantization a
     # rounding-level difference between precision modes can flip a cell's
@@ -61,6 +66,9 @@ def refinement_flags(
     # such guard; its published runs simply did not hit a flip.  See
     # DESIGN.md, "mesh-decision noise immunity".)
     H = quantize_to_bfloat16(state.H.astype(np.float64))
+    flags = _backends.try_refinement_flags(mesh, H, refine_threshold, coarsen_threshold)
+    if flags is not None:
+        return flags
     absH = np.abs(H)
     floor = max(1e-12, float(np.max(absH)) * 1e-12)
     indicator = np.zeros(mesh.ncells, dtype=np.float64)
@@ -93,11 +101,15 @@ def enforce_balance(mesh: AmrMesh, flags: np.ndarray) -> np.ndarray:
     Iterates to a fixed point: whenever a neighbor's post-refinement level
     would exceed a cell's by more than one, the cell is forced to refine
     (and any coarsen flag on it is cancelled).  Convergence is guaranteed —
-    each pass only raises levels, bounded by ``max_level``.
+    each pass only raises levels, bounded by ``max_level``.  A loop
+    backend runs the same passes as loops over the cells
+    (``enforce_balance`` in :mod:`repro.clamr.backends.loops`).
     """
     flags = np.array(flags, dtype=np.int8, copy=True)
     if flags.shape != (mesh.ncells,):
         raise ValueError(f"flags must have shape ({mesh.ncells},)")
+    if _backends.try_enforce_balance(mesh, flags):
+        return flags
     level = mesh.level
     at_max = level >= mesh.max_level
     # sanitize: level caps hold regardless of where the flags came from

@@ -1,9 +1,10 @@
 """Kernel backends behind the differential oracle.
 
 This package generalizes the ``scatter_mode`` pattern one level up: the
-NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
-:mod:`repro.self_.equations` stay exactly as they are — the *oracle* —
-and a process-wide :func:`kernel_backend` switch can route the hot loops
+NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl`
+and the regrid topology builders in :mod:`repro.clamr.mesh` /
+:mod:`repro.clamr.amr` stay exactly as they are — the *oracle* — and a
+process-wide :func:`kernel_backend` switch can route the hot loops
 through a loop implementation that is **bit-identical by contract**:
 
 ``numpy``
@@ -31,22 +32,24 @@ the numbers cannot differ, so a missing compiler degrades performance,
 never results.  The same applies per-dtype: ``cext`` instantiates
 float32/float64 only, so the ``half`` policy's float16 arithmetic
 always runs on the NumPy path (mirroring the CSR ScatterPlan dtype
-restriction).  Because backend
+restriction).  The topology builders (neighbors, face lists,
+refinement flags, balance) carry no compute dtype — they work on
+the int32 mesh arrays and float64 depths — so they dispatch for every
+policy, ``half`` included (:func:`topology_ops`).  Because backend
 choice can't change bits, it is deliberately **excluded** from hashed
 run identity — ``RunRecord.backend`` is recorded for provenance but is
 not part of the workload key or fingerprint.
 
 Two dispatch guards keep the oracle reachable: ``scatter_mode("add_at")``
-(the explicit oracle request) disables backend dispatch entirely, and an
-unknown backend name raises :class:`UnknownBackendError` (the CLI maps
-it to exit 2).
+(the explicit oracle request) disables backend dispatch entirely through
+:func:`oracle_only`, and an unknown backend name raises
+:class:`UnknownBackendError` (the CLI maps it to exit 2).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,8 +66,10 @@ __all__ = [
     "dispatch_ops",
     "kernel_backend",
     "normalize_backend",
+    "oracle_only",
     "resolved_backend",
     "set_kernel_backend",
+    "topology_ops",
     "warmup",
 ]
 
@@ -73,6 +78,8 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: explicit process-level selection; None defers to the env var / default
 _ACTIVE: str | None = None
+#: set while scatter_mode("add_at") is active: every dispatch runs the oracle
+_ORACLE_ONLY = False
 _OPS_CACHE: dict = {}
 _WARMED: set = set()
 _COMPILED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -120,6 +127,18 @@ def kernel_backend(name: str):
         _ACTIVE = previous
 
 
+@contextlib.contextmanager
+def oracle_only(enabled: bool):
+    """Temporarily turn all backend dispatch off (``scatter_mode("add_at")``)."""
+    global _ORACLE_ONLY
+    previous = _ORACLE_ONLY
+    _ORACLE_ONLY = bool(enabled)
+    try:
+        yield
+    finally:
+        _ORACLE_ONLY = previous
+
+
 def _build_ops(name: str, dt: np.dtype) -> SimpleNamespace | None:
     if name == "python":
         module = loops
@@ -133,13 +152,23 @@ def _build_ops(name: str, dt: np.dtype) -> SimpleNamespace | None:
 def dispatch_ops(cdtype) -> SimpleNamespace | None:
     """The kernel namespace for the active backend, or None → run the oracle."""
     name = active_backend()
-    if name == "numpy":
+    if name == "numpy" or _ORACLE_ONLY:
         return None
     dt = np.dtype(cdtype)
     key = (name, dt)
     if key not in _OPS_CACHE:
         _OPS_CACHE[key] = _build_ops(name, dt)
     return _OPS_CACHE[key]
+
+
+def topology_ops() -> SimpleNamespace | None:
+    """The namespace for the regrid topology builders, or None → NumPy.
+
+    The builders have no compute dtype (int32 mesh arrays, float64
+    depths), so this ignores the policy: under ``cext`` they run compiled
+    for ``half`` too.
+    """
+    return dispatch_ops(np.float64)
 
 
 def resolved_backend(cdtype=np.float64) -> str:
@@ -174,25 +203,93 @@ def _reset_for_tests() -> None:
 
 # -- marshalling: mesh/state objects -> the flat loops.py convention ------
 
-#: int64 neighbor-array casts, keyed by mesh generation (mesh stores int32)
-_NEIGHBORS64: OrderedDict[int, tuple] = OrderedDict()
-_NEIGHBORS64_CAP = 4
+def _links(mesh) -> tuple | None:
+    """(nlft, nrht, nbot, ntop, level) when all are contiguous int32 per cell.
+
+    Anything else (a hand-assigned neighbor array, say) runs the NumPy
+    form, which raises or computes on its own terms.
+    """
+    arrays = (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop, mesh.level)
+    n = mesh.ncells
+    for a in arrays:
+        if a.dtype != np.int32 or a.shape != (n,) or not a.flags.c_contiguous:
+            return None
+    return arrays
 
 
-def _neighbors64(mesh) -> tuple:
-    gen = mesh.generation
-    cached = _NEIGHBORS64.get(gen)
-    if cached is None:
-        cached = tuple(
-            np.ascontiguousarray(arr, dtype=np.int64)
-            for arr in (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop)
-        )
-        _NEIGHBORS64[gen] = cached
-        while len(_NEIGHBORS64) > _NEIGHBORS64_CAP:
-            _NEIGHBORS64.popitem(last=False)
-    else:
-        _NEIGHBORS64.move_to_end(gen)
-    return cached
+def try_mesh_neighbors(mesh) -> tuple | None:
+    """(nlft, nrht, nbot, ntop) int32 from the active backend; None → NumPy.
+
+    An overlapping or gapped cell soup (or a block outside the domain)
+    also returns None, so the NumPy form raises its own error.
+    """
+    ops = topology_ops()
+    if ops is None:
+        return None
+    arrays = (mesh.i, mesh.j, mesh.level)
+    if any(a.dtype != np.int32 or not a.flags.c_contiguous for a in arrays):
+        return None
+    n = mesh.ncells
+    img = np.empty((mesh.nyf + 2) * (mesh.nxf + 2), dtype=np.int32)
+    nbrs = tuple(np.empty(n, dtype=np.int32) for _ in range(4))
+    if ops.mesh_neighbors(*arrays, mesh.nx, mesh.ny, mesh.max_level, img, *nbrs):
+        return None
+    return nbrs
+
+
+def try_face_lists(mesh) -> tuple[dict, np.ndarray, tuple] | None:
+    """FaceLists fields from the active backend; None → NumPy.
+
+    Returns ``(fields, bcells, slices)``: the ten dataclass fields (the
+    wall lists are views into ``bcells``, all four sides concatenated) and
+    the ``boundary_concat`` pair, so the walls are never concatenated
+    again.
+    """
+    ops = topology_ops()
+    links = None if ops is None else _links(mesh)
+    if links is None:
+        return None
+    counts = np.zeros(8, dtype=np.int64)
+    if ops.face_count(*links, counts):
+        return None
+    nxf = int(counts[0] + counts[1])
+    nyf = int(counts[2] + counts[3])
+    edges = np.concatenate(([0], np.cumsum(counts[4:]))).tolist()
+    xl, xr, yb, yt = (np.empty(m, dtype=np.int64) for m in (nxf, nxf, nyf, nyf))
+    xsize, ysize = np.empty(nxf), np.empty(nyf)
+    bcells = np.empty(edges[-1], dtype=np.int64)
+    ops.face_fill(*links, mesh.coarse_size, counts, xl, xr, xsize, yb, yt, ysize, bcells)
+    slices = tuple(slice(edges[k], edges[k + 1]) for k in range(4))
+    sides = (bcells[sl] for sl in slices)
+    fields = dict(xl=xl, xr=xr, xsize=xsize, yb=yb, yt=yt, ysize=ysize,
+                  **dict(zip(("bnd_left", "bnd_right", "bnd_bottom", "bnd_top"), sides)))
+    return fields, bcells, slices
+
+
+def try_refinement_flags(mesh, H, refine: float, coarsen: float) -> np.ndarray | None:
+    """int8 flags from the quantized float64 depths ``H``; None → NumPy."""
+    ops = topology_ops()
+    links = None if ops is None else _links(mesh)
+    if links is None or H.dtype != np.float64 or not H.flags.c_contiguous:
+        return None
+    flags = np.empty(mesh.ncells, dtype=np.int8)
+    scratch = np.empty(mesh.ncells, dtype=np.float64)
+    if ops.refinement_flags(H, *links, mesh.max_level, 1e-12, refine, coarsen, scratch, flags):
+        return None
+    return flags
+
+
+def try_enforce_balance(mesh, flags: np.ndarray) -> bool:
+    """Balance the (copied, int8) ``flags`` in place; False → run NumPy."""
+    ops = topology_ops()
+    links = None if ops is None else _links(mesh)
+    if links is None:
+        return False
+    nlft, nrht, nbot, ntop, level = links
+    forced = np.empty(mesh.ncells, dtype=np.uint8)
+    return not ops.enforce_balance(
+        flags, level, nlft, nrht, nbot, ntop, mesh.max_level, forced
+    )
 
 
 def _boundary_table(faces) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +326,8 @@ def try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy, muscl):
     nbrs = (None,) * 4
     sl = eta = None
     if muscl:
-        nbrs = _neighbors64(mesh)
+        nbrs = tuple(np.ascontiguousarray(a, dtype=np.int32)
+                     for a in (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop))
         sl = geom.buffer(mesh, cdtype, "bk_slopes", (6, mesh.ncells))
         if bathy is not None:
             eta = H + bathy
@@ -243,24 +341,6 @@ def try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy, muscl):
     return dH, dU, dV
 
 
-def try_self_max_metric(U, mx, my, mz, gamma, gm1, dtype):
-    """SELF metric-weighted max wave speed; None → oracle."""
-    dt = np.dtype(dtype)
-    ops = dispatch_ops(dt)
-    if ops is None:
-        return None
-    nelem = int(U.shape[0])
-    n3 = int(U.shape[2] * U.shape[3] * U.shape[4])
-    if nelem * n3 == 0:
-        return None
-    Uc = np.ascontiguousarray(U)
-    return float(
-        ops.self_max_metric(
-            Uc.reshape(-1), nelem, n3, mx, my, mz, gamma, gm1, dt.type(0.5)
-        )
-    )
-
-
 # -- warm-up: force compilation outside the timed region ------------------
 
 def warmup(cdtype, which: str = "clamr") -> str | None:
@@ -268,7 +348,9 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
 
     Returns the concrete backend name, or None when the oracle will run.
     Called by the simulation drivers inside a dedicated telemetry span so
-    C-build time never pollutes timed regions or flight-recorder series.  Idempotent per (backend, dtype, which).
+    C-build time never pollutes timed regions or flight-recorder series.
+    ``which="self"`` only builds the library: no SELF kernel dispatches.
+    Idempotent per (backend, dtype, which).
     """
     ops = dispatch_ops(cdtype)
     if ops is None:
@@ -279,16 +361,13 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
         return ops.name
     ct = dt.type
     g, half = ct(GRAVITY), ct(0.5)
-    if which == "self":
-        Uf = np.array([1.0, 0.1, 0.2, 0.3, 1e5], dtype=dt)
-        ops.self_max_metric(Uf, 1, 1, ct(1), ct(1), ct(1), ct(1.4), ct(0.4), half)
-    else:
+    if which != "self":
         H = np.array([1.0, 2.0], dtype=dt)
         U = np.array([0.1, -0.2], dtype=dt)
         V = np.array([0.05, 0.0], dtype=dt)
         b = np.array([0.1, 0.2], dtype=dt)
         ones = np.ones(2, dtype=dt)
-        nbrs = [np.array(a, dtype=np.int64) for a in ([0, 0], [1, 1], [0, 1], [0, 1])]
+        nbrs = [np.array(a, dtype=np.int32) for a in ([0, 0], [1, 1], [0, 1], [0, 1])]
         xl = np.array([0], dtype=np.int64)
         xr = np.array([1], dtype=np.int64)
         ey = np.empty(0, dtype=np.int64)

@@ -3,8 +3,10 @@
  * Built at first use by backends/cext.py with
  *   cc -O3 -fPIC -shared -ffp-contract=off -fno-math-errno
  * (no -ffast-math: the whole point is bit-identity with NumPy).
- * float16 is not instantiated — the half policy stays on the NumPy path,
- * mirroring the ScatterPlan CSR dtype restriction.
+ * float16 is not instantiated — the half policy's arithmetic stays on the
+ * NumPy path, mirroring the ScatterPlan CSR dtype restriction; the regrid
+ * topology builders carry no compute type and are defined once, by the
+ * first inclusion.
  */
 
 #include <stdint.h>
@@ -31,4 +33,4 @@
 #undef KFABS
 
 /* ABI version stamp so stale cached .so files are never reused. */
-int repro_kernels_abi(void) { return 2; }
+int repro_kernels_abi(void) { return 3; }

@@ -15,7 +15,11 @@
  * for the replay contract (np.maximum semantics, scatter order, etc.).
  *
  * The non-static definitions are the exports, exactly loops.__all__:
- * clamr_rhs (every CLAMR scheme and bottom) and self_max_metric.
+ * per compute type (FN) clamr_rhs (every CLAMR scheme and bottom) and
+ * heun_stage; once, in the include-guarded block at the end, the regrid
+ * topology builders mesh_neighbors, face_count, face_fill,
+ * refinement_flags and enforce_balance, which work on the int32 mesh
+ * arrays (and float64 depths) whatever the compute type.
  */
 
 static inline T FN(npmax)(T a, T b) { return (a > b || a != a) ? a : b; }
@@ -109,8 +113,8 @@ static inline T FN(minmod)(T a, T b, T zero)
 /* Per-cell minmod slopes of q in x and y (limited_slopes). */
 static void FN(slopes)(
     const T *q,
-    const int64_t *nlft, const int64_t *nrht,
-    const int64_t *nbot, const int64_t *ntop,
+    const int32_t *nlft, const int32_t *nrht,
+    const int32_t *nbot, const int32_t *ntop,
     const T *size, int64_t ncells,
     T half, T zero, T *sx, T *sy)
 {
@@ -196,8 +200,8 @@ static void FN(axis)(
  * syU, sxV, syV) and MUSCL. b NULL: flat bottom. */
 void FN(clamr_rhs)(
     const T *H, const T *U, const T *V, const T *b, const T *eta,
-    const int64_t *nlft, const int64_t *nrht,
-    const int64_t *nbot, const int64_t *ntop,
+    const int32_t *nlft, const int32_t *nrht,
+    const int32_t *nbot, const int32_t *ntop,
     const T *size, int64_t ncells,
     const int64_t *xl, const int64_t *xr, int64_t nxf,
     const int32_t *xip, const int32_t *xcols, const T *xsgn,
@@ -225,33 +229,268 @@ void FN(clamr_rhs)(
     FN(boundary)(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg);
 }
 
-/* One node of CompressibleEuler.max_wave_speed_metric. */
-static inline T FN(metric_total)(
-    const T *Uf, int64_t t, int64_t n3,
-    T mx, T my, T mz, T gamma_, T gm1, T half)
+/* One row of heun_stage: q0 + a*scale, or with b q0 + (half*(a + b))*scale. */
+static void FN(heun_row)(
+    const T *q0, const T *a, const T *b, const T *scale, int64_t ncells, T half, T *q)
 {
-    int64_t e = t / n3;
-    int64_t k = t - e * n3;
-    int64_t o = e * (5 * n3) + k;
-    T rho = Uf[o];
-    T u = Uf[o + n3] / rho;
-    T v = Uf[o + 2 * n3] / rho;
-    T w = Uf[o + 3 * n3] / rho;
-    T E = Uf[o + 4 * n3];
-    T kinetic = (half * rho) * ((u * u + v * v) + w * w);
-    T p = gm1 * (E - kinetic);
-    T c = KSQRT((gamma_ * p) / rho);
-    return (mx * (KFABS(u) + c) + my * (KFABS(v) + c)) + mz * (KFABS(w) + c);
+    int64_t c;
+    if (!b) {
+        for (c = 0; c < ncells; c++)
+            q[c] = q0[c] + a[c] * scale[c];
+        return;
+    }
+    for (c = 0; c < ncells; c++)
+        q[c] = q0[c] + (half * (a[c] + b[c])) * scale[c];
 }
 
-/* max over nodes of the metric-weighted wave speed (SELF CFL). */
-T FN(self_max_metric)(
-    const T *Uf, int64_t nelem, int64_t n3,
-    T mx, T my, T mz, T gamma_, T gm1, T half)
+/* One Heun stage of finite_diff_muscl (loops.py heun_stage): with bH NULL
+ * the predictor q0 + a*scale, else the corrector q0 + (half*(a + b))*scale. */
+void FN(heun_stage)(
+    const T *H0, const T *U0, const T *V0,
+    const T *aH, const T *aU, const T *aV,
+    const T *bH, const T *bU, const T *bV,
+    const T *scale, int64_t ncells, T half,
+    T *H, T *U, T *V)
 {
-    int64_t t, total = nelem * n3;
-    T m = FN(metric_total)(Uf, 0, n3, mx, my, mz, gamma_, gm1, half);
-    for (t = 1; t < total; t++)
-        m = FN(npmax)(m, FN(metric_total)(Uf, t, n3, mx, my, mz, gamma_, gm1, half));
-    return m;
+    FN(heun_row)(H0, aH, bH, scale, ncells, half, H);
+    FN(heun_row)(U0, aU, bU, scale, ncells, half, U);
+    FN(heun_row)(V0, aV, bV, scale, ncells, half, V);
 }
+
+#ifndef REPRO_TOPOLOGY_BUILDERS
+#define REPRO_TOPOLOGY_BUILDERS
+
+/* -- regrid topology (loops.py, same names): one instance each ---------- */
+
+/* 1 when the link target n lies outside [0, ncells): the caller then runs
+ * the NumPy form, which raises its own IndexError. */
+static inline int bad_link(int32_t n, int64_t ncells) { return n < 0 || n >= ncells; }
+
+/* AmrMesh.rebuild_neighbors: paint every cell's block of the padded
+ * (nyf+2) x (nxf+2) int32 image (border -1), then probe one pixel past
+ * the lower-left corner to the left and below, past the lower-right
+ * corner to the right and past the upper-left corner above; a border
+ * pixel is a domain side, where the cell points to itself. Returns 0,
+ * 1 (cells overlap), 2 (gaps) or 3 (a level or block outside the
+ * domain: the caller runs the NumPy form and its errors). */
+int64_t mesh_neighbors(
+    const int32_t *ci, const int32_t *cj, const int32_t *lev, int64_t ncells,
+    int64_t nx, int64_t ny, int64_t max_level, int32_t *img,
+    int32_t *nlft, int32_t *nrht, int32_t *nbot, int32_t *ntop)
+{
+    int64_t nxf = nx << max_level, nyf = ny << max_level;
+    int64_t w = nxf + 2, painted = 0, c, k;
+    int32_t overlap = 0;
+    for (k = 0; k < w * (nyf + 2); k++)
+        img[k] = -1;
+    for (c = 0; c < ncells; c++) {
+        int64_t s, x0, y0, dy, dx;
+        if (lev[c] < 0 || lev[c] > max_level)
+            return 3;
+        s = (int64_t)1 << (max_level - lev[c]);
+        x0 = (int64_t)ci[c] * s;
+        y0 = (int64_t)cj[c] * s;
+        if (x0 < 0 || y0 < 0 || x0 + s > nxf || y0 + s > nyf)
+            return 3;
+        for (dy = 0; dy < s; dy++) {
+            int32_t *row = img + (y0 + dy + 1) * w + x0 + 1;
+            for (dx = 0; dx < s; dx++) {
+                overlap |= row[dx] >= 0;
+                row[dx] = (int32_t)c;
+            }
+        }
+        painted += s * s;
+    }
+    if (overlap)
+        return 1;
+    if (painted < nxf * nyf) /* no pixel painted twice: painted == covered */
+        return 2;
+    for (c = 0; c < ncells; c++) {
+        int64_t s = (int64_t)1 << (max_level - lev[c]);
+        int64_t corner = ((int64_t)cj[c] * s + 1) * w + (int64_t)ci[c] * s + 1;
+        int32_t n;
+        n = img[corner - 1];
+        nlft[c] = n < 0 ? (int32_t)c : n;
+        n = img[corner + s];
+        nrht[c] = n < 0 ? (int32_t)c : n;
+        n = img[corner - w];
+        nbot[c] = n < 0 ? (int32_t)c : n;
+        n = img[corner + s * w];
+        ntop[c] = n < 0 ? (int32_t)c : n;
+    }
+    return 0;
+}
+
+/* FaceLists.from_mesh, count pass. counts: x faces a cell owns forward
+ * (its right neighbor is not finer), x faces it owns back (its left
+ * neighbor is coarser), the same two for y, then the wall cells of the
+ * left, right, bottom and top sides. Returns the number of links outside
+ * the mesh (nonzero: the caller runs the NumPy form). */
+int64_t face_count(
+    const int32_t *nlft, const int32_t *nrht,
+    const int32_t *nbot, const int32_t *ntop,
+    const int32_t *lev, int64_t ncells, int64_t *counts)
+{
+    int64_t c, xf = 0, xb = 0, yf = 0, yb = 0, wl = 0, wr = 0, wb = 0, wt = 0, bad = 0;
+    for (c = 0; c < ncells; c++) {
+        int32_t l = nlft[c], r = nrht[c], b = nbot[c], t = ntop[c];
+        if (bad_link(l, ncells) || bad_link(r, ncells) || bad_link(b, ncells) || bad_link(t, ncells)) {
+            bad++;
+            continue;
+        }
+        xf += r != c && lev[r] <= lev[c];
+        xb += l != c && lev[l] < lev[c];
+        yf += t != c && lev[t] <= lev[c];
+        yb += b != c && lev[b] < lev[c];
+        wl += l == c;
+        wr += r == c;
+        wb += b == c;
+        wt += t == c;
+    }
+    counts[0] = xf; counts[1] = xb; counts[2] = yf; counts[3] = yb;
+    counts[4] = wl; counts[5] = wr; counts[6] = wb; counts[7] = wt;
+    return bad;
+}
+
+/* FaceLists.from_mesh, fill pass into exact-size arrays: each axis lists
+ * its forward-owned faces, then its back-owned ones, each in cell order;
+ * a face is sized by its owner (the finer or equal cell). bnd holds the
+ * wall cells left|right|bottom|top, each side in cell order. */
+void face_fill(
+    const int32_t *nlft, const int32_t *nrht,
+    const int32_t *nbot, const int32_t *ntop,
+    const int32_t *lev, int64_t ncells, double coarse_size, const int64_t *counts,
+    int64_t *xl, int64_t *xr, double *xsize,
+    int64_t *yb, int64_t *yt, double *ysize, int64_t *bnd)
+{
+    int64_t xf = 0, xbk = counts[0], yf = 0, ybk = counts[2];
+    int64_t wl = 0, wr = counts[4], wb = wr + counts[5], wt = wb + counts[6];
+    int64_t c;
+    for (c = 0; c < ncells; c++) {
+        int32_t l = nlft[c], r = nrht[c], b = nbot[c], t = ntop[c];
+        double sz = coarse_size / (double)((int64_t)1 << lev[c]);
+        if (r != c && lev[r] <= lev[c]) { xl[xf] = c; xr[xf] = r; xsize[xf] = sz; xf++; }
+        if (l != c && lev[l] < lev[c]) { xl[xbk] = l; xr[xbk] = c; xsize[xbk] = sz; xbk++; }
+        if (t != c && lev[t] <= lev[c]) { yb[yf] = c; yt[yf] = t; ysize[yf] = sz; yf++; }
+        if (b != c && lev[b] < lev[c]) { yb[ybk] = b; yt[ybk] = c; ysize[ybk] = sz; ybk++; }
+        if (l == c) bnd[wl++] = c;
+        if (r == c) bnd[wr++] = c;
+        if (b == c) bnd[wb++] = c;
+        if (t == c) bnd[wt++] = c;
+    }
+}
+
+/* refinement_flags after NumPy's bfloat16 quantization of H (float64).
+ * floor = max(tiny, max|H| * tiny), where a NaN depth leaves tiny (as
+ * Python's max does with np.max's NaN). Every stored link scatters its
+ * relative jump |Hn - H| / max(|Hn|, |H|, floor) to both of its cells
+ * with a branchless select. np.maximum would carry a NaN jump, and a NaN
+ * indicator compares false both ways (flag 0), so a NaN is kept in the
+ * cell's flag byte instead and the selects never see it. ind: ncells of
+ * scratch. Returns the number of links outside the mesh. */
+int64_t refinement_flags(
+    const double *H, const int32_t *nlft, const int32_t *nrht,
+    const int32_t *nbot, const int32_t *ntop, const int32_t *lev, int64_t ncells,
+    int64_t max_level, double tiny, double refine, double coarsen,
+    double *ind, int8_t *flags)
+{
+    const int32_t *nbr[4] = {nlft, nrht, nbot, ntop};
+    double top = 0, floor_, scaled;
+    int32_t nan_h = 0;
+    int64_t c, d;
+    for (c = 0; c < ncells; c++) {
+        double a = fabs(H[c]);
+        nan_h |= a != a;
+        top = a > top ? a : top;
+        ind[c] = 0;
+        flags[c] = 0;
+    }
+    scaled = top * tiny;
+    floor_ = (!nan_h && scaled > tiny) ? scaled : tiny;
+    for (c = 0; c < ncells; c++) {
+        double h = H[c], ah = fabs(h);
+        for (d = 0; d < 4; d++) {
+            int32_t n = nbr[d][c];
+            double hn, ahn, scale, jump;
+            if (bad_link(n, ncells))
+                return 1;
+            hn = H[n];
+            ahn = fabs(hn);
+            scale = ahn > ah ? ahn : ah;
+            scale = scale > floor_ ? scale : floor_;
+            jump = fabs(hn - h) / scale;
+            ind[c] = jump > ind[c] ? jump : ind[c];
+            ind[n] = jump > ind[n] ? jump : ind[n];
+            flags[c] |= jump != jump;
+            flags[n] |= jump != jump;
+        }
+    }
+    for (c = 0; c < ncells; c++) {
+        int8_t f = 0;
+        if (!flags[c]) {
+            if (ind[c] > refine) f = 1;
+            if (ind[c] < coarsen) f = -1;
+            if (f == 1 && lev[c] >= max_level) f = 0;
+            if (f == -1 && lev[c] == 0) f = 0;
+        }
+        flags[c] = f;
+    }
+    return 0;
+}
+
+/* enforce_balance on a copy of the flags, in place. Level caps first;
+ * then at most max_level + 2 Jacobi passes: a cell whose post-refinement
+ * level sits 2+ above a stored neighbor's forces that neighbor to refine
+ * (forced: ncells bytes of scratch, applied after the pass). Last, a
+ * coarsen flag is cancelled when either end of a link would end up more
+ * than one level apart; cancelling only clears -1 flags and the tests
+ * read only +1 flags, so one pass in any order gives NumPy's result.
+ * Returns the number of links outside the mesh. */
+int64_t enforce_balance(
+    int8_t *flags, const int32_t *lev, const int32_t *nlft, const int32_t *nrht,
+    const int32_t *nbot, const int32_t *ntop, int64_t ncells, int64_t max_level,
+    uint8_t *forced)
+{
+    const int32_t *nbr[4] = {nlft, nrht, nbot, ntop};
+    int64_t c, d, pass;
+    for (c = 0; c < ncells; c++)
+        for (d = 0; d < 4; d++)
+            if (bad_link(nbr[d][c], ncells))
+                return 1;
+    for (c = 0; c < ncells; c++) {
+        if (flags[c] == 1 && lev[c] >= max_level) flags[c] = 0;
+        if (flags[c] == -1 && lev[c] == 0) flags[c] = 0;
+    }
+    for (pass = 0; pass < max_level + 2; pass++) {
+        int32_t any = 0;
+        for (c = 0; c < ncells; c++)
+            forced[c] = 0;
+        for (c = 0; c < ncells; c++) {
+            int32_t nl = lev[c] + (flags[c] == 1);
+            for (d = 0; d < 4; d++) {
+                int32_t n = nbr[d][c];
+                if (nl - (lev[n] + (flags[n] == 1)) > 1)
+                    forced[n] = 1;
+            }
+        }
+        for (c = 0; c < ncells; c++) {
+            if (forced[c] && flags[c] != 1 && lev[c] < max_level) {
+                flags[c] = 1;
+                any = 1;
+            }
+        }
+        if (!any)
+            break;
+    }
+    for (c = 0; c < ncells; c++) {
+        int32_t nl = lev[c] + (flags[c] == 1);
+        for (d = 0; d < 4; d++) {
+            int32_t n = nbr[d][c];
+            if (flags[c] == -1 && lev[n] + (flags[n] == 1) > lev[c]) flags[c] = 0;
+            if (flags[n] == -1 && nl > lev[n]) flags[n] = 0;
+        }
+    }
+    return 0;
+}
+
+#endif /* REPRO_TOPOLOGY_BUILDERS */

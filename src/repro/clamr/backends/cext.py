@@ -34,7 +34,7 @@ import numpy as np
 _SRC_DIR = Path(__file__).resolve().parent
 _SOURCES = ("_kernels.c", "_kernels_impl.h")
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
-_ABI = 2
+_ABI = 3
 
 _lib = None
 _load_error: str | None = None
@@ -95,14 +95,25 @@ def _build_and_load():
 def _declare(lib) -> None:
     P = ctypes.c_void_p
     I = ctypes.c_int64
+    D = ctypes.c_double
     for suffix, S in (("f32", ctypes.c_float), ("f64", ctypes.c_double)):
         fn = getattr(lib, f"clamr_rhs_{suffix}")
         fn.restype = None
         fn.argtypes = [P, P, P, P, P, P, P, P, P, P, I, P, P, I, P, P, P,
                        P, P, I, P, P, P, P, P, P, P, P, P, P, P, P, P, S, S]
-        fn = getattr(lib, f"self_max_metric_{suffix}")
-        fn.restype = S
-        fn.argtypes = [P, I, I, S, S, S, S, S, S]
+        fn = getattr(lib, f"heun_stage_{suffix}")
+        fn.restype = None
+        fn.argtypes = [P, P, P, P, P, P, P, P, P, P, I, S, P, P, P]
+    for name, argtypes in (
+        ("mesh_neighbors", [P, P, P, I, I, I, I, P, P, P, P, P]),
+        ("face_count", [P, P, P, P, P, I, P]),
+        ("face_fill", [P, P, P, P, P, I, D, P, P, P, P, P, P, P, P]),
+        ("refinement_flags", [P, P, P, P, P, P, I, I, D, D, D, P, P]),
+        ("enforce_balance", [P, P, P, P, P, P, I, I, P]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype = None if name == "face_fill" else I
+        fn.argtypes = argtypes
 
 
 def _ensure() -> None:
@@ -164,7 +175,39 @@ def clamr_rhs(H, U, V, b, eta, nlft, nrht, nbot, ntop, size,
         float(g), float(half))
 
 
-def self_max_metric(Uf, nelem, n3, mx, my, mz, gamma, gm1, half):
-    return _fn("self_max_metric", Uf)(
-        _p(Uf), int(nelem), int(n3),
-        float(mx), float(my), float(mz), float(gamma), float(gm1), float(half))
+def heun_stage(H0, U0, V0, aH, aU, aV, bH, bU, bV, scale, half, H, U, V):
+    _fn("heun_stage", H0)(
+        _p(H0), _p(U0), _p(V0), _p(aH), _p(aU), _p(aV), _p(bH), _p(bU), _p(bV),
+        _p(scale), H0.shape[0], float(half), _p(H), _p(U), _p(V))
+
+
+def mesh_neighbors(i, j, level, nx, ny, max_level, img, nlft, nrht, nbot, ntop):
+    return _lib.mesh_neighbors(
+        _p(i), _p(j), _p(level), level.shape[0], int(nx), int(ny), int(max_level),
+        _p(img), _p(nlft), _p(nrht), _p(nbot), _p(ntop))
+
+
+def face_count(nlft, nrht, nbot, ntop, level, counts):
+    return _lib.face_count(
+        _p(nlft), _p(nrht), _p(nbot), _p(ntop), _p(level), level.shape[0], _p(counts))
+
+
+def face_fill(nlft, nrht, nbot, ntop, level, coarse_size, counts,
+              xl, xr, xsize, yb, yt, ysize, bnd):
+    _lib.face_fill(
+        _p(nlft), _p(nrht), _p(nbot), _p(ntop), _p(level), level.shape[0],
+        float(coarse_size), _p(counts),
+        _p(xl), _p(xr), _p(xsize), _p(yb), _p(yt), _p(ysize), _p(bnd))
+
+
+def refinement_flags(H, nlft, nrht, nbot, ntop, level, max_level,
+                     tiny, refine, coarsen, ind, flags):
+    return _lib.refinement_flags(
+        _p(H), _p(nlft), _p(nrht), _p(nbot), _p(ntop), _p(level), level.shape[0],
+        int(max_level), float(tiny), float(refine), float(coarsen), _p(ind), _p(flags))
+
+
+def enforce_balance(flags, level, nlft, nrht, nbot, ntop, max_level, forced):
+    return _lib.enforce_balance(
+        _p(flags), _p(level), _p(nlft), _p(nrht), _p(nbot), _p(ntop),
+        level.shape[0], int(max_level), _p(forced))

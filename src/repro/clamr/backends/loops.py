@@ -1,8 +1,8 @@
 """Loop-form kernel bodies — the single source of the loop backends.
 
 Every function here is a straight element-at-a-time transliteration of the
-NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
-:mod:`repro.self_.equations`, written so that
+NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl`,
+written so that
 
 * executed by CPython over NumPy *scalars* ("python" backend) the
   arithmetic replays the array kernels' per-element operation sequence
@@ -36,19 +36,37 @@ well-balanced normal momentum walks the same rows sided: an entry stored
 ``+fsz`` sits on its face's high side and reads the high-side flux, as
 the sided ``ScatterPlan.apply`` does.
 
+The regrid topology builders (:func:`mesh_neighbors` through
+:func:`enforce_balance`) are integer work plus the order-free max and
+compare work of the refinement indicator, so they replay the NumPy
+builders in :mod:`repro.clamr.mesh`, :mod:`repro.clamr.kernels` and
+:mod:`repro.clamr.amr` exactly under any traversal that keeps each
+output's order; the C twins carry no compute type and serve every
+precision policy.  Each writes into caller-allocated arrays; a nonzero
+status tells the caller to run the NumPy form (and raise its errors).
+
 Argument conventions (shared verbatim by the C backend, see
 ``_kernels_impl.h``): state/geometry arrays are 1-D contiguous of the
-compute dtype; face index lists are int64; CSR ``indptr``/``cols`` are
-int32 (as built by ``ScatterPlan``); ``boff`` is the 5-element int64
-boundary side offset table from ``boundary_concat()``
-(``[left0, right0, bottom0, top0, nb]``).
+compute dtype; mesh arrays (``i``, ``j``, ``level``, neighbors) are
+int32; face index lists are int64; CSR ``indptr``/``cols`` are int32 (as
+built by ``ScatterPlan``); ``boff`` is the 5-element int64 boundary side
+offset table from ``boundary_concat()`` (``[left0, right0, bottom0,
+top0, nb]``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["clamr_rhs", "self_max_metric"]
+__all__ = [
+    "clamr_rhs",
+    "heun_stage",
+    "mesh_neighbors",
+    "face_count",
+    "face_fill",
+    "refinement_flags",
+    "enforce_balance",
+]
 
 
 def _npmax(a, b):
@@ -273,29 +291,238 @@ def clamr_rhs(
     _boundary(H, U, V, bcells, boff, size, dH, dU, dV, g, half, hg)
 
 
-def _metric_total(Uf, t, n3, mx, my, mz, gamma, gm1, half):
-    """One node of ``CompressibleEuler.max_wave_speed_metric``."""
-    e = t // n3
-    k = t - e * n3
-    o = e * (5 * n3) + k
-    rho = Uf[o]
-    u = Uf[o + n3] / rho
-    v = Uf[o + 2 * n3] / rho
-    w = Uf[o + 3 * n3] / rho
-    E = Uf[o + 4 * n3]
-    kinetic = (half * rho) * ((u * u + v * v) + w * w)
-    p = gm1 * (E - kinetic)
-    c = np.sqrt((gamma * p) / rho)
-    return (mx * (np.abs(u) + c) + my * (np.abs(v) + c)) + mz * (np.abs(w) + c)
+def _heun_row(q0, a, b, scale, half, q):
+    """One row of :func:`heun_stage`."""
+    if b is None:
+        for c in range(q0.shape[0]):
+            q[c] = q0[c] + a[c] * scale[c]
+        return
+    for c in range(q0.shape[0]):
+        q[c] = q0[c] + (half * (a[c] + b[c])) * scale[c]
 
 
-def self_max_metric(Uf, nelem, n3, mx, my, mz, gamma, gm1, half):
-    """max over nodes of Σ_d m_d(|u_d| + c) — the SELF CFL denominator.
+def heun_stage(H0, U0, V0, aH, aU, aV, bH, bU, bV, scale, half, H, U, V):
+    """One Heun stage of ``finite_diff_muscl`` into ``H/U/V``.
 
-    ``Uf`` is the conserved tensor ``(nelem, 5, n, n, n)`` flattened
-    C-contiguously; ``n3 = n³``.
+    ``bH`` None: the predictor ``q0 + a * scale``; else the corrector
+    ``q0 + half * (a + b) * scale``.
     """
-    m = _metric_total(Uf, 0, n3, mx, my, mz, gamma, gm1, half)
-    for t in range(1, nelem * n3):
-        m = _npmax(m, _metric_total(Uf, t, n3, mx, my, mz, gamma, gm1, half))
-    return m
+    _heun_row(H0, aH, bH, scale, half, H)
+    _heun_row(U0, aU, bU, scale, half, U)
+    _heun_row(V0, aV, bV, scale, half, V)
+
+
+def _bad_link(n, ncells):
+    return n < 0 or n >= ncells
+
+
+def mesh_neighbors(i, j, level, nx, ny, max_level, img, nlft, nrht, nbot, ntop):
+    """``AmrMesh.rebuild_neighbors`` on a flat ``(nyf+2)*(nxf+2)`` int32 image.
+
+    Paints each cell's block, then probes one pixel past its lower-left
+    corner (left, below), its lower-right corner (right) and its upper-left
+    corner (above); a ``-1`` pixel is the border or a gap.  Returns 0, 1
+    (cells overlap), 2 (gaps) or 3 (a level or block outside the domain).
+    """
+    nxf = int(nx) << int(max_level)
+    nyf = int(ny) << int(max_level)
+    w = nxf + 2
+    img[:] = -1
+    painted = 0
+    overlap = False
+    for c in range(level.shape[0]):
+        if level[c] < 0 or level[c] > max_level:
+            return 3
+        s = 1 << (int(max_level) - int(level[c]))
+        x0 = int(i[c]) * s
+        y0 = int(j[c]) * s
+        if x0 < 0 or y0 < 0 or x0 + s > nxf or y0 + s > nyf:
+            return 3
+        for dy in range(s):
+            row = (y0 + dy + 1) * w + x0 + 1
+            for dx in range(s):
+                overlap |= img[row + dx] >= 0
+                img[row + dx] = c
+        painted += s * s
+    if overlap:
+        return 1
+    if painted < nxf * nyf:  # no pixel painted twice: painted == covered
+        return 2
+    for c in range(level.shape[0]):
+        s = 1 << (int(max_level) - int(level[c]))
+        corner = (int(j[c]) * s + 1) * w + int(i[c]) * s + 1
+        for out, k in ((nlft, corner - 1), (nrht, corner + s),
+                       (nbot, corner - w), (ntop, corner + s * w)):
+            n = img[k]
+            out[c] = c if n < 0 else n
+    return 0
+
+
+def face_count(nlft, nrht, nbot, ntop, level, counts):
+    """``FaceLists.from_mesh`` count pass into the 8 ``counts``.
+
+    x faces owned forward (right neighbor not finer), x faces owned back
+    (left neighbor coarser), the same for y, then the left, right, bottom
+    and top wall cells.  Returns the number of links outside the mesh.
+    """
+    ncells = level.shape[0]
+    k = [0] * 8
+    bad = 0
+    for c in range(ncells):
+        l, r, b, t = nlft[c], nrht[c], nbot[c], ntop[c]
+        if _bad_link(l, ncells) or _bad_link(r, ncells) or _bad_link(b, ncells) or _bad_link(t, ncells):
+            bad += 1
+            continue
+        k[0] += r != c and level[r] <= level[c]
+        k[1] += l != c and level[l] < level[c]
+        k[2] += t != c and level[t] <= level[c]
+        k[3] += b != c and level[b] < level[c]
+        k[4] += l == c
+        k[5] += r == c
+        k[6] += b == c
+        k[7] += t == c
+    counts[:] = k
+    return bad
+
+
+def face_fill(nlft, nrht, nbot, ntop, level, coarse_size, counts,
+              xl, xr, xsize, yb, yt, ysize, bnd):
+    """``FaceLists.from_mesh`` fill pass into exact-size arrays.
+
+    Each axis lists its forward-owned faces, then its back-owned ones, each
+    in cell order, sized by the owning (finer or equal) cell; ``bnd`` holds
+    the wall cells left|right|bottom|top, each side in cell order.
+    """
+    xf, xbk, yf, ybk = 0, int(counts[0]), 0, int(counts[2])
+    wl = 0
+    wr = int(counts[4])
+    wb = wr + int(counts[5])
+    wt = wb + int(counts[6])
+    for c in range(level.shape[0]):
+        l, r, b, t = nlft[c], nrht[c], nbot[c], ntop[c]
+        sz = np.float64(coarse_size) / np.float64(1 << int(level[c]))
+        if r != c and level[r] <= level[c]:
+            xl[xf], xr[xf], xsize[xf] = c, r, sz
+            xf += 1
+        if l != c and level[l] < level[c]:
+            xl[xbk], xr[xbk], xsize[xbk] = l, c, sz
+            xbk += 1
+        if t != c and level[t] <= level[c]:
+            yb[yf], yt[yf], ysize[yf] = c, t, sz
+            yf += 1
+        if b != c and level[b] < level[c]:
+            yb[ybk], yt[ybk], ysize[ybk] = b, c, sz
+            ybk += 1
+        if l == c:
+            bnd[wl] = c
+            wl += 1
+        if r == c:
+            bnd[wr] = c
+            wr += 1
+        if b == c:
+            bnd[wb] = c
+            wb += 1
+        if t == c:
+            bnd[wt] = c
+            wt += 1
+
+
+def refinement_flags(H, nlft, nrht, nbot, ntop, level, max_level,
+                     tiny, refine, coarsen, ind, flags):
+    """``refinement_flags`` after the bfloat16 quantization of ``H`` (float64).
+
+    ``floor = max(tiny, max|H| * tiny)`` (``tiny`` when a depth is NaN, as
+    Python's ``max`` leaves it for ``np.max``'s NaN).  Each stored link
+    scatters its relative jump to both of its cells with a plain select; a
+    NaN jump, which ``np.maximum`` would carry into an indicator that then
+    flags 0, is kept in the cell's flag byte instead.  ``ind`` is scratch.
+    Returns the number of links outside the mesh.
+    """
+    ncells = level.shape[0]
+    top = np.float64(0)
+    nan_h = False
+    for c in range(ncells):
+        a = np.abs(H[c])
+        nan_h |= a != a
+        top = a if a > top else top
+        ind[c] = 0
+        flags[c] = 0
+    scaled = top * tiny
+    floor = scaled if (not nan_h and scaled > tiny) else tiny
+    for c in range(ncells):
+        h = H[c]
+        ah = np.abs(h)
+        for nbr in (nlft, nrht, nbot, ntop):
+            n = nbr[c]
+            if _bad_link(n, ncells):
+                return 1
+            hn = H[n]
+            ahn = np.abs(hn)
+            scale = ahn if ahn > ah else ah
+            scale = scale if scale > floor else floor
+            jump = np.abs(hn - h) / scale
+            ind[c] = jump if jump > ind[c] else ind[c]
+            ind[n] = jump if jump > ind[n] else ind[n]
+            flags[c] |= jump != jump
+            flags[n] |= jump != jump
+    for c in range(ncells):
+        f = 0
+        if not flags[c]:
+            if ind[c] > refine:
+                f = 1
+            if ind[c] < coarsen:
+                f = -1
+            if f == 1 and level[c] >= max_level:
+                f = 0
+            if f == -1 and level[c] == 0:
+                f = 0
+        flags[c] = f
+    return 0
+
+
+def enforce_balance(flags, level, nlft, nrht, nbot, ntop, max_level, forced):
+    """``enforce_balance`` on a copy of the flags, in place.
+
+    Level caps; at most ``max_level + 2`` Jacobi passes in which a cell 2+
+    levels (post-refinement) above a stored neighbor forces it to refine
+    (``forced`` is scratch, applied after the pass); then one pass
+    cancelling coarsen flags across any link that would end up unbalanced.
+    Cancelling clears only -1 flags and the tests read only +1 flags, so
+    the order of that pass does not matter.  Returns the number of links
+    outside the mesh.
+    """
+    ncells = level.shape[0]
+    nbrs = (nlft, nrht, nbot, ntop)
+    for c in range(ncells):
+        for nbr in nbrs:
+            if _bad_link(nbr[c], ncells):
+                return 1
+    for c in range(ncells):
+        if flags[c] == 1 and level[c] >= max_level:
+            flags[c] = 0
+        if flags[c] == -1 and level[c] == 0:
+            flags[c] = 0
+    for _ in range(int(max_level) + 2):
+        forced[:] = 0
+        for c in range(ncells):
+            nl = level[c] + (flags[c] == 1)
+            for nbr in nbrs:
+                n = nbr[c]
+                if nl - (level[n] + (flags[n] == 1)) > 1:
+                    forced[n] = 1
+        applied = False
+        for c in range(ncells):
+            if forced[c] and flags[c] != 1 and level[c] < max_level:
+                flags[c] = 1
+                applied = True
+        if not applied:
+            break
+    for c in range(ncells):
+        nl = level[c] + (flags[c] == 1)
+        for nbr in nbrs:
+            n = nbr[c]
+            if flags[c] == -1 and level[n] + (flags[n] == 1) > level[c]:
+                flags[c] = 0
+            if flags[n] == -1 and nl > level[n]:
+                flags[n] = 0
+    return 0

@@ -201,9 +201,9 @@ class ScatterPlan:
 
 
 #: scatter implementation selector: "plan" (production) or "add_at", which
-#: forces ScatterPlan.apply onto its np.add.at pair and turns backend
-#: dispatch off — the all-NumPy reference for the bit-identity tests and
-#: the microbenchmark baseline
+#: forces ScatterPlan.apply onto its np.add.at pair and turns all backend
+#: dispatch off (kernels and topology builders alike) — the all-NumPy
+#: reference for the bit-identity tests and the microbenchmark baseline
 _SCATTER_MODE = "plan"
 
 
@@ -216,7 +216,8 @@ def scatter_mode(mode: str):
     previous = _SCATTER_MODE
     _SCATTER_MODE = mode
     try:
-        yield
+        with _backends.oracle_only(mode == "add_at"):
+            yield
     finally:
         _SCATTER_MODE = previous
 
@@ -235,7 +236,12 @@ class GeometryCache:
 
     Also hands out reusable zeroed ``(3, ncells)`` accumulator workspaces per
     (dtype, slot); slots keep MUSCL's two Heun stages from aliasing each
-    other's live ``k1``/``k2`` arrays.
+    other's live ``k1``/``k2`` arrays.  Scratch (workspaces and
+    :meth:`buffer` arrays) is held for one generation only — the one that
+    last asked for it, i.e. the mesh being stepped: asking for another
+    generation's scratch drops every other generation's.  Scratch contents
+    are undefined (workspaces are zeroed on every hand-out), so a mesh
+    stepped again after a rollback gets fresh buffers and the same bits.
     """
 
     def __init__(self, capacity: int = 4) -> None:
@@ -243,6 +249,7 @@ class GeometryCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._entries: OrderedDict[int, dict] = OrderedDict()
+        self._work_gen: int | None = None
 
     def _entry(self, mesh: AmrMesh) -> dict:
         gen = mesh.generation
@@ -273,14 +280,23 @@ class GeometryCache:
             entry["casts"][cdtype] = cast
         return cast
 
+    def _work(self, mesh: AmrMesh) -> dict:
+        """The scratch dict of ``mesh``'s generation, the only one kept."""
+        entry = self._entry(mesh)
+        if self._work_gen != mesh.generation:
+            for other in self._entries.values():
+                other["work"] = {}
+            self._work_gen = mesh.generation
+        return entry["work"]
+
     def workspace3(self, mesh: AmrMesh, cdtype: np.dtype, slot: str = "fd") -> np.ndarray:
         """A zeroed ``(3, ncells)`` accumulator buffer, reused across steps."""
-        entry = self._entry(mesh)
+        work = self._work(mesh)
         key = (cdtype, slot)
-        buf = entry["work"].get(key)
+        buf = work.get(key)
         if buf is None:
             buf = np.zeros((3, mesh.ncells), dtype=cdtype)
-            entry["work"][key] = buf
+            work[key] = buf
         else:
             buf.fill(0)
         return buf
@@ -293,12 +309,12 @@ class GeometryCache:
         gather targets and flux temporaries, which are fully written each
         step).
         """
-        entry = self._entry(mesh)
+        work = self._work(mesh)
         key = (cdtype, name)
-        buf = entry["work"].get(key)
+        buf = work.get(key)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=cdtype)
-            entry["work"][key] = buf
+            work[key] = buf
         return buf
 
 
@@ -320,6 +336,10 @@ class FaceLists:
     per-side cell lists.  The generation rule creates each physical face
     exactly once (finer-or-equal cell owns its right/top face; strictly
     finer cell owns its left/bottom face against a coarser neighbor).
+    Under a loop backend one count pass and one exact-size fill build the
+    same arrays (``face_count``/``face_fill`` in
+    :mod:`repro.clamr.backends.loops`), the wall lists as views of the
+    one concatenated wall array :meth:`boundary_concat` returns.
     """
 
     xl: np.ndarray
@@ -335,6 +355,12 @@ class FaceLists:
 
     @classmethod
     def from_mesh(cls, mesh: AmrMesh) -> "FaceLists":
+        built = _backends.try_face_lists(mesh)
+        if built is not None:
+            fields, bcells, slices = built
+            faces = cls(**fields)
+            object.__setattr__(faces, "_bnd_concat", (bcells, slices))
+            return faces
         cells = np.arange(mesh.ncells, dtype=mesh.nlft.dtype)
         level = mesh.level
         size = mesh.cell_size()
@@ -742,6 +768,16 @@ def _bathy_as(mesh: AmrMesh, bathy: np.ndarray, cdtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(bathy, dtype=cdtype)
 
 
+def _check_cells(mesh: AmrMesh, state: ShallowWaterState) -> None:
+    """Raise unless ``state`` holds one value per mesh cell.
+
+    The compiled backend indexes the state unchecked, so a wrong length
+    must fail, the same way on every backend, before any kernel reads it.
+    """
+    if state.ncells != mesh.ncells:
+        raise ValueError(f"state has {state.ncells} cells; the mesh has {mesh.ncells}")
+
+
 def finite_diff_vectorized(
     mesh: AmrMesh,
     state: ShallowWaterState,
@@ -778,14 +814,11 @@ def finite_diff_vectorized(
         faces = FaceLists.from_mesh(mesh)
     if geom is None:
         geom = _DEFAULT_GEOMETRY_CACHE
+    _check_cells(mesh, state)
     cdtype = state.policy.compute_dtype
     b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
     H, U, V = state.promoted()
-    rates = None
-    # backend dispatch only in "plan" mode: scatter_mode("add_at") is the
-    # explicit full-oracle request and must win over any backend
-    if _SCATTER_MODE == "plan":
-        rates = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
+    rates = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
     if rates is None:
         rates = dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
         # one flux pass over ALL interior faces: the cell states gather

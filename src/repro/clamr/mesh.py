@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clamr import backends as _backends
+
 __all__ = ["AmrMesh"]
 
 _INT = np.int32
@@ -190,8 +192,16 @@ class AmrMesh:
         Vectorized: one hash build, copied into an int32 image with a
         one-pixel ``-1`` border, then one flat gather per direction.  A
         probe that lands on the border is a domain side, where the cell
-        points to itself.
+        points to itself.  Under a loop backend the same paint and probes
+        run as one loop over the cells (``mesh_neighbors`` in
+        :mod:`repro.clamr.backends.loops`), straight into the padded
+        image; an overlapping or gapped soup falls through to this form,
+        which raises.
         """
+        nbrs = _backends.try_mesh_neighbors(self)
+        if nbrs is not None:
+            self.nlft, self.nrht, self.nbot, self.ntop = nbrs
+            return
         image = self.build_hash()
         width = self.nxf + 2
         padded = np.full((self.nyf + 2, width), -1, dtype=_INT)

@@ -32,13 +32,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clamr import backends as _backends
-from repro.clamr import kernels as _kernels
 from repro.clamr.kernels import (
     FLOPS_PER_CELL_UPDATE,
     FLOPS_PER_FACE,
     FaceLists,
     GeometryCache,
     _bathy_as,
+    _check_cells,
     _face_buffer,
     _face_fluxes,
     _reflective_walls,
@@ -117,10 +117,9 @@ def muscl_rhs(
     if geom is None:
         geom = geometry_cache()
     b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
-    if _kernels._SCATTER_MODE == "plan":  # add_at keeps the full oracle
-        compiled = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
-        if compiled is not None:
-            return compiled
+    compiled = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
+    if compiled is not None:
+        return compiled
     half = cdtype.type(0.5)
     size, _ = geom.geometry(mesh, cdtype)
     eta = H if b is None else H + b
@@ -188,32 +187,45 @@ def finite_diff_muscl(
     signature, same precision semantics, roughly 4x the arithmetic
     (two spatial evaluations, each ~2x a first-order one).  ``bathy``
     selects the well-balanced free-surface reconstruction in both Heun
-    stages.
+    stages.  Under a loop backend each Heun stage update is one loop
+    (``heun_stage``) into one cached buffer, which the corrector then
+    stores into the state.
     """
     if faces is None:
         faces = FaceLists.from_mesh(mesh)
     if geom is None:
         geom = geometry_cache()
+    _check_cells(mesh, state)
     cdtype = state.policy.compute_dtype
     dt_c = cdtype.type(dt)
     half = cdtype.type(0.5)
     _, area = geom.geometry(mesh, cdtype)
     scale = dt_c / area
+    ops = _backends.dispatch_ops(cdtype)
 
     H0, U0, V0 = state.promoted()
     if bathy is not None:
         bathy = _bathy_as(mesh, bathy, cdtype)  # cast once for both stages
     # distinct workspace slots: k1 must survive the k2 evaluation
     k1 = muscl_rhs(mesh, H0, U0, V0, faces, cdtype, geom=geom, slot="muscl_k1", bathy=bathy)
-    H1 = H0 + k1[0] * scale
-    U1 = U0 + k1[1] * scale
-    V1 = V0 + k1[2] * scale
+    if ops is None:
+        H1 = H0 + k1[0] * scale
+        U1 = U0 + k1[1] * scale
+        V1 = V0 + k1[2] * scale
+    else:
+        H1, U1, V1 = geom.buffer(mesh, cdtype, "heun", (3, mesh.ncells))
+        ops.heun_stage(H0, U0, V0, *k1, None, None, None, scale, half, H1, U1, V1)
     k2 = muscl_rhs(mesh, H1, U1, V1, faces, cdtype, geom=geom, slot="muscl_k2", bathy=bathy)
-    state.store(
-        H0 + half * (k1[0] + k2[0]) * scale,
-        U0 + half * (k1[1] + k2[1]) * scale,
-        V0 + half * (k1[2] + k2[2]) * scale,
-    )
+    if ops is None:
+        state.store(
+            H0 + half * (k1[0] + k2[0]) * scale,
+            U0 + half * (k1[1] + k2[1]) * scale,
+            V0 + half * (k1[2] + k2[2]) * scale,
+        )
+    else:
+        # the predictor's buffer is free again once k2 is evaluated
+        ops.heun_stage(H0, U0, V0, *k1, *k2, scale, half, H1, U1, V1)
+        state.store(H1, U1, V1)
 
     if counters is not None:
         nfaces = faces.nfaces

@@ -263,27 +263,33 @@ class ClamrSimulation:
         (a hard step would make the Fig. 3 resolution comparison
         ill-posed).  A scenario's ``ic`` hook replaces the whole (H, U, V)
         sample.
+
+        Raises ``ValueError`` when a positive depth rounds to zero or below
+        at the policy's state dtype: such a cell would divide by its zero
+        depth on the first step and fill the state with NaN.
         """
         cfg = self.config
         x, y = mesh.cell_centers()
         if self._ic is not None:
-            H, U, V = self._ic(cfg, x, y)
-            return ShallowWaterState(
-                H=np.asarray(H, dtype=np.float64),
-                U=np.asarray(U, dtype=np.float64),
-                V=np.asarray(V, dtype=np.float64),
-                policy=self.policy,
+            H, U, V = (np.asarray(q, dtype=np.float64) for q in self._ic(cfg, x, y))
+        else:
+            cx = 0.5 * cfg.domain_size
+            cy = 0.5 * cfg.domain_size
+            r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
+            radius = cfg.column_radius_fraction * cfg.domain_size
+            width = cfg.coarse_size
+            smooth = 0.5 * (1.0 - np.tanh((r - radius) / (0.5 * width)))
+            H = cfg.base_height + (cfg.column_height - cfg.base_height) * smooth
+            U, V = np.zeros_like(H), np.zeros_like(H)
+        state = ShallowWaterState(H=H, U=U, V=V, policy=self.policy)
+        lost = (H > 0) & ~(state.H > 0)
+        if lost.any():
+            raise ValueError(
+                f"initial depth underflows at {state.state_dtype}: {int(lost.sum())} of "
+                f"{mesh.ncells} cells with positive depth round to <= 0 "
+                f"(smallest depth {float(H[lost].min()):.3g})"
             )
-        cx = 0.5 * cfg.domain_size
-        cy = 0.5 * cfg.domain_size
-        r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
-        radius = cfg.column_radius_fraction * cfg.domain_size
-        width = cfg.coarse_size
-        smooth = 0.5 * (1.0 - np.tanh((r - radius) / (0.5 * width)))
-        H = cfg.base_height + (cfg.column_height - cfg.base_height) * smooth
-        return ShallowWaterState(
-            H=H, U=np.zeros_like(H), V=np.zeros_like(H), policy=self.policy
-        )
+        return state
 
     def _bathy_for(self, mesh: AmrMesh) -> np.ndarray | None:
         """Bottom elevation at this mesh's cell centers, generation-cached.

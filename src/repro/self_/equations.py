@@ -470,12 +470,7 @@ class CompressibleEuler:
 
     def max_wave_speed_metric(self, U: np.ndarray) -> float:
         """max over nodes of Σ_d m_d (|u_d| + c): the CFL denominator."""
-        from repro.clamr.backends import try_self_max_metric
-
         mx, my, mz = self.metric
-        compiled = try_self_max_metric(U, mx, my, mz, self._gamma, self._gm1, self.dtype)
-        if compiled is not None:
-            return compiled
         rho, u, v, w, p = self.primitives(U, out=self._prim[:5])
         c = self.sound_speed(rho, p, out=p)
 

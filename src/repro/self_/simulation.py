@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clamr import backends as _kernel_backends
 from repro.machine.counters import WorkloadProfile
 from repro.precision.analysis import line_out
 from repro.self_.equations import RHO, AtmosphereConstants, CompressibleEuler
@@ -343,14 +342,6 @@ class SelfSimulation:
         ladder = getattr(tel, "ladder", None) if recording else None
         flops = 0
         kernel_elapsed = 0.0
-        # compiled-backend warm-up outside the timed region (see the CLAMR
-        # driver): only the CFL reduction dispatches here, but its JIT
-        # compile still must not pollute the first step's timings.
-        if _kernel_backends.active_backend() != "numpy":
-            with tel.span(
-                "self/backend_warmup", backend=_kernel_backends.active_backend()
-            ):
-                _kernel_backends.warmup(self.solver.dtype, which="self")
         t_start = time.perf_counter()
         with tel.span("self/run", steps=steps, ndof=self.mesh.ndof):
             for _ in range(steps):

@@ -24,6 +24,7 @@ import pytest
 
 from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.clamr import backends
+from repro.clamr.amr import refinement_flags
 from repro.clamr.backends import (
     BACKENDS,
     ENV_VAR,
@@ -112,10 +113,17 @@ class TestRegistry:
 
     def test_loop_and_c_exports_mirror(self):
         # every loop body has exactly one exported C twin and a cext
-        # adapter taking the same arguments; static C helpers stay private
+        # adapter taking the same arguments; static C helpers stay private.
+        # Exports are per compute type (FN(name)) or, for the dtype-free
+        # topology builders, plain names defined once
         src = (Path(backends.__file__).parent / "_kernels_impl.h").read_text()
-        exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w ]*?\bFN\((\w+)\)\(", src, re.M))
-        assert exported == set(backends.loops.__all__) == {"clamr_rhs", "self_max_metric"}
+        defs = re.findall(r"^(?!static\b)[A-Za-z_][\w ]*?\b(?:FN\((\w+)\)|(\w+))\(", src, re.M)
+        exported = {typed or plain for typed, plain in defs}
+        assert exported == set(backends.loops.__all__) == {
+            "clamr_rhs", "heun_stage",
+            "mesh_neighbors", "face_count", "face_fill",
+            "refinement_flags", "enforce_balance",
+        }
         for name in exported:
             loop_fn = getattr(backends.loops, name)
             adapter = getattr(backends.cext, name)
@@ -186,6 +194,24 @@ class TestKernelParity:
         with kernel_backend(backend), pytest.raises(ValueError) as err:
             kernel(mesh, state.copy(), 1e-4, faces=faces, bathy=np.zeros(short))
         assert f"({short},)" in str(err.value) and str(mesh.ncells) in str(err.value)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python", *COMPILED])
+    @pytest.mark.parametrize("stage", ["refinement_flags", "fd", "muscl"])
+    @pytest.mark.parametrize("delta", [-3, 3], ids=["short", "long"])
+    def test_wrong_length_state_raises(self, backend, stage, delta):
+        # the compiled loops index the state unchecked; a state of another
+        # length must fail with both lengths named, on every backend alike
+        mesh, state, faces = _snapshot("full")
+        n = mesh.ncells + delta
+        H = np.resize(state.H, n)
+        wrong = ShallowWaterState(H=H, U=np.zeros(n), V=np.zeros(n), policy=state.policy)
+        with kernel_backend(backend), pytest.raises(ValueError) as err:
+            if stage == "refinement_flags":
+                refinement_flags(mesh, wrong)
+            else:
+                kernel = finite_diff_muscl if stage == "muscl" else finite_diff_vectorized
+                kernel(mesh, wrong, 1e-4, faces=faces)
+        assert str(err.value) == f"state has {n} cells; the mesh has {mesh.ncells}"
 
     @pytest.mark.parametrize("backend", ["python", *COMPILED])
     @pytest.mark.parametrize("level", ["half", "min", "full"])

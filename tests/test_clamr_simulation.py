@@ -169,6 +169,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^{field} must .*{value}$"):
             DamBreakConfig(**{field: value})
 
+    def test_initial_depth_underflow_rejected(self):
+        # 1e-8 is below float16's smallest subnormal: the quiescent depth
+        # would store as 0 and the first step would divide by it
+        cfg = make_config("clamr", nx=32, max_level=1, base_height=1e-8)
+        with pytest.raises(ValueError) as err:
+            ClamrSimulation(cfg, policy="half")
+        message = str(err.value)
+        assert "\n" not in message
+        assert "float16" in message and "1024 cells" in message and "1e-08" in message
+        ClamrSimulation(cfg, policy="min")  # float32 holds it
+
+    @pytest.mark.parametrize("policy", ["half", "min", "mixed", "full"])
+    @pytest.mark.parametrize("name", [n for n in scenario_names() if n.startswith("clamr/")])
+    def test_every_scenario_constructs_at_every_policy(self, name, policy):
+        from repro.scenarios import build_simulation
+
+        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick", policy=policy)
+        assert (sim.state.H >= 0).all()
+
     @pytest.mark.parametrize("name", [n for n in scenario_names() if n.startswith("clamr/")])
     def test_scenarios_and_resilience_halving_construct(self, name):
         cfg = make_config("clamr", name)
