@@ -875,10 +875,14 @@ def _strict_failures(tel, headroom_bits: float):
     """
     import math
 
-    fatal = list(tel.numerics.fatal_events)
+    from repro.telemetry import TelemetryBundle
+    from repro.telemetry.numerics import FATAL_KINDS
+
+    events = TelemetryBundle.of(tel).events
+    fatal = [e for e in events if e.kind in FATAL_KINDS]
     exhausted = [
         e
-        for e in tel.numerics.events
+        for e in events
         if e.kind == "overflow_risk" and e.value * math.log2(10.0) < headroom_bits
     ]
     return fatal, exhausted
@@ -888,6 +892,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     _apply_backend(args)
     from repro.telemetry import (
         Telemetry,
+        TelemetryBundle,
         event_report,
         span_summary,
         span_tree,
@@ -919,21 +924,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"{args.steps} steps, precision {args.precision}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s)")
 
+    bundle = TelemetryBundle.of(tel)
     print()
-    print(span_tree(tel))
+    print(span_tree(bundle))
     print()
-    print(span_summary(tel).render())
+    print(span_summary(bundle).render())
     print()
-    print(event_report(tel))
+    print(event_report(bundle))
     if args.out:
-        path = write_chrome_trace(tel, args.out)
+        path = write_chrome_trace(bundle, args.out)
         print(f"chrome trace : {path}")
     if args.jsonl:
-        path = write_jsonl(tel, args.jsonl)
+        path = write_jsonl(bundle, args.jsonl)
         print(f"jsonl trace  : {path}")
-    _write_flight_file(args, tel, indent="")
+    _write_flight_file(args, bundle, indent="")
     if args.strict:
-        fatal, exhausted = _strict_failures(tel, args.strict_headroom_bits)
+        fatal, exhausted = _strict_failures(bundle, args.strict_headroom_bits)
         if fatal:
             print(f"STRICT: {len(fatal)} NaN/Inf event(s) recorded", file=sys.stderr)
         if exhausted:

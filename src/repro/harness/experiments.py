@@ -105,12 +105,11 @@ def self_paper_scale_factor(cfg: ThermalBubbleConfig, steps: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _persist_telemetry(telemetry_dir, tel) -> None:
-    """Write ``<label>.trace.json`` (Perfetto) and ``<label>.jsonl`` next to
-    the benchmark output.  ``tel`` may be a live Telemetry or a worker's
-    :class:`~repro.telemetry.bundle.TelemetryBundle` — the exporters
-    duck-type both."""
-    if tel is None or telemetry_dir is None:
+def _persist_telemetry(telemetry_dir, bundle) -> None:
+    """Write a lane's :class:`~repro.telemetry.TelemetryBundle` as
+    ``<label>.trace.json`` (Perfetto) and ``<label>.jsonl`` next to the
+    benchmark output."""
+    if telemetry_dir is None:
         return
     from pathlib import Path
 
@@ -118,9 +117,9 @@ def _persist_telemetry(telemetry_dir, tel) -> None:
 
     out = Path(telemetry_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = tel.label.replace("/", "_")
-    write_chrome_trace(tel, out / f"{stem}.trace.json")
-    write_jsonl(tel, out / f"{stem}.jsonl")
+    stem = bundle.label.replace("/", "_")
+    write_chrome_trace(bundle, out / f"{stem}.trace.json")
+    write_jsonl(bundle, out / f"{stem}.jsonl")
 
 
 def _append_record(ledger, record) -> None:
@@ -141,7 +140,7 @@ def _persist_hashes(hash_dir, bundle) -> None:
     ``--jobs N`` sweep can be compared lane-by-lane against a serial run
     with ``repro diverge compare`` (docs/divergence.md).
     """
-    ladder = getattr(bundle, "ladder", None)
+    ladder = bundle.ladder
     if hash_dir is None or ladder is None or not ladder.nsteps:
         return
     from pathlib import Path
@@ -202,7 +201,7 @@ def _run_sweep(
             if build_record is not None:
                 _append_record(ledger, build_record(result, bundle))
     if trace_out is not None and bundles:
-        from repro.telemetry.bundle import write_merged_chrome_trace
+        from repro.telemetry import write_merged_chrome_trace
 
         write_merged_chrome_trace(bundles, trace_out)
     return results

@@ -34,7 +34,6 @@ this field existed read back as ``"numpy"``.
 from __future__ import annotations
 
 import json
-import math
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
@@ -42,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.ioutil import json_digest
+from repro.telemetry import TelemetryBundle
 from repro.workload import run_label
 
 __all__ = [
@@ -200,22 +200,8 @@ def git_sha() -> str:
 
 
 def kernel_summaries(tel) -> dict[str, KernelSummary]:
-    """Per-span-name aggregates from a live telemetry or ``TraceData``."""
-    tracer = getattr(tel, "tracer", None)
-    spans = tracer.spans if tracer is not None else tel.spans
-    agg: dict[str, list] = {}
-    for s in spans:
-        entry = agg.get(s.name)
-        if entry is None:
-            entry = agg[s.name] = [0, 0.0, 0.0, 0.0]
-        entry[0] += 1
-        entry[1] += s.duration_s
-        flops = s.counters.get("flops", 0.0)
-        nbytes = s.counters.get("state_bytes", 0.0) + s.counters.get("bytes", 0.0)
-        if isinstance(flops, (int, float)) and math.isfinite(flops):
-            entry[2] += flops
-        if isinstance(nbytes, (int, float)) and math.isfinite(nbytes):
-            entry[3] += nbytes
+    """Per-span-name aggregates of a trace (see
+    :meth:`~repro.telemetry.TelemetryBundle.span_totals`)."""
     return {
         name: KernelSummary(
             calls=count,
@@ -224,33 +210,12 @@ def kernel_summaries(tel) -> dict[str, KernelSummary]:
             flops=flops,
             state_bytes=nbytes,
         )
-        for name, (count, total, flops, nbytes) in agg.items()
+        for name, (count, total, flops, nbytes) in TelemetryBundle.of(tel).span_totals().items()
     }
 
 
-def _event_counts(tel) -> dict[str, int]:
-    numerics = getattr(tel, "numerics", None)
-    events = numerics.events if numerics is not None else getattr(tel, "events", [])
-    out: dict[str, int] = {}
-    for e in events:
-        out[e.kind] = out.get(e.kind, 0) + 1
-    return out
-
-
-def _watch_stride_of(tel) -> int:
-    """The numerics watchpoint stride of a live telemetry (or trace dump).
-
-    Part of the workload identity: the stride decides how many scans run
-    (perf) and how many events can be observed (fidelity counts).
-    """
-    numerics = getattr(tel, "numerics", None)
-    if numerics is not None:
-        return int(getattr(numerics, "stride", 0))
-    return int(getattr(tel, "watch_stride", 0) or 0)
-
-
-def _fidelity_base(tel) -> dict:
-    counts = _event_counts(tel)
+def _fidelity_base(bundle: TelemetryBundle) -> dict:
+    counts = bundle.event_counts()
     return {
         "nan_events": counts.get("nan", 0),
         "inf_events": counts.get("inf", 0),
@@ -260,7 +225,7 @@ def _fidelity_base(tel) -> dict:
     }
 
 
-def _attach_flight(cfg: dict, fidelity: dict, tel) -> None:
+def _attach_flight(cfg: dict, fidelity: dict, bundle: TelemetryBundle) -> None:
     """Fold an enabled flight recorder into run identity and fidelity.
 
     The recorder's *configuration* (base stride, capacity) joins the
@@ -269,8 +234,8 @@ def _attach_flight(cfg: dict, fidelity: dict, tel) -> None:
     recorder are untouched, so every pre-flight baseline fingerprint
     stays valid.
     """
-    flight = getattr(tel, "flight", None)
-    if flight is None or not getattr(flight, "nsamples", 0):
+    flight = bundle.flight
+    if flight is None or not flight.nsamples:
         return
     cfg["run"]["flight"] = {
         "stride": int(flight.base_stride),
@@ -281,7 +246,7 @@ def _attach_flight(cfg: dict, fidelity: dict, tel) -> None:
     fidelity["flight"] = flight_digest(flight)
 
 
-def _attach_ladder(cfg: dict, fidelity: dict, tel) -> None:
+def _attach_ladder(cfg: dict, fidelity: dict, bundle: TelemetryBundle) -> None:
     """Fold an enabled state-hash ladder into run identity and fidelity.
 
     The ladder's *knobs* (stride, chunk) join the ``run`` sub-dict —
@@ -291,8 +256,8 @@ def _attach_ladder(cfg: dict, fidelity: dict, tel) -> None:
     without a ladder are untouched, so every pre-ladder baseline
     fingerprint stays valid.
     """
-    ladder = getattr(tel, "ladder", None)
-    if ladder is None or not getattr(ladder, "nsteps", 0):
+    ladder = bundle.ladder
+    if ladder is None or not ladder.nsteps:
         return
     cfg["run"]["hash_ladder"] = {
         "stride": int(ladder.stride),
@@ -309,7 +274,7 @@ def _build(
     policy: str,
     seed: int,
     label: str,
-    tel,
+    bundle: TelemetryBundle,
     wall_s: float,
     kernel_s: float,
     fidelity: dict,
@@ -331,7 +296,7 @@ def _build(
         created_unix=time.time(),
         wall_s=wall_s,
         kernel_s=kernel_s,
-        kernels=kernel_summaries(tel),
+        kernels=kernel_summaries(bundle),
         fidelity=fidelity,
         backend=backend,
     )
@@ -376,11 +341,12 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
     """
     from repro.precision.analysis import asymmetry_signature
 
+    bundle = TelemetryBundle.of(tel)
     cfg = identity_config(
         "clamr",
         config,
         steps=result.steps,
-        watch_stride=_watch_stride_of(tel),
+        watch_stride=bundle.watch_stride,
         scheme=getattr(result, "scheme", "rusanov"),
         vectorized=getattr(result, "vectorized", True),
     )
@@ -388,7 +354,7 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
     mass_first = float(result.mass_history[0]) if result.mass_history else 0.0
     mass_last = float(result.mass_history[-1]) if result.mass_history else 0.0
     fidelity = {
-        **_fidelity_base(tel),
+        **_fidelity_base(bundle),
         "mass_drift": float(result.mass_drift),
         "conservation_first": mass_first,
         "conservation_last": mass_last,
@@ -398,8 +364,8 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
         "asymmetry_relative": sig.relative_max,
         "solution_scale": sig.relative_to,
     }
-    _attach_flight(cfg, fidelity, tel)
-    _attach_ladder(cfg, fidelity, tel)
+    _attach_flight(cfg, fidelity, bundle)
+    _attach_ladder(cfg, fidelity, bundle)
     from repro.clamr.backends import resolved_backend
 
     # an unvectorized run steps on the python loops whatever is selected
@@ -415,7 +381,7 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
         seed=seed,
         label=label or run_label("clamr", steps=result.steps, policy=policy, nx=cfg.get("nx"),
                                  scheme=cfg["run"]["scheme"], scenario=cfg.get("scenario", "")),
-        tel=tel,
+        bundle=bundle,
         wall_s=float(result.elapsed_s),
         kernel_s=float(result.kernel_elapsed_s),
         fidelity=fidelity,
@@ -433,13 +399,12 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
     from repro.precision.analysis import asymmetry_signature
     from repro.sums.doubledouble import dd_sum
 
-    cfg = identity_config(
-        "self", config, steps=result.steps, watch_stride=_watch_stride_of(tel)
-    )
+    bundle = TelemetryBundle.of(tel)
+    cfg = identity_config("self", config, steps=result.steps, watch_stride=bundle.watch_stride)
     sig = asymmetry_signature(result.slice_precise)
     conserved = float(dd_sum(np.asarray(result.anomaly_field, dtype=np.float64).ravel()))
     fidelity = {
-        **_fidelity_base(tel),
+        **_fidelity_base(bundle),
         "mass_drift": 0.0,
         "conservation_first": conserved,
         "conservation_last": conserved,
@@ -450,8 +415,8 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
         "solution_scale": sig.relative_to,
         "max_vertical_velocity": float(result.max_vertical_velocity),
     }
-    _attach_flight(cfg, fidelity, tel)
-    _attach_ladder(cfg, fidelity, tel)
+    _attach_flight(cfg, fidelity, bundle)
+    _attach_ladder(cfg, fidelity, bundle)
     from repro.clamr.backends import resolved_backend
 
     return _build(
@@ -462,7 +427,7 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
         label=label or run_label("self", steps=result.steps, policy=result.precision,
                                  elems=cfg.get("nex"), order=cfg.get("order"),
                                  scenario=cfg.get("scenario", "")),
-        tel=tel,
+        bundle=bundle,
         wall_s=float(result.elapsed_s),
         kernel_s=float(result.kernel_elapsed_s),
         fidelity=fidelity,

@@ -31,9 +31,7 @@ from repro.parallel.executor import (
     SweepTask,
     SweepWorkerError,
     derive_seed,
-    merge_staged,
     resolve_jobs,
-    staged_dir,
 )
 
 __all__ = [
@@ -50,7 +48,5 @@ __all__ = [
     "SweepTask",
     "SweepWorkerError",
     "derive_seed",
-    "merge_staged",
     "resolve_jobs",
-    "staged_dir",
 ]

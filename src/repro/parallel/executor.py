@@ -23,21 +23,17 @@ cells, so parallelizing a sweep cannot change which faults fire.
 **Parent-side effects.**  Ledger appends, progress callbacks, and
 telemetry persistence happen in the parent as results stream back.
 Workers return plain picklable values (results and ``RunRecord``-style
-dataclasses); they never write shared files.  When worker tasks *must*
-write telemetry trees, :func:`staged_dir` gives each task a private
-staging subdirectory and :func:`merge_staged` folds them back into the
-destination in task order, so the merged directory is identical to what
-a serial run would have produced.
+dataclasses); they never write shared files.
 
 **Worker telemetry.**  A task carrying a :class:`TelemetrySpec` builds
 its own :class:`~repro.telemetry.Telemetry` (tracer, metrics registry,
 numerics watch, optional flight recorder) inside the worker, passes it to
 the task function as the ``telemetry=`` keyword, and returns a
 :class:`TracedResult` — the value plus a frozen, picklable
-:class:`~repro.telemetry.bundle.TelemetryBundle`.  The parent can build
+:class:`~repro.telemetry.TelemetryBundle`.  The parent can build
 ledger records from the bundle, persist per-task trace files, or merge
 all bundles into one Chrome trace with per-worker lanes
-(:func:`~repro.telemetry.bundle.merged_chrome_trace`) — so ``--jobs N``
+(:func:`~repro.telemetry.merged_chrome_trace`) — so ``--jobs N``
 sweeps are exactly as observable as serial ones.
 
 Tasks must be module-level callables with picklable arguments (the
@@ -48,11 +44,8 @@ start in milliseconds; ``spawn`` is the automatic fallback elsewhere.
 
 from __future__ import annotations
 
-import os
-import shutil
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -63,8 +56,6 @@ __all__ = [
     "TracedResult",
     "resolve_jobs",
     "derive_seed",
-    "staged_dir",
-    "merge_staged",
 ]
 
 
@@ -187,8 +178,7 @@ class SweepTask:
     """One unit of sweep work: a picklable callable plus its arguments.
 
     ``name`` is a human-readable identity ("clamr/mixed", "cell 3/12")
-    used for staging directories and progress display; it must be unique
-    within one sweep when telemetry staging is in play.
+    used for progress display and in :class:`SweepWorkerError`.
 
     With ``telemetry`` set (a :class:`TelemetrySpec`), :meth:`run` builds
     a fresh Telemetry in the executing process, passes it to ``fn`` as
@@ -205,7 +195,7 @@ class SweepTask:
     def run(self) -> Any:
         if self.telemetry is None:
             return self.fn(*self.args, **self.kwargs)
-        from repro.telemetry.bundle import TelemetryBundle
+        from repro.telemetry import TelemetryBundle
 
         tel = self.telemetry.build()
         value = self.fn(*self.args, telemetry=tel, **self.kwargs)
@@ -312,45 +302,3 @@ class SweepExecutor:
     def map(self, tasks: Sequence[SweepTask], on_error: str = "raise") -> list[Any]:
         """All results, in task order."""
         return [result for _, result in self.stream(tasks, on_error=on_error)]
-
-
-# -- telemetry staging -------------------------------------------------------
-
-
-def staged_dir(base: str | os.PathLike, index: int, name: str) -> Path:
-    """A private staging subdirectory for task ``index`` under ``base``.
-
-    The ``.stage-`` prefix keeps staging areas out of glob patterns like
-    ``*.trace.json``; the zero-padded index preserves task order for
-    :func:`merge_staged` even when names sort differently.
-    """
-    safe = name.replace("/", "_")
-    path = Path(base) / f".stage-{index:03d}-{safe}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def merge_staged(base: str | os.PathLike) -> int:
-    """Fold every staging subdirectory of ``base`` back into ``base``.
-
-    Stages merge in index order, later files overwriting earlier ones on
-    a name collision — the same last-writer-wins outcome a serial sweep
-    writing directly into ``base`` would produce.  Returns the number of
-    files moved; staging directories are removed afterwards.
-    """
-    base = Path(base)
-    moved = 0
-    for stage in sorted(base.glob(".stage-*")):
-        if not stage.is_dir():
-            continue
-        for item in sorted(stage.rglob("*")):
-            if not item.is_file():
-                continue
-            dest = base / item.relative_to(stage)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            if dest.exists():
-                dest.unlink()
-            shutil.move(str(item), str(dest))
-            moved += 1
-        shutil.rmtree(stage)
-    return moved

@@ -240,7 +240,7 @@ def run_campaign(
         if ledger is not None and record is not None:
             ledger.append(record)
     if trace_out is not None and bundles:
-        from repro.telemetry.bundle import write_merged_chrome_trace
+        from repro.telemetry import write_merged_chrome_trace
 
         write_merged_chrome_trace(bundles, trace_out)
     return result

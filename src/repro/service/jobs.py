@@ -172,8 +172,7 @@ class JobSpec:
 def execute_job(spec_doc: dict):
     """Run one job spec to a :class:`~repro.ledger.record.RunRecord`.
 
-    Module-level and picklable, so workers can run it through the
-    existing :class:`~repro.parallel.executor.SweepExecutor` machinery.
+    The service worker calls it in-process under a heartbeat lease.
     The returned record's ``workload_key`` must equal the spec's
     prediction — a mismatch means the identity recipe drifted, and
     caching under the predicted key would serve wrong records forever,

@@ -10,9 +10,9 @@ One worker is one loop over the queue:
 3. **Serve or compute** — a valid cache entry for the job's workload key
    is served as-is (the record is bit-identical to what recomputation
    would produce, minus wall-clock — the ledger proved that invariant);
-   otherwise the job runs through the existing
-   :class:`~repro.parallel.executor.SweepExecutor` under a heartbeat
-   lease, its record is appended to the ledger *under the advisory file
+   otherwise the job runs in-process
+   (:func:`~repro.service.jobs.execute_job`) under a heartbeat lease, its
+   record is appended to the ledger *under the advisory file
    lock* (concurrent workers cannot interleave JSONL writes), and the
    cache is populated for every future duplicate.
 4. **Record the outcome** — done with a result summary, re-queued with
@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.parallel.executor import SweepExecutor, SweepTask
 from repro.service.cache import ResultCache
 from repro.service.jobs import execute_job
 from repro.service.lease import Heartbeat, Lease
@@ -128,8 +127,7 @@ def process_one(
         return
     heartbeat = Heartbeat(queue.lease_path(job.id), lease).start()
     try:
-        task = SweepTask(name=job.id, fn=execute_job, args=(job.spec_doc,))
-        [record] = SweepExecutor(jobs=1).map([task])
+        record = execute_job(job.spec_doc)
     except Exception as exc:  # noqa: BLE001 — any job error must not kill the worker
         heartbeat.stop()
         error = f"{type(exc).__name__}: {exc}"

@@ -13,7 +13,10 @@ collects
   saturation, accumulator cancellation (:mod:`repro.telemetry.numerics`),
 
 and exports them as JSONL, Chrome-trace JSON (``chrome://tracing`` /
-Perfetto), or terminal summaries (:mod:`repro.telemetry.export`).
+Perfetto), or terminal summaries (:mod:`repro.telemetry.export`).  Every
+reader of a finished trace reads one type, :class:`TelemetryBundle`:
+``TelemetryBundle.of(tel)`` freezes a live run into it, :func:`read_jsonl`
+returns it, and worker processes ship it home.
 
 Usage::
 
@@ -67,11 +70,13 @@ __all__ = [
     "read_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
+    "merged_chrome_trace",
+    "write_merged_chrome_trace",
     "span_tree",
     "span_summary",
     "event_report",
-    # flight recorder (repro.telemetry.flight) and cross-process bundles
-    # (repro.telemetry.bundle)
+    "TelemetryBundle",
+    # flight recorder (repro.telemetry.flight)
     "FlightRecorder",
     "write_flight",
     "read_flight",
@@ -79,9 +84,6 @@ __all__ = [
     "flight_report",
     "flight_compare",
     "flight_counter_trace",
-    "TelemetryBundle",
-    "merged_chrome_trace",
-    "write_merged_chrome_trace",
 ]
 
 
@@ -185,13 +187,16 @@ NULL_TELEMETRY = NullTelemetry()
 
 # Exporters live in their own module but are part of the package surface.
 from repro.telemetry.export import (  # noqa: E402
+    TelemetryBundle,
     event_report,
+    merged_chrome_trace,
     read_jsonl,
     span_summary,
     span_tree,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
+    write_merged_chrome_trace,
 )
 from repro.telemetry.flight import (  # noqa: E402
     FlightRecorder,
@@ -201,9 +206,4 @@ from repro.telemetry.flight import (  # noqa: E402
     flight_report,
     read_flight,
     write_flight,
-)
-from repro.telemetry.bundle import (  # noqa: E402
-    TelemetryBundle,
-    merged_chrome_trace,
-    write_merged_chrome_trace,
 )

@@ -231,12 +231,6 @@ class NumericsWatch:
     def fatal_events(self) -> list[NumericalEvent]:
         return [e for e in self.events if e.kind in FATAL_KINDS]
 
-    def counts_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
-
 
 class NullNumericsWatch:
     """Disabled-mode watch: never scans, never records."""
@@ -255,6 +249,3 @@ class NullNumericsWatch:
 
     def check_cancellation(self, name, abs_sum, total, step=0, span_id=None) -> None:
         return None
-
-    def counts_by_kind(self) -> dict[str, int]:
-        return {}

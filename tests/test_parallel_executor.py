@@ -24,9 +24,7 @@ from repro.parallel.executor import (
     TelemetrySpec,
     TracedResult,
     derive_seed,
-    merge_staged,
     resolve_jobs,
-    staged_dir,
 )
 
 #: run-record fields that legitimately differ between serial and
@@ -123,24 +121,6 @@ class TestDeriveSeed:
         assert 0 <= a <= 0x7FFFFFFF
 
 
-class TestStaging:
-    def test_merge_preserves_task_order(self, tmp_path):
-        s0 = staged_dir(tmp_path, 0, "first")
-        s1 = staged_dir(tmp_path, 1, "second/nested")
-        (s0 / "shared.json").write_text("from-0")
-        (s1 / "shared.json").write_text("from-1")
-        (s0 / "only0.jsonl").write_text("zero")
-        moved = merge_staged(tmp_path)
-        assert moved == 3
-        # last writer (higher task index) wins, like a serial sweep
-        assert (tmp_path / "shared.json").read_text() == "from-1"
-        assert (tmp_path / "only0.jsonl").read_text() == "zero"
-        assert not list(tmp_path.glob(".stage-*"))
-
-    def test_merge_empty_base(self, tmp_path):
-        assert merge_staged(tmp_path) == 0
-
-
 def _traced_clamr(cfg, steps, telemetry=None):
     from repro.clamr import ClamrSimulation
 
@@ -196,14 +176,14 @@ class TestTracedTasks:
             assert flight_digest(a.bundle.flight) == flight_digest(b.bundle.flight)
 
     def test_merged_trace_serial_equals_parallel_modulo_clock(self):
-        from repro.telemetry.bundle import merged_chrome_trace
+        from repro.telemetry import merged_chrome_trace
 
         serial = merged_chrome_trace([r.bundle for r in SweepExecutor(1).map(self._tasks())])
         parallel = merged_chrome_trace([r.bundle for r in SweepExecutor(3).map(self._tasks())])
         assert _strip_clock(serial) == _strip_clock(parallel)
 
     def test_merged_trace_lanes_are_submission_ordered(self, tmp_path):
-        from repro.telemetry.bundle import write_merged_chrome_trace
+        from repro.telemetry import write_merged_chrome_trace
 
         bundles = [r.bundle for r in SweepExecutor(2).map(self._tasks())]
         path = write_merged_chrome_trace(bundles, tmp_path / "m.trace.json")
