@@ -242,6 +242,14 @@ class GeometryCache:
     generation's scratch drops every other generation's.  Scratch contents
     are undefined (workspaces are zeroed on every hand-out), so a mesh
     stepped again after a rollback gets fresh buffers and the same bits.
+
+    Topology-only terms derived from the stepped generation — gather
+    indices, spacings, wall sizes (:meth:`derived`) — are held with its
+    scratch: built the first time the generation is stepped and dropped
+    with the scratch.  Forward stepping builds each generation's terms
+    once either way; a rollback rebuilds the older generation's, and no
+    term is ever read for a generation other than the one it was built
+    from.
     """
 
     def __init__(self, capacity: int = 4) -> None:
@@ -256,7 +264,7 @@ class GeometryCache:
         entry = self._entries.get(gen)
         if entry is None:
             size64 = mesh.cell_size()
-            entry = {"size64": size64, "area64": size64 * size64, "casts": {}, "work": {}}
+            entry = {"size64": size64, "area64": size64 * size64, "casts": {}, "work": {}, "derived": {}}
             self._entries[gen] = entry
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -280,14 +288,32 @@ class GeometryCache:
             entry["casts"][cdtype] = cast
         return cast
 
-    def _work(self, mesh: AmrMesh) -> dict:
-        """The scratch dict of ``mesh``'s generation, the only one kept."""
+    def derived(self, mesh: AmrMesh, key: tuple, owner: object, build):
+        """The topology-only terms ``build()`` returns for ``mesh``, built once.
+
+        Held with the generation's scratch under ``key``, together with
+        ``owner``, the object the terms were built from (the face lists, or
+        the cell sizes the caller passed): a request naming a different
+        owner rebuilds them, so terms built for one set of face lists are
+        never read with another (a halo rank steps the same mesh on masked
+        face lists).  The arrays are shared and read-only.
+        """
+        terms = self._work(mesh, "derived")
+        hit = terms.get(key)
+        if hit is None or hit[0] is not owner:
+            hit = terms[key] = (owner, build())
+        return hit[1]
+
+    def _work(self, mesh: AmrMesh, part: str = "work") -> dict:
+        """The scratch (or derived-term) dict of ``mesh``'s generation,
+        the only generation whose scratch and derived terms are kept."""
         entry = self._entry(mesh)
         if self._work_gen != mesh.generation:
             for other in self._entries.values():
                 other["work"] = {}
+                other["derived"] = {}
             self._work_gen = mesh.generation
-        return entry["work"]
+        return entry[part]
 
     def workspace3(self, mesh: AmrMesh, cdtype: np.dtype, slot: str = "fd") -> np.ndarray:
         """A zeroed ``(3, ncells)`` accumulator buffer, reused across steps."""
@@ -693,25 +719,26 @@ def _reflective_walls(
     g = cdtype.type(GRAVITY)
     size, _ = geom.geometry(mesh, cdtype)
     bbuf = geom.buffer(mesh, cdtype, "fd_bnd", (14, nb))
-    h, nL, nR, t, fsz = bbuf[:5]
-    out = bbuf[5:8]
-    tmp = bbuf[8:14]
-    np.take(H, bcells, out=h, mode="clip")
-    np.take(size, bcells, out=fsz, mode="clip")
-    # interior-side wall-normal momentum, negated on the low
-    # (left/bottom) walls; the mirror operand is its exact negation
-    np.take(U, bcells[sl_l], out=nL[sl_l], mode="clip")
+    # the wall sizes: the buffer's last row, written once per generation
+    # and face lists (the buffer and the derived terms are dropped together)
+    fsz = geom.derived(mesh, ("walls", cdtype), faces, lambda: size.take(bcells, out=bbuf[13], mode="clip"))
+    h, nL, nR, t = bbuf[:4]
+    out = bbuf[4:7]
+    tmp = bbuf[7:13]
+    H.take(bcells, out=h, mode="clip")
+    # interior-side wall-normal momentum (U on the left|right walls, V on
+    # the bottom|top ones), negated on the low (left/bottom) walls; the
+    # mirror operand is its exact negation
+    nx = sl_r.stop
+    U.take(bcells[:nx], out=nL[:nx], mode="clip")
+    V.take(bcells[nx:], out=nL[nx:], mode="clip")
+    V.take(bcells[:nx], out=t[:nx], mode="clip")
+    U.take(bcells[nx:], out=t[nx:], mode="clip")
     np.negative(nL[sl_l], out=nL[sl_l])
-    np.take(U, bcells[sl_r], out=nL[sl_r], mode="clip")
-    np.take(V, bcells[sl_b], out=nL[sl_b], mode="clip")
     np.negative(nL[sl_b], out=nL[sl_b])
-    np.take(V, bcells[sl_t], out=nL[sl_t], mode="clip")
     np.negative(nL, out=nR)
-    np.take(V, bcells[sl_l], out=t[sl_l], mode="clip")
-    np.take(V, bcells[sl_r], out=t[sl_r], mode="clip")
-    np.take(U, bcells[sl_b], out=t[sl_b], mode="clip")
-    np.take(U, bcells[sl_t], out=t[sl_t], mode="clip")
     _rusanov_into(h, nL, t, h, nR, t, g, out, tmp)
+    np.multiply(out, fsz, out=out)
     fh, fn, ft = out
     for sl, positive, is_x in (
         (sl_l, True, True),
@@ -722,16 +749,15 @@ def _reflective_walls(
         if sl.stop == sl.start:
             continue
         c = bcells[sl]
-        fs = fsz[sl]
         dn, dt_ = (dU, dV) if is_x else (dV, dU)
         if positive:
-            dH[c] += fh[sl] * fs
-            dn[c] += fn[sl] * fs
-            dt_[c] += ft[sl] * fs
+            dH[c] += fh[sl]
+            dn[c] += fn[sl]
+            dt_[c] += ft[sl]
         else:
-            dH[c] -= fh[sl] * fs
-            dn[c] -= fn[sl] * fs
-            dt_[c] -= ft[sl] * fs
+            dH[c] -= fh[sl]
+            dn[c] -= fn[sl]
+            dt_[c] -= ft[sl]
 
 
 def _count_work(

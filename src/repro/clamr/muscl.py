@@ -56,37 +56,132 @@ FLOPS_PER_FACE_MUSCL = 2 * FLOPS_PER_FACE
 FLOPS_PER_CELL_SLOPES = 36
 
 
-def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def minmod(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """The minmod limiter: the smaller-magnitude argument when signs agree,
-    zero otherwise.  Vectorized, dtype-preserving."""
-    same_sign = a * b > 0
-    out = np.where(np.abs(a) < np.abs(b), a, b)
-    return np.where(same_sign, out, np.zeros((), dtype=out.dtype))
+    zero otherwise.  Vectorized, dtype-preserving.
+
+    Each element is ``where(a*b > 0, where(|a| < |b|, a, b), 0)``.
+    ``out`` receives the result and may be ``b``; ``scratch`` is a float
+    array of the result's shape and a bool array of three times it
+    (stacked on a new first axis), so a call given both allocates nothing.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), np.result_type(a, b))
+    if scratch is None:
+        scratch = (np.empty_like(out), np.empty((3,) + out.shape, bool))
+    prod, (same_sign, smaller, negative) = scratch
+    np.multiply(a, b, out=prod)
+    np.greater(prod, 0, out=same_sign)
+    # where the signs agree neither argument is zero or NaN, so |a| < |b|
+    # is a < b for positive and a > b for negative arguments (a == b has
+    # one bit pattern, so either pick is the same)
+    np.less(a, b, out=smaller)
+    np.less(a, 0, out=negative)
+    np.logical_xor(smaller, negative, out=smaller)
+    if out is not b:
+        np.copyto(out, b)
+    np.copyto(out, a, where=smaller)
+    np.logical_not(same_sign, out=same_sign)
+    np.copyto(out, out.dtype.type(0), where=same_sign)
+    return out
+
+
+def _slope_terms(mesh: AmrMesh, size: np.ndarray, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(nbr, dx)``: each cell's neighbors and the spacings to them.
+
+    ``nbr[s, d]`` is the lower (``s`` = 0: left/bottom) or upper (1:
+    right/top) neighbor in direction ``d`` (x, y); ``dx[s, d]`` is
+    ``half·(size + size[nbr[s, d]])``, repeated for the ``nq`` stacked
+    quantities so every division runs over equal shapes.
+    """
+    half = size.dtype.type(0.5)
+    nbr = np.array([[mesh.nlft, mesh.nbot], [mesh.nrht, mesh.ntop]], dtype=np.intp)
+    dx = half * (size + size[nbr])
+    return nbr, np.broadcast_to(dx[:, :, None, :], (2, 2, nq, mesh.ncells)).copy()
 
 
 def limited_slopes(
-    mesh: AmrMesh, q: np.ndarray, size: np.ndarray
+    mesh: AmrMesh,
+    q: np.ndarray,
+    size: np.ndarray,
+    geom: GeometryCache | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell minmod slopes of a quantity in x and y.
+    """Per-cell minmod slopes in x and y of one quantity or a stack of them.
 
-    One-sided divided differences are taken against the stored neighbors;
-    a boundary side (self-link) contributes a zero difference, so minmod
-    clips the slope to zero there — the correct first-order fallback.  At
-    coarse-fine faces the stored (lower/left) fine neighbor stands in for
-    the face average; the limiter bounds any error this introduces by the
-    neighboring differences.
+    ``q`` is ``(ncells,)`` or ``(nq, ncells)``; the result ``(sx, sy)``
+    has q's shape, as the two halves of one ``(2, nq, ncells)`` array —
+    ``[x | y][quantity][cell]`` — which is ``out`` when given.  All
+    quantities and both directions share one division and one
+    :func:`minmod` pass per side.
+
+    One-sided divided differences are taken against the stored neighbors.
+    A boundary side links a cell to itself: its difference ``q - q`` is
+    +0 (NaN for a non-finite ``q``) and minmod clips either to +0, the
+    first-order fallback, exactly as an explicit zero difference would.
+    At coarse-fine faces the stored (lower/left) fine neighbor stands in
+    for the face average; the limiter bounds any error this introduces by
+    the neighboring differences.
+
+    ``size`` is the mesh's cell sizes: the neighbor lists and spacings
+    derived from it are built once per mesh generation and held in
+    ``geom`` (:meth:`GeometryCache.derived`) with the differences and
+    minmod temporaries, which are its scratch.
     """
-    cells = np.arange(mesh.ncells)
-    half = size.dtype.type(0.5)
+    if geom is None:
+        geom = geometry_cache()
+    n = mesh.ncells
+    dtype = np.result_type(q, size)
+    rows = np.ascontiguousarray(q, dtype=dtype).reshape(-1, n)
+    nq = rows.shape[0]
+    nbr, dx = geom.derived(mesh, ("slopes", size.dtype, nq), size, lambda: _slope_terms(mesh, size, nq))
+    shape = (2, nq, n)
+    if out is None:
+        out = np.empty(shape, dtype)
+    work = geom.buffer(mesh, dtype, "slopes", (2,) + shape)
+    masks = geom.buffer(mesh, np.dtype(bool), "slopes_masks", (3,) + shape)
+    d_minus = work[0]
+    for d in range(2):
+        rows.take(nbr[0, d], axis=1, out=d_minus[d], mode="clip")
+        np.subtract(rows, d_minus[d], out=d_minus[d])
+        rows.take(nbr[1, d], axis=1, out=out[d], mode="clip")
+        np.subtract(out[d], rows, out=out[d])
+    np.divide(d_minus, dx[0], out=d_minus)
+    np.divide(out, dx[1], out=out)
+    minmod(d_minus, out, out=out, scratch=(work[1], masks))
+    if q.ndim == 1:
+        return out[0, 0], out[1, 0]
+    return out[0], out[1]
 
-    def one_dir(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
-        d_minus = np.where(minus != cells, q - q[minus], np.zeros((), dtype=q.dtype))
-        d_plus = np.where(plus != cells, q[plus] - q, np.zeros((), dtype=q.dtype))
-        dx_minus = half * (size + size[minus])
-        dx_plus = half * (size + size[plus])
-        return minmod(d_minus / dx_minus, d_plus / dx_plus)
 
-    return one_dir(mesh.nlft, mesh.nrht), one_dir(mesh.nbot, mesh.ntop)
+def _face_terms(mesh: AmrMesh, faces: FaceLists, size: np.ndarray) -> tuple:
+    """``(half_size, sides)`` for the face reconstruction.
+
+    ``half_size`` is ``half·size`` — a cell's center-to-face distance —
+    shaped ``(2, 3, ncells)`` like the slopes.  ``sides`` holds, per face
+    side (low, then high), ``(cells, idx)``: the side's cell of every
+    interior face, x faces then y faces, and the ``(3, nfaces)`` flat
+    gather of the face-ordered variables ``(eta, N, T)`` from a
+    ``(2, 3, ncells)`` array laid out as :func:`limited_slopes`' result —
+    x faces read ``(eta, U, V)`` in x, y faces ``(eta, V, U)`` in y.
+    """
+    n = mesh.ncells
+    half_size = np.broadcast_to(size * size.dtype.type(0.5), (2, 3, n)).copy()
+    nxf = faces.xl.size
+    sides = []
+    for xc, yc in ((faces.xl, faces.yb), (faces.xr, faces.yt)):
+        cells = np.concatenate([xc, yc]).astype(np.intp)
+        idx = np.empty((3, cells.size), np.intp)
+        for k, ky in enumerate((0, 2, 1)):
+            idx[k, :nxf] = cells[:nxf] + k * n
+            idx[k, nxf:] = cells[nxf:] + (3 + ky) * n
+        sides.append((cells, idx))
+    return half_size, tuple(sides)
 
 
 def muscl_rhs(
@@ -120,50 +215,56 @@ def muscl_rhs(
     compiled = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
     if compiled is not None:
         return compiled
-    half = cdtype.type(0.5)
+    n = mesh.ncells
     size, _ = geom.geometry(mesh, cdtype)
-    eta = H if b is None else H + b
-    sxH, syH = limited_slopes(mesh, eta, size)
-    sxU, syU = limited_slopes(mesh, U, size)
-    sxV, syV = limited_slopes(mesh, V, size)
     dH, dU, dV = geom.workspace3(mesh, cdtype, slot=slot)
+
+    # the cell values (eta, U, V), once per direction, in the layout of
+    # the slopes, so one flat index gathers either onto a face side
+    q = geom.buffer(mesh, cdtype, "muscl_q", (2, 3, n))
+    if b is None:
+        np.copyto(q[0, 0], H)
+    else:
+        np.add(H, b, out=q[0, 0])
+    np.copyto(q[0, 1], U)
+    np.copyto(q[0, 2], V)
+    np.copyto(q[1], q[0])
+    slopes = geom.buffer(mesh, cdtype, "muscl_slopes", (2, 3, n))
+    limited_slopes(mesh, q[0], size, geom, out=slopes)
+    half_size, sides = geom.derived(
+        mesh, ("muscl_faces", cdtype), faces, lambda: _face_terms(mesh, faces, size)
+    )
+    # each cell's slope times its center-to-face distance: the same
+    # product for its low- and high-side faces
+    np.multiply(slopes, half_size, out=slopes)
 
     # reconstruct each side of every interior face to the face plane, into
     # the kernels' face buffer (x faces, then y faces; N/T the normal and
-    # tangent momenta); rows 8 and 9 are scratch until the flux overwrites
+    # tangent momenta); rows 8-10 are scratch until the flux overwrites
     # them
     fbuf = _face_buffer(mesh, geom, faces, cdtype)
-    nxf = faces.xl.size
-    groups = (
-        (slice(None, nxf), faces.xl, faces.xr, (sxH, sxU, sxV), U, V),
-        (slice(nxf, None), faces.yb, faces.yt, (syH, syV, syU), V, U),
-    )
-    for sl, lo, hi, slopes, N, T in groups:
-        off, ds = fbuf[8, sl], fbuf[9, sl]
-        for row, b_row, cells, toward_face in ((0, 6, lo, np.add), (3, 7, hi, np.subtract)):
-            np.take(size, cells, out=off, mode="clip")
-            np.multiply(off, half, out=off)
-            for k, (q, slope) in enumerate(zip((eta, N, T), slopes)):
-                q_face = fbuf[row + k, sl]
-                np.take(slope, cells, out=ds, mode="clip")
-                np.multiply(ds, off, out=ds)
-                np.take(q, cells, out=q_face, mode="clip")
-                toward_face(q_face, ds, out=q_face)
-            if b is not None:
-                # recover depth from the reconstructed free surface against
-                # the cell's own bottom: constant η reproduces H bit-for-bit
-                b_face = fbuf[b_row, sl]
-                np.take(b, cells, out=b_face, mode="clip")
-                np.subtract(fbuf[row, sl], b_face, out=fbuf[row, sl])
+    ds = fbuf[8:11]
+    face_rows = (fbuf[0:3], fbuf[3:6])
+    for (cells, idx), rows, b_row, toward_face in zip(sides, face_rows, (6, 7), (np.add, np.subtract)):
+        q.take(idx, out=rows, mode="clip")
+        slopes.take(idx, out=ds, mode="clip")
+        toward_face(rows, ds, out=rows)
+        if b is not None:
+            # recover depth from the reconstructed free surface against
+            # the cell's own bottom: constant η reproduces H bit-for-bit
+            b.take(cells, out=fbuf[b_row], mode="clip")
+            np.subtract(rows[0], fbuf[b_row], out=rows[0])
     # positivity guard: fall back to the cell mean where the
     # reconstruction would drive depth non-positive
-    bad = (fbuf[0] <= 0) | (fbuf[3] <= 0)
-    if np.any(bad):
-        for sl, lo, hi, _, N, T in groups:
-            for row, cells in ((0, lo), (3, hi)):
-                for k, q in enumerate((H, N, T)):
-                    np.copyto(fbuf[row + k, sl], q[cells], where=bad[sl])
-    _face_fluxes(faces, mesh.ncells, fbuf, b is not None, dH, dU, dV)
+    bad = geom.buffer(mesh, np.dtype(bool), "muscl_bad", (2, fbuf.shape[1]))
+    np.less_equal(fbuf[0], 0, out=bad[0])
+    np.less_equal(fbuf[3], 0, out=bad[1])
+    np.logical_or(bad[0], bad[1], out=bad[0])
+    if bad[0].any():
+        np.copyto(q[:, 0], H)
+        for (_, idx), rows in zip(sides, face_rows):
+            np.copyto(rows, q.take(idx), where=bad[0])
+    _face_fluxes(faces, n, fbuf, b is not None, dH, dU, dV)
 
     # reflective walls: first-order mirror flux (slopes clip to zero at
     # the wall anyway, by the self-link convention in limited_slopes)
@@ -187,9 +288,9 @@ def finite_diff_muscl(
     signature, same precision semantics, roughly 4x the arithmetic
     (two spatial evaluations, each ~2x a first-order one).  ``bathy``
     selects the well-balanced free-surface reconstruction in both Heun
-    stages.  Under a loop backend each Heun stage update is one loop
-    (``heun_stage``) into one cached buffer, which the corrector then
-    stores into the state.
+    stages.  Each Heun stage writes into one cached buffer — in place
+    under NumPy, one loop (``heun_stage``) under a loop backend — which
+    the corrector then stores into the state.
     """
     if faces is None:
         faces = FaceLists.from_mesh(mesh)
@@ -208,24 +309,24 @@ def finite_diff_muscl(
         bathy = _bathy_as(mesh, bathy, cdtype)  # cast once for both stages
     # distinct workspace slots: k1 must survive the k2 evaluation
     k1 = muscl_rhs(mesh, H0, U0, V0, faces, cdtype, geom=geom, slot="muscl_k1", bathy=bathy)
+    q1 = geom.buffer(mesh, cdtype, "heun", (3, mesh.ncells))
     if ops is None:
-        H1 = H0 + k1[0] * scale
-        U1 = U0 + k1[1] * scale
-        V1 = V0 + k1[2] * scale
+        for q0, k, q in zip((H0, U0, V0), k1, q1):
+            np.multiply(k, scale, out=q)
+            np.add(q0, q, out=q)
     else:
-        H1, U1, V1 = geom.buffer(mesh, cdtype, "heun", (3, mesh.ncells))
-        ops.heun_stage(H0, U0, V0, *k1, None, None, None, scale, half, H1, U1, V1)
-    k2 = muscl_rhs(mesh, H1, U1, V1, faces, cdtype, geom=geom, slot="muscl_k2", bathy=bathy)
+        ops.heun_stage(H0, U0, V0, *k1, None, None, None, scale, half, *q1)
+    k2 = muscl_rhs(mesh, *q1, faces, cdtype, geom=geom, slot="muscl_k2", bathy=bathy)
+    # the predictor's buffer is free again once k2 is evaluated
     if ops is None:
-        state.store(
-            H0 + half * (k1[0] + k2[0]) * scale,
-            U0 + half * (k1[1] + k2[1]) * scale,
-            V0 + half * (k1[2] + k2[2]) * scale,
-        )
+        for q0, a, b, q in zip((H0, U0, V0), k1, k2, q1):
+            np.add(a, b, out=q)
+            np.multiply(half, q, out=q)
+            np.multiply(q, scale, out=q)
+            np.add(q0, q, out=q)
     else:
-        # the predictor's buffer is free again once k2 is evaluated
-        ops.heun_stage(H0, U0, V0, *k1, *k2, scale, half, H1, U1, V1)
-        state.store(H1, U1, V1)
+        ops.heun_stage(H0, U0, V0, *k1, *k2, scale, half, *q1)
+    state.store(*q1)
 
     if counters is not None:
         nfaces = faces.nfaces

@@ -7,8 +7,9 @@ flux routine — ``_rusanov_into`` on a flat bottom, ``_wellbalanced_into``
 over bathymetry — and scatter the x plan before the y plan.  These tests
 pin the in-place well-balanced flux to its expression form, pin whole
 steps to the per-group allocating bodies kept in
-``tests/reference_impls.py``, and bound what one warm bathymetry step may
-allocate.
+``tests/reference_impls.py``, bound what one warm step may allocate, and
+check that the topology terms cached per mesh generation are never read
+for another generation.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ import pytest
 from repro.clamr.backends import kernel_backend
 from repro.clamr.kernels import (
     FaceLists,
+    GeometryCache,
     _rusanov_into,
     _wellbalanced_into,
     compute_timestep,
@@ -174,16 +176,83 @@ def test_steps_match_allocating_bodies(scenario, kernel, bottom, level, mode):
 )
 def test_warm_bathymetry_step_allocates_little(scenario, nx, max_level, level):
     mesh, state, faces, bathy = evolved(scenario, level, max_level=max_level, nx=nx, steps=2)
+    assert_warm_step_allocates_little(finite_diff_vectorized, mesh, state, faces, bathy)
+
+
+def assert_warm_step_allocates_little(kernel, mesh, state, faces, bathy):
+    """One warm ``kernel`` step's tracemalloc peak is at most 8 x ncells x itemsize."""
     with kernel_backend("numpy"):
         dt = compute_timestep(mesh, state, 0.25)
-        for _ in range(2):  # warm-up: the face buffer and workspaces are cached
-            finite_diff_vectorized(mesh, state, dt, faces=faces, bathy=bathy)
+        for _ in range(2):  # warm-up: the cached buffers and terms are built
+            kernel(mesh, state, dt, faces=faces, bathy=bathy)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            finite_diff_vectorized(mesh, state, dt, faces=faces, bathy=bathy)
+            kernel(mesh, state, dt, faces=faces, bathy=bathy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     budget = 8 * mesh.ncells * state.policy.compute_dtype.itemsize
     assert peak - base <= budget, f"{(peak - base) / budget * 8:.1f}x ncells*itemsize"
+
+
+@pytest.mark.parametrize(
+    "scenario, nx, max_level, bottom, level",
+    [
+        ("clamr/dam-break", 32, 1, "flat", "half"),
+        ("clamr/partial-breach", 12, 2, "flat", "min"),
+        ("clamr/partial-breach", 12, 2, "bathy", "full"),
+        ("clamr/obstacle-field", 12, 2, "bathy", "mixed"),
+    ],
+)
+def test_warm_muscl_step_allocates_little(scenario, nx, max_level, bottom, level):
+    # the stacked slopes, the face gathers and both Heun stages write into
+    # cached buffers; what is left is the promoted state, the dt/area
+    # scale and O(walls) (the positivity fallback, which allocates its
+    # gathers, does not fire here)
+    mesh, state, faces, bathy = evolved(scenario, level, max_level=max_level, nx=nx, steps=2)
+    if bottom == "flat":
+        bathy = None
+    assert_warm_step_allocates_little(finite_diff_muscl, mesh, state, faces, bathy)
+
+
+@pytest.mark.parametrize("bottom", ["flat", "bathy"])
+@pytest.mark.parametrize("level", ["min", "full"])
+def test_generation_hop_reads_no_stale_terms(bottom, level):
+    # mesh A, then its regrid B, then A again, as a resilience rollback
+    # steps them, all on one cache: every segment must have the bits of
+    # the same steps on a fresh cache, so no term cached for one
+    # generation is ever read for another
+    cfg = dataclasses.replace(make_config("clamr", "clamr/obstacle-field", nx=12), max_level=2)
+    sim = make_simulation("clamr", cfg, policy=level, scenario="clamr/obstacle-field")
+    sim.run(2, record_mass=False)
+    a = (sim.mesh, sim.state.copy(), sim._faces_for(sim.mesh), sim._bathy_for(sim.mesh))
+    for _ in range(5):  # a regrid every 4 steps, until the cell count moves
+        sim.run(4, record_mass=False)
+        if sim.mesh.ncells != a[0].ncells:
+            break
+    b = (sim.mesh, sim.state.copy(), sim._faces_for(sim.mesh), sim._bathy_for(sim.mesh))
+    assert b[0].generation != a[0].generation and b[0].ncells != a[0].ncells
+
+    def segment(geom, mesh, state, faces, bathy):
+        state = state.copy()
+        for _ in range(2):
+            dt = compute_timestep(mesh, state, 0.25, geom=geom)
+            finite_diff_muscl(mesh, state, dt, faces=faces, geom=geom,
+                              bathy=None if bottom == "flat" else bathy)
+        return state
+
+    with kernel_backend("numpy"):
+        hop = GeometryCache()
+        got = [segment(hop, *a), segment(hop, *b), segment(hop, *a)]
+        # a face-list object of the same topology is a new owner: rebuilt
+        got.append(segment(hop, a[0], a[1], FaceLists.from_mesh(a[0]), a[3]))
+        want = [segment(GeometryCache(), *a), segment(GeometryCache(), *b)]
+    for g, w in zip(got, (want[0], want[1], want[0], want[0])):
+        assert_bytes_equal(g, w)
+    # the derived terms are held for the stepped generation only
+    def derived(mesh):
+        return {key[0] for key in hop._entries[mesh.generation]["derived"]}
+
+    assert {"slopes", "muscl_faces", "walls"} <= derived(a[0])
+    assert derived(b[0]) == set()

@@ -1,14 +1,18 @@
 """Tests for the second-order MUSCL kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr.backends.loops import _slopes
 from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectorized
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.muscl import finite_diff_muscl, limited_slopes, minmod
 from repro.clamr.state import ShallowWaterState
 from repro.precision.policy import FULL_PRECISION, MIN_PRECISION
+from repro.workload import make_config, make_simulation
 
 
 def bump_state(mesh, policy=FULL_PRECISION):
@@ -61,6 +65,67 @@ class TestSlopes:
         q[4] = 1.0  # isolated peak
         sx, _ = limited_slopes(mesh, q, mesh.cell_size())
         assert sx[4] == 0.0
+
+
+def amr_l2_mesh():
+    """A dam-break mesh after a few steps: three refinement levels."""
+    cfg = dataclasses.replace(make_config("clamr", nx=12), max_level=2)
+    sim = make_simulation("clamr", cfg, policy="full")
+    sim.run(5, record_mass=False)
+    assert np.unique(sim.mesh.level).size == 3
+    return sim.mesh
+
+
+class TestStackedSlopes:
+    """One stacked pass gives every row the bits of its own one-row call
+    and of the scalar loop (``backends.loops._slopes``)."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_rows_match_one_row_calls_and_the_loop(self, dtype):
+        mesh = amr_l2_mesh()
+        n = mesh.ncells
+        cells = np.arange(n)
+        walls = (mesh.nlft == cells) | (mesh.nrht == cells) | (mesh.nbot == cells) | (mesh.ntop == cells)
+        rng = np.random.default_rng(7)
+        q = rng.standard_normal((3, n))
+        q[0] += 2.0
+        q[1, ::5] = 0.0
+        q[1, 2::5] = -0.0
+        q[2, ::3] = -0.0
+        q[:, walls] *= 40.0  # steep against the walls: only the wall side clips
+        nan_cell = np.flatnonzero(~walls)[n // 3]
+        q[2, nan_cell] = np.nan
+        q = q.astype(dtype)
+        size = mesh.cell_size().astype(dtype)
+
+        half, zero = np.dtype(dtype).type(0.5), np.dtype(dtype).type(0.0)
+        with np.errstate(over="ignore"):  # float16 products of steep slopes
+            sx, sy = limited_slopes(mesh, q, size)
+            assert sx.shape == sy.shape == (3, n) and sx.dtype == dtype
+            for k in range(3):
+                one_x, one_y = limited_slopes(mesh, q[k], size)
+                loop_x, loop_y = np.empty(n, dtype), np.empty(n, dtype)
+                _slopes(q[k], mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop, size, half, zero, loop_x, loop_y)
+                for got, one, loop in ((sx[k], one_x, loop_x), (sy[k], one_y, loop_y)):
+                    assert got.tobytes() == one.tobytes() == loop.tobytes()
+
+        # the inputs reach every branch: walls and the NaN clip to +0,
+        # signed-zero inputs, nonzero limited slopes
+        x_wall = (mesh.nlft == cells) | (mesh.nrht == cells)
+        assert not sx[:, x_wall].any() and not np.signbit(sx[:, x_wall]).any()
+        for s in (sx, sy):
+            assert s[2, nan_cell] == 0 and not np.signbit(s[2, nan_cell])
+        assert not np.isnan(sx).any() and not np.isnan(sy).any()
+        assert np.signbit(q[1][q[1] == 0]).any() and np.count_nonzero(sx[0]) > n // 4
+
+    def test_one_row_and_stacked_calls_share_no_result_buffer(self):
+        mesh = amr_l2_mesh()
+        q = np.stack([c.astype(np.float64) for c in mesh.cell_centers()])
+        size = mesh.cell_size()
+        sx, _ = limited_slopes(mesh, q, size)
+        kept = sx.copy()
+        limited_slopes(mesh, q[::-1].copy(), size)
+        assert sx.tobytes() == kept.tobytes()
 
 
 class TestKernel:

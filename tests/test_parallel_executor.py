@@ -381,15 +381,32 @@ def _suicide(i):
     return i
 
 
+def _suicide_once_released(i, release):
+    # task 1 kills its worker only once the file ``release`` exists
+    if i == 1:
+        deadline = time.monotonic() + 30.0
+        while not Path(release).exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+    return _suicide(i)
+
+
 class TestWorkerFailureModes:
     """SweepWorkerError: typed worker deaths, and continue-past-failures."""
 
-    def _tasks(self, fn, n=4):
-        return [SweepTask(name=f"t{i}", fn=fn, args=(i,)) for i in range(n)]
+    def _tasks(self, fn, n=4, *extra):
+        return [SweepTask(name=f"t{i}", fn=fn, args=(i, *extra)) for i in range(n)]
 
-    def test_pool_crash_raises_typed_error_naming_the_task(self):
+    def test_pool_crash_raises_typed_error_naming_the_task(self, tmp_path):
+        # t1's worker dies only after t0's result has been collected: a
+        # death while t0 is still pending breaks t0's future as well, and
+        # the error then names t0, the earliest unfinished task
+        release = tmp_path / "release"
+        stream = SweepExecutor(2).stream(self._tasks(_suicide_once_released, 4, str(release)))
         with pytest.raises(SweepWorkerError) as err:
-            SweepExecutor(2).map(self._tasks(_suicide))
+            task, result = next(stream)
+            assert (task.name, result) == ("t0", 0)
+            release.touch()
+            list(stream)
         assert err.value.task_name == "t1"
         assert err.value.index == 1
         assert err.value.crashed
