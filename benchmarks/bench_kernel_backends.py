@@ -11,9 +11,13 @@ property that makes the backend admissible at all; see
 What to expect, and what is gated:
 
 * **muscl** — the production second-order scheme fuses slopes, limiter,
-  predictor, and per-face flux into one pass over the mesh; the oracle
-  spends ~20 NumPy traversals on the same work.  This is the headline
-  number: the gate requires >= 3x by default.
+  predictor, and per-face flux into one pass over the mesh; the NumPy
+  oracle takes one stacked slope pass and a fused face pass.  This is the
+  headline number, gated per level at >= 1.75x by default.  The floor
+  is re-based on measured spread: over 24 runs of 60 pairs on a shared
+  2-core x86-64 host the ``min`` level (the lowest) read 1.80-2.09x, and
+  the same runs with the compiled step made 25% slower read 1.43-1.66x.
+  The ratio moves when the oracle gets faster, so re-base the floor then.
 * **fd** — the first-order kernel is mostly gather + one flux; NumPy is
   already fused and vectorized there, so compiled wins are modest
   (~1.5-3x).  Gated at a conservative floor.
@@ -95,23 +99,34 @@ def _check_identity(mesh, state, faces, backend: str) -> bool:
     )
 
 
-def _time_kernel(mesh, state, faces, dt, kernel: str, backend: str, reps: int) -> float:
-    """Median seconds per whole-kernel call under a backend.
+def _time_pair(mesh, state, faces, dt, kernel: str, backend: str, reps: int):
+    """``(oracle_s, compiled_s, speedup)`` from ``reps`` interleaved pairs.
 
-    The state evolves across reps, but the backends are bit-identical,
-    so each backend times the *same* sequence of states.
+    Each rep times one oracle call and one compiled call back to back
+    (alternating which goes first), and the speedup is the median of the
+    per-pair ratios: a load spike on a shared host slows both calls of a
+    pair alike, so it cancels in the ratio instead of landing on one side.
+    Each backend steps its own copy of the state; the backends are
+    bit-identical, so both time the *same* sequence of states.
     """
     step = _step_fn(kernel)
-    s = state.copy()
-    with backends.kernel_backend(backend):
-        backends.warmup(state.policy.compute_dtype)  # C build outside timing
-        step(mesh, s, dt, faces)  # warm caches and dispatch
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            step(mesh, s, dt, faces)
-            times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    states = {"numpy": state.copy(), backend: state.copy()}
+    for name, s in states.items():
+        with backends.kernel_backend(name):
+            backends.warmup(state.policy.compute_dtype)  # C build outside timing
+            step(mesh, s, dt, faces)  # warm caches and dispatch
+    times: dict[str, list[float]] = {"numpy": [], backend: []}
+    for rep in range(reps):
+        order = ("numpy", backend) if rep % 2 == 0 else (backend, "numpy")
+        for name in order:
+            s = states[name]
+            with backends.kernel_backend(name):
+                t0 = time.perf_counter()
+                step(mesh, s, dt, faces)
+                times[name].append(time.perf_counter() - t0)
+    oracle, compiled = np.array(times["numpy"]), np.array(times[backend])
+    return (float(np.median(oracle)), float(np.median(compiled)),
+            float(np.median(oracle / compiled)))
 
 
 def _bench_entries(rows, reps: int) -> list[dict]:
@@ -176,11 +191,11 @@ def main(argv=None) -> int:
                         help="comma-separated backends to measure (default: "
                              "cext if available); naming an unavailable one "
                              "fails")
-    parser.add_argument("--reps", type=int, default=30,
-                        help="timed repetitions per measurement (default 30)")
-    parser.add_argument("--min-muscl-speedup", type=float, default=3.0,
-                        help="fail below this whole-kernel MUSCL speedup "
-                             "(default 3.0 — the headline gate)")
+    parser.add_argument("--reps", type=int, default=60,
+                        help="timed oracle/compiled pairs per measurement (default 60)")
+    parser.add_argument("--min-muscl-speedup", type=float, default=1.75,
+                        help="fail below this whole-kernel MUSCL speedup at any "
+                             "level (default 1.75 — the headline gate)")
     parser.add_argument("--min-fd-speedup", type=float, default=1.3,
                         help="fail below this whole-kernel Rusanov speedup "
                              "(default 1.3; the fd kernel is gather-bound)")
@@ -232,11 +247,9 @@ def main(argv=None) -> int:
                 )
             row = {"level": level, "backend": backend}
             for kernel in KERNELS:
-                oracle = _time_kernel(mesh, state, faces, dt, kernel, "numpy", args.reps)
-                compiled = _time_kernel(mesh, state, faces, dt, kernel, backend, args.reps)
-                row[f"{kernel}_oracle_s"] = oracle
-                row[f"{kernel}_compiled_s"] = compiled
-                row[f"{kernel}_speedup"] = oracle / compiled
+                (row[f"{kernel}_oracle_s"], row[f"{kernel}_compiled_s"],
+                 row[f"{kernel}_speedup"]) = _time_pair(
+                    mesh, state, faces, dt, kernel, backend, args.reps)
             rows.append(row)
             table.add_row(
                 level, backend, "identical" if identical else "DIVERGED",

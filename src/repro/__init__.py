@@ -30,14 +30,11 @@ Subpackages
 """
 
 from repro.precision.policy import PrecisionLevel, PrecisionPolicy
-from repro.precision.context import precision_scope, current_policy
 
 __version__ = "1.0.0"
 
 __all__ = [
     "PrecisionLevel",
     "PrecisionPolicy",
-    "precision_scope",
-    "current_policy",
     "__version__",
 ]

@@ -38,6 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools  # compiled coo_tocsr / csr_matvec
 
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import GRAVITY, ShallowWaterState
@@ -67,11 +68,6 @@ FLOPS_PER_FACE = 38
 FLOPS_PER_CELL_UPDATE = 12
 FLOPS_PER_CELL_TIMESTEP = 9
 
-
-try:  # compiled CSR kernels; optional — ScatterPlan falls back to np.add.at
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except Exception:  # pragma: no cover - exercised on scipy-less installs
-    _scipy_sparsetools = None
 
 #: compute dtypes the compiled CSR matvec is instantiated for
 _CSR_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -105,7 +101,6 @@ class ScatterPlan:
     concat(arange(nf), arange(nf))``, ``data = concat(-fsz, +fsz)``
     converted by scipy's compiled ``coo_tocsr`` — a stable counting sort,
     so each row keeps its entries in COO order, which is add.at's order.
-    Without scipy a stable ``argsort`` of the rows builds the same arrays.
 
     The sided form ``apply(acc, flux, high_flux)`` scatters a different
     flux to each side, ``acc[low] -= flux·fsz; acc[high] += high_flux·fsz``
@@ -118,7 +113,7 @@ class ScatterPlan:
     in face order — so the sided matvec replays the ``np.add.at`` pair with
     ``high_flux`` on the high side, bit for bit.
 
-    Without scipy, for a dtype its compiled kernels don't cover, or under
+    For a dtype scipy's compiled kernels don't cover (float16), or under
     ``scatter_mode("add_at")``, ``apply`` runs the original ``np.add.at``
     pair, which produces the same bits by construction — so results never
     depend on which path ran.
@@ -131,24 +126,18 @@ class ScatterPlan:
         self.high = high.astype(np.int64, copy=False)
         self.sizes64 = np.asarray(sizes, dtype=np.float64)
         nnz = 2 * self.nfaces
-        rows = np.concatenate([self.low, self.high]).astype(np.int32)
-        signed = np.concatenate([-self.sizes64, self.sizes64])
+        faces = np.arange(self.nfaces, dtype=np.int32)
         self.indptr = np.empty(self.ncells + 1, dtype=np.int32)
-        if _scipy_sparsetools is not None:
-            faces = np.arange(self.nfaces, dtype=np.int32)
-            self.cols = np.empty(nnz, dtype=np.int32)
-            #: ±fsz per stored entry, in per-cell add.at order (float64 master)
-            self.signed64 = np.empty(nnz, dtype=np.float64)
-            _scipy_sparsetools.coo_tocsr(
-                self.ncells, self.nfaces, nnz, rows, np.concatenate([faces, faces]),
-                signed, self.indptr, self.cols, self.signed64,
-            )
-        else:
-            order = np.argsort(rows, kind="stable")
-            self.indptr[0] = 0
-            np.cumsum(np.bincount(rows, minlength=self.ncells), out=self.indptr[1:])
-            self.cols = np.where(order < self.nfaces, order, order - self.nfaces).astype(np.int32)
-            self.signed64 = signed[order]
+        self.cols = np.empty(nnz, dtype=np.int32)
+        #: ±fsz per stored entry, in per-cell add.at order (float64 master)
+        self.signed64 = np.empty(nnz, dtype=np.float64)
+        _sparsetools.coo_tocsr(
+            self.ncells, self.nfaces, nnz,
+            np.concatenate([self.low, self.high]).astype(np.int32),
+            np.concatenate([faces, faces]),
+            np.concatenate([-self.sizes64, self.sizes64]),
+            self.indptr, self.cols, self.signed64,
+        )
         self._signed_casts: dict[np.dtype, np.ndarray] = {}
         self._size_casts: dict[np.dtype, np.ndarray] = {}
         self._sided: np.ndarray | None = None
@@ -182,16 +171,12 @@ class ScatterPlan:
         ``high_flux`` defaults to ``flux`` (the antisymmetric scatter).
         """
         cdtype = acc.dtype
-        if (
-            _SCATTER_MODE == "plan"
-            and _scipy_sparsetools is not None
-            and cdtype in _CSR_DTYPES
-        ):
+        if _SCATTER_MODE == "plan" and cdtype in _CSR_DTYPES:
             if high_flux is None:
                 cols, ncols, x = self.cols, self.nfaces, flux
             else:
                 cols, ncols, x = self._sided_cols(), 2 * self.nfaces, np.concatenate([flux, high_flux])
-            _scipy_sparsetools.csr_matvec(
+            _sparsetools.csr_matvec(
                 self.ncells, ncols, self.indptr, cols, self._signed(cdtype), x, acc,
             )
         else:

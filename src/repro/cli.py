@@ -89,6 +89,42 @@ def _require_file(path, what: str):
     return p
 
 
+def _add_job_arguments(
+    parser: argparse.ArgumentParser, stride_flag: str, label: bool = False
+) -> None:
+    """:class:`~repro.service.JobSpec`'s fields as one argument group.
+
+    ``ledger record`` and ``submit`` both describe a traced workload run,
+    so both take its flags here, with JobSpec's defaults, choices and
+    help; :func:`_job_spec_from_args` turns the parsed group back into a
+    JobSpec.  Only the watch-stride spelling differs (``stride_flag``),
+    and only ``submit`` takes a ``--label``.
+    """
+    from dataclasses import fields
+
+    from repro.service.jobs import JobSpec
+
+    group = parser.add_argument_group("run", "the traced run (a JobSpec)")
+    for f in fields(JobSpec):
+        meta = f.metadata
+        if f.name == "workload":
+            group.add_argument("workload", choices=meta["choices"], help=meta["help"])
+        elif f.name != "label" or label:
+            flag = stride_flag if f.name == "watch_stride" else f"--{f.name.replace('_', '-')}"
+            group.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                               choices=meta["choices"] or None, help=meta["help"])
+
+
+def _job_spec_from_args(args: argparse.Namespace):
+    """The :class:`~repro.service.JobSpec` parsed by :func:`_add_job_arguments`."""
+    from dataclasses import fields
+
+    from repro.service.jobs import JobSpec
+
+    return JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)
+                      if hasattr(args, f.name)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -261,25 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = ledger.add_subparsers(dest="ledger_command", required=True)
 
     lrec = lsub.add_parser("record", help="run a workload and append a run record")
-    lrec.add_argument("workload", choices=("clamr", "self"))
+    _add_job_arguments(lrec, stride_flag="--stride")
     lrec.add_argument("--ledger", required=True, metavar="PATH",
                       help="ledger file (.jsonl) or directory")
     lrec.add_argument("--runs", type=int, default=1, help="record this many repeat runs")
-    lrec.add_argument("--seed", type=int, default=0, help="workload seed (fingerprint input)")
-    lrec.add_argument("--stride", type=int, default=4, help="numerics watchpoint stride")
     lrec.add_argument("--flight-stride", type=int, default=0, metavar="N",
                       help="attach a flight recorder sampling every N steps (0 "
                            "disables); its digest lands in the record's fidelity")
     lrec.add_argument("--trace-dir", default=None, metavar="DIR",
                       help="also persist Chrome-trace + JSONL telemetry per run")
-    lrec.add_argument("--nx", type=int, default=24, help="CLAMR coarse grid per side")
-    lrec.add_argument("--steps", type=int, default=40)
-    lrec.add_argument("--max-level", type=int, default=1)
-    lrec.add_argument("--policy", default="mixed", choices=("min", "mixed", "full"))
-    lrec.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    lrec.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    lrec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    lrec.add_argument("--precision", default="double", choices=("single", "double"))
     lrec.add_argument("--backend", default=None, metavar="NAME",
                       help="kernel backend: numpy|python|cext "
                            "(default: $REPRO_KERNEL_BACKEND, else numpy; recorded "
@@ -530,27 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="enqueue a sweep job for the service (see docs/service.md)"
     )
-    submit.add_argument("workload", choices=("clamr", "self"))
+    _add_job_arguments(submit, stride_flag="--watch-stride", label=True)
     submit.add_argument("--queue", required=True, metavar="DIR",
                         help="queue root directory (created if missing)")
-    submit.add_argument("--steps", type=int, default=40)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--watch-stride", type=int, default=4)
-    submit.add_argument("--label", default="", help="display label for the job")
     submit.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="submit N copies (duplicates are deduplicated by "
                              "scope-based claiming and served from cache)")
-    submit.add_argument("--nx", type=int, default=24, help="clamr: coarse grid size")
-    submit.add_argument("--max-level", type=int, default=1, help="clamr: AMR levels")
-    submit.add_argument("--policy", default="mixed",
-                        choices=("half", "min", "mixed", "full"),
-                        help="clamr: precision policy")
-    submit.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"),
-                        help="clamr: flux scheme")
-    submit.add_argument("--elems", type=int, default=3, help="self: elements per axis")
-    submit.add_argument("--order", type=int, default=3, help="self: polynomial order")
-    submit.add_argument("--precision", default="double", choices=("single", "double"),
-                        help="self: floating-point precision")
 
     serve = sub.add_parser(
         "serve", help="run a sweep-service worker loop against a queue"
@@ -623,13 +634,13 @@ def _apply_backend(args: argparse.Namespace) -> None:
     os.environ[ENV_VAR] = canon
 
 
-def _make_flight(args: argparse.Namespace, label: str):
-    """A FlightRecorder from ``--flight``/``--flight-stride``, or ``None``."""
+def _flight_stride(args: argparse.Namespace) -> int:
+    """``--flight-stride`` when ``--flight`` asks for a recorder, else 0."""
     if not getattr(args, "flight", None):
-        return None
-    from repro.telemetry.flight import FlightRecorder
-
-    return FlightRecorder(stride=args.flight_stride, label=label)
+        return 0
+    if args.flight_stride < 1:
+        raise CLIError(f"--flight-stride must be at least 1, got {args.flight_stride}")
+    return args.flight_stride
 
 
 def _write_flight_file(args: argparse.Namespace, tel, indent: str = "  ") -> None:
@@ -651,11 +662,11 @@ def _cmd_clamr(args: argparse.Namespace) -> int:
     _apply_backend(args)
     tel = None
     if args.ledger or args.flight:
-        from repro.telemetry import Telemetry
+        from repro.telemetry import TelemetrySpec
 
         label = run_label("clamr", steps=args.steps, policy=args.policy, nx=args.nx,
                           scheme=args.scheme)
-        tel = Telemetry(label=label, flight=_make_flight(args, label))
+        tel = TelemetrySpec(label=label, flight_stride=_flight_stride(args)).build()
     cfg = make_config("clamr", nx=args.nx, max_level=args.max_level)
     sim = make_simulation("clamr", cfg, policy=args.policy, vectorized=not args.scalar,
                           scheme=args.scheme, telemetry=tel)
@@ -688,11 +699,11 @@ def _cmd_self(args: argparse.Namespace) -> int:
     _apply_backend(args)
     tel = None
     if args.ledger or args.flight:
-        from repro.telemetry import Telemetry
+        from repro.telemetry import TelemetrySpec
 
         label = run_label("self", steps=args.steps, policy=args.precision,
                           elems=args.elems, order=args.order)
-        tel = Telemetry(label=label, flight=_make_flight(args, label))
+        tel = TelemetrySpec(label=label, flight_stride=_flight_stride(args)).build()
     cfg = make_config("self", elems=args.elems, order=args.order, viscosity=args.viscosity)
     sim = make_simulation("self", cfg, policy=args.precision, telemetry=tel)
     res = sim.run(args.steps)
@@ -891,8 +902,8 @@ def _strict_failures(tel, headroom_bits: float):
 def _cmd_trace(args: argparse.Namespace) -> int:
     _apply_backend(args)
     from repro.telemetry import (
-        Telemetry,
         TelemetryBundle,
+        TelemetrySpec,
         event_report,
         span_summary,
         span_tree,
@@ -907,7 +918,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         args.workload, steps=args.steps, policy=level, nx=args.nx, elems=args.elems,
         order=args.order, scheme=args.scheme,
     )
-    tel = Telemetry(label=label, watch_stride=args.stride, flight=_make_flight(args, label))
+    tel = TelemetrySpec(
+        label=label, watch_stride=args.stride, flight_stride=_flight_stride(args)
+    ).build()
     cfg = make_config(
         args.workload, nx=args.nx, max_level=args.max_level, elems=args.elems,
         order=args.order,
@@ -1052,23 +1065,11 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     if args.ledger_command == "record":
         from repro.ledger import run_workload
 
+        spec = _job_spec_from_args(args)
         _apply_backend(args)
         ledger = Ledger(args.ledger)
         for i in range(max(1, args.runs)):
-            record, tel = run_workload(
-                args.workload,
-                seed=args.seed,
-                watch_stride=args.stride,
-                flight_stride=args.flight_stride,
-                nx=args.nx,
-                steps=args.steps,
-                max_level=args.max_level,
-                policy=args.policy,
-                scheme=args.scheme,
-                elems=args.elems,
-                order=args.order,
-                precision=args.precision,
-            )
+            record, tel = run_workload(spec, flight_stride=args.flight_stride)
             ledger.append(record)
             fatal = record.fidelity["nan_events"] + record.fidelity["inf_events"]
             print(
@@ -1172,7 +1173,7 @@ def _resil_plan(args: argparse.Namespace, array_names) -> "object":
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.telemetry import Telemetry
+    from repro.telemetry import TelemetrySpec
 
     if args.resilience_command == "campaign":
         from repro.resilience import CampaignConfig, run_campaign, vulnerability_table
@@ -1221,9 +1222,8 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
     from repro.resilience import make_adapter
 
-    tel = Telemetry(
-        label=f"resilience/{args.workload}/{args.policy}", watch_stride=0
-    )
+    label = f"resilience/{args.workload}/{args.policy}"
+    tel = TelemetrySpec(label=label, watch_stride=0).build()
     from repro.workload import make_config
 
     sim_config = make_config(
@@ -1538,25 +1538,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 1 if failed else 0
 
     raise ValueError(f"unknown scenario command {args.scenario_command!r}")  # pragma: no cover
-
-
-def _job_spec_from_args(args: argparse.Namespace):
-    from repro.service import JobSpec
-
-    return JobSpec(
-        workload=args.workload,
-        steps=args.steps,
-        seed=args.seed,
-        watch_stride=args.watch_stride,
-        label=args.label,
-        nx=args.nx,
-        max_level=args.max_level,
-        policy=args.policy,
-        scheme=args.scheme,
-        elems=args.elems,
-        order=args.order,
-        precision=args.precision,
-    )
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

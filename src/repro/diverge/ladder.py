@@ -214,8 +214,8 @@ class StepHash:
 class StateHashLadder:
     """Recorder for the hash ladder of one run.
 
-    Attach one via ``Telemetry(ladder=...)`` and both simulations hash
-    their state at every kernel site on hashed steps; drivers may append
+    Attach one via ``TelemetrySpec(hash_stride=...)`` and both simulations
+    hash their state at every kernel site on hashed steps; drivers may append
     further sites to the current step (e.g. the post-injection ``state``
     probe in ``repro diverge record``).
     """

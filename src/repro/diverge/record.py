@@ -115,15 +115,17 @@ def record_run(
     """
     from repro.resilience.adapters import make_adapter
     from repro.resilience.faults import FaultInjector
-    from repro.telemetry import Telemetry
+    from repro.telemetry import TelemetrySpec
 
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    ladder = StateHashLadder(
-        stride=hash_stride, chunk=hash_chunk,
+    if hash_stride < 1:
+        raise ValueError(f"hash stride must be >= 1, got {hash_stride}")
+    tel = TelemetrySpec(
         label=label or f"diverge/{scenario or workload}",
-    )
-    tel = Telemetry(label=ladder.label, ladder=ladder)
+        hash_stride=hash_stride, hash_chunk=hash_chunk,
+    ).build()
+    ladder = tel.ladder
     config = make_config(
         workload, scenario, nx=nx, max_level=max_level, elems=elems, order=order
     )

@@ -212,7 +212,8 @@ def _run_levels(
     trace_out, flight_stride, hash_stride, hash_dir, scenario,
 ) -> dict:
     """One run per precision level of ``workload``; see :func:`run_clamr_levels`."""
-    from repro.parallel.executor import SweepTask, TelemetrySpec, resolve_jobs
+    from repro.parallel.executor import SweepTask, resolve_jobs
+    from repro.telemetry import TelemetrySpec
 
     cfg = make_config(workload, scenario, **sizes)
     names = {

@@ -20,13 +20,14 @@ actually pays off on become answerable:
 Usage::
 
     ledger = Ledger("runs/ledger.jsonl")
-    record, tel = run_workload("clamr", nx=24, steps=40, policy="mixed")
+    record, tel = run_workload(JobSpec("clamr", nx=24, steps=40, policy="mixed"))
     ledger.append(record)
     print(trend_table(ledger).render())
 
-The ``repro ledger`` CLI family (``record`` / ``report`` / ``compare`` /
-``gate`` / ``export-bench``) wraps exactly these calls; see
-``docs/observatory.md``.
+where ``JobSpec`` (:mod:`repro.service.jobs`) is the one description of
+a traced workload run.  The ``repro ledger`` CLI family (``record`` /
+``report`` / ``compare`` / ``gate`` / ``export-bench``) wraps exactly
+these calls; see ``docs/observatory.md``.
 """
 
 from __future__ import annotations

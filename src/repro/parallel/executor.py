@@ -25,11 +25,12 @@ telemetry persistence happen in the parent as results stream back.
 Workers return plain picklable values (results and ``RunRecord``-style
 dataclasses); they never write shared files.
 
-**Worker telemetry.**  A task carrying a :class:`TelemetrySpec` builds
-its own :class:`~repro.telemetry.Telemetry` (tracer, metrics registry,
-numerics watch, optional flight recorder) inside the worker, passes it to
-the task function as the ``telemetry=`` keyword, and returns a
-:class:`TracedResult` — the value plus a frozen, picklable
+**Worker telemetry.**  A task carrying a
+:class:`~repro.telemetry.TelemetrySpec` builds its own
+:class:`~repro.telemetry.Telemetry` (tracer, metrics registry, numerics
+watch, optional flight recorder and hash ladder) inside the worker,
+passes it to the task function as the ``telemetry=`` keyword, and
+returns a :class:`TracedResult` — the value plus a frozen, picklable
 :class:`~repro.telemetry.TelemetryBundle`.  The parent can build
 ledger records from the bundle, persist per-task trace files, or merge
 all bundles into one Chrome trace with per-worker lanes
@@ -52,7 +53,6 @@ __all__ = [
     "SweepTask",
     "SweepExecutor",
     "SweepWorkerError",
-    "TelemetrySpec",
     "TracedResult",
     "resolve_jobs",
     "derive_seed",
@@ -115,57 +115,6 @@ def resolve_jobs(jobs: int, ntasks: int) -> int:
 
 
 @dataclass(frozen=True)
-class TelemetrySpec:
-    """A recipe for the telemetry a worker should build for its task.
-
-    A live Telemetry cannot cross a process boundary (open-span stacks,
-    live metric objects), but this frozen spec can: the worker calls
-    :meth:`build` after the fork/spawn, runs the task under the fresh
-    telemetry, and ships the frozen bundle back.  ``flight_stride=0``
-    (default) disables the flight recorder; ``watch_stride=0`` disables
-    the numerics watchpoints while keeping spans and metrics;
-    ``hash_stride=0`` (default) disables the state-hash ladder, while
-    ``hash_stride>=1`` records per-step state hashes every that-many
-    steps so a ``--jobs N`` lane can be compared bit-for-bit against its
-    serial twin.
-    """
-
-    label: str = ""
-    watch_stride: int = 8
-    flight_stride: int = 0
-    flight_capacity: int = 512
-    hash_stride: int = 0
-    hash_chunk: int = 4096
-
-    def build(self):
-        from repro.telemetry import Telemetry
-        from repro.telemetry.flight import FlightRecorder
-
-        flight = None
-        if self.flight_stride > 0:
-            flight = FlightRecorder(
-                stride=self.flight_stride,
-                capacity=self.flight_capacity,
-                label=self.label,
-            )
-        ladder = None
-        if self.hash_stride > 0:
-            from repro.diverge.ladder import StateHashLadder
-
-            ladder = StateHashLadder(
-                stride=self.hash_stride,
-                chunk=self.hash_chunk,
-                label=self.label,
-            )
-        return Telemetry(
-            label=self.label,
-            watch_stride=self.watch_stride,
-            flight=flight,
-            ladder=ladder,
-        )
-
-
-@dataclass(frozen=True)
 class TracedResult:
     """A traced task's return: the value plus the worker's telemetry bundle."""
 
@@ -180,17 +129,17 @@ class SweepTask:
     ``name`` is a human-readable identity ("clamr/mixed", "cell 3/12")
     used for progress display and in :class:`SweepWorkerError`.
 
-    With ``telemetry`` set (a :class:`TelemetrySpec`), :meth:`run` builds
-    a fresh Telemetry in the executing process, passes it to ``fn`` as
-    the ``telemetry=`` keyword, and wraps the return in a
-    :class:`TracedResult` carrying the frozen bundle.
+    With ``telemetry`` set (a :class:`~repro.telemetry.TelemetrySpec`),
+    :meth:`run` builds a fresh Telemetry in the executing process,
+    passes it to ``fn`` as the ``telemetry=`` keyword, and wraps the
+    return in a :class:`TracedResult` carrying the frozen bundle.
     """
 
     name: str
     fn: Callable[..., Any]
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
-    telemetry: TelemetrySpec | None = None
+    telemetry: Any = None  # TelemetrySpec; typed loosely, like TracedResult.bundle
 
     def run(self) -> Any:
         if self.telemetry is None:

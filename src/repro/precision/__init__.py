@@ -30,7 +30,6 @@ from repro.precision.policy import (
     MIXED_PRECISION,
     FULL_PRECISION,
 )
-from repro.precision.context import precision_scope, current_policy, cast_state, cast_compute
 from repro.precision.emulation import (
     quantize_to_half,
     quantize_to_bfloat16,
@@ -54,10 +53,6 @@ __all__ = [
     "MIN_PRECISION",
     "MIXED_PRECISION",
     "FULL_PRECISION",
-    "precision_scope",
-    "current_policy",
-    "cast_state",
-    "cast_compute",
     "quantize_to_half",
     "quantize_to_bfloat16",
     "truncate_mantissa",

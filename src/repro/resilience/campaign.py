@@ -25,16 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.parallel.executor import (
-    SweepExecutor,
-    SweepTask,
-    TelemetrySpec,
-    derive_seed,
-    resolve_jobs,
-)
+from repro.parallel.executor import SweepExecutor, SweepTask, derive_seed, resolve_jobs
 from repro.resilience.adapters import make_adapter
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.runner import RecoveryPolicy, ResilienceReport, ResilientRunner
+from repro.telemetry import TelemetrySpec
 from repro.workload import make_config
 
 __all__ = [
@@ -274,10 +269,8 @@ def record_resilient_run(
     }
     tel = getattr(adapter, "telemetry", None)
     if tel is None:
-        from repro.telemetry import Telemetry
-
         # empty stand-in: the record builders only read spans/numerics
-        tel = Telemetry(watch_stride=0)
+        tel = TelemetrySpec(watch_stride=0).build()
     builder = record_from_clamr if report.workload == "clamr" else record_from_self
     record = builder(report.result, tel, cfg, seed=seed, label=label)
     record.fidelity.update(report.fidelity())

@@ -135,7 +135,7 @@ def record_scenario(
     identity — the sizes it resolves to already are.)
     """
     from repro.ledger.record import identity_config, record_from_clamr, record_from_self
-    from repro.parallel.executor import TelemetrySpec
+    from repro.telemetry import TelemetrySpec
 
     sc = _resolve(scenario)
     label = f"scenario/{sc.name}/{scale}"

@@ -19,7 +19,7 @@ keys, so a run knob that reaches the record but not the spec fails them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from repro.workload import WORKLOADS, make_config, run_label
 
@@ -27,67 +27,60 @@ __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
 JOB_SCHEMA_VERSION = 1
 
-_CLAMR_POLICIES = ("half", "min", "mixed", "full")
-_SELF_PRECISIONS = ("single", "double")
-_SCHEMES = ("rusanov", "muscl")
+
+def _knob(default, help: str, *, family: str = "", choices: tuple = (), minimum: int = 1):
+    """A JobSpec field with what its CLI flag and validation need to know."""
+    meta = {"help": help, "family": family, "choices": choices, "minimum": minimum}
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Everything :func:`repro.ledger.run_workload` needs, picklable and JSON-safe.
+    """A traced workload run: everything :func:`repro.ledger.run_workload` needs.
 
-    CLAMR jobs use ``nx``/``max_level``/``policy``/``scheme``; SELF jobs
-    use ``elems``/``order``/``precision``; both share ``steps``,
-    ``seed``, ``watch_stride`` and an optional display ``label``.  The
-    irrelevant family's knobs are carried at their defaults and excluded
-    from the hashed identity (the config payload is built per family,
-    exactly as the ledger does it).
+    The one description of such a run — picklable and JSON-safe, with the
+    defaults (the ledger smoke workload), choices and help that the
+    ``ledger record`` and ``submit`` flags are built from.  CLAMR jobs
+    use ``nx``/``max_level``/``policy``/``scheme``; SELF jobs use
+    ``elems``/``order``/``precision``; both share ``steps``, ``seed``,
+    ``watch_stride`` and an optional display ``label``.  The irrelevant
+    family's knobs are carried at their defaults and excluded from the
+    hashed identity (the config payload is built per family, exactly as
+    the ledger does it).
     """
 
-    workload: str
-    steps: int = 40
-    seed: int = 0
-    watch_stride: int = 4
-    label: str = ""
+    workload: str = _knob(MISSING, "mini-app to run", choices=WORKLOADS)
+    steps: int = _knob(40, "timesteps")
+    seed: int = _knob(0, "workload seed (fingerprint input)", minimum=0)
+    watch_stride: int = _knob(4, "numerics watchpoint stride (steps)")
+    label: str = _knob("", "display label for the run")
     # clamr knobs
-    nx: int = 24
-    max_level: int = 1
-    policy: str = "mixed"
-    scheme: str = "rusanov"
+    nx: int = _knob(24, "clamr: coarse grid cells per side", family="clamr")
+    max_level: int = _knob(1, "clamr: AMR levels", family="clamr")
+    policy: str = _knob("mixed", "clamr: precision policy", family="clamr",
+                        choices=("half", "min", "mixed", "full"))
+    scheme: str = _knob("rusanov", "clamr: flux scheme", family="clamr",
+                        choices=("rusanov", "muscl"))
     # self knobs
-    elems: int = 3
-    order: int = 3
-    precision: str = "double"
+    elems: int = _knob(3, "self: elements per side", family="self")
+    order: int = _knob(3, "self: polynomial order", family="self")
+    precision: str = _knob("double", "self: floating-point precision", family="self",
+                           choices=("single", "double"))
 
     def __post_init__(self) -> None:
-        if self.workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; expected one of {WORKLOADS}"
-            )
-        for name in ("steps", "nx", "max_level", "elems", "order"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.watch_stride, int) or self.watch_stride < 1:
-            raise ValueError(
-                f"watch_stride must be a positive integer, got {self.watch_stride!r}"
-            )
-        if self.workload == "clamr":
-            if self.policy not in _CLAMR_POLICIES:
-                raise ValueError(
-                    f"unknown policy {self.policy!r}; expected one of {_CLAMR_POLICIES}"
-                )
-            if self.scheme not in _SCHEMES:
-                raise ValueError(
-                    f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}"
-                )
-        elif self.precision not in _SELF_PRECISIONS:
-            raise ValueError(
-                f"unknown precision {self.precision!r}; "
-                f"expected one of {_SELF_PRECISIONS}"
-            )
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if meta["choices"]:
+                # a knob of the other family is carried, not checked
+                if meta["family"] in ("", self.workload) and value not in meta["choices"]:
+                    raise ValueError(
+                        f"unknown {f.name} {value!r}; expected one of {meta['choices']}"
+                    )
+            elif isinstance(f.default, int) and (
+                not isinstance(value, int) or value < meta["minimum"]
+            ):
+                kind = "positive" if meta["minimum"] else "non-negative"
+                raise ValueError(f"{f.name} must be a {kind} integer, got {value!r}")
 
     # -- identity ----------------------------------------------------------
 
@@ -96,17 +89,13 @@ class JobSpec:
 
         Built by :func:`repro.ledger.record.identity_config`, the same
         function ``record_from_clamr``/``record_from_self`` use after the
-        run, from the config :func:`repro.workload.make_config` builds.
+        run, from :meth:`config`.
         """
         from repro.ledger.record import identity_config
 
-        cfg = make_config(
-            self.workload, nx=self.nx, max_level=self.max_level,
-            elems=self.elems, order=self.order,
-        )
         return identity_config(
-            self.workload, cfg, steps=self.steps, watch_stride=self.watch_stride,
-            scheme=self.scheme,
+            self.workload, self.config(), steps=self.steps,
+            watch_stride=self.watch_stride, scheme=self.scheme,
         )
 
     @property
@@ -122,32 +111,15 @@ class JobSpec:
 
     # -- execution ---------------------------------------------------------
 
-    def run_kwargs(self) -> dict:
-        """Keyword arguments for :func:`repro.ledger.run_workload`."""
-        common = {
-            "seed": self.seed,
-            "watch_stride": self.watch_stride,
-            "label": self.label,
-            "steps": self.steps,
-        }
-        if self.workload == "clamr":
-            return {
-                "workload": "clamr",
-                "nx": self.nx,
-                "max_level": self.max_level,
-                "policy": self.policy,
-                "scheme": self.scheme,
-                **common,
-            }
-        return {
-            "workload": "self",
-            "elems": self.elems,
-            "order": self.order,
-            "precision": self.precision,
-            **common,
-        }
+    def config(self):
+        """The family config dataclass this job runs, via :func:`repro.workload.make_config`."""
+        return make_config(
+            self.workload, nx=self.nx, max_level=self.max_level,
+            elems=self.elems, order=self.order,
+        )
 
     def describe(self) -> str:
+        """The run's label: ``label``, else :func:`repro.workload.run_label`."""
         if self.label:
             return self.label
         return run_label(
@@ -181,7 +153,7 @@ def execute_job(spec_doc: dict):
     from repro.ledger.runner import run_workload
 
     spec = JobSpec.from_dict(dict(spec_doc))
-    record, _tel = run_workload(**spec.run_kwargs())
+    record, _tel = run_workload(spec)
     expected = spec.workload_key()
     if record.workload_key != expected:
         raise RuntimeError(

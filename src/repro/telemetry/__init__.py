@@ -18,9 +18,14 @@ reader of a finished trace reads one type, :class:`TelemetryBundle`:
 ``TelemetryBundle.of(tel)`` freezes a live run into it, :func:`read_jsonl`
 returns it, and worker processes ship it home.
 
+Every run's instrumentation is built from one recipe, the picklable
+:class:`TelemetrySpec` (label, watch stride, flight and hash-ladder
+cadence), so a trace means the same thing whichever door started the
+run — and a ``--jobs N`` worker can build it after the fork.
+
 Usage::
 
-    tel = Telemetry()
+    tel = TelemetrySpec(label="clamr/dam_break/mixed").build()
     sim = ClamrSimulation(cfg, policy="mixed", telemetry=tel)
     sim.run(200)
     print(span_summary(tel).render())
@@ -34,6 +39,8 @@ trivial method calls per span — unmeasurable against a kernel step.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from repro.telemetry.spans import NULL_SPAN, NullSpan, Span, Tracer
 
 __all__ = [
     "Telemetry",
+    "TelemetrySpec",
     "NullTelemetry",
     "NULL_TELEMETRY",
     "Tracer",
@@ -149,6 +157,42 @@ class Telemetry:
         span_id = current.span_id if current is not None else None
         return self.numerics.check_cancellation(
             name, abs_sum, total, step=step, span_id=span_id
+        )
+
+
+@dataclass(frozen=True)
+class TelemetrySpec:
+    """The recipe for a run's :class:`Telemetry`; :meth:`build` makes one.
+
+    Frozen and picklable, so it also crosses a process boundary that a
+    live Telemetry cannot (open-span stacks, live metric objects): a
+    sweep worker builds its telemetry after the fork/spawn.
+    ``watch_stride=0`` disables the numerics watchpoints while keeping
+    spans and metrics; ``flight_stride>=1`` attaches a flight recorder
+    sampling every that-many steps; ``hash_stride>=1`` attaches a
+    state-hash ladder hashing every that-many steps in ``hash_chunk``
+    element chunks.  Both attachments carry the run's label.
+    """
+
+    label: str = ""
+    watch_stride: int = 8
+    flight_stride: int = 0
+    hash_stride: int = 0
+    hash_chunk: int = 4096
+
+    def build(self) -> Telemetry:
+        flight = None
+        if self.flight_stride > 0:
+            flight = FlightRecorder(stride=self.flight_stride, label=self.label)
+        ladder = None
+        if self.hash_stride > 0:
+            from repro.diverge.ladder import StateHashLadder
+
+            ladder = StateHashLadder(
+                stride=self.hash_stride, chunk=self.hash_chunk, label=self.label
+            )
+        return Telemetry(
+            label=self.label, watch_stride=self.watch_stride, flight=flight, ladder=ladder
         )
 
 

@@ -332,12 +332,13 @@ class TestLadderAndLedgerParity:
 
     def _record(self, backend):
         from repro.ledger import run_workload
+        from repro.service.jobs import JobSpec
 
         with kernel_backend(backend):
-            record, _tel = run_workload(
+            record, _tel = run_workload(JobSpec(
                 "clamr", nx=12, steps=10, max_level=1,
                 policy="mixed", scheme="rusanov",
-            )
+            ))
         return record
 
     def test_conservation_hex_and_identity_shared(self):

@@ -5,8 +5,8 @@ the original ``np.add.at`` kernel (kept in ``tests/reference_impls.py``)
 — not closeness, identity.  These tests
 drive full simulations (all precision levels x both schemes, with and
 without AMR regrids) under both scatter modes and compare every state
-bit, plus unit-level checks of the plan structure, the geometry cache,
-and the scipy-less fallback.
+bit, plus unit-level checks of the plan structure and the geometry
+cache.
 """
 
 import numpy as np
@@ -138,59 +138,12 @@ class TestScatterPlan:
                 np.add.at(b, high, (flux if sided is None else sided) * fsz)
                 assert np.array_equal(a, b), (dtype, sided is not None)
 
-    def test_fallback_matches_csr(self, monkeypatch):
-        # force the scipy-less branch and compare against the CSR branch
-        import repro.clamr.kernels as K
-
-        if K._scipy_sparsetools is None:
-            pytest.skip("scipy not available; only the fallback exists")
-        plan, low, high, sizes = self._plan()
-        cases = []
-        for dtype in (np.float32, np.float64):
-            flux = np.linspace(-1, 1, 4).astype(dtype)
-            cases += [(flux, None), (flux, np.linspace(2, -3, 4).astype(dtype))]
-        csr = []
-        for flux, high_flux in cases:
-            a = np.zeros(plan.ncells, dtype=flux.dtype)
-            plan.apply(a, flux, high_flux)
-            csr.append(a)
-        monkeypatch.setattr(K, "_scipy_sparsetools", None)
-        for (flux, high_flux), a in zip(cases, csr):
-            b = np.zeros(plan.ncells, dtype=flux.dtype)
-            plan.apply(b, flux, high_flux)
-            assert np.array_equal(a, b)
-
     def test_face_lists_memoize_plans(self):
         mesh = AmrMesh.uniform(8, 8)
         faces = FaceLists.from_mesh(mesh)
         p1 = faces.scatter_plans(mesh.ncells)
         p2 = faces.scatter_plans(mesh.ncells)
         assert p1[0] is p2[0] and p1[1] is p2[1]
-
-    def test_argsort_build_matches_counting_sort_build(self, monkeypatch):
-        # the scipy-less constructor branch must build the very arrays
-        # coo_tocsr builds, on a real AMR mesh and on a random index soup
-        import repro.clamr.kernels as K
-
-        if K._scipy_sparsetools is None:
-            pytest.skip("scipy not available; only the argsort build exists")
-        sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2))
-        sim.run(8)
-        faces = FaceLists.from_mesh(sim.mesh)
-        rng = np.random.default_rng(11)
-        cases = [
-            (faces.xl, faces.xr, faces.xsize, sim.mesh.ncells),
-            (faces.yb, faces.yt, faces.ysize, sim.mesh.ncells),
-            (rng.integers(0, 50, 300), rng.integers(0, 50, 300), rng.random(300), 60),
-        ]
-        built = [ScatterPlan(*case) for case in cases]
-        monkeypatch.setattr(K, "_scipy_sparsetools", None)
-        for case, counted in zip(cases, built):
-            sorted_ = ScatterPlan(*case)
-            for name in ("indptr", "cols", "signed64"):
-                a, b = getattr(counted, name), getattr(sorted_, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
 
 class TestPlansBuiltWithFaces:
     def test_kernel_after_faces_for_builds_no_plan(self, monkeypatch):

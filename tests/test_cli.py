@@ -46,6 +46,26 @@ class TestParser:
         assert args.runs == 1 and args.nx == 24 and args.steps == 40
         assert args.policy == "mixed" and args.seed == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["ledger", "record", "clamr", "--ledger", "runs"],
+        ["submit", "clamr", "--queue", "q"],
+    ])
+    def test_job_flags_default_to_jobspec(self, argv):
+        # ledger record and submit share one argument group read from
+        # JobSpec's fields, so bare flags parse to JobSpec's defaults
+        from repro.cli import _job_spec_from_args
+        from repro.service import JobSpec
+
+        spec = _job_spec_from_args(build_parser().parse_args(argv))
+        assert spec == JobSpec("clamr")
+
+    def test_job_flag_spellings(self):
+        parse = build_parser().parse_args
+        assert parse(["ledger", "record", "self", "--ledger", "r",
+                      "--stride", "2"]).watch_stride == 2
+        assert parse(["submit", "self", "--queue", "q",
+                      "--watch-stride", "2"]).watch_stride == 2
+
     def test_ledger_gate_defaults(self):
         args = build_parser().parse_args(
             ["ledger", "gate", "--ledger", "a", "--baseline", "b"]
@@ -134,6 +154,16 @@ class TestCommands:
                      "--ledger", str(tmp_path / "obs")]) == 0
         assert "ledger" in capsys.readouterr().out
         assert len(Ledger(tmp_path / "obs")) == 1
+
+    def test_ledger_record_half(self, tmp_path, capsys):
+        from repro.ledger import Ledger
+
+        ledger = tmp_path / "half.jsonl"
+        assert main(["ledger", "record", "clamr", "--ledger", str(ledger),
+                     "--policy", "half", "--nx", "12", "--steps", "4"]) == 0
+        [record] = Ledger(ledger).records()
+        assert record.policy == "half"
+        assert record.label == "clamr/nx12s4/half"
 
     def test_self_ledger_flag(self, tmp_path):
         from repro.ledger import Ledger
@@ -228,6 +258,15 @@ class TestErrorHygiene:
         self._expect_error(
             capsys, ["ledger", "gate", "--ledger", str(ledger),
                      "--baseline", str(tmp_path / "nope.jsonl")])
+
+    def test_ledger_record_stride_zero(self, tmp_path, capsys):
+        # JobSpec validates the watch stride for every door; 0 used to
+        # run with the watchpoints off under ledger record
+        assert main(["ledger", "record", "clamr", "--ledger", str(tmp_path / "r"),
+                     "--stride", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["repro: error: watch_stride must be a positive integer, got 0"]
+        assert not (tmp_path / "r").exists()
 
     def test_missing_export_bench_ledger(self, tmp_path, capsys):
         self._expect_error(

@@ -413,7 +413,7 @@ class TestLedgerIntegration:
 
 class TestExecutorIntegration:
     def test_spec_builds_ladder_and_bundle_ships_it(self):
-        from repro.parallel.executor import TelemetrySpec
+        from repro.telemetry import TelemetrySpec
         from repro.telemetry import TelemetryBundle
 
         tel = TelemetrySpec(label="w", hash_stride=2, hash_chunk=128).build()

@@ -289,9 +289,11 @@ class TestSimulationWiring:
 class TestLedgerIntegration:
     def test_flight_digest_in_fidelity_only_when_enabled(self):
         from repro.ledger.runner import run_workload
+        from repro.service.jobs import JobSpec
 
-        plain, _ = run_workload("clamr", nx=12, steps=8)
-        flighted, tel = run_workload("clamr", nx=12, steps=8, flight_stride=2)
+        spec = JobSpec("clamr", nx=12, steps=8)
+        plain, _ = run_workload(spec)
+        flighted, tel = run_workload(spec, flight_stride=2)
         assert "flight" not in plain.fidelity
         assert "flight" not in plain.config["run"]
         assert flighted.fidelity["flight"]["hash"] == flight_digest(tel.flight)["hash"]
@@ -303,16 +305,18 @@ class TestLedgerIntegration:
         # a run without a flight recorder must hash exactly as before the
         # flight recorder existed: nothing flight-shaped in the config
         from repro.ledger.runner import run_workload
+        from repro.service.jobs import JobSpec
 
-        record, _ = run_workload("self", elems=2, order=3, steps=6)
+        record, _ = run_workload(JobSpec("self", elems=2, order=3, steps=6))
         assert "flight" not in record.config["run"]
         assert "flight" not in record.fidelity
 
     def test_digest_survives_record_json_round_trip(self):
         from repro.ledger.record import RunRecord
         from repro.ledger.runner import run_workload
+        from repro.service.jobs import JobSpec
 
-        record, tel = run_workload("clamr", nx=12, steps=8, flight_stride=2)
+        record, tel = run_workload(JobSpec("clamr", nx=12, steps=8), flight_stride=2)
         back = RunRecord.from_json(record.to_json())
         assert back.fidelity["flight"] == flight_digest(tel.flight)
 

@@ -38,6 +38,7 @@ from repro.ledger import (
     write_bench,
 )
 from repro.ledger.store import resolve_ledger_path
+from repro.service.jobs import JobSpec
 
 # deliberately tiny: the gate tests perturb recorded timings rather than
 # relying on the workload being slow enough to time reliably
@@ -47,8 +48,8 @@ SMOKE = dict(nx=12, steps=12, max_level=1, policy="mixed")
 @pytest.fixture(scope="module")
 def clamr_runs():
     """Two genuine re-runs of the identical workload (determinism subject)."""
-    r1, _ = run_workload("clamr", seed=0, **SMOKE)
-    r2, _ = run_workload("clamr", seed=0, **SMOKE)
+    r1, _ = run_workload(JobSpec("clamr", seed=0, **SMOKE))
+    r2, _ = run_workload(JobSpec("clamr", seed=0, **SMOKE))
     return r1, r2
 
 
@@ -104,7 +105,7 @@ class TestDeterminism:
 
     def test_differing_policy_changes_fingerprint(self, clamr_runs):
         r1, _ = clamr_runs
-        other, _ = run_workload("clamr", seed=0, **{**SMOKE, "policy": "full"})
+        other, _ = run_workload(JobSpec("clamr", seed=0, **{**SMOKE, "policy": "full"}))
         assert other.fingerprint != r1.fingerprint
         assert other.workload_key != r1.workload_key
 
@@ -114,7 +115,7 @@ class TestDeterminism:
         # MUSCL run against the 40-step Rusanov baseline
         r1, _ = clamr_runs
         for knob in (dict(steps=24), dict(scheme="muscl"), dict(watch_stride=1)):
-            other, _ = run_workload("clamr", seed=0, **{**SMOKE, **knob})
+            other, _ = run_workload(JobSpec("clamr", seed=0, **{**SMOKE, **knob}))
             assert other.workload_key != r1.workload_key, knob
             assert other.fingerprint != r1.fingerprint, knob
         assert r1.config["run"]["steps"] == SMOKE["steps"]
@@ -159,10 +160,10 @@ class TestDeterminism:
         assert slow.workload_key == r1.workload_key
 
     def test_self_workload_records(self):
-        rec, _ = run_workload("self", seed=0, elems=2, order=2, steps=4)
+        rec, _ = run_workload(JobSpec("self", seed=0, elems=2, order=2, steps=4))
         assert rec.workload == "self"
         assert rec.fidelity["conservation_last_hex"]
-        rec2, _ = run_workload("self", seed=0, elems=2, order=2, steps=4)
+        rec2, _ = run_workload(JobSpec("self", seed=0, elems=2, order=2, steps=4))
         assert rec2.fingerprint == rec.fingerprint
         assert rec2.fidelity["conservation_last_hex"] == rec.fidelity["conservation_last_hex"]
 

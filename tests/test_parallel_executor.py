@@ -21,11 +21,11 @@ from repro.parallel.executor import (
     SweepExecutor,
     SweepTask,
     SweepWorkerError,
-    TelemetrySpec,
     TracedResult,
     derive_seed,
     resolve_jobs,
 )
+from repro.telemetry import TelemetrySpec
 
 #: run-record fields that legitimately differ between serial and
 #: parallel executions of the same workload

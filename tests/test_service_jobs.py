@@ -85,6 +85,18 @@ class TestIdentity:
         assert record.config["run"]["scheme"] == "muscl"
         assert record.label == spec.describe()
 
+    @pytest.mark.parametrize("spec", [
+        JobSpec("clamr", nx=12, steps=6, max_level=2, policy="min", scheme="muscl", seed=3),
+        JobSpec("self", elems=2, order=2, steps=3, precision="single", seed=5),
+    ], ids=["clamr", "self"])
+    def test_run_workload_takes_the_spec(self, spec):
+        from repro.ledger import run_workload
+
+        record, tel = run_workload(spec)
+        assert record.workload_key == spec.workload_key()
+        assert record.label == tel.label == spec.describe()
+        assert record.seed == spec.seed
+
     def test_predicted_key_matches_self_record(self):
         spec = JobSpec(workload="self", elems=2, order=2, steps=4, watch_stride=2)
         record = execute_job(spec.to_dict())
