@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.harness.report import Table
-from repro.parallel import block_partition, morton_partition, stripe_partition
+from repro.parallel.decomposition import block_partition, morton_partition, stripe_partition
 from repro.parallel.reduction import ALGORITHMS, reduction_spread
 
 

@@ -22,12 +22,8 @@ from repro.clamr import ClamrSimulation
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.harness.report import Table
-from repro.parallel import (
-    DistributedClamr,
-    block_partition,
-    morton_partition,
-    stripe_partition,
-)
+from repro.parallel.decomposition import block_partition, morton_partition, stripe_partition
+from repro.parallel.halo import DistributedClamr
 from repro.parallel.reduction import ALGORITHMS, reduction_spread
 from repro.precision.policy import FULL_PRECISION, MIN_PRECISION
 from repro.workload import make_config

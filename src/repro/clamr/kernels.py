@@ -34,11 +34,14 @@ pure pressure flux plus the dissipation that cancels wall-normal momentum.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-from scipy.sparse import _sparsetools  # compiled coo_tocsr / csr_matvec
 
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import GRAVITY, ShallowWaterState
@@ -68,6 +71,35 @@ FLOPS_PER_FACE = 38
 FLOPS_PER_CELL_UPDATE = 12
 FLOPS_PER_CELL_TIMESTEP = 9
 
+
+def _load_sparsetools() -> ModuleType:
+    """scipy's compiled ``coo_tocsr``/``csr_matvec`` module.
+
+    Loaded straight from its extension file, found through scipy's
+    package location alone (``find_spec`` of a top-level package runs
+    none of its code): importing it through ``scipy.sparse`` would run
+    that package's ``__init__``, which pulls in the sparse-matrix classes,
+    scipy's array-API layer, ``numpy.f2py`` and ``numpy.testing`` — about
+    16 MB and 0.2 s per process for two routines.  The extension needs
+    only NumPy's C API, and a later ``import scipy.sparse`` finds it
+    registered under its own name.  Only when the file cannot be found
+    does the ordinary import run.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations or ()) if scipy is not None else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
 
 #: compute dtypes the compiled CSR matvec is instantiated for
 _CSR_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -106,8 +138,9 @@ class ScatterPlan:
     flux to each side, ``acc[low] -= flux·fsz; acc[high] += high_flux·fsz``
     — the well-balanced bathymetry kernels need it, because each side's
     normal-momentum flux carries that side's own hydrostatic pressure.  It
-    runs the same rows over the stacked vector ``[flux; high_flux]``, with
-    each high-side entry's column shifted by ``nfaces`` (face sizes are
+    runs the same rows over the stacked vector ``[flux; high_flux]`` — one
+    cached buffer per dtype, so the call allocates nothing — with each
+    high-side entry's column shifted by ``nfaces`` (face sizes are
     positive, so an entry's side is the sign of its stored ``±fsz``).  The
     rows keep their order — low entries in face order, then high entries
     in face order — so the sided matvec replays the ``np.add.at`` pair with
@@ -141,6 +174,7 @@ class ScatterPlan:
         self._signed_casts: dict[np.dtype, np.ndarray] = {}
         self._size_casts: dict[np.dtype, np.ndarray] = {}
         self._sided: np.ndarray | None = None
+        self._stacked: dict[np.dtype, np.ndarray] = {}
 
     def _signed(self, cdtype: np.dtype) -> np.ndarray:
         cast = self._signed_casts.get(cdtype)
@@ -175,7 +209,12 @@ class ScatterPlan:
             if high_flux is None:
                 cols, ncols, x = self.cols, self.nfaces, flux
             else:
-                cols, ncols, x = self._sided_cols(), 2 * self.nfaces, np.concatenate([flux, high_flux])
+                x = self._stacked.get(cdtype)
+                if x is None:
+                    x = self._stacked[cdtype] = np.empty(2 * self.nfaces, dtype=cdtype)
+                x[:self.nfaces] = flux
+                x[self.nfaces:] = high_flux
+                cols, ncols = self._sided_cols(), 2 * self.nfaces
             _sparsetools.csr_matvec(
                 self.ncells, ncols, self.indptr, cols, self._signed(cdtype), x, acc,
             )
@@ -789,6 +828,21 @@ def _check_cells(mesh: AmrMesh, state: ShallowWaterState) -> None:
         raise ValueError(f"state has {state.ncells} cells; the mesh has {mesh.ncells}")
 
 
+def _promoted(mesh: AmrMesh, geom: GeometryCache, state: ShallowWaterState) -> tuple[np.ndarray, ...]:
+    """``state.promoted()``, a narrower state cast into the generation's
+    cached ``(3, ncells)`` buffer rather than into three new arrays."""
+    cdtype = state.policy.compute_dtype
+    if state.state_dtype == cdtype:
+        return state.promoted()
+    return state.promoted(geom.buffer(mesh, cdtype, "promoted", (3, mesh.ncells)))
+
+
+def _dt_over_area(mesh: AmrMesh, geom: GeometryCache, cdtype: np.dtype, dt: float) -> np.ndarray:
+    """The per-cell update scale ``dt / area`` in a cached buffer."""
+    _, area = geom.geometry(mesh, cdtype)
+    return np.divide(cdtype.type(dt), area, out=geom.buffer(mesh, cdtype, "dt_area", (mesh.ncells,)))
+
+
 def finite_diff_vectorized(
     mesh: AmrMesh,
     state: ShallowWaterState,
@@ -828,7 +882,7 @@ def finite_diff_vectorized(
     _check_cells(mesh, state)
     cdtype = state.policy.compute_dtype
     b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
-    H, U, V = state.promoted()
+    H, U, V = _promoted(mesh, geom, state)
     rates = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
     if rates is None:
         rates = dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
@@ -848,8 +902,7 @@ def finite_diff_vectorized(
 
     # in-place d*scale + H: addition commutes exactly, so accumulating
     # into the workspace matches H + d*scale bit for bit
-    _, area = geom.geometry(mesh, cdtype)
-    scale = cdtype.type(dt) / area
+    scale = _dt_over_area(mesh, geom, cdtype, dt)
     np.multiply(dH, scale, out=dH)
     np.add(dH, H, out=dH)
     np.multiply(dU, scale, out=dU)
@@ -860,19 +913,32 @@ def finite_diff_vectorized(
     _count_work(counters, mesh, state, faces)
 
 
-def wave_speed(state: ShallowWaterState) -> np.ndarray:
+def wave_speed(state: ShallowWaterState, out: np.ndarray | None = None) -> np.ndarray:
     """Per-cell signal speed ``max(|U|, |V|) / h + sqrt(g·h)``.
 
     Computed on the promoted state in the policy's compute dtype, with
     ``h`` clamped at a tiny positive floor so momentum in a near-empty
     cell cannot produce an absurd velocity.  The CFL timestep and the
-    flight recorder's realized-CFL sample both read it.
+    flight recorder's realized-CFL sample both read it.  ``out`` is a
+    ``(3, ncells)`` compute-dtype scratch buffer (a new one when omitted);
+    the speeds land in its second row, which is returned.
     """
     cdtype = state.policy.compute_dtype
-    H, U, V = state.promoted()
-    h = np.maximum(H, cdtype.type(1e-12))
-    vel = np.maximum(np.abs(U), np.abs(V)) / h
-    return vel + np.sqrt(cdtype.type(GRAVITY) * h)
+    if out is None:
+        out = np.empty((3, state.ncells), dtype=cdtype)
+    h, speed, tmp = out
+    # a narrower state is promoted into these same rows (a ufunc casting
+    # its operand itself would stage it through an allocated buffer)
+    H, U, V = state.promoted(out)
+    np.maximum(H, cdtype.type(1e-12), out=h)
+    np.absolute(U, out=speed)
+    np.absolute(V, out=tmp)
+    np.maximum(speed, tmp, out=speed)
+    np.divide(speed, h, out=speed)  # vel
+    np.multiply(h, cdtype.type(GRAVITY), out=h)
+    np.sqrt(h, out=h)
+    np.add(speed, h, out=speed)
+    return speed
 
 
 def compute_timestep(
@@ -887,14 +953,17 @@ def compute_timestep(
     ``dt = courant · min(cell_size / (|velocity| + gravity_wave_speed))``,
     reduced in the policy's *accumulate* dtype and returned as a Python
     float.  Dry-guarding clamps H at a tiny positive floor so momentum in a
-    near-empty cell cannot produce an absurd velocity.
+    near-empty cell cannot produce an absurd velocity.  The speeds and
+    their quotients go through the generation's cached scratch.
     """
     if not 0.0 < courant < 1.0:
         raise ValueError("courant must be in (0, 1)")
     if geom is None:
         geom = _DEFAULT_GEOMETRY_CACHE
-    size, _ = geom.geometry(mesh, state.policy.compute_dtype)
-    local_dt = size / wave_speed(state)
+    cdtype = state.policy.compute_dtype
+    size, _ = geom.geometry(mesh, cdtype)
+    local_dt = wave_speed(state, out=geom.buffer(mesh, cdtype, "cfl", (3, mesh.ncells)))
+    np.divide(size, local_dt, out=local_dt)
     dt = float(local_dt.min()) * courant
     if counters is not None:
         counters.add(

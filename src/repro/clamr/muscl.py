@@ -39,8 +39,10 @@ from repro.clamr.kernels import (
     GeometryCache,
     _bathy_as,
     _check_cells,
+    _dt_over_area,
     _face_buffer,
     _face_fluxes,
+    _promoted,
     _reflective_walls,
     geometry_cache,
 )
@@ -298,13 +300,11 @@ def finite_diff_muscl(
         geom = geometry_cache()
     _check_cells(mesh, state)
     cdtype = state.policy.compute_dtype
-    dt_c = cdtype.type(dt)
     half = cdtype.type(0.5)
-    _, area = geom.geometry(mesh, cdtype)
-    scale = dt_c / area
+    scale = _dt_over_area(mesh, geom, cdtype, dt)
     ops = _backends.dispatch_ops(cdtype)
 
-    H0, U0, V0 = state.promoted()
+    H0, U0, V0 = _promoted(mesh, geom, state)
     if bathy is not None:
         bathy = _bathy_as(mesh, bathy, cdtype)  # cast once for both stages
     # distinct workspace slots: k1 must survive the k2 evaluation

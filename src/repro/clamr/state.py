@@ -88,9 +88,19 @@ class ShallowWaterState:
     def compute_dtype(self) -> np.dtype:
         return self.policy.compute_dtype
 
-    def promoted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """H, U, V promoted to the compute dtype (the mixed-mode load)."""
+    def promoted(self, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """H, U, V promoted to the compute dtype (the mixed-mode load).
+
+        Arrays already at the compute dtype come back as they are.  A
+        narrower state is cast into new arrays, or into the rows of
+        ``out`` (a ``(3, ncells)`` compute-dtype buffer) when one is given;
+        both are the same exact widening cast.
+        """
         cdtype = self.policy.compute_dtype
+        if out is not None and self.H.dtype != cdtype:
+            for row, src in zip(out, (self.H, self.U, self.V)):
+                np.copyto(row, src)
+            return out[0], out[1], out[2]
         return (
             self.H.astype(cdtype, copy=False),
             self.U.astype(cdtype, copy=False),

@@ -72,6 +72,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.workload import CLAMR_POLICIES
+
 __all__ = ["main", "build_parser", "CLIError"]
 
 
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     clamr.add_argument("--nx", type=int, default=32)
     clamr.add_argument("--steps", type=int, default=200)
     clamr.add_argument("--max-level", type=int, default=2)
-    clamr.add_argument("--policy", default="full", choices=("min", "mixed", "full"))
+    clamr.add_argument("--policy", default="full", choices=CLAMR_POLICIES)
     clamr.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
     clamr.add_argument("--scalar", action="store_true",
                        help="use the unvectorized kernel (the python backend's per-face loop)")
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--nx", type=int, default=64, help="CLAMR coarse grid per side")
     trace.add_argument("--steps", type=int, default=100)
     trace.add_argument("--max-level", type=int, default=2)
-    trace.add_argument("--policy", default="full", choices=("min", "mixed", "full"))
+    trace.add_argument("--policy", default="full", choices=CLAMR_POLICIES)
     trace.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
     trace.add_argument("--elems", type=int, default=3, help="SELF elements per side")
     trace.add_argument("--order", type=int, default=3, help="SELF polynomial order")
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
         p.add_argument("--steps", type=int, default=24)
         p.add_argument("--max-level", type=int, default=1)
-        p.add_argument("--policy", default="min", choices=("half", "min", "mixed", "full"),
+        p.add_argument("--policy", default="min", choices=CLAMR_POLICIES,
                        help="starting precision level (clamr; half/min/mixed map to "
                             "single for self)")
         p.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
@@ -447,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     drec.add_argument("--steps", type=int, default=24)
     drec.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
     drec.add_argument("--max-level", type=int, default=1)
-    drec.add_argument("--policy", default="mixed",
-                      choices=("half", "min", "mixed", "full"),
+    drec.add_argument("--policy", default="mixed", choices=CLAMR_POLICIES,
                       help="clamr precision level (half/min/mixed map to single "
                            "for self)")
     drec.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))

@@ -4,42 +4,8 @@
 and five figures from the reproduction's own mini-apps and machine models;
 ``repro.harness.report`` renders them as ASCII tables/series with
 paper-vs-measured annotations.
+
+The package itself imports nothing: callers import the submodule they
+use, so a run that only needs ``repro.harness.paper``'s check type (every
+scenario run) does not load the experiments, and with them all of CLAMR.
 """
-
-from repro.harness.report import Table, Series, Figure, render_table, render_figure
-from repro.harness.experiments import (
-    table1_clamr_architectures,
-    table2_clamr_energy,
-    table3_vectorization,
-    table4_compilers,
-    table5_self_architectures,
-    table6_self_energy,
-    table7_cost,
-    fig1_clamr_slices,
-    fig2_clamr_asymmetry,
-    fig3_precision_resolution,
-    fig4_self_slices,
-    fig5_self_asymmetry,
-    ALL_EXPERIMENTS,
-)
-
-__all__ = [
-    "Table",
-    "Series",
-    "Figure",
-    "render_table",
-    "render_figure",
-    "table1_clamr_architectures",
-    "table2_clamr_energy",
-    "table3_vectorization",
-    "table4_compilers",
-    "table5_self_architectures",
-    "table6_self_energy",
-    "table7_cost",
-    "fig1_clamr_slices",
-    "fig2_clamr_asymmetry",
-    "fig3_precision_resolution",
-    "fig4_self_slices",
-    "fig5_self_asymmetry",
-    "ALL_EXPERIMENTS",
-]

@@ -21,32 +21,9 @@ parallelism for the repo's sweeps (experiment grids, resilience
 campaigns, tradespace enumeration) with deterministic ordering and
 seeding, so ``--jobs N`` speeds sweeps up without perturbing a single
 recorded bit.
+
+The package itself imports nothing: callers import the submodule they
+use, so a sweep that only needs the executor's ``derive_seed`` (the
+service's retry ladder) does not load the decomposition and halo
+modules, and with them all of CLAMR.
 """
-
-from repro.parallel.decomposition import Decomposition, stripe_partition, block_partition, morton_partition
-from repro.parallel.reduction import parallel_sum, reduction_spread, ReductionStudy
-from repro.parallel.halo import DistributedClamr, reorder_faces
-from repro.parallel.executor import (
-    SweepExecutor,
-    SweepTask,
-    SweepWorkerError,
-    derive_seed,
-    resolve_jobs,
-)
-
-__all__ = [
-    "Decomposition",
-    "stripe_partition",
-    "block_partition",
-    "morton_partition",
-    "parallel_sum",
-    "reduction_spread",
-    "ReductionStudy",
-    "DistributedClamr",
-    "reorder_faces",
-    "SweepExecutor",
-    "SweepTask",
-    "SweepWorkerError",
-    "derive_seed",
-    "resolve_jobs",
-]

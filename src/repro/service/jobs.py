@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from repro.workload import WORKLOADS, make_config, run_label
+from repro.workload import CLAMR_POLICIES, WORKLOADS, make_config, run_label
 
 __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
@@ -58,7 +58,7 @@ class JobSpec:
     nx: int = _knob(24, "clamr: coarse grid cells per side", family="clamr")
     max_level: int = _knob(1, "clamr: AMR levels", family="clamr")
     policy: str = _knob("mixed", "clamr: precision policy", family="clamr",
-                        choices=("half", "min", "mixed", "full"))
+                        choices=CLAMR_POLICIES)
     scheme: str = _knob("rusanov", "clamr: flux scheme", family="clamr",
                         choices=("rusanov", "muscl"))
     # self knobs

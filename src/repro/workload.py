@@ -16,10 +16,20 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["WORKLOADS", "make_config", "make_simulation", "run_label", "self_precision"]
+__all__ = [
+    "CLAMR_POLICIES",
+    "WORKLOADS",
+    "make_config",
+    "make_simulation",
+    "run_label",
+    "self_precision",
+]
 
 #: The two mini-apps, by workload name.
 WORKLOADS = ("clamr", "self")
+
+#: CLAMR's precision levels, least precise first: every run flag offers these.
+CLAMR_POLICIES = ("half", "min", "mixed", "full")
 
 #: CLAMR precision levels on SELF's single/double axis.
 _CLAMR_TO_SELF = {"half": "single", "min": "single", "mixed": "single", "full": "double"}

@@ -216,6 +216,39 @@ def test_warm_muscl_step_allocates_little(scenario, nx, max_level, bottom, level
     assert_warm_step_allocates_little(finite_diff_muscl, mesh, state, faces, bathy)
 
 
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize(
+    "scenario, nx, max_level, level",
+    [
+        ("clamr/lake-at-rest", 128, 0, "mixed"),
+        ("clamr/partial-breach", 12, 2, "min"),
+        ("clamr/partial-breach", 12, 2, "full"),
+    ],
+)
+def test_warm_step_stays_under_64_kib(scenario, nx, max_level, level, kernel):
+    # the CFL reduction, the mixed-policy promotion, the dt/area scale and
+    # the sided scatter's stacked vector all write into cached buffers, so
+    # a whole warm step allocates a fixed few KiB whatever the mesh size
+    mesh, state, faces, bathy = evolved(scenario, level, max_level=max_level, nx=nx, steps=2)
+    fused = KERNELS[kernel][0]
+
+    def step():
+        dt = compute_timestep(mesh, state, 0.25)
+        fused(mesh, state, dt, faces=faces, bathy=bathy)
+
+    with kernel_backend("numpy"):
+        for _ in range(2):  # warm-up: the cached buffers and terms are built
+            step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - base < 64 * 1024, f"{(peak - base) / 1024:.1f} KiB"
+
+
 @pytest.mark.parametrize("bottom", ["flat", "bathy"])
 @pytest.mark.parametrize("level", ["min", "full"])
 def test_generation_hop_reads_no_stale_terms(bottom, level):

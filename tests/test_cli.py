@@ -165,6 +165,25 @@ class TestCommands:
         assert record.policy == "half"
         assert record.label == "clamr/nx12s4/half"
 
+    @pytest.mark.parametrize("command", [["clamr"], ["trace", "clamr"]])
+    def test_half_policy_runs(self, command, capsys):
+        assert main([*command, "--policy", "half", "--steps", "4"]) == 0
+        assert "half" in capsys.readouterr().out
+
+    def test_every_run_flag_offers_every_policy(self):
+        # one list of CLAMR policies: each --policy flag offers exactly it
+        from repro.service import JobSpec
+        from repro.workload import CLAMR_POLICIES
+
+        parse = build_parser().parse_args
+        assert JobSpec.__dataclass_fields__["policy"].metadata["choices"] == CLAMR_POLICIES
+        for argv in (["clamr"], ["trace", "clamr"], ["submit", "clamr", "--queue", "q"],
+                     ["ledger", "record", "clamr", "--ledger", "r"],
+                     ["resilience", "run", "clamr"],
+                     ["diverge", "record", "d"]):
+            for policy in CLAMR_POLICIES:
+                assert parse([*argv, "--policy", policy]).policy == policy
+
     def test_self_ledger_flag(self, tmp_path):
         from repro.ledger import Ledger
 

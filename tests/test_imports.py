@@ -1,0 +1,141 @@
+"""What a run loads: each case imports in a fresh interpreter.
+
+A CLAMR process loads scipy's compiled ``_sparsetools`` extension straight
+from its file (``repro.clamr.kernels._load_sparsetools``), without the
+``scipy.sparse`` package, ``numpy.f2py`` or ``numpy.testing``; a SELF or
+scenario run does not load CLAMR; the sweep service's queue loads neither
+CLAMR nor the parallel decomposition.  The directly loaded routines, and
+the ordinary ``scipy.sparse`` import the loader falls back to when the
+extension file cannot be found, give the same bits.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: hides scipy's package location from ``kernels._load_sparsetools``, so it
+#: finds no extension file and takes the ordinary import
+FAIL_LOCATOR = """
+import importlib.util
+_find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, package=None: (
+    None if name == "scipy" else _find_spec(name, package))
+"""
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter; it prints one JSON document last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(imports: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` are in ``sys.modules`` after ``imports`` ran."""
+    code = f"import json, sys\n{imports}\nprint(json.dumps([n for n in {names!r} if n in sys.modules]))"
+    return fresh(code)
+
+
+def test_clamr_loads_no_scipy_package():
+    heavy = ("scipy.sparse", "numpy.f2py", "numpy.testing", "repro.harness.experiments")
+    assert loaded_after("import repro.clamr", heavy) == []
+
+
+def test_self_and_scenarios_load_no_clamr():
+    assert loaded_after("import repro.self_, repro.scenarios", ("repro.clamr",)) == []
+
+
+def test_service_queue_loads_no_clamr():
+    names = ("repro.clamr", "repro.parallel.halo")
+    assert loaded_after("import repro.service.jobs, repro.service.queue", names) == []
+
+
+def csr_digests(st) -> dict:
+    """sha256 of ``coo_tocsr`` and ``csr_matvec`` outputs from module ``st``.
+
+    A 40-cell plan of 150 random faces, converted once; then an
+    antisymmetric scatter and a sided one (high-side entries read the
+    second half of a stacked vector) at float32 and float64.
+    """
+    rng = np.random.default_rng(11)
+    ncells, nf = 40, 150
+    low, high = rng.integers(0, ncells, (2, nf))
+    faces = np.arange(nf, dtype=np.int32)
+    sizes = rng.uniform(0.1, 1.0, nf)
+    indptr = np.empty(ncells + 1, dtype=np.int32)
+    cols = np.empty(2 * nf, dtype=np.int32)
+    signed = np.empty(2 * nf)
+    st.coo_tocsr(ncells, nf, 2 * nf, np.concatenate([low, high]).astype(np.int32),
+                 np.concatenate([faces, faces]), np.concatenate([-sizes, sizes]),
+                 indptr, cols, signed)
+    out = {"plan": hashlib.sha256(indptr.tobytes() + cols.tobytes() + signed.tobytes()).hexdigest()}
+    sided = cols + np.int32(nf) * (signed > 0)
+    for dtype in (np.float32, np.float64):
+        data = signed.astype(dtype)
+        stacked = rng.standard_normal(2 * nf).astype(dtype)
+        acc = rng.standard_normal(ncells).astype(dtype)
+        flat, both = acc.copy(), acc.copy()
+        st.csr_matvec(ncells, nf, indptr, cols, data, stacked[:nf], flat)
+        st.csr_matvec(ncells, 2 * nf, indptr, sided, data, stacked, both)
+        out[np.dtype(dtype).name] = hashlib.sha256(flat.tobytes() + both.tobytes()).hexdigest()
+    return out
+
+
+PROBE = """
+import json, sys
+from repro.clamr import kernels
+from tests.test_imports import csr_digests
+print(json.dumps({"file": kernels._sparsetools.__file__,
+                  "package": "scipy.sparse" in sys.modules,
+                  "digests": csr_digests(kernels._sparsetools)}))
+"""
+
+
+def test_direct_load_matches_scipy_sparse():
+    from scipy.sparse import _sparsetools
+
+    direct = fresh(PROBE)
+    assert not direct["package"]  # loaded without running scipy/sparse/__init__.py
+    assert Path(direct["file"]).name.startswith("_sparsetools")
+    want = csr_digests(_sparsetools)
+    assert set(want) == {"plan", "float32", "float64"}
+    assert direct["digests"] == want
+
+
+STEPS = """
+import hashlib, json, sys
+from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr import kernels
+from tests.test_imports import csr_digests
+states = {}
+for scheme in ("rusanov", "muscl"):
+    for policy in ("min", "mixed", "full"):
+        sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2), policy=policy, scheme=scheme)
+        sim.run(12, record_mass=False)
+        s = sim.state
+        states[scheme + "/" + policy] = hashlib.sha256(
+            s.H.tobytes() + s.U.tobytes() + s.V.tobytes()).hexdigest()
+print(json.dumps({"package": "scipy.sparse" in sys.modules,
+                  "digests": csr_digests(kernels._sparsetools), "states": states}))
+"""
+
+
+def test_fallback_import_gives_same_bits():
+    direct = fresh(STEPS)
+    fallback = fresh(FAIL_LOCATOR + STEPS)
+    assert not direct["package"] and fallback["package"]  # each took its own path
+    assert fallback["digests"] == direct["digests"]
+    assert fallback["states"] == direct["states"]

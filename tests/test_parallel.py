@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clamr.mesh import AmrMesh
-from repro.parallel import (
+from repro.parallel.decomposition import (
     Decomposition,
     block_partition,
     morton_partition,
-    parallel_sum,
-    reduction_spread,
     stripe_partition,
 )
-from repro.parallel.reduction import ALGORITHMS
+from repro.parallel.reduction import ALGORITHMS, parallel_sum, reduction_spread
 
 
 def amr_mesh():
