@@ -20,33 +20,41 @@ faithful to its architecture:
   86 MB vs 128 MB comparison of Table III (:mod:`repro.clamr.checkpoint`);
 * the **cylindrical dam-break** driver with Courant-limited timestepping
   and double-double conservation accounting (:mod:`repro.clamr.simulation`).
+
+Importing the package loads none of these modules: each name below loads
+its module on first access (PEP 562), so ``from repro.clamr import
+backends`` in a SELF process does not load the CLAMR kernels or driver.
 """
 
-from repro.clamr.mesh import AmrMesh
-from repro.clamr.state import ShallowWaterState
-from repro.clamr.amr import regrid, refinement_flags
-from repro.clamr.kernels import finite_diff_vectorized, compute_timestep
-from repro.clamr.muscl import finite_diff_muscl
-from repro.clamr.simulation import ClamrSimulation, DamBreakConfig, SimulationResult
-from repro.clamr.checkpoint import write_checkpoint, read_checkpoint, checkpoint_nbytes
-from repro.clamr.stoker import StokerSolution
-from repro.clamr.graphics import write_pgm, write_ppm
+import importlib
 
-__all__ = [
-    "AmrMesh",
-    "ShallowWaterState",
-    "regrid",
-    "refinement_flags",
-    "finite_diff_vectorized",
-    "finite_diff_muscl",
-    "compute_timestep",
-    "ClamrSimulation",
-    "DamBreakConfig",
-    "SimulationResult",
-    "write_checkpoint",
-    "read_checkpoint",
-    "checkpoint_nbytes",
-    "StokerSolution",
-    "write_pgm",
-    "write_ppm",
-]
+#: public name -> the module that defines it
+_EXPORTS = {
+    "AmrMesh": "repro.clamr.mesh",
+    "ShallowWaterState": "repro.clamr.state",
+    "regrid": "repro.clamr.amr",
+    "refinement_flags": "repro.clamr.amr",
+    "finite_diff_vectorized": "repro.clamr.kernels",
+    "finite_diff_muscl": "repro.clamr.muscl",
+    "compute_timestep": "repro.clamr.kernels",
+    "ClamrSimulation": "repro.clamr.simulation",
+    "DamBreakConfig": "repro.clamr.simulation",
+    "SimulationResult": "repro.clamr.simulation",
+    "write_checkpoint": "repro.clamr.checkpoint",
+    "read_checkpoint": "repro.clamr.checkpoint",
+    "checkpoint_nbytes": "repro.clamr.checkpoint",
+    "StokerSolution": "repro.clamr.stoker",
+    "write_pgm": "repro.clamr.graphics",
+    "write_ppm": "repro.clamr.graphics",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

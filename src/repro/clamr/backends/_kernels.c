@@ -2,7 +2,13 @@
  *
  * Built at first use by backends/cext.py with
  *   cc -O3 -fPIC -shared -ffp-contract=off -fno-math-errno
- * (no -ffast-math: the whole point is bit-identity with NumPy).
+ *      -fno-trapping-math -march=native
+ * and, if the compiler rejects -march=native, once more without it (the
+ * portable build). No -ffast-math: the whole point is bit-identity with
+ * NumPy. -fno-trapping-math only lets the compiler if-convert the
+ * branch-free loops (no rounding changes); the library name is keyed on
+ * the host CPU whenever -march=native is in the flags (see
+ * _kernels_impl.h and cext.py).
  * float16 is not instantiated — the half policy's arithmetic stays on the
  * NumPy path, mirroring the ScatterPlan CSR dtype restriction; the regrid
  * topology builders carry no compute type and are defined once, by the

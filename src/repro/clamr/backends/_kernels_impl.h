@@ -1,5 +1,7 @@
-/* Kernel bodies for the "cext" backend — a line-for-line C rendering of
- * backends/loops.py (which in turn replays the NumPy kernels per-element).
+/* Kernel bodies for the "cext" backend: the C rendering of
+ * backends/loops.py, which in turn replays the NumPy kernels per element.
+ * The expressions are the same; the C writes loops.py's branches as
+ * selects and computes the three quantities' slopes in one pass.
  *
  * Included twice by _kernels.c with:
  *   T      compute type (float | double)
@@ -8,11 +10,31 @@
  *   KFABS  |x| for T (fabsf | fabs)
  *
  * Bit-identity with the NumPy oracle relies on compiling WITHOUT value
- * transformations: -ffp-contract=off (no FMA fusion), no -ffast-math /
- * -funsafe-math-optimizations. On x86-64 SSE, FLT_EVAL_METHOD == 0, so
- * every float op rounds to float — the same single rounding per op NumPy
- * performs. Expression shapes below copy loops.py exactly; see that file
- * for the replay contract (np.maximum semantics, scatter order, etc.).
+ * transformations (the flags are cext.py's _CFLAGS):
+ *   -ffp-contract=off   no FMA fusion, also where -march=native offers FMA;
+ *   -fno-math-errno     sqrt is the correctly-rounded sqrt instruction;
+ *   -fno-trapping-math  the compiler may assume no floating-point operation
+ *                       traps, so it evaluates both arms of a select and
+ *                       if-converts the loops below. Every operation still
+ *                       rounds once, as written; only the exception flags,
+ *                       which nothing reads, may differ;
+ *   -march=native       wider vectors for the host, so the library's
+ *                       cache key includes the host CPU; if the compiler
+ *                       rejects the flag, cext builds once without it (the
+ *                       portable build). A vector lane rounds exactly as
+ *                       the scalar unit does, so the bits do not depend on
+ *                       the build;
+ *   and never -ffast-math / -funsafe-math-optimizations.
+ * On x86-64 SSE/AVX FLT_EVAL_METHOD == 0, so every float op rounds to
+ * float: the same single rounding per op NumPy performs. See loops.py for
+ * the replay contract (np.maximum semantics, scatter order, etc.).
+ *
+ * What keeps the slope and face loops vectorizable: no branch in their
+ * bodies (the self link, minmod, np.maximum and the positivity guard are
+ * selects); a restrict pointer per output; and one face body cloned per
+ * (muscl, well-balanced) pair inside a non-inlined function whose pointer
+ * parameters are restrict. The CSR row walks stay scalar: their trip
+ * counts vary per row and their order is the bit contract.
  *
  * The non-static definitions are the exports, exactly loops.__all__:
  * per compute type (FN) clamr_rhs (every CLAMR scheme and bottom) and
@@ -22,7 +44,7 @@
  * arrays (and float64 depths) whatever the compute type.
  */
 
-static inline T FN(npmax)(T a, T b) { return (a > b || a != a) ? a : b; }
+static inline T FN(npmax)(T a, T b) { return ((a > b) | (a != a)) ? a : b; }
 
 /* Rusanov flux on one face; n/t are normal/tangent momenta. */
 static inline void FN(rusanov)(
@@ -104,35 +126,129 @@ static void FN(boundary)(
     }
 }
 
+/* minmod as two selects: the smaller-magnitude argument when the signs
+ * agree, else zero. */
 static inline T FN(minmod)(T a, T b, T zero)
 {
-    if (a * b > zero) return (KFABS(a) < KFABS(b)) ? a : b;
-    return zero;
+    T m = KFABS(a) < KFABS(b) ? a : b;
+    return a * b > zero ? m : zero;
 }
 
-/* Per-cell minmod slopes of q in x and y (limited_slopes). */
-static void FN(slopes)(
-    const T *q,
-    const int32_t *nlft, const int32_t *nrht,
-    const int32_t *nbot, const int32_t *ntop,
-    const T *size, int64_t ncells,
-    T half, T zero, T *sx, T *sy)
+/* The limited slope of q at cell c between its neighbors m (minus side)
+ * and p (plus side), spaced dxm and dxp; a self link (a wall) differences
+ * to zero. */
+static inline T FN(slope)(const T *q, int32_t c, int32_t m, int32_t p,
+                          T dxm, T dxp, T zero)
 {
-    int64_t c;
+    T dm = q[c] - q[m];
+    T dp = q[p] - q[c];
+    dm = m != c ? dm : zero;
+    dp = p != c ? dp : zero;
+    return FN(minmod)(dm / dxm, dp / dxp, zero);
+}
+
+/* Per-cell minmod slopes in x and y of q (the depth, or the free surface
+ * over a bottom), U and V (limited_slopes), in one pass that computes
+ * each cell's four spacings once. */
+__attribute__((noinline)) static void FN(slopes)(
+    const T *restrict q, const T *restrict U, const T *restrict V,
+    const int32_t *restrict nlft, const int32_t *restrict nrht,
+    const int32_t *restrict nbot, const int32_t *restrict ntop,
+    const T *restrict size, int64_t ncells, T half, T zero,
+    T *restrict sxH, T *restrict syH, T *restrict sxU,
+    T *restrict syU, T *restrict sxV, T *restrict syV)
+{
+    int32_t c;
     for (c = 0; c < ncells; c++) {
-        int64_t m = nlft[c], p = nrht[c];
-        T dm = (m != c) ? q[c] - q[m] : zero;
-        T dp = (p != c) ? q[p] - q[c] : zero;
-        T dxm = half * (size[c] + size[m]);
-        T dxp = half * (size[c] + size[p]);
-        sx[c] = FN(minmod)(dm / dxm, dp / dxp, zero);
-        m = nbot[c]; p = ntop[c];
-        dm = (m != c) ? q[c] - q[m] : zero;
-        dp = (p != c) ? q[p] - q[c] : zero;
-        dxm = half * (size[c] + size[m]);
-        dxp = half * (size[c] + size[p]);
-        sy[c] = FN(minmod)(dm / dxm, dp / dxp, zero);
+        int32_t l = nlft[c], r = nrht[c], d = nbot[c], t = ntop[c];
+        T dxl = half * (size[c] + size[l]);
+        T dxr = half * (size[c] + size[r]);
+        T dyd = half * (size[c] + size[d]);
+        T dyt = half * (size[c] + size[t]);
+        sxH[c] = FN(slope)(q, c, l, r, dxl, dxr, zero);
+        syH[c] = FN(slope)(q, c, d, t, dyd, dyt, zero);
+        sxU[c] = FN(slope)(U, c, l, r, dxl, dxr, zero);
+        syU[c] = FN(slope)(U, c, d, t, dyd, dyt, zero);
+        sxV[c] = FN(slope)(V, c, l, r, dxl, dxr, zero);
+        syV[c] = FN(slope)(V, c, d, t, dyd, dyt, zero);
     }
+}
+
+/* The fluxes of one face group, face by face (the first loop of loops.py
+ * _axis). N/Tm are the normal/tangent momenta. With muscl each side is
+ * reconstructed from the slopes sH/sN/sT (of eta when wb), and the
+ * positivity guard keeps the cell means where either reconstructed depth
+ * is not positive. Then the Rusanov flux into f0/f1/f3, or with wb the
+ * well-balanced one into f0..f3. Every call passes constant muscl and wb,
+ * so each call site is its own straight-line loop. The face ends are
+ * narrowed to int32 like every mesh index: with int64 indices GCC 12
+ * does not vectorize the float instance's gathers. */
+static inline void FN(face_body)(
+    int muscl, int wb, const int64_t *lo, const int64_t *hi, int64_t nf,
+    const T *H, const T *N, const T *Tm, const T *b, const T *eta,
+    const T *sH, const T *sN, const T *sT, const T *size,
+    T *f0, T *f1, T *f2, T *f3, T g, T half, T hg, T zero)
+{
+    int64_t i;
+    for (i = 0; i < nf; i++) {
+        int32_t L = (int32_t)lo[i], R = (int32_t)hi[i];
+        T hL = H[L], nl = N[L], tl = Tm[L];
+        T hR = H[R], nr = N[R], tr = Tm[R];
+        if (muscl) {
+            T offL = half * size[L], offR = half * size[R];
+            T rhL, rhR, mnl, mtl, mnr, mtr;
+            int ok;
+            if (wb) { /* free surface, then depth against own bottom */
+                rhL = (eta[L] + sH[L] * offL) - b[L];
+                rhR = (eta[R] - sH[R] * offR) - b[R];
+            } else {
+                rhL = hL + sH[L] * offL;
+                rhR = hR - sH[R] * offR;
+            }
+            mnl = nl + sN[L] * offL;
+            mtl = tl + sT[L] * offL;
+            mnr = nr - sN[R] * offR;
+            mtr = tr - sT[R] * offR;
+            /* the guard as loops.py's `not (rhL <= 0 or rhR <= 0)`: a NaN
+             * depth compares false, so it passes */
+            ok = !((rhL <= zero) | (rhR <= zero));
+            hL = ok ? rhL : hL;
+            nl = ok ? mnl : nl;
+            tl = ok ? mtl : tl;
+            hR = ok ? rhR : hR;
+            nr = ok ? mnr : nr;
+            tr = ok ? mtr : tr;
+        }
+        if (wb)
+            FN(wellbalanced)(hL, nl, tl, hR, nr, tr, b[L], b[R],
+                             g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
+        else
+            FN(rusanov)(hL, nl, tl, hR, nr, tr, g, half, hg, &f0[i], &f1[i], &f3[i]);
+    }
+}
+
+/* FN(face_body) behind restrict pointers, once per (muscl, wb). Not
+ * inlined: inside FN(axis) the body would lose restrict, and with it
+ * the vectorized gathers and stores. */
+__attribute__((noinline)) static void FN(faces)(
+    int muscl, int wb, const int64_t *restrict lo, const int64_t *restrict hi, int64_t nf,
+    const T *restrict H, const T *restrict N, const T *restrict Tm,
+    const T *restrict b, const T *restrict eta,
+    const T *restrict sH, const T *restrict sN, const T *restrict sT,
+    const T *restrict size,
+    T *restrict f0, T *restrict f1, T *restrict f2, T *restrict f3,
+    T g, T half, T hg, T zero)
+{
+#define FACE_ARGS lo, hi, nf, H, N, Tm, b, eta, sH, sN, sT, size, f0, f1, f2, f3, g, half, hg, zero
+    if (muscl && wb)
+        FN(face_body)(1, 1, FACE_ARGS);
+    else if (muscl)
+        FN(face_body)(1, 0, FACE_ARGS);
+    else if (wb)
+        FN(face_body)(0, 1, FACE_ARGS);
+    else
+        FN(face_body)(0, 0, FACE_ARGS);
+#undef FACE_ARGS
 }
 
 /* One face group (loops.py _axis). N/Tm are the normal/tangent momenta
@@ -150,37 +266,10 @@ static void FN(axis)(
     T g, T half, T hg, T zero)
 {
     const T *fhi = b ? f2 : f1;
-    int64_t i, cell;
+    int64_t cell;
     int32_t jj;
-    for (i = 0; i < nf; i++) {
-        int64_t L = lo[i], R = hi[i];
-        T hL = H[L], nl = N[L], tl = Tm[L];
-        T hR = H[R], nr = N[R], tr = Tm[R];
-        if (sH) {
-            T offL = half * size[L], offR = half * size[R];
-            T rhL, rhR;
-            if (!b) {
-                rhL = hL + sH[L] * offL;
-                rhR = hR - sH[R] * offR;
-            } else { /* free surface, then depth against own bottom */
-                rhL = (eta[L] + sH[L] * offL) - b[L];
-                rhR = (eta[R] - sH[R] * offR) - b[R];
-            }
-            if (!(rhL <= zero || rhR <= zero)) { /* positivity guard */
-                hL = rhL;
-                nl = nl + sN[L] * offL;
-                tl = tl + sT[L] * offL;
-                hR = rhR;
-                nr = nr - sN[R] * offR;
-                tr = tr - sT[R] * offR;
-            }
-        }
-        if (!b)
-            FN(rusanov)(hL, nl, tl, hR, nr, tr, g, half, hg, &f0[i], &f1[i], &f3[i]);
-        else
-            FN(wellbalanced)(hL, nl, tl, hR, nr, tr, b[L], b[R],
-                             g, half, hg, zero, &f0[i], &f1[i], &f2[i], &f3[i]);
-    }
+    FN(faces)(sH != 0, b != 0, lo, hi, nf, H, N, Tm, b, eta, sH, sN, sT, size,
+              f0, f1, f2, f3, g, half, hg, zero);
     for (cell = 0; cell < ncells; cell++) {
         T accH = dH[cell], accN = dN[cell], accT = dT[cell];
         for (jj = ip[cell]; jj < ip[cell + 1]; jj++) {
@@ -218,9 +307,8 @@ void FN(clamr_rhs)(
         sxH = sl; syH = sl + ncells;
         sxU = sl + 2 * ncells; syU = sl + 3 * ncells;
         sxV = sl + 4 * ncells; syV = sl + 5 * ncells;
-        FN(slopes)(b ? eta : H, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxH, syH);
-        FN(slopes)(U, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxU, syU);
-        FN(slopes)(V, nlft, nrht, nbot, ntop, size, ncells, half, zero, sxV, syV);
+        FN(slopes)(b ? eta : H, U, V, nlft, nrht, nbot, ntop, size, ncells, half, zero,
+                   sxH, syH, sxU, syU, sxV, syV);
     }
     FN(axis)(xl, xr, nxf, H, U, V, b, eta, sxH, sxU, sxV, size,
              xip, xcols, xsgn, ncells, f0, f1, f2, f3, dH, dU, dV, g, half, hg, zero);

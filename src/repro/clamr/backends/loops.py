@@ -7,9 +7,11 @@ written so that
 * executed by CPython over NumPy *scalars* ("python" backend) the
   arithmetic replays the array kernels' per-element operation sequence
   bit-for-bit, and
-* mirrored line for line in C ("cext" backend, ``_kernels_impl.h``) the
-  same property holds, because every operation is a single
-  correctly-rounded IEEE-754 op on values of the compute dtype.
+* rendered in C ("cext" backend, ``_kernels_impl.h``) the same property
+  holds, because every operation is a single correctly-rounded IEEE-754
+  op on values of the compute dtype.  The C uses the same expressions;
+  it writes the branches as selects and computes the three quantities'
+  slopes in one pass, so that the compiler can vectorize its loops.
 
 The bit contract imposes three authoring rules:
 
