@@ -44,8 +44,6 @@ _EXPORTS = {
     "read_checkpoint": "repro.clamr.checkpoint",
     "checkpoint_nbytes": "repro.clamr.checkpoint",
     "StokerSolution": "repro.clamr.stoker",
-    "write_pgm": "repro.clamr.graphics",
-    "write_ppm": "repro.clamr.graphics",
 }
 
 __all__ = list(_EXPORTS)

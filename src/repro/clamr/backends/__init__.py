@@ -217,11 +217,13 @@ def _links(mesh) -> tuple | None:
     return arrays
 
 
-def try_mesh_neighbors(mesh) -> tuple | None:
+def try_mesh_neighbors(mesh, img: np.ndarray) -> tuple | None:
     """(nlft, nrht, nbot, ntop) int32 from the active backend; None → NumPy.
 
-    An overlapping or gapped cell soup (or a block outside the domain)
-    also returns None, so the NumPy form raises its own error.
+    ``img`` is the flat ``(nyf+2)*(nxf+2)`` int32 image to paint, reused
+    across rebuilds (the builder fills it first).  An overlapping or
+    gapped cell soup (or a block outside the domain) also returns None,
+    so the NumPy form raises its own error.
     """
     ops = topology_ops()
     if ops is None:
@@ -230,7 +232,6 @@ def try_mesh_neighbors(mesh) -> tuple | None:
     if any(a.dtype != np.int32 or not a.flags.c_contiguous for a in arrays):
         return None
     n = mesh.ncells
-    img = np.empty((mesh.nyf + 2) * (mesh.nxf + 2), dtype=np.int32)
     nbrs = tuple(np.empty(n, dtype=np.int32) for _ in range(4))
     if ops.mesh_neighbors(*arrays, mesh.nx, mesh.ny, mesh.max_level, img, *nbrs):
         return None

@@ -36,8 +36,9 @@ from __future__ import annotations
 import contextlib
 import importlib.machinery
 import importlib.util
+import math
 import os
-from collections import OrderedDict
+import sys
 from dataclasses import dataclass
 from types import ModuleType
 
@@ -103,6 +104,7 @@ _sparsetools = _load_sparsetools()
 
 #: compute dtypes the compiled CSR matvec is instantiated for
 _CSR_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_F64 = np.dtype(np.float64)
 
 
 class ScatterPlan:
@@ -177,6 +179,8 @@ class ScatterPlan:
         self._stacked: dict[np.dtype, np.ndarray] = {}
 
     def _signed(self, cdtype: np.dtype) -> np.ndarray:
+        if cdtype == self.signed64.dtype:
+            return self.signed64
         cast = self._signed_casts.get(cdtype)
         if cast is None:
             # (±fsz64).astype(c) == ±(fsz64.astype(c)): negation commutes
@@ -247,54 +251,58 @@ def scatter_mode(mode: str):
 
 
 class GeometryCache:
-    """Topology-generation-keyed cache of cast geometry and scratch buffers.
+    """Cast geometry, derived terms and scratch arenas for CLAMR's kernels.
 
     ``cell_size``/``cell_area`` are pure functions of the mesh topology, yet
     the kernels used to recompute and re-cast them on every step — per-step
-    allocation and cast churn on arrays that only change on regrid.  This
-    cache keys everything on ``mesh.generation`` (unique per constructed
-    mesh, see :class:`repro.clamr.mesh.AmrMesh`), so entries are invalidated
-    exactly when a regrid produces a new mesh.  A small LRU bound keeps the
-    rollback/recovery paths (which hop between old and new meshes) from
-    growing the cache without limit.
-
-    Also hands out reusable zeroed ``(3, ncells)`` accumulator workspaces per
-    (dtype, slot); slots keep MUSCL's two Heun stages from aliasing each
-    other's live ``k1``/``k2`` arrays.  Scratch (workspaces and
-    :meth:`buffer` arrays) is held for one generation only — the one that
-    last asked for it, i.e. the mesh being stepped: asking for another
-    generation's scratch drops every other generation's.  Scratch contents
-    are undefined (workspaces are zeroed on every hand-out), so a mesh
-    stepped again after a rollback gets fresh buffers and the same bits.
+    allocation and cast churn on arrays that only change on regrid.  The
+    cache keys them on ``mesh.generation`` (unique per constructed mesh,
+    see :class:`repro.clamr.mesh.AmrMesh`) and holds them for one
+    generation only: the one last asked for, i.e. the mesh being stepped.
+    Asking for another generation (a regrid, or a rollback that steps an
+    older mesh again) drops them and builds that generation's.
 
     Topology-only terms derived from the stepped generation — gather
-    indices, spacings, wall sizes (:meth:`derived`) — are held with its
-    scratch: built the first time the generation is stepped and dropped
-    with the scratch.  Forward stepping builds each generation's terms
-    once either way; a rollback rebuilds the older generation's, and no
-    term is ever read for a generation other than the one it was built
-    from.
+    indices, spacings, wall sizes (:meth:`derived`) — go the same way:
+    built the first time the generation is stepped and dropped when
+    another generation is asked for, so no term is ever read for a
+    generation other than the one it was built from.  :meth:`release`
+    drops both ahead of a regrid.
+
+    Scratch is not per generation.  Every :meth:`buffer` and
+    :meth:`workspace3` request returns a C-contiguous view of one flat
+    arena per (dtype, name), which survives regrids and only ever grows:
+    allocated at its exact size on first use, and with an eighth of
+    headroom when a later request needs more, so a run's scratch scales
+    with its largest mesh, not with how often it regrids.  Arena contents
+    are undefined (workspaces are zeroed on every hand-out).  A request
+    for a shape or generation other than the name's previous one, made
+    while a view of the arena is still alive outside the cache, gets a
+    fresh arena, so two live views of one name never alias.
     """
 
-    def __init__(self, capacity: int = 4) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[int, dict] = OrderedDict()
-        self._work_gen: int | None = None
+    def __init__(self) -> None:
+        self._generation: int | None = None
+        self._casts: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        self._derived: dict[tuple, tuple] = {}
+        self._arenas: dict[tuple, np.ndarray] = {}
+        #: (generation, shape) of each arena's last hand-out
+        self._handed: dict[tuple, tuple] = {}
 
-    def _entry(self, mesh: AmrMesh) -> dict:
-        gen = mesh.generation
-        entry = self._entries.get(gen)
-        if entry is None:
-            size64 = mesh.cell_size()
-            entry = {"size64": size64, "area64": size64 * size64, "casts": {}, "work": {}, "derived": {}}
-            self._entries[gen] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(gen)
-        return entry
+    def _select(self, mesh: AmrMesh) -> None:
+        """Make ``mesh``'s generation the held one, dropping another's terms."""
+        if mesh.generation != self._generation:
+            self.release()
+            self._generation = mesh.generation
+
+    def release(self) -> None:
+        """Drop the held generation's cast geometry and derived terms.
+
+        The scratch arenas stay: the next generation reuses them.
+        """
+        self._generation = None
+        self._casts = {}
+        self._derived = {}
 
     def geometry(self, mesh: AmrMesh, cdtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         """(cell_size, cell_area) cast to the compute dtype, cached.
@@ -302,53 +310,38 @@ class GeometryCache:
         The returned arrays are shared — callers must treat them as
         read-only (the kernels only ever gather from them).
         """
-        entry = self._entry(mesh)
-        cast = entry["casts"].get(cdtype)
+        self._select(mesh)
+        cast = self._casts.get(cdtype)
         if cast is None:
-            if cdtype == np.float64:
-                cast = (entry["size64"], entry["area64"])
-            else:
-                cast = (entry["size64"].astype(cdtype), entry["area64"].astype(cdtype))
-            entry["casts"][cdtype] = cast
+            master = self._casts.get(_F64)
+            if master is None:
+                size64 = mesh.cell_size()
+                master = self._casts[_F64] = (size64, size64 * size64)
+            cast = self._casts[cdtype] = master if cdtype == _F64 else (
+                master[0].astype(cdtype), master[1].astype(cdtype)
+            )
         return cast
 
     def derived(self, mesh: AmrMesh, key: tuple, owner: object, build):
         """The topology-only terms ``build()`` returns for ``mesh``, built once.
 
-        Held with the generation's scratch under ``key``, together with
+        Held for the stepped generation under ``key``, together with
         ``owner``, the object the terms were built from (the face lists, or
         the cell sizes the caller passed): a request naming a different
         owner rebuilds them, so terms built for one set of face lists are
         never read with another (a halo rank steps the same mesh on masked
         face lists).  The arrays are shared and read-only.
         """
-        terms = self._work(mesh, "derived")
-        hit = terms.get(key)
+        self._select(mesh)
+        hit = self._derived.get(key)
         if hit is None or hit[0] is not owner:
-            hit = terms[key] = (owner, build())
+            hit = self._derived[key] = (owner, build())
         return hit[1]
-
-    def _work(self, mesh: AmrMesh, part: str = "work") -> dict:
-        """The scratch (or derived-term) dict of ``mesh``'s generation,
-        the only generation whose scratch and derived terms are kept."""
-        entry = self._entry(mesh)
-        if self._work_gen != mesh.generation:
-            for other in self._entries.values():
-                other["work"] = {}
-                other["derived"] = {}
-            self._work_gen = mesh.generation
-        return entry[part]
 
     def workspace3(self, mesh: AmrMesh, cdtype: np.dtype, slot: str = "fd") -> np.ndarray:
         """A zeroed ``(3, ncells)`` accumulator buffer, reused across steps."""
-        work = self._work(mesh)
-        key = (cdtype, slot)
-        buf = work.get(key)
-        if buf is None:
-            buf = np.zeros((3, mesh.ncells), dtype=cdtype)
-            work[key] = buf
-        else:
-            buf.fill(0)
+        buf = self.buffer(mesh, cdtype, "workspace/" + slot, (3, mesh.ncells))
+        buf.fill(0)
         return buf
 
     def buffer(self, mesh: AmrMesh, cdtype: np.dtype, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -359,14 +352,37 @@ class GeometryCache:
         gather targets and flux temporaries, which are fully written each
         step).
         """
-        work = self._work(mesh)
-        key = (cdtype, name)
-        buf = work.get(key)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=cdtype)
-            work[key] = buf
-        return buf
+        self._select(mesh)
+        key = (np.dtype(cdtype), name)
+        need = math.prod(shape)
+        arena = self._arenas.get(key)
+        handout = (self._generation, shape)
+        # references beyond the cache's and this frame's are live views,
+        # which a new shape or generation must not alias
+        if arena is None or arena.size < need or (
+            self._handed[key] != handout and sys.getrefcount(arena) > _UNSHARED_REFS
+        ):
+            if arena is None:
+                capacity = need
+            elif arena.size < need:
+                capacity = need + need // 8
+            else:
+                capacity = arena.size
+            arena = self._arenas[key] = np.empty(capacity, dtype=key[0])
+        self._handed[key] = handout
+        return arena[:need].reshape(shape)
 
+
+def _unshared_refs() -> int:
+    """``sys.getrefcount`` of an arena held by a dict and a local only, read
+    the way :meth:`GeometryCache.buffer` reads it (what the call itself
+    adds differs between interpreter versions)."""
+    arenas = {0: np.empty(0)}
+    arena = arenas.get(0)
+    return sys.getrefcount(arena)
+
+
+_UNSHARED_REFS = _unshared_refs()
 
 #: module-default cache used when a caller does not thread one through
 _DEFAULT_GEOMETRY_CACHE = GeometryCache()
@@ -670,7 +686,7 @@ def _face_buffer(mesh: AmrMesh, geom: GeometryCache, faces: FaceLists, cdtype: n
     routine's rows — the Rusanov flux's 3 outputs and 6 scratch rows, or
     the two bottoms ``(bL, bR)`` and the well-balanced flux's 4 outputs
     and 4 scratch rows.  One buffer sized for the larger of the two, so
-    no mesh generation the cache keeps holds a second one.
+    the cache never holds a second one.
     """
     return geom.buffer(mesh, cdtype, "fd_faces", (16, faces.xl.size + faces.yb.size))
 
@@ -744,7 +760,8 @@ def _reflective_walls(
     size, _ = geom.geometry(mesh, cdtype)
     bbuf = geom.buffer(mesh, cdtype, "fd_bnd", (14, nb))
     # the wall sizes: the buffer's last row, written once per generation
-    # and face lists (the buffer and the derived terms are dropped together)
+    # and face lists; the arena outlives the generation but the derived
+    # term does not, so a generation that follows another rewrites the row
     fsz = geom.derived(mesh, ("walls", cdtype), faces, lambda: size.take(bcells, out=bbuf[13], mode="clip"))
     h, nL, nR, t = bbuf[:4]
     out = bbuf[4:7]

@@ -36,6 +36,23 @@ __all__ = ["AmrMesh"]
 
 _INT = np.int32
 
+#: the padded int32 image every neighbor rebuild paints into: one per
+#: process, grown to the largest mesh it has seen (see _padded_image)
+_IMAGE = np.empty(0, dtype=_INT)
+
+
+def _padded_image(npixels: int) -> np.ndarray:
+    """The first ``npixels`` of the process's neighbor image, contents undefined.
+
+    Every rebuild overwrites the whole prefix before reading it, and no
+    view of it outlives the rebuild, so one image serves every mesh (a
+    process builds its meshes on one thread).
+    """
+    global _IMAGE
+    if _IMAGE.size < npixels:
+        _IMAGE = np.empty(npixels, dtype=_INT)
+    return _IMAGE[:npixels]
+
 
 @dataclass
 class AmrMesh:
@@ -154,13 +171,17 @@ class AmrMesh:
 
     # -- spatial hash and neighbors --------------------------------------
 
-    def build_hash(self) -> np.ndarray:
+    def build_hash(self, out: np.ndarray | None = None) -> np.ndarray:
         """The finest-level hash image: fine pixel -> covering cell index.
 
         Raises if cells overlap or leave gaps — i.e. the (i, j, level) soup
         is not a valid non-overlapping cover of the domain.  This makes the
         hash double as the mesh validity check, exactly the role it plays
         in CLAMR's own debug builds.
+
+        ``out`` is an ``(nyf, nxf)`` integer view already filled with
+        ``-1`` (the interior of the neighbor rebuild's padded image, so
+        strided) to paint into; by default a new int64 image.
 
         Painting is vectorized per refinement level: viewing the image as
         ``(nyf/s, s, nxf/s, s)`` blocks, a level-``s`` cell ``(i, j)`` is
@@ -170,12 +191,13 @@ class AmrMesh:
         iff some pixel was painted twice (overlap), and a covered count
         below ``nxf·nyf`` means gaps.  Overlap is reported first.
         """
+        image = np.full((self.nyf, self.nxf), -1, dtype=np.int64) if out is None else out
         counts = np.bincount(self.level)
-        image = np.full((self.nyf, self.nxf), -1, dtype=np.int64)
         painted = 0
         for lvl in np.flatnonzero(counts):
             sel = np.flatnonzero(self.level == lvl)
             s = 1 << (self.max_level - int(lvl))
+            # splitting both axes is a view, strided or not
             blocks = image.reshape(self.nyf // s, s, self.nxf // s, s)
             blocks[self.j[sel], :, self.i[sel], :] = sel[:, None, None]
             painted += int(counts[lvl]) * s * s
@@ -189,24 +211,24 @@ class AmrMesh:
     def rebuild_neighbors(self) -> None:
         """Recompute nlft/nrht/nbot/ntop via the finest-level hash.
 
-        Vectorized: one hash build, copied into an int32 image with a
-        one-pixel ``-1`` border, then one flat gather per direction.  A
-        probe that lands on the border is a domain side, where the cell
-        points to itself.  Under a loop backend the same paint and probes
-        run as one loop over the cells (``mesh_neighbors`` in
-        :mod:`repro.clamr.backends.loops`), straight into the padded
-        image; an overlapping or gapped soup falls through to this form,
-        which raises.
+        Vectorized: :meth:`build_hash` paints the cells straight into the
+        interior of the process's one int32 image with a one-pixel ``-1``
+        border (:func:`_padded_image`), then one flat gather per
+        direction.  A probe that lands on the border is a domain side,
+        where the cell points to itself.  Under a loop backend the same
+        paint and probes run as one loop over the cells
+        (``mesh_neighbors`` in :mod:`repro.clamr.backends.loops`), into
+        the same image; an overlapping or gapped soup falls through to
+        this form, which raises.
         """
-        nbrs = _backends.try_mesh_neighbors(self)
+        width = self.nxf + 2
+        flat = _padded_image((self.nyf + 2) * width)
+        nbrs = _backends.try_mesh_neighbors(self, flat)
         if nbrs is not None:
             self.nlft, self.nrht, self.nbot, self.ntop = nbrs
             return
-        image = self.build_hash()
-        width = self.nxf + 2
-        padded = np.full((self.nyf + 2, width), -1, dtype=_INT)
-        padded[1:-1, 1:-1] = image
-        flat = padded.ravel()
+        flat.fill(-1)
+        self.build_hash(out=flat.reshape(self.nyf + 2, width)[1:-1, 1:-1])
         span = self.cell_span_fine().astype(np.intp)
         # flat index of each cell's lower-left pixel in the padded image
         corner = (self.j * span + 1) * width + self.i * span + 1

@@ -36,6 +36,7 @@ from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.machine.counters import CountedWorkload, WorkloadProfile
 from repro.precision.analysis import line_out
+from repro.precision.breakdown import NonFiniteStepError
 from repro.precision.policy import PrecisionPolicy, level_from_name
 from repro.sums.doubledouble import dd_sum
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -431,6 +432,11 @@ class ClamrSimulation:
                         dt = compute_timestep(
                             self.mesh, self.state, cfg.courant, counters=counters, geom=self._geom
                         )
+                    if not 0.0 < dt < math.inf:
+                        raise NonFiniteStepError.diagnose(
+                            step_no, self.policy.level.value, dt,
+                            {"H": self.state.H, "U": self.state.U, "V": self.state.V},
+                        )
                     if hashing:
                         ladder.record_site(step_no, "clamr/compute_timestep", {"dt": dt})
                     if recording:
@@ -494,6 +500,11 @@ class ClamrSimulation:
                             )
                         ncells_before = self.mesh.ncells
                         with tel.span("clamr/regrid") as sp:
+                            # the old generation's face lists, their scatter
+                            # plans and its derived terms go before the next
+                            # generation's are built
+                            faces = self._faces = None
+                            self._geom.release()
                             self.mesh, self.state = regrid(self.mesh, self.state, flags)
                             faces = self._faces_for(self.mesh)
                             bathy = self._bathy_for(self.mesh)

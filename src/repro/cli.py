@@ -72,6 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.precision.breakdown import NonFiniteStepError
 from repro.workload import CLAMR_POLICIES
 
 __all__ = ["main", "build_parser", "CLIError"]
@@ -1682,6 +1683,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except NonFiniteStepError as exc:
+        # a run that broke down numerically: its one-line diagnosis
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     except (CLIError, ValueError, OSError) as exc:
         # user-facing failures (bad arguments, missing files) get one
         # line on stderr and status 2 — never a traceback

@@ -29,6 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.precision.breakdown import NonFiniteStepError
 from repro.precision.policy import PrecisionLevel, PrecisionPolicy, level_from_name
 from repro.workload import make_simulation, self_precision
 
@@ -41,6 +42,28 @@ _CLAMR_LADDER = (
     PrecisionLevel.MIXED,
     PrecisionLevel.FULL,
 )
+
+
+def _advance(adapter, steps: int, **run_kwargs) -> None:
+    """Run ``steps`` steps of ``adapter.sim``, accumulating its timings.
+
+    Corrupted state may legitimately produce invalid-op warnings on the
+    way to detection, and a state that can no longer give a timestep
+    raises :class:`NonFiniteStepError`.  The supervisor's scans are the
+    report: the steps the run could not take count as taken, on the
+    state that holds the non-finite values, so the loop reaches its scan.
+    """
+    sim = adapter.sim
+    target = sim.step_count + steps
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        try:
+            result = sim.run(steps, **run_kwargs)
+        except NonFiniteStepError:
+            sim.step_count = target
+            return
+    adapter.elapsed_s += result.elapsed_s
+    adapter.kernel_elapsed_s += result.kernel_elapsed_s
+    adapter.last_result = result
 
 
 class ClamrAdapter:
@@ -104,13 +127,7 @@ class ClamrAdapter:
     # -- stepping ----------------------------------------------------------
 
     def advance(self, steps: int = 1) -> None:
-        # corrupted state may legitimately produce invalid-op warnings on
-        # the way to detection; the supervisor's scans are the report
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            result = self.sim.run(steps, record_mass=False)
-        self.elapsed_s += result.elapsed_s
-        self.kernel_elapsed_s += result.kernel_elapsed_s
-        self.last_result = result
+        _advance(self, steps, record_mass=False)
 
     # -- checkpoint / rollback --------------------------------------------
 
@@ -222,11 +239,7 @@ class SelfAdapter:
         return total_mass(self.sim.solver, self.sim.U)
 
     def advance(self, steps: int = 1) -> None:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            result = self.sim.run(steps)
-        self.elapsed_s += result.elapsed_s
-        self.kernel_elapsed_s += result.kernel_elapsed_s
-        self.last_result = result
+        _advance(self, steps)
 
     def snapshot(self):
         sim = self.sim

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.machine.counters import WorkloadProfile
 from repro.precision.analysis import line_out
+from repro.precision.breakdown import NonFiniteStepError
 from repro.self_.equations import RHO, AtmosphereConstants, CompressibleEuler
 from repro.self_.filter import apply_filter_3d, modal_filter_matrix
 from repro.self_.mesh import HexMesh
@@ -230,6 +231,9 @@ class SelfSimulation:
         # history the way CLAMR does)
         self._flight_mass0: float | None = None
 
+    def _precision_name(self) -> str:
+        return "single" if self.dtype == np.float32 else "double"
+
     def _hash_fields(self) -> dict:
         """Named conserved-variable views for the state-hash ladder."""
         U = self.U
@@ -351,6 +355,10 @@ class SelfSimulation:
                     hashing = ladder is not None and ladder.should_hash(step_no)
                     with tel.span("self/stable_dt") as sp:
                         dt = self.solver.stable_dt(self.U, cfg.courant)
+                    if not 0.0 < dt < math.inf:
+                        raise NonFiniteStepError.diagnose(
+                            step_no, self._precision_name(), dt, self._hash_fields()
+                        )
                     if hashing:
                         ladder.record_site(step_no, "self/stable_dt", {"dt": dt})
                     if recording:
@@ -408,7 +416,7 @@ class SelfSimulation:
             dense_compute=True,
         )
         return SelfResult(
-            precision="single" if self.dtype == np.float32 else "double",
+            precision=self._precision_name(),
             anomaly_field=field.astype(np.float32),
             anomaly_slice=line_out(field[:, :, cz_index].astype(np.float32), axis=0),
             slice_precise=slice_precise,

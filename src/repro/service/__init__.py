@@ -23,18 +23,18 @@ PR 4 proved numerical resilience — by injecting the faults:
   validated against their own digests and fingerprints on every read
   (tamper ⇒ recompute, never serve);
 * :mod:`repro.service.worker` — the claim/serve/compute/record loop
-  behind ``repro serve`` and ``repro queue drain``;
-* :mod:`repro.service.chaos` — the fault-injection harness that kills
-  workers mid-job, tears queue files, and corrupts cache entries, then
-  asserts every job completes exactly once with records bit-identical
-  to a serial baseline.
+  behind ``repro serve`` and ``repro queue drain``.
+
+The fault-injection harness that kills workers mid-job, tears queue
+files and corrupts cache entries, then asserts every job completes
+exactly once with records bit-identical to a serial baseline, lives with
+the tests (``tests/service_chaos.py``).
 
 See ``docs/service.md`` for the lifecycle diagram and the exactly-once
 fine print.
 """
 
 from repro.service.cache import ResultCache
-from repro.service.chaos import ChaosOptions, ChaosReport, run_chaos
 from repro.service.jobs import JobSpec, execute_job
 from repro.service.lease import Heartbeat, Lease
 from repro.service.queue import Job, JobLost, JobQueue, JOB_STATES
@@ -42,8 +42,6 @@ from repro.service.retry import RetryPolicy, walk_ladder
 from repro.service.worker import WorkerOptions, WorkerReport, run_worker
 
 __all__ = [
-    "ChaosOptions",
-    "ChaosReport",
     "Heartbeat",
     "Job",
     "JobLost",
@@ -56,7 +54,6 @@ __all__ = [
     "WorkerOptions",
     "WorkerReport",
     "execute_job",
-    "run_chaos",
     "run_worker",
     "walk_ladder",
 ]

@@ -279,13 +279,21 @@ def test_generation_hop_reads_no_stale_terms(bottom, level):
         hop = GeometryCache()
         got = [segment(hop, *a), segment(hop, *b), segment(hop, *a)]
         # a face-list object of the same topology is a new owner: rebuilt
-        got.append(segment(hop, a[0], a[1], FaceLists.from_mesh(a[0]), a[3]))
+        a_faces = FaceLists.from_mesh(a[0])
+        got.append(segment(hop, a[0], a[1], a_faces, a[3]))
         want = [segment(GeometryCache(), *a), segment(GeometryCache(), *b)]
     for g, w in zip(got, (want[0], want[1], want[0], want[0])):
         assert_bytes_equal(g, w)
-    # the derived terms are held for the stepped generation only
-    def derived(mesh):
-        return {key[0] for key in hop._entries[mesh.generation]["derived"]}
-
-    assert {"slopes", "muscl_faces", "walls"} <= derived(a[0])
-    assert derived(b[0]) == set()
+    # the derived terms are held for the stepped generation only: the
+    # last segment's terms are hits, and b's went when a was stepped again
+    cdtype = a[1].compute_dtype
+    size = hop.geometry(a[0], cdtype)[0]
+    keys = ((("slopes", size.dtype, 3), size), (("muscl_faces", cdtype), a_faces),
+            (("walls", cdtype), a_faces))
+    built = []
+    for key, owner in keys:
+        hop.derived(a[0], key, owner, lambda: built.append(key))
+    assert built == []
+    for key, owner in keys:
+        hop.derived(b[0], key, owner if owner is not a_faces else b[2], lambda: built.append(key))
+    assert built == [key for key, _ in keys]

@@ -9,6 +9,8 @@ bit, plus unit-level checks of the plan structure and the geometry
 cache.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -212,56 +214,98 @@ class TestGeometryCache:
         w2 = geom.workspace3(mesh, np.dtype(np.float64), slot="t")
         assert all(np.all(arr == 0.0) for arr in w2)  # re-zeroed each call
         buf = geom.buffer(mesh, np.dtype(np.float64), "scratch", (2, 5))
-        assert buf.shape == (2, 5)
+        assert buf.shape == (2, 5) and buf.flags.c_contiguous
         buf2 = geom.buffer(mesh, np.dtype(np.float64), "scratch", (2, 5))
-        assert buf2 is buf  # reused, contents undefined by contract
+        assert np.shares_memory(buf2, buf)  # reused, contents undefined by contract
         buf3 = geom.buffer(mesh, np.dtype(np.float64), "scratch", (3, 5))
-        assert buf3.shape == (3, 5)  # shape change rebuilds
+        assert buf3.shape == (3, 5) and buf3.flags.c_contiguous
+        assert not np.shares_memory(buf3, buf)  # buf is still alive
 
-    def test_scratch_kept_for_one_generation(self):
-        # scratch belongs to the generation that last asked for it; the
-        # other generations keep their cast geometry and lose the scratch
+    def test_geometry_and_terms_held_for_one_generation(self):
+        # cast geometry and derived terms belong to the generation last
+        # asked for; asking for another drops them, asking again rebuilds
         geom = GeometryCache()
         f64 = np.dtype(np.float64)
         old, new = AmrMesh.uniform(4, 4), AmrMesh.uniform(4, 4, max_level=1, level=1)
-        geom.workspace3(old, f64, slot="t")
-        geom.buffer(old, f64, "scratch", (2, 5))
         size_old, _ = geom.geometry(old, f64)
-        geom.workspace3(new, f64, slot="t")
-        assert geom._entries[old.generation]["work"] == {}
-        assert set(geom._entries[new.generation]["work"]) == {(f64, "t")}
-        assert geom.geometry(old, f64)[0] is size_old
-        # back on the old mesh (a rollback): fresh zeroed scratch there,
-        # none left on the newer one
-        assert all(np.all(w == 0.0) for w in geom.workspace3(old, f64, slot="t"))
-        assert geom._entries[new.generation]["work"] == {}
+        builds = []
+        owner = object()
+
+        def term(mesh):
+            return geom.derived(mesh, ("t",), owner, lambda: builds.append(mesh.generation) or mesh.ncells)
+
+        assert term(old) == 16 and term(old) == 16 and builds == [old.generation]
+        assert term(new) == 64 and builds == [old.generation, new.generation]
+        size_again, _ = geom.geometry(old, f64)
+        assert size_again is not size_old and size_again.tobytes() == size_old.tobytes()
+        assert term(old) == 16 and builds[-1] == old.generation and len(builds) == 3
+        # a release drops them too; the scratch arenas stay
+        buf = geom.buffer(old, f64, "scratch", (2, 5))
+        base = buf.base
+        del buf
+        geom.release()
+        assert geom.geometry(old, f64)[0] is not size_again
+        assert term(old) == 16 and len(builds) == 4
+        assert geom.buffer(old, f64, "scratch", (2, 5)).base is base
+
+    def test_scratch_outlives_a_generation(self):
+        # one arena per (dtype, name) across generations: exact size on
+        # first use, an eighth of headroom on growth, never shrunk; a
+        # workspace handed to a rollback's older mesh is zeroed
+        geom = GeometryCache()
+        f64 = np.dtype(np.float64)
+        old, new = AmrMesh.uniform(4, 4), AmrMesh.uniform(4, 4, max_level=1, level=1)
+        # weak references: a strong one would be a live view of the arena
+        w = geom.workspace3(old, f64, slot="t")
+        assert w.base.size == 3 * 16
+        arena = weakref.ref(w.base)
+        del w
+        w = geom.workspace3(new, f64, slot="t")
+        assert w.base is not arena() and w.base.size == 3 * 64 + (3 * 64) // 8
+        grown = weakref.ref(w.base)
+        w.fill(7.0)
+        del w
+        back = geom.workspace3(old, f64, slot="t")
+        assert back.base is grown() and back.shape == (3, 16)
+        assert np.all(back == 0.0)
 
     @pytest.mark.parametrize("scheme", ["rusanov", "muscl"])
     @pytest.mark.parametrize("backend", ["numpy", "cext"])
     def test_stepping_an_older_mesh_again_same_bits(self, scheme, backend):
         # the rollback path: step a regridded mesh, then step the mesh it
-        # replaced again on the same cache; the bits must equal a run on
-        # a cache that never saw the newer mesh
+        # replaced again on the same cache, larger -> smaller -> larger, so
+        # the smaller mesh steps in prefixes of the larger one's arenas and
+        # the larger one comes back to arenas the smaller one wrote; every
+        # segment's bits must equal a run on a cache that saw nothing else
         from repro.clamr.backends import kernel_backend
 
         with kernel_backend(backend):
             sim = ClamrSimulation(DamBreakConfig(nx=12, ny=12, max_level=2), policy="mixed",
                                   scheme=scheme)
             sim.run(3)
-            old_mesh, old_state = sim.mesh, sim.state.copy()
-            old_faces = FaceLists.from_mesh(old_mesh)
-            sim.run(2)  # regrids at step 4: a new generation
-            assert sim.mesh.generation != old_mesh.generation
+            first = (sim.mesh, sim.state.copy())
+            for _ in range(5):  # a regrid every 4 steps, until the cell count moves
+                sim.run(4)
+                if sim.mesh.ncells != first[0].ncells:
+                    break
+            second = (sim.mesh, sim.state.copy())
+            assert second[0].ncells != first[0].ncells
+            small, large = sorted((first, second), key=lambda ms: ms[0].ncells)
             kernel = finite_diff_muscl if scheme == "muscl" else finite_diff_vectorized
-            results = []
-            for geom in (sim._geom, GeometryCache()):
-                state = old_state.copy()
+
+            def segment(geom, mesh, state):
+                faces = FaceLists.from_mesh(mesh)
+                state = state.copy()
                 for _ in range(3):
-                    dt = compute_timestep(old_mesh, state, 0.25, geom=geom)
-                    kernel(old_mesh, state, dt, faces=old_faces, geom=geom)
-                results.append(state)
-        for name in ("H", "U", "V"):
-            assert getattr(results[0], name).tobytes() == getattr(results[1], name).tobytes()
+                    dt = compute_timestep(mesh, state, 0.25, geom=geom)
+                    kernel(mesh, state, dt, faces=faces, geom=geom)
+                return state
+
+            got = [segment(sim._geom, *ms) for ms in (large, small, large)]
+            want = [segment(GeometryCache(), *ms) for ms in (large, small, large)]
+        for g, w in zip(got, want):
+            for name in ("H", "U", "V"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
 
     def test_dtype_casts_distinct(self):
         geom = GeometryCache()

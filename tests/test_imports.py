@@ -54,7 +54,7 @@ def test_clamr_loads_no_scipy_package():
     # the whole public API: every name loads its module on first access
     heavy = ("scipy.sparse", "numpy.f2py", "numpy.testing", "repro.harness.experiments")
     modules = tuple(f"repro.clamr.{m}" for m in (
-        "amr", "checkpoint", "graphics", "kernels", "mesh", "muscl", "simulation",
+        "amr", "checkpoint", "kernels", "mesh", "muscl", "simulation",
         "state", "stoker"))
     got = loaded_after("from repro.clamr import *", heavy + modules)
     assert got == list(modules)

@@ -8,7 +8,7 @@ workload, twice) but it is the test that makes every robustness claim in
 docs/service.md falsifiable.
 """
 
-from repro.service import ChaosOptions, run_chaos
+from tests.service_chaos import ChaosOptions, run_chaos
 
 
 def test_chaos_pass_survives_every_fault(tmp_path):
