@@ -111,10 +111,13 @@ class ShallowWaterState:
         """Demote compute-dtype results back into the state arrays in place."""
         if H.shape != self.H.shape:
             raise ValueError(f"shape mismatch storing state: {H.shape} vs {self.H.shape}")
-        # astype via assignment keeps the existing buffers (no realloc)
-        self.H[...] = H
-        self.U[...] = U
-        self.V[...] = V
+        # astype via assignment keeps the existing buffers (no realloc); a
+        # value too large for the state dtype is stored as inf without a
+        # warning: the run's NonFiniteStepError diagnosis reports it
+        with np.errstate(over="ignore"):
+            self.H[...] = H
+            self.U[...] = U
+            self.V[...] = V
 
     def copy(self) -> "ShallowWaterState":
         return ShallowWaterState(H=self.H.copy(), U=self.U.copy(), V=self.V.copy(), policy=self.policy)

@@ -59,6 +59,14 @@ Subcommands
 Errors from bad arguments or missing files exit with status 2 and a
 one-line ``repro: error: ...`` message — never a traceback.
 
+Every run flag (``--nx``, ``--steps``, ``--policy``, ...) is a field of
+:class:`repro.service.JobSpec`, declared once by ``_add_job_arguments``
+with each command's own defaults; ``clamr``, ``self``, ``trace``,
+``ledger record`` and ``submit`` parse theirs into a JobSpec, so its
+validation and its one-line messages hold at every door, and the first
+three build their run with :meth:`JobSpec.simulation`, as
+``repro.ledger.run_workload`` does.
+
 The CLI is a thin veneer over the public API — every command body is a
 few calls a user could type in a REPL — so it doubles as executable
 documentation.
@@ -70,10 +78,7 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from repro.precision.breakdown import NonFiniteStepError
-from repro.workload import CLAMR_POLICIES
 
 __all__ = ["main", "build_parser", "CLIError"]
 
@@ -93,29 +98,52 @@ def _require_file(path, what: str):
 
 
 def _add_job_arguments(
-    parser: argparse.ArgumentParser, stride_flag: str, label: bool = False
+    parser: argparse.ArgumentParser, names: Sequence[str], stride_flag: str = "--stride",
+    **defaults,
 ) -> None:
-    """:class:`~repro.service.JobSpec`'s fields as one argument group.
+    """The :class:`~repro.service.JobSpec` fields ``names`` as one argument group.
 
-    ``ledger record`` and ``submit`` both describe a traced workload run,
-    so both take its flags here, with JobSpec's defaults, choices and
-    help; :func:`_job_spec_from_args` turns the parsed group back into a
-    JobSpec.  Only the watch-stride spelling differs (``stride_flag``),
-    and only ``submit`` takes a ``--label``.
+    The only place a run flag is declared: every command that runs a
+    mini-app takes its run flags here, so their type, choices and help
+    are JobSpec's.  ``defaults`` is the command's own table of defaults
+    where they differ from JobSpec's, for fields in ``names`` only.
+    ``workload`` is a positional, or a ``--workload`` flag when the
+    table gives it a default.  Only the watch-stride spelling differs
+    between commands (``stride_flag``).
+    :func:`_job_spec_from_args` turns the parsed group back into a JobSpec.
     """
-    from dataclasses import fields
+    from dataclasses import MISSING, fields
 
     from repro.service.jobs import JobSpec
 
-    group = parser.add_argument_group("run", "the traced run (a JobSpec)")
+    unknown = set(defaults) - set(names)
+    if unknown:
+        raise ValueError(f"defaults for fields not taken: {sorted(unknown)}")
+    group = parser.add_argument_group("run", "the run (a JobSpec)")
     for f in fields(JobSpec):
+        if f.name not in names:
+            continue
+        default = defaults.get(f.name, f.default)
         meta = f.metadata
-        if f.name == "workload":
-            group.add_argument("workload", choices=meta["choices"], help=meta["help"])
-        elif f.name != "label" or label:
-            flag = stride_flag if f.name == "watch_stride" else f"--{f.name.replace('_', '-')}"
-            group.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
-                               choices=meta["choices"] or None, help=meta["help"])
+        if default is MISSING:
+            group.add_argument(f.name, choices=meta["choices"], help=meta["help"])
+            continue
+        flag = stride_flag if f.name == "watch_stride" else f"--{f.name.replace('_', '-')}"
+        group.add_argument(flag, dest=f.name, type=type(default), default=default,
+                           choices=meta["choices"] or None, help=meta["help"])
+
+
+def _add_run_outputs(parser: argparse.ArgumentParser) -> None:
+    """``--flight``, ``--flight-stride`` and ``--backend`` of ``clamr``/``self``/``trace``."""
+    parser.add_argument("--flight", default=None, metavar="FILE",
+                        help="record the numerics flight timeline and write it here "
+                             "(.jsonl; see 'repro flight report')")
+    parser.add_argument("--flight-stride", type=int, default=4, metavar="N",
+                        help="flight sampling stride in steps (default 4)")
+    parser.add_argument("--backend", default=None, metavar="NAME",
+                        help="kernel backend: numpy|python|cext "
+                             "(default: $REPRO_KERNEL_BACKEND, else numpy; "
+                             "see 'repro backends')")
 
 
 def _job_spec_from_args(args: argparse.Namespace):
@@ -129,50 +157,35 @@ def _job_spec_from_args(args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from dataclasses import fields
+
+    from repro.service.jobs import JobSpec
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Thoughtful Precision in Mini-apps' (CLUSTER 2017)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every_field = tuple(f.name for f in fields(JobSpec))
+    clamr_run = ("steps", "nx", "max_level", "policy", "scheme")
+    self_run = ("steps", "elems", "order", "precision")
 
+    # repro clamr|self --ledger records have always hashed watch stride 8
     clamr = sub.add_parser("clamr", help="run the CLAMR dam break")
-    clamr.add_argument("--nx", type=int, default=32)
-    clamr.add_argument("--steps", type=int, default=200)
-    clamr.add_argument("--max-level", type=int, default=2)
-    clamr.add_argument("--policy", default="full", choices=CLAMR_POLICIES)
-    clamr.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    clamr.add_argument("--scalar", action="store_true",
-                       help="use the unvectorized kernel (the python backend's per-face loop)")
+    _add_job_arguments(clamr, clamr_run, nx=32, steps=200, max_level=2, policy="full")
+    clamr.set_defaults(workload="clamr", watch_stride=8)
     clamr.add_argument("--checkpoint", default=None, help="write a checkpoint here")
     clamr.add_argument("--ledger", default=None, metavar="PATH",
                        help="trace the run and append a run record to this ledger")
-    clamr.add_argument("--flight", default=None, metavar="FILE",
-                       help="record the numerics flight timeline and write it here "
-                            "(.jsonl; see 'repro flight report')")
-    clamr.add_argument("--flight-stride", type=int, default=4, metavar="N",
-                       help="flight sampling stride in steps (default 4)")
-    clamr.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext "
-                            "(default: $REPRO_KERNEL_BACKEND, else numpy; "
-                            "see 'repro backends')")
+    _add_run_outputs(clamr)
 
     selfp = sub.add_parser("self", help="run the SELF thermal bubble")
-    selfp.add_argument("--elems", type=int, default=4)
-    selfp.add_argument("--order", type=int, default=4)
-    selfp.add_argument("--steps", type=int, default=100)
-    selfp.add_argument("--precision", default="double", choices=("single", "double"))
+    _add_job_arguments(selfp, self_run, elems=4, order=4, steps=100)
+    selfp.set_defaults(workload="self", watch_stride=8)
     selfp.add_argument("--viscosity", type=float, default=0.0)
     selfp.add_argument("--ledger", default=None, metavar="PATH",
                        help="trace the run and append a run record to this ledger")
-    selfp.add_argument("--flight", default=None, metavar="FILE",
-                       help="record the numerics flight timeline and write it here "
-                            "(.jsonl; see 'repro flight report')")
-    selfp.add_argument("--flight-stride", type=int, default=4, metavar="N",
-                       help="flight sampling stride in steps (default 4)")
-    selfp.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext "
-                            "(default: $REPRO_KERNEL_BACKEND, else numpy; "
-                            "see 'repro backends')")
+    _add_run_outputs(selfp)
 
     sub.add_parser("devices", help="list the simulated architectures")
 
@@ -222,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(figures 1/2 take clamr/*, figures 4/5 take self/*)")
 
     compare = sub.add_parser("compare", help="fidelity comparison of two precision levels")
-    compare.add_argument("--nx", type=int, default=48)
-    compare.add_argument("--steps", type=int, default=300)
+    _add_job_arguments(compare, ("steps", "nx"), nx=48, steps=300)
     compare.add_argument("--levels", default="min,full", help="comma-separated pair")
 
     validate = sub.add_parser("validate", help="check every paper claim against a fresh run")
@@ -233,16 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(paper claims only)")
 
     trace = sub.add_parser("trace", help="run a workload with telemetry and report the trace")
-    trace.add_argument("workload", choices=("clamr", "self"))
-    trace.add_argument("--nx", type=int, default=64, help="CLAMR coarse grid per side")
-    trace.add_argument("--steps", type=int, default=100)
-    trace.add_argument("--max-level", type=int, default=2)
-    trace.add_argument("--policy", default="full", choices=CLAMR_POLICIES)
-    trace.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    trace.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    trace.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    trace.add_argument("--precision", default="double", choices=("single", "double"))
-    trace.add_argument("--stride", type=int, default=4, help="numerics watchpoint stride (steps)")
+    _add_job_arguments(trace, ("workload", "watch_stride", *clamr_run, *self_run),
+                       nx=64, steps=100, max_level=2, policy="full")
     trace.add_argument("--out", default=None, metavar="FILE",
                        help="write a Chrome-trace JSON (load in ui.perfetto.dev)")
     trace.add_argument("--jsonl", default=None, metavar="FILE",
@@ -253,14 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--strict-headroom-bits", type=float, default=2.0, metavar="N",
                        help="with --strict, overflow_risk events with less than N bits "
                             "of dynamic-range headroom left are fatal (default 2)")
-    trace.add_argument("--flight", default=None, metavar="FILE",
-                       help="record the numerics flight timeline and write it here "
-                            "(.jsonl; see 'repro flight report')")
-    trace.add_argument("--flight-stride", type=int, default=4, metavar="N",
-                       help="flight sampling stride in steps (default 4)")
-    trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext "
-                            "(default: $REPRO_KERNEL_BACKEND, else numpy)")
+    _add_run_outputs(trace)
 
     flight = sub.add_parser(
         "flight", help="flight-recorder timelines: report, digest, compare, export"
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = ledger.add_subparsers(dest="ledger_command", required=True)
 
     lrec = lsub.add_parser("record", help="run a workload and append a run record")
-    _add_job_arguments(lrec, stride_flag="--stride")
+    _add_job_arguments(lrec, tuple(n for n in every_field if n != "label"))
     lrec.add_argument("--ledger", required=True, metavar="PATH",
                       help="ledger file (.jsonl) or directory")
     lrec.add_argument("--runs", type=int, default=1, help="record this many repeat runs")
@@ -353,16 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = resil.add_subparsers(dest="resilience_command", required=True)
 
     def _resil_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("workload", choices=("clamr", "self"))
-        p.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-        p.add_argument("--steps", type=int, default=24)
-        p.add_argument("--max-level", type=int, default=1)
-        p.add_argument("--policy", default="min", choices=CLAMR_POLICIES,
-                       help="starting precision level (clamr; half/min/mixed map to "
-                            "single for self)")
-        p.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-        p.add_argument("--elems", type=int, default=2, help="SELF elements per side")
-        p.add_argument("--order", type=int, default=3, help="SELF polynomial order")
+        _add_job_arguments(p, ("workload", *clamr_run, "elems", "order"),
+                           nx=16, steps=24, policy="min", elems=2)
         p.add_argument("--fault", action="append", default=[], metavar="SPEC",
                        help="planned fault kind:array:step[:index[:bit]]; a trailing '!' "
                             "on the kind makes it sticky (re-fires after rollback); "
@@ -406,22 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     rcamp = rsub.add_parser(
         "campaign", help="sweep fault sites × precision levels; vulnerability report"
     )
-    rcamp.add_argument("workload", choices=("clamr", "self"))
+    _add_job_arguments(rcamp, ("workload", "steps", "nx", "max_level", "scheme",
+                               "elems", "order"), nx=16, steps=24, elems=2)
     rcamp.add_argument("--arrays", default=None, metavar="A,B,...",
                        help="state arrays to target (default: all of the workload's)")
     rcamp.add_argument("--kinds", default="bitflip,nan,inf,overflow", metavar="K,...")
     rcamp.add_argument("--levels", default="min,mixed,full", metavar="L,...",
                        help="precision levels to sweep")
     rcamp.add_argument("--trials", type=int, default=1, help="cells per sweep point")
-    rcamp.add_argument("--steps", type=int, default=24)
     rcamp.add_argument("--fault-step", type=int, default=0,
                        help="step each fault lands on (default: mid-run)")
     rcamp.add_argument("--seed", type=int, default=0)
-    rcamp.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-    rcamp.add_argument("--max-level", type=int, default=1)
-    rcamp.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    rcamp.add_argument("--elems", type=int, default=2, help="SELF elements per side")
-    rcamp.add_argument("--order", type=int, default=3, help="SELF polynomial order")
     rcamp.add_argument("--scenario", default="", metavar="NAME",
                        help="sweep faults over a registered scenario instead of "
                             "the workload's seed case")
@@ -446,21 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     drec.add_argument("out", metavar="DIR",
                       help="run directory to create (hashes.jsonl, run.json, "
                            "checkpoints)")
-    drec.add_argument("--workload", default="clamr", choices=("clamr", "self"))
-    drec.add_argument("--steps", type=int, default=24)
-    drec.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-    drec.add_argument("--max-level", type=int, default=1)
-    drec.add_argument("--policy", default="mixed", choices=CLAMR_POLICIES,
-                      help="clamr precision level (half/min/mixed map to single "
-                           "for self)")
-    drec.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
+    _add_job_arguments(drec, ("workload", *clamr_run, *self_run),
+                       workload="clamr", nx=16, steps=24)
     drec.add_argument("--scalar", action="store_true",
                       help="use the unvectorized clamr kernel")
     drec.add_argument("--scatter", default="plan", choices=("plan", "add_at"),
                       help="clamr scatter implementation (plan = CSR)")
-    drec.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    drec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    drec.add_argument("--precision", default="double", choices=("single", "double"))
     drec.add_argument("--seed", type=int, default=0,
                       help="fault-plan seed (resolves random element/bit choices)")
     drec.add_argument("--hash-stride", type=int, default=1, metavar="N",
@@ -505,16 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="ULP divergence-onset curve for a precision pair (tolerance mode)",
     )
-    dons.add_argument("--workload", default="clamr", choices=("clamr", "self"))
+    _add_job_arguments(dons, ("workload", "steps", "nx", "max_level", "scheme",
+                              "elems", "order"), workload="clamr", nx=16, steps=24)
     dons.add_argument("--pair", default=None, metavar="A,B",
                       help="precision pair (default: min,full for clamr; "
                            "single,double for self)")
-    dons.add_argument("--steps", type=int, default=24)
-    dons.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-    dons.add_argument("--max-level", type=int, default=1)
-    dons.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    dons.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    dons.add_argument("--order", type=int, default=3, help="SELF polynomial order")
     dons.add_argument("--json", default=None, metavar="FILE",
                       help="also write the onset report as JSON")
 
@@ -558,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="enqueue a sweep job for the service (see docs/service.md)"
     )
-    _add_job_arguments(submit, stride_flag="--watch-stride", label=True)
+    _add_job_arguments(submit, every_field, stride_flag="--watch-stride")
     submit.add_argument("--queue", required=True, metavar="DIR",
                         help="queue root directory (created if missing)")
     submit.add_argument("--repeat", type=int, default=1, metavar="N",
@@ -657,25 +627,37 @@ def _write_flight_file(args: argparse.Namespace, tel, indent: str = "  ") -> Non
           f"stride {flight.stride})")
 
 
-def _cmd_clamr(args: argparse.Namespace) -> int:
-    from repro.clamr import write_checkpoint
-    from repro.workload import make_config, make_simulation, run_label
+def _run_job(args: argparse.Namespace, traced: bool, **fields):
+    """Run the command's :class:`~repro.service.JobSpec`: ``(spec, sim, result, tel)``.
 
+    Built by :meth:`JobSpec.simulation <repro.service.JobSpec.simulation>`,
+    as ``repro ledger record`` builds its runs; ``tel`` is the JobSpec's
+    telemetry when ``traced`` (or ``--flight`` asks for a recorder), else
+    ``None``.  ``fields`` are config fields a JobSpec does not carry.
+    """
+    spec = _job_spec_from_args(args)
     _apply_backend(args)
-    tel = None
-    if args.ledger or args.flight:
-        from repro.telemetry import TelemetrySpec
+    flight_stride = _flight_stride(args)
+    tel = spec.telemetry(flight_stride) if traced or flight_stride else None
+    sim = spec.simulation(tel, **fields)
+    return spec, sim, sim.run(spec.steps), tel
 
-        label = run_label("clamr", steps=args.steps, policy=args.policy, nx=args.nx,
-                          scheme=args.scheme)
-        tel = TelemetrySpec(label=label, flight_stride=_flight_stride(args)).build()
-    cfg = make_config("clamr", nx=args.nx, max_level=args.max_level)
-    sim = make_simulation("clamr", cfg, policy=args.policy, vectorized=not args.scalar,
-                          scheme=args.scheme, telemetry=tel)
-    res = sim.run(args.steps)
-    print(f"CLAMR dam break: {args.nx}^2 coarse, {args.max_level} AMR levels, {args.steps} steps")
+
+def _append_record(args: argparse.Namespace, spec, sim, res, tel) -> None:
+    """Append the run's record to the ``--ledger`` path, if one was given."""
+    if not args.ledger:
+        return
+    from repro.ledger import Ledger, record_job
+
+    record = Ledger(args.ledger).append(record_job(spec, sim, res, tel))
+    print(f"  ledger       : {args.ledger} += {record.fingerprint}")
+
+
+def _cmd_clamr(args: argparse.Namespace) -> int:
+    spec, sim, res, tel = _run_job(args, traced=bool(args.ledger))
+    print(f"CLAMR dam break: {spec.nx}^2 coarse, {spec.max_level} AMR levels, {spec.steps} steps")
     print(f"  policy       : {res.policy.describe()}")
-    print(f"  scheme       : {args.scheme} ({'scalar' if args.scalar else 'vectorized'})")
+    print(f"  scheme       : {spec.scheme}")
     print(f"  cells        : {sim.mesh.ncells}")
     print(f"  sim time     : {res.final_time:.5f}")
     print(f"  wall time    : {res.elapsed_s:.2f}s (kernel {res.kernel_elapsed_s:.2f}s)")
@@ -684,33 +666,20 @@ def _cmd_clamr(args: argparse.Namespace) -> int:
     print(f"  work         : {res.profile.flops / 1e9:.2f} Gflop, "
           f"{(res.profile.state_bytes + res.profile.fixed_bytes) / 1e9:.2f} GB traffic")
     if args.checkpoint:
+        from repro.clamr import write_checkpoint
+
         nbytes = write_checkpoint(args.checkpoint, sim.mesh, sim.state)
         print(f"  checkpoint   : {args.checkpoint} ({nbytes / 1e6:.2f} MB)")
     _write_flight_file(args, tel)
-    if tel is not None and args.ledger:
-        from repro.ledger import Ledger, record_from_clamr
-
-        record = Ledger(args.ledger).append(record_from_clamr(res, tel, cfg, label=tel.label))
-        print(f"  ledger       : {args.ledger} += {record.fingerprint}")
+    _append_record(args, spec, sim, res, tel)
     return 0
 
 
 def _cmd_self(args: argparse.Namespace) -> int:
-    from repro.workload import make_config, make_simulation, run_label
-
-    _apply_backend(args)
-    tel = None
-    if args.ledger or args.flight:
-        from repro.telemetry import TelemetrySpec
-
-        label = run_label("self", steps=args.steps, policy=args.precision,
-                          elems=args.elems, order=args.order)
-        tel = TelemetrySpec(label=label, flight_stride=_flight_stride(args)).build()
-    cfg = make_config("self", elems=args.elems, order=args.order, viscosity=args.viscosity)
-    sim = make_simulation("self", cfg, policy=args.precision, telemetry=tel)
-    res = sim.run(args.steps)
+    spec, sim, res, tel = _run_job(args, traced=bool(args.ledger), viscosity=args.viscosity)
+    cfg = sim.config
     dof = cfg.nex * cfg.ney * cfg.nez * (cfg.order + 1) ** 3 * 5
-    print(f"SELF thermal bubble: {args.elems}^3 elements, order {args.order} ({dof} DOF)")
+    print(f"SELF thermal bubble: {spec.elems}^3 elements, order {spec.order} ({dof} DOF)")
     print(f"  precision    : {res.precision}" + (f", viscosity {args.viscosity}" if args.viscosity else ""))
     print(f"  sim time     : {res.final_time:.3f}s over {res.steps} RK3 steps")
     print(f"  wall time    : {res.elapsed_s:.2f}s")
@@ -718,11 +687,7 @@ def _cmd_self(args: argparse.Namespace) -> int:
     print(f"  w_max        : {res.max_vertical_velocity:.4f} m/s")
     print(f"  anomaly scale: {res.anomaly_scale:.3e}")
     _write_flight_file(args, tel)
-    if tel is not None and args.ledger:
-        from repro.ledger import Ledger, record_from_self
-
-        record = Ledger(args.ledger).append(record_from_self(res, tel, cfg, label=tel.label))
-        print(f"  ledger       : {args.ledger} += {record.fingerprint}")
+    _append_record(args, spec, sim, res, tel)
     return 0
 
 
@@ -902,10 +867,8 @@ def _strict_failures(tel, headroom_bits: float):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    _apply_backend(args)
     from repro.telemetry import (
         TelemetryBundle,
-        TelemetrySpec,
         event_report,
         span_summary,
         span_tree,
@@ -913,30 +876,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    from repro.workload import make_config, make_simulation, run_label
-
-    level = args.policy if args.workload == "clamr" else args.precision
-    label = run_label(
-        args.workload, steps=args.steps, policy=level, nx=args.nx, elems=args.elems,
-        order=args.order, scheme=args.scheme,
-    )
-    tel = TelemetrySpec(
-        label=label, watch_stride=args.stride, flight_stride=_flight_stride(args)
-    ).build()
-    cfg = make_config(
-        args.workload, nx=args.nx, max_level=args.max_level, elems=args.elems,
-        order=args.order,
-    )
-    sim = make_simulation(args.workload, cfg, policy=level, scheme=args.scheme, telemetry=tel)
-    res = sim.run(args.steps)
-    if args.workload == "clamr":
-        print(f"CLAMR dam break: {args.nx}^2 coarse, {args.max_level} AMR levels, "
-              f"{args.steps} steps, policy {args.policy}")
+    spec, _sim, res, tel = _run_job(args, traced=True)
+    if spec.workload == "clamr":
+        print(f"CLAMR dam break: {spec.nx}^2 coarse, {spec.max_level} AMR levels, "
+              f"{spec.steps} steps, policy {spec.policy}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s), "
               f"mass drift {res.mass_drift:.3e}")
     else:
-        print(f"SELF thermal bubble: {args.elems}^3 elements, order {args.order}, "
-              f"{args.steps} steps, precision {args.precision}")
+        print(f"SELF thermal bubble: {spec.elems}^3 elements, order {spec.order}, "
+              f"{spec.steps} steps, precision {spec.precision}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s)")
 
     bundle = TelemetryBundle.of(tel)

@@ -50,7 +50,7 @@ from repro.ledger.record import (
     workload_key_of,
 )
 from repro.ledger.report import compare_table, ledger_summary, sparkline, trend_table
-from repro.ledger.runner import run_workload
+from repro.ledger.runner import record_job, run_workload
 from repro.ledger.stats import NoiseModel, mad, median, noise_model, regression_threshold
 from repro.ledger.store import Ledger
 
@@ -64,6 +64,7 @@ __all__ = [
     "machine_spec",
     "record_from_clamr",
     "record_from_self",
+    "record_job",
     "run_workload",
     "NoiseModel",
     "median",

@@ -4,14 +4,16 @@ The single entry point every traced workload run uses — the ``repro
 ledger record`` CLI and the sweep service's ``execute_job`` — so a
 record means the same thing no matter which door the run came through:
 the run is a :class:`repro.service.JobSpec`, its instrumentation a
-:class:`repro.telemetry.TelemetrySpec`.
+:class:`repro.telemetry.TelemetrySpec`.  ``repro clamr|self --ledger``
+build and run the same JobSpec themselves and reduce it with
+:func:`record_job`.
 """
 
 from __future__ import annotations
 
 from repro.ledger.record import record_from_clamr, record_from_self
 
-__all__ = ["run_workload"]
+__all__ = ["record_job", "run_workload"]
 
 
 def run_workload(spec, flight_stride: int = 0):
@@ -22,15 +24,12 @@ def run_workload(spec, flight_stride: int = 0):
     flight recorder (sampling every that many steps), which folds its
     digest into the record's fidelity.
     """
-    from repro.telemetry import TelemetrySpec
-    from repro.workload import make_simulation
+    tel = spec.telemetry(flight_stride)
+    sim = spec.simulation(tel)
+    return record_job(spec, sim, sim.run(spec.steps), tel), tel
 
-    cfg = spec.config()
-    tel = TelemetrySpec(
-        label=spec.describe(), watch_stride=spec.watch_stride, flight_stride=flight_stride
-    ).build()
-    result = make_simulation(
-        spec.workload, cfg, policy=spec.policy_name, scheme=spec.scheme, telemetry=tel
-    ).run(spec.steps)
+
+def record_job(spec, sim, result, tel):
+    """The :class:`RunRecord` of ``spec`` run as ``sim`` to ``result`` under ``tel``."""
     to_record = record_from_clamr if spec.workload == "clamr" else record_from_self
-    return to_record(result, tel, cfg, seed=spec.seed, label=tel.label), tel
+    return to_record(result, tel, sim.config, seed=spec.seed, label=tel.label)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from repro.workload import CLAMR_POLICIES, WORKLOADS, make_config, run_label
+from repro.workload import CLAMR_POLICIES, WORKLOADS, make_config, make_simulation, run_label
 
 __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
@@ -36,11 +36,11 @@ def _knob(default, help: str, *, family: str = "", choices: tuple = (), minimum:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """A traced workload run: everything :func:`repro.ledger.run_workload` needs.
+    """A workload run: everything :func:`repro.ledger.run_workload` needs.
 
     The one description of such a run — picklable and JSON-safe, with the
-    defaults (the ledger smoke workload), choices and help that the
-    ``ledger record`` and ``submit`` flags are built from.  CLAMR jobs
+    defaults (the ledger smoke workload), choices and help that every CLI
+    run flag is built from (``repro.cli._add_job_arguments``).  CLAMR jobs
     use ``nx``/``max_level``/``policy``/``scheme``; SELF jobs use
     ``elems``/``order``/``precision``; both share ``steps``, ``seed``,
     ``watch_stride`` and an optional display ``label``.  The irrelevant
@@ -56,9 +56,10 @@ class JobSpec:
     label: str = _knob("", "display label for the run")
     # clamr knobs
     nx: int = _knob(24, "clamr: coarse grid cells per side", family="clamr")
-    max_level: int = _knob(1, "clamr: AMR levels", family="clamr")
-    policy: str = _knob("mixed", "clamr: precision policy", family="clamr",
-                        choices=CLAMR_POLICIES)
+    max_level: int = _knob(1, "clamr: AMR levels", family="clamr", minimum=0)
+    policy: str = _knob("mixed", "clamr: precision policy; also SELF's precision where "
+                        "a command has no --precision (half/min/mixed → single, "
+                        "full → double)", family="clamr", choices=CLAMR_POLICIES)
     scheme: str = _knob("rusanov", "clamr: flux scheme", family="clamr",
                         choices=("rusanov", "muscl"))
     # self knobs
@@ -111,11 +112,36 @@ class JobSpec:
 
     # -- execution ---------------------------------------------------------
 
-    def config(self):
-        """The family config dataclass this job runs, via :func:`repro.workload.make_config`."""
+    def config(self, **fields):
+        """The family config dataclass this job runs, via :func:`repro.workload.make_config`.
+
+        ``fields`` are config fields a JobSpec does not carry (``repro self
+        --viscosity``); a run given them has its own identity.
+        """
         return make_config(
             self.workload, nx=self.nx, max_level=self.max_level,
-            elems=self.elems, order=self.order,
+            elems=self.elems, order=self.order, **fields,
+        )
+
+    def telemetry(self, flight_stride: int = 0):
+        """This job's telemetry: labelled :meth:`describe`, watching every
+        ``watch_stride`` steps, with a flight recorder if ``flight_stride > 0``."""
+        from repro.telemetry import TelemetrySpec
+
+        return TelemetrySpec(
+            label=self.describe(), watch_stride=self.watch_stride, flight_stride=flight_stride
+        ).build()
+
+    def simulation(self, telemetry=None, **fields):
+        """The simulation this job runs: :meth:`config` (plus ``fields``)
+        through :func:`repro.workload.make_simulation`, under ``telemetry``.
+
+        Every door that runs a JobSpec builds its run here:
+        :func:`repro.ledger.run_workload` and ``repro clamr|self|trace``.
+        """
+        return make_simulation(
+            self.workload, self.config(**fields), policy=self.policy_name,
+            scheme=self.scheme, telemetry=telemetry,
         )
 
     def describe(self) -> str:

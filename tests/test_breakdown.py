@@ -7,6 +7,8 @@ clamr|self`` and ``ledger record`` print that line and exit 1, and a
 sweep job fails with it as its error.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,12 @@ def tall_column(monkeypatch):
 def test_cli_prints_the_line_and_exits_1(tall_column, tmp_path, capsys, argv):
     if argv[0] == "ledger":
         argv = argv + ["--ledger", str(tmp_path / "obs")]
-    with np.errstate(all="ignore"):
+    # the overflow into inf is reported by the diagnosis alone, with no
+    # NumPy "overflow encountered in cast" warning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("repro: step 17 at policy half: timestep 0.0; first non-finite field U")
@@ -95,7 +101,8 @@ def test_cli_self_prints_the_line_and_exits_1(monkeypatch, capsys):
         sim.U.flat[0] = np.nan
         return sim
 
-    monkeypatch.setattr(repro.workload, "make_simulation", poisoned)
+    # JobSpec.simulation builds repro self's run
+    monkeypatch.setattr(repro.service.jobs, "make_simulation", poisoned)
     with np.errstate(all="ignore"):
         assert main(["self", "--elems", "2", "--order", "2", "--steps", "3"]) == 1
     [line] = capsys.readouterr().err.strip().splitlines()

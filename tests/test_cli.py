@@ -3,6 +3,41 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workload import CLAMR_POLICIES
+
+_CLAMR = dict(nx=16, max_level=1, policy="min", scheme="rusanov")
+_SELF = dict(elems=3, order=3, precision="double")
+
+#: each run command's bare defaults, as the parser has always given them
+BARE_DEFAULTS = {
+    "clamr": (["clamr"], dict(workload="clamr", steps=200, nx=32, max_level=2, policy="full",
+                              scheme="rusanov", watch_stride=8)),
+    "self": (["self"], dict(workload="self", steps=100, elems=4, order=4, precision="double",
+                            watch_stride=8, viscosity=0.0)),
+    "trace": (["trace", "clamr"], dict(steps=100, nx=64, max_level=2, policy="full",
+                                       scheme="rusanov", **_SELF, watch_stride=4,
+                                       strict=False, strict_headroom_bits=2.0)),
+    "resilience inject": (["resilience", "inject", "clamr"],
+                          dict(steps=24, **_CLAMR, elems=2, order=3, seed=0)),
+    "resilience run": (["resilience", "run", "clamr"],
+                       dict(steps=24, **_CLAMR, elems=2, order=3, seed=0)),
+    "resilience campaign": (["resilience", "campaign", "clamr"],
+                            dict(steps=24, nx=16, max_level=1, scheme="rusanov", elems=2,
+                                 order=3, seed=0)),
+    "diverge record": (["diverge", "record", "d"],
+                       dict(workload="clamr", steps=24, nx=16, max_level=1, policy="mixed",
+                            scheme="rusanov", **_SELF, scalar=False, seed=0, label="")),
+    "diverge report": (["diverge", "report"],
+                       dict(workload="clamr", steps=24, nx=16, max_level=1, scheme="rusanov",
+                            elems=3, order=3)),
+    "compare": (["compare"], dict(nx=48, steps=300, levels="min,full")),
+    "ledger record": (["ledger", "record", "clamr", "--ledger", "r"],
+                      dict(steps=40, seed=0, watch_stride=4, nx=24, max_level=1,
+                           policy="mixed", scheme="rusanov", **_SELF, runs=1)),
+    "submit": (["submit", "self", "--queue", "q"],
+               dict(steps=40, seed=0, watch_stride=4, label="", nx=24, max_level=1,
+                    policy="mixed", scheme="rusanov", **_SELF, repeat=1)),
+}
 
 
 class TestParser:
@@ -10,9 +45,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_clamr_defaults(self):
-        args = build_parser().parse_args(["clamr"])
-        assert args.nx == 32 and args.policy == "full" and args.scheme == "rusanov"
+    @pytest.mark.parametrize("command", BARE_DEFAULTS)
+    def test_bare_defaults(self, command):
+        # every run flag is declared once, from JobSpec's fields; each
+        # command keeps its own defaults
+        argv, expected = BARE_DEFAULTS[command]
+        args = vars(build_parser().parse_args(argv))
+        assert {name: args[name] for name in expected} == expected
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -26,12 +65,6 @@ class TestParser:
     def test_figure_number_range(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "6"])
-
-    def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace", "clamr"])
-        assert args.nx == 64 and args.steps == 100 and args.stride == 4
-        assert not args.strict
-        assert args.strict_headroom_bits == 2.0
 
     def test_trace_strict_headroom_flag(self):
         args = build_parser().parse_args(
@@ -88,11 +121,6 @@ class TestCommands:
         assert main(["clamr", "--nx", "8", "--steps", "5", "--max-level", "1"]) == 0
         out = capsys.readouterr().out
         assert "mass drift" in out
-
-    def test_clamr_muscl_scalar_conflict(self, capsys):
-        # user errors exit 2 with a one-line message, never a traceback
-        assert main(["clamr", "--nx", "8", "--steps", "2", "--scheme", "muscl", "--scalar"]) == 2
-        assert "repro: error:" in capsys.readouterr().err
 
     def test_clamr_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ck.clmr"
@@ -173,7 +201,6 @@ class TestCommands:
     def test_every_run_flag_offers_every_policy(self):
         # one list of CLAMR policies: each --policy flag offers exactly it
         from repro.service import JobSpec
-        from repro.workload import CLAMR_POLICIES
 
         parse = build_parser().parse_args
         assert JobSpec.__dataclass_fields__["policy"].metadata["choices"] == CLAMR_POLICIES
@@ -191,6 +218,28 @@ class TestCommands:
                      "--ledger", str(tmp_path / "obs")]) == 0
         record = Ledger(tmp_path / "obs").records()[0]
         assert record.workload == "self"
+
+    @pytest.mark.parametrize("workload, knobs", [
+        *[("clamr", dict(nx=8, steps=3, max_level=1, policy=policy, scheme=scheme))
+          for policy in CLAMR_POLICIES for scheme in ("rusanov", "muscl")],
+        *[("self", dict(elems=2, order=2, steps=2, precision=precision))
+          for precision in ("single", "double")],
+    ])
+    def test_ledger_flag_records_its_jobspec(self, tmp_path, workload, knobs):
+        # repro clamr|self run a JobSpec: the record carries the identity
+        # and label that JobSpec predicts, at the watch stride 8 these
+        # records have always hashed
+        from repro.ledger import Ledger
+        from repro.service import JobSpec
+
+        argv = [workload, "--ledger", str(tmp_path / "obs")]
+        for name, value in knobs.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+        assert main(argv) == 0
+        [record] = Ledger(tmp_path / "obs").records()
+        spec = JobSpec(workload, watch_stride=8, **knobs)
+        assert record.workload_key == spec.workload_key()
+        assert record.label == spec.describe()
 
 
 class TestResilienceCLI:
@@ -278,11 +327,14 @@ class TestErrorHygiene:
             capsys, ["ledger", "gate", "--ledger", str(ledger),
                      "--baseline", str(tmp_path / "nope.jsonl")])
 
-    def test_ledger_record_stride_zero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["ledger", "record", "clamr", "--ledger", "{tmp}/r", "--stride", "0"],
+        ["trace", "clamr", "--stride", "0"],
+    ], ids=["ledger-record", "trace"])
+    def test_ledger_record_stride_zero(self, tmp_path, capsys, argv):
         # JobSpec validates the watch stride for every door; 0 used to
-        # run with the watchpoints off under ledger record
-        assert main(["ledger", "record", "clamr", "--ledger", str(tmp_path / "r"),
-                     "--stride", "0"]) == 2
+        # run with the watchpoints off
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["repro: error: watch_stride must be a positive integer, got 0"]
         assert not (tmp_path / "r").exists()
