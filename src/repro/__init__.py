@@ -29,12 +29,12 @@ Subpackages
     One entry point per paper table/figure, plus report rendering.
 """
 
-from repro.precision.policy import PrecisionLevel, PrecisionPolicy
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PrecisionLevel",
-    "PrecisionPolicy",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "PrecisionLevel": "repro.precision.policy",
+    "PrecisionPolicy": "repro.precision.policy",
+})
+__all__ += ["__version__"]

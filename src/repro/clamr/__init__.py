@@ -26,10 +26,9 @@ its module on first access (PEP 562), so ``from repro.clamr import
 backends`` in a SELF process does not load the CLAMR kernels or driver.
 """
 
-import importlib
+from repro.lazy import lazy_exports
 
-#: public name -> the module that defines it
-_EXPORTS = {
+__getattr__, __all__ = lazy_exports(__name__, {
     "AmrMesh": "repro.clamr.mesh",
     "ShallowWaterState": "repro.clamr.state",
     "regrid": "repro.clamr.amr",
@@ -44,15 +43,4 @@ _EXPORTS = {
     "read_checkpoint": "repro.clamr.checkpoint",
     "checkpoint_nbytes": "repro.clamr.checkpoint",
     "StokerSolution": "repro.clamr.stoker",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+})

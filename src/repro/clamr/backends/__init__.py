@@ -54,8 +54,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..state import GRAVITY
-from . import cext, loops
+from repro.lazy import lazy_exports
+
+# the kernel modules load on the first dispatch, warm-up or availability
+# report that needs them: a NumPy-backend run loads neither (nor ctypes)
+__getattr__ = lazy_exports(__name__, {
+    "cext": "repro.clamr.backends.cext",
+    "loops": "repro.clamr.backends.loops",
+})[0]
 
 __all__ = [
     "BACKENDS",
@@ -140,6 +146,8 @@ def oracle_only(enabled: bool):
 
 
 def _build_ops(name: str, dt: np.dtype) -> SimpleNamespace | None:
+    from . import cext, loops
+
     if name == "python":
         module = loops
     elif dt not in _COMPILED_DTYPES or not cext.availability()[0]:
@@ -187,6 +195,8 @@ def available_backends() -> list[dict]:
         {"name": "python", "available": True,
          "detail": "pure-Python loop kernels (bit-reference; slow)"},
     ]
+    from . import cext
+
     ok, detail = cext.availability()
     rows.append({"name": "cext", "available": ok, "detail": detail})
     return rows
@@ -198,6 +208,8 @@ def _reset_for_tests() -> None:
     _ACTIVE = None
     _OPS_CACHE.clear()
     _WARMED.clear()
+    from . import cext
+
     cext._reset_for_tests()
 
 
@@ -317,6 +329,8 @@ def try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy, muscl):
     ops = dispatch_ops(cdtype)
     if ops is None:
         return None
+    from repro.clamr.state import GRAVITY  # loaded by the calling kernel
+
     ct = cdtype.type
     size, _ = geom.geometry(mesh, cdtype)
     dH, dU, dV = geom.workspace3(mesh, cdtype, slot=slot)
@@ -360,6 +374,8 @@ def warmup(cdtype, which: str = "clamr") -> str | None:
     key = (ops.name, dt, which)
     if key in _WARMED:
         return ops.name
+    from repro.clamr.state import GRAVITY
+
     ct = dt.type
     g, half = ct(GRAVITY), ct(0.5)
     if which != "self":

@@ -110,7 +110,9 @@ def _add_job_arguments(
     ``workload`` is a positional, or a ``--workload`` flag when the
     table gives it a default.  Only the watch-stride spelling differs
     between commands (``stride_flag``).
-    :func:`_job_spec_from_args` turns the parsed group back into a JobSpec.
+    :func:`_job_spec_from_args` turns the parsed group back into a JobSpec,
+    and :func:`main` checks every parsed run flag by JobSpec's rule
+    before the command runs.
     """
     from dataclasses import MISSING, fields
 
@@ -131,6 +133,7 @@ def _add_job_arguments(
         flag = stride_flag if f.name == "watch_stride" else f"--{f.name.replace('_', '-')}"
         group.add_argument(flag, dest=f.name, type=type(default), default=default,
                            choices=meta["choices"] or None, help=meta["help"])
+    parser.set_defaults(run_flags=tuple(names))
 
 
 def _add_run_outputs(parser: argparse.ArgumentParser) -> None:
@@ -1627,9 +1630,18 @@ _COMMANDS = {
 }
 
 
+def _check_run_flags(args: argparse.Namespace) -> None:
+    """Each run flag the command took, by JobSpec's own rule and message."""
+    from repro.service.jobs import JobSpec
+
+    for name in getattr(args, "run_flags", ()):
+        JobSpec.check_field(name, getattr(args, name), getattr(args, "workload", ""))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_run_flags(args)
         return _COMMANDS[args.command](args)
     except NonFiniteStepError as exc:
         # a run that broke down numerically: its one-line diagnosis

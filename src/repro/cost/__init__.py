@@ -7,20 +7,13 @@ with the paper's stated adjustment factors.  Rates are frozen at 2017-era
 values so the arithmetic reproduces Table VII.
 """
 
-from repro.cost.aws import (
-    AwsRates,
-    RATES_2017,
-    CostBreakdown,
-    ec2_monthly_cost,
-    s3_monthly_cost,
-    application_cost,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AwsRates",
-    "RATES_2017",
-    "CostBreakdown",
-    "ec2_monthly_cost",
-    "s3_monthly_cost",
-    "application_cost",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "AwsRates": "repro.cost.aws",
+    "RATES_2017": "repro.cost.aws",
+    "CostBreakdown": "repro.cost.aws",
+    "ec2_monthly_cost": "repro.cost.aws",
+    "s3_monthly_cost": "repro.cost.aws",
+    "application_cost": "repro.cost.aws",
+})

@@ -11,7 +11,7 @@ this package says where and by how much:
 * :mod:`repro.diverge.record` — the ``repro diverge record`` driver:
   run a workload with the ladder, optional fault injection and on-disk
   checkpoints, into a self-contained run directory;
-* :mod:`repro.diverge.replay` — resume from the nearest checkpoint and
+* :mod:`repro.diverge.rerun` — resume from the nearest checkpoint and
   re-run the divergence window at stride 1 with ULP-distance stats;
 * :mod:`repro.diverge.onset` — per-step ULP divergence-onset curves
   for expectedly-inexact pairs (min vs full precision);
@@ -20,62 +20,35 @@ this package says where and by how much:
 See ``docs/divergence.md`` for the schema and worked examples.
 """
 
-from repro.diverge.compare import (
-    Divergence,
-    DivergenceReport,
-    compare_ladders,
-    compare_paths,
-)
-from repro.diverge.ladder import (
-    HASH_SCHEMA_VERSION,
-    FieldHash,
-    SiteHash,
-    StateHashLadder,
-    StepHash,
-    hash_array,
-    ladder_digest,
-    read_hashes,
-    write_hashes,
-)
-from repro.diverge.onset import DEFAULT_THRESHOLDS, OnsetReport, onset_curve
-from repro.diverge.record import (
-    RUN_SCHEMA_VERSION,
-    STATE_SITE,
-    RecordedRun,
-    fault_footprint,
-    load_run_doc,
-    record_run,
-)
-from repro.diverge.replay import ReplayReport, replay
-from repro.diverge.ulp import coarser_dtype, fields_ulp_stats, ulp_distance, ulp_stats
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_THRESHOLDS",
-    "Divergence",
-    "DivergenceReport",
-    "FieldHash",
-    "HASH_SCHEMA_VERSION",
-    "OnsetReport",
-    "RUN_SCHEMA_VERSION",
-    "RecordedRun",
-    "ReplayReport",
-    "STATE_SITE",
-    "SiteHash",
-    "StateHashLadder",
-    "StepHash",
-    "coarser_dtype",
-    "compare_ladders",
-    "compare_paths",
-    "fault_footprint",
-    "fields_ulp_stats",
-    "hash_array",
-    "ladder_digest",
-    "load_run_doc",
-    "onset_curve",
-    "read_hashes",
-    "record_run",
-    "replay",
-    "ulp_distance",
-    "ulp_stats",
-    "write_hashes",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_THRESHOLDS": "repro.diverge.onset",
+    "Divergence": "repro.diverge.compare",
+    "DivergenceReport": "repro.diverge.compare",
+    "FieldHash": "repro.diverge.ladder",
+    "HASH_SCHEMA_VERSION": "repro.diverge.ladder",
+    "OnsetReport": "repro.diverge.onset",
+    "RUN_SCHEMA_VERSION": "repro.diverge.record",
+    "RecordedRun": "repro.diverge.record",
+    "ReplayReport": "repro.diverge.rerun",
+    "STATE_SITE": "repro.diverge.record",
+    "SiteHash": "repro.diverge.ladder",
+    "StateHashLadder": "repro.diverge.ladder",
+    "StepHash": "repro.diverge.ladder",
+    "coarser_dtype": "repro.diverge.ulp",
+    "compare_ladders": "repro.diverge.compare",
+    "compare_paths": "repro.diverge.compare",
+    "fault_footprint": "repro.diverge.record",
+    "fields_ulp_stats": "repro.diverge.ulp",
+    "hash_array": "repro.diverge.ladder",
+    "ladder_digest": "repro.diverge.ladder",
+    "load_run_doc": "repro.diverge.record",
+    "onset_curve": "repro.diverge.onset",
+    "read_hashes": "repro.diverge.ladder",
+    "record_run": "repro.diverge.record",
+    "replay": "repro.diverge.rerun",
+    "ulp_distance": "repro.diverge.ulp",
+    "ulp_stats": "repro.diverge.ulp",
+    "write_hashes": "repro.diverge.ladder",
+})

@@ -15,7 +15,7 @@ Each recorded run is a directory::
     <out>/run.json         workload + config + knobs + fault plan
     <out>/ckpt-<step>.bin  optional checkpoints (content-hashed headers)
 
-``run.json`` carries everything :mod:`repro.diverge.replay` needs to
+``run.json`` carries everything :mod:`repro.diverge.rerun` needs to
 reconstruct the simulation exactly — the config dataclass, precision
 selector, scatter backend, seed, and the fault plan — so a run
 directory is a self-contained reproduction recipe.

@@ -32,56 +32,36 @@ these calls; see ``docs/observatory.md``.
 
 from __future__ import annotations
 
-from repro.ledger.bench import (
-    BENCH_SCHEMA,
-    bench_document,
-    validate_bench_document,
-    write_bench,
-)
-from repro.ledger.gate import GateConfig, GateFinding, GateResult, gate_ledger, gate_record
-from repro.ledger.record import (
-    LEDGER_SCHEMA_VERSION,
-    KernelSummary,
-    RunRecord,
-    fingerprint_of,
-    machine_spec,
-    record_from_clamr,
-    record_from_self,
-    workload_key_of,
-)
-from repro.ledger.report import compare_table, ledger_summary, sparkline, trend_table
-from repro.ledger.runner import record_job, run_workload
-from repro.ledger.stats import NoiseModel, mad, median, noise_model, regression_threshold
-from repro.ledger.store import Ledger
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "LEDGER_SCHEMA_VERSION",
-    "RunRecord",
-    "KernelSummary",
-    "Ledger",
-    "fingerprint_of",
-    "workload_key_of",
-    "machine_spec",
-    "record_from_clamr",
-    "record_from_self",
-    "record_job",
-    "run_workload",
-    "NoiseModel",
-    "median",
-    "mad",
-    "noise_model",
-    "regression_threshold",
-    "GateConfig",
-    "GateFinding",
-    "GateResult",
-    "gate_record",
-    "gate_ledger",
-    "sparkline",
-    "trend_table",
-    "ledger_summary",
-    "compare_table",
-    "BENCH_SCHEMA",
-    "bench_document",
-    "validate_bench_document",
-    "write_bench",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "LEDGER_SCHEMA_VERSION": "repro.ledger.record",
+    "RunRecord": "repro.ledger.record",
+    "KernelSummary": "repro.ledger.record",
+    "Ledger": "repro.ledger.store",
+    "fingerprint_of": "repro.ledger.record",
+    "workload_key_of": "repro.ledger.record",
+    "machine_spec": "repro.ledger.record",
+    "record_from_clamr": "repro.ledger.record",
+    "record_from_self": "repro.ledger.record",
+    "record_job": "repro.ledger.runner",
+    "run_workload": "repro.ledger.runner",
+    "NoiseModel": "repro.ledger.stats",
+    "median": "repro.ledger.stats",
+    "mad": "repro.ledger.stats",
+    "noise_model": "repro.ledger.stats",
+    "regression_threshold": "repro.ledger.stats",
+    "GateConfig": "repro.ledger.gate",
+    "GateFinding": "repro.ledger.gate",
+    "GateResult": "repro.ledger.gate",
+    "gate_record": "repro.ledger.gate",
+    "gate_ledger": "repro.ledger.gate",
+    "sparkline": "repro.ledger.report",
+    "trend_table": "repro.ledger.report",
+    "ledger_summary": "repro.ledger.report",
+    "compare_table": "repro.ledger.report",
+    "BENCH_SCHEMA": "repro.ledger.bench",
+    "bench_document": "repro.ledger.bench",
+    "validate_bench_document": "repro.ledger.bench",
+    "write_bench": "repro.ledger.bench",
+})

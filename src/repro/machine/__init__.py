@@ -21,31 +21,26 @@ The model's purpose is the *shape* of Tables I/II/IV/V/VI — orderings and
 approximate speedup factors — not absolute seconds.
 """
 
-from repro.machine.specs import DeviceSpec, DEVICES, device, DeviceKind
-from repro.machine.counters import KernelCounters, CountedWorkload, WorkloadProfile
-from repro.machine.roofline import RooflineModel, predict_runtime, arithmetic_intensity
-from repro.machine.energy import estimate_energy, EnergyEstimate
-from repro.machine.opcost import OperationCosts, DEFAULT_COSTS, estimate_energy_bottomup
-from repro.machine.compiler import CompilerModel, GNU, INTEL, scalar_kernel_time
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DeviceSpec",
-    "DEVICES",
-    "device",
-    "DeviceKind",
-    "KernelCounters",
-    "CountedWorkload",
-    "WorkloadProfile",
-    "RooflineModel",
-    "predict_runtime",
-    "arithmetic_intensity",
-    "estimate_energy",
-    "EnergyEstimate",
-    "OperationCosts",
-    "DEFAULT_COSTS",
-    "estimate_energy_bottomup",
-    "CompilerModel",
-    "GNU",
-    "INTEL",
-    "scalar_kernel_time",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "DeviceSpec": "repro.machine.specs",
+    "DEVICES": "repro.machine.specs",
+    "device": "repro.machine.specs",
+    "DeviceKind": "repro.machine.specs",
+    "KernelCounters": "repro.machine.counters",
+    "CountedWorkload": "repro.machine.counters",
+    "WorkloadProfile": "repro.machine.counters",
+    "RooflineModel": "repro.machine.roofline",
+    "predict_runtime": "repro.machine.roofline",
+    "arithmetic_intensity": "repro.machine.roofline",
+    "estimate_energy": "repro.machine.energy",
+    "EnergyEstimate": "repro.machine.energy",
+    "OperationCosts": "repro.machine.opcost",
+    "DEFAULT_COSTS": "repro.machine.opcost",
+    "estimate_energy_bottomup": "repro.machine.opcost",
+    "CompilerModel": "repro.machine.compiler",
+    "GNU": "repro.machine.compiler",
+    "INTEL": "repro.machine.compiler",
+    "scalar_kernel_time": "repro.machine.compiler",
+})

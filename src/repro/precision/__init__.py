@@ -23,51 +23,29 @@ paper's figures: center line-outs, precision-difference metrics, digits of
 agreement, and the mirror-asymmetry diagnostic of Figs. 2 and 5.
 """
 
-from repro.precision.policy import (
-    PrecisionLevel,
-    PrecisionPolicy,
-    MIN_PRECISION,
-    MIXED_PRECISION,
-    FULL_PRECISION,
-)
-from repro.precision.emulation import (
-    quantize_to_half,
-    quantize_to_bfloat16,
-    truncate_mantissa,
-    EmulatedDtype,
-)
-from repro.precision.analysis import (
-    line_out,
-    mirror_asymmetry,
-    difference_metrics,
-    digits_of_agreement,
-    DifferenceReport,
-)
-from repro.precision.stochastic import stochastic_round_float32, stochastic_truncate
-from repro.precision.bitsweep import sweep_mantissa_bits, minimum_safe_bits, BitSweepResult
-from repro.precision.tuner import GreedyPrecisionTuner, TunerResult, ArrayBinding
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PrecisionLevel",
-    "PrecisionPolicy",
-    "MIN_PRECISION",
-    "MIXED_PRECISION",
-    "FULL_PRECISION",
-    "quantize_to_half",
-    "quantize_to_bfloat16",
-    "truncate_mantissa",
-    "EmulatedDtype",
-    "line_out",
-    "mirror_asymmetry",
-    "difference_metrics",
-    "digits_of_agreement",
-    "DifferenceReport",
-    "stochastic_round_float32",
-    "stochastic_truncate",
-    "sweep_mantissa_bits",
-    "minimum_safe_bits",
-    "BitSweepResult",
-    "GreedyPrecisionTuner",
-    "TunerResult",
-    "ArrayBinding",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "PrecisionLevel": "repro.precision.policy",
+    "PrecisionPolicy": "repro.precision.policy",
+    "MIN_PRECISION": "repro.precision.policy",
+    "MIXED_PRECISION": "repro.precision.policy",
+    "FULL_PRECISION": "repro.precision.policy",
+    "quantize_to_half": "repro.precision.emulation",
+    "quantize_to_bfloat16": "repro.precision.emulation",
+    "truncate_mantissa": "repro.precision.emulation",
+    "EmulatedDtype": "repro.precision.emulation",
+    "line_out": "repro.precision.analysis",
+    "mirror_asymmetry": "repro.precision.analysis",
+    "difference_metrics": "repro.precision.analysis",
+    "digits_of_agreement": "repro.precision.analysis",
+    "DifferenceReport": "repro.precision.analysis",
+    "stochastic_round_float32": "repro.precision.stochastic",
+    "stochastic_truncate": "repro.precision.stochastic",
+    "sweep_mantissa_bits": "repro.precision.bitsweep",
+    "minimum_safe_bits": "repro.precision.bitsweep",
+    "BitSweepResult": "repro.precision.bitsweep",
+    "GreedyPrecisionTuner": "repro.precision.tuner",
+    "TunerResult": "repro.precision.tuner",
+    "ArrayBinding": "repro.precision.tuner",
+})

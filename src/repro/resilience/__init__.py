@@ -24,62 +24,32 @@ both experimentally:
 CLI: ``repro resilience inject|run|campaign``.
 """
 
-from repro.resilience.adapters import ClamrAdapter, SelfAdapter, make_adapter
-from repro.resilience.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    CellOutcome,
-    record_resilient_run,
-    run_campaign,
-    run_cell,
-    vulnerability_table,
-)
-from repro.resilience.detectors import (
-    ConservationDetector,
-    Detection,
-    DetectorSuite,
-    InvariantDetector,
-    NonFiniteDetector,
-)
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-)
-from repro.resilience.runner import (
-    RECOVERY_ACTIONS,
-    RecoveryPolicy,
-    ResilienceReport,
-    ResilientRunner,
-    probe,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "RECOVERY_ACTIONS",
-    "FaultSpec",
-    "FaultPlan",
-    "InjectedFault",
-    "FaultInjector",
-    "Detection",
-    "NonFiniteDetector",
-    "ConservationDetector",
-    "InvariantDetector",
-    "DetectorSuite",
-    "ClamrAdapter",
-    "SelfAdapter",
-    "make_adapter",
-    "RecoveryPolicy",
-    "ResilienceReport",
-    "ResilientRunner",
-    "probe",
-    "CampaignConfig",
-    "CellOutcome",
-    "CampaignResult",
-    "run_cell",
-    "run_campaign",
-    "record_resilient_run",
-    "vulnerability_table",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "FAULT_KINDS": "repro.resilience.faults",
+    "RECOVERY_ACTIONS": "repro.resilience.runner",
+    "FaultSpec": "repro.resilience.faults",
+    "FaultPlan": "repro.resilience.faults",
+    "InjectedFault": "repro.resilience.faults",
+    "FaultInjector": "repro.resilience.faults",
+    "Detection": "repro.resilience.detectors",
+    "NonFiniteDetector": "repro.resilience.detectors",
+    "ConservationDetector": "repro.resilience.detectors",
+    "InvariantDetector": "repro.resilience.detectors",
+    "DetectorSuite": "repro.resilience.detectors",
+    "ClamrAdapter": "repro.resilience.adapters",
+    "SelfAdapter": "repro.resilience.adapters",
+    "make_adapter": "repro.resilience.adapters",
+    "RecoveryPolicy": "repro.resilience.runner",
+    "ResilienceReport": "repro.resilience.runner",
+    "ResilientRunner": "repro.resilience.runner",
+    "probe": "repro.resilience.runner",
+    "CampaignConfig": "repro.resilience.campaign",
+    "CellOutcome": "repro.resilience.campaign",
+    "CampaignResult": "repro.resilience.campaign",
+    "run_cell": "repro.resilience.campaign",
+    "run_campaign": "repro.resilience.campaign",
+    "record_resilient_run": "repro.resilience.campaign",
+    "vulnerability_table": "repro.resilience.campaign",
+})

@@ -7,38 +7,21 @@ run/validate/record/gate entry points the CLI exposes as
 ``repro scenario ...``.
 """
 
-from repro.scenarios.registry import (
-    Scenario,
-    all_scenarios,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.scenarios.runner import (
-    GOLDEN_SCALE,
-    ScenarioRun,
-    build_config,
-    build_simulation,
-    gate_scenarios,
-    load_golden_records,
-    record_scenario,
-    run_scenario,
-    validate_scenario,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Scenario",
-    "ScenarioRun",
-    "GOLDEN_SCALE",
-    "all_scenarios",
-    "build_config",
-    "build_simulation",
-    "gate_scenarios",
-    "get_scenario",
-    "load_golden_records",
-    "record_scenario",
-    "register_scenario",
-    "run_scenario",
-    "scenario_names",
-    "validate_scenario",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "Scenario": "repro.scenarios.registry",
+    "ScenarioRun": "repro.scenarios.runner",
+    "GOLDEN_SCALE": "repro.scenarios.runner",
+    "all_scenarios": "repro.scenarios.registry",
+    "build_config": "repro.scenarios.runner",
+    "build_simulation": "repro.scenarios.runner",
+    "gate_scenarios": "repro.scenarios.runner",
+    "get_scenario": "repro.scenarios.registry",
+    "load_golden_records": "repro.scenarios.runner",
+    "record_scenario": "repro.scenarios.runner",
+    "register_scenario": "repro.scenarios.registry",
+    "run_scenario": "repro.scenarios.runner",
+    "scenario_names": "repro.scenarios.registry",
+    "validate_scenario": "repro.scenarios.runner",
+})

@@ -34,26 +34,21 @@ See ``docs/service.md`` for the lifecycle diagram and the exactly-once
 fine print.
 """
 
-from repro.service.cache import ResultCache
-from repro.service.jobs import JobSpec, execute_job
-from repro.service.lease import Heartbeat, Lease
-from repro.service.queue import Job, JobLost, JobQueue, JOB_STATES
-from repro.service.retry import RetryPolicy, walk_ladder
-from repro.service.worker import WorkerOptions, WorkerReport, run_worker
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Heartbeat",
-    "Job",
-    "JobLost",
-    "JobQueue",
-    "JobSpec",
-    "JOB_STATES",
-    "Lease",
-    "ResultCache",
-    "RetryPolicy",
-    "WorkerOptions",
-    "WorkerReport",
-    "execute_job",
-    "run_worker",
-    "walk_ladder",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "Heartbeat": "repro.service.lease",
+    "Job": "repro.service.queue",
+    "JobLost": "repro.service.queue",
+    "JobQueue": "repro.service.queue",
+    "JobSpec": "repro.service.jobs",
+    "JOB_STATES": "repro.service.queue",
+    "Lease": "repro.service.lease",
+    "ResultCache": "repro.service.cache",
+    "RetryPolicy": "repro.service.retry",
+    "WorkerOptions": "repro.service.worker",
+    "WorkerReport": "repro.service.worker",
+    "execute_job": "repro.service.jobs",
+    "run_worker": "repro.service.worker",
+    "walk_ladder": "repro.service.retry",
+})

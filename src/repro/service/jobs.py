@@ -70,18 +70,27 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value, meta = getattr(self, f.name), f.metadata
-            if meta["choices"]:
-                # a knob of the other family is carried, not checked
-                if meta["family"] in ("", self.workload) and value not in meta["choices"]:
-                    raise ValueError(
-                        f"unknown {f.name} {value!r}; expected one of {meta['choices']}"
-                    )
-            elif isinstance(f.default, int) and (
-                not isinstance(value, int) or value < meta["minimum"]
-            ):
-                kind = "positive" if meta["minimum"] else "non-negative"
-                raise ValueError(f"{f.name} must be a {kind} integer, got {value!r}")
+            self.check_field(f.name, getattr(self, f.name), self.workload)
+
+    @classmethod
+    def check_field(cls, name: str, value, workload: str) -> None:
+        """Raise the one-line ValueError if ``value`` is not a valid ``name``.
+
+        The rule every door applies: the CLI checks each parsed run flag
+        with it before a command prints anything.  A knob of the other
+        family than ``workload`` is carried, not checked against its
+        choices.
+        """
+        f = cls.__dataclass_fields__[name]
+        meta = f.metadata
+        if meta["choices"]:
+            if meta["family"] in ("", workload) and value not in meta["choices"]:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {meta['choices']}")
+        elif isinstance(f.default, int) and (
+            not isinstance(value, int) or value < meta["minimum"]
+        ):
+            kind = "positive" if meta["minimum"] else "non-negative"
+            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
     # -- identity ----------------------------------------------------------
 

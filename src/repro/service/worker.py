@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.ledger.store import Ledger
 from repro.service.cache import ResultCache
 from repro.service.jobs import execute_job
 from repro.service.lease import Heartbeat, Lease
@@ -144,8 +145,6 @@ def process_one(
     heartbeat.stop()
 
     if opts.ledger is not None:
-        from repro.ledger import Ledger
-
         Ledger(opts.ledger).append(record)
     cache.put(record)
     try:

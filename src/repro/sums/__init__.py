@@ -24,21 +24,18 @@ input dtype unless stated otherwise, so the error *of the algorithm itself*
 at each precision level can be measured (see ``benchmarks/bench_ablation_sums``).
 """
 
-from repro.sums.kahan import naive_sum, kahan_sum, neumaier_sum
-from repro.sums.pairwise import pairwise_sum
-from repro.sums.doubledouble import DoubleDouble, two_sum, two_prod, split, dd_sum
-from repro.sums.reproducible import reproducible_sum, BinnedAccumulator
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "naive_sum",
-    "kahan_sum",
-    "neumaier_sum",
-    "pairwise_sum",
-    "DoubleDouble",
-    "two_sum",
-    "two_prod",
-    "split",
-    "dd_sum",
-    "reproducible_sum",
-    "BinnedAccumulator",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "naive_sum": "repro.sums.kahan",
+    "kahan_sum": "repro.sums.kahan",
+    "neumaier_sum": "repro.sums.kahan",
+    "pairwise_sum": "repro.sums.pairwise",
+    "DoubleDouble": "repro.sums.doubledouble",
+    "two_sum": "repro.sums.doubledouble",
+    "two_prod": "repro.sums.doubledouble",
+    "split": "repro.sums.doubledouble",
+    "dd_sum": "repro.sums.doubledouble",
+    "reproducible_sum": "repro.sums.reproducible",
+    "BinnedAccumulator": "repro.sums.reproducible",
+})

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.lazy import lazy_exports
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -57,6 +58,26 @@ from repro.telemetry.numerics import (
     NumericsWatch,
 )
 from repro.telemetry.spans import NULL_SPAN, NullSpan, Span, Tracer
+
+__getattr__, _LAZY = lazy_exports(__name__, {
+    "write_jsonl": "repro.telemetry.export",
+    "read_jsonl": "repro.telemetry.export",
+    "to_chrome_trace": "repro.telemetry.export",
+    "write_chrome_trace": "repro.telemetry.export",
+    "merged_chrome_trace": "repro.telemetry.export",
+    "write_merged_chrome_trace": "repro.telemetry.export",
+    "span_tree": "repro.telemetry.export",
+    "span_summary": "repro.telemetry.export",
+    "event_report": "repro.telemetry.export",
+    "TelemetryBundle": "repro.telemetry.export",
+    "FlightRecorder": "repro.telemetry.flight",
+    "write_flight": "repro.telemetry.flight",
+    "read_flight": "repro.telemetry.flight",
+    "flight_digest": "repro.telemetry.flight",
+    "flight_report": "repro.telemetry.flight",
+    "flight_compare": "repro.telemetry.flight",
+    "flight_counter_trace": "repro.telemetry.flight",
+})
 
 __all__ = [
     "Telemetry",
@@ -73,25 +94,7 @@ __all__ = [
     "Histogram",
     "NumericsWatch",
     "NumericalEvent",
-    # re-exported for convenience; implemented in repro.telemetry.export
-    "write_jsonl",
-    "read_jsonl",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "merged_chrome_trace",
-    "write_merged_chrome_trace",
-    "span_tree",
-    "span_summary",
-    "event_report",
-    "TelemetryBundle",
-    # flight recorder (repro.telemetry.flight)
-    "FlightRecorder",
-    "write_flight",
-    "read_flight",
-    "flight_digest",
-    "flight_report",
-    "flight_compare",
-    "flight_counter_trace",
+    *_LAZY,
 ]
 
 
@@ -183,6 +186,8 @@ class TelemetrySpec:
     def build(self) -> Telemetry:
         flight = None
         if self.flight_stride > 0:
+            from repro.telemetry.flight import FlightRecorder
+
             flight = FlightRecorder(stride=self.flight_stride, label=self.label)
         ladder = None
         if self.hash_stride > 0:
@@ -228,26 +233,3 @@ class NullTelemetry:
 #: Shared instance the simulations substitute for ``telemetry=None``.
 NULL_TELEMETRY = NullTelemetry()
 
-
-# Exporters live in their own module but are part of the package surface.
-from repro.telemetry.export import (  # noqa: E402
-    TelemetryBundle,
-    event_report,
-    merged_chrome_trace,
-    read_jsonl,
-    span_summary,
-    span_tree,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_merged_chrome_trace,
-)
-from repro.telemetry.flight import (  # noqa: E402
-    FlightRecorder,
-    flight_compare,
-    flight_counter_trace,
-    flight_digest,
-    flight_report,
-    read_flight,
-    write_flight,
-)

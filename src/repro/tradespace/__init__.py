@@ -19,14 +19,13 @@ two-term budget that makes the paper's Fig. 3 Min-HiRes run better than
 Full-LoRes.
 """
 
-from repro.tradespace.space import DesignPoint, TradeSpace, accuracy_proxy
-from repro.tradespace.optimize import pareto_front, best_under_constraints, Constraint
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DesignPoint",
-    "TradeSpace",
-    "accuracy_proxy",
-    "pareto_front",
-    "best_under_constraints",
-    "Constraint",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "DesignPoint": "repro.tradespace.space",
+    "TradeSpace": "repro.tradespace.space",
+    "accuracy_proxy": "repro.tradespace.space",
+    "pareto_front": "repro.tradespace.optimize",
+    "best_under_constraints": "repro.tradespace.optimize",
+    "Constraint": "repro.tradespace.optimize",
+})

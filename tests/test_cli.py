@@ -53,6 +53,18 @@ class TestParser:
         args = vars(build_parser().parse_args(argv))
         assert {name: args[name] for name in expected} == expected
 
+    @pytest.mark.parametrize("command", BARE_DEFAULTS)
+    def test_steps_zero_one_rule(self, command, tmp_path, monkeypatch, capsys):
+        # JobSpec's rule and message at every door, before anything is
+        # printed or written; `diverge report` used to print "no steps
+        # measured" and exit 0, `resilience campaign` its header first
+        monkeypatch.chdir(tmp_path)
+        assert main(BARE_DEFAULTS[command][0] + ["--steps", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "repro: error: steps must be a positive integer, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["clamr", "--policy", "quad"])

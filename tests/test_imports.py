@@ -1,6 +1,9 @@
 """What a run loads: each case imports in a fresh interpreter.
 
-A CLAMR process loads scipy's compiled ``_sparsetools`` extension straight
+Every package loads its modules on first use, so a run and the CLI's
+start-up load none of the modules they do not execute (``UNUSED``), and
+every package's ``import *`` resolves its whole ``__all__``.  A CLAMR
+process loads scipy's compiled ``_sparsetools`` extension straight
 from its file (``repro.clamr.kernels._load_sparsetools``), without the
 ``scipy.sparse`` package, ``numpy.f2py`` or ``numpy.testing``; a SELF or
 scenario run does not load CLAMR, and selecting a kernel backend loads
@@ -18,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +52,86 @@ def loaded_after(imports: str, names: tuple[str, ...]) -> list[str]:
     """Which of ``names`` are in ``sys.modules`` after ``imports`` ran."""
     code = f"import json, sys\n{imports}\nprint(json.dumps([n for n in {names!r} if n in sys.modules]))"
     return fresh(code)
+
+
+#: what no run and no CLI start-up loads: the precision tuner and sweeps,
+#: the machine models, the sum ladder beside ``dd_sum``, the ledger's
+#: gate/report/bench, the exporters (telemetry off), the scenario runner
+#: and the kernel loaders
+UNUSED = tuple(
+    f"repro.{pkg}.{m}" for pkg, names in (
+        ("precision", ("tuner", "bitsweep", "stochastic")),
+        ("machine", ("roofline", "energy", "compiler", "opcost")),
+        ("sums", ("kahan", "pairwise", "reproducible")),
+        ("ledger", ("bench", "gate", "report")),
+        ("telemetry", ("export", "flight")),
+        ("scenarios", ("runner",)),
+        ("clamr.backends", ("cext", "loops")),
+    ) for m in names
+)
+
+#: the three start-up paths: a tiny SELF run, a NumPy-backend CLAMR run
+#: through a regrid, and the CLI's parser
+BUDGET_PATHS = {
+    "self-run": """
+from repro.self_ import SelfSimulation, ThermalBubbleConfig
+SelfSimulation(ThermalBubbleConfig(nex=2, ney=2, nez=2, order=2)).run(2)
+""",
+    "clamr-run": """
+from repro.clamr import ClamrSimulation, DamBreakConfig, backends
+backends.set_kernel_backend("numpy")
+ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=1)).run(12)
+""",
+    "cli-parser": """
+import repro.cli
+repro.cli.build_parser()
+""",
+}
+
+
+def _ctypes_modules(imports: str) -> set[str]:
+    code = (f"import json, sys\n{imports}\nprint(json.dumps("
+            "[m for m in sys.modules if m.split('.')[0] in ('ctypes', '_ctypes')]))")
+    return set(fresh(code))
+
+
+@pytest.mark.parametrize("path", BUDGET_PATHS)
+def test_import_budget(path):
+    assert loaded_after(BUDGET_PATHS[path], UNUSED) == []
+    if path.endswith("-run"):
+        # NumPy imports ctypes itself; a run loads nothing of it beyond that
+        assert _ctypes_modules(BUDGET_PATHS[path]) <= _ctypes_modules("import numpy")
+
+
+PACKAGES = sorted(
+    ".".join(init.parent.relative_to(ROOT / "src").parts)
+    for init in (ROOT / "src" / "repro").rglob("__init__.py")
+)
+
+STAR = """
+import importlib, json, types
+bad = {}
+for pkg in PACKAGES:
+    names = getattr(importlib.import_module(pkg), "__all__", [])
+    ns = {}
+    try:
+        exec(f"from {pkg} import *", ns)
+    except Exception as exc:
+        bad[pkg] = repr(exc)
+        continue
+    wrong = [n for n in names if n not in ns or isinstance(ns[n], types.ModuleType)]
+    if wrong:
+        bad[pkg] = wrong
+print(json.dumps(bad))
+"""
+
+
+def test_every_package_star_import_resolves():
+    # a name map entry that names the wrong module fails here, as does an
+    # export that resolves to a module (a submodule of the export's name,
+    # which an import would bind over the export)
+    assert len(PACKAGES) >= 17
+    assert fresh(f"PACKAGES = {PACKAGES!r}\n" + STAR) == {}
 
 
 def test_clamr_loads_no_scipy_package():
