@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clamr import backends as _backends
+from repro.clamr.backends import bridge as _bridge
 from repro.clamr.kernels import _check_cells
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
@@ -66,7 +66,7 @@ def refinement_flags(
     # such guard; its published runs simply did not hit a flip.  See
     # DESIGN.md, "mesh-decision noise immunity".)
     H = quantize_to_bfloat16(state.H.astype(np.float64))
-    flags = _backends.try_refinement_flags(mesh, H, refine_threshold, coarsen_threshold)
+    flags = _bridge.try_refinement_flags(mesh, H, refine_threshold, coarsen_threshold)
     if flags is not None:
         return flags
     absH = np.abs(H)
@@ -108,7 +108,7 @@ def enforce_balance(mesh: AmrMesh, flags: np.ndarray) -> np.ndarray:
     flags = np.array(flags, dtype=np.int8, copy=True)
     if flags.shape != (mesh.ncells,):
         raise ValueError(f"flags must have shape ({mesh.ncells},)")
-    if _backends.try_enforce_balance(mesh, flags):
+    if _bridge.try_enforce_balance(mesh, flags):
         return flags
     level = mesh.level
     at_max = level >= mesh.max_level

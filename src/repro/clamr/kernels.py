@@ -52,6 +52,7 @@ from repro.machine.counters import KernelCounters
 # step; bound once here. backends deliberately imports nothing from this
 # module, so the edge is acyclic.
 from repro.clamr import backends as _backends
+from repro.clamr.backends import bridge as _bridge
 
 __all__ = [
     "FaceLists",
@@ -421,7 +422,7 @@ class FaceLists:
 
     @classmethod
     def from_mesh(cls, mesh: AmrMesh) -> "FaceLists":
-        built = _backends.try_face_lists(mesh)
+        built = _bridge.try_face_lists(mesh)
         if built is not None:
             fields, bcells, slices = built
             faces = cls(**fields)
@@ -900,7 +901,7 @@ def finite_diff_vectorized(
     cdtype = state.policy.compute_dtype
     b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
     H, U, V = _promoted(mesh, geom, state)
-    rates = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
+    rates = _bridge.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, "fd", b, False)
     if rates is None:
         rates = dH, dU, dV = geom.workspace3(mesh, cdtype, slot="fd")
         # one flux pass over ALL interior faces: the cell states gather

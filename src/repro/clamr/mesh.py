@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clamr import backends as _backends
+from repro.clamr.backends import bridge as _bridge
 
 __all__ = ["AmrMesh"]
 
@@ -223,7 +223,7 @@ class AmrMesh:
         """
         width = self.nxf + 2
         flat = _padded_image((self.nyf + 2) * width)
-        nbrs = _backends.try_mesh_neighbors(self, flat)
+        nbrs = _bridge.try_mesh_neighbors(self, flat)
         if nbrs is not None:
             self.nlft, self.nrht, self.nbot, self.ntop = nbrs
             return

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clamr import backends as _backends
+from repro.clamr.backends import bridge as _bridge
 from repro.clamr.kernels import (
     FLOPS_PER_CELL_UPDATE,
     FLOPS_PER_FACE,
@@ -214,7 +215,7 @@ def muscl_rhs(
     if geom is None:
         geom = geometry_cache()
     b = None if bathy is None else _bathy_as(mesh, bathy, cdtype)
-    compiled = _backends.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
+    compiled = _bridge.try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, b, True)
     if compiled is not None:
         return compiled
     n = mesh.ncells

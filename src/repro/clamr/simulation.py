@@ -40,6 +40,7 @@ from repro.precision.breakdown import NonFiniteStepError
 from repro.precision.policy import PrecisionPolicy, level_from_name
 from repro.sums.doubledouble import dd_sum
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.numerics import cancellation_digits
 
 __all__ = ["DamBreakConfig", "SimulationResult", "ClamrSimulation"]
 
@@ -310,6 +311,15 @@ class ClamrSimulation:
         self._bathy_cache = (mesh.generation, b)
         return b
 
+    def state_fields(self) -> dict:
+        """The state's named arrays: what the watch scans and the ladder hashes."""
+        state = self.state
+        return {"H": state.H, "U": state.U, "V": state.V}
+
+    def _regrid_fields(self) -> dict:
+        """Regrid replaces mesh and state, so its site hashes the level map too."""
+        return {**self.state_fields(), "level": self.mesh.level}
+
     def _measured_mass(self, area: np.ndarray, tel) -> float:
         """Double-double total mass, with telemetry on the accumulation.
 
@@ -328,10 +338,7 @@ class ClamrSimulation:
             mass = float(dd_sum(contrib))
             abs_sum = float(np.sum(np.abs(contrib)))
             tel.check_cancellation("mass", abs_sum, mass, step=self.step_count)
-            if abs_sum > 0.0 and mass != 0.0 and abs_sum / abs(mass) > 1.0:
-                self._last_cancellation = math.log10(abs_sum / abs(mass))
-            else:
-                self._last_cancellation = 0.0
+            self._last_cancellation = cancellation_digits(abs_sum, mass, zero_total=0.0)
             sp.set(mass=mass)
         return mass
 
@@ -350,10 +357,7 @@ class ClamrSimulation:
         size, _ = self._geom.geometry(self.mesh, self.policy.compute_dtype)
         with np.errstate(invalid="ignore", over="ignore"):
             cfl = float(dt) * float(np.max(wave / size))
-        signals = field_signals(
-            {"H": self.state.H, "U": self.state.U, "V": self.state.V},
-            self.state.state_dtype,
-        )
+        signals = field_signals(self.state_fields(), self.state.state_dtype)
         flight.record(
             self.step_count,
             dt=float(dt),
@@ -393,11 +397,15 @@ class ClamrSimulation:
         counters = workload.counters
 
         tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
-        recording = tel.enabled
-        flight = getattr(tel, "flight", None) if recording else None
-        ladder = getattr(tel, "ladder", None) if recording else None
+        flight = tel.flight
         drift = 0.0 if record_mass else math.nan
         kernel_span_name = f"clamr/{kernel.__name__}"
+        kernel_metrics = (f"clamr.{kernel.__name__}.flops", f"clamr.{kernel.__name__}.state_bytes")
+        state_fields = self.state_fields
+
+        def dt_field() -> dict:
+            # read when the site hashes, after the body has set this step's dt
+            return {"dt": dt}
 
         times: list[float] = []
         mass_history: list[float] = []
@@ -425,53 +433,29 @@ class ClamrSimulation:
                 with tel.span("clamr/step", step=self.step_count):
                     # the step being computed (step_count increments mid-loop)
                     step_no = self.step_count + 1
-                    hashing = ladder is not None and ladder.should_hash(step_no)
-                    if recording:
-                        f0, b0 = counters.flops, counters.state_bytes
-                    with tel.span("clamr/compute_timestep") as sp:
+                    with tel.site(
+                        step_no, "clamr/compute_timestep", counters,
+                        ("clamr.compute_timestep.flops",), dt_field,
+                    ) as site:
                         dt = compute_timestep(
                             self.mesh, self.state, cfg.courant, counters=counters, geom=self._geom
                         )
-                    if not 0.0 < dt < math.inf:
-                        raise NonFiniteStepError.diagnose(
-                            step_no, self.policy.level.value, dt,
-                            {"H": self.state.H, "U": self.state.U, "V": self.state.V},
-                        )
-                    if hashing:
-                        ladder.record_site(step_no, "clamr/compute_timestep", {"dt": dt})
-                    if recording:
-                        sp.set(
-                            flops=counters.flops - f0,
-                            state_bytes=counters.state_bytes - b0,
-                            dt=dt,
-                            ncells=self.mesh.ncells,
-                        )
-                        tel.metrics.counter("clamr.compute_timestep.flops").add(
-                            counters.flops - f0
-                        )
-                        tel.metrics.histogram("clamr.dt").observe(dt)
-                        f0, b0 = counters.flops, counters.state_bytes
+                        if not 0.0 < dt < math.inf:
+                            raise NonFiniteStepError.diagnose(
+                                step_no, self.policy.level.value, dt, self.state_fields()
+                            )
+                        site.set(dt=dt, ncells=self.mesh.ncells)
+                    tel.metrics.histogram("clamr.dt").observe(dt)
                     t0 = time.perf_counter()
-                    with tel.span(kernel_span_name) as sp, kernel_scope():
+                    with tel.site(
+                        step_no, kernel_span_name, counters, kernel_metrics, state_fields
+                    ), kernel_scope():
                         kernel(
                             self.mesh, self.state, dt,
                             faces=faces, counters=counters, geom=self._geom,
                             bathy=bathy,
                         )
-                    kernel_elapsed += time.perf_counter() - t0
-                    if hashing:
-                        ladder.record_site(
-                            step_no, kernel_span_name,
-                            {"H": self.state.H, "U": self.state.U, "V": self.state.V},
-                        )
-                    if recording:
-                        dflops = counters.flops - f0
-                        dbytes = counters.state_bytes - b0
-                        sp.set(flops=dflops, state_bytes=dbytes)
-                        tel.metrics.counter(f"clamr.{kernel.__name__}.flops").add(dflops)
-                        tel.metrics.counter(f"clamr.{kernel.__name__}.state_bytes").add(
-                            dbytes
-                        )
+                        kernel_elapsed += time.perf_counter() - t0
                     # precision-independent mesh traffic: the face-index
                     # gathers of the step (int32 neighbor/face reads).  This
                     # is the part of CLAMR's data motion that does NOT shrink
@@ -485,11 +469,7 @@ class ClamrSimulation:
                     self.time += dt
                     self.step_count += 1
                     times.append(self.time)
-                    if recording and tel.numerics.should_scan(self.step_count):
-                        state_dtype = self.state.state_dtype
-                        tel.scan("H", self.state.H, dtype=state_dtype, step=self.step_count)
-                        tel.scan("U", self.state.U, dtype=state_dtype, step=self.step_count)
-                        tel.scan("V", self.state.V, dtype=state_dtype, step=self.step_count)
+                    tel.scan_all(self.step_count, state_fields, self.state.state_dtype)
                     if cfg.max_level > 0 and self.step_count % cfg.regrid_interval == 0:
                         with tel.span("clamr/refinement_flags"):
                             flags = refinement_flags(
@@ -498,8 +478,10 @@ class ClamrSimulation:
                                 cfg.refine_threshold,
                                 cfg.coarsen_threshold,
                             )
-                        ncells_before = self.mesh.ncells
-                        with tel.span("clamr/regrid") as sp:
+                        with tel.site(
+                            step_no, "clamr/regrid", fields=self._regrid_fields
+                        ) as site:
+                            site.set(ncells_before=self.mesh.ncells)
                             # the old generation's face lists, their scatter
                             # plans and its derived terms go before the next
                             # generation's are built
@@ -509,32 +491,14 @@ class ClamrSimulation:
                             faces = self._faces_for(self.mesh)
                             bathy = self._bathy_for(self.mesh)
                             _, area = self._geom.geometry(self.mesh, np.dtype(np.float64))
+                            site.set(ncells_after=self.mesh.ncells)
                         # regrid cost: hash repaint (int64 image) + neighbor
                         # rebuild gathers + flag evaluation traffic.
                         counters.add(
                             fixed_bytes=8 * self.mesh.nxf * self.mesh.nyf
                             + 4 * 8 * self.mesh.ncells
                         )
-                        if hashing:
-                            # regrid replaces mesh+state, so hash the new
-                            # layout (level map included) inline
-                            ladder.record_site(
-                                step_no, "clamr/regrid",
-                                {
-                                    "H": self.state.H,
-                                    "U": self.state.U,
-                                    "V": self.state.V,
-                                    "level": self.mesh.level,
-                                },
-                            )
-                        if recording:
-                            sp.set(
-                                ncells_before=ncells_before,
-                                ncells_after=self.mesh.ncells,
-                            )
-                            tel.metrics.histogram("clamr.regrid.ncells").observe(
-                                self.mesh.ncells
-                            )
+                        tel.metrics.histogram("clamr.regrid.ncells").observe(self.mesh.ncells)
                         if record_mass:
                             mass_history.append(self._measured_mass(area, tel))
                             if mass_history[0] != 0.0:
@@ -542,8 +506,7 @@ class ClamrSimulation:
                                     abs(mass_history[-1] - mass_history[0])
                                     / abs(mass_history[0])
                                 )
-                                if recording:
-                                    tel.metrics.gauge("clamr.mass_drift").set(drift)
+                                tel.metrics.gauge("clamr.mass_drift").set(drift)
                         ncells_history.append(self.mesh.ncells)
                     if flight is not None and flight.should_sample(self.step_count):
                         self._flight_sample(flight, dt, drift)

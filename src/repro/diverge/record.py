@@ -149,8 +149,7 @@ def record_run(
             adapter.advance(1)
             if injector is not None:
                 injected.extend(injector.apply(step, adapter.arrays()))
-            if ladder.should_hash(step):
-                ladder.record_site(step, STATE_SITE, adapter.arrays())
+            tel.hash_site(step, STATE_SITE, adapter.arrays)
             if (
                 out_dir is not None
                 and checkpoint_interval

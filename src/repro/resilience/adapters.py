@@ -114,8 +114,7 @@ class ClamrAdapter:
         return self.sim.state.state_dtype
 
     def arrays(self) -> dict[str, np.ndarray]:
-        s = self.sim.state
-        return {"H": s.H, "U": s.U, "V": s.V}
+        return self.sim.state_fields()
 
     def invariant_bounds(self) -> dict[str, tuple[float | None, float | None]]:
         # water height is strictly positive; momenta are unbounded
@@ -221,14 +220,7 @@ class SelfAdapter:
         return self.sim.U.dtype
 
     def arrays(self) -> dict[str, np.ndarray]:
-        U = self.sim.U
-        return {
-            "rho": U[:, 0],
-            "rhou": U[:, 1],
-            "rhov": U[:, 2],
-            "rhow": U[:, 3],
-            "rhoE": U[:, 4],
-        }
+        return self.sim.state_fields()
 
     def invariant_bounds(self) -> dict[str, tuple[float | None, float | None]]:
         return {"rho": (0.0, None), "rhoE": (0.0, None)}

@@ -148,7 +148,7 @@ def _symmetry_tolerance(run) -> float:
 def _base_checks(run, name: str) -> list:
     state = run.sim.state
     out = [
-        checks.finite_check(name, {"H": state.H, "U": state.U, "V": state.V}),
+        checks.finite_check(name, run.sim.state_fields()),
         checks.positive_depth_check(name, state.H),
         checks.conservation_check(
             name,

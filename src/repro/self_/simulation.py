@@ -43,6 +43,7 @@ from repro.self_.filter import apply_filter_3d, modal_filter_matrix
 from repro.self_.mesh import HexMesh
 from repro.self_.timeint import LowStorageRK3
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.numerics import cancellation_digits
 
 __all__ = ["ThermalBubbleConfig", "SelfResult", "SelfSimulation", "parse_precision"]
 
@@ -234,8 +235,8 @@ class SelfSimulation:
     def _precision_name(self) -> str:
         return "single" if self.dtype == np.float32 else "double"
 
-    def _hash_fields(self) -> dict:
-        """Named conserved-variable views for the state-hash ladder."""
+    def state_fields(self) -> dict:
+        """Named conserved-variable views: what the ladder hashes."""
         U = self.U
         return {
             "rho": U[:, 0],
@@ -244,6 +245,11 @@ class SelfSimulation:
             "rhow": U[:, 3],
             "rhoE": U[:, 4],
         }
+
+    def _watch_fields(self) -> dict:
+        """Density, momentum and energy: what the watch and the flight scan."""
+        U = self.U
+        return {"rho": U[:, RHO], "momentum": U[:, 1:4], "energy": U[:, 4]}
 
     def _flight_sample(self, flight, dt: float) -> None:
         """Record one flight sample from the conserved state.
@@ -256,21 +262,11 @@ class SelfSimulation:
         from repro.sums.doubledouble import dd_sum
         from repro.telemetry.flight import field_signals
 
-        signals = field_signals(
-            {
-                "rho": self.U[:, RHO],
-                "momentum": self.U[:, 1:4],
-                "energy": self.U[:, 4],
-            },
-            self.dtype,
-        )
+        signals = field_signals(self._watch_fields(), self.dtype)
         contrib = self.U[:, RHO].astype(np.float64).ravel()
         mass = float(dd_sum(contrib))
         abs_sum = float(np.sum(np.abs(contrib)))
-        if abs_sum > 0.0 and mass != 0.0 and abs_sum / abs(mass) > 1.0:
-            cancellation = math.log10(abs_sum / abs(mass))
-        else:
-            cancellation = 0.0
+        cancellation = cancellation_digits(abs_sum, mass, zero_total=0.0)
         if self._flight_mass0 is None:
             self._flight_mass0 = mass
         drift = (
@@ -341,10 +337,16 @@ class SelfSimulation:
             raise ValueError("steps must be at least 1")
         cfg = self.config
         tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
-        recording = tel.enabled
-        flight = getattr(tel, "flight", None) if recording else None
-        ladder = getattr(tel, "ladder", None) if recording else None
-        flops = 0
+        flight = tel.flight
+        state_fields = self.state_fields
+        watch_fields = self._watch_fields
+        step_flops = self._flops_per_step()
+        step_bytes = self._state_traffic_per_step()
+
+        def dt_field() -> dict:
+            # read when the site hashes, after the body has set this step's dt
+            return {"dt": dt}
+
         kernel_elapsed = 0.0
         t_start = time.perf_counter()
         with tel.span("self/run", steps=steps, ndof=self.mesh.ndof):
@@ -352,47 +354,27 @@ class SelfSimulation:
                 with tel.span("self/step", step=self.step_count):
                     # the step being computed (step_count increments below)
                     step_no = self.step_count + 1
-                    hashing = ladder is not None and ladder.should_hash(step_no)
-                    with tel.span("self/stable_dt") as sp:
+                    with tel.site(step_no, "self/stable_dt", fields=dt_field) as site:
                         dt = self.solver.stable_dt(self.U, cfg.courant)
-                    if not 0.0 < dt < math.inf:
-                        raise NonFiniteStepError.diagnose(
-                            step_no, self._precision_name(), dt, self._hash_fields()
-                        )
-                    if hashing:
-                        ladder.record_site(step_no, "self/stable_dt", {"dt": dt})
-                    if recording:
-                        sp.set(dt=dt)
-                        tel.metrics.histogram("self.dt").observe(dt)
-                    t0 = time.perf_counter()
-                    with tel.span("self/rk3_step") as sp:
-                        self._stepper.step(self.U, dt)
-                    if hashing:
-                        ladder.record_site(
-                            step_no, "self/rk3_step", self._hash_fields()
-                        )
-                    if self.step_count % cfg.filter_interval == 0:
-                        with tel.span("self/filter"):
-                            self._filter_state()
-                        if hashing:
-                            ladder.record_site(
-                                step_no, "self/filter", self._hash_fields()
+                        if not 0.0 < dt < math.inf:
+                            raise NonFiniteStepError.diagnose(
+                                step_no, self._precision_name(), dt, state_fields()
                             )
+                        site.set(dt=dt)
+                    tel.metrics.histogram("self.dt").observe(dt)
+                    t0 = time.perf_counter()
+                    with tel.site(step_no, "self/rk3_step", fields=state_fields) as site:
+                        self._stepper.step(self.U, dt)
+                        site.set(flops=step_flops)
+                    if self.step_count % cfg.filter_interval == 0:
+                        with tel.site(step_no, "self/filter", fields=state_fields):
+                            self._filter_state()
                     kernel_elapsed += time.perf_counter() - t0
                     self.time += dt
                     self.step_count += 1
-                    step_flops = self._flops_per_step()
-                    flops += step_flops
-                    if recording:
-                        sp.set(flops=step_flops)
-                        tel.metrics.counter("self.flops").add(step_flops)
-                        tel.metrics.counter("self.state_bytes").add(
-                            self._state_traffic_per_step()
-                        )
-                        if tel.numerics.should_scan(self.step_count):
-                            tel.scan("rho", self.U[:, RHO], step=self.step_count)
-                            tel.scan("momentum", self.U[:, 1:4], step=self.step_count)
-                            tel.scan("energy", self.U[:, 4], step=self.step_count)
+                    tel.metrics.counter("self.flops").add(step_flops)
+                    tel.metrics.counter("self.state_bytes").add(step_bytes)
+                    tel.scan_all(self.step_count, watch_fields)
                     if flight is not None and flight.should_sample(self.step_count):
                         self._flight_sample(flight, dt)
         elapsed = time.perf_counter() - t_start
@@ -405,9 +387,9 @@ class SelfSimulation:
 
         state_bytes = int(self.U.nbytes)
         profile = WorkloadProfile(
-            name=f"self/thermal_bubble/{'single' if self.dtype == np.float32 else 'double'}",
-            flops=flops,
-            state_bytes=self._state_traffic_per_step() * steps,
+            name=f"self/thermal_bubble/{self._precision_name()}",
+            flops=step_flops * steps,
+            state_bytes=step_bytes * steps,
             state_itemsize=self.dtype.itemsize,
             compute_itemsize=self.dtype.itemsize,
             resident_state_bytes=state_bytes * 2,  # state + RK register

@@ -40,6 +40,7 @@ trivial method calls per span — unmeasurable against a kernel step.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,53 @@ class Telemetry:
         """Open a span; see :meth:`repro.telemetry.spans.Tracer.span`."""
         return self.tracer.span(name, **counters)
 
+    # -- kernel sites -----------------------------------------------------
+
+    @contextlib.contextmanager
+    def site(
+        self, step: int, name: str, counters=None, metrics: tuple[str, ...] = (), fields=None
+    ):
+        """One kernel site of step ``step``: a span that books itself on exit.
+
+        The body runs inside span ``name`` and may call ``site.set(...)``
+        with values for the span (``dt``, cell counts…).  When it returns,
+        the site closes the span, so nothing below counts as kernel time;
+        sets the span's ``flops``/``state_bytes`` deltas of the
+        :class:`~repro.machine.counters.KernelCounters` ``counters`` and
+        adds them, in that order, to the metric counters named in
+        ``metrics``; sets the body's values after them; and on a hashed
+        step records ``fields()``, a callable returning the named arrays,
+        as the ladder entry (:meth:`hash_site`).  A body that raises only
+        closes the span.
+        """
+        if counters is not None:
+            flops0, bytes0 = counters.flops, counters.state_bytes
+        values = _SiteValues()
+        with self.tracer.span(name) as span:
+            yield values
+        if counters is not None:
+            flops = counters.flops - flops0
+            state_bytes = counters.state_bytes - bytes0
+            span.set(flops=flops, state_bytes=state_bytes)
+            for metric, delta in zip(metrics, (flops, state_bytes)):
+                self.metrics.counter(metric).add(delta)
+        span.set(**values)
+        if fields is not None:
+            self.hash_site(step, name, fields)
+
+    def hash_site(self, step: int, name: str, fields) -> None:
+        """Record ``fields()`` under site ``name`` when ``step`` is hashed."""
+        ladder = self.ladder
+        if ladder is not None and ladder.should_hash(step):
+            ladder.record_site(step, name, fields())
+
     # -- numerics ---------------------------------------------------------
+
+    def scan_all(self, step: int, fields, dtype=None) -> None:
+        """Watchpoint-scan every array ``fields()`` names, on a scan step."""
+        if self.numerics.should_scan(step):
+            for name, array in fields().items():
+                self.scan(name, array, dtype=dtype, step=step)
 
     def scan(
         self,
@@ -161,6 +208,12 @@ class Telemetry:
         return self.numerics.check_cancellation(
             name, abs_sum, total, step=step, span_id=span_id
         )
+
+
+class _SiteValues(dict):
+    """What a :meth:`Telemetry.site` body holds: ``set(**values)`` for its span."""
+
+    set = dict.update
 
 
 @dataclass(frozen=True)
@@ -223,10 +276,10 @@ class NullTelemetry:
     def span(self, name: str, **counters: float) -> NullSpan:
         return NULL_SPAN
 
-    def scan(self, name, array, dtype=None, step=0) -> list[NumericalEvent]:
-        return []
+    def site(self, step, name, counters=None, metrics=(), fields=None) -> NullSpan:
+        return NULL_SPAN
 
-    def check_cancellation(self, name, abs_sum, total, step=0) -> None:
+    def scan_all(self, step, fields, dtype=None) -> None:
         return None
 
 

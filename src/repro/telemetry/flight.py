@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.ioutil import json_digest
 from repro.telemetry.export import _clean, _unclean
+from repro.telemetry.numerics import array_health
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
@@ -78,11 +79,10 @@ DANGER_RULES: dict[str, tuple[str, float]] = {
 def field_signals(arrays: dict[str, np.ndarray], dtype) -> dict[str, float]:
     """Reduce a set of state arrays to the flight's field-health signals.
 
-    Mirrors the :class:`~repro.telemetry.numerics.NumericsWatch` scan math
-    (same finite mask, same subnormal and headroom definitions) but returns
-    the raw numbers instead of thresholded events: NaN/Inf counts summed
-    over the arrays, the *worst* (max) subnormal fraction, and the *worst*
-    (min) overflow headroom in bits against ``dtype``'s range.
+    The same :func:`~repro.telemetry.numerics.array_health` reduction the
+    watchpoints threshold, returned raw: NaN/Inf counts summed over the
+    arrays, the *worst* (max) subnormal fraction, and the *worst* (min)
+    overflow headroom in bits against ``dtype``'s range.
     """
     info = np.finfo(np.dtype(dtype))
     n_nan = 0
@@ -90,22 +90,11 @@ def field_signals(arrays: dict[str, np.ndarray], dtype) -> dict[str, float]:
     max_abs = 0.0
     subnormal_fraction = 0.0
     for arr in arrays.values():
-        arr = np.asarray(arr)
-        finite = np.isfinite(arr)
-        n_bad = int(arr.size - np.count_nonzero(finite))
-        if n_bad:
-            bad_nan = int(np.count_nonzero(np.isnan(arr)))
-            n_nan += bad_nan
-            n_inf += n_bad - bad_nan
-            abs_finite = np.abs(arr[finite])
-        else:
-            abs_finite = np.abs(arr)
-        if abs_finite.size:
-            max_abs = max(max_abs, float(abs_finite.max()))
-            nonzero = abs_finite[abs_finite > 0]
-            if nonzero.size:
-                frac = float(np.count_nonzero(nonzero < info.tiny)) / nonzero.size
-                subnormal_fraction = max(subnormal_fraction, frac)
+        nan, inf, amax, frac, _ = array_health(arr, info)
+        n_nan += nan
+        n_inf += inf
+        max_abs = max(max_abs, amax)
+        subnormal_fraction = max(subnormal_fraction, frac)
     if max_abs > 0.0:
         headroom_bits = math.log2(float(info.max)) - math.log2(max_abs)
     else:

@@ -35,10 +35,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["NumericalEvent", "NumericsWatch"]
+__all__ = ["NumericalEvent", "NumericsWatch", "array_health", "cancellation_digits"]
 
 #: Event kinds that invalidate the run outright.
 FATAL_KINDS = frozenset({"nan", "inf"})
+
+
+def array_health(arr, finfo: np.finfo) -> tuple[int, int, float, float, float]:
+    """``(nan, inf, max_abs, subnormal_fraction, min_nonzero)`` of one array.
+
+    The NaN and Inf counts, the largest finite magnitude, the share of
+    nonzero finite values below ``finfo.tiny`` and the smallest nonzero
+    finite magnitude (0.0 when the array has no nonzero finite value).
+    The watchpoints threshold these numbers into events; the flight
+    recorder samples them raw.
+    """
+    arr = np.asarray(arr)
+    finite = np.isfinite(arr)
+    n_bad = int(arr.size - np.count_nonzero(finite))
+    n_nan = 0
+    if n_bad:
+        n_nan = int(np.count_nonzero(np.isnan(arr)))
+        abs_finite = np.abs(arr[finite])
+    else:
+        abs_finite = np.abs(arr)
+    max_abs = frac = min_nonzero = 0.0
+    if abs_finite.size:
+        max_abs = float(abs_finite.max())
+        nonzero = abs_finite[abs_finite > 0]
+        if nonzero.size:
+            frac = float(np.count_nonzero(nonzero < finfo.tiny)) / nonzero.size
+            min_nonzero = float(nonzero.min())
+    return n_nan, n_bad - n_nan, max_abs, frac, min_nonzero
+
+
+def cancellation_digits(abs_sum: float, total: float, zero_total: float = math.inf) -> float:
+    """Decimal digits a working-precision sum would cancel: ``log10(Σ|x| / |Σx|)``.
+
+    ``abs_sum`` is Σ|xᵢ| and ``total`` the accurate Σxᵢ.  A sum with no
+    magnitude or a ratio of at most 1 cancels nothing (0.0); a zero total
+    of a nonzero sum gives ``zero_total``.
+    """
+    if abs_sum <= 0:
+        return 0.0
+    if total == 0.0:
+        return zero_total
+    ratio = abs_sum / abs(total)
+    return math.log10(ratio) if ratio > 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -129,64 +172,44 @@ class NumericsWatch:
         if check_dtype.kind != "f":
             raise ValueError(f"numerics watch needs a float dtype, got {check_dtype}")
         info = np.finfo(check_dtype)
+        n_nan, n_inf, max_abs, frac, min_nonzero = array_health(arr, info)
         found: list[NumericalEvent] = []
 
-        finite = np.isfinite(arr)
-        n_bad = int(arr.size - np.count_nonzero(finite))
-        if n_bad:
-            n_nan = int(np.count_nonzero(np.isnan(arr)))
-            n_inf = n_bad - n_nan
-            if n_nan:
+        for kind, count in (("nan", n_nan), ("inf", n_inf)):
+            if count:
                 found.append(
                     NumericalEvent(
-                        kind="nan", array=name, step=step, span_id=span_id,
-                        value=float(n_nan), severity="fatal",
+                        kind=kind, array=name, step=step, span_id=span_id,
+                        value=float(count), severity="fatal",
                         detail={"size": float(arr.size)},
                     )
                 )
-            if n_inf:
+        if frac > self.subnormal_fraction:
+            found.append(
+                NumericalEvent(
+                    kind="subnormal", array=name, step=step, span_id=span_id,
+                    value=frac, severity="warn",
+                    detail={
+                        "tiny": float(info.tiny),
+                        "min_nonzero": min_nonzero,
+                        "threshold": self.subnormal_fraction,
+                    },
+                )
+            )
+        if max_abs > 0:
+            headroom = math.log10(float(info.max)) - math.log10(max_abs)
+            if headroom < self.headroom_decades:
                 found.append(
                     NumericalEvent(
-                        kind="inf", array=name, step=step, span_id=span_id,
-                        value=float(n_inf), severity="fatal",
-                        detail={"size": float(arr.size)},
+                        kind="overflow_risk", array=name, step=step, span_id=span_id,
+                        value=headroom, severity="warn",
+                        detail={
+                            "max_abs": max_abs,
+                            "dtype_max": float(info.max),
+                            "threshold": self.headroom_decades,
+                        },
                     )
                 )
-            abs_finite = np.abs(arr[finite])
-        else:
-            abs_finite = np.abs(arr)
-
-        if abs_finite.size:
-            max_abs = float(abs_finite.max())
-            nonzero = abs_finite[abs_finite > 0]
-            if nonzero.size:
-                frac = float(np.count_nonzero(nonzero < info.tiny)) / nonzero.size
-                if frac > self.subnormal_fraction:
-                    found.append(
-                        NumericalEvent(
-                            kind="subnormal", array=name, step=step, span_id=span_id,
-                            value=frac, severity="warn",
-                            detail={
-                                "tiny": float(info.tiny),
-                                "min_nonzero": float(nonzero.min()),
-                                "threshold": self.subnormal_fraction,
-                            },
-                        )
-                    )
-            if max_abs > 0:
-                headroom = math.log10(float(info.max)) - math.log10(max_abs)
-                if headroom < self.headroom_decades:
-                    found.append(
-                        NumericalEvent(
-                            kind="overflow_risk", array=name, step=step, span_id=span_id,
-                            value=headroom, severity="warn",
-                            detail={
-                                "max_abs": max_abs,
-                                "dtype_max": float(info.max),
-                                "threshold": self.headroom_decades,
-                            },
-                        )
-                    )
 
         self.events.extend(found)
         return found
@@ -206,15 +229,7 @@ class NumericsWatch:
         the sum; its log10 is the number of digits a working-precision
         accumulator would lose.
         """
-        if abs_sum <= 0:
-            return None
-        if total == 0.0:
-            digits = math.inf
-        else:
-            ratio = abs_sum / abs(total)
-            if ratio <= 1.0:
-                return None
-            digits = math.log10(ratio)
+        digits = cancellation_digits(abs_sum, total)
         if digits <= self.cancellation_digits:
             return None
         event = NumericalEvent(
@@ -233,19 +248,10 @@ class NumericsWatch:
 
 
 class NullNumericsWatch:
-    """Disabled-mode watch: never scans, never records."""
+    """Disabled-mode watch: no stride, no events (a disabled run never scans)."""
 
     __slots__ = ()
 
     stride = 0
     events: list[NumericalEvent] = []
     fatal_events: list[NumericalEvent] = []
-
-    def should_scan(self, step: int) -> bool:
-        return False
-
-    def scan(self, name, array, dtype=None, step=0, span_id=None) -> list[NumericalEvent]:
-        return []
-
-    def check_cancellation(self, name, abs_sum, total, step=0, span_id=None) -> None:
-        return None

@@ -74,7 +74,11 @@ UNUSED = tuple(
 #: through a regrid, and the CLI's parser
 BUDGET_PATHS = {
     "self-run": """
+import numpy as np
+from repro.clamr import backends
 from repro.self_ import SelfSimulation, ThermalBubbleConfig
+backends.set_kernel_backend("numpy")
+backends.warmup(np.float64, which="self")
 SelfSimulation(ThermalBubbleConfig(nex=2, ney=2, nez=2, order=2)).run(2)
 """,
     "clamr-run": """
@@ -98,6 +102,15 @@ def _ctypes_modules(imports: str) -> set[str]:
 @pytest.mark.parametrize("path", BUDGET_PATHS)
 def test_import_budget(path):
     assert loaded_after(BUDGET_PATHS[path], UNUSED) == []
+    if path == "self-run":
+        # the switch a SELF run selects its backend through holds none of
+        # the CLAMR marshalling, and the marshalling module stays unloaded
+        code = BUDGET_PATHS[path] + (
+            "import json, sys\nprint(json.dumps(["
+            "'repro.clamr.backends.bridge' in sys.modules, "
+            "'try_clamr_rhs' in vars(backends)]))"
+        )
+        assert fresh(code) == [False, False]
     if path.endswith("-run"):
         # NumPy imports ctypes itself; a run loads nothing of it beyond that
         assert _ctypes_modules(BUDGET_PATHS[path]) <= _ctypes_modules("import numpy")

@@ -103,8 +103,7 @@ class TestDisabledPath:
         assert tel.enabled is False
         with tel.span("kernel", flops=10) as sp:
             sp.add(bytes=4)
-        tel.scan("H", np.array([np.nan]))
-        tel.check_cancellation("mass", 1e8, 1e-8)
+        tel.scan_all(1, lambda: {"H": np.array([np.nan])})
         assert tel.tracer is None
         assert tel.numerics.events == []
 
@@ -450,6 +449,166 @@ class TestSelfIntegration:
         )
         assert span_flops == res.profile.flops
         assert tel.numerics.fatal_events == []
+
+
+#: every kernel site's span, as (name, parent name, counter keys in order)
+#: keyed by one letter; "KERNEL" stands for the run's flux kernel span
+CLAMR_SPANS = {
+    "M": ("clamr/mass_sum", None, ("mass",)),
+    "R": ("clamr/run", None, ("steps", "ncells")),
+    "s": ("clamr/step", "clamr/run", ("step",)),
+    "t": ("clamr/compute_timestep", "clamr/step", ("flops", "state_bytes", "dt", "ncells")),
+    "k": ("KERNEL", "clamr/step", ("flops", "state_bytes")),
+    "f": ("clamr/refinement_flags", "clamr/step", ()),
+    "g": ("clamr/regrid", "clamr/step", ("ncells_before", "ncells_after")),
+    "m": ("clamr/mass_sum", "clamr/step", ("mass",)),
+}
+SELF_SPANS = {
+    "R": ("self/run", None, ("steps", "ndof")),
+    "s": ("self/step", "self/run", ("step",)),
+    "d": ("self/stable_dt", "self/step", ("dt",)),
+    "k": ("self/rk3_step", "self/step", ("flops",)),
+    "h": ("self/rhs", "self/rk3_step", ()),
+    "f": ("self/filter", "self/step", ()),
+}
+#: every ladder entry as (site, field names in order), keyed by one letter
+_CONSERVED = ("rho", "rhou", "rhov", "rhow", "rhoE")
+CLAMR_LADDER = {
+    "T": ("clamr/compute_timestep", ("dt",)),
+    "K": ("KERNEL", ("H", "U", "V")),
+    "G": ("clamr/regrid", ("H", "U", "V", "level")),
+}
+SELF_LADDER = {
+    "D": ("self/stable_dt", ("dt",)),
+    "K": ("self/rk3_step", _CONSERVED),
+    "F": ("self/filter", _CONSERVED),
+}
+_CLAMR_ORDER = "MRstkstkstkstkfgmstkstkstkstkfgmstkstkstkstkfgmstkM"
+_CLAMR_STEPS = "1:TK 2:TK 3:TK 4:TKG 5:TK 6:TK 7:TK 8:TKG 9:TK 10:TK 11:TK 12:TKG 13:TK"
+
+
+def _clamr_metrics(kernel: str) -> list[str]:
+    return [
+        "clamr.compute_timestep.flops", f"clamr.{kernel}.flops", f"clamr.{kernel}.state_bytes",
+        "clamr.mass_drift", "clamr.dt", "clamr.regrid.ncells",
+    ]
+
+
+class TestKernelSites:
+    """Where each kernel site's span, metrics and ladder entries land."""
+
+    @pytest.mark.parametrize(
+        "run, kernel, expected",
+        [
+            (
+                "rusanov", "clamr/finite_diff_vectorized",
+                (_CLAMR_ORDER, _clamr_metrics("finite_diff_vectorized"), _CLAMR_STEPS),
+            ),
+            (
+                "muscl", "clamr/finite_diff_muscl",
+                (_CLAMR_ORDER, _clamr_metrics("finite_diff_muscl"), _CLAMR_STEPS),
+            ),
+            (
+                "self", None,
+                (
+                    "Rsdkhhhf" "sdkhhhf" "sdkhhhf" "sdkhhhf" "sdkhhhf" "sdkhhhf",
+                    ["self.flops", "self.state_bytes", "self.dt"],
+                    "1:DKF 2:DKF 3:DKF 4:DKF 5:DKF 6:DKF",
+                ),
+            ),
+        ],
+    )
+    def test_every_site_is_instrumented_in_place(self, run, kernel, expected):
+        from repro.telemetry import TelemetrySpec
+
+        tel = TelemetrySpec(label="pin", watch_stride=1, flight_stride=1, hash_stride=1).build()
+        if run == "self":
+            cfg = ThermalBubbleConfig(nex=2, ney=2, nez=2, order=3)
+            SelfSimulation(cfg, telemetry=tel).run(6)
+            spans, ladder = SELF_SPANS, SELF_LADDER
+        else:
+            cfg = DamBreakConfig(nx=16, ny=16, max_level=2)
+            ClamrSimulation(cfg, scheme=run, telemetry=tel).run(13)
+            spans, ladder = CLAMR_SPANS, CLAMR_LADDER
+        span_code = {v: k for k, v in spans.items()}
+        site_code = {v: k for k, v in ladder.items()}
+
+        def name(n):
+            return "KERNEL" if n == kernel else n
+
+        by_id = {s.span_id: s for s in tel.tracer.spans}
+        order = "".join(
+            span_code.get(
+                (
+                    name(s.name),
+                    None if s.parent_id is None else by_id[s.parent_id].name,
+                    tuple(s.counters),
+                ),
+                "?",
+            )
+            for s in tel.tracer.spans
+        )
+        steps = " ".join(
+            f"{entry.step}:" + "".join(
+                site_code.get((name(site.name), tuple(f.name for f in site.fields)), "?")
+                for site in entry.sites
+            )
+            for entry in tel.ladder.steps
+        )
+        assert (order, list(tel.metrics.snapshot()), steps) == expected
+        assert tel.flight.nsamples == (6 if run == "self" else 13)
+
+
+class TestSiteHook:
+    def test_null_site_is_the_shared_null_span(self):
+        site = NULL_TELEMETRY.site(1, "k", fields=lambda: pytest.fail("hashed"))
+        assert site is NULL_SPAN
+        with site as inner:
+            inner.set(dt=0.5)
+        NULL_TELEMETRY.scan_all(1, lambda: pytest.fail("scanned"))
+
+    def test_exit_sets_deltas_then_values_then_hashes(self):
+        from repro.machine.counters import KernelCounters
+        from repro.telemetry import TelemetrySpec
+
+        tel = TelemetrySpec(hash_stride=2).build()
+        counters = KernelCounters(flops=5, state_bytes=7)
+        for step in (1, 2):
+            with tel.site(step, "k", counters, ("k.flops",), lambda: {"x": np.arange(3.0)}) as site:
+                site.set(dt=0.25)
+                counters.add(flops=10, state_bytes=4)
+                site.set(ncells=3)
+        first, second = tel.tracer.spans
+        assert list(first.counters.items()) == [
+            ("flops", 10), ("state_bytes", 4), ("dt", 0.25), ("ncells", 3),
+        ]
+        assert second.end_s is not None
+        assert tel.metrics.counter("k.flops").value == 20
+        # only the hashed step records a ladder entry
+        assert [(e.step, [s.name for s in e.sites]) for e in tel.ladder.steps] == [(2, ["k"])]
+
+    def test_a_raising_body_only_closes_the_span(self):
+        from repro.machine.counters import KernelCounters
+        from repro.telemetry import TelemetrySpec
+
+        tel = TelemetrySpec(hash_stride=1).build()
+        with pytest.raises(RuntimeError):
+            with tel.site(1, "k", KernelCounters(), ("k.flops",), lambda: {"x": np.zeros(1)}):
+                raise RuntimeError("boom")
+        [span] = tel.tracer.spans
+        assert span.end_s is not None and span.counters == {}
+        assert tel.tracer.current() is None
+        assert tel.metrics.snapshot() == {} and tel.ladder.steps == []
+
+    def test_cancellation_digits_edges(self):
+        from repro.telemetry.numerics import cancellation_digits
+
+        assert cancellation_digits(1e12, 1.0) == pytest.approx(12.0)
+        assert cancellation_digits(10.0, 9.0) == pytest.approx(math.log10(10 / 9))
+        assert cancellation_digits(1.0, 2.0) == 0.0
+        assert cancellation_digits(0.0, 0.0) == 0.0
+        assert cancellation_digits(1.0, 0.0) == math.inf
+        assert cancellation_digits(1.0, 0.0, zero_total=0.0) == 0.0
 
 
 class TestInvocationCounting:
