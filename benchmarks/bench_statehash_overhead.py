@@ -5,9 +5,9 @@ hashing the live state does not distort the run being probed.  This
 bench times the whole developed-run kernel loop of a 128x128 level-2
 dam break three ways — bare (``telemetry=None``), hashing every 4th
 step (``hash_stride=4``, the CI divergence-smoke cadence), and hashing
-every step (``hash_stride=1``, full resolution) — and fails when the
-best stride-4 run costs more than ``--max-overhead`` (default 10%)
-over the best bare run.
+every step (``hash_stride=1``, full resolution), in interleaved triples —
+and fails when the median of the per-triple stride-4/bare ratios
+exceeds 1 + ``--max-overhead`` (default 10%).
 
 The stride-1 cost is reported but *not* gated: full-resolution hashing
 sha256s every state byte at every kernel site of every step, and its
@@ -31,11 +31,10 @@ import argparse
 import gc
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.harness.report import Table
@@ -73,11 +72,13 @@ def _run_once(hash_stride: int) -> tuple[float, int]:
 
 
 def _measure(reps: int) -> dict:
-    """Best-of-reps kernel seconds: bare vs stride-4 vs stride-1, interleaved.
+    """Kernel seconds of ``reps`` interleaved (bare, stride-4, stride-1) triples.
 
-    Interleaving (b, s4, s1, b, s4, s1, ...) keeps slow thermal and
-    allocator drift from biasing one variant; the min over reps is the
-    noise-robust estimate (spikes only ever add time).
+    Each overhead is the median of the per-triple ratios to that
+    triple's bare run: runs taken back to back share the host's load,
+    so a change between triples cancels in the ratio, and the median
+    drops a triple that one spike hit (see bench_telemetry_overhead).
+    The kernel times shown are each variant's median.
     """
     bare, strided, full = [], [], []
     strided_steps = full_steps = 0
@@ -89,15 +90,15 @@ def _measure(reps: int) -> dict:
         bare.append(b)
         strided.append(s)
         full.append(f)
-    bare_s = float(np.min(bare))
-    strided_s = float(np.min(strided))
-    full_s = float(np.min(full))
+    def overhead(runs):
+        return statistics.median(r / b for b, r in zip(bare, runs)) - 1.0
+
     return {
-        "bare_s": bare_s,
-        "strided_s": strided_s,
-        "full_s": full_s,
-        "strided_overhead_frac": strided_s / bare_s - 1.0,
-        "full_overhead_frac": full_s / bare_s - 1.0,
+        "bare_s": statistics.median(bare),
+        "strided_s": statistics.median(strided),
+        "full_s": statistics.median(full),
+        "strided_overhead_frac": overhead(strided),
+        "full_overhead_frac": overhead(full),
         "strided_steps": strided_steps,
         "full_steps": full_steps,
     }
@@ -170,9 +171,9 @@ def _merge_out(path: str, entries: list[dict]) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=3,
-                        help="interleaved run triples to take the best of "
-                             "(default 3)")
+    parser.add_argument("--reps", type=int, default=5,
+                        help="interleaved run triples to take the median "
+                             "ratios of (default 5)")
     parser.add_argument("--max-overhead", type=float, default=0.10,
                         help=f"fail if the stride-{GATED_STRIDE} overhead "
                              "exceeds this (default 0.10 = 10%%)")
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
     m = _measure(args.reps)
     table = Table(
         title=(f"State-hash ladder overhead — {BENCH_NX}^2 level-{BENCH_MAX_LEVEL} "
-               f"dam break, {BENCH_STEPS} steps (best of {args.reps})"),
+               f"dam break, {BENCH_STEPS} steps (median of {args.reps} triples)"),
         headers=["Variant", "Kernel (ms)", "Overhead"],
     )
     table.add_row("bare (telemetry=None)", round(1e3 * m["bare_s"], 2), "-")

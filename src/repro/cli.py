@@ -59,13 +59,13 @@ Subcommands
 Errors from bad arguments or missing files exit with status 2 and a
 one-line ``repro: error: ...`` message — never a traceback.
 
-Every run flag (``--nx``, ``--steps``, ``--policy``, ...) is a field of
-:class:`repro.service.JobSpec`, declared once by ``_add_job_arguments``
-with each command's own defaults; ``clamr``, ``self``, ``trace``,
-``ledger record`` and ``submit`` parse theirs into a JobSpec, so its
-validation and its one-line messages hold at every door, and the first
-three build their run with :meth:`JobSpec.simulation`, as
-``repro.ledger.run_workload`` does.
+Every run flag (``--nx``, ``--steps``, ``--policy``, ``--scenario``, ...)
+is a field of :class:`repro.service.JobSpec`, declared once by
+``_add_job_arguments`` with each command's own defaults; every command
+that runs a mini-app parses its flags into one JobSpec, so its
+validation and its one-line messages hold at every door, and each run is
+built by :meth:`JobSpec.simulation`, as ``repro.ledger.run_workload``
+builds its runs.
 
 The CLI is a thin veneer over the public API — every command body is a
 few calls a user could type in a REPL — so it doubles as executable
@@ -150,13 +150,21 @@ def _add_run_outputs(parser: argparse.ArgumentParser) -> None:
 
 
 def _job_spec_from_args(args: argparse.Namespace):
-    """The :class:`~repro.service.JobSpec` parsed by :func:`_add_job_arguments`."""
+    """The :class:`~repro.service.JobSpec` parsed by :func:`_add_job_arguments`.
+
+    A command with ``--policy`` but no ``--precision`` runs SELF at the
+    policy's precision (:meth:`JobSpec.at_level`).
+    """
     from dataclasses import fields
 
     from repro.service.jobs import JobSpec
 
-    return JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)
+    spec = JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)
                       if hasattr(args, f.name)})
+    flags = getattr(args, "run_flags", ())
+    if spec.workload == "self" and "policy" in flags and "precision" not in flags:
+        return spec.at_level(spec.policy)
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduction of 'Thoughtful Precision in Mini-apps' (CLUSTER 2017)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    every_field = tuple(f.name for f in fields(JobSpec))
+    # a scenario is taken only where a sweep-shaped command names it
+    every_field = tuple(f.name for f in fields(JobSpec) if f.name != "scenario")
     clamr_run = ("steps", "nx", "max_level", "policy", "scheme")
     self_run = ("steps", "elems", "order", "precision")
 
@@ -214,10 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--hash-stride", type=int, default=0, metavar="N",
                        help="hash every Nth step (default: every step when "
                             "--hash-dir is set)")
-    table.add_argument("--scenario", default="", metavar="NAME",
-                       help="run a registered scenario instead of the seed case "
-                            "(tables 1/2 take clamr/*, tables 5/6 take self/*; "
-                            "see 'repro scenario list')")
+    _add_job_arguments(table, ("scenario",))  # tables 1/2 take clamr/*, 5/6 self/*
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("number", type=int, choices=range(1, 6))
@@ -233,9 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--hash-stride", type=int, default=0, metavar="N",
                         help="hash every Nth step (default: every step when "
                              "--hash-dir is set)")
-    figure.add_argument("--scenario", default="", metavar="NAME",
-                        help="run a registered scenario instead of the seed case "
-                             "(figures 1/2 take clamr/*, figures 4/5 take self/*)")
+    _add_job_arguments(figure, ("scenario",))  # figures 1/2 take clamr/*, 4/5 self/*
 
     compare = sub.add_parser("compare", help="fidelity comparison of two precision levels")
     _add_job_arguments(compare, ("steps", "nx"), nx=48, steps=300)
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = resil.add_subparsers(dest="resilience_command", required=True)
 
     def _resil_workload_args(p: argparse.ArgumentParser) -> None:
-        _add_job_arguments(p, ("workload", *clamr_run, "elems", "order"),
+        _add_job_arguments(p, ("workload", *clamr_run, "elems", "order", "scenario"),
                            nx=16, steps=24, policy="min", elems=2)
         p.add_argument("--fault", action="append", default=[], metavar="SPEC",
                        help="planned fault kind:array:step[:index[:bit]]; a trailing '!' "
@@ -363,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="additionally draw N random faults from --seed")
         p.add_argument("--seed", type=int, default=0,
                        help="plan seed: resolves random element/bit choices")
-        p.add_argument("--scenario", default="", metavar="NAME",
-                       help="inject into a registered scenario instead of the "
-                            "workload's seed case (see 'repro scenario list')")
 
     rinj = rsub.add_parser(
         "inject", help="inject faults with detectors but no recovery (probe run)"
@@ -393,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     rrun.add_argument("--conservation-bound", type=float, default=1e-4, metavar="REL")
     rrun.add_argument("--ledger", default=None, metavar="PATH",
                       help="append the supervised run's record to this ledger")
-    rrun.add_argument("--label", default=None, help="ledger record label")
+    rrun.add_argument("--label", default="", help="ledger record label")
 
     rcamp = rsub.add_parser(
         "campaign", help="sweep fault sites × precision levels; vulnerability report"
     )
     _add_job_arguments(rcamp, ("workload", "steps", "nx", "max_level", "scheme",
-                               "elems", "order"), nx=16, steps=24, elems=2)
+                               "elems", "order", "scenario"), nx=16, steps=24, elems=2)
     rcamp.add_argument("--arrays", default=None, metavar="A,B,...",
                        help="state arrays to target (default: all of the workload's)")
     rcamp.add_argument("--kinds", default="bitflip,nan,inf,overflow", metavar="K,...")
@@ -408,10 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     rcamp.add_argument("--trials", type=int, default=1, help="cells per sweep point")
     rcamp.add_argument("--fault-step", type=int, default=0,
                        help="step each fault lands on (default: mid-run)")
-    rcamp.add_argument("--seed", type=int, default=0)
-    rcamp.add_argument("--scenario", default="", metavar="NAME",
-                       help="sweep faults over a registered scenario instead of "
-                            "the workload's seed case")
+    rcamp.add_argument("--seed", type=int, default=0, help="fault-plan seed of the cells")
     rcamp.add_argument("--ledger", default=None, metavar="PATH",
                        help="append one record per completed cell to this ledger")
     rcamp.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -433,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     drec.add_argument("out", metavar="DIR",
                       help="run directory to create (hashes.jsonl, run.json, "
                            "checkpoints)")
-    _add_job_arguments(drec, ("workload", *clamr_run, *self_run),
+    _add_job_arguments(drec, ("workload", *clamr_run, *self_run, "scenario"),
                        workload="clamr", nx=16, steps=24)
     drec.add_argument("--scalar", action="store_true",
                       help="use the unvectorized clamr kernel")
@@ -453,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "completes; trailing '!' on the kind = sticky; "
                            "repeatable")
     drec.add_argument("--label", default="", help="label stored in the hash stream")
-    drec.add_argument("--scenario", default="", metavar="NAME",
-                      help="record a registered scenario instead of the "
-                           "workload's seed case")
 
     dcmp = dsub.add_parser(
         "compare",
@@ -1100,7 +1095,9 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     raise ValueError(f"unknown ledger command {args.ledger_command!r}")  # pragma: no cover
 
 
-def _resil_plan(args: argparse.Namespace, array_names) -> "object":
+def _resil_plan(args: argparse.Namespace, array_names):
+    """The FaultPlan of ``--fault`` (and ``--faults``), checked against the
+    run's ``array_names`` and ``--steps``, seeded by ``--seed``."""
     from repro.resilience import FaultPlan, FaultSpec
 
     specs = [FaultSpec.parse(text) for text in args.fault]
@@ -1114,7 +1111,7 @@ def _resil_plan(args: argparse.Namespace, array_names) -> "object":
             raise CLIError(
                 f"fault step {spec.step} is beyond the run ({args.steps} steps)"
             )
-    if args.faults > 0:
+    if getattr(args, "faults", 0) > 0:
         generated = FaultPlan.generate(
             seed=args.seed,
             arrays=tuple(array_names),
@@ -1128,24 +1125,17 @@ def _resil_plan(args: argparse.Namespace, array_names) -> "object":
 def _cmd_resilience(args: argparse.Namespace) -> int:
     from repro.telemetry import TelemetrySpec
 
+    spec = _job_spec_from_args(args)
     if args.resilience_command == "campaign":
         from repro.resilience import CampaignConfig, run_campaign, vulnerability_table
 
         config = CampaignConfig(
-            workload=args.workload,
+            spec,
             arrays=tuple(x.strip() for x in args.arrays.split(",")) if args.arrays else (),
             kinds=tuple(x.strip() for x in args.kinds.split(",")),
             levels=tuple(x.strip() for x in args.levels.split(",")),
-            steps=args.steps,
             fault_step=args.fault_step,
             trials=args.trials,
-            seed=args.seed,
-            scenario=args.scenario,
-            nx=args.nx,
-            max_level=args.max_level,
-            scheme=args.scheme,
-            elems=args.elems,
-            order=args.order,
         )
         ledger = None
         if args.ledger:
@@ -1159,7 +1149,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                     "silent" if not cell.detected else "detected"))
             print(f"  {cell.level:>5} {cell.array:>5} {cell.kind:<8} -> {status}")
 
-        print(f"campaign: {args.workload}, levels {','.join(config.levels)}, "
+        print(f"campaign: {spec.workload}, levels {','.join(config.levels)}, "
               f"kinds {','.join(config.kinds)}")
         result = run_campaign(
             config, ledger=ledger, progress=show, jobs=args.jobs,
@@ -1175,24 +1165,14 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
     from repro.resilience import make_adapter
 
-    label = f"resilience/{args.workload}/{args.policy}"
-    tel = TelemetrySpec(label=label, watch_stride=0).build()
-    from repro.workload import make_config
-
-    sim_config = make_config(
-        args.workload, args.scenario, nx=args.nx, max_level=args.max_level,
-        elems=args.elems, order=args.order,
-    )
-    adapter = make_adapter(
-        args.workload, sim_config, policy=args.policy, scheme=args.scheme, telemetry=tel,
-        scenario=args.scenario,
-    )
+    tel = TelemetrySpec(label=f"resilience/{spec.workload}/{spec.policy}", watch_stride=0).build()
+    adapter = make_adapter(spec, tel)
     plan = _resil_plan(args, adapter.arrays().keys())
 
     if args.resilience_command == "inject":
         from repro.resilience import probe
 
-        report = probe(adapter, plan, args.steps)
+        report = probe(adapter, plan, spec.steps)
         print(report.summary())
         detected = {d.step for d in report.detections}
         undetected = [f for f in report.faults if f.step not in detected]
@@ -1203,18 +1183,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                 raise CLIError("--footprint needs at least one --fault/--faults")
             from repro.diverge import fault_footprint
 
-            fp = fault_footprint(
-                plan,
-                workload=args.workload,
-                steps=args.steps,
-                nx=args.nx,
-                max_level=args.max_level,
-                policy=args.policy,
-                scheme=args.scheme,
-                elems=args.elems,
-                order=args.order,
-                scenario=args.scenario,
-            )
+            fp = fault_footprint(plan, spec)
             print(f"  footprint    : {fp['summary']}")
             if fp["diverged"]:
                 match = "at the injection site" if fp["site_match"] else \
@@ -1240,15 +1209,12 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             conservation_bound=args.conservation_bound,
         )
         runner = ResilientRunner(adapter, plan=plan, policy=policy)
-        report = runner.run(args.steps)
+        report = runner.run(spec.steps)
         print(report.summary())
         if args.ledger and report.result is not None:
             from repro.ledger import Ledger
 
-            record = record_resilient_run(
-                report, runner, sim_config=sim_config, seed=args.seed,
-                label=args.label or tel.label,
-            )
+            record = record_resilient_run(report, runner, label=spec.label or tel.label)
             Ledger(args.ledger).append(record)
             print(f"  ledger       : {args.ledger} += {record.fingerprint}")
         return 1 if report.aborted else 0
@@ -1256,33 +1222,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     raise ValueError(  # pragma: no cover
         f"unknown resilience command {args.resilience_command!r}"
     )
-
-
-_DIVERGE_ARRAYS = {
-    "clamr": ("H", "U", "V"),
-    "self": ("rho", "rhou", "rhov", "rhow", "rhoE"),
-}
-
-
-def _diverge_plan(args: argparse.Namespace):
-    """A FaultPlan from repeated ``--fault`` specs, or ``None``."""
-    if not args.fault:
-        return None
-    from repro.resilience import FaultPlan, FaultSpec
-
-    known = _DIVERGE_ARRAYS[args.workload]
-    specs = [FaultSpec.parse(text) for text in args.fault]
-    for spec in specs:
-        if spec.array not in known:
-            raise CLIError(
-                f"fault targets unknown array {spec.array!r}; "
-                f"{args.workload} exposes {sorted(known)}"
-            )
-        if spec.step > args.steps:
-            raise CLIError(
-                f"fault step {spec.step} is beyond the run ({args.steps} steps)"
-            )
-    return FaultPlan(specs=tuple(specs), seed=args.seed)
 
 
 def _write_json_report(path, text: str) -> None:
@@ -1295,29 +1234,21 @@ def _write_json_report(path, text: str) -> None:
 def _cmd_diverge(args: argparse.Namespace) -> int:
     if args.diverge_command == "record":
         from repro.diverge import record_run
+        from repro.resilience import make_adapter
 
+        spec = _job_spec_from_args(args)
+        plan = _resil_plan(args, make_adapter(spec).arrays()) if args.fault else None
         run = record_run(
             args.out,
-            workload=args.workload,
-            steps=args.steps,
-            nx=args.nx,
-            max_level=args.max_level,
-            policy=args.policy,
-            scheme=args.scheme,
+            spec,
             vectorized=not args.scalar,
-            elems=args.elems,
-            order=args.order,
-            precision=args.precision,
             scatter=args.scatter,
-            seed=args.seed,
             hash_stride=args.hash_stride,
             hash_chunk=args.hash_chunk,
             checkpoint_interval=args.checkpoint_interval,
-            plan=_diverge_plan(args),
-            label=args.label,
-            scenario=args.scenario,
+            plan=plan,
         )
-        print(f"recorded {args.workload}: {run.steps} steps, "
+        print(f"recorded {spec.workload}: {run.steps} steps, "
               f"{run.ladder.nsteps} hashed (stride {run.ladder.stride}), "
               f"root {run.root}")
         for ev in run.injected:
@@ -1368,20 +1299,12 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
     if args.diverge_command == "report":
         from repro.diverge import onset_curve
 
-        pair = args.pair or ("min,full" if args.workload == "clamr" else "single,double")
+        spec = _job_spec_from_args(args)
+        pair = args.pair or ("min,full" if spec.workload == "clamr" else "single,double")
         parts = tuple(x.strip() for x in pair.split(","))
         if len(parts) != 2:
             raise CLIError(f"--pair expects exactly two comma-separated names, got {pair!r}")
-        report = onset_curve(
-            workload=args.workload,
-            pair=parts,
-            steps=args.steps,
-            nx=args.nx,
-            max_level=args.max_level,
-            elems=args.elems,
-            order=args.order,
-            scheme=args.scheme,
-        )
+        report = onset_curve(spec, parts)
         print(report.summary())
         for point in report.curve:
             worst = max(point["fields"], key=lambda f: point["fields"][f]["max_ulp"])

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from repro.diverge.record import _scatter_context
 from repro.diverge.ulp import fields_ulp_stats
-from repro.workload import make_config
 
 __all__ = ["OnsetReport", "onset_curve", "DEFAULT_THRESHOLDS"]
 
@@ -79,44 +78,28 @@ class OnsetReport:
         return json.dumps(self.to_doc(), indent=indent, sort_keys=True)
 
 
-def _make_adapter(workload: str, mode: str, *, nx: int, max_level: int,
-                  elems: int, order: int, scheme: str, vectorized: bool):
-    from repro.resilience.adapters import make_adapter
-
-    config = make_config(workload, nx=nx, max_level=max_level, elems=elems, order=order)
-    return make_adapter(
-        workload, config, policy=mode, scheme=scheme, vectorized=vectorized
-    )
-
-
 def onset_curve(
-    workload: str = "clamr",
+    spec,
     pair: Sequence[str] = ("min", "full"),
     *,
-    steps: int = 24,
-    nx: int = 16,
-    max_level: int = 1,
-    elems: int = 3,
-    order: int = 3,
-    scheme: str = "rusanov",
     vectorized: bool = True,
     scatter: str = "plan",
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> OnsetReport:
     """Per-step ULP divergence-onset curve for one precision pair.
 
-    ``pair`` names two precision modes of the same workload: CLAMR
-    policies (``min``/``mixed``/``full``) or SELF precisions
-    (``single``/``double``).  Comparing a mode to itself yields an
-    all-zero curve — the bit-exactness sanity check.
+    Runs :class:`~repro.service.JobSpec` ``spec`` at each level of
+    ``pair`` (``spec.at_level``): CLAMR policies (``min``/``mixed``/
+    ``full``) or SELF precisions (``single``/``double``).  Comparing a
+    mode to itself yields an all-zero curve — the bit-exactness sanity
+    check.
     """
+    from repro.resilience.adapters import make_adapter
+
     mode_a, mode_b = pair
-    side_a = _make_adapter(workload, mode_a, nx=nx, max_level=max_level,
-                           elems=elems, order=order, scheme=scheme,
-                           vectorized=vectorized)
-    side_b = _make_adapter(workload, mode_b, nx=nx, max_level=max_level,
-                           elems=elems, order=order, scheme=scheme,
-                           vectorized=vectorized)
+    workload, steps = spec.workload, spec.steps
+    side_a = make_adapter(spec.at_level(mode_a), vectorized=vectorized)
+    side_b = make_adapter(spec.at_level(mode_b), vectorized=vectorized)
     report = OnsetReport(workload=workload, pair=(mode_a, mode_b), steps=steps)
     running = 0.0
     for step in range(1, steps + 1):

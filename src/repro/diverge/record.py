@@ -15,10 +15,11 @@ Each recorded run is a directory::
     <out>/run.json         workload + config + knobs + fault plan
     <out>/ckpt-<step>.bin  optional checkpoints (content-hashed headers)
 
-``run.json`` carries everything :mod:`repro.diverge.rerun` needs to
-reconstruct the simulation exactly — the config dataclass, precision
-selector, scatter backend, seed, and the fault plan — so a run
-directory is a self-contained reproduction recipe.
+The run is a :class:`repro.service.JobSpec`.  ``run.json`` carries
+everything :mod:`repro.diverge.rerun` needs to rebuild that JobSpec and
+check it against the recorded config dataclass — plus the scatter
+backend, the kernel path and the fault plan — so a run directory is a
+self-contained reproduction recipe.
 
 :func:`fault_footprint` is the resilience-campaign integration: record
 a clean and a faulted twin of the same workload in memory and report
@@ -37,7 +38,6 @@ from typing import Any
 from repro import ioutil
 from repro.diverge.compare import compare_ladders
 from repro.diverge.ladder import StateHashLadder, ladder_digest, write_hashes
-from repro.workload import make_config
 
 __all__ = ["RUN_SCHEMA_VERSION", "RecordedRun", "record_run", "fault_footprint"]
 
@@ -86,58 +86,39 @@ def _scatter_context(workload: str, scatter: str):
 
 def record_run(
     out: str | Path | None,
+    spec,
     *,
-    workload: str = "clamr",
-    steps: int = 24,
-    nx: int = 16,
-    max_level: int = 1,
-    policy: str = "mixed",
-    scheme: str = "rusanov",
     vectorized: bool = True,
-    elems: int = 3,
-    order: int = 3,
-    precision: str = "double",
     scatter: str = "plan",
-    seed: int = 0,
     hash_stride: int = 1,
     hash_chunk: int = 4096,
     checkpoint_interval: int = 0,
     plan=None,
-    label: str = "",
-    scenario: str = "",
 ) -> RecordedRun:
-    """Run one workload with the ladder attached; persist if ``out`` is set.
+    """Run :class:`~repro.service.JobSpec` ``spec`` with the ladder
+    attached; persist if ``out`` is set.
 
-    ``plan`` is an optional :class:`repro.resilience.faults.FaultPlan`;
-    faults are applied after their step completes, then the ``state``
-    site hashes the corrupted arrays — so the first divergence against a
-    clean twin lands exactly at the injected step.
+    ``vectorized`` and ``scatter`` pick CLAMR kernel implementations that
+    give the same bits.  The ladder is labelled ``spec.label``, else
+    ``diverge/<scenario or workload>``.  ``plan`` is an optional
+    :class:`repro.resilience.faults.FaultPlan`; faults are applied after
+    their step completes, then the ``state`` site hashes the corrupted
+    arrays — so the first divergence against a clean twin lands exactly
+    at the injected step.
     """
     from repro.resilience.adapters import make_adapter
     from repro.resilience.faults import FaultInjector
     from repro.telemetry import TelemetrySpec
 
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if hash_stride < 1:
         raise ValueError(f"hash stride must be >= 1, got {hash_stride}")
+    workload, steps = spec.workload, spec.steps
     tel = TelemetrySpec(
-        label=label or f"diverge/{scenario or workload}",
+        label=spec.label or f"diverge/{spec.scenario or workload}",
         hash_stride=hash_stride, hash_chunk=hash_chunk,
     ).build()
     ladder = tel.ladder
-    config = make_config(
-        workload, scenario, nx=nx, max_level=max_level, elems=elems, order=order
-    )
-    adapter = make_adapter(
-        workload,
-        config,
-        policy=policy if workload == "clamr" else precision,
-        scheme=scheme,
-        vectorized=vectorized,
-        telemetry=tel,
-        scenario=scenario,
-    )
+    adapter = make_adapter(spec, tel, vectorized)
     injector = FaultInjector(plan) if plan is not None and plan.specs else None
     out_dir = Path(out) if out is not None else None
     if out_dir is not None:
@@ -158,18 +139,15 @@ def record_run(
                 _write_checkpoint(out_dir / f"ckpt-{step:05d}.bin", adapter)
                 checkpoint_steps.append(step)
 
+    knobs = {key: getattr(spec, key) for key in ("workload", "steps", "seed", "policy",
+                                                  "precision", "scheme")}
     run_doc = {
         "schema": RUN_SCHEMA_VERSION,
-        "workload": workload,
-        "steps": steps,
-        "seed": seed,
-        "policy": policy,
-        "precision": precision,
-        "scheme": scheme,
+        **knobs,
         "vectorized": vectorized,
         "scatter": scatter if workload == "clamr" else "",
-        "scenario": scenario,
-        "config": json.loads(json.dumps(asdict(config))),
+        "scenario": spec.scenario,
+        "config": json.loads(json.dumps(asdict(adapter.config))),
         "hash_stride": hash_stride,
         "hash_chunk": hash_chunk,
         "checkpoint_interval": checkpoint_interval,
@@ -177,24 +155,12 @@ def record_run(
         "faults": plan.to_config() if plan is not None else None,
         "state_hash": ladder_digest(ladder),
     }
-    ladder.meta.update(
-        workload=workload, steps=steps, policy=policy, precision=precision,
-        scheme=scheme,
-    )
+    ladder.meta.update({key: value for key, value in knobs.items() if key != "seed"})
     if out_dir is not None:
         write_hashes(
             ladder,
             out_dir / "hashes.jsonl",
-            extra_meta={
-                "workload": workload,
-                "steps": steps,
-                "seed": seed,
-                "policy": policy,
-                "precision": precision,
-                "scheme": scheme,
-                "scatter": run_doc["scatter"],
-                "faults": run_doc["faults"],
-            },
+            extra_meta={**knobs, "scatter": run_doc["scatter"], "faults": run_doc["faults"]},
         )
         ioutil.atomic_write_bytes(
             out_dir / "run.json",
@@ -224,19 +190,17 @@ def load_run_doc(run_dir: str | Path) -> dict:
     return doc
 
 
-def fault_footprint(plan, **record_kwargs) -> dict:
+def fault_footprint(plan, spec) -> dict:
     """Corruption footprint of a fault plan: injection site vs first divergence.
 
-    Runs a clean twin and a faulted twin of the same workload (in
-    memory, stride 1) and compares their ladders.  The report pairs each
-    injected fault with the localized first divergence, including the
-    detection latency in steps — the campaign-facing answer to "how far
-    did this fault spread before anything could see it?".
+    Runs a clean twin and a faulted twin of :class:`~repro.service.JobSpec`
+    ``spec`` (in memory, stride 1) and compares their ladders.  The
+    report pairs each injected fault with the localized first divergence,
+    including the detection latency in steps — the campaign-facing answer
+    to "how far did this fault spread before anything could see it?".
     """
-    kwargs = dict(record_kwargs)
-    kwargs.setdefault("hash_stride", 1)
-    clean = record_run(None, **kwargs)
-    faulted = record_run(None, plan=plan, **kwargs)
+    clean = record_run(None, spec)
+    faulted = record_run(None, spec, plan=plan)
     report = compare_ladders(clean.ladder, faulted.ladder)
     injected = [
         {

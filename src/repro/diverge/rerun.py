@@ -25,7 +25,7 @@ from nowhere) across the window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.diverge.compare import DivergenceReport, compare_ladders, compare_paths
@@ -80,8 +80,30 @@ class ReplayReport:
         return json.dumps(self.to_doc(), indent=indent, sort_keys=True)
 
 
-def _tuplify(doc: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+def _job_spec(doc: dict, path: Path):
+    """The :class:`~repro.service.JobSpec` a ``run.json`` recorded.
+
+    Rebuilt from the recorded fields and the config's sizes; raises the
+    one-line ValueError unless it reproduces the recorded config exactly.
+    Pre-scenario run docs have no ``"scenario"``: the seed case.
+    """
+    from repro.service.jobs import JobSpec
+
+    cfg = doc["config"]
+    sizes = (dict(nx=cfg["nx"], max_level=cfg["max_level"]) if doc["workload"] == "clamr"
+             else dict(elems=cfg["nex"], order=cfg["order"]))
+    spec = JobSpec(
+        **{key: doc[key] for key in ("workload", "steps", "seed", "policy", "precision")},
+        scheme=doc.get("scheme", "rusanov"), scenario=doc.get("scenario", ""), **sizes,
+    )
+    rebuilt = json.loads(json.dumps(asdict(spec.config())))
+    if rebuilt != cfg:
+        differ = sorted(k for k in set(cfg) | set(rebuilt) if cfg.get(k) != rebuilt.get(k))
+        raise ValueError(
+            f"{path}: the recorded run does not rebuild its config "
+            f"(differs in {', '.join(differ)})"
+        )
+    return spec
 
 
 def _fault_plan(doc: dict | None):
@@ -116,24 +138,14 @@ class _ReplaySide:
         from repro.resilience.adapters import make_adapter
         from repro.resilience.faults import FaultInjector
         from repro.telemetry import Telemetry
-        from repro.workload import make_config
 
         self.run_dir = run_dir
         self.doc = doc
         self.workload = doc["workload"]
         self.scatter = doc.get("scatter", "")
+        spec = _job_spec(doc, run_dir / "run.json")
         tel = Telemetry(label=f"replay/{run_dir.name}", ladder=ladder)
-        self.adapter = make_adapter(
-            self.workload,
-            make_config(self.workload, **_tuplify(doc["config"])),
-            policy=doc["policy"] if self.workload == "clamr" else doc["precision"],
-            scheme=doc.get("scheme", "rusanov"),
-            vectorized=bool(doc.get("vectorized", True)),
-            telemetry=tel,
-            # pre-scenario run docs have no "scenario" key; "" keeps the
-            # workload's seed initial condition, matching what was recorded
-            scenario=doc.get("scenario", ""),
-        )
+        self.adapter = make_adapter(spec, tel, bool(doc.get("vectorized", True)))
         plan = _fault_plan(doc.get("faults"))
         self.injector = FaultInjector(plan) if plan is not None else None
 

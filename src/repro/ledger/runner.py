@@ -11,7 +11,7 @@ build and run the same JobSpec themselves and reduce it with
 
 from __future__ import annotations
 
-from repro.ledger.record import record_from_clamr, record_from_self
+from repro.ledger.record import identity_config, record_from_clamr, record_from_self
 
 __all__ = ["record_job", "run_workload"]
 
@@ -32,4 +32,5 @@ def run_workload(spec, flight_stride: int = 0):
 def record_job(spec, sim, result, tel):
     """The :class:`RunRecord` of ``spec`` run as ``sim`` to ``result`` under ``tel``."""
     to_record = record_from_clamr if spec.workload == "clamr" else record_from_self
-    return to_record(result, tel, sim.config, seed=spec.seed, label=tel.label)
+    config = identity_config(spec.workload, sim.config, scenario=spec.scenario)
+    return to_record(result, tel, config, seed=spec.seed, label=tel.label)

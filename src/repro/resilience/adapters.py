@@ -17,10 +17,15 @@ Neither driver exposes that surface directly, so each gets an adapter:
   *rebuilds the solver* at the new dtype (the operators are typed);
   dt halving likewise halves the Courant number.
 
-Both accumulate wall/kernel seconds and a conserved-total history
-across the chunked ``run()`` calls, and patch the final driver result so
-one coherent ``SimulationResult``/``SelfResult`` — including replayed
-work in its timings — reaches the ledger.
+Both are built from the run's :class:`repro.service.JobSpec` (through
+:meth:`JobSpec.simulation`, as every door builds a run), keep it as
+``spec`` — it travels by value, so adapters stay picklable for
+process-parallel campaigns, and a scenario resolves in-process by name —
+and keep the config the run started from as ``config``.  Both accumulate
+wall/kernel seconds and a conserved-total history across the chunked
+``run()`` calls, and patch the final driver result so one coherent
+``SimulationResult``/``SelfResult`` — including replayed work in its
+timings — reaches the ledger.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.precision.breakdown import NonFiniteStepError
-from repro.precision.policy import PrecisionLevel, PrecisionPolicy, level_from_name
-from repro.workload import make_simulation, self_precision
+from repro.precision.policy import PrecisionLevel, PrecisionPolicy
+from repro.workload import make_simulation
 
 __all__ = ["ClamrAdapter", "SelfAdapter", "make_adapter"]
 
@@ -71,29 +76,11 @@ class ClamrAdapter:
 
     workload = "clamr"
 
-    def __init__(
-        self,
-        config,
-        policy: str | PrecisionPolicy = "min",
-        scheme: str = "rusanov",
-        vectorized: bool = True,
-        telemetry=None,
-        scenario: str = "",
-    ) -> None:
-        if not isinstance(policy, PrecisionPolicy):
-            policy = PrecisionPolicy.from_level(level_from_name(policy))
-        self.config = config
-        self.initial_policy = policy
-        self.scheme = scheme
-        self.vectorized = vectorized
+    def __init__(self, spec, telemetry=None, vectorized: bool = True) -> None:
+        self.spec = spec
         self.telemetry = telemetry
-        # the scenario travels by *name* (adapters stay picklable for
-        # process-parallel campaigns) and resolves in-process
-        self.scenario = scenario
-        self.sim = make_simulation(
-            "clamr", config, policy=policy, vectorized=vectorized, scheme=scheme,
-            telemetry=telemetry, scenario=scenario,
-        )
+        self.sim = spec.simulation(telemetry, vectorized=vectorized)
+        self.config = self.sim.config
         self.elapsed_s = 0.0
         self.kernel_elapsed_s = 0.0
         self.conserved_history: list[float] = []
@@ -193,15 +180,11 @@ class SelfAdapter:
 
     workload = "self"
 
-    def __init__(self, config, precision: str = "single", telemetry=None,
-                 scenario: str = "") -> None:
-        self.config = config
-        self.initial_precision = precision
+    def __init__(self, spec, telemetry=None) -> None:
+        self.spec = spec
         self.telemetry = telemetry
-        self.scenario = scenario
-        self.sim = make_simulation(
-            "self", config, policy=precision, telemetry=telemetry, scenario=scenario
-        )
+        self.sim = spec.simulation(telemetry)
+        self.config = self.sim.config
         self.elapsed_s = 0.0
         self.kernel_elapsed_s = 0.0
         self.conserved_history: list[float] = []
@@ -250,22 +233,20 @@ class SelfAdapter:
         self.sim.time = snap["time"]
         self.sim.step_count = snap["step"]
 
-    def _rebuild(self, precision: str, config) -> None:
-        """Re-type the solver; operators and background are dtype-bound."""
+    def escalate(self) -> bool:
+        """Re-type the solver at double (its operators and background are
+        dtype-bound), on the current config; False at the ceiling."""
         old = self.sim
+        if old.dtype == np.float64:
+            return False
         new = make_simulation(
-            "self", config, policy=precision, telemetry=self.telemetry,
-            scenario=self.scenario,
+            "self", old.config, policy="double", telemetry=self.telemetry,
+            scenario=self.spec.scenario,
         )
         new.U = old.U.astype(new.dtype, copy=True)
         new.time = old.time
         new.step_count = old.step_count
         self.sim = new
-
-    def escalate(self) -> bool:
-        if self.sim.dtype == np.float64:
-            return False
-        self._rebuild("double", self.sim.config)
         return True
 
     def halve_dt(self) -> None:
@@ -282,16 +263,11 @@ class SelfAdapter:
         return result
 
 
-def make_adapter(workload: str, config, *, policy: str = "min", scheme: str = "rusanov",
-                 vectorized: bool = True, telemetry=None, scenario: str = ""):
-    """Adapter factory keyed by workload name (the CLI entry point)."""
-    if workload == "clamr":
-        return ClamrAdapter(
-            config, policy=policy, scheme=scheme, vectorized=vectorized, telemetry=telemetry,
-            scenario=scenario,
-        )
-    if workload == "self":
-        return SelfAdapter(
-            config, precision=self_precision(policy), telemetry=telemetry, scenario=scenario
-        )
-    raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")
+def make_adapter(spec, telemetry=None, vectorized: bool = True):
+    """The adapter supervising :class:`~repro.service.JobSpec` ``spec``'s run.
+
+    ``vectorized=False`` selects CLAMR's scalar kernel (same bits).
+    """
+    if spec.workload == "clamr":
+        return ClamrAdapter(spec, telemetry, vectorized)
+    return SelfAdapter(spec, telemetry)

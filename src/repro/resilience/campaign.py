@@ -30,7 +30,6 @@ from repro.resilience.adapters import make_adapter
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.runner import RecoveryPolicy, ResilienceReport, ResilientRunner
 from repro.telemetry import TelemetrySpec
-from repro.workload import make_config
 
 __all__ = [
     "CampaignConfig",
@@ -48,33 +47,28 @@ _SELF_ARRAYS = ("rho", "rhou", "rhow", "rhoE")
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """The sweep definition; defaults are a minutes-scale CLAMR campaign."""
+    """The sweep over one run: :class:`~repro.service.JobSpec` ``spec``.
 
-    workload: str = "clamr"
+    Each cell runs ``spec.at_level(level)``; ``spec.seed`` seeds the
+    cells' fault plans.  By default each of the workload's campaign
+    arrays (SELF's omit ``rhov``) takes every fault kind at three
+    precision levels, halfway through the run.
+    """
+
+    spec: "repro.service.JobSpec"
     arrays: tuple[str, ...] = ()
     kinds: tuple[str, ...] = FAULT_KINDS
     levels: tuple[str, ...] = ("min", "mixed", "full")
-    steps: int = 24
     fault_step: int = 0  # 0 => mid-run
     trials: int = 1
-    seed: int = 0
-    # registered scenario name ("" => the workload's seed case)
-    scenario: str = ""
-    # clamr shape
-    nx: int = 16
-    max_level: int = 1
-    scheme: str = "rusanov"
-    # self shape
-    elems: int = 2
-    order: int = 3
 
     def resolved_arrays(self) -> tuple[str, ...]:
         if self.arrays:
             return self.arrays
-        return _CLAMR_ARRAYS if self.workload == "clamr" else _SELF_ARRAYS
+        return _CLAMR_ARRAYS if self.spec.workload == "clamr" else _SELF_ARRAYS
 
     def resolved_fault_step(self) -> int:
-        return self.fault_step if self.fault_step > 0 else max(1, self.steps // 2)
+        return self.fault_step if self.fault_step > 0 else max(1, self.spec.steps // 2)
 
 
 @dataclass(frozen=True)
@@ -118,28 +112,18 @@ def run_cell(
     telemetry=None,
 ) -> tuple[CellOutcome, ResilienceReport, ResilientRunner]:
     """Run one supervised cell: one fault into one array at one level."""
-    adapter = make_adapter(
-        config.workload,
-        make_config(
-            config.workload, config.scenario, nx=config.nx, max_level=config.max_level,
-            elems=config.elems, order=config.order,
-        ),
-        policy=level,
-        scheme=config.scheme,
-        telemetry=telemetry,
-        scenario=config.scenario,
-    )
+    adapter = make_adapter(config.spec.at_level(level), telemetry)
     # the cell seed folds the sweep coordinates in deterministically
     # (stable across processes, unlike hash()), so re-running the
     # campaign with the same seed replays every cell — and running it
     # under --jobs N replays the same cells regardless of worker count
-    cell_seed = derive_seed(config.seed, array, kind, level, trial)
+    cell_seed = derive_seed(config.spec.seed, array, kind, level, trial)
     plan = FaultPlan(
         specs=(FaultSpec(kind=kind, array=array, step=config.resolved_fault_step()),),
         seed=cell_seed,
     )
     runner = ResilientRunner(adapter, plan=plan, policy=recovery)
-    report = runner.run(config.steps)
+    report = runner.run(config.spec.steps)
     injected_steps = {f.step for f in report.faults}
     detected = any(d.step >= min(injected_steps, default=0) for d in report.detections)
     outcome = CellOutcome(
@@ -176,13 +160,7 @@ def _campaign_cell_task(config, recovery, array, kind, level, trial, want_record
     )
     record = None
     if want_record and report.result is not None:
-        record = record_resilient_run(
-            report,
-            runner,
-            sim_config=runner.adapter.config,
-            seed=config.seed,
-            label=getattr(telemetry, "label", ""),
-        )
+        record = record_resilient_run(report, runner, label=getattr(telemetry, "label", ""))
     return outcome, record
 
 
@@ -217,7 +195,7 @@ def run_campaign(
             fn=_campaign_cell_task,
             args=(config, recovery, array, kind, level, trial, ledger is not None),
             telemetry=TelemetrySpec(
-                label=f"resilience/{config.workload}/{level}/{array}/{kind}/t{trial}",
+                label=f"resilience/{config.spec.workload}/{level}/{array}/{kind}/t{trial}",
                 watch_stride=0,
             ),
         )
@@ -241,28 +219,24 @@ def run_campaign(
     return result
 
 
-def record_resilient_run(
-    report: ResilienceReport,
-    runner: ResilientRunner,
-    sim_config,
-    seed: int = 0,
-    label: str = "",
-):
+def record_resilient_run(report: ResilienceReport, runner: ResilientRunner, label: str = ""):
     """Reduce one supervised run to a ledger :class:`RunRecord`.
 
-    The fault plan and recovery policy enter the hashed config (so a
-    resilience run can never share a workload key with an unsupervised
-    run of the same shape), and the resilience counters merge into the
-    record's fidelity dict — which is not part of the hash, exactly like
-    every other measured outcome.
+    The run is the adapter's JobSpec, from the config it started at, and
+    its seed is the spec's.  The fault plan and recovery policy enter the
+    hashed config (so a resilience run can never share a workload key
+    with an unsupervised run of the same shape), and the resilience
+    counters merge into the record's fidelity dict — which is not part
+    of the hash, exactly like every other measured outcome.
     """
     from repro.ledger.record import identity_config, record_from_clamr, record_from_self
 
     if report.result is None:
         raise ValueError("cannot record an aborted run that never completed a step")
     adapter = runner.adapter
+    spec = adapter.spec
     # the scenario is part of what was run, so it joins the identity
-    cfg = identity_config(report.workload, sim_config, scenario=adapter.scenario)
+    cfg = identity_config(spec.workload, adapter.config, scenario=spec.scenario)
     cfg["resilience"] = {
         "plan": runner.plan.to_config(),
         "recovery": runner.policy.to_config(),
@@ -272,7 +246,7 @@ def record_resilient_run(
         # empty stand-in: the record builders only read spans/numerics
         tel = TelemetrySpec(watch_stride=0).build()
     builder = record_from_clamr if report.workload == "clamr" else record_from_self
-    record = builder(report.result, tel, cfg, seed=seed, label=label)
+    record = builder(report.result, tel, cfg, seed=spec.seed, label=label)
     record.fidelity.update(report.fidelity())
     return record
 
@@ -284,7 +258,7 @@ def vulnerability_table(result: CampaignResult):
     cfg = result.config
     table = Table(
         title=(
-            f"Vulnerability report: {cfg.workload}, {cfg.steps} steps, "
+            f"Vulnerability report: {cfg.spec.workload}, {cfg.spec.steps} steps, "
             f"fault at step {cfg.resolved_fault_step()}, {max(1, cfg.trials)} trial(s)/cell"
         ),
         headers=[

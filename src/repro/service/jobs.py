@@ -19,9 +19,17 @@ keys, so a run knob that reaches the record but not the spec fails them.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
-from repro.workload import CLAMR_POLICIES, WORKLOADS, make_config, make_simulation, run_label
+from repro.workload import (
+    CLAMR_POLICIES,
+    WORKLOADS,
+    make_config,
+    make_simulation,
+    resolve_scenario,
+    run_label,
+    self_precision,
+)
 
 __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
@@ -43,7 +51,8 @@ class JobSpec:
     run flag is built from (``repro.cli._add_job_arguments``).  CLAMR jobs
     use ``nx``/``max_level``/``policy``/``scheme``; SELF jobs use
     ``elems``/``order``/``precision``; both share ``steps``, ``seed``,
-    ``watch_stride`` and an optional display ``label``.  The irrelevant
+    ``watch_stride``, an optional display ``label`` and an optional
+    registered ``scenario`` (empty: the seed case).  The irrelevant
     family's knobs are carried at their defaults and excluded from the
     hashed identity (the config payload is built per family, exactly as
     the ledger does it).
@@ -54,6 +63,8 @@ class JobSpec:
     seed: int = _knob(0, "workload seed (fingerprint input)", minimum=0)
     watch_stride: int = _knob(4, "numerics watchpoint stride (steps)")
     label: str = _knob("", "display label for the run")
+    scenario: str = _knob("", "registered scenario to run instead of the workload's "
+                          "seed case (see 'repro scenario list')")
     # clamr knobs
     nx: int = _knob(24, "clamr: coarse grid cells per side", family="clamr")
     max_level: int = _knob(1, "clamr: AMR levels", family="clamr", minimum=0)
@@ -79,11 +90,14 @@ class JobSpec:
         The rule every door applies: the CLI checks each parsed run flag
         with it before a command prints anything.  A knob of the other
         family than ``workload`` is carried, not checked against its
-        choices.
+        choices.  A ``scenario`` must be registered and, given a
+        ``workload``, of its family; an empty one loads no scenario code.
         """
         f = cls.__dataclass_fields__[name]
         meta = f.metadata
-        if meta["choices"]:
+        if name == "scenario":
+            resolve_scenario(value, workload)
+        elif meta["choices"]:
             if meta["family"] in ("", workload) and value not in meta["choices"]:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {meta['choices']}")
         elif isinstance(f.default, int) and (
@@ -104,7 +118,7 @@ class JobSpec:
         from repro.ledger.record import identity_config
 
         return identity_config(
-            self.workload, self.config(), steps=self.steps,
+            self.workload, self.config(), scenario=self.scenario, steps=self.steps,
             watch_stride=self.watch_stride, scheme=self.scheme,
         )
 
@@ -128,7 +142,7 @@ class JobSpec:
         --viscosity``); a run given them has its own identity.
         """
         return make_config(
-            self.workload, nx=self.nx, max_level=self.max_level,
+            self.workload, self.scenario, nx=self.nx, max_level=self.max_level,
             elems=self.elems, order=self.order, **fields,
         )
 
@@ -141,17 +155,28 @@ class JobSpec:
             label=self.describe(), watch_stride=self.watch_stride, flight_stride=flight_stride
         ).build()
 
-    def simulation(self, telemetry=None, **fields):
+    def simulation(self, telemetry=None, *, vectorized: bool = True, **fields):
         """The simulation this job runs: :meth:`config` (plus ``fields``)
         through :func:`repro.workload.make_simulation`, under ``telemetry``.
 
         Every door that runs a JobSpec builds its run here:
-        :func:`repro.ledger.run_workload` and ``repro clamr|self|trace``.
+        :func:`repro.ledger.run_workload`, ``repro clamr|self|trace`` and
+        the resilience adapters (so ``repro resilience`` and ``repro
+        diverge``).  ``vectorized=False`` selects CLAMR's scalar kernel,
+        which gives the same bits.
         """
         return make_simulation(
             self.workload, self.config(**fields), policy=self.policy_name,
-            scheme=self.scheme, telemetry=telemetry,
+            scheme=self.scheme, vectorized=vectorized, telemetry=telemetry,
+            scenario=self.scenario,
         )
+
+    def at_level(self, level: str) -> "JobSpec":
+        """This run at precision ``level``: CLAMR's ``policy``, or SELF's
+        ``precision`` with a level on either axis (``min`` runs single)."""
+        if self.workload == "clamr":
+            return replace(self, policy=level)
+        return replace(self, precision=self_precision(level))
 
     def describe(self) -> str:
         """The run's label: ``label``, else :func:`repro.workload.run_label`."""
@@ -159,7 +184,7 @@ class JobSpec:
             return self.label
         return run_label(
             self.workload, steps=self.steps, policy=self.policy_name, nx=self.nx,
-            elems=self.elems, order=self.order, scheme=self.scheme,
+            elems=self.elems, order=self.order, scheme=self.scheme, scenario=self.scenario,
         )
 
     # -- serialization -----------------------------------------------------

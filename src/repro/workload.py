@@ -21,6 +21,7 @@ __all__ = [
     "WORKLOADS",
     "make_config",
     "make_simulation",
+    "resolve_scenario",
     "run_label",
     "self_precision",
 ]
@@ -49,24 +50,30 @@ def self_precision(policy: str) -> str:
     return _CLAMR_TO_SELF.get(policy, policy)
 
 
-def _scenario(workload: str, scenario: Any = None):
-    """The scenario named (or given) for ``workload``; ``None`` for the seed case.
+def resolve_scenario(scenario: Any, workload: str = ""):
+    """The scenario named (or given); ``None`` for the seed case.
 
-    A scenario of the other mini-app raises the one family-mismatch error.
+    An unknown name raises the registry's one-line error; given a
+    ``workload``, a scenario of the other mini-app raises the one
+    family-mismatch error.  The registry loads only for a name.
     """
-    _check_workload(workload)
     if not scenario:
         return None
     if isinstance(scenario, str):
         from repro.scenarios.registry import get_scenario
 
         scenario = get_scenario(scenario)
-    if scenario.family != workload:
+    if workload and scenario.family != workload:
         raise ValueError(
             f"scenario {scenario.name!r} belongs to workload {scenario.family!r}, "
             f"not {workload!r}"
         )
     return scenario
+
+
+def _scenario(workload: str, scenario: Any = None):
+    _check_workload(workload)
+    return resolve_scenario(scenario, workload)
 
 
 def make_config(

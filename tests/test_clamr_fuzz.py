@@ -129,7 +129,6 @@ class TestGuardedLoopFuzz:
     )
     @settings(max_examples=25, deadline=None)
     def test_float32_loop_never_commits_nonfinite_state(self, seed, kind, array, step):
-        from repro.clamr import DamBreakConfig
         from repro.resilience import (
             ClamrAdapter,
             FaultPlan,
@@ -137,9 +136,9 @@ class TestGuardedLoopFuzz:
             RecoveryPolicy,
             ResilientRunner,
         )
+        from repro.service import JobSpec
 
-        cfg = DamBreakConfig(nx=8, ny=8, max_level=1)
-        adapter = ClamrAdapter(cfg, policy="min")
+        adapter = ClamrAdapter(JobSpec("clamr", nx=8, max_level=1, policy="min"))
         assert adapter.state_dtype == np.float32
 
         committed = []

@@ -18,15 +18,17 @@ BARE_DEFAULTS = {
                                        scheme="rusanov", **_SELF, watch_stride=4,
                                        strict=False, strict_headroom_bits=2.0)),
     "resilience inject": (["resilience", "inject", "clamr"],
-                          dict(steps=24, **_CLAMR, elems=2, order=3, seed=0)),
+                          dict(steps=24, **_CLAMR, elems=2, order=3, seed=0, scenario="")),
     "resilience run": (["resilience", "run", "clamr"],
-                       dict(steps=24, **_CLAMR, elems=2, order=3, seed=0)),
+                       dict(steps=24, **_CLAMR, elems=2, order=3, seed=0, scenario="",
+                            label="")),
     "resilience campaign": (["resilience", "campaign", "clamr"],
                             dict(steps=24, nx=16, max_level=1, scheme="rusanov", elems=2,
-                                 order=3, seed=0)),
+                                 order=3, seed=0, scenario="")),
     "diverge record": (["diverge", "record", "d"],
                        dict(workload="clamr", steps=24, nx=16, max_level=1, policy="mixed",
-                            scheme="rusanov", **_SELF, scalar=False, seed=0, label="")),
+                            scheme="rusanov", **_SELF, scalar=False, seed=0, label="",
+                            scenario="")),
     "diverge report": (["diverge", "report"],
                        dict(workload="clamr", steps=24, nx=16, max_level=1, scheme="rusanov",
                             elems=3, order=3)),
@@ -295,6 +297,89 @@ class TestResilienceCLI:
                      "--nx", "12"]) == 0
         out = capsys.readouterr().out
         assert "Vulnerability report" in out
+
+
+class TestOneRunDescription:
+    """``resilience`` and ``diverge`` run the JobSpec their flags parse to."""
+
+    def test_footprint_twins_run_at_the_probe_precision(self, monkeypatch, capsys):
+        # the probe runs SELF at --policy min's precision (single); its two
+        # footprint twins used to run at double
+        from repro.resilience import adapters
+
+        built = []
+
+        class Spy(adapters.SelfAdapter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.policy_name)
+
+        monkeypatch.setattr(adapters, "SelfAdapter", Spy)
+        assert main(["resilience", "inject", "self", "--policy", "min", "--footprint",
+                     "--fault", "nan:rho:2", "--steps", "3", "--elems", "2",
+                     "--order", "2"]) == 0
+        assert "footprint" in capsys.readouterr().out
+        assert built == ["single"] * 3
+
+    @pytest.mark.parametrize("door", [["resilience", "run", "clamr"],
+                                      ["diverge", "record", "{tmp}/d"]],
+                             ids=["resilience", "diverge"])
+    @pytest.mark.parametrize("fault, message", [
+        (["--fault", "nan:Q:5"],
+         "fault targets unknown array 'Q'; clamr exposes ['H', 'U', 'V']"),
+        (["--steps", "4", "--fault", "nan:H:99"], "fault step 99 is beyond the run (4 steps)"),
+    ], ids=["unknown-array", "beyond-run"])
+    def test_one_fault_plan_builder(self, tmp_path, capsys, door, fault, message):
+        self._expect_first_line(tmp_path, capsys, door + fault, message)
+
+    def test_only_the_sweep_doors_take_a_scenario(self):
+        import argparse
+
+        def doors(parser, path=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from doors(child, (*path, name))
+                elif "--scenario" in action.option_strings:
+                    yield " ".join(path)
+
+        assert sorted(doors(build_parser())) == sorted(self.SCENARIO_DOORS)
+
+    SCENARIO_DOORS = {
+        "table": ["table", "1"],
+        "figure": ["figure", "1"],
+        "resilience inject": ["resilience", "inject", "self"],
+        "resilience run": ["resilience", "run", "self"],
+        "resilience campaign": ["resilience", "campaign", "self"],
+        "diverge record": ["diverge", "record", "{tmp}/d", "--workload", "self"],
+    }
+
+    def _expect_first_line(self, tmp_path, capsys, argv, message):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"repro: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("door", SCENARIO_DOORS)
+    def test_unknown_scenario_fails_first(self, tmp_path, capsys, monkeypatch, door):
+        from repro.scenarios import scenario_names
+
+        monkeypatch.chdir(tmp_path)
+        message = (f"unknown scenario 'clamr/nope'; available: "
+                   f"{', '.join(scenario_names())}")
+        self._expect_first_line(tmp_path, capsys,
+                                self.SCENARIO_DOORS[door] + ["--scenario", "clamr/nope"],
+                                message)
+
+    @pytest.mark.parametrize("door", [d for d in SCENARIO_DOORS if d not in ("table", "figure")])
+    def test_other_family_scenario_fails_first(self, tmp_path, capsys, monkeypatch, door):
+        # `resilience campaign` used to print its header before this error
+        monkeypatch.chdir(tmp_path)
+        message = ("scenario 'clamr/lake-at-rest' belongs to workload 'clamr', "
+                   "not 'self'")
+        self._expect_first_line(
+            tmp_path, capsys,
+            self.SCENARIO_DOORS[door] + ["--scenario", "clamr/lake-at-rest"], message)
 
 
 class TestErrorHygiene:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,12 @@ from repro.diverge import (
     write_hashes,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.service import JobSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-QUICK = dict(workload="clamr", steps=10, nx=8, max_level=1, policy="mixed")
+QUICK = JobSpec("clamr", steps=10, nx=8, max_level=1, policy="mixed")
+LONG = replace(QUICK, steps=16)
 
 
 def plan_of(*specs, seed=0):
@@ -191,8 +194,8 @@ class TestUlp:
 
 class TestRecordCompare:
     def test_identical_runs_bit_identical(self, tmp_path):
-        a = record_run(tmp_path / "a", **QUICK)
-        b = record_run(tmp_path / "b", **QUICK)
+        a = record_run(tmp_path / "a", QUICK)
+        b = record_run(tmp_path / "b", QUICK)
         assert a.root == b.root
         assert (tmp_path / "a/hashes.jsonl").read_bytes() == (
             tmp_path / "b/hashes.jsonl"
@@ -216,9 +219,9 @@ class TestRecordCompare:
         ).read_bytes()
 
     def test_bitflip_localized_to_exact_site(self, tmp_path):
-        clean = record_run(tmp_path / "clean", **QUICK)
+        clean = record_run(tmp_path / "clean", QUICK)
         plan = plan_of("bitflip:H:6:87:21", seed=5)
-        faulted = record_run(tmp_path / "faulted", plan=plan, **QUICK)
+        faulted = record_run(tmp_path / "faulted", QUICK, plan=plan)
         assert [e.step for e in faulted.injected] == [6]
         report = compare_paths(tmp_path / "clean", tmp_path / "faulted")
         assert report.diverged
@@ -228,9 +231,8 @@ class TestRecordCompare:
         assert "step 6" in report.summary() and "field H" in report.summary()
 
     def test_stride_brackets_divergence_window(self, tmp_path):
-        kwargs = dict(QUICK, steps=16, hash_stride=4)
-        record_run(tmp_path / "clean", **kwargs)
-        record_run(tmp_path / "faulted", plan=plan_of("bitflip:H:6"), **kwargs)
+        record_run(tmp_path / "clean", LONG, hash_stride=4)
+        record_run(tmp_path / "faulted", LONG, hash_stride=4, plan=plan_of("bitflip:H:6"))
         report = compare_paths(tmp_path / "clean", tmp_path / "faulted")
         assert report.diverged
         # fault at 6 → last clean hashed step 4, first divergent hashed step 8
@@ -239,42 +241,39 @@ class TestRecordCompare:
 
     def test_fault_after_last_hash_of_window(self, tmp_path):
         # fault exactly on a hashed step diverges at that step
-        kwargs = dict(QUICK, steps=16, hash_stride=4)
-        record_run(tmp_path / "clean", **kwargs)
-        record_run(tmp_path / "faulted", plan=plan_of("bitflip:H:8"), **kwargs)
+        record_run(tmp_path / "clean", LONG, hash_stride=4)
+        record_run(tmp_path / "faulted", LONG, hash_stride=4, plan=plan_of("bitflip:H:8"))
         report = compare_paths(tmp_path / "clean", tmp_path / "faulted")
         assert report.divergence.step == 8
         assert report.divergence.window == (4, 8)
 
     def test_knob_mismatch_reported(self, tmp_path):
-        record_run(tmp_path / "a", **QUICK)
-        record_run(tmp_path / "b", **dict(QUICK, hash_stride=2))
+        record_run(tmp_path / "a", QUICK)
+        record_run(tmp_path / "b", QUICK, hash_stride=2)
         report = compare_paths(tmp_path / "a", tmp_path / "b")
         assert any("stride" in line for line in report.meta_mismatch)
 
     def test_different_policies_diverge_with_meta_note(self, tmp_path):
-        record_run(tmp_path / "a", **QUICK)
-        record_run(tmp_path / "b", **dict(QUICK, policy="full"))
+        record_run(tmp_path / "a", QUICK)
+        record_run(tmp_path / "b", replace(QUICK, policy="full"))
         report = compare_paths(tmp_path / "a", tmp_path / "b")
         assert report.diverged
         assert any("policy" in line for line in report.meta_mismatch)
 
     def test_report_json_roundtrips(self, tmp_path):
-        record_run(tmp_path / "a", **QUICK)
-        record_run(tmp_path / "b", plan=plan_of("bitflip:H:3"), **QUICK)
+        record_run(tmp_path / "a", QUICK)
+        record_run(tmp_path / "b", QUICK, plan=plan_of("bitflip:H:3"))
         report = compare_paths(tmp_path / "a", tmp_path / "b")
         doc = json.loads(report.to_json())
         assert doc["diverged"] is True
         assert doc["divergence"]["step"] == 3
 
     def test_self_workload_roundtrip(self, tmp_path):
-        kwargs = dict(workload="self", steps=6, elems=2, order=2, precision="double")
-        a = record_run(tmp_path / "a", **kwargs)
-        b = record_run(tmp_path / "b", **kwargs)
+        spec = JobSpec("self", steps=6, elems=2, order=2, precision="double")
+        a = record_run(tmp_path / "a", spec)
+        b = record_run(tmp_path / "b", spec)
         assert a.root == b.root
-        faulted = record_run(
-            tmp_path / "c", plan=plan_of("bitflip:rho:4"), **kwargs
-        )
+        record_run(tmp_path / "c", spec, plan=plan_of("bitflip:rho:4"))
         report = compare_paths(tmp_path / "a", tmp_path / "c")
         assert report.diverged
         assert (report.divergence.step, report.divergence.field) == (4, "rho")
@@ -284,7 +283,7 @@ class TestInSimSites:
     """The simulation-loop ladder hooks hash per-kernel-site state."""
 
     def test_clamr_sites_present(self):
-        run = record_run(None, **QUICK)
+        run = record_run(None, QUICK)
         entry = run.ladder.step_entry(1)
         names = [s.name for s in entry.sites]
         assert "clamr/compute_timestep" in names
@@ -293,7 +292,7 @@ class TestInSimSites:
         assert STATE_SITE in names
 
     def test_self_sites_present(self):
-        run = record_run(None, workload="self", steps=2, elems=2, order=2)
+        run = record_run(None, JobSpec("self", steps=2, elems=2, order=2))
         names = [s.name for s in run.ladder.step_entry(1).sites]
         assert "self/stable_dt" in names
         assert "self/rk3_step" in names
@@ -303,17 +302,17 @@ class TestInSimSites:
         # two different scatter backends must be bit-identical (CSR plan
         # kernels were built for exactly this); the ladder proves it at
         # kernel-site granularity
-        a = record_run(None, scatter="plan", **QUICK)
-        b = record_run(None, scatter="add_at", **QUICK)
+        a = record_run(None, QUICK, scatter="plan")
+        b = record_run(None, QUICK, scatter="add_at")
         report = compare_ladders(a.ladder, b.ladder)
         assert not report.diverged, report.summary()
 
 
 class TestReplay:
     def test_replay_refines_and_quantifies(self, tmp_path):
-        kwargs = dict(QUICK, steps=16, hash_stride=4, checkpoint_interval=4)
-        record_run(tmp_path / "clean", **kwargs)
-        record_run(tmp_path / "faulted", plan=plan_of("bitflip:H:6"), **kwargs)
+        kwargs = dict(hash_stride=4, checkpoint_interval=4)
+        record_run(tmp_path / "clean", LONG, **kwargs)
+        record_run(tmp_path / "faulted", LONG, plan=plan_of("bitflip:H:6"), **kwargs)
         report = replay(tmp_path / "clean", tmp_path / "faulted")
         assert report.diverged
         # coarse bracket was (4, 8]; refined pins the exact step
@@ -329,30 +328,52 @@ class TestReplay:
         assert report.offending["stats"]["count_diff"] >= 1
 
     def test_replay_without_checkpoints_starts_from_zero(self, tmp_path):
-        kwargs = dict(QUICK, steps=8, hash_stride=4)
-        record_run(tmp_path / "clean", **kwargs)
-        record_run(tmp_path / "faulted", plan=plan_of("bitflip:H:2"), **kwargs)
+        spec = replace(QUICK, steps=8)
+        record_run(tmp_path / "clean", spec, hash_stride=4)
+        record_run(tmp_path / "faulted", spec, hash_stride=4, plan=plan_of("bitflip:H:2"))
         report = replay(tmp_path / "clean", tmp_path / "faulted")
         assert report.ckpt_a is None and report.ckpt_b is None
         assert report.refined.divergence.step == 2
 
+    def test_replay_rebuilds_a_scenario_run(self, tmp_path):
+        spec = replace(QUICK, steps=8, scenario="clamr/lake-at-rest")
+        record_run(tmp_path / "clean", spec, checkpoint_interval=4)
+        record_run(tmp_path / "faulted", spec, checkpoint_interval=4,
+                   plan=plan_of("bitflip:H:6"))
+        report = replay(tmp_path / "clean", tmp_path / "faulted")
+        assert report.ckpt_a == 4 and report.refined.divergence.step == 6
+
+    def test_replay_refuses_a_config_its_fields_do_not_rebuild(self, tmp_path):
+        record_run(tmp_path / "a", QUICK)
+        record_run(tmp_path / "b", QUICK, plan=plan_of("bitflip:H:3"))
+        path = tmp_path / "b" / "run.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["courant"] /= 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"run.json: the recorded run does not "
+                                             r"rebuild its config \(differs in courant\)$"):
+            replay(tmp_path / "a", tmp_path / "b")
+
     def test_clean_pair_skips_replay(self, tmp_path):
-        record_run(tmp_path / "a", **QUICK)
-        record_run(tmp_path / "b", **QUICK)
+        record_run(tmp_path / "a", QUICK)
+        record_run(tmp_path / "b", QUICK)
         report = replay(tmp_path / "a", tmp_path / "b")
         assert not report.diverged and report.ulp_curve == []
 
 
+ONSET = JobSpec("clamr", steps=6, nx=8, max_level=1)
+
+
 class TestOnset:
     def test_min_vs_full_monotone_cummax(self):
-        report = onset_curve(workload="clamr", steps=6, nx=8, max_level=1)
+        report = onset_curve(ONSET)
         assert len(report.curve) == 6
         cummax = report.cummax
         assert all(b >= a for a, b in zip(cummax, cummax[1:]))
         assert cummax[-1] > 0  # min vs full must diverge in ULP terms
 
     def test_onset_steps_are_first_crossings(self):
-        report = onset_curve(workload="clamr", steps=6, nx=8, max_level=1)
+        report = onset_curve(ONSET)
         for threshold, step in report.onset_steps.items():
             if step is None:
                 continue
@@ -361,8 +382,7 @@ class TestOnset:
                 assert report.cummax[step - 2] < float(threshold)
 
     def test_identical_pair_never_onsets(self):
-        report = onset_curve(workload="clamr", pair=("full", "full"),
-                             steps=3, nx=8, max_level=1)
+        report = onset_curve(replace(ONSET, steps=3), pair=("full", "full"))
         assert report.cummax[-1] == 0
         assert all(s is None for s in report.onset_steps.values())
 
@@ -370,14 +390,14 @@ class TestOnset:
 class TestFootprint:
     def test_footprint_matches_injection(self):
         plan = plan_of("bitflip:H:6", seed=2)
-        fp = fault_footprint(plan, **QUICK)
+        fp = fault_footprint(plan, QUICK)
         assert fp["diverged"]
         assert fp["latency_steps"] == 0
         assert fp["site_match"] is True
         assert fp["first_divergence"]["field"] == "H"
 
     def test_empty_plan_has_no_footprint(self):
-        fp = fault_footprint(FaultPlan(specs=(), seed=0), **QUICK)
+        fp = fault_footprint(FaultPlan(specs=(), seed=0), QUICK)
         assert not fp["diverged"] and fp["injected"] == []
 
 

@@ -8,7 +8,8 @@ from its file (``repro.clamr.kernels._load_sparsetools``), without the
 ``scipy.sparse`` package, ``numpy.f2py`` or ``numpy.testing``; a SELF or
 scenario run does not load CLAMR, and selecting a kernel backend loads
 none of its kernels or driver; the sweep service's queue loads neither
-CLAMR nor the parallel decomposition.  The directly loaded routines, and
+CLAMR nor the parallel decomposition, nor — for a job without a
+scenario — the scenario library.  The directly loaded routines, and
 the ordinary ``scipy.sparse`` import the loader falls back to when the
 extension file cannot be found, give the same bits.
 """
@@ -168,8 +169,14 @@ def test_self_and_scenarios_load_no_clamr():
 
 
 def test_service_queue_loads_no_clamr():
-    names = ("repro.clamr", "repro.parallel.halo")
-    assert loaded_after("import repro.service.jobs, repro.service.queue", names) == []
+    # a job document without a scenario loads no scenario code either
+    names = ("repro.clamr", "repro.parallel.halo", "repro.scenarios")
+    imports = """
+import repro.service.jobs, repro.service.queue
+repro.service.jobs.JobSpec.from_dict({"workload": "clamr", "scenario": ""})
+repro.service.jobs.JobSpec("self", elems=2, order=2).workload_key()
+"""
+    assert loaded_after(imports, names) == []
 
 
 def csr_digests(st) -> dict:

@@ -284,9 +284,10 @@ class TestHarnessSweeps:
 class TestCampaignParallel:
     def _config(self):
         from repro.resilience import CampaignConfig
+        from repro.service import JobSpec
 
         return CampaignConfig(
-            workload="clamr", steps=10, nx=8, max_level=1,
+            JobSpec("clamr", steps=10, nx=8, max_level=1),
             kinds=("nan", "bitflip"), levels=("min",), trials=1,
         )
 

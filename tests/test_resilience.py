@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.clamr import DamBreakConfig
 from repro.resilience import (
     CampaignConfig,
     ClamrAdapter,
@@ -24,6 +23,7 @@ from repro.resilience import (
     vulnerability_table,
 )
 from repro.resilience.campaign import record_resilient_run
+from repro.service import JobSpec
 
 
 class TestFaultSpec:
@@ -161,8 +161,7 @@ class TestDetectors:
 class TestClamrRecovery:
     def _run(self, ladder=("escalate", "escalate"), kind="nan", steps=24,
              policy_kw=None, **spec_kw):
-        cfg = DamBreakConfig(nx=16, ny=16, max_level=1)
-        adapter = ClamrAdapter(cfg, policy="min")
+        adapter = ClamrAdapter(JobSpec("clamr", nx=16, max_level=1, policy="min"))
         plan = FaultPlan(
             specs=(FaultSpec(kind=kind, array="H", step=12, **spec_kw),), seed=7
         )
@@ -200,8 +199,8 @@ class TestClamrRecovery:
         assert report.aborted and report.rollbacks == 4
 
     def test_fault_free_run_is_clean(self):
-        cfg = DamBreakConfig(nx=12, ny=12, max_level=1)
-        runner = ResilientRunner(ClamrAdapter(cfg, policy="full"))
+        runner = ResilientRunner(ClamrAdapter(JobSpec("clamr", nx=12, max_level=1,
+                                                      policy="full")))
         report = runner.run(10)
         assert report.completed and not report.detections and not report.faults
         assert report.rollbacks == 0 and report.replayed_steps == 0
@@ -224,12 +223,11 @@ class TestClamrRecovery:
 
 class TestRecoveryDeterminism:
     def _record(self):
-        cfg = DamBreakConfig(nx=16, ny=16, max_level=1)
-        adapter = ClamrAdapter(cfg, policy="min")
+        adapter = ClamrAdapter(JobSpec("clamr", nx=16, max_level=1, policy="min", seed=11))
         plan = FaultPlan(specs=(FaultSpec(kind="bitflip", array="H", step=9),), seed=11)
         runner = ResilientRunner(adapter, plan=plan, policy=RecoveryPolicy())
         report = runner.run(20)
-        return record_resilient_run(report, runner, sim_config=cfg, seed=11, label="det")
+        return record_resilient_run(report, runner, label="det")
 
     def test_same_plan_same_fingerprint(self):
         a, b = self._record(), self._record()
@@ -237,24 +235,21 @@ class TestRecoveryDeterminism:
         assert a.fidelity["conservation_last_hex"] == b.fidelity["conservation_last_hex"]
 
     def test_plan_enters_run_identity(self):
-        cfg = DamBreakConfig(nx=16, ny=16, max_level=1)
+        spec = JobSpec("clamr", nx=16, max_level=1, policy="min")
 
         def run(seed):
-            adapter = ClamrAdapter(cfg, policy="min")
+            adapter = ClamrAdapter(spec)
             plan = FaultPlan(specs=(FaultSpec(kind="bitflip", array="H", step=9),), seed=seed)
             runner = ResilientRunner(adapter, plan=plan)
             report = runner.run(20)
-            return record_resilient_run(report, runner, sim_config=cfg, seed=0)
+            return record_resilient_run(report, runner)
 
         assert run(1).workload_key != run(2).workload_key
 
 
 class TestSelfRecovery:
     def test_nan_recovery_via_escalation(self):
-        from repro.self_ import ThermalBubbleConfig
-
-        cfg = ThermalBubbleConfig(nex=2, ney=2, nez=2, order=3)
-        adapter = SelfAdapter(cfg, precision="single")
+        adapter = SelfAdapter(JobSpec("self", elems=2, order=3, precision="single"))
         plan = FaultPlan(specs=(FaultSpec(kind="nan", array="rho", step=4),), seed=3)
         runner = ResilientRunner(
             adapter, plan=plan,
@@ -266,19 +261,17 @@ class TestSelfRecovery:
         assert adapter.sim.U.dtype == np.float64
 
     def test_make_adapter(self):
-        from repro.self_ import ThermalBubbleConfig
-
-        cfg = ThermalBubbleConfig(nex=2, ney=2, nez=2, order=2)
-        assert make_adapter("self", cfg, policy="min").policy_name == "single"
-        assert make_adapter("self", cfg, policy="full").policy_name == "double"
+        spec = JobSpec("self", elems=2, order=2)
+        assert make_adapter(spec.at_level("min")).policy_name == "single"
+        assert make_adapter(spec.at_level("full")).policy_name == "double"
+        assert isinstance(make_adapter(JobSpec("clamr", nx=8)), ClamrAdapter)
         with pytest.raises(ValueError):
-            make_adapter("lulesh", cfg)
+            make_adapter(JobSpec("lulesh"))
 
 
 class TestProbe:
     def test_probe_never_recovers(self):
-        cfg = DamBreakConfig(nx=12, ny=12, max_level=1)
-        adapter = ClamrAdapter(cfg, policy="min")
+        adapter = ClamrAdapter(JobSpec("clamr", nx=12, max_level=1, policy="min"))
         plan = FaultPlan(specs=(FaultSpec(kind="nan", array="H", step=4),), seed=1)
         report = probe(adapter, plan, steps=8)
         assert report.steps_completed == 8
@@ -289,7 +282,7 @@ class TestCampaign:
     def test_cell_is_deterministic(self):
         from dataclasses import replace
 
-        cfg = CampaignConfig(workload="clamr", steps=10, nx=12)
+        cfg = CampaignConfig(JobSpec("clamr", steps=10, nx=12))
         a, _, _ = run_cell(cfg, "H", "nan", "min")
         b, _, _ = run_cell(cfg, "H", "nan", "min")
         assert replace(a, wall_s=0.0) == replace(b, wall_s=0.0)
@@ -298,8 +291,8 @@ class TestCampaign:
         from repro.ledger import Ledger
 
         cfg = CampaignConfig(
-            workload="clamr", arrays=("H",), kinds=("nan",),
-            levels=("min", "full"), steps=10, nx=12,
+            JobSpec("clamr", steps=10, nx=12), arrays=("H",), kinds=("nan",),
+            levels=("min", "full"),
         )
         ledger = Ledger(tmp_path / "camp.jsonl")
         result = run_campaign(cfg, ledger=ledger)

@@ -7,9 +7,20 @@ only, ``test_predicted_key_matches_*`` fails and the spec (or the
 ledger) must be updated in the same commit.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.service.jobs import JobSpec, execute_job
+
+#: workload keys computed before JobSpec carried a scenario: a spec without
+#: one hashes the same bytes as it always has
+PINNED_KEYS = [
+    (JobSpec("clamr"), "f2ca319db10f6066"),
+    (JobSpec("clamr", nx=16, steps=8, max_level=2, policy="min", scheme="muscl"),
+     "832345ea3b112113"),
+    (JobSpec("self", elems=2, order=2, steps=4, precision="single"), "1f7cffe62dedef80"),
+]
 
 
 class TestValidation:
@@ -102,3 +113,41 @@ class TestIdentity:
         record = execute_job(spec.to_dict())
         assert record.workload_key == spec.workload_key()
         assert record.policy == "double"
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("spec, key", PINNED_KEYS, ids=["smoke", "muscl", "self"])
+    def test_workload_key_is_pinned(self, spec, key):
+        assert spec.workload_key() == key
+        assert "scenario" not in spec.config_payload()
+
+
+class TestScenario:
+    def test_scenario_validated(self):
+        with pytest.raises(ValueError, match="^unknown scenario 'clamr/nope'; available: "):
+            JobSpec("clamr", scenario="clamr/nope")
+        with pytest.raises(ValueError, match="belongs to workload 'self', not 'clamr'"):
+            JobSpec("clamr", scenario="self/thermal-bubble")
+
+    def test_scenario_joins_identity_and_label(self):
+        spec = JobSpec("clamr", nx=12, steps=4, scenario="clamr/lake-at-rest")
+        assert spec.config_payload()["scenario"] == "clamr/lake-at-rest"
+        assert spec.workload_key() != replace(spec, scenario="").workload_key()
+        assert spec.describe() == "clamr/lake-at-rest/nx12s4/mixed"
+        assert spec.config().max_level == 0  # the scenario's overlay
+
+    @pytest.mark.parametrize("spec", [
+        JobSpec("clamr", nx=12, steps=4, scenario="clamr/lake-at-rest"),
+        JobSpec("self", elems=2, order=2, steps=2, scenario="self/density-current"),
+    ], ids=["clamr", "self"])
+    def test_predicted_key_matches_scenario_record(self, spec):
+        record = execute_job(spec.to_dict())
+        assert record.workload_key == spec.workload_key()
+        assert record.config["scenario"] == spec.scenario
+        assert record.label == spec.describe()
+
+    def test_at_level(self):
+        assert JobSpec("clamr").at_level("full").policy == "full"
+        assert JobSpec("self").at_level("min").precision == "single"
+        assert JobSpec("self").at_level("full").precision == "double"
+        assert JobSpec("self", precision="single").at_level("double").precision == "double"

@@ -14,7 +14,6 @@ import pytest
 
 import repro.clamr
 from repro.clamr import DamBreakConfig
-from repro.self_ import ThermalBubbleConfig
 from repro.scenarios import all_scenarios, build_simulation
 from repro.workload import make_config, run_label, self_precision
 
@@ -29,28 +28,30 @@ def _harness(workload, scenario):
     return run_self_precisions(elems=2, order=2, steps=1, scenario=scenario)
 
 
+def _spec(workload, scenario):
+    from repro.service import JobSpec
+
+    return JobSpec(workload, steps=1, nx=8, elems=2, order=2, scenario=scenario)
+
+
 def _diverge(workload, scenario):
     from repro.diverge import record_run
 
-    return record_run(None, workload=workload, steps=1, nx=8, elems=2, order=2,
-                      scenario=scenario)
+    return record_run(None, _spec(workload, scenario))
 
 
 def _campaign(workload, scenario):
     from repro.resilience import CampaignConfig
     from repro.resilience.campaign import run_cell
 
-    config = CampaignConfig(workload=workload, scenario=scenario, steps=1, nx=8, elems=2)
+    config = CampaignConfig(_spec(workload, scenario))
     return run_cell(config, "H" if workload == "clamr" else "rho", "bitflip", "min")
 
 
 def _adapter(workload, scenario):
     from repro.resilience import make_adapter
 
-    config = DamBreakConfig(nx=8, ny=8) if workload == "clamr" else ThermalBubbleConfig(
-        nex=2, ney=2, nez=2, order=2
-    )
-    return make_adapter(workload, config, scenario=scenario)
+    return make_adapter(_spec(workload, scenario))
 
 
 _OTHER = {"clamr": "self/thermal-bubble", "self": "clamr/dam-break"}
@@ -106,6 +107,7 @@ class TestOneRecipe:
         from repro.harness.experiments import run_clamr_levels
         from repro.resilience import CampaignConfig
         from repro.resilience.campaign import run_cell
+        from repro.service import JobSpec
 
         name = scenario.name
         nx = scenario.scale("quick")["nx"]
@@ -119,13 +121,16 @@ class TestOneRecipe:
                 nx=nx, steps=1, max_level=max_level, scenario=name
             ),
             "adapter": lambda: run_cell(
-                CampaignConfig(scenario=name, steps=1, nx=nx, max_level=max_level,
-                               levels=("mixed",)),
+                CampaignConfig(JobSpec("clamr", scenario=name, steps=1, nx=nx,
+                                       max_level=max_level), levels=("mixed",)),
                 "H", "bitflip", "mixed",
             ),
             "diverge": lambda: record_run(
-                None, steps=1, nx=nx, max_level=max_level, scenario=name
+                None, JobSpec("clamr", steps=1, nx=nx, max_level=max_level, scenario=name)
             ),
+            "jobspec": lambda: JobSpec(
+                "clamr", steps=1, nx=nx, max_level=max_level, scenario=name
+            ).simulation(),
         }
         for door, run in doors.items():
             before = len(built)
