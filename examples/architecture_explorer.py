@@ -10,24 +10,23 @@ runtime, boundedness, energy, and a monthly AWS bill per precision level.
 
 import argparse
 
-from repro.clamr import ClamrSimulation
+from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.cost.aws import application_cost
 from repro.harness.report import Table
 from repro.machine.energy import estimate_energy
 from repro.machine.roofline import RooflineModel
 from repro.machine.specs import DEVICES, device
-from repro.self_ import SelfSimulation
-from repro.workload import make_config
+from repro.self_ import SelfSimulation, ThermalBubbleConfig
 
 
 def measure_profiles(app: str):
     if app == "clamr":
-        cfg = make_config("clamr", nx=48, max_level=2)
+        cfg = DamBreakConfig(nx=48, ny=48, max_level=2)
         return {
             level: ClamrSimulation(cfg, policy=level).run(100).profile
             for level in ("min", "mixed", "full")
         }
-    cfg = make_config("self", elems=4, order=4)
+    cfg = ThermalBubbleConfig(nex=4, ney=4, nez=4, order=4)
     return {
         prec: SelfSimulation(cfg, precision=prec).run(50).profile
         for prec in ("single", "double")

@@ -14,15 +14,14 @@ import argparse
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation
+from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectorized
 from repro.harness.report import Table
 from repro.precision.bitsweep import minimum_safe_bits, sweep_mantissa_bits
 from repro.precision.emulation import truncate_mantissa
 from repro.precision.stochastic import stochastic_truncate
-from repro.workload import make_config
 
-CFG = make_config("clamr", nx=24, max_level=0, start_refined=False)
+CFG = DamBreakConfig(nx=24, ny=24, max_level=0, start_refined=False)
 STEPS = 150
 
 

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation, write_checkpoint
-from repro.workload import make_config
+from repro.clamr import ClamrSimulation, DamBreakConfig, write_checkpoint
 
 
 def detail(line: np.ndarray) -> float:
@@ -38,8 +37,8 @@ def main() -> None:
     outdir = args.outdir or Path(tempfile.mkdtemp(prefix="clamr_"))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    lo_cfg = make_config("clamr", nx=args.nx, max_level=1)
-    hi_cfg = make_config("clamr", nx=args.nx * 2, max_level=1)
+    lo_cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=1)
+    hi_cfg = DamBreakConfig(nx=args.nx * 2, ny=args.nx * 2, max_level=1)
 
     print(f"Full-LoRes: full precision on {args.nx}^2")
     lo_sim = ClamrSimulation(lo_cfg, policy="full")

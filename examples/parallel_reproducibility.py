@@ -18,7 +18,7 @@ Three demonstrations on one CLAMR state:
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation
+from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.state import ShallowWaterState
 from repro.harness.report import Table
@@ -26,12 +26,11 @@ from repro.parallel.decomposition import block_partition, morton_partition, stri
 from repro.parallel.halo import DistributedClamr
 from repro.parallel.reduction import ALGORITHMS, reduction_spread
 from repro.precision.policy import FULL_PRECISION, MIN_PRECISION
-from repro.workload import make_config
 
 
 def main() -> None:
     print("Part 1 — the global sum across decompositions")
-    sim = ClamrSimulation(make_config("clamr", nx=48, max_level=2), policy="full")
+    sim = ClamrSimulation(DamBreakConfig(nx=48, ny=48, max_level=2), policy="full")
     sim.run(120, record_mass=False)
     values = sim.state.H.astype(np.float64) * sim.mesh.cell_area()
     decs = [

@@ -15,13 +15,12 @@ import argparse
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation
+from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.precision.analysis import difference_metrics
 from repro.precision.policy import FULL_PRECISION, PrecisionLevel, PrecisionPolicy
 from repro.precision.tuner import ArrayBinding, GreedyPrecisionTuner
-from repro.workload import make_config
 
-CFG = make_config("clamr", nx=24, max_level=1)
+CFG = DamBreakConfig(nx=24, ny=24, max_level=1)
 STEPS = 120
 
 

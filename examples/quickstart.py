@@ -10,9 +10,8 @@ the solutions are, and how symmetric each one stayed.
 
 import argparse
 
-from repro.clamr import ClamrSimulation
 from repro.precision.analysis import asymmetry_signature, difference_metrics
-from repro.workload import make_config
+from repro.service import JobSpec
 
 
 def main() -> None:
@@ -22,14 +21,14 @@ def main() -> None:
     parser.add_argument("--max-level", type=int, default=2, help="AMR levels")
     args = parser.parse_args()
 
-    config = make_config("clamr", nx=args.nx, max_level=args.max_level)
+    spec = JobSpec("clamr", nx=args.nx, max_level=args.max_level, steps=args.steps)
     print(f"Cylindrical dam break: {args.nx}x{args.nx} coarse grid, "
           f"{args.max_level} AMR levels, {args.steps} steps\n")
 
     results = {}
     for level in ("min", "mixed", "full"):
-        sim = ClamrSimulation(config, policy=level)
-        results[level] = sim.run(args.steps)
+        sim = spec.at_level(level).simulation()
+        results[level] = sim.run(spec.steps)
         r = results[level]
         print(
             f"  {level:>5}: {r.policy.describe()}\n"

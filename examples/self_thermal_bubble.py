@@ -13,8 +13,7 @@ import argparse
 import numpy as np
 
 from repro.precision.analysis import asymmetry_signature, difference_metrics
-from repro.self_ import SelfSimulation
-from repro.workload import make_config
+from repro.self_ import SelfSimulation, ThermalBubbleConfig
 
 
 def main() -> None:
@@ -24,7 +23,8 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=200, help="RK3 steps")
     args = parser.parse_args()
 
-    cfg = make_config("self", elems=args.elems, order=args.order)
+    n = args.elems
+    cfg = ThermalBubbleConfig(nex=n, ney=n, nez=n, order=args.order)
     dof = args.elems**3 * (args.order + 1) ** 3 * 5
     print(
         f"Thermal bubble: {args.elems}^3 elements, order {args.order} "

@@ -16,10 +16,9 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.clamr import ClamrSimulation
+from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.harness.report import Table
 from repro.telemetry import Telemetry, event_report, span_tree, write_chrome_trace, write_jsonl
-from repro.workload import make_config
 
 POLICIES = ("min", "mixed", "full")
 
@@ -35,7 +34,7 @@ def main() -> None:
     outdir = args.outdir or Path(tempfile.mkdtemp(prefix="traces_"))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    cfg = make_config("clamr", nx=args.nx, max_level=args.max_level)
+    cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=args.max_level)
     traces: dict[str, Telemetry] = {}
     for policy in POLICIES:
         tel = Telemetry(label=f"clamr/dam_break/{policy}", watch_stride=args.stride)

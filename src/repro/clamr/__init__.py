@@ -37,7 +37,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "finite_diff_muscl": "repro.clamr.muscl",
     "compute_timestep": "repro.clamr.kernels",
     "ClamrSimulation": "repro.clamr.simulation",
-    "DamBreakConfig": "repro.clamr.simulation",
+    "DamBreakConfig": "repro.clamr.config",
     "SimulationResult": "repro.clamr.simulation",
     "write_checkpoint": "repro.clamr.checkpoint",
     "read_checkpoint": "repro.clamr.checkpoint",

@@ -12,7 +12,7 @@ through a loop implementation that is **bit-identical by contract**:
 ``python``
     The loop kernels in :mod:`.loops` interpreted by CPython over NumPy
     scalars.  Orders of magnitude slower.  It is the unvectorized row of
-    the paper's Table III (``ClamrSimulation(vectorized=False)`` runs the
+    the paper's Table III (``JobSpec.simulation(vectorized=False)`` runs the
     Rusanov step here), and it lets the logic the C backend executes be
     bit-verified everywhere, including float16, which ``cext`` does not
     instantiate, and on machines without a C compiler.

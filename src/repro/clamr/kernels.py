@@ -9,7 +9,7 @@ face lists — is the vectorized row (the SIMD analogue), the production
 path and the bit-exactness oracle.  The unvectorized row (the scalar-CPU
 analogue) is the same step run one face at a time by the ``python``
 kernel backend (``clamr_rhs`` in :mod:`repro.clamr.backends.loops`,
-selected by ``ClamrSimulation(vectorized=False)``): a loop over NumPy
+selected by ``JobSpec.simulation(vectorized=False)``): a loop over NumPy
 scalars of the compute dtype that replays this module's operation
 sequence, so the two rows produce the same bits.
 

@@ -132,8 +132,17 @@ def _add_job_arguments(
             continue
         flag = stride_flag if f.name == "watch_stride" else f"--{f.name.replace('_', '-')}"
         group.add_argument(flag, dest=f.name, type=type(default), default=default,
-                           choices=meta["choices"] or None, help=meta["help"])
+                           choices=meta["choices"] or None, help=meta["help"],
+                           action=_GivenFlag)
     parser.set_defaults(run_flags=tuple(names))
+
+
+class _GivenFlag(argparse.Action):
+    """Stores a run flag and notes in ``given_flags`` that the command line gave it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given_flags = (*getattr(namespace, "given_flags", ()), self.dest)
 
 
 def _add_run_outputs(parser: argparse.ArgumentParser) -> None:
@@ -153,14 +162,22 @@ def _job_spec_from_args(args: argparse.Namespace):
     """The :class:`~repro.service.JobSpec` parsed by :func:`_add_job_arguments`.
 
     A command with ``--policy`` but no ``--precision`` runs SELF at the
-    policy's precision (:meth:`JobSpec.at_level`).
+    policy's precision (:meth:`JobSpec.at_level`).  A size flag given
+    with a different value from the one its ``--scenario`` sets is an
+    error; left off, the scenario's value runs.
     """
     from dataclasses import fields
 
     from repro.service.jobs import JobSpec
 
-    spec = JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)
-                      if hasattr(args, f.name)})
+    given = {f.name: getattr(args, f.name) for f in fields(JobSpec) if hasattr(args, f.name)}
+    spec = JobSpec(**given)
+    for name in getattr(args, "given_flags", ()):
+        if getattr(spec, name) != given[name]:
+            raise CLIError(
+                f"--{name.replace('_', '-')} {given[name]} conflicts with scenario "
+                f"{spec.scenario!r}, which runs {name} {getattr(spec, name)}"
+            )
     flags = getattr(args, "run_flags", ())
     if spec.workload == "self" and "policy" in flags and "precision" not in flags:
         return spec.at_level(spec.policy)
@@ -243,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="fidelity comparison of two precision levels")
     _add_job_arguments(compare, ("steps", "nx"), nx=48, steps=300)
+    compare.set_defaults(workload="clamr", max_level=2)
     compare.add_argument("--levels", default="min,full", help="comma-separated pair")
 
     validate = sub.add_parser("validate", help="check every paper claim against a fresh run")
@@ -637,7 +655,7 @@ def _run_job(args: argparse.Namespace, traced: bool, **fields):
     _apply_backend(args)
     flight_stride = _flight_stride(args)
     tel = spec.telemetry(flight_stride) if traced or flight_stride else None
-    sim = spec.simulation(tel, **fields)
+    sim = spec.simulation(tel, config=spec.config(**fields))
     return spec, sim, sim.run(spec.steps), tel
 
 
@@ -647,7 +665,7 @@ def _append_record(args: argparse.Namespace, spec, sim, res, tel) -> None:
         return
     from repro.ledger import Ledger, record_job
 
-    record = Ledger(args.ledger).append(record_job(spec, sim, res, tel))
+    record = Ledger(args.ledger).append(record_job(spec, res, tel, config=sim.config))
     print(f"  ledger       : {args.ledger} += {record.fingerprint}")
 
 
@@ -821,16 +839,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.clamr import ClamrSimulation
     from repro.precision.analysis import asymmetry_signature, difference_metrics
-    from repro.workload import make_config
 
     levels = [x.strip() for x in args.levels.split(",")]
     if len(levels) != 2:
         print("--levels expects exactly two comma-separated names", file=sys.stderr)
         return 2
-    cfg = make_config("clamr", nx=args.nx, max_level=2)
-    runs = {lvl: ClamrSimulation(cfg, policy=lvl).run(args.steps) for lvl in levels}
+    spec = _job_spec_from_args(args)
+    runs = {lvl: spec.at_level(lvl).simulation().run(spec.steps) for lvl in levels}
     a, b = (runs[lvl] for lvl in levels)
     d = difference_metrics(b.slice_precise, a.slice_precise)
     print(f"CLAMR {args.nx}^2, {args.steps} steps: {levels[0]} vs {levels[1]}")
@@ -1329,13 +1345,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        all_scenarios,
-        gate_scenarios,
-        record_scenario,
-        run_scenario,
-        validate_scenario,
-    )
+    from repro.scenarios import all_scenarios, gate_scenarios, record_scenario, validate_scenario
 
     if args.scenario_command == "list":
         from repro.harness.report import Table
@@ -1373,15 +1383,20 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print(f"  wall time    : {record.wall_s:.3f}s")
             print(f"  ledger       : {ledger.path} ({len(ledger)} records)")
             return 0
-        run = run_scenario(args.name, scale=args.scale, policy=args.policy)
-        sc, res = run.scenario, run.result
+        from repro.scenarios import scenario_spec
+        from repro.workload import resolve_scenario
+
+        sc = resolve_scenario(args.name)
+        spec = scenario_spec(sc, args.scale, args.policy)
+        sim = spec.simulation()
+        res = sim.run(spec.steps)
         print(f"{sc.name} [{args.scale}]: {sc.description}")
-        print(f"  policy       : {run.policy}")
-        print(f"  steps        : {run.steps}")
+        print(f"  policy       : {spec.policy_name}")
+        print(f"  steps        : {spec.steps}")
         print(f"  sim time     : {res.final_time:.5f}")
         print(f"  wall time    : {res.elapsed_s:.2f}s (kernel {res.kernel_elapsed_s:.2f}s)")
         if sc.family == "clamr":
-            print(f"  cells        : {run.sim.mesh.ncells}")
+            print(f"  cells        : {sim.mesh.ncells}")
             print(f"  mass drift   : {res.mass_drift:.3e}")
         else:
             print(f"  w_max        : {res.max_vertical_velocity:.4f} m/s")

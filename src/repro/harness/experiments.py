@@ -15,11 +15,10 @@ profile-based modelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation
 from repro.clamr.simulation import SimulationResult
 from repro.cost.aws import application_cost
 from repro.harness.report import Figure, Table
@@ -28,9 +27,9 @@ from repro.machine.energy import estimate_energy
 from repro.machine.roofline import RooflineModel
 from repro.machine.specs import CLAMR_DEVICE_ORDER, SELF_DEVICE_ORDER, device
 from repro.precision.analysis import mirror_asymmetry
-from repro.self_ import SelfSimulation, ThermalBubbleConfig
+from repro.self_ import ThermalBubbleConfig
 from repro.self_.simulation import SelfResult
-from repro.workload import make_config, make_simulation, run_label
+from repro.service.jobs import JobSpec
 
 __all__ = [
     "table1_clamr_architectures",
@@ -62,6 +61,9 @@ PAPER_SELF_STEPS = 100
 
 CLAMR_LEVELS = ("min", "mixed", "full")
 SELF_PRECISIONS = ("single", "double")
+
+#: The sweeps' records watch every 8 steps (``TelemetrySpec``'s default).
+_WATCH_STRIDE = 8
 
 
 def clamr_paper_scale_factor(nx: int, steps: int) -> float:
@@ -122,17 +124,6 @@ def _persist_telemetry(telemetry_dir, bundle) -> None:
     write_jsonl(bundle, out / f"{stem}.jsonl")
 
 
-def _append_record(ledger, record) -> None:
-    """Append an already-built run record when a ledger is requested."""
-    if ledger is None or record is None:
-        return
-    from repro.ledger import Ledger
-
-    if not isinstance(ledger, Ledger):
-        ledger = Ledger(ledger)
-    ledger.append(record)
-
-
 def _persist_hashes(hash_dir, bundle) -> None:
     """Write ``<label>.hashes.jsonl`` when a lane carried a hash ladder.
 
@@ -153,77 +144,44 @@ def _persist_hashes(hash_dir, bundle) -> None:
     write_hashes(ladder, out / f"{stem}.hashes.jsonl")
 
 
-def _level_task(workload, cfg, level, steps, vectorized, scenario=None, telemetry=None):
+def _level_task(spec_doc, vectorized, telemetry=None):
     """Worker body for one precision level of a :func:`_run_levels` sweep.
 
     Module-level (picklable) so :class:`SweepExecutor` can ship it to a
-    worker process.  When the task carries a ``TelemetrySpec``, the
-    executor builds ``telemetry`` in the worker and ships the frozen
-    bundle back; records, trace files, and merged traces are all produced
-    by the parent from that bundle.  A scenario crosses the process
-    boundary as its *name* and is resolved in the worker, so its hooks
-    never need to pickle.
+    worker process.  The level's :class:`~repro.service.JobSpec` crosses
+    the process boundary as its dict, so a scenario travels by *name* and
+    is resolved in the worker (its hooks never need to pickle).  When the
+    task carries a ``TelemetrySpec``, the executor builds ``telemetry``
+    in the worker and ships the frozen bundle back; records, trace files,
+    and merged traces are all produced by the parent from that bundle.
     """
-    sim = make_simulation(
-        workload, cfg, policy=level, vectorized=vectorized, telemetry=telemetry,
-        scenario=scenario,
-    )
-    return level, sim.run(steps)
-
-
-def _run_sweep(
-    tasks, jobs, ledger, telemetry_dir, trace_out=None, build_record=None, hash_dir=None
-):
-    """Execute sweep tasks; all side effects happen parent-side, in order.
-
-    Traced tasks come back as :class:`TracedResult`; the parent unwraps
-    each, persists per-task telemetry into ``telemetry_dir`` (and, with
-    ``hash_dir`` set, each lane's state-hash stream), builds and
-    appends the ledger record (``build_record(result, bundle)``), and —
-    with ``trace_out`` set — merges every bundle into one Chrome trace
-    with one pid lane per task in submission order.
-    """
-    from repro.parallel.executor import SweepExecutor, TracedResult
-
-    results = {}
-    bundles = []
-    for _, outcome in SweepExecutor(jobs).stream(tasks):
-        bundle = None
-        if isinstance(outcome, TracedResult):
-            bundle = outcome.bundle
-            outcome = outcome.value
-        key, result = outcome
-        results[key] = result
-        if bundle is not None:
-            bundles.append(bundle)
-            _persist_telemetry(telemetry_dir, bundle)
-            _persist_hashes(hash_dir, bundle)
-            if build_record is not None:
-                _append_record(ledger, build_record(result, bundle))
-    if trace_out is not None and bundles:
-        from repro.telemetry import write_merged_chrome_trace
-
-        write_merged_chrome_trace(bundles, trace_out)
-    return results
+    spec = JobSpec.from_dict(spec_doc)
+    return spec.policy_name, spec.simulation(telemetry, vectorized=vectorized).run(spec.steps)
 
 
 def _run_levels(
-    workload, levels, sizes, steps, vectorized, telemetry_dir, ledger, label, jobs,
-    trace_out, flight_stride, hash_stride, hash_dir, scenario,
+    spec, levels, vectorized, telemetry_dir, ledger, label, jobs, trace_out, flight_stride,
+    hash_stride, hash_dir,
 ) -> dict:
-    """One run per precision level of ``workload``; see :func:`run_clamr_levels`."""
-    from repro.parallel.executor import SweepTask, resolve_jobs
+    """One run of ``spec`` per precision level; see :func:`run_clamr_levels`.
+
+    Tasks run in submission order; all side effects happen parent-side,
+    in order.  Traced tasks come back as :class:`TracedResult`; the
+    parent unwraps each, persists its telemetry into ``telemetry_dir``
+    (and, with ``hash_dir`` set, its state-hash stream), appends its
+    ledger record and — with ``trace_out`` set — merges every bundle
+    into one Chrome trace with one pid lane per level.
+    """
+    from repro.ledger import Ledger, record_job
+    from repro.parallel.executor import SweepExecutor, SweepTask, TracedResult, resolve_jobs
     from repro.telemetry import TelemetrySpec
 
-    cfg = make_config(workload, scenario, **sizes)
-    names = {
-        level: f"{label}/{level}" if label else run_label(
-            workload, steps=steps, policy=level, nx=sizes.get("nx"),
-            elems=sizes.get("elems"), order=sizes.get("order"), scenario=scenario or "",
-        )
-        for level in levels
-    }
-    jobs = resolve_jobs(jobs, len(levels))
+    if ledger is not None and not isinstance(ledger, Ledger):
+        ledger = Ledger(ledger)
+    specs = {}
+    for level in levels:
+        at = spec.at_level(level)
+        specs[at.policy_name] = replace(at, label=f"{label}/{level}") if label else at
     if hash_dir is not None and hash_stride < 1:
         hash_stride = 1
     traced = (
@@ -235,34 +193,36 @@ def _run_levels(
     )
     tasks = [
         SweepTask(
-            name=names[level],
+            name=s.describe(),
             fn=_level_task,
-            args=(workload, cfg, level, steps, vectorized, scenario),
-            telemetry=(
-                TelemetrySpec(
-                    label=names[level],
-                    flight_stride=flight_stride,
-                    hash_stride=hash_stride,
-                )
-                if traced
-                else None
-            ),
+            args=(s.to_dict(), vectorized),
+            telemetry=TelemetrySpec(
+                label=s.describe(), watch_stride=s.watch_stride,
+                flight_stride=flight_stride, hash_stride=hash_stride,
+            ) if traced else None,
         )
-        for level in levels
+        for s in specs.values()
     ]
-    build_record = None
-    if ledger is not None:
-        from repro.ledger.record import identity_config, record_from_clamr, record_from_self
+    results = {}
+    bundles = []
+    for _, outcome in SweepExecutor(resolve_jobs(jobs, len(tasks))).stream(tasks):
+        bundle = None
+        if isinstance(outcome, TracedResult):
+            bundle = outcome.bundle
+            outcome = outcome.value
+        key, result = outcome
+        results[key] = result
+        if bundle is not None:
+            bundles.append(bundle)
+            _persist_telemetry(telemetry_dir, bundle)
+            _persist_hashes(hash_dir, bundle)
+            if ledger is not None:
+                ledger.append(record_job(specs[key], result, bundle))
+    if trace_out is not None and bundles:
+        from repro.telemetry import write_merged_chrome_trace
 
-        to_record = record_from_clamr if workload == "clamr" else record_from_self
-        rec_cfg = identity_config(workload, cfg, scenario=scenario or "")
-
-        def build_record(result, bundle):
-            return to_record(result, bundle, rec_cfg, label=bundle.label)
-
-    return _run_sweep(
-        tasks, jobs, ledger, telemetry_dir, trace_out, build_record, hash_dir
-    )
+        write_merged_chrome_trace(bundles, trace_out)
+    return results
 
 
 def run_clamr_levels(
@@ -301,13 +261,15 @@ def run_clamr_levels(
     defaulting to every step), so serial and ``--jobs N`` sweeps can be
     diffed bit-for-bit with ``repro diverge compare``.  ``scenario``
     swaps the workload for a registered CLAMR scenario (its config
-    overrides and hooks apply on top of ``nx``/``max_level``; its name
-    joins the ledger identity).  The flux scheme is always Rusanov.
+    overrides, sizes included, and hooks apply on top of
+    ``nx``/``max_level``; its name joins the ledger identity).  The flux
+    scheme is always Rusanov.
     """
+    spec = JobSpec("clamr", steps=steps, nx=nx, max_level=max_level,
+                   scenario=scenario or "", watch_stride=_WATCH_STRIDE)
     return _run_levels(
-        "clamr", CLAMR_LEVELS, {"nx": nx, "max_level": max_level}, steps, vectorized,
-        telemetry_dir, ledger, label, jobs, trace_out, flight_stride, hash_stride,
-        hash_dir, scenario,
+        spec, CLAMR_LEVELS, vectorized, telemetry_dir, ledger, label, jobs, trace_out,
+        flight_stride, hash_stride, hash_dir,
     )
 
 
@@ -331,10 +293,11 @@ def run_self_precisions(
     ``flight_stride``, ``hash_stride``, ``hash_dir`` and ``scenario``
     behave as in :func:`run_clamr_levels`.
     """
+    spec = JobSpec("self", steps=steps, elems=elems, order=order,
+                   scenario=scenario or "", watch_stride=_WATCH_STRIDE)
     return _run_levels(
-        "self", SELF_PRECISIONS, {"elems": elems, "order": order}, steps, True,
-        telemetry_dir, ledger, label, jobs, trace_out, flight_stride, hash_stride,
-        hash_dir, scenario,
+        spec, SELF_PRECISIONS, True, telemetry_dir, ledger, label, jobs, trace_out,
+        flight_stride, hash_stride, hash_dir,
     )
 
 
@@ -436,8 +399,7 @@ def table3_vectorization(nx: int = 24, steps: int = 40) -> Table:
     from repro.clamr.checkpoint import checkpoint_nbytes
     from repro.precision.policy import PrecisionPolicy
 
-    cfg = make_config("clamr", nx=nx, max_level=1)
-    factor = clamr_paper_scale_factor(nx, steps)
+    spec = JobSpec("clamr", nx=nx, max_level=1, steps=steps)
     table = Table(
         title="Table III — CLAMR precision comparisons and vectorization",
         headers=[
@@ -452,8 +414,9 @@ def table3_vectorization(nx: int = 24, steps: int = 40) -> Table:
     checkpoints: dict[str, float] = {}
     haswell = device("haswell")
     for level in CLAMR_LEVELS:
-        vec_run = ClamrSimulation(cfg, policy=level, vectorized=True).run(steps)
-        sca_run = ClamrSimulation(cfg, policy=level, vectorized=False).run(steps)
+        at = spec.at_level(level)
+        vec_run = at.simulation().run(steps)
+        sca_run = at.simulation(vectorized=False).run(steps)
         measured["vector"][level] = vec_run.elapsed_s
         measured["scalar"][level] = sca_run.elapsed_s
         profile = _lift_clamr_profile(vec_run.profile, nx, steps)
@@ -477,14 +440,14 @@ def table4_compilers(elems: int = 4, order: int = 4, steps: int = 30) -> Table:
     Paper values (s): GNU 304.09 single / 261.65 double;
     Intel 185.89 single / 252.85 double — the GNU inversion.
     """
-    cfg = make_config("self", elems=elems, order=order)
-    factor = self_paper_scale_factor(cfg, steps)
+    spec = JobSpec("self", elems=elems, order=order, steps=steps)
+    factor = self_paper_scale_factor(spec.config(), steps)
     haswell = device("haswell")
     table = Table(
         title="Table IV — nonvectorized SELF runtimes by compiler (modelled, Haswell)",
         headers=["Compiler", "Single (s)", "Double (s)"],
     )
-    runs = {prec: SelfSimulation(cfg, precision=prec).run(steps) for prec in SELF_PRECISIONS}
+    runs = {prec: spec.at_level(prec).simulation().run(steps) for prec in SELF_PRECISIONS}
     for compiler in (GNU, INTEL):
         times = {
             prec: compiler.runtime(runs[prec].profile.scaled_resident(factor), haswell)
@@ -509,7 +472,7 @@ def table5_self_architectures(
     """
     if results is None:
         results = run_self_precisions(elems=elems, order=order, steps=steps)
-    cfg = make_config("self", elems=elems, order=order)
+    cfg = JobSpec("self", elems=elems, order=order, steps=steps).config()
     factor = self_paper_scale_factor(cfg, steps)
     table = Table(
         title="Table V — SELF runtime and memory by architecture",
@@ -564,7 +527,7 @@ def table6_self_energy(
     """
     if results is None:
         results = run_self_precisions(elems=elems, order=order, steps=steps)
-    cfg = make_config("self", elems=elems, order=order)
+    cfg = JobSpec("self", elems=elems, order=order, steps=steps).config()
     factor = self_paper_scale_factor(cfg, steps)
     table = Table(
         title="Table VI — estimated SELF energy use (Joules)",
@@ -613,7 +576,7 @@ def table7_cost(
         for level in CLAMR_LEVELS
     }
 
-    cfg = make_config("self", elems=self_elems, order=self_order)
+    cfg = JobSpec("self", elems=self_elems, order=self_order, steps=self_steps).config()
     sfactor = self_paper_scale_factor(cfg, self_steps)
     self_runtime = {
         prec: model.predict(self_results[prec].profile.scaled(sfactor)).runtime_s
@@ -729,11 +692,9 @@ def fig3_precision_resolution(nx_lo: int = 32, steps_hint: int = 400) -> Figure:
     detailed structure" than the Full-LoRes run — the reinvestment of
     precision savings into resolution.
     """
-    lo_cfg = make_config("clamr", nx=nx_lo, max_level=1)
-    hi_cfg = make_config("clamr", nx=nx_lo * 2, max_level=1)
-    lo_sim = ClamrSimulation(lo_cfg, policy="full")
-    lo = lo_sim.run(steps_hint)
-    hi_sim = ClamrSimulation(hi_cfg, policy="min")
+    lo_spec = JobSpec("clamr", nx=nx_lo, max_level=1, steps=steps_hint, policy="full")
+    lo = lo_spec.simulation().run(steps_hint)
+    hi_sim = replace(lo_spec, nx=nx_lo * 2, policy="min").simulation()
     hi = hi_sim.run_to_time(lo.final_time)
     # resample the coarse run's line-out onto the fine run's axis
     lo_y = np.repeat(lo.slice_precise, hi.slice_precise.size // lo.slice_precise.size)

@@ -23,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation
+from repro.harness.experiments import CLAMR_LEVELS as LEVELS
 from repro.harness.report import Figure
 from repro.precision.analysis import asymmetry_signature, difference_metrics
-from repro.workload import make_config
+from repro.service.jobs import JobSpec
 
 __all__ = ["GrowthSamples", "divergence_growth", "asymmetry_growth", "resolution_sweep"]
-
-LEVELS = ("min", "mixed", "full")
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,8 @@ class GrowthSamples:
 
 
 def _run_in_chunks(nx: int, total_steps: int, chunk: int, max_level: int = 2):
-    cfg = make_config("clamr", nx=nx, max_level=max_level)
-    sims = {level: ClamrSimulation(cfg, policy=level) for level in LEVELS}
+    spec = JobSpec("clamr", nx=nx, max_level=max_level, steps=total_steps)
+    sims = {level: spec.at_level(level).simulation() for level in LEVELS}
     taken = 0
     while taken < total_steps:
         n = min(chunk, total_steps - taken)
@@ -119,10 +117,9 @@ def resolution_sweep(
     """
     out: dict[int, float] = {}
     for nx in sizes:
-        cfg = make_config("clamr", nx=nx, max_level=max_level)
-        steps = steps_per_cell * nx
+        spec = JobSpec("clamr", nx=nx, max_level=max_level, steps=steps_per_cell * nx)
         runs = {
-            level: ClamrSimulation(cfg, policy=level).run(steps)
+            level: spec.at_level(level).simulation().run(spec.steps)
             for level in ("min", "full")
         }
         d = difference_metrics(runs["full"].slice_precise, runs["min"].slice_precise)

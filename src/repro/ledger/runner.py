@@ -1,11 +1,12 @@
 """Run one workload under telemetry and reduce it to a :class:`RunRecord`.
 
 The single entry point every traced workload run uses — the ``repro
-ledger record`` CLI and the sweep service's ``execute_job`` — so a
-record means the same thing no matter which door the run came through:
-the run is a :class:`repro.service.JobSpec`, its instrumentation a
-:class:`repro.telemetry.TelemetrySpec`.  ``repro clamr|self --ledger``
-build and run the same JobSpec themselves and reduce it with
+ledger record`` CLI, the sweep service's ``execute_job`` and the
+scenario records — so a record means the same thing no matter which
+door the run came through: the run is a :class:`repro.service.JobSpec`,
+its instrumentation a :class:`repro.telemetry.TelemetrySpec`.  ``repro
+clamr|self --ledger``, the harness sweeps and the resilience runs build
+and run the same JobSpec themselves and reduce it with
 :func:`record_job`.
 """
 
@@ -26,11 +27,20 @@ def run_workload(spec, flight_stride: int = 0):
     """
     tel = spec.telemetry(flight_stride)
     sim = spec.simulation(tel)
-    return record_job(spec, sim, sim.run(spec.steps), tel), tel
+    return record_job(spec, sim.run(spec.steps), tel, config=sim.config), tel
 
 
-def record_job(spec, sim, result, tel):
-    """The :class:`RunRecord` of ``spec`` run as ``sim`` to ``result`` under ``tel``."""
+def record_job(spec, result, tel, *, config=None, label=None, extra=None):
+    """The :class:`RunRecord` of ``spec`` run to ``result`` under ``tel``.
+
+    ``config`` is the config that ran where it is not ``spec.config()``
+    (a run given extra fields); ``extra`` entries join the hashed config
+    (a resilience run's fault plan and recovery policy); ``label``
+    replaces ``tel.label`` (``""`` lets the record name itself).
+    """
     to_record = record_from_clamr if spec.workload == "clamr" else record_from_self
-    config = identity_config(spec.workload, sim.config, scenario=spec.scenario)
-    return to_record(result, tel, config, seed=spec.seed, label=tel.label)
+    config = identity_config(spec.workload, spec.config() if config is None else config,
+                             scenario=spec.scenario)
+    config.update(extra or {})
+    return to_record(result, tel, config, seed=spec.seed,
+                     label=tel.label if label is None else label)

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.precision.breakdown import NonFiniteStepError
 from repro.precision.policy import PrecisionLevel, PrecisionPolicy
-from repro.workload import make_simulation
 
 __all__ = ["ClamrAdapter", "SelfAdapter", "make_adapter"]
 
@@ -239,10 +238,7 @@ class SelfAdapter:
         old = self.sim
         if old.dtype == np.float64:
             return False
-        new = make_simulation(
-            "self", old.config, policy="double", telemetry=self.telemetry,
-            scenario=self.spec.scenario,
-        )
+        new = self.spec.at_level("double").simulation(self.telemetry, config=old.config)
         new.U = old.U.astype(new.dtype, copy=True)
         new.time = old.time
         new.step_count = old.step_count

@@ -229,24 +229,20 @@ def record_resilient_run(report: ResilienceReport, runner: ResilientRunner, labe
     counters merge into the record's fidelity dict — which is not part
     of the hash, exactly like every other measured outcome.
     """
-    from repro.ledger.record import identity_config, record_from_clamr, record_from_self
+    from repro.ledger.runner import record_job
 
     if report.result is None:
         raise ValueError("cannot record an aborted run that never completed a step")
     adapter = runner.adapter
-    spec = adapter.spec
-    # the scenario is part of what was run, so it joins the identity
-    cfg = identity_config(spec.workload, adapter.config, scenario=spec.scenario)
-    cfg["resilience"] = {
-        "plan": runner.plan.to_config(),
-        "recovery": runner.policy.to_config(),
-    }
     tel = getattr(adapter, "telemetry", None)
     if tel is None:
         # empty stand-in: the record builders only read spans/numerics
         tel = TelemetrySpec(watch_stride=0).build()
-    builder = record_from_clamr if report.workload == "clamr" else record_from_self
-    record = builder(report.result, tel, cfg, seed=spec.seed, label=label)
+    record = record_job(
+        adapter.spec, report.result, tel, config=adapter.config, label=label,
+        extra={"resilience": {"plan": runner.plan.to_config(),
+                              "recovery": runner.policy.to_config()}},
+    )
     record.fidelity.update(report.fidelity())
     return record
 

@@ -3,8 +3,8 @@
 See :mod:`repro.scenarios.registry` for the data model,
 :mod:`repro.scenarios.clamr_cases` / :mod:`repro.scenarios.self_cases`
 for the built-in library, and :mod:`repro.scenarios.runner` for the
-run/validate/record/gate entry points the CLI exposes as
-``repro scenario ...``.
+run description (:func:`scenario_spec`, a JobSpec) and the
+validate/record/gate entry points the CLI exposes as ``repro scenario ...``.
 """
 
 from repro.lazy import lazy_exports
@@ -14,14 +14,12 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "ScenarioRun": "repro.scenarios.runner",
     "GOLDEN_SCALE": "repro.scenarios.runner",
     "all_scenarios": "repro.scenarios.registry",
-    "build_config": "repro.scenarios.runner",
-    "build_simulation": "repro.scenarios.runner",
     "gate_scenarios": "repro.scenarios.runner",
     "get_scenario": "repro.scenarios.registry",
     "load_golden_records": "repro.scenarios.runner",
     "record_scenario": "repro.scenarios.runner",
     "register_scenario": "repro.scenarios.registry",
-    "run_scenario": "repro.scenarios.runner",
     "scenario_names": "repro.scenarios.registry",
+    "scenario_spec": "repro.scenarios.runner",
     "validate_scenario": "repro.scenarios.runner",
 })

@@ -262,7 +262,8 @@ register_scenario(
         ic=None,
         bathymetry=None,
         config={},
-        scales={"quick": {"nx": 16, "steps": 24}, "bench": {"nx": 32, "steps": 96}},
+        scales={"quick": {"nx": 16, "max_level": 2, "steps": 24},
+                "bench": {"nx": 32, "max_level": 2, "steps": 96}},
         acceptance=accept_dam_break,
         fingerprint_policy="mixed",
         symmetry="rot90",

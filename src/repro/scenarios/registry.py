@@ -12,9 +12,9 @@ the acceptance checks that say what "correct" means for *this* physics:
 
 Scenarios are identified by *name* (``"clamr/lake-at-rest"``).  Every
 consumer — the CLI, the sweep executor's worker processes, the
-resilience adapters, the divergence recorder — hands the name to
-:mod:`repro.workload`, which resolves it through :func:`get_scenario` in
-its own process, so scenario-parameterised tasks stay picklable: only
+resilience adapters, the divergence recorder — hands the name to a
+:class:`~repro.service.JobSpec`, which resolves it through
+:func:`get_scenario` in its own process, so scenario-parameterised tasks stay picklable: only
 the string crosses process boundaries.
 
 Builders (``ic``/``bathymetry``/``acceptance``) are module-level
@@ -65,8 +65,10 @@ class Scenario:
         Overrides applied on top of the family config dataclass defaults
         (e.g. ``{"max_level": 0}`` for the uniform lake-at-rest mesh).
     scales:
-        Mapping scale name → size kwargs.  CLAMR scales carry
-        ``nx``/``steps``; SELF scales carry ``elems``/``order``/``steps``.
+        Mapping scale name → :class:`~repro.service.JobSpec` sizes and
+        steps.  CLAMR scales carry ``nx``/``steps`` (and ``max_level``
+        where ``config`` sets none); SELF scales carry
+        ``elems``/``order``/``steps``.
     acceptance:
         ``fn(run: ScenarioRun) -> list[ShapeCheck]`` — the physics
         contract this scenario is validated against.
@@ -78,9 +80,9 @@ class Scenario:
         the IC honours it.
 
     A scenario defines the *problem*, never the numerical method: the
-    CLAMR flux scheme is the caller's choice, passed to
-    :func:`repro.workload.make_simulation`, so one ``--scenario`` means
-    the same case through every door.
+    CLAMR flux scheme is the caller's choice, a field of the
+    :class:`~repro.service.JobSpec` that runs it, so one ``--scenario``
+    means the same case through every door.
     """
 
     name: str

@@ -1,15 +1,15 @@
-"""Build, run, validate, fingerprint and gate registered scenarios.
+"""Run, validate, fingerprint and gate registered scenarios.
 
-The one place that knows how to turn a :class:`Scenario` into a live
-simulation and back into evidence:
+A scenario run is a :class:`~repro.service.JobSpec`: :func:`scenario_spec`
+maps a scenario and a scale to one, and the spec builds and runs it like
+any other (``spec.simulation()``, :func:`repro.ledger.run_workload`):
 
-* :func:`run_scenario` — build the family driver with the scenario's
-  hooks and advance it one scale's worth of steps.
 * :func:`validate_scenario` — run, then apply the scenario's acceptance
   checks (the physics contract).
-* :func:`record_scenario` — run under telemetry and mint a ledger
+* :func:`record_scenario` — run under telemetry to a ledger
   :class:`~repro.ledger.record.RunRecord` whose config carries the
-  scenario name, so every scenario owns a distinct ``workload_key``.
+  scenario name, so every scenario owns a distinct ``workload_key``
+  (which the spec predicts before the run).
 * :func:`gate_scenarios` — re-run each scenario and compare its fresh
   identity + bitwise conservation digests against the committed golden
   records; any drift (or a missing golden) fails the gate.
@@ -22,21 +22,16 @@ spec and git sha and are deliberately *not* gated on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
-
-import numpy as np
 
 from repro.harness.paper import ShapeCheck
 from repro.scenarios.registry import Scenario, get_scenario, scenario_names
-from repro.workload import make_config, make_simulation
 
 __all__ = [
     "GOLDEN_SCALE",
     "ScenarioRun",
-    "build_config",
-    "build_simulation",
-    "run_scenario",
+    "scenario_spec",
     "validate_scenario",
     "record_scenario",
     "load_golden_records",
@@ -51,72 +46,37 @@ GOLDEN_SCALE = "quick"
 class ScenarioRun:
     """One executed scenario: everything acceptance checks need."""
 
-    scenario: Scenario
-    scale: str
-    policy: str
-    config: Any
-    steps: int
+    spec: Any
     sim: Any
     result: Any
 
 
-def _resolve(scenario: str | Scenario) -> Scenario:
-    return scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
+def scenario_spec(scenario: str | Scenario, scale: str = GOLDEN_SCALE,
+                  policy: str | None = None):
+    """The :class:`~repro.service.JobSpec` of ``scenario`` at ``scale``.
 
+    The scale's sizes and steps, at ``policy`` (default: the scenario's
+    fingerprint policy), watching every 8 steps as the golden records
+    do, labelled ``scenario/<name>/<scale>``.  Labels never enter a hash.
+    """
+    from repro.service.jobs import JobSpec
 
-def build_config(scenario: str | Scenario, scale: str = GOLDEN_SCALE):
-    """The family config dataclass + step count for one scale."""
-    sc = _resolve(scenario)
-    size = sc.scale(scale)
-    steps = int(size.pop("steps"))
-    sizes = {key: int(value) for key, value in size.items()}
-    return make_config(sc.family, sc, **sizes), steps
-
-
-def build_simulation(
-    scenario: str | Scenario,
-    scale: str = GOLDEN_SCALE,
-    policy: str | None = None,
-    telemetry=None,
-    vectorized: bool = True,
-):
-    """A ready-to-run driver with the scenario's hooks installed."""
-    sc = _resolve(scenario)
-    policy = policy or sc.fingerprint_policy
-    cfg, steps = build_config(sc, scale)
-    sim = make_simulation(
-        sc.family, cfg, policy=policy, vectorized=vectorized, telemetry=telemetry,
-        scenario=sc,
-    )
-    return sim, cfg, steps, policy
-
-
-def run_scenario(
-    scenario: str | Scenario,
-    scale: str = GOLDEN_SCALE,
-    policy: str | None = None,
-    telemetry=None,
-    vectorized: bool = True,
-) -> ScenarioRun:
-    sc = _resolve(scenario)
-    sim, cfg, steps, policy = build_simulation(
-        sc, scale=scale, policy=policy, telemetry=telemetry, vectorized=vectorized
-    )
-    return ScenarioRun(
-        scenario=sc, scale=scale, policy=policy, config=cfg, steps=steps, sim=sim,
-        result=sim.run(steps),
-    )
+    sc = scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
+    spec = JobSpec(sc.family, scenario=sc.name, watch_stride=8,
+                   label=f"scenario/{sc.name}/{scale}", **sc.scale(scale))
+    return spec.at_level(policy or sc.fingerprint_policy)
 
 
 def validate_scenario(
     scenario: str | Scenario,
     scale: str = GOLDEN_SCALE,
     policy: str | None = None,
-    vectorized: bool = True,
 ) -> tuple[ScenarioRun, list[ShapeCheck]]:
     """Run the scenario and apply its acceptance contract."""
-    run = run_scenario(scenario, scale=scale, policy=policy, vectorized=vectorized)
-    acceptance = run.scenario.acceptance
+    spec = scenario_spec(scenario, scale, policy)
+    sim = spec.simulation()
+    run = ScenarioRun(spec=spec, sim=sim, result=sim.run(spec.steps))
+    acceptance = get_scenario(spec.scenario).acceptance
     checks = list(acceptance(run)) if acceptance is not None else []
     return run, checks
 
@@ -134,16 +94,9 @@ def record_scenario(
     break at the same grid size.  (The scale itself is not part of the
     identity — the sizes it resolves to already are.)
     """
-    from repro.ledger.record import identity_config, record_from_clamr, record_from_self
-    from repro.telemetry import TelemetrySpec
+    from repro.ledger.runner import run_workload
 
-    sc = _resolve(scenario)
-    label = f"scenario/{sc.name}/{scale}"
-    tel = TelemetrySpec(label=label).build()
-    run = run_scenario(sc, scale=scale, policy=policy, telemetry=tel)
-    cfg = identity_config(sc.family, run.config, scenario=sc.name)
-    to_record = record_from_clamr if sc.family == "clamr" else record_from_self
-    return to_record(run.result, tel, cfg, seed=seed, label=label)
+    return run_workload(replace(scenario_spec(scenario, scale, policy), seed=seed))[0]
 
 
 #: Machine-independent fidelity digests gated bitwise against the goldens.

@@ -24,8 +24,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from repro.workload import (
     CLAMR_POLICIES,
     WORKLOADS,
-    make_config,
-    make_simulation,
     resolve_scenario,
     run_label,
     self_precision,
@@ -34,6 +32,13 @@ from repro.workload import (
 __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
 JOB_SCHEMA_VERSION = 1
+
+#: Each family's size knobs: JobSpec field → the config fields it sets.
+#: A scenario pins a knob by setting the first of them.
+_SIZES = {
+    "clamr": {"nx": ("nx", "ny"), "max_level": ("max_level",)},
+    "self": {"elems": ("nex", "ney", "nez"), "order": ("order",)},
+}
 
 
 def _knob(default, help: str, *, family: str = "", choices: tuple = (), minimum: int = 1):
@@ -55,7 +60,9 @@ class JobSpec:
     registered ``scenario`` (empty: the seed case).  The irrelevant
     family's knobs are carried at their defaults and excluded from the
     hashed identity (the config payload is built per family, exactly as
-    the ledger does it).
+    the ledger does it).  A size the scenario's config sets (the lake at
+    rest's ``max_level`` 0) replaces the one given, so the spec says what
+    runs.
     """
 
     workload: str = _knob(MISSING, "mini-app to run", choices=WORKLOADS)
@@ -82,6 +89,11 @@ class JobSpec:
     def __post_init__(self) -> None:
         for f in fields(self):
             self.check_field(f.name, getattr(self, f.name), self.workload)
+        scenario = resolve_scenario(self.scenario, self.workload)
+        if scenario is not None:
+            for name, keys in _SIZES[self.workload].items():
+                if keys[0] in scenario.config:
+                    object.__setattr__(self, name, scenario.config[keys[0]])
 
     @classmethod
     def check_field(cls, name: str, value, workload: str) -> None:
@@ -136,15 +148,23 @@ class JobSpec:
     # -- execution ---------------------------------------------------------
 
     def config(self, **fields):
-        """The family config dataclass this job runs, via :func:`repro.workload.make_config`.
+        """The family config dataclass this job runs: its sizes, then
+        ``fields``, then the scenario's config.
 
         ``fields`` are config fields a JobSpec does not carry (``repro self
         --viscosity``); a run given them has its own identity.
         """
-        return make_config(
-            self.workload, self.scenario, nx=self.nx, max_level=self.max_level,
-            elems=self.elems, order=self.order, **fields,
-        )
+        if self.workload == "clamr":
+            from repro.clamr import DamBreakConfig as config_cls
+        else:
+            from repro.self_ import ThermalBubbleConfig as config_cls
+        kwargs = {key: getattr(self, name)
+                  for name, keys in _SIZES[self.workload].items() for key in keys}
+        kwargs.update(fields)
+        scenario = resolve_scenario(self.scenario)
+        if scenario is not None:
+            kwargs.update(scenario.config)
+        return config_cls(**kwargs)
 
     def telemetry(self, flight_stride: int = 0):
         """This job's telemetry: labelled :meth:`describe`, watching every
@@ -155,25 +175,39 @@ class JobSpec:
             label=self.describe(), watch_stride=self.watch_stride, flight_stride=flight_stride
         ).build()
 
-    def simulation(self, telemetry=None, *, vectorized: bool = True, **fields):
-        """The simulation this job runs: :meth:`config` (plus ``fields``)
-        through :func:`repro.workload.make_simulation`, under ``telemetry``.
+    def simulation(self, telemetry=None, *, vectorized: bool = True, config=None):
+        """The simulation this job runs, with the scenario's IC/bathymetry
+        hooks, under ``telemetry``.
 
-        Every door that runs a JobSpec builds its run here:
-        :func:`repro.ledger.run_workload`, ``repro clamr|self|trace`` and
-        the resilience adapters (so ``repro resilience`` and ``repro
-        diverge``).  ``vectorized=False`` selects CLAMR's scalar kernel,
-        which gives the same bits.
+        Every run in the package is built here, directly or through
+        :func:`repro.ledger.run_workload`.  ``config`` replaces
+        :meth:`config` (a run given extra fields, or a live config
+        re-typed at another precision).  ``vectorized=False`` selects
+        CLAMR's scalar kernel, which gives the same bits; the flux
+        ``scheme`` and ``vectorized`` apply to CLAMR only.
         """
-        return make_simulation(
-            self.workload, self.config(**fields), policy=self.policy_name,
-            scheme=self.scheme, vectorized=vectorized, telemetry=telemetry,
-            scenario=self.scenario,
-        )
+        config = self.config() if config is None else config
+        scenario = resolve_scenario(self.scenario)
+        ic = scenario.ic if scenario is not None else None
+        if self.workload == "clamr":
+            from repro.clamr import ClamrSimulation
+
+            bathymetry = scenario.bathymetry if scenario is not None else None
+            return ClamrSimulation(config, policy=self.policy, vectorized=vectorized,
+                                   scheme=self.scheme, telemetry=telemetry, ic=ic,
+                                   bathymetry=bathymetry)
+        from repro.self_ import SelfSimulation
+
+        return SelfSimulation(config, precision=self.precision, telemetry=telemetry, ic=ic)
 
     def at_level(self, level: str) -> "JobSpec":
         """This run at precision ``level``: CLAMR's ``policy``, or SELF's
-        ``precision`` with a level on either axis (``min`` runs single)."""
+        ``precision`` with a level on either axis (``min`` runs single).
+        ``level`` may be any name :func:`~repro.precision.policy.level_from_name`
+        takes (``double`` is ``full``)."""
+        from repro.precision.policy import level_from_name
+
+        level = level_from_name(level).value
         if self.workload == "clamr":
             return replace(self, policy=level)
         return replace(self, precision=self_precision(level))

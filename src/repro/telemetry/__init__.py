@@ -26,8 +26,8 @@ run — and a ``--jobs N`` worker can build it after the fork.
 Usage::
 
     tel = TelemetrySpec(label="clamr/dam_break/mixed").build()
-    sim = ClamrSimulation(cfg, policy="mixed", telemetry=tel)
-    sim.run(200)
+    spec = JobSpec("clamr", nx=64, max_level=2, policy="mixed", steps=200)
+    spec.simulation(tel).run(spec.steps)
     print(span_summary(tel).render())
     write_chrome_trace(tel, "dam_break.trace.json")
 

@@ -1,12 +1,12 @@
-"""One recipe from a run request to a run.
+"""The vocabulary of a run request, below :class:`repro.service.JobSpec`.
 
-Every door into the paper's experiment — run a mini-app at a precision
-level — builds its run here: ``repro.ledger.run_workload``, the sweep
-service's ``JobSpec``, the scenario runner, the harness sweeps, the
-resilience adapters and campaigns, ``diverge record`` and the CLI.  So
-one request (workload, sizes, optional scenario, precision, flux scheme)
-means one run whichever door it came through.  The hashed identity of
-the finished run is :func:`repro.ledger.record.identity_config`.
+A run — a mini-app at a precision level — is a ``JobSpec``, and
+:meth:`JobSpec.config <repro.service.JobSpec.config>` /
+:meth:`JobSpec.simulation <repro.service.JobSpec.simulation>` build it.
+This module holds what that request is made of and what the ledger and
+CLI share with it: the workload and precision-level names,
+:func:`resolve_scenario` (the one family check), :func:`self_precision`
+(a level on SELF's single/double axis) and :func:`run_label`.
 
 The scenario registry is imported only when a scenario is named, so a
 plain run (a sweep-service job, say) never loads the case library.
@@ -19,8 +19,6 @@ from typing import Any
 __all__ = [
     "CLAMR_POLICIES",
     "WORKLOADS",
-    "make_config",
-    "make_simulation",
     "resolve_scenario",
     "run_label",
     "self_precision",
@@ -69,72 +67,6 @@ def resolve_scenario(scenario: Any, workload: str = ""):
             f"not {workload!r}"
         )
     return scenario
-
-
-def _scenario(workload: str, scenario: Any = None):
-    _check_workload(workload)
-    return resolve_scenario(scenario, workload)
-
-
-def make_config(
-    workload: str,
-    scenario: Any = None,
-    *,
-    nx: int | None = None,
-    max_level: int | None = None,
-    elems: int | None = None,
-    order: int | None = None,
-    **fields: Any,
-):
-    """The family config dataclass: sizes, then ``fields``, then the scenario.
-
-    CLAMR takes ``nx`` (square grid) and ``max_level``; SELF takes
-    ``elems`` (cube of elements) and ``order``.  A size left at ``None``
-    keeps the dataclass default.
-    """
-    sc = _scenario(workload, scenario)
-    if workload == "clamr":
-        from repro.clamr import DamBreakConfig as config_cls
-
-        sizes = {"nx": nx, "ny": nx, "max_level": max_level}
-    else:
-        from repro.self_ import ThermalBubbleConfig as config_cls
-
-        sizes = {"nex": elems, "ney": elems, "nez": elems, "order": order}
-    kwargs = {key: value for key, value in sizes.items() if value is not None}
-    kwargs.update(fields)
-    if sc is not None:
-        kwargs.update(sc.config)
-    return config_cls(**kwargs)
-
-
-def make_simulation(
-    workload: str,
-    config,
-    *,
-    policy,
-    scheme: str = "rusanov",
-    vectorized: bool = True,
-    telemetry=None,
-    scenario: Any = None,
-):
-    """The driver for ``config``, with the scenario's IC/bathymetry hooks.
-
-    The flux scheme is always the caller's; ``scheme`` and ``vectorized``
-    apply to CLAMR only.  For SELF, ``policy`` may be a level on either
-    axis (see :func:`self_precision`).
-    """
-    sc = _scenario(workload, scenario)
-    ic = sc.ic if sc is not None else None
-    if workload == "clamr":
-        from repro.clamr import ClamrSimulation
-
-        bathymetry = sc.bathymetry if sc is not None else None
-        return ClamrSimulation(config, policy=policy, vectorized=vectorized, scheme=scheme,
-                               telemetry=telemetry, ic=ic, bathymetry=bathymetry)
-    from repro.self_ import SelfSimulation
-
-    return SelfSimulation(config, precision=self_precision(policy), telemetry=telemetry, ic=ic)
 
 
 def run_label(

@@ -312,10 +312,10 @@ class TestScenarioParity:
     """Every registered scenario, compiled vs oracle, bit for bit."""
 
     def _states(self, name, backend, steps=6):
-        from repro.scenarios import build_simulation
+        from repro.scenarios import scenario_spec
 
         with kernel_backend(backend):
-            sim, _cfg, _steps, _policy = build_simulation(name, scale="quick")
+            sim = scenario_spec(name, scale="quick").simulation()
             sim.run(steps)
         if hasattr(sim, "state"):
             return sim.state.H.copy(), sim.state.U.copy(), sim.state.V.copy()

@@ -12,11 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.service.jobs
-import repro.workload
 from repro.cli import main
 from repro.precision.breakdown import NonFiniteStepError
-from repro.workload import make_config, make_simulation
+from repro.service.jobs import JobSpec
 
 #: the two silent-NaN runs: float16 momenta overflow at half, and a
 #: column tall enough to overflow float32 arithmetic at min
@@ -29,8 +27,8 @@ def _line(match: str) -> str:
 
 @pytest.mark.parametrize("policy, column_height, step, field", BREAKDOWNS)
 def test_clamr_breakdown_raises_at_its_step(policy, column_height, step, field):
-    cfg = make_config("clamr", nx=32, max_level=1, column_height=column_height)
-    sim = make_simulation("clamr", cfg, policy=policy)
+    spec = JobSpec("clamr", nx=32, max_level=1, policy=policy)
+    sim = spec.simulation(config=spec.config(column_height=column_height))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStepError, match=_line(policy)) as err:
         sim.run(200)
     assert str(err.value).startswith(f"step {step} at policy {policy}: ")
@@ -40,8 +38,7 @@ def test_clamr_breakdown_raises_at_its_step(policy, column_height, step, field):
 
 
 def test_self_breakdown_names_the_first_non_finite_field():
-    cfg = make_config("self", elems=2, order=2)
-    sim = make_simulation("self", cfg, policy="single")
+    sim = JobSpec("self", elems=2, order=2, precision="single").simulation()
     sim.run(1)
     sim.U[:, 2].flat[3] = np.inf  # rhov
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStepError, match=_line("single")) as err:
@@ -59,19 +56,14 @@ def test_a_non_positive_timestep_with_a_finite_state():
 @pytest.fixture
 def tall_column(monkeypatch):
     """Every CLAMR config gets the half-precision breakdown's column."""
+    real = JobSpec.config
 
-    def patch(module):
-        real = module.make_config
+    def config(spec, **fields):
+        if spec.workload == "clamr":
+            fields["column_height"] = 2000.0
+        return real(spec, **fields)
 
-        def make(workload, *args, **kwargs):
-            if workload == "clamr":
-                kwargs["column_height"] = 2000.0
-            return real(workload, *args, **kwargs)
-
-        monkeypatch.setattr(module, "make_config", make)
-
-    patch(repro.workload)
-    patch(repro.service.jobs)
+    monkeypatch.setattr(JobSpec, "config", config)
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,15 +86,15 @@ def test_cli_prints_the_line_and_exits_1(tall_column, tmp_path, capsys, argv):
 
 
 def test_cli_self_prints_the_line_and_exits_1(monkeypatch, capsys):
-    real = repro.workload.make_simulation
+    real = JobSpec.simulation
 
-    def poisoned(workload, *args, **kwargs):
-        sim = real(workload, *args, **kwargs)
+    def poisoned(spec, *args, **kwargs):
+        sim = real(spec, *args, **kwargs)
         sim.U.flat[0] = np.nan
         return sim
 
     # JobSpec.simulation builds repro self's run
-    monkeypatch.setattr(repro.service.jobs, "make_simulation", poisoned)
+    monkeypatch.setattr(JobSpec, "simulation", poisoned)
     with np.errstate(all="ignore"):
         assert main(["self", "--elems", "2", "--order", "2", "--steps", "3"]) == 1
     [line] = capsys.readouterr().err.strip().splitlines()

@@ -20,15 +20,16 @@ import pytest
 
 from repro.clamr import backends
 from repro.clamr.backends import cext, kernel_backend
-from repro.workload import make_config, make_simulation
+from repro.service import JobSpec
 
 HAVE_CEXT = cext.availability()[0]
 pytestmark = pytest.mark.skipif(not HAVE_CEXT, reason="no C compiler")
 
 
 def _run(scenario, policy, scheme):
-    cfg = make_config("clamr", scenario, nx=16, max_level=2)
-    sim = make_simulation("clamr", cfg, policy=policy, scheme=scheme, scenario=scenario)
+    spec = JobSpec("clamr", nx=16, max_level=2, policy=policy, scheme=scheme,
+                   scenario=scenario or "")
+    sim = spec.simulation()
     res = sim.run(40)
     s = sim.state
     return {

@@ -32,7 +32,7 @@ from repro.clamr.mesh import AmrMesh
 from repro.clamr.muscl import finite_diff_muscl
 from repro.clamr.state import GRAVITY, ShallowWaterState
 from repro.precision.policy import PrecisionPolicy, level_from_name
-from repro.workload import make_config, make_simulation
+from repro.service import JobSpec
 from tests.reference_impls import (
     _rusanov_x,
     _wellbalanced_x,
@@ -113,8 +113,8 @@ class TestFluxOracles:
 
 def evolved(scenario, level, max_level=2, nx=12, steps=6):
     """(mesh, state, faces, bathy) of a scenario after a few steps at ``max_level``."""
-    cfg = dataclasses.replace(make_config("clamr", scenario, nx=nx), max_level=max_level)
-    sim = make_simulation("clamr", cfg, policy=level, scenario=scenario)
+    spec = JobSpec("clamr", nx=nx, policy=level, scenario=scenario)
+    sim = spec.simulation(config=dataclasses.replace(spec.config(), max_level=max_level))
     sim.run(steps, record_mass=False)
     return sim.mesh, sim.state, sim._faces_for(sim.mesh), sim._bathy_for(sim.mesh)
 
@@ -256,8 +256,8 @@ def test_generation_hop_reads_no_stale_terms(bottom, level):
     # steps them, all on one cache: every segment must have the bits of
     # the same steps on a fresh cache, so no term cached for one
     # generation is ever read for another
-    cfg = dataclasses.replace(make_config("clamr", "clamr/obstacle-field", nx=12), max_level=2)
-    sim = make_simulation("clamr", cfg, policy=level, scenario="clamr/obstacle-field")
+    spec = JobSpec("clamr", nx=12, policy=level, scenario="clamr/obstacle-field")
+    sim = spec.simulation(config=dataclasses.replace(spec.config(), max_level=2))
     sim.run(2, record_mass=False)
     a = (sim.mesh, sim.state.copy(), sim._faces_for(sim.mesh), sim._bathy_for(sim.mesh))
     for _ in range(5):  # a regrid every 4 steps, until the cell count moves

@@ -1,7 +1,5 @@
 """Tests for the second-order MUSCL kernel."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from repro.clamr.mesh import AmrMesh
 from repro.clamr.muscl import finite_diff_muscl, limited_slopes, minmod
 from repro.clamr.state import ShallowWaterState
 from repro.precision.policy import FULL_PRECISION, MIN_PRECISION
-from repro.workload import make_config, make_simulation
+from repro.service import JobSpec
 
 
 def bump_state(mesh, policy=FULL_PRECISION):
@@ -69,8 +67,7 @@ class TestSlopes:
 
 def amr_l2_mesh():
     """A dam-break mesh after a few steps: three refinement levels."""
-    cfg = dataclasses.replace(make_config("clamr", nx=12), max_level=2)
-    sim = make_simulation("clamr", cfg, policy="full")
+    sim = JobSpec("clamr", nx=12, max_level=2, policy="full").simulation()
     sim.run(5, record_mass=False)
     assert np.unique(sim.mesh.level).size == 3
     return sim.mesh

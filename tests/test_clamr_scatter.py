@@ -25,7 +25,7 @@ from repro.clamr.kernels import (
 )
 from repro.clamr.mesh import AmrMesh
 from repro.clamr.muscl import finite_diff_muscl
-from repro.workload import make_config, make_simulation
+from repro.service import JobSpec
 from tests.reference_impls import finite_diff_add_at
 
 
@@ -33,9 +33,10 @@ def _run_states(policy, scheme, nx=16, steps=20, max_level=2, scenario=None):
     """Final (H, U, V) under each scatter mode, same config."""
     out = {}
     for mode in ("plan", "add_at"):
-        cfg = make_config("clamr", scenario, nx=nx, max_level=max_level)
+        spec = JobSpec("clamr", nx=nx, max_level=max_level, policy=policy, scheme=scheme,
+                       scenario=scenario or "")
         with scatter_mode(mode):
-            sim = make_simulation("clamr", cfg, policy=policy, scheme=scheme, scenario=scenario)
+            sim = spec.simulation()
             sim.run(steps)
         out[mode] = (sim.state.H.copy(), sim.state.U.copy(), sim.state.V.copy())
     return out

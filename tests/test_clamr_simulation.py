@@ -8,7 +8,7 @@ import pytest
 from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.precision.analysis import asymmetry_signature, difference_metrics
 from repro.scenarios.registry import scenario_names
-from repro.workload import make_config
+from repro.service import JobSpec
 
 SMALL = DamBreakConfig(nx=16, ny=16, max_level=1)
 
@@ -172,7 +172,7 @@ class TestConfigValidation:
     def test_initial_depth_underflow_rejected(self):
         # 1e-8 is below float16's smallest subnormal: the quiescent depth
         # would store as 0 and the first step would divide by it
-        cfg = make_config("clamr", nx=32, max_level=1, base_height=1e-8)
+        cfg = JobSpec("clamr", nx=32, max_level=1).config(base_height=1e-8)
         with pytest.raises(ValueError) as err:
             ClamrSimulation(cfg, policy="half")
         message = str(err.value)
@@ -183,12 +183,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("policy", ["half", "min", "mixed", "full"])
     @pytest.mark.parametrize("name", [n for n in scenario_names() if n.startswith("clamr/")])
     def test_every_scenario_constructs_at_every_policy(self, name, policy):
-        from repro.scenarios import build_simulation
+        from repro.scenarios import scenario_spec
 
-        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick", policy=policy)
+        sim = scenario_spec(name, scale="quick", policy=policy).simulation()
         assert (sim.state.H >= 0).all()
 
     @pytest.mark.parametrize("name", [n for n in scenario_names() if n.startswith("clamr/")])
     def test_scenarios_and_resilience_halving_construct(self, name):
-        cfg = make_config("clamr", name)
+        cfg = JobSpec("clamr", scenario=name).config()
         assert replace(cfg, courant=cfg.courant * 0.5).courant == cfg.courant * 0.5

@@ -382,6 +382,39 @@ class TestOneRunDescription:
             self.SCENARIO_DOORS[door] + ["--scenario", "clamr/lake-at-rest"], message)
 
 
+    PINNING_DOORS = {
+        "resilience inject": ["resilience", "inject", "clamr"],
+        "resilience run": ["resilience", "run", "clamr"],
+        "resilience campaign": ["resilience", "campaign", "clamr"],
+        "diverge record": ["diverge", "record", "{tmp}/d"],
+    }
+
+    @pytest.mark.parametrize("door", PINNING_DOORS)
+    def test_a_size_the_scenario_sets_is_not_given_otherwise(
+        self, tmp_path, capsys, monkeypatch, door
+    ):
+        # the lake at rest runs max_level 0; --max-level 2 used to be dropped
+        monkeypatch.chdir(tmp_path)
+        self._expect_first_line(
+            tmp_path, capsys,
+            self.PINNING_DOORS[door] + ["--scenario", "clamr/lake-at-rest", "--max-level", "2"],
+            "--max-level 2 conflicts with scenario 'clamr/lake-at-rest', which runs max_level 0",
+        )
+
+    @pytest.mark.parametrize("max_level", [[], ["--max-level", "0"]], ids=["off", "same"])
+    def test_the_scenarios_size_runs_when_not_contradicted(self, tmp_path, capsys, max_level):
+        from repro.ledger import Ledger
+
+        ledger = tmp_path / "runs.jsonl"
+        assert main(["resilience", "run", "clamr", "--scenario", "clamr/lake-at-rest",
+                     "--steps", "4", "--fault", "nan:H:2", "--ledger", str(ledger),
+                     *max_level]) == 0
+        capsys.readouterr()
+        [record] = Ledger(ledger).records()
+        assert record.config["max_level"] == 0
+        assert record.config["scenario"] == "clamr/lake-at-rest"
+
+
 class TestErrorHygiene:
     """User errors exit 2 with a one-line message, no traceback."""
 

@@ -6,8 +6,9 @@ every package's ``import *`` resolves its whole ``__all__``.  A CLAMR
 process loads scipy's compiled ``_sparsetools`` extension straight
 from its file (``repro.clamr.kernels._load_sparsetools``), without the
 ``scipy.sparse`` package, ``numpy.f2py`` or ``numpy.testing``; a SELF or
-scenario run does not load CLAMR, and selecting a kernel backend loads
-none of its kernels or driver; the sweep service's queue loads neither
+scenario run does not load CLAMR, selecting a kernel backend loads
+none of its kernels or simulation, and a CLAMR job's key loads only its
+config; the sweep service's queue loads neither
 CLAMR nor the parallel decomposition, nor — for a job without a
 scenario — the scenario library.  The directly loaded routines, and
 the ordinary ``scipy.sparse`` import the loader falls back to when the
@@ -152,7 +153,7 @@ def test_clamr_loads_no_scipy_package():
     # the whole public API: every name loads its module on first access
     heavy = ("scipy.sparse", "numpy.f2py", "numpy.testing", "repro.harness.experiments")
     modules = tuple(f"repro.clamr.{m}" for m in (
-        "amr", "checkpoint", "kernels", "mesh", "muscl", "simulation",
+        "amr", "checkpoint", "config", "kernels", "mesh", "muscl", "simulation",
         "state", "stoker"))
     got = loaded_after("from repro.clamr import *", heavy + modules)
     assert got == list(modules)
@@ -166,6 +167,17 @@ def test_backend_selection_loads_no_clamr_kernels():
 
 def test_self_and_scenarios_load_no_clamr():
     assert loaded_after("import repro.self_, repro.scenarios", ("repro.clamr",)) == []
+
+
+def test_clamr_key_loads_only_the_config():
+    # a CLAMR job's key builds its DamBreakConfig: no mesh, kernels or simulation
+    code = """
+import json, sys
+from repro.service.jobs import JobSpec
+JobSpec("clamr", nx=16).workload_key()
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.clamr."))))
+"""
+    assert fresh(code) == ["repro.clamr.config"]
 
 
 def test_service_queue_loads_no_clamr():

@@ -23,6 +23,7 @@ from repro.scenarios import (
     load_golden_records,
     record_scenario,
     scenario_names,
+    scenario_spec,
 )
 
 BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline_ledger.jsonl"
@@ -53,6 +54,16 @@ class TestCommittedGoldens:
             assert fresh.fidelity[key] == golden.fidelity[key], (
                 f"{name}: {key} drifted from the committed golden"
             )
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_spec_predicts_the_golden_key(self, name, goldens):
+        # the identity is known before any run
+        assert scenario_spec(name, GOLDEN_SCALE).workload_key() == goldens[name].workload_key
+
+    @pytest.mark.parametrize("name", ["clamr/dam-break", "self/density-current"])
+    def test_record_carries_the_predicted_key(self, name):
+        predicted = scenario_spec(name, GOLDEN_SCALE).workload_key()
+        assert record_scenario(name).workload_key == predicted
 
     def test_lake_at_rest_golden_is_bitwise_conservative(self, goldens):
         # the well-balanced case's whole point: first == last, exactly

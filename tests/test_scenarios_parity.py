@@ -13,7 +13,7 @@ import pytest
 
 from repro.clamr.kernels import scatter_mode
 from repro.harness.experiments import run_clamr_levels, run_self_precisions
-from repro.scenarios import build_simulation, scenario_names
+from repro.scenarios import scenario_names, scenario_spec
 
 CLAMR_SCENARIOS = [n for n in scenario_names() if n.startswith("clamr/")]
 SELF_SCENARIOS = [n for n in scenario_names() if n.startswith("self/")]
@@ -56,9 +56,7 @@ class TestScatterModeParity:
         states = {}
         for mode in ("plan", "add_at"):
             with scatter_mode(mode):
-                sim, _cfg, _steps, _policy = build_simulation(
-                    name, scale="quick", policy=policy
-                )
+                sim = scenario_spec(name, scale="quick", policy=policy).simulation()
                 sim.run(STEPS)
             states[mode] = (
                 sim.state.H.copy(), sim.state.U.copy(), sim.state.V.copy()

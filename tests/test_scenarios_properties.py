@@ -10,17 +10,18 @@ well-balanced bathymetry source term must preserve the rest state to
 the *bit*, across both flux schemes and every precision policy.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.scenarios import (
     Scenario,
     all_scenarios,
-    build_config,
-    build_simulation,
     get_scenario,
     register_scenario,
     scenario_names,
+    scenario_spec,
     validate_scenario,
 )
 from repro.scenarios.checks import mirror_asymmetry, rot90_asymmetry, ulp_distance
@@ -80,7 +81,7 @@ class TestRegistry:
 class TestInitialConditions:
     @pytest.mark.parametrize("name", _names("clamr"))
     def test_clamr_ic_finite_and_positive(self, name):
-        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick")
+        sim = scenario_spec(name, scale="quick").simulation()
         s = sim.state
         for arr in (s.H, s.U, s.V):
             assert np.isfinite(np.asarray(arr, dtype=np.float64)).all()
@@ -88,7 +89,7 @@ class TestInitialConditions:
 
     @pytest.mark.parametrize("name", _names("self"))
     def test_self_ic_finite_and_physical(self, name):
-        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick")
+        sim = scenario_spec(name, scale="quick").simulation()
         U = np.asarray(sim.U, dtype=np.float64)
         assert np.isfinite(U).all()
         assert (U[:, 0] > 0).all(), "non-positive density in IC"
@@ -97,7 +98,7 @@ class TestInitialConditions:
     @pytest.mark.parametrize("name", _names("clamr"))
     def test_clamr_ic_starts_at_rest(self, name):
         # every registered clamr case releases from rest: momenta exactly 0
-        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick")
+        sim = scenario_spec(name, scale="quick").simulation()
         assert not np.asarray(sim.state.U, dtype=np.float64).any()
         assert not np.asarray(sim.state.V, dtype=np.float64).any()
 
@@ -105,7 +106,7 @@ class TestInitialConditions:
         "name", [n for n in _names("clamr") if get_scenario(n).symmetry]
     )
     def test_declared_symmetry_holds_in_the_ic(self, name):
-        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick")
+        sim = scenario_spec(name, scale="quick").simulation()
         field = sim.mesh.sample_to_uniform(
             np.asarray(sim.state.H, dtype=np.float64)
         )
@@ -123,7 +124,7 @@ class TestInitialConditions:
 class TestConservationBudget:
     @pytest.mark.parametrize("name", _names("clamr"))
     def test_step0_total_mass_is_finite_positive(self, name):
-        sim, _cfg, _steps, _policy = build_simulation(name, scale="quick")
+        sim = scenario_spec(name, scale="quick").simulation()
         mass = sim.state.total_mass(sim.mesh.cell_area())
         assert np.isfinite(mass) and mass > 0
 
@@ -140,9 +141,7 @@ class TestPrecisionPlacement:
     def test_state_dtype_monotone_min_mixed_full(self, name):
         sizes = []
         for policy in CLAMR_POLICIES:
-            sim, _cfg, _steps, _policy = build_simulation(
-                name, scale="quick", policy=policy
-            )
+            sim = scenario_spec(name, scale="quick", policy=policy).simulation()
             sizes.append(sim.state.state_dtype.itemsize)
         assert sizes == sorted(sizes), (
             f"{name}: state dtypes not monotone over {CLAMR_POLICIES}: {sizes}"
@@ -157,26 +156,21 @@ class TestLakeAtRestWellBalance:
     @pytest.mark.parametrize("policy", ("half", "min", "mixed", "full"))
     @pytest.mark.parametrize("scheme", ("rusanov", "muscl"))
     def test_bitwise_preservation(self, policy, scheme):
-        # a scenario never picks the flux scheme; the caller passes it to
-        # the one builder every door shares
-        from repro.workload import make_simulation
-
-        cfg, steps = build_config("clamr/lake-at-rest", scale="quick")
-        sim = make_simulation(
-            "clamr", cfg, policy=policy, scheme=scheme, scenario="clamr/lake-at-rest"
-        )
+        # a scenario never picks the flux scheme; the caller's JobSpec does
+        spec = replace(scenario_spec("clamr/lake-at-rest", scale="quick", policy=policy),
+                       scheme=scheme)
+        sim = spec.simulation()
         h0 = np.array(sim.state.H, copy=True)
-        sim.run(steps)
+        sim.run(spec.steps)
         assert ulp_distance(sim.state.H, h0).max() == 0.0
         assert not np.asarray(sim.state.U).any()
         assert not np.asarray(sim.state.V).any()
 
     def test_scalar_kernel_also_well_balanced(self):
-        sim, _cfg, steps, _policy = build_simulation(
-            "clamr/lake-at-rest", scale="quick", policy="mixed", vectorized=False
-        )
+        spec = scenario_spec("clamr/lake-at-rest", scale="quick", policy="mixed")
+        sim = spec.simulation(vectorized=False)
         h0 = np.array(sim.state.H, copy=True)
-        sim.run(steps)
+        sim.run(spec.steps)
         assert ulp_distance(sim.state.H, h0).max() == 0.0
 
     def test_flat_bottom_runs_bit_unchanged_by_the_bathy_code(self):

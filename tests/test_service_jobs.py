@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.scenarios import scenario_names
 from repro.service.jobs import JobSpec, execute_job
 
 #: workload keys computed before JobSpec carried a scenario: a spec without
@@ -146,8 +147,28 @@ class TestScenario:
         assert record.config["scenario"] == spec.scenario
         assert record.label == spec.describe()
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_spec_carries_the_sizes_its_scenario_sets(self, name):
+        family = name.split("/")[0]
+        spec = JobSpec(family, scenario=name, nx=12, max_level=3, elems=2, order=2)
+        cfg = spec.config()
+        if family == "clamr":
+            assert (spec.nx, spec.max_level) == (cfg.nx, cfg.max_level)
+        else:
+            assert (spec.elems, spec.order) == (cfg.nex, cfg.order)
+
+    def test_a_pinned_size_replaces_the_one_given(self):
+        spec = JobSpec("clamr", nx=12, max_level=2, steps=4, scenario="clamr/lake-at-rest")
+        assert spec.max_level == spec.config().max_level == 0
+        assert spec.to_dict()["max_level"] == 0
+        assert JobSpec.from_dict(spec.to_dict()) == spec
+        assert spec.workload_key() == replace(spec, max_level=0).workload_key()
+        # a size the scenario leaves open stays the caller's
+        assert spec.nx == spec.config().nx == 12
+
     def test_at_level(self):
         assert JobSpec("clamr").at_level("full").policy == "full"
+        assert JobSpec("clamr").at_level("double").policy == "full"
         assert JobSpec("self").at_level("min").precision == "single"
         assert JobSpec("self").at_level("full").precision == "double"
         assert JobSpec("self", precision="single").at_level("double").precision == "double"

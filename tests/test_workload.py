@@ -1,7 +1,7 @@
 """One recipe: every door builds its config, simulation and label alike.
 
-:mod:`repro.workload` is the only code that turns a run request into a
-run.  These tests pin the two promises that makes:
+:class:`repro.service.JobSpec` is the only code that turns a run request
+into a run.  These tests pin the two promises that makes:
 
 * a scenario of the wrong mini-app is refused by every door with the
   same one-line :class:`ValueError`;
@@ -14,8 +14,9 @@ import pytest
 
 import repro.clamr
 from repro.clamr import DamBreakConfig
-from repro.scenarios import all_scenarios, build_simulation
-from repro.workload import make_config, run_label, self_precision
+from repro.scenarios import all_scenarios, scenario_spec
+from repro.service import JobSpec
+from repro.workload import run_label, self_precision
 
 MISMATCH = "belongs to workload"
 
@@ -29,8 +30,6 @@ def _harness(workload, scenario):
 
 
 def _spec(workload, scenario):
-    from repro.service import JobSpec
-
     return JobSpec(workload, steps=1, nx=8, elems=2, order=2, scenario=scenario)
 
 
@@ -107,12 +106,11 @@ class TestOneRecipe:
         from repro.harness.experiments import run_clamr_levels
         from repro.resilience import CampaignConfig
         from repro.resilience.campaign import run_cell
-        from repro.service import JobSpec
 
         name = scenario.name
         nx = scenario.scale("quick")["nx"]
         max_level = DamBreakConfig().max_level
-        build_simulation(name, scale="quick")
+        scenario_spec(name, scale="quick").simulation()
         reference = self._recipe(built[-1])
         assert reference[1] is scenario.ic and reference[2] is scenario.bathymetry
 
@@ -141,8 +139,8 @@ class TestOneRecipe:
             assert got[1] is reference[1] and got[2] is reference[2], door
             assert got[3] == reference[3] == "rusanov", door
 
-    def test_make_config_overlays_the_scenario_last(self):
-        cfg = make_config("clamr", "clamr/lake-at-rest", nx=12, max_level=2)
+    def test_config_overlays_the_scenario_last(self):
+        cfg = JobSpec("clamr", nx=12, max_level=2, scenario="clamr/lake-at-rest").config()
         assert (cfg.nx, cfg.ny, cfg.max_level, cfg.start_refined) == (12, 12, 0, False)
 
     def test_self_precision_map(self):
@@ -182,39 +180,31 @@ class _Stop(Exception):
 
 class TestHarnessConfigs:
     """The harness table, figure and sweep functions build their CLAMR
-    configs through ``make_config``, equal to the literal configs they
-    built before."""
+    runs from a JobSpec, with the literal configs they built before."""
 
     @pytest.fixture
     def configs(self, monkeypatch):
-        import repro.harness.experiments as experiments
-        import repro.harness.sweeps as sweeps
-
         built = []
 
-        def spy(*args, **kwargs):
-            built.append(make_config(*args, **kwargs))
-            return built[-1]
-
-        def stop(*args, **kwargs):
+        def stop(spec, *args, config=None, **kwargs):
+            built.append(spec.config() if config is None else config)
             raise _Stop
 
-        for module in (experiments, sweeps):
-            monkeypatch.setattr(module, "make_config", spy)
-            monkeypatch.setattr(module, "ClamrSimulation", stop)
+        monkeypatch.setattr(JobSpec, "simulation", stop)
         return built
 
     @pytest.mark.parametrize(
         "site, expected",
         [
             ("table3", [DamBreakConfig(nx=12, ny=12, max_level=1)]),
-            ("fig3", [DamBreakConfig(nx=8, ny=8, max_level=1),
-                      DamBreakConfig(nx=16, ny=16, max_level=1)]),
+            ("fig3", [DamBreakConfig(nx=8, ny=8, max_level=1)]),
             ("chunks", [DamBreakConfig(nx=10, ny=10, max_level=2)]),
             ("resolution", [DamBreakConfig(nx=12, ny=12, max_level=1)]),
+            ("compare", [DamBreakConfig(nx=10, ny=10, max_level=2)]),
         ],
     )
     def test_configs_equal_the_literal_ones(self, site, expected, configs):
+        from repro.cli import main
         from repro.harness import experiments, sweeps
 
         calls = {
@@ -222,7 +212,23 @@ class TestHarnessConfigs:
             "fig3": lambda: experiments.fig3_precision_resolution(nx_lo=8),
             "chunks": lambda: next(sweeps._run_in_chunks(10, 4, 2)),
             "resolution": lambda: sweeps.resolution_sweep(sizes=(12,), max_level=1),
+            "compare": lambda: main(["compare", "--nx", "10"]),
         }
         with pytest.raises(_Stop):
             calls[site]()
         assert configs == expected
+
+    def test_fig3_fine_run_doubles_the_grid(self, monkeypatch):
+        from repro.harness import experiments
+
+        built = []
+        real = JobSpec.simulation
+
+        def spy(spec, *args, **kwargs):
+            built.append((spec.policy, spec.config()))
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(JobSpec, "simulation", spy)
+        experiments.fig3_precision_resolution(nx_lo=8, steps_hint=2)
+        assert built == [("full", DamBreakConfig(nx=8, ny=8, max_level=1)),
+                         ("min", DamBreakConfig(nx=16, ny=16, max_level=1))]
