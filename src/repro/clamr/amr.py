@@ -41,6 +41,7 @@ def refinement_flags(
     state: ShallowWaterState,
     refine_threshold: float = 0.02,
     coarsen_threshold: float = 0.004,
+    scratch=np.empty,
 ) -> np.ndarray:
     """Per-cell flags from the relative H-jump across faces.
 
@@ -52,10 +53,13 @@ def refinement_flags(
     here so downstream stages can trust the flags.  Under a loop backend
     everything after the quantization runs as one loop over the cells
     (``refinement_flags`` in :mod:`repro.clamr.backends.loops`).
+    ``scratch(shape, dtype)`` hands out every temporary (the quantized
+    depths, the indicator and its terms, the masks); the flags are new.
     """
     if refine_threshold <= coarsen_threshold:
         raise ValueError("refine_threshold must exceed coarsen_threshold")
     _check_cells(mesh, state)
+    n = mesh.ncells
     # Quantize H to bfloat16 (~0.4% quanta) before computing jumps.  Regrid
     # decisions are threshold comparisons; without quantization a
     # rounding-level difference between precision modes can flip a cell's
@@ -64,14 +68,17 @@ def refinement_flags(
     # With quantization, runs whose solutions agree to better than half a
     # quantum make bitwise-identical regrid decisions.  (Real CLAMR has no
     # such guard; its published runs simply did not hit a flip.  See
-    # DESIGN.md, "mesh-decision noise immunity".)
-    H = quantize_to_bfloat16(state.H.astype(np.float64))
-    flags = _bridge.try_refinement_flags(mesh, H, refine_threshold, coarsen_threshold)
+    # DESIGN.md, "mesh-decision noise immunity".)  Rounding the stored
+    # depths is rounding their exact float64 widening.
+    H = quantize_to_bfloat16(state.H, out=scratch(n, np.float64), scratch=scratch)
+    flags = _bridge.try_refinement_flags(mesh, H, refine_threshold, coarsen_threshold, scratch)
     if flags is not None:
         return flags
-    absH = np.abs(H)
+    absH = np.absolute(H, out=scratch(n, np.float64))
     floor = max(1e-12, float(np.max(absH)) * 1e-12)
-    indicator = np.zeros(mesh.ncells, dtype=np.float64)
+    indicator = scratch(n, np.float64)
+    indicator.fill(0)
+    Hn, scale, jump = (scratch(n, np.float64) for _ in range(3))
     for nbr in (mesh.nlft, mesh.nrht, mesh.nbot, mesh.ntop):
         # Per-pair symmetric normalization: both endpoints of a face see the
         # identical jump value.  (Normalizing by one endpoint's own H would
@@ -79,19 +86,28 @@ def refinement_flags(
         # neighbor at the bottom/left of a coarse-fine face — is itself not
         # mirror-symmetric; near-threshold cells would then flag
         # asymmetrically and imprint a structural asymmetry on the mesh.)
-        Hn = np.take(H, nbr)
-        scale = np.maximum(np.maximum(np.abs(Hn), absH), floor)
-        jump = np.abs(Hn - H) / scale
+        np.take(H, nbr, out=Hn, mode="clip")
+        np.absolute(Hn, out=scale)
+        np.maximum(scale, absH, out=scale)
+        np.maximum(scale, floor, out=scale)
+        np.subtract(Hn, H, out=jump)
+        np.absolute(jump, out=jump)
+        np.divide(jump, scale, out=jump)
         np.maximum(indicator, jump, out=indicator)
         # the link is one-directional for coarse/fine faces; mirror the jump
         # so the *neighbor* sees it too
         np.maximum.at(indicator, nbr, jump)
 
-    flags = np.zeros(mesh.ncells, dtype=np.int8)
-    flags[indicator > refine_threshold] = 1
-    flags[indicator < coarsen_threshold] = -1
-    flags[(flags == 1) & (mesh.level >= mesh.max_level)] = 0
-    flags[(flags == -1) & (mesh.level == 0)] = 0
+    flags = np.zeros(n, dtype=np.int8)
+    mask, cap = scratch(n, bool), scratch(n, bool)
+    np.copyto(flags, 1, where=np.greater(indicator, refine_threshold, out=mask))
+    np.copyto(flags, -1, where=np.less(indicator, coarsen_threshold, out=mask))
+    np.equal(flags, 1, out=mask)
+    np.logical_and(mask, np.greater_equal(mesh.level, mesh.max_level, out=cap), out=mask)
+    np.copyto(flags, 0, where=mask)
+    np.equal(flags, -1, out=mask)
+    np.logical_and(mask, np.equal(mesh.level, 0, out=cap), out=mask)
+    np.copyto(flags, 0, where=mask)
     return flags
 
 

@@ -79,15 +79,18 @@ def try_face_lists(mesh) -> tuple[dict, np.ndarray, tuple] | None:
     return fields, bcells, slices
 
 
-def try_refinement_flags(mesh, H, refine: float, coarsen: float) -> np.ndarray | None:
-    """int8 flags from the quantized float64 depths ``H``; None → NumPy."""
+def try_refinement_flags(mesh, H, refine: float, coarsen: float, scratch=np.empty) -> np.ndarray | None:
+    """int8 flags from the quantized float64 depths ``H``; None → NumPy.
+
+    ``scratch(shape, dtype)`` hands out the loop's float64 indicator.
+    """
     ops = topology_ops()
     links = None if ops is None else _links(mesh)
     if links is None or H.dtype != np.float64 or not H.flags.c_contiguous:
         return None
     flags = np.empty(mesh.ncells, dtype=np.int8)
-    scratch = np.empty(mesh.ncells, dtype=np.float64)
-    if ops.refinement_flags(H, *links, mesh.max_level, 1e-12, refine, coarsen, scratch, flags):
+    indicator = scratch(mesh.ncells, np.float64)
+    if ops.refinement_flags(H, *links, mesh.max_level, 1e-12, refine, coarsen, indicator, flags):
         return None
     return flags
 
@@ -148,8 +151,8 @@ def try_clamr_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy, muscl):
             eta = H + bathy
     ops.clamr_rhs(
         H, U, V, bathy, eta, *nbrs, size,
-        faces.xl, faces.xr, xplan.indptr, xplan.cols, xplan._signed(cdtype),
-        faces.yb, faces.yt, yplan.indptr, yplan.cols, yplan._signed(cdtype),
+        faces.xl, faces.xr, xplan.indptr, xplan.cols, xplan.signed(cdtype),
+        faces.yb, faces.yt, yplan.indptr, yplan.cols, yplan.signed(cdtype),
         bcells, boff, sl, fb[0], fb[1], fb[2], fb[3], dH, dU, dV,
         ct(GRAVITY), ct(0.5),
     )

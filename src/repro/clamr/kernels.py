@@ -108,6 +108,13 @@ _CSR_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _F64 = np.dtype(np.float64)
 
 
+def _iota(out: np.ndarray) -> np.ndarray:
+    """Fill the 1-D integer ``out`` with 0, 1, 2, … (an arange in place)."""
+    out.fill(1)
+    out[:1] = 0
+    return np.add.accumulate(out, out=out)
+
+
 class ScatterPlan:
     """A precomputed, bit-exact replacement for a pair of ``np.add.at`` calls.
 
@@ -155,40 +162,62 @@ class ScatterPlan:
     depend on which path ran.
     """
 
-    def __init__(self, low: np.ndarray, high: np.ndarray, sizes: np.ndarray, ncells: int) -> None:
+    def __init__(
+        self,
+        low: np.ndarray,
+        high: np.ndarray,
+        sizes: np.ndarray,
+        ncells: int,
+        dtype: np.dtype = _F64,
+        scratch=np.empty,
+    ) -> None:
         self.ncells = int(ncells)
         self.nfaces = int(low.size)
         self.low = low.astype(np.int64, copy=False)
         self.high = high.astype(np.int64, copy=False)
         self.sizes64 = np.asarray(sizes, dtype=np.float64)
         nnz = 2 * self.nfaces
-        faces = np.arange(self.nfaces, dtype=np.int32)
+        nf = self.nfaces
+        dtype = np.dtype(dtype)
+        if dtype not in _CSR_DTYPES:
+            dtype = _F64
         self.indptr = np.empty(self.ncells + 1, dtype=np.int32)
         self.cols = np.empty(nnz, dtype=np.int32)
-        #: ±fsz per stored entry, in per-cell add.at order (float64 master)
-        self.signed64 = np.empty(nnz, dtype=np.float64)
+        #: ±fsz per stored entry, in per-cell add.at order, at the dtype in use
+        self._kept = np.empty(nnz, dtype=dtype)
+        # the COO triple (low | high, face | face, -fsz | +fsz); a dtype
+        # cast of ±fsz64 is ±(its cast), exactly
+        rows = scratch(nnz, np.int32)
+        np.copyto(rows[:nf], self.low, casting="same_kind")
+        np.copyto(rows[nf:], self.high, casting="same_kind")
+        faces = scratch(nnz, np.int32)
+        faces[nf:] = _iota(faces[:nf])
+        data = scratch(nnz, dtype)
+        np.negative(self.sizes64, out=data[:nf], casting="same_kind")
+        np.copyto(data[nf:], self.sizes64, casting="same_kind")
         _sparsetools.coo_tocsr(
-            self.ncells, self.nfaces, nnz,
-            np.concatenate([self.low, self.high]).astype(np.int32),
-            np.concatenate([faces, faces]),
-            np.concatenate([-self.sizes64, self.sizes64]),
-            self.indptr, self.cols, self.signed64,
+            self.ncells, self.nfaces, nnz, rows, faces, data, self.indptr, self.cols, self._kept,
         )
-        self._signed_casts: dict[np.dtype, np.ndarray] = {}
         self._size_casts: dict[np.dtype, np.ndarray] = {}
         self._sided: np.ndarray | None = None
         self._stacked: dict[np.dtype, np.ndarray] = {}
 
-    def _signed(self, cdtype: np.dtype) -> np.ndarray:
-        if cdtype == self.signed64.dtype:
-            return self.signed64
-        cast = self._signed_casts.get(cdtype)
-        if cast is None:
+    def signed(self, cdtype: np.dtype) -> np.ndarray:
+        """``±fsz`` per stored entry at ``cdtype``: the CSR matrix's data.
+
+        The plan keeps one such array, for the dtype last asked for; another
+        dtype's is rebuilt from the float64 face sizes and the kept array's
+        signs, and replaces it.
+        """
+        cdtype = np.dtype(cdtype)
+        kept = self._kept
+        if cdtype != kept.dtype:
             # (±fsz64).astype(c) == ±(fsz64.astype(c)): negation commutes
             # exactly with the rounding of a dtype cast
-            cast = self.signed64.astype(cdtype)
-            self._signed_casts[cdtype] = cast
-        return cast
+            cast = self.sizes64.astype(cdtype).take(self.cols)
+            np.negative(cast, out=cast, where=np.signbit(kept))
+            kept = self._kept = cast
+        return kept
 
     def _sizes(self, cdtype: np.dtype) -> np.ndarray:
         cast = self._size_casts.get(cdtype)
@@ -201,7 +230,8 @@ class ScatterPlan:
         if self._sided is None:
             # high-side entries (stored +fsz; sizes are positive) read the
             # second half of the stacked vector [flux; high_flux]
-            self._sided = self.cols + np.int32(self.nfaces) * (self.signed64 > 0)
+            high = ~np.signbit(self._kept)
+            self._sided = self.cols + np.int32(self.nfaces) * high
         return self._sided
 
     def apply(self, acc: np.ndarray, flux: np.ndarray, high_flux: np.ndarray | None = None) -> None:
@@ -221,7 +251,7 @@ class ScatterPlan:
                 x[self.nfaces:] = high_flux
                 cols, ncols = self._sided_cols(), 2 * self.nfaces
             _sparsetools.csr_matvec(
-                self.ncells, ncols, self.indptr, cols, self._signed(cdtype), x, acc,
+                self.ncells, ncols, self.indptr, cols, self.signed(cdtype), x, acc,
             )
         else:
             fsz = self._sizes(cdtype)
@@ -373,6 +403,69 @@ class GeometryCache:
         self._handed[key] = handout
         return arena[:need].reshape(shape)
 
+    @contextlib.contextmanager
+    def borrow(self):
+        """Temporaries carved from the idle face-buffer arena, for a regrid.
+
+        Yields a :class:`BorrowedScratch` over the bytes of the largest
+        face-pass arena the cache holds — the :func:`_face_buffer`, or a
+        loop backend's flux rows — or over nothing before the first
+        kernel call (every request then falls back to ``np.empty``).  That
+        arena holds nothing between kernel calls, so the regrid's flags,
+        face-list and plan builders and the mass sum use it instead of new
+        memory; no arena is created.
+        Every carved array must be dead when the block ends, before the
+        next kernel call asks for the buffer again (a live one would make
+        that request allocate a fresh arena, by the aliasing rule above).
+        """
+        idle = [a for (_, name), a in self._arenas.items() if name in _IDLE_ARENAS]
+        scratch = BorrowedScratch(max(idle, key=lambda a: a.nbytes) if idle else None)
+        try:
+            yield scratch
+        finally:
+            scratch.close()
+
+
+#: the face buffer's arena name
+_FACE_ARENA = "fd_faces"
+#: the face-pass scratch of the NumPy kernels and of a loop backend
+#: (``bridge.try_clamr_rhs``): every kernel call writes each element it
+#: reads, so between calls their bytes are free to borrow
+_IDLE_ARENAS = (_FACE_ARENA, "bk_flux")
+#: byte alignment of every array carved from a borrowed arena
+_CARVE_ALIGN = 64
+
+
+class BorrowedScratch:
+    """Typed temporaries carved in turn from one borrowed arena's bytes.
+
+    ``scratch(shape, dtype)`` returns an uninitialised array like
+    ``np.empty``: the next aligned stretch of the arena while one fits,
+    then ``np.empty``'s own memory.  Carved arrays stay valid until
+    :meth:`close`; nothing is freed before that, so a builder's
+    temporaries never overlap.
+    """
+
+    __slots__ = ("_raw", "_used")
+
+    def __init__(self, arena: np.ndarray | None) -> None:
+        self._raw = None if arena is None else arena.reshape(-1).view(np.uint8)
+        self._used = 0
+
+    def __call__(self, shape, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = -(-self._used // _CARVE_ALIGN) * _CARVE_ALIGN
+        if self._raw is None or start + nbytes > self._raw.size:
+            return np.empty(shape, dtype)
+        self._used = start + nbytes
+        return self._raw[start:start + nbytes].view(dtype).reshape(shape)
+
+    def close(self) -> None:
+        """Let go of the arena; later requests get ``np.empty`` memory."""
+        self._raw = None
+
 
 def _unshared_refs() -> int:
     """``sys.getrefcount`` of an arena held by a dict and a local only, read
@@ -421,28 +514,46 @@ class FaceLists:
     bnd_top: np.ndarray
 
     @classmethod
-    def from_mesh(cls, mesh: AmrMesh) -> "FaceLists":
+    def from_mesh(cls, mesh: AmrMesh, scratch=np.empty) -> "FaceLists":
+        """The face lists of ``mesh``; ``scratch(shape, dtype)`` hands out
+        the NumPy builder's temporaries (masks, level gathers, cell sizes)."""
         built = _bridge.try_face_lists(mesh)
         if built is not None:
             fields, bcells, slices = built
             faces = cls(**fields)
             object.__setattr__(faces, "_bnd_concat", (bcells, slices))
             return faces
-        cells = np.arange(mesh.ncells, dtype=mesh.nlft.dtype)
+        n = mesh.ncells
+        cells = _iota(scratch(n, mesh.nlft.dtype))
         level = mesh.level
-        size = mesh.cell_size()
+        size = mesh.cell_size(out=scratch(n, np.float64))
+        mask, other = scratch(n, bool), scratch(n, bool)
+        nbr_level = scratch(n, level.dtype)
+
+        def owned(nbr: np.ndarray, finer_or_equal: bool) -> np.ndarray:
+            # cells whose link ``nbr`` is not a wall and whose neighbor's
+            # level is <= (or <) their own
+            np.not_equal(nbr, cells, out=mask)
+            np.take(level, nbr, out=nbr_level, mode="clip")
+            (np.less_equal if finer_or_equal else np.less)(nbr_level, level, out=other)
+            np.logical_and(mask, other, out=mask)
+            return np.flatnonzero(mask)
 
         def interior(fwd: np.ndarray, back: np.ndarray):
             # (low cells, high cells, sizes) of one axis's interior faces;
             # cell indices come out int64 (flatnonzero's intp, and the
             # concatenate promotes the int32 neighbor gathers to it)
-            own_fwd = np.flatnonzero((fwd != cells) & (np.take(level, fwd) <= level))
-            own_back = np.flatnonzero((back != cells) & (np.take(level, back) < level))
+            own_fwd = owned(fwd, True)
+            own_back = owned(back, False)
             return (
                 np.concatenate([own_fwd, np.take(back, own_back)]),
                 np.concatenate([np.take(fwd, own_fwd), own_back]),
                 np.concatenate([np.take(size, own_fwd), np.take(size, own_back)]),
             )
+
+        def walls(nbr: np.ndarray) -> np.ndarray:
+            np.equal(nbr, cells, out=mask)
+            return np.flatnonzero(mask)
 
         xl, xr, xsize = interior(mesh.nrht, mesh.nlft)
         yb, yt, ysize = interior(mesh.ntop, mesh.nbot)
@@ -453,10 +564,10 @@ class FaceLists:
             yb=yb,
             yt=yt,
             ysize=ysize,
-            bnd_left=np.flatnonzero(mesh.nlft == cells),
-            bnd_right=np.flatnonzero(mesh.nrht == cells),
-            bnd_bottom=np.flatnonzero(mesh.nbot == cells),
-            bnd_top=np.flatnonzero(mesh.ntop == cells),
+            bnd_left=walls(mesh.nlft),
+            bnd_right=walls(mesh.nrht),
+            bnd_bottom=walls(mesh.nbot),
+            bnd_top=walls(mesh.ntop),
         )
 
     @property
@@ -464,19 +575,24 @@ class FaceLists:
         boundary = self.bnd_left.size + self.bnd_right.size + self.bnd_bottom.size + self.bnd_top.size
         return int(self.xl.size + self.yb.size + boundary)
 
-    def scatter_plans(self, ncells: int) -> tuple[ScatterPlan, ScatterPlan]:
+    def scatter_plans(
+        self, ncells: int, dtype: np.dtype = _F64, scratch=np.empty
+    ) -> tuple[ScatterPlan, ScatterPlan]:
         """(x-plan, y-plan) for this topology, built once and memoized.
 
         The x and y face groups keep separate plans (and separate
         applications in the kernel) because the original code scattered all
         x-face contributions before any y-face ones — fusing them would
-        change per-cell accumulation order and therefore bits.
+        change per-cell accumulation order and therefore bits.  A new pair
+        keeps its signed sizes at ``dtype`` (the compute dtype that will
+        apply it); ``scratch(shape, dtype)`` hands out the builders'
+        temporaries.
         """
         cached = getattr(self, "_plans", None)
         if cached is None or cached[0] != ncells:
             plans = (
-                ScatterPlan(self.xl, self.xr, self.xsize, ncells),
-                ScatterPlan(self.yb, self.yt, self.ysize, ncells),
+                ScatterPlan(self.xl, self.xr, self.xsize, ncells, dtype, scratch),
+                ScatterPlan(self.yb, self.yt, self.ysize, ncells, dtype, scratch),
             )
             object.__setattr__(self, "_plans", (ncells, plans))
             return plans
@@ -501,88 +617,94 @@ class FaceLists:
         return cached
 
 
-def _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, tmp):
-    """Rusanov flux in +x into preallocated buffers.
+def _rusanov_into(rows, g):
+    """Rusanov flux in +x, computed in the rows of its own inputs.
 
-    Inputs are conserved face states: ``h`` the depth, ``n``/``t`` the
+    ``rows`` is ``(11, n)``: rows 0–5 hold the conserved face states
+    ``(hL, nL, tL, hR, nR, tR)`` — ``h`` the depth, ``n``/``t`` the
     face-*normal* and face-*tangent* momenta (for x-faces that is U/V; for
-    y-faces V/U — by symmetry the y-flux is the x-flux under that swap).
-    With ``vel = n/h``, ``c = sqrt(g·h)`` and ``lam = max(|velL| + cL,
-    |velR| + cR)`` each flux is ``½(fL + fR) − ½·lam·(qR − qL)``, where
-    ``f`` is ``n`` for the depth, ``n·vel + ½·g·h·h`` for the normal and
-    ``t·vel`` for the tangent momentum.  ``out`` is ``(3, n)`` receiving
-    ``(f_h, f_normal, f_tangent)``; ``tmp`` is ``(6, n)`` scratch.  The
-    operations replay the allocating expression form (kept as the oracle
-    in ``tests/reference_impls.py``) in its order, relying only on exact
-    IEEE-754 commutativity of ``+``/``*``, so the bits are the same.
-    Inputs may alias each other (they are only read); they must not alias
-    ``out``/``tmp``.
+    y-faces V/U — by symmetry the y-flux is the x-flux under that swap) —
+    and rows 6–10 are scratch.  Every row is consumed: the return is
+    ``(f_h, f_normal, f_tangent)``, views of rows 6, 2 and 8.  With ``vel
+    = n/h``, ``c = sqrt(g·h)`` and ``lam = max(|velL| + cL, |velR| +
+    cR)`` each flux is ``½(fL + fR) − ½·lam·(qR − qL)``, where ``f`` is
+    ``n`` for the depth, ``n·vel + ½·g·h·h`` for the normal and ``t·vel``
+    for the tangent momentum.  Each element goes through the operations of
+    the allocating expression form (kept as the oracle in
+    ``tests/reference_impls.py``) in its order, relying only on exact
+    IEEE-754 commutativity of ``+``/``*``, so the bits are the same; only
+    the three fluxes are evaluated in another order, each once its inputs
+    are no longer needed by the others.
     """
     half = g.dtype.type(0.5)
     hg = half * g  # the (0.5 * g) subterm of the pressure flux
-    velL, velR, t2, t3, t4, t5 = tmp
-    fh, fn, ft = out
+    hL, nL, tL, hR, nR, tR, velL, velR, r8, r9, r10 = rows
 
     np.divide(nL, hL, out=velL)
     np.divide(nR, hR, out=velR)
-    np.multiply(hL, g, out=t2)
-    np.sqrt(t2, out=t2)  # cL
-    np.multiply(hR, g, out=t3)
-    np.sqrt(t3, out=t3)  # cR
-    np.absolute(velL, out=t4)
-    np.add(t4, t2, out=t4)  # |velL| + cL
-    np.absolute(velR, out=t5)
-    np.add(t5, t3, out=t5)  # |velR| + cR
-    np.maximum(t4, t5, out=t2)  # lam
-    np.multiply(t2, half, out=t2)  # 0.5*lam, reused by all three fluxes
+    np.multiply(hL, g, out=r8)
+    np.sqrt(r8, out=r8)  # cL
+    np.multiply(hR, g, out=r9)
+    np.sqrt(r9, out=r9)  # cR
+    np.absolute(velL, out=r10)
+    np.add(r10, r8, out=r10)  # |velL| + cL
+    np.absolute(velR, out=r8)
+    np.add(r8, r9, out=r8)  # |velR| + cR
+    np.maximum(r10, r8, out=r9)  # lam
+    np.multiply(r9, half, out=r9)  # 0.5*lam, reused by all three fluxes
+    lam = r9
 
-    # f_h = 0.5*(nL + nR) - (0.5*lam)*(hR - hL)
-    np.add(nL, nR, out=fh)
-    np.multiply(fh, half, out=fh)
-    np.subtract(hR, hL, out=t3)
-    np.multiply(t3, t2, out=t3)
-    np.subtract(fh, t3, out=fh)
+    # f_t = 0.5*(tL*velL + tR*velR) - (0.5*lam)*(tR - tL), into r8
+    np.multiply(tL, velL, out=r8)
+    np.multiply(tR, velR, out=r10)
+    np.add(r8, r10, out=r8)
+    np.multiply(r8, half, out=r8)
+    np.subtract(tR, tL, out=r10)
+    np.multiply(r10, lam, out=r10)
+    np.subtract(r8, r10, out=r8)
 
-    # f_n = 0.5*((nL*velL + hg*hL*hL) + (nR*velR + hg*hR*hR)) - (0.5*lam)*(nR - nL)
-    np.multiply(nL, velL, out=t4)
-    np.multiply(hL, hg, out=t5)
-    np.multiply(t5, hL, out=t5)
-    np.add(t4, t5, out=t4)  # momentum flux, L side
-    np.multiply(nR, velR, out=t5)
-    np.multiply(hR, hg, out=fn)
-    np.multiply(fn, hR, out=fn)
-    np.add(t5, fn, out=t5)  # momentum flux, R side
-    np.add(t4, t5, out=fn)
-    np.multiply(fn, half, out=fn)
-    np.subtract(nR, nL, out=t4)
-    np.multiply(t4, t2, out=t4)
-    np.subtract(fn, t4, out=fn)
+    # f_n = 0.5*((nL*velL + hg*hL*hL) + (nR*velR + hg*hR*hR)) - (0.5*lam)*(nR - nL),
+    # into tL (the tangent states are spent)
+    np.multiply(nL, velL, out=tL)
+    np.multiply(hL, hg, out=r10)
+    np.multiply(r10, hL, out=r10)
+    np.add(tL, r10, out=tL)  # momentum flux, L side
+    np.multiply(nR, velR, out=tR)
+    np.multiply(hR, hg, out=r10)
+    np.multiply(r10, hR, out=r10)
+    np.add(tR, r10, out=tR)  # momentum flux, R side
+    np.add(tL, tR, out=tL)
+    np.multiply(tL, half, out=tL)
+    np.subtract(nR, nL, out=r10)
+    np.multiply(r10, lam, out=r10)
+    np.subtract(tL, r10, out=tL)
 
-    # f_t = 0.5*(tL*velL + tR*velR) - (0.5*lam)*(tR - tL)
-    np.multiply(tL, velL, out=t4)
-    np.multiply(tR, velR, out=t5)
-    np.add(t4, t5, out=ft)
-    np.multiply(ft, half, out=ft)
-    np.subtract(tR, tL, out=t4)
-    np.multiply(t4, t2, out=t4)
-    np.subtract(ft, t4, out=ft)
+    # f_h = 0.5*(nL + nR) - (0.5*lam)*(hR - hL), into velL
+    np.add(nL, nR, out=velL)
+    np.multiply(velL, half, out=velL)
+    np.subtract(hR, hL, out=velR)
+    np.multiply(velR, lam, out=velR)
+    np.subtract(velL, velR, out=velL)
+    return velL, tL, r8
 
 
-def _wellbalanced_into(hL, nL, tL, hR, nR, tR, bL, bR, g, out, tmp):
+def _wellbalanced_into(rows, g):
     """Hydrostatic-reconstruction (Audusse) Rusanov flux over bathymetry.
 
-    ``h``/``n``/``t`` are the face states as in :func:`_rusanov_into`,
-    ``bL``/``bR`` the bottom elevations of the two cells.  Each side's
-    depth is reconstructed to ``h* = max((h + b) − max(bL, bR), 0)`` and
-    its momenta to ``h*·(q/h)``; velocities come from the original depths
-    (cells stay wet, ``h > 0``).  ``out`` is ``(4, n)`` receiving ``(f_h,
-    phi_L, phi_R, f_tangent)``: ``phi_L``/``phi_R`` are the *per-side*
-    effective normal-momentum fluxes, the starred-state flux ``fn`` with
-    the starred hydrostatic pressure swapped for each side's own, ``phi =
-    (fn − ½·g·h*·h*) + ½·g·h·h``.  That is exactly the interface part of
-    the Audusse source-term splitting, so the scatter becomes ``dU[L] -=
-    phi_L·fsz; dU[R] += phi_R·fsz`` — no separate source loop, and the
-    scheme is well balanced by construction.
+    ``rows`` is ``(12, n)``: rows 0–5 hold the face states as in
+    :func:`_rusanov_into`, rows 6–7 the bottom elevations ``(bL, bR)`` of
+    the two cells, and rows 8–11 are scratch.  Each side's depth is
+    reconstructed to ``h* = max((h + b) − max(bL, bR), 0)`` and its
+    momenta to ``h*·(q/h)``; velocities come from the original depths
+    (cells stay wet, ``h > 0``).  Every row is consumed: the return is
+    ``(f_h, phi_L, phi_R, f_tangent)``, views of rows 5, 10, 11 and 2.
+    ``phi_L``/``phi_R`` are the *per-side* effective normal-momentum
+    fluxes, the starred-state flux ``fn`` with the starred hydrostatic
+    pressure swapped for each side's own, ``phi = (fn − ½·g·h*·h*) +
+    ½·g·h·h``.  That is exactly the interface part of the Audusse
+    source-term splitting, so the scatter becomes ``dU[L] -= phi_L·fsz;
+    dU[R] += phi_R·fsz`` — no separate source loop, and the scheme is well
+    balanced by construction.
 
     Why exactly: at a lake at rest the free surface ``h + b`` is the same
     value on both sides, so the reconstructed depths agree *bitwise*,
@@ -593,103 +715,110 @@ def _wellbalanced_into(hL, nL, tL, hR, nR, tR, bL, bR, g, out, tmp):
     exactly and the state does not move by a single ulp.  The property
     tests assert exactly that.
 
-    ``tmp`` is ``(4, n)`` scratch, and ``bL``/``bR`` are consumed as two
-    more scratch rows; the other inputs are only read and must not alias
-    ``out``/``tmp``/``bL``/``bR``.  The operations replay the allocating
-    expression form (kept as the oracle in ``tests/reference_impls.py``)
-    in its order, relying only on exact IEEE-754 commutativity of
-    ``+``/``*``.  ``g`` is a NumPy scalar of the compute dtype.
+    Each element goes through the operations of the allocating expression
+    form (kept as the oracle in ``tests/reference_impls.py``) in its
+    order, relying only on exact IEEE-754 commutativity of ``+``/``*``;
+    a row is reused as soon as its value is spent.  ``g`` is a NumPy
+    scalar of the compute dtype.
     """
     half = g.dtype.type(0.5)
     zero = g.dtype.type(0)
     hg = half * g  # the (0.5 * g) subterm of the pressure flux
-    hsL, hsR, velL, velR = tmp
-    fh, phiL, phiR, ft = out
+    hL, nL, tL, hR, nR, tR, hsL, hsR, velL, velR, r10, r11 = rows
 
-    np.maximum(bL, bR, out=fh)  # bstar
-    np.add(hL, bL, out=hsL)
-    np.subtract(hsL, fh, out=hsL)
+    np.maximum(hsL, hsR, out=velL)  # bstar, from the bottoms in rows 6-7
+    np.add(hL, hsL, out=hsL)
+    np.subtract(hsL, velL, out=hsL)
     np.maximum(hsL, zero, out=hsL)
-    np.add(hR, bR, out=hsR)
-    np.subtract(hsR, fh, out=hsR)
+    np.add(hR, hsR, out=hsR)
+    np.subtract(hsR, velL, out=hsR)
     np.maximum(hsR, zero, out=hsR)
     np.divide(nL, hL, out=velL)
     np.divide(nR, hR, out=velR)
 
-    # lam = max(|velL| + sqrt(g*hsL), |velR| + sqrt(g*hsR)); bL keeps 0.5*lam
-    np.multiply(hsL, g, out=bL)
-    np.sqrt(bL, out=bL)  # cL
-    np.absolute(velL, out=fh)
-    np.add(fh, bL, out=fh)
-    np.multiply(hsR, g, out=bL)
-    np.sqrt(bL, out=bL)  # cR
-    np.absolute(velR, out=bR)
-    np.add(bR, bL, out=bR)
-    np.maximum(fh, bR, out=bL)
-    np.multiply(bL, half, out=bL)
+    # lam = max(|velL| + sqrt(g*hsL), |velR| + sqrt(g*hsR)); nL keeps
+    # 0.5*lam (the normal momenta are spent once the velocities exist)
+    np.multiply(hsL, g, out=nL)
+    np.sqrt(nL, out=nL)  # cL
+    np.absolute(velL, out=r10)
+    np.add(r10, nL, out=r10)
+    np.multiply(hsR, g, out=nL)
+    np.sqrt(nL, out=nL)  # cR
+    np.absolute(velR, out=r11)
+    np.add(r11, nL, out=r11)
+    np.maximum(r10, r11, out=nL)
+    np.multiply(nL, half, out=nL)
+    lam = nL
 
-    # starred momenta: ns = hs*vel in phiL/phiR, ts = hs*(t/h) in ft/fh
-    np.multiply(hsL, velL, out=phiL)
-    np.multiply(hsR, velR, out=phiR)
-    np.divide(tL, hL, out=ft)
-    np.multiply(ft, hsL, out=ft)
-    np.divide(tR, hR, out=fh)
-    np.multiply(fh, hsR, out=fh)
+    # starred momenta: ns = hs*vel in r10/r11, ts = hs*(t/h) in tL/tR
+    np.multiply(hsL, velL, out=r10)
+    np.multiply(hsR, velR, out=r11)
+    np.divide(tL, hL, out=tL)
+    np.multiply(tL, hsL, out=tL)
+    np.divide(tR, hR, out=tR)
+    np.multiply(tR, hsR, out=tR)
 
-    # f_t = 0.5*(tsL*velL + tsR*velR) - (0.5*lam)*(tsR - tsL)
-    np.subtract(fh, ft, out=bR)
-    np.multiply(bR, bL, out=bR)
-    np.multiply(ft, velL, out=ft)
-    np.multiply(fh, velR, out=fh)
-    np.add(ft, fh, out=ft)
-    np.multiply(ft, half, out=ft)
-    np.subtract(ft, bR, out=ft)
+    # f_t = 0.5*(tsL*velL + tsR*velR) - (0.5*lam)*(tsR - tsL), into tL
+    np.subtract(tR, tL, out=nR)
+    np.multiply(nR, lam, out=nR)
+    np.multiply(tL, velL, out=tL)
+    np.multiply(tR, velR, out=tR)
+    np.add(tL, tR, out=tL)
+    np.multiply(tL, half, out=tL)
+    np.subtract(tL, nR, out=tL)
 
-    # f_h = 0.5*(nsL + nsR) - (0.5*lam)*(hsR - hsL)
-    np.add(phiL, phiR, out=fh)
-    np.multiply(fh, half, out=fh)
-    np.subtract(hsR, hsL, out=bR)
-    np.multiply(bR, bL, out=bR)
-    np.subtract(fh, bR, out=fh)
+    # f_h = 0.5*(nsL + nsR) - (0.5*lam)*(hsR - hsL), into tR
+    np.add(r10, r11, out=tR)
+    np.multiply(tR, half, out=tR)
+    np.subtract(hsR, hsL, out=nR)
+    np.multiply(nR, lam, out=nR)
+    np.subtract(tR, nR, out=tR)
 
     # fn = 0.5*((nsL*velL + hg*hsL*hsL) + (nsR*velR + hg*hsR*hsR))
-    #      - (0.5*lam)*(nsR - nsL), left in phiL; velL/velR keep the
+    #      - (0.5*lam)*(nsR - nsL), left in r10; velL/velR keep the
     # starred pressures hg*hs*hs for the per-side swap below
-    np.subtract(phiR, phiL, out=bR)
-    np.multiply(bR, bL, out=bR)
-    np.multiply(phiL, velL, out=phiL)
+    np.subtract(r11, r10, out=nR)
+    np.multiply(nR, lam, out=nR)
+    np.multiply(r10, velL, out=r10)
     np.multiply(hsL, hg, out=velL)
     np.multiply(velL, hsL, out=velL)
-    np.add(phiL, velL, out=phiL)
-    np.multiply(phiR, velR, out=phiR)
+    np.add(r10, velL, out=r10)
+    np.multiply(r11, velR, out=r11)
     np.multiply(hsR, hg, out=velR)
     np.multiply(velR, hsR, out=velR)
-    np.add(phiR, velR, out=phiR)
-    np.add(phiL, phiR, out=phiL)
-    np.multiply(phiL, half, out=phiL)
-    np.subtract(phiL, bR, out=phiL)
+    np.add(r11, velR, out=r11)
+    np.add(r10, r11, out=r10)
+    np.multiply(r10, half, out=r10)
+    np.subtract(r10, nR, out=r10)
 
-    # phi = (fn - hg*hs*hs) + hg*h*h, R side first (fn lives in phiL)
-    np.subtract(phiL, velR, out=phiR)
-    np.multiply(hR, hg, out=bR)
-    np.multiply(bR, hR, out=bR)
-    np.add(phiR, bR, out=phiR)
-    np.subtract(phiL, velL, out=phiL)
-    np.multiply(hL, hg, out=bR)
-    np.multiply(bR, hL, out=bR)
-    np.add(phiL, bR, out=phiL)
+    # phi = (fn - hg*hs*hs) + hg*h*h, R side first (fn lives in r10)
+    np.subtract(r10, velR, out=r11)
+    np.multiply(hR, hg, out=nR)
+    np.multiply(nR, hR, out=nR)
+    np.add(r11, nR, out=r11)
+    np.subtract(r10, velL, out=r10)
+    np.multiply(hL, hg, out=nR)
+    np.multiply(nR, hL, out=nR)
+    np.add(r10, nR, out=r10)
+    return tR, r10, r11, tL
 
 
-def _face_buffer(mesh: AmrMesh, geom: GeometryCache, faces: FaceLists, cdtype: np.dtype) -> np.ndarray:
-    """The cached ``(16, nfaces)`` face buffer: x faces, then y faces.
+def _face_buffer(
+    mesh: AmrMesh, geom: GeometryCache, faces: FaceLists, cdtype: np.dtype, bathy: bool
+) -> np.ndarray:
+    """The cached face buffer: x faces, then y faces.
 
-    Rows: the six face states ``(hL, nL, tL, hR, nR, tR)``, then the flux
-    routine's rows — the Rusanov flux's 3 outputs and 6 scratch rows, or
-    the two bottoms ``(bL, bR)`` and the well-balanced flux's 4 outputs
-    and 4 scratch rows.  One buffer sized for the larger of the two, so
-    the cache never holds a second one.
+    ``(11, nfaces)`` on a flat bottom, the rows :func:`_rusanov_into`
+    consumes; ``(12, nfaces)`` over bathymetry, the rows of
+    :func:`_wellbalanced_into`.  Rows 0–5 are the six face states ``(hL,
+    nL, tL, hR, nR, tR)``, rows 6–7 the two bottoms ``(bL, bR)`` over
+    bathymetry, and the rest the flux routine's scratch (MUSCL's
+    reconstruction uses rows 8–10 before the flux does).  Between kernel
+    calls the buffer holds nothing, so a regrid borrows its bytes
+    (:meth:`GeometryCache.borrow`).
     """
-    return geom.buffer(mesh, cdtype, "fd_faces", (16, faces.xl.size + faces.yb.size))
+    rows = 12 if bathy else 11
+    return geom.buffer(mesh, cdtype, _FACE_ARENA, (rows, faces.xl.size + faces.yb.size))
 
 
 def _face_fluxes(
@@ -703,26 +832,24 @@ def _face_fluxes(
 ) -> None:
     """Flux every interior face in ``fbuf`` and scatter, x plan before y plan.
 
-    ``fbuf`` rows 0–5 hold the face states ``(hL, nL, tL, hR, nR, tR)``
-    of the x faces then the y faces, whose normal/tangent momenta are V/U
-    (the y-flux is the x-flux under that swap); with ``bathy`` rows 6–7
-    hold the two sides' bottoms and the well-balanced flux runs, whose
-    normal momentum scatters sided (each side its own ``phi``).  The
+    ``fbuf`` is :func:`_face_buffer`'s: rows 0–5 hold the face states
+    ``(hL, nL, tL, hR, nR, tR)`` of the x faces then the y faces, whose
+    normal/tangent momenta are V/U (the y-flux is the x-flux under that
+    swap); with ``bathy`` rows 6–7 hold the two sides' bottoms and the
+    well-balanced flux runs, whose normal momentum scatters sided (each
+    side its own ``phi``).  The flux consumes every row.  The
     x-group scatter runs strictly before the y-group one: each ``apply``
     continues exactly where the previous one left the accumulator, which
     is the per-cell accumulation order of the bit contract.
     """
     nxf = faces.xl.size
     g = fbuf.dtype.type(GRAVITY)
-    hL, nL, tL, hR, nR, tR = fbuf[:6]
     if bathy:
-        _wellbalanced_into(hL, nL, tL, hR, nR, tR, fbuf[6], fbuf[7], g, fbuf[8:12], fbuf[12:16])
-        fh, fnL, fnR, ft = fbuf[8:12]
+        fh, fnL, fnR, ft = _wellbalanced_into(fbuf, g)
     else:
-        _rusanov_into(hL, nL, tL, hR, nR, tR, g, fbuf[6:9], fbuf[9:15])
-        fh, fnL, ft = fbuf[6:9]
+        fh, fnL, ft = _rusanov_into(fbuf, g)
         fnR = None
-    xplan, yplan = faces.scatter_plans(ncells)
+    xplan, yplan = faces.scatter_plans(ncells, fbuf.dtype)
     for plan, sl, dN, dT in ((xplan, slice(None, nxf), dU, dV), (yplan, slice(nxf, None), dV, dU)):
         if plan.nfaces:
             plan.apply(dH, fh[sl])
@@ -759,18 +886,18 @@ def _reflective_walls(
     cdtype = H.dtype
     g = cdtype.type(GRAVITY)
     size, _ = geom.geometry(mesh, cdtype)
-    bbuf = geom.buffer(mesh, cdtype, "fd_bnd", (14, nb))
+    bbuf = geom.buffer(mesh, cdtype, "fd_bnd", (12, nb))
     # the wall sizes: the buffer's last row, written once per generation
     # and face lists; the arena outlives the generation but the derived
     # term does not, so a generation that follows another rewrites the row
-    fsz = geom.derived(mesh, ("walls", cdtype), faces, lambda: size.take(bcells, out=bbuf[13], mode="clip"))
-    h, nL, nR, t = bbuf[:4]
-    out = bbuf[4:7]
-    tmp = bbuf[7:13]
+    fsz = geom.derived(mesh, ("walls", cdtype), faces, lambda: size.take(bcells, out=bbuf[11], mode="clip"))
+    rows = bbuf[:11]
+    h, nL, t, hR, nR, tR = rows[:6]
     H.take(bcells, out=h, mode="clip")
     # interior-side wall-normal momentum (U on the left|right walls, V on
     # the bottom|top ones), negated on the low (left/bottom) walls; the
-    # mirror operand is its exact negation
+    # mirror operand is its exact negation, and both sides share the
+    # cell's depth and tangent momentum
     nx = sl_r.stop
     U.take(bcells[:nx], out=nL[:nx], mode="clip")
     V.take(bcells[nx:], out=nL[nx:], mode="clip")
@@ -779,9 +906,11 @@ def _reflective_walls(
     np.negative(nL[sl_l], out=nL[sl_l])
     np.negative(nL[sl_b], out=nL[sl_b])
     np.negative(nL, out=nR)
-    _rusanov_into(h, nL, t, h, nR, t, g, out, tmp)
-    np.multiply(out, fsz, out=out)
-    fh, fn, ft = out
+    np.copyto(hR, h)
+    np.copyto(tR, t)
+    fh, fn, ft = _rusanov_into(rows, g)
+    for f in (fh, fn, ft):
+        np.multiply(f, fsz, out=f)
     for sl, positive, is_x in (
         (sl_l, True, True),
         (sl_r, False, True),
@@ -907,7 +1036,7 @@ def finite_diff_vectorized(
         # one flux pass over ALL interior faces: the cell states gather
         # straight into the cached face buffer, x faces then y faces, so
         # the hot loop allocates nothing per step
-        fbuf = _face_buffer(mesh, geom, faces, cdtype)
+        fbuf = _face_buffer(mesh, geom, faces, cdtype, b is not None)
         nxf = faces.xl.size
         for xc, yc, rows in ((faces.xl, faces.yb, (0, 1, 2, 6)), (faces.xr, faces.yt, (3, 4, 5, 7))):
             for row, xsrc, ysrc in zip(rows, (H, U, V, b), (H, V, U, b)):

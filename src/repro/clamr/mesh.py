@@ -150,9 +150,13 @@ class AmrMesh:
     def nyf(self) -> int:
         return self.ny * self.finest_factor
 
-    def cell_size(self) -> np.ndarray:
-        """Physical edge length of every cell (float64 — mesh metadata)."""
-        return self.coarse_size / (1 << self.level).astype(np.float64)
+    def cell_size(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Physical edge length of every cell (float64 — mesh metadata).
+
+        ``out`` is a float64 array of one value per cell to write into.
+        """
+        out = np.ldexp(np.float64(1), self.level, out=out)  # 2**level, exactly
+        return np.divide(self.coarse_size, out, out=out)
 
     def cell_span_fine(self) -> np.ndarray:
         """Edge length of every cell in fine-pixel units."""

@@ -243,9 +243,9 @@ def muscl_rhs(
 
     # reconstruct each side of every interior face to the face plane, into
     # the kernels' face buffer (x faces, then y faces; N/T the normal and
-    # tangent momenta); rows 8-10 are scratch until the flux overwrites
-    # them
-    fbuf = _face_buffer(mesh, geom, faces, cdtype)
+    # tangent momenta); rows 8-10 are scratch until the flux consumes
+    # every row
+    fbuf = _face_buffer(mesh, geom, faces, cdtype, b is not None)
     ds = fbuf[8:11]
     face_rows = (fbuf[0:3], fbuf[3:6])
     for (cells, idx), rows, b_row, toward_face in zip(sides, face_rows, (6, 7), (np.add, np.subtract)):
@@ -258,8 +258,10 @@ def muscl_rhs(
             b.take(cells, out=fbuf[b_row], mode="clip")
             np.subtract(rows[0], fbuf[b_row], out=rows[0])
     # positivity guard: fall back to the cell mean where the
-    # reconstruction would drive depth non-positive
-    bad = geom.buffer(mesh, np.dtype(bool), "muscl_bad", (2, fbuf.shape[1]))
+    # reconstruction would drive depth non-positive; the two masks live
+    # in the bytes of the spent scratch rows
+    nfaces = fbuf.shape[1]
+    bad = fbuf[8:10].reshape(-1).view(np.bool_)[: 2 * nfaces].reshape(2, nfaces)
     np.less_equal(fbuf[0], 0, out=bad[0])
     np.less_equal(fbuf[3], 0, out=bad[1])
     np.logical_or(bad[0], bad[1], out=bad[0])

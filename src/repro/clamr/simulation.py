@@ -195,12 +195,17 @@ class ClamrSimulation:
 
         A rebuild also builds both scatter plans, so that topology work
         runs (and is traced) with the regrid that caused it, not inside
-        the first kernel call on the new mesh.
+        the first kernel call on the new mesh.  Both builders take their
+        temporaries from the idle face buffer (:meth:`GeometryCache.borrow`).
         """
         cached = self._faces
         if cached is None or cached[0] != mesh.generation:
-            faces = FaceLists.from_mesh(mesh)
-            faces.scatter_plans(mesh.ncells)
+            with self._geom.borrow() as scratch:
+                faces = FaceLists.from_mesh(mesh, scratch)
+            # the face lists' temporaries are dead: carve the plans' from
+            # the arena's first byte again
+            with self._geom.borrow() as scratch:
+                faces.scatter_plans(mesh.ncells, self.policy.compute_dtype, scratch)
             cached = (mesh.generation, faces)
             self._faces = cached
         return cached[1]
@@ -273,21 +278,23 @@ class ClamrSimulation:
 
         Both paths draw their summands from
         :meth:`ShallowWaterState.mass_contributions` (built exactly once),
-        so the plain and instrumented measurements cannot drift apart; with
+        so the plain and instrumented measurements cannot drift apart, and
+        both take their temporaries from the idle face buffer; with
         telemetry enabled the sum additionally runs inside a span and the
         cancellation watchpoint sees the accumulator's condition number
         (Σ|x| / |Σx|) — the §III-C quantity that motivates promoting the
         conservation sums in the first place.
         """
-        if not tel.enabled:
-            return self.state.total_mass(area)
-        with tel.span("clamr/mass_sum") as sp:
-            contrib = self.state.mass_contributions(area)
-            mass = float(dd_sum(contrib))
-            abs_sum = float(np.sum(np.abs(contrib)))
-            tel.check_cancellation("mass", abs_sum, mass, step=self.step_count)
-            self._last_cancellation = cancellation_digits(abs_sum, mass, zero_total=0.0)
-            sp.set(mass=mass)
+        with self._geom.borrow() as scratch:
+            if not tel.enabled:
+                return self.state.total_mass(area, scratch)
+            with tel.span("clamr/mass_sum") as sp:
+                contrib = self.state.mass_contributions(area, scratch(self.state.ncells, np.float64))
+                mass = float(dd_sum(contrib, scratch))
+                abs_sum = float(np.sum(np.absolute(contrib, out=contrib)))
+                tel.check_cancellation("mass", abs_sum, mass, step=self.step_count)
+                self._last_cancellation = cancellation_digits(abs_sum, mass, zero_total=0.0)
+                sp.set(mass=mass)
         return mass
 
     def _flight_sample(self, flight, dt: float, drift: float) -> None:
@@ -419,12 +426,13 @@ class ClamrSimulation:
                     times.append(self.time)
                     tel.scan_all(self.step_count, state_fields, self.state.state_dtype)
                     if cfg.max_level > 0 and self.step_count % cfg.regrid_interval == 0:
-                        with tel.span("clamr/refinement_flags"):
+                        with tel.span("clamr/refinement_flags"), self._geom.borrow() as scratch:
                             flags = refinement_flags(
                                 self.mesh,
                                 self.state,
                                 cfg.refine_threshold,
                                 cfg.coarsen_threshold,
+                                scratch,
                             )
                         with tel.site(
                             step_no, "clamr/regrid", fields=self._regrid_fields

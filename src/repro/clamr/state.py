@@ -140,24 +140,30 @@ class ShallowWaterState:
             eta = eta + np.asarray(bathy, dtype=np.float64)
         return eta
 
-    def mass_contributions(self, cell_area: np.ndarray) -> np.ndarray:
+    def mass_contributions(self, cell_area: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-cell H·area at float64 — the dd_sum input.
 
         The single source of the conservation diagnostic's summands: both
         :meth:`total_mass` and the telemetry-instrumented mass measurement
         (which additionally feeds the cancellation watchpoint) consume this
-        array, so the two paths cannot drift apart.
+        array, so the two paths cannot drift apart.  ``out`` is a float64
+        array of one value per cell to write into.
         """
-        return self.H.astype(np.float64) * np.asarray(cell_area, dtype=np.float64)
+        if out is None:
+            out = np.empty(self.H.shape, np.float64)
+        np.copyto(out, self.H)
+        return np.multiply(out, np.asarray(cell_area, dtype=np.float64), out=out)
 
-    def total_mass(self, cell_area: np.ndarray) -> float:
+    def total_mass(self, cell_area: np.ndarray, scratch=np.empty) -> float:
         """∑ H·area via a double-double sum — the conservation diagnostic.
 
         Uses :func:`repro.sums.dd_sum` so the *diagnostic* cannot be fooled
         by accumulation error at reduced precision (paper §III-C: promote
-        the global sums, demote the rest).
+        the global sums, demote the rest).  ``scratch(shape, dtype)`` hands
+        out the summands and the sum's work arrays.
         """
-        return float(dd_sum(self.mass_contributions(cell_area)))
+        contrib = self.mass_contributions(cell_area, scratch(self.ncells, np.float64))
+        return float(dd_sum(contrib, scratch))
 
     def total_momentum(self, cell_area: np.ndarray) -> tuple[float, float]:
         """(∑ U·area, ∑ V·area) via double-double sums."""

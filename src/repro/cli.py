@@ -188,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     from dataclasses import fields
 
     from repro.service.jobs import JobSpec
+    from repro.workload import RECORD_WATCH_STRIDE
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -199,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     clamr_run = ("steps", "nx", "max_level", "policy", "scheme")
     self_run = ("steps", "elems", "order", "precision")
 
-    # repro clamr|self --ledger records have always hashed watch stride 8
+    # repro clamr|self --ledger records hash the record watch stride
     clamr = sub.add_parser("clamr", help="run the CLAMR dam break")
     _add_job_arguments(clamr, clamr_run, nx=32, steps=200, max_level=2, policy="full")
-    clamr.set_defaults(workload="clamr", watch_stride=8)
+    clamr.set_defaults(workload="clamr", watch_stride=RECORD_WATCH_STRIDE)
     clamr.add_argument("--checkpoint", default=None, help="write a checkpoint here")
     clamr.add_argument("--ledger", default=None, metavar="PATH",
                        help="trace the run and append a run record to this ledger")
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfp = sub.add_parser("self", help="run the SELF thermal bubble")
     _add_job_arguments(selfp, self_run, elems=4, order=4, steps=100)
-    selfp.set_defaults(workload="self", watch_stride=8)
+    selfp.set_defaults(workload="self", watch_stride=RECORD_WATCH_STRIDE)
     selfp.add_argument("--viscosity", type=float, default=0.0)
     selfp.add_argument("--ledger", default=None, metavar="PATH",
                        help="trace the run and append a run record to this ledger")

@@ -30,6 +30,7 @@ from repro.precision.analysis import mirror_asymmetry
 from repro.self_ import ThermalBubbleConfig
 from repro.self_.simulation import SelfResult
 from repro.service.jobs import JobSpec
+from repro.workload import RECORD_WATCH_STRIDE
 
 __all__ = [
     "table1_clamr_architectures",
@@ -61,9 +62,6 @@ PAPER_SELF_STEPS = 100
 
 CLAMR_LEVELS = ("min", "mixed", "full")
 SELF_PRECISIONS = ("single", "double")
-
-#: The sweeps' records watch every 8 steps (``TelemetrySpec``'s default).
-_WATCH_STRIDE = 8
 
 
 def clamr_paper_scale_factor(nx: int, steps: int) -> float:
@@ -266,7 +264,7 @@ def run_clamr_levels(
     scheme is always Rusanov.
     """
     spec = JobSpec("clamr", steps=steps, nx=nx, max_level=max_level,
-                   scenario=scenario or "", watch_stride=_WATCH_STRIDE)
+                   scenario=scenario or "", watch_stride=RECORD_WATCH_STRIDE)
     return _run_levels(
         spec, CLAMR_LEVELS, vectorized, telemetry_dir, ledger, label, jobs, trace_out,
         flight_stride, hash_stride, hash_dir,
@@ -294,7 +292,7 @@ def run_self_precisions(
     behave as in :func:`run_clamr_levels`.
     """
     spec = JobSpec("self", steps=steps, elems=elems, order=order,
-                   scenario=scenario or "", watch_stride=_WATCH_STRIDE)
+                   scenario=scenario or "", watch_stride=RECORD_WATCH_STRIDE)
     return _run_levels(
         spec, SELF_PRECISIONS, True, telemetry_dir, ledger, label, jobs, trace_out,
         flight_stride, hash_stride, hash_dir,

@@ -44,28 +44,38 @@ def quantize_to_half(array: np.ndarray) -> np.ndarray:
         return arr.astype(np.float16).astype(out_dtype)
 
 
-def quantize_to_bfloat16(array: np.ndarray) -> np.ndarray:
+def quantize_to_bfloat16(array: np.ndarray, out: np.ndarray | None = None, scratch=np.empty) -> np.ndarray:
     """Round values through bfloat16 (8-bit exponent, 7-bit mantissa).
 
     NumPy has no native bfloat16, so we emulate it bit-exactly on float32:
     round-to-nearest-even on the low 16 bits, then zero them.  The float32
     exponent field is already bfloat16's exponent field, so range is
     preserved and only mantissa bits are dropped.
+
+    The result has the input's float dtype (float64 for other inputs), in
+    ``out`` when given.  The rounding runs in place on one float32 copy;
+    ``scratch(shape, dtype)`` hands out that copy and its two work arrays.
     """
     arr = np.asarray(array)
     out_dtype = arr.dtype if arr.dtype.kind == "f" else np.dtype(np.float64)
-    as32 = arr.astype(np.float32)
+    as32 = scratch(arr.shape, np.float32)
+    np.copyto(as32, arr, casting="unsafe")
+    # NaNs must stay NaNs: the add below can carry into the exponent of a
+    # NaN payload and produce inf; a canonical quiet NaN is restored there
+    nan_mask = np.isnan(as32, out=scratch(arr.shape, bool))
     bits = as32.view(np.uint32)
     # round-to-nearest-even on bit 16: add 0x7FFF + LSB-of-kept-part
-    rounding_bias = np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))
-    rounded = (bits + rounding_bias) & np.uint32(0xFFFF0000)
-    # NaNs must stay NaNs: the add can carry into the exponent of a NaN
-    # payload and produce inf; restore a canonical quiet NaN there.
-    result = rounded.view(np.float32).copy()
-    nan_mask = np.isnan(as32)
-    if np.any(nan_mask):
-        result[nan_mask] = np.float32(np.nan)
-    return result.astype(out_dtype)
+    bias = scratch(arr.shape, np.uint32)
+    np.right_shift(bits, np.uint32(16), out=bias)
+    np.bitwise_and(bias, np.uint32(1), out=bias)
+    np.add(bias, np.uint32(0x7FFF), out=bias)
+    np.add(bits, bias, out=bits)
+    np.bitwise_and(bits, np.uint32(0xFFFF0000), out=bits)
+    np.copyto(as32, np.float32(np.nan), where=nan_mask)
+    if out is None:
+        out = np.empty(arr.shape, out_dtype)
+    np.copyto(out, as32)
+    return out
 
 
 def truncate_mantissa(array: np.ndarray, mantissa_bits: int) -> np.ndarray:

@@ -56,13 +56,14 @@ def scenario_spec(scenario: str | Scenario, scale: str = GOLDEN_SCALE,
     """The :class:`~repro.service.JobSpec` of ``scenario`` at ``scale``.
 
     The scale's sizes and steps, at ``policy`` (default: the scenario's
-    fingerprint policy), watching every 8 steps as the golden records
-    do, labelled ``scenario/<name>/<scale>``.  Labels never enter a hash.
+    fingerprint policy), watching at the record stride as the golden
+    records do, labelled ``scenario/<name>/<scale>``.  Labels never enter a hash.
     """
     from repro.service.jobs import JobSpec
+    from repro.workload import RECORD_WATCH_STRIDE
 
     sc = scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
-    spec = JobSpec(sc.family, scenario=sc.name, watch_stride=8,
+    spec = JobSpec(sc.family, scenario=sc.name, watch_stride=RECORD_WATCH_STRIDE,
                    label=f"scenario/{sc.name}/{scale}", **sc.scale(scale))
     return spec.at_level(policy or sc.fingerprint_policy)
 

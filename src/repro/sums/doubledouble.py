@@ -153,7 +153,7 @@ class DoubleDouble:
         return -self if self.hi < 0 or (self.hi == 0 and self.lo < 0) else self
 
 
-def dd_sum(values: np.ndarray) -> DoubleDouble:
+def dd_sum(values: np.ndarray, scratch=np.empty) -> DoubleDouble:
     """Sum a float array into a double-double accumulator.
 
     Accumulates each element with TwoSum against the high word while
@@ -165,13 +165,27 @@ def dd_sum(values: np.ndarray) -> DoubleDouble:
     The high-word partials and the running error sum are strictly
     sequential ``np.add.accumulate`` scans (``np.sum`` would reorder
     pairwise), so ``(hi, lo)`` matches the element-by-element loop bit for
-    bit; the per-step TwoSum errors are elementwise in between.
+    bit; the per-step TwoSum errors are elementwise in between.  The two
+    scans and the error terms share three float64 work arrays, which
+    ``scratch(shape, dtype)`` hands out.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
+    n = arr.size
+    terms = scratch(n + 1, np.float64)  # [0, values], then [0, errors]
+    partials = scratch(n + 1, np.float64)
+    work = scratch(n, np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        partials = np.add.accumulate(np.concatenate(([0.0], arr)))
+        terms[0] = 0.0
+        terms[1:] = arr
+        np.add.accumulate(terms, out=partials)
         a, s = partials[:-1], partials[1:]
-        bb = s - a
-        err = (a - (s - bb)) + (arr - bb)
-        lo = np.add.accumulate(np.concatenate(([0.0], err)))[-1]
-    return DoubleDouble._renorm(float(partials[-1]), float(lo))
+        bb = terms[1:]
+        np.subtract(s, a, out=bb)
+        # err = (a - (s - bb)) + (arr - bb)
+        np.subtract(s, bb, out=work)
+        np.subtract(a, work, out=work)
+        np.subtract(arr, bb, out=bb)
+        np.add(work, bb, out=bb)
+        hi = float(partials[-1])
+        lo = np.add.accumulate(terms, out=partials)[-1]
+    return DoubleDouble._renorm(hi, float(lo))

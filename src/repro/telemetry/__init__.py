@@ -54,6 +54,7 @@ from repro.telemetry.metrics import (
     NullRegistry,
 )
 from repro.telemetry.numerics import (
+    RECORD_WATCH_STRIDE,
     NullNumericsWatch,
     NumericalEvent,
     NumericsWatch,
@@ -125,7 +126,7 @@ class Telemetry:
     enabled = True
 
     def __init__(
-        self, label: str = "", watch_stride: int = 8, flight=None, ladder=None
+        self, label: str = "", watch_stride: int = RECORD_WATCH_STRIDE, flight=None, ladder=None
     ) -> None:
         self.label = label
         self.tracer = Tracer()
@@ -231,7 +232,7 @@ class TelemetrySpec:
     """
 
     label: str = ""
-    watch_stride: int = 8
+    watch_stride: int = RECORD_WATCH_STRIDE
     flight_stride: int = 0
     hash_stride: int = 0
     hash_chunk: int = 4096

@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.workload import RECORD_WATCH_STRIDE
+
 __all__ = ["NumericalEvent", "NumericsWatch", "array_health", "cancellation_digits"]
 
 #: Event kinds that invalidate the run outright.
@@ -129,7 +131,7 @@ class NumericsWatch:
 
     def __init__(
         self,
-        stride: int = 8,
+        stride: int = RECORD_WATCH_STRIDE,
         subnormal_fraction: float = 1e-3,
         headroom_decades: float = 2.0,
         cancellation_digits: float = 6.0,

@@ -18,6 +18,7 @@ from typing import Any
 
 __all__ = [
     "CLAMR_POLICIES",
+    "RECORD_WATCH_STRIDE",
     "WORKLOADS",
     "resolve_scenario",
     "run_label",
@@ -29,6 +30,12 @@ WORKLOADS = ("clamr", "self")
 
 #: CLAMR's precision levels, least precise first: every run flag offers these.
 CLAMR_POLICIES = ("half", "min", "mixed", "full")
+
+#: The numerics-watch stride every recorded run has hashed: ``repro
+#: clamr|self --ledger``, the harness sweeps, the scenario goldens, and
+#: ``TelemetrySpec``'s default.  ``JobSpec``'s own default stays 4, so the
+#: keys of every spec that never names a stride keep their bytes.
+RECORD_WATCH_STRIDE = 8
 
 #: CLAMR precision levels on SELF's single/double axis.
 _CLAMR_TO_SELF = {"half": "single", "min": "single", "mixed": "single", "full": "double"}

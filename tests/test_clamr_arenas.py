@@ -1,4 +1,4 @@
-"""CLAMR scratch that outlives a regrid.
+"""CLAMR scratch that outlives a regrid, and a regrid that borrows it.
 
 ``GeometryCache`` hands out every scratch buffer as a view of one flat
 arena per (dtype, name) that survives regrids and only grows, and the
@@ -7,19 +7,34 @@ These tests pin what that must keep: a run allocates a name's arena
 again only when its mesh outgrows it, two live views of one name never
 alias, and the neighbor build from the reused image is byte-equal to the
 masked-gather reference with the same error messages.
+
+They also pin the run's footprint: the face buffer's row count per flux
+routine, a regrid that takes its temporaries from the idle face buffer
+(``GeometryCache.borrow``) and creates no arena, what each regrid stage
+allocates beyond what it keeps, and one signed-size array per scatter
+plan.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import repro.clamr.simulation as simulation
 from repro.clamr import ClamrSimulation, DamBreakConfig, backends
 from repro.clamr.backends import kernel_backend
-from repro.clamr.kernels import FaceLists, GeometryCache, compute_timestep, finite_diff_vectorized
+from repro.clamr.kernels import (
+    FaceLists,
+    GeometryCache,
+    ScatterPlan,
+    compute_timestep,
+    finite_diff_vectorized,
+)
 from repro.clamr.mesh import AmrMesh
+from repro.clamr.muscl import finite_diff_muscl
 from repro.clamr.state import ShallowWaterState
-from repro.precision.policy import FULL_PRECISION
+from repro.precision.policy import FULL_PRECISION, PrecisionPolicy
 from tests.reference_impls import neighbors_masked_gather
 from tests.test_clamr_topology import gap_level_mesh, random_balanced_mesh
 
@@ -155,3 +170,155 @@ def test_invalid_soups_keep_the_hash_messages(backend):
             AmrMesh(**overlap)
         with pytest.raises(ValueError, match=r"^mesh does not cover the domain \(gaps present\)$"):
             AmrMesh(**gaps)
+
+
+# -- the footprint ------------------------------------------------------------
+
+#: what one regrid stage may allocate beyond what it keeps: the fixed-size
+#: buffers NumPy stages casts through.  Measured on the 32^2 L2 dam break
+#: (7,060 cells at step 120, numpy backend): at most 52 KiB in the flags,
+#: 75 KiB in the face lists and plans and 74 KiB in the mass sum (its
+#: first call, before any kernel has made the face buffer), against 422,
+#: 313 and 332 KiB when each stage allocated its own temporaries.
+STAGE_SLACK = 96 * 1024
+
+
+@pytest.mark.parametrize("kernel", [finite_diff_vectorized, finite_diff_muscl])
+@pytest.mark.parametrize("bottom, rows", [("flat", 11), ("bathy", 12)])
+@pytest.mark.parametrize("policy", ["min", "full"])
+def test_face_buffer_rows(kernel, bottom, rows, policy):
+    # _rusanov_into consumes 11 rows, _wellbalanced_into 12 (the states,
+    # the bottoms and their scratch), and MUSCL reconstructs into them
+    mesh = AmrMesh.uniform(6, 5, max_level=1, coarse_size=0.2)
+    x, y = mesh.cell_centers()
+    H = 1.0 + 0.2 * np.exp(-8.0 * ((x - 0.6) ** 2 + (y - 0.5) ** 2))
+    policy = PrecisionPolicy.from_level(policy)
+    state = ShallowWaterState(H=H, U=0.1 * H, V=-0.05 * H, policy=policy)
+    bathy = None if bottom == "flat" else 0.1 * x
+    faces = FaceLists.from_mesh(mesh)
+    geom = GeometryCache()
+    with kernel_backend("numpy"):
+        kernel(mesh, state, compute_timestep(mesh, state, geom=geom), faces=faces, geom=geom, bathy=bathy)
+    key = (policy.compute_dtype, "fd_faces")
+    nfaces = faces.xl.size + faces.yb.size
+    assert geom._handed[key][1] == (rows, nfaces)
+    assert geom._arenas[key].size == rows * nfaces
+
+
+def _regrid_stages(monkeypatch, sim) -> list:
+    """Wrap the simulation's four regrid stages; per regrid, one dict of
+    ``stage: (entry, peak, exit)`` traced bytes, plus ``"new_arenas"``:
+    the cache's arenas when its mass sum ends that were not there, as the
+    same objects, when its flags began."""
+    regrids: list = []
+
+    def arenas():
+        # weakly: a strong reference would be a live view
+        return {key: weakref.ref(arena) for key, arena in sim._geom._arenas.items()}
+
+    def wrap(owner, attr, stage):
+        original = getattr(owner, attr)
+
+        def traced(*args, **kwargs):
+            if stage == "flags":
+                regrids.append({"arenas_before": arenas()})
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = original(*args, **kwargs)
+            exit_, peak = tracemalloc.get_traced_memory()
+            if regrids and "done" not in regrids[-1]:
+                regrids[-1][stage] = (entry, peak, exit_)
+                if stage == "mass":
+                    before = regrids[-1].pop("arenas_before")
+                    regrids[-1]["new_arenas"] = [
+                        key for key, arena in sim._geom._arenas.items()
+                        if key not in before or before[key]() is not arena
+                    ]
+                    regrids[-1]["done"] = True
+                    regrids[-1]["mesh"] = sim.mesh
+            return out
+
+        monkeypatch.setattr(owner, attr, traced)
+
+    wrap(simulation, "refinement_flags", "flags")
+    wrap(simulation, "regrid", "regrid")
+    wrap(ClamrSimulation, "_faces_for", "faces")
+    wrap(ClamrSimulation, "_measured_mass", "mass")
+    return regrids
+
+
+def _topology_bytes(sim) -> int:
+    """The new generation's own bytes: mesh, state, face lists, both
+    plans and the float64 cast geometry (size and area)."""
+    mesh = sim.mesh
+    faces = sim._faces_for(mesh)
+    lists = sum(getattr(faces, f).nbytes for f in ("xl", "xr", "xsize", "yb", "yt", "ysize"))
+    lists += faces.boundary_concat()[0].nbytes
+    plans = sum(p.indptr.nbytes + p.cols.nbytes + p.signed(p._kept.dtype).nbytes
+                for p in faces.scatter_plans(mesh.ncells))
+    return mesh.memory_nbytes() + sim.state.nbytes() + lists + plans + 16 * mesh.ncells
+
+
+@pytest.mark.parametrize("backend", [
+    "numpy",
+    pytest.param("cext", marks=pytest.mark.skipif(not HAVE_CEXT, reason="no C compiler")),
+])
+@pytest.mark.parametrize("policy", ["half", "min", "mixed", "full"])
+def test_a_regrid_borrows_the_idle_face_buffer(monkeypatch, policy, backend):
+    # a 32^2 L2 dam break regrids every 4 steps; each regrid's flags,
+    # regrid, face lists, plans and mass sum create no arena (the face
+    # buffer's bytes serve their temporaries) and keep no view of it
+    sim = ClamrSimulation(DamBreakConfig(nx=32, ny=32, max_level=2), policy=policy)
+    with kernel_backend(backend):
+        sim.run(4)  # the kernels make their arenas
+        regrids = _regrid_stages(monkeypatch, sim)
+        tracemalloc.start()
+        try:
+            sim.run(40)
+            last_topology = _topology_bytes(sim)
+        finally:
+            tracemalloc.stop()
+    assert len(regrids) == 10
+    for k, rec in enumerate(regrids):
+        assert rec["new_arenas"] == [], k
+        if backend != "numpy":
+            continue
+        # what each borrowing stage allocates beyond what it keeps
+        for stage in ("flags", "faces", "mass"):
+            entry, peak, exit_ = rec[stage]
+            assert peak - max(entry, exit_) <= STAGE_SLACK, (k, stage, peak - max(entry, exit_))
+    # no view of a borrowed arena outlives the regrid: the next kernel
+    # call reuses the face buffer (test_a_name_is_allocated_only_when_it_must_grow
+    # pins that over a whole run)
+    if backend == "numpy":
+        rec = regrids[-1]
+        base = rec["flags"][0]
+        peak = max(rec[stage][1] for stage in ("flags", "regrid", "faces", "mass"))
+        assert rec["mesh"] is sim.mesh
+        assert peak - base <= last_topology + STAGE_SLACK
+
+
+@pytest.mark.parametrize("policy", ["min", "mixed", "full"])
+def test_each_plan_holds_one_signed_array(policy):
+    sim = ClamrSimulation(DamBreakConfig(nx=16, ny=16, max_level=2), policy=policy)
+    with kernel_backend("numpy"):
+        sim.run(6)
+    cdtype = sim.policy.compute_dtype
+    for plan in sim._faces_for(sim.mesh).scatter_plans(sim.mesh.ncells):
+        signed = [v for v in vars(plan).values()
+                  if isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.size == 2 * plan.nfaces]
+        assert [a.dtype for a in signed] == [cdtype]
+
+
+def test_another_dtype_is_rebuilt_from_the_sizes_and_signs():
+    mesh = AmrMesh.uniform(5, 4, max_level=2, level=1)
+    faces = FaceLists.from_mesh(mesh)
+    args = (faces.xl, faces.xr, faces.xsize, mesh.ncells)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    want = {dt: ScatterPlan(*args, dt).signed(dt).copy() for dt in (f32, f64)}
+    assert want[f32].tobytes() == want[f64].astype(f32).tobytes()
+    plan = ScatterPlan(*args, f32)
+    for dt in (f64, f32, f64):
+        got = plan.signed(dt)
+        assert got.dtype == dt and got.tobytes() == want[dt].tobytes()
+        assert plan._kept is got  # the one array the plan holds

@@ -2,10 +2,11 @@
 
 Both NumPy CLAMR kernels gather (``finite_diff_vectorized``) or
 reconstruct (``muscl_rhs``) the face states of every interior face into
-one cached ``[x faces | y faces]`` buffer, evaluate them with one in-place
-flux routine — ``_rusanov_into`` on a flat bottom, ``_wellbalanced_into``
-over bathymetry — and scatter the x plan before the y plan.  These tests
-pin the in-place well-balanced flux to its expression form, pin whole
+one cached ``[x faces | y faces]`` buffer, evaluate them with one flux
+routine that consumes the buffer's rows — ``_rusanov_into`` (11 rows) on a
+flat bottom, ``_wellbalanced_into`` (12 rows) over bathymetry — and
+scatter the x plan before the y plan.  These tests pin both consuming
+fluxes to their expression forms, pin whole
 steps to the per-group allocating bodies kept in
 ``tests/reference_impls.py``, bound what one warm step may allocate, and
 check that the topology terms cached per mesh generation are never read
@@ -77,18 +78,16 @@ def face_states(dtype, n=3000, seed=0):
 @pytest.mark.parametrize("dtype", DTYPES)
 class TestFluxOracles:
     def test_wellbalanced_into_matches_expression_form(self, dtype):
-        hL, nL, tL, hR, nR, tR, bL, bR = face_states(dtype)
+        states = face_states(dtype)
         g = np.dtype(dtype).type(GRAVITY)
-        want = _wellbalanced_x(hL, nL, tL, hR, nR, tR, bL, bR, g)
-        states = [a.copy() for a in (hL, nL, tL, hR, nR, tR)]
-        out = np.full((4, hL.size), np.nan, dtype=dtype)
-        tmp = np.full((4, hL.size), np.nan, dtype=dtype)
-        _wellbalanced_into(*states, bL.copy(), bR.copy(), g, out, tmp)
-        for got, ref in zip(out, want):
-            assert got.tobytes() == ref.tobytes()
-        # the states are only read (the bottoms are consumed as scratch)
-        for got, ref in zip(states, (hL, nL, tL, hR, nR, tR)):
-            assert got.tobytes() == ref.tobytes()
+        want = _wellbalanced_x(*states, g)
+        rows = np.full((12, states[0].size), np.nan, dtype=dtype)
+        rows[:8] = states
+        got = _wellbalanced_into(rows, g)
+        for row, ref in zip(got, want):
+            assert row.tobytes() == ref.tobytes()
+        # every output is one of the rows: the states were consumed in place
+        assert all(np.shares_memory(row, rows) for row in got)
 
     def test_edge_cases_are_exercised(self, dtype):
         hL, nL, tL, hR, nR, tR, bL, bR = face_states(dtype)
@@ -105,10 +104,23 @@ class TestFluxOracles:
         hL, nL, tL, hR, nR, tR, _, _ = face_states(dtype, seed=1)
         g = np.dtype(dtype).type(GRAVITY)
         want = _rusanov_x(hL, nL, tL, hR, nR, tR, g)
-        out = np.empty((3, hL.size), dtype=dtype)
-        _rusanov_into(hL, nL, tL, hR, nR, tR, g, out, np.empty((6, hL.size), dtype=dtype))
-        for got, ref in zip(out, want):
-            assert got.tobytes() == ref.tobytes()
+        rows = np.full((11, hL.size), np.nan, dtype=dtype)
+        rows[:6] = hL, nL, tL, hR, nR, tR
+        got = _rusanov_into(rows, g)
+        for row, ref in zip(got, want):
+            assert row.tobytes() == ref.tobytes()
+        assert all(np.shares_memory(row, rows) for row in got)
+
+    def test_rusanov_into_mirror_states(self, dtype):
+        # the reflective-wall call: both sides share h and t, the normal
+        # momenta are exact negations (rows copied, never aliased)
+        h, n, t, _, _, _, _, _ = face_states(dtype, seed=2)
+        g = np.dtype(dtype).type(GRAVITY)
+        want = _rusanov_x(h, n, t, h, -n, t, g)
+        rows = np.empty((11, h.size), dtype=dtype)
+        rows[:6] = h, n, t, h, -n, t
+        for row, ref in zip(_rusanov_into(rows, g), want):
+            assert row.tobytes() == ref.tobytes()
 
 
 def evolved(scenario, level, max_level=2, nx=12, steps=6):

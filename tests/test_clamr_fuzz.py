@@ -3,7 +3,11 @@
 Random refinement/coarsening sequences must preserve every structural
 invariant: domain coverage without overlap (checked by the hash builder),
 2:1 face balance, neighbor-link consistency, conservation of mass through
-state transfer, and kernel stability on whatever mesh comes out.
+state transfer, and kernel stability on whatever mesh comes out.  On
+random regrid sequences from random initial conditions (runs of ±0
+momenta, near-dry depths) one step of either CLAMR scheme, flat or over
+bathymetry, at every precision level, must give the same bits on the
+NumPy kernel, its allocating oracle and every loop backend.
 """
 
 import numpy as np
@@ -11,12 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clamr import backends
 from repro.clamr.amr import regrid
+from repro.clamr.backends import kernel_backend
 from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectorized
 from repro.clamr.mesh import AmrMesh
+from repro.clamr.muscl import finite_diff_muscl
 from repro.clamr.state import ShallowWaterState
-from repro.precision.policy import FULL_PRECISION
-from tests.reference_impls import paint_hash_add_at
+from repro.precision.policy import FULL_PRECISION, PrecisionPolicy
+from tests.reference_impls import (
+    finite_diff_allocating,
+    finite_diff_muscl_allocating,
+    paint_hash_add_at,
+)
+
+HAVE_CEXT = backends.cext.availability()[0]
+LOOP_BACKENDS = ("python", "cext") if HAVE_CEXT else ("python",)
 
 
 def random_mesh_and_state(seed: int, rounds: int, nx: int = 4, max_level: int = 2):
@@ -113,6 +127,70 @@ class TestRegridFuzz:
         # count fine-pixel column boundaries where the owner changes
         changes = int((image[:, 1:] != image[:, :-1]).sum())
         assert faces.xsize.sum() == pytest.approx(changes * fine, rel=1e-12)
+
+
+def random_wet_state(seed: int, rounds: int, level: str, nx: int = 4, max_level: int = 2):
+    """(mesh, state, bathy) after ``rounds`` random regrids of a random IC.
+
+    Depths are O(1) with a tenth of the cells near dry (1e-3 down to
+    1e-5, subnormal at float16); velocities are O(1), so momenta shrink
+    with the depth, and every seventh and eleventh cell carries a +0 and
+    a -0 momentum.  The bottom is random, at float64, with its own zeros.
+    """
+    rng = np.random.default_rng(seed)
+    mesh = AmrMesh.uniform(nx, nx, max_level=max_level, coarse_size=1.0 / nx)
+    H = rng.uniform(0.2, 2.0, mesh.ncells)
+    dry = rng.random(mesh.ncells) < 0.1
+    H[dry] = 10.0 ** rng.uniform(-5, -3, int(dry.sum()))
+    U = H * rng.uniform(-1, 1, mesh.ncells)
+    V = H * rng.uniform(-1, 1, mesh.ncells)
+    U[::7], V[::7] = 0.0, -0.0
+    U[3::11], V[3::11] = -0.0, 0.0
+    policy = PrecisionPolicy.from_level(level)
+    state = ShallowWaterState(H=H, U=U, V=V, policy=policy)
+    for _ in range(rounds):
+        flags = rng.integers(-1, 2, mesh.ncells).astype(np.int8)
+        mesh, state = regrid(mesh, state, flags)
+    bathy = rng.uniform(-0.3, 0.3, mesh.ncells)
+    bathy[::5] = 0.0
+    return mesh, state, bathy
+
+
+STEP_KERNELS = {
+    "rusanov": (finite_diff_vectorized, finite_diff_allocating),
+    "muscl": (finite_diff_muscl, finite_diff_muscl_allocating),
+}
+
+
+class TestStepBitIdentityFuzz:
+    """One step of the NumPy kernel, whose face pass consumes the rows of
+    its face buffer, against the allocating oracle and the loop backends."""
+
+    @pytest.mark.parametrize("bottom", ["flat", "bathy"])
+    @pytest.mark.parametrize("scheme", sorted(STEP_KERNELS))
+    @pytest.mark.parametrize("level", ["half", "min", "mixed", "full"])
+    @given(seed=st.integers(0, 10_000), rounds=st.integers(0, 4))
+    @settings(max_examples=6, deadline=None)
+    def test_one_step_same_bits_everywhere(self, level, scheme, bottom, seed, rounds):
+        mesh, state, bathy = random_wet_state(seed, rounds, level)
+        if bottom == "flat":
+            bathy = None
+        kernel, oracle = STEP_KERNELS[scheme]
+        faces = FaceLists.from_mesh(mesh)
+        dt = compute_timestep(mesh, state, 0.25)
+        want = state.copy()
+        with kernel_backend("numpy"), np.errstate(all="ignore"):
+            oracle(mesh, want, dt, faces, bathy=bathy)
+            got = state.copy()
+            kernel(mesh, got, dt, faces=faces, bathy=bathy)
+        for name in ("H", "U", "V"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), f"numpy {name}"
+        for backend in LOOP_BACKENDS:
+            looped = state.copy()
+            with kernel_backend(backend), np.errstate(all="ignore"):
+                kernel(mesh, looped, dt, faces=FaceLists.from_mesh(mesh), bathy=bathy)
+            for name in ("H", "U", "V"):
+                assert getattr(looped, name).tobytes() == getattr(want, name).tobytes(), f"{backend} {name}"
 
 
 class TestGuardedLoopFuzz:

@@ -113,7 +113,7 @@ def assert_topology_matches(mesh: AmrMesh, rng, policy=FULL_PRECISION) -> None:
         indptr, cols, signed64 = scatter_plan_argsort(*args, mesh.ncells)
         assert_same_bytes(plan.indptr, indptr, f"{axis}-plan indptr")
         assert_same_bytes(plan.cols, cols, f"{axis}-plan cols")
-        assert_same_bytes(plan.signed64, signed64, f"{axis}-plan signed64")
+        assert_same_bytes(plan.signed(np.float64), signed64, f"{axis}-plan signed64")
 
     for spread in (0.003, 0.01, 0.03):
         state = random_state(mesh, rng, policy, spread)
@@ -183,7 +183,7 @@ class TestTopologyBitIdentity:
         indptr, cols, signed64 = scatter_plan_argsort(empty, empty, np.empty(0), 3)
         assert_same_bytes(plan.indptr, indptr, "indptr")
         assert_same_bytes(plan.cols, cols, "cols")
-        assert_same_bytes(plan.signed64, signed64, "signed64")
+        assert_same_bytes(plan.signed(np.float64), signed64, "signed64")
 
 
 def builder_outputs(mesh: AmrMesh, state: ShallowWaterState, raw: np.ndarray) -> dict:
@@ -202,7 +202,7 @@ def builder_outputs(mesh: AmrMesh, state: ShallowWaterState, raw: np.ndarray) ->
     for axis, plan in zip("xy", faces.scatter_plans(fresh.ncells)):
         out[f"{axis}-indptr"] = plan.indptr
         out[f"{axis}-cols"] = plan.cols
-        out[f"{axis}-signed64"] = plan.signed64
+        out[f"{axis}-signed64"] = plan.signed(np.float64)
         out[f"{axis}-sided"] = plan._sided_cols()
     out["flags"] = refinement_flags(fresh, state)
     out["balanced"] = enforce_balance(fresh, raw)

@@ -113,6 +113,29 @@ class TestParser:
         assert parse(["submit", "self", "--queue", "q",
                       "--watch-stride", "2"]).watch_stride == 2
 
+    def test_record_watch_stride_is_named_once(self, monkeypatch):
+        # the CLI's clamr/self records, the harness sweeps and the scenario
+        # runner all read repro.workload.RECORD_WATCH_STRIDE, which is
+        # also TelemetrySpec's default; JobSpec's own default stays 4
+        import repro.workload
+        from repro.harness import experiments
+        from repro.scenarios.runner import scenario_spec
+        from repro.service import JobSpec
+        from repro.telemetry import TelemetrySpec
+
+        assert repro.workload.RECORD_WATCH_STRIDE == TelemetrySpec().watch_stride == 8
+        assert JobSpec("clamr").watch_stride == 4
+        monkeypatch.setattr(repro.workload, "RECORD_WATCH_STRIDE", 5)
+        monkeypatch.setattr(experiments, "RECORD_WATCH_STRIDE", 5)
+        assert build_parser().parse_args(["clamr"]).watch_stride == 5
+        assert build_parser().parse_args(["self"]).watch_stride == 5
+        assert scenario_spec("clamr/dam-break").watch_stride == 5
+        specs = []
+        monkeypatch.setattr(experiments, "_run_levels", lambda spec, *a: specs.append(spec))
+        experiments.run_clamr_levels()
+        experiments.run_self_precisions()
+        assert [s.watch_stride for s in specs] == [5, 5]
+
     def test_ledger_gate_defaults(self):
         args = build_parser().parse_args(
             ["ledger", "gate", "--ledger", "a", "--baseline", "b"]
